@@ -2,17 +2,20 @@
 # The repo's verification gate, in the order a reviewer should run it:
 #
 #   1. release build (the benchmarks below need it anyway)
-#   2. the tier-1 test suite (workspace root package)
+#   2. the tier-1 test suite (workspace root package, incl. the
+#      trace_digests golden pin of every trace, verdict and table)
 #   3. the full workspace test suite (all crates, incl. the
-#      parallel/serial and indexed/linear equivalence tests)
+#      parallel/serial and indexed/linear equivalence tests), and the
+#      benchmark crate's own tests (perfbench/, a separate workspace),
+#      so an engine API change that breaks the benchmark fails here
 #   4. clippy, warnings-as-errors, across every target
 #   5. a full `figure6 --all` report run, writing the machine-readable
 #      timing snapshot to target/BENCH_figure6.json, followed by the
-#      snapshot-diff perf gate: `figure6 --diff` compares the fresh v7
+#      snapshot-diff perf gate: `figure6 --diff` compares the fresh v8
 #      snapshot against the committed BENCH_figure6.json — per-example
 #      search-time ratios (3x with a 25ms floor), the 2x aggregate
 #      bound, and 1.5x drift gates on every *deterministic* search
-#      counter (scheduler-shaped counters are reported, not gated) —
+#      counter (the proof-store counters are reported, not gated) —
 #      and a self-comparison must report exactly zero regressions
 #   6. the profiling smoke gate: a suite run under `--profile-out` /
 #      `--folded-out` / `--hotspots` must emit a Chrome trace that
@@ -21,41 +24,27 @@
 #      ("profile identity ok"); the profiling-on/off trace- and
 #      table-equivalence test and the sink-ordering test must hold
 #   7. the telemetry smoke gate: the same run with a file sink attached
-#      must produce a v7 snapshot with non-zero counters (including the
+#      must produce a v8 snapshot with non-zero counters (including the
 #      term-interner hit/miss counters, the incremental pure-solver
 #      counters, and the per-span-kind duration histograms), the
 #      telemetry-on/off trace-equivalence test must hold, and
 #      `figure6 --explain` must render a structured stuck report
-#   8. the e-graph escape-hatch smoke gate: the suite must verify with
-#      `DIAFRAME_EGRAPH=off` (rebuild-per-query solver), and the
-#      egraph_identity test must show byte-identical traces between the
-#      two solver paths
-#   9. the intra-verification-parallelism gate: the suite must verify
-#      with speculation and pipelined checking forced off
-#      (`DIAFRAME_SPECULATE=off DIAFRAME_PIPELINE_CHECK=off`), the
-#      speculation_identity test must show byte-identical traces and
-#      tables across the switches, and a `--jobs 4` run must engage
-#      speculation (non-zero `spec_spawned`) while staying within
-#      relaxed `--diff` bounds (10x ratio / 50ms floor: an
-#      oversubscribed single-core CI box inflates per-example wall
-#      time up to ~8x at `--jobs 4`; a search blowup is orders of
-#      magnitude and moves the gated counters too)
-#  10. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
+#   8. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
 #      campaign must report zero differential divergences and zero
 #      surviving trace mutants, two runs at the same seed must produce
 #      byte-identical JSON reports, and a third run under the profiler
 #      must produce the *same* report bytes plus a validated trace
-#  11. the adequacy schedule-sweep gate: every proved example's client
+#   9. the adequacy schedule-sweep gate: every proved example's client
 #      must sweep clean (1000 seeded interleavings + preemption-bounded
 #      DFS, postconditions checked, race / manifest-deadlock /
 #      lock-order detectors live), every intentionally-buggy negative
 #      example must be flagged with its expected categories, and the
 #      JSON snapshot must be byte-identical across worker counts and
 #      against the committed BENCH_adequacy.json
-#  12. the verification-service gate: `figure6 --store` must pass its
+#  10. the verification-service gate: `figure6 --store` must pass its
 #      built-in warm-vs-cold gate (warm pass answered entirely by
 #      checker-replayed store hits, byte-identical verdict table, warm
-#      wall <= 0.5x cold) with the v7 snapshot carrying the `store`
+#      wall <= 0.5x cold) with the v8 snapshot carrying the `store`
 #      block; then the `diaframe serve` daemon itself is started over a
 #      Unix socket, the full suite is requested twice across a daemon
 #      restart sharing one store directory, the second run must answer
@@ -75,19 +64,20 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 cargo test --workspace --release -q
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6.json
 
 # --- snapshot-diff perf gate (see EXPERIMENTS.md "Performance") ----------
 # `figure6 --diff` replaces the old awk aggregate/max gates: it compares
-# the fresh v7 snapshot against the committed baseline and gates on
+# the fresh v8 snapshot against the committed baseline and gates on
 # per-example search-time ratios (3x with a 25ms noise floor), the 2x
 # aggregate bound, and 1.5x drift on every *deterministic* search
-# counter (probes, backtracks, checker steps, per-kind step counts) —
-# a silent search-shape regression trips a counter gate even when a
-# fast machine hides the wall-clock cost. Scheduler-shaped counters
-# (spec_*, interner_*, solver_*, cache effort) are reported but never
-# gated. Non-zero exit on any regression.
+# counter (probes, backtracks, checker steps, per-kind step counts,
+# interner and solver effort) — a silent search-shape regression trips
+# a counter gate even when a fast machine hides the wall-clock cost.
+# The proof-store counters (store_*) depend on what is on disk and are
+# reported but never gated. Non-zero exit on any regression.
 cargo run --release -p diaframe-bench --bin figure6 -- \
   --diff BENCH_figure6.json --diff-current target/BENCH_figure6.json
 # The reporter itself is gated: a snapshot diffed against itself must
@@ -106,7 +96,7 @@ cargo run --release -p diaframe-bench --bin figure6 -- \
   --profile-out target/profile_trace.json --folded-out target/profile_folded.txt \
   --hotspots 10 > target/profile_smoke.log
 grep -q 'profile identity ok: find_hint span count' target/profile_smoke.log
-grep -q 'profile identity ok: check+check_window span count' target/profile_smoke.log
+grep -q 'profile identity ok: check span count' target/profile_smoke.log
 grep -q 'span events across .* lanes, validated' target/profile_smoke.log
 grep -q 'profile hotspots' target/profile_smoke.log
 test -s target/profile_folded.txt
@@ -121,9 +111,9 @@ cargo test --release -p diaframe-bench --test telemetry_sink -q
 rm -f target/telemetry.jsonl
 DIAFRAME_TELEMETRY=target/telemetry.jsonl \
   cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6_telemetry.json > /dev/null
-grep -q '"schema": "diaframe-bench/figure6/v7"' target/BENCH_figure6_telemetry.json
+grep -q '"schema": "diaframe-bench/figure6/v8"' target/BENCH_figure6_telemetry.json
 grep -q '"telemetry": { "probes_attempted": [1-9]' target/BENCH_figure6_telemetry.json
-# v7: the persistent-proof-store counters ride along in every telemetry
+# v7+: the persistent-proof-store counters ride along in every telemetry
 # block (zero on a storeless run, but the keys must be present).
 grep -q '"store_hits": [0-9]' target/BENCH_figure6_telemetry.json
 grep -q '"store_replay_ms": [0-9]' target/BENCH_figure6_telemetry.json
@@ -149,48 +139,6 @@ cargo test --release -p diaframe-bench --test telemetry -q
 # The stuck-state diagnostics must name the goal head the search missed.
 cargo run --release -p diaframe-bench --bin figure6 -- --explain spin_lock \
   | grep -q 'unmatched goal head'
-
-# --- e-graph escape-hatch smoke gate (see README "Solver architecture") --
-# The rebuild-per-query path must still carry the whole suite: a full
-# figure6 run with the e-graph disabled has to verify all 24 examples.
-# Byte-identity of the traces between the two paths is asserted by the
-# egraph_identity test (part of the workspace suite above); re-run it
-# here by name so a failure points at the solver, not at "tests".
-DIAFRAME_EGRAPH=off \
-  cargo run --release -p diaframe-bench --bin figure6 -- --json-out target/BENCH_figure6_off.json > /dev/null
-test "$(grep -c '"search_ms"' target/BENCH_figure6_off.json)" -eq \
-     "$(grep -c '"search_ms"' target/BENCH_figure6.json)"
-cargo test --release -p diaframe-bench --test egraph_identity -q
-
-# --- intra-verification-parallelism gate (see README "Parallelism") ------
-# Both escape hatches at once: the fully-serial path (no speculative
-# branch workers, search-then-check) must still carry the whole suite.
-DIAFRAME_SPECULATE=off DIAFRAME_PIPELINE_CHECK=off \
-  cargo run --release -p diaframe-bench --bin figure6 -- --json-out target/BENCH_figure6_serial.json > /dev/null
-test "$(grep -c '"search_ms"' target/BENCH_figure6_serial.json)" -eq \
-     "$(grep -c '"search_ms"' target/BENCH_figure6.json)"
-# Byte-identity of traces and tables across the speculation and pipeline
-# switches, by name so a failure points at the parallelism layer.
-cargo test --release -p diaframe-bench --test speculation_identity -q
-# A `--jobs 4` run must actually engage speculation (the pool drains and
-# tail stragglers inherit freed budget units) and resolve every spawn,
-# with the spec counters landing in the v7 snapshot.
-cargo run --release -p diaframe-bench --bin figure6 -- --all --jobs 4 \
-  --json-out target/BENCH_figure6_jobs4.json > /dev/null
-grep -q '"spec_spawned": [1-9]' target/BENCH_figure6_jobs4.json
-grep -q '"spec_won": [0-9]' target/BENCH_figure6_jobs4.json
-grep -q '"check_overlap_ms": [0-9]' target/BENCH_figure6_jobs4.json
-# The --jobs 4 snapshot through the same diff reporter, with relaxed
-# timing bounds (10x ratio, 50ms floor: on a single-core CI box four
-# pool workers plus speculative branch workers oversubscribe the CPU,
-# and a 5ms example that queues behind three 10ms ones reads as ~8x
-# slower while gaining only ~30ms — pure scheduling, which the floor
-# absorbs; a genuine search blowup is orders of magnitude *and* grows
-# the deterministic counters). The counter gates stay at their strict
-# defaults: parallelism must not change what the search *does*.
-cargo run --release -p diaframe-bench --bin figure6 -- \
-  --diff BENCH_figure6.json --diff-current target/BENCH_figure6_jobs4.json \
-  --diff-ratio 10 --diff-aggregate-ratio 5 --diff-min-ms 50
 
 # --- soundness-fuzzing smoke gate (see EXPERIMENTS.md "Soundness harness") --
 # Fixed seed: ~200 generated entailments through the differential oracle
@@ -243,14 +191,14 @@ cmp BENCH_adequacy.json target/BENCH_adequacy.json
 # fresh persistent store. The binary's built-in gate exits non-zero
 # unless the warm pass is answered entirely by checker-replayed store
 # hits, renders a byte-identical verdict table, and finishes in at most
-# half the cold wall; the v7 snapshot must carry the `store` block with
+# half the cold wall; the v8 snapshot must carry the `store` block with
 # both passes' counters.
 rm -rf target/proof_store
 cargo run --release -p diaframe-bench --bin figure6 -- --all \
   --store target/proof_store --json-out target/BENCH_figure6_store.json \
   > target/store_gate.log
 grep -q 'store gate: PASS' target/store_gate.log
-grep -q '"schema": "diaframe-bench/figure6/v7"' target/BENCH_figure6_store.json
+grep -q '"schema": "diaframe-bench/figure6/v8"' target/BENCH_figure6_store.json
 grep -q '"store": { "cold_wall_ms"' target/BENCH_figure6_store.json
 grep -q '"warm": { "hits": [1-9]' target/BENCH_figure6_store.json
 grep -q '"cold": { "hits": 0, "misses": [1-9]' target/BENCH_figure6_store.json

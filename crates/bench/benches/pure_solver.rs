@@ -59,7 +59,7 @@ fn bench_pure_solver(c: &mut Criterion) {
     assert!(!obls.is_empty(), "search discharged pure obligations");
 
     // Rebuild-per-query baseline: what every query paid before the
-    // persistent e-graph (and what `DIAFRAME_EGRAPH=off` still pays).
+    // persistent e-graph.
     c.bench_function("pure_solver/legacy-rebuild", |b| {
         b.iter(|| {
             for o in &obls {

@@ -1,8 +1,9 @@
 //! Criterion benches for the term-level hot path: unify, subst, zonk
 //! and normalize on *real* deep terms, harvested from the pure
 //! obligations the rwlock_ticket_bounded search discharges. These are
-//! the operations the hash-consing interner memoizes; run with
-//! `DIAFRAME_INTERN=off` to measure the structural baseline.
+//! the operations the hash-consing interner memoizes; no interner scope
+//! is opened here, so every number is the structural cost — what a
+//! memo miss pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diaframe_core::trace::TraceStep;

@@ -16,7 +16,7 @@
 //! `DIAFRAME_JOBS` or the core count), into a shared cache; every
 //! requested table is then rendered from that cache without re-running
 //! anything. `--json` prints the machine-readable timing + telemetry
-//! snapshot (schema `diaframe-bench/figure6/v7`) instead of tables;
+//! snapshot (schema `diaframe-bench/figure6/v8`) instead of tables;
 //! `--json-out` writes it to a file alongside the tables — the committed
 //! `BENCH_figure6.json` is produced that way. `--store DIR` runs the
 //! warm-vs-cold proof-store experiment: the suite is prefetched twice
@@ -34,12 +34,12 @@
 //! the whole suite once per worker count from a fresh cache, reporting
 //! how the suite wall-clock *and the slowest single example* scale;
 //! `--sweep-out PATH` writes the machine-readable sweep (schema
-//! `diaframe-bench/jobs-sweep/v1`, the committed
+//! `diaframe-bench/jobs-sweep/v2`, the committed
 //! `BENCH_jobs_sweep.json`).
 //!
 //! Profiling: any of `--profile-out` (Chrome trace-event JSON, loadable
-//! in Perfetto / `chrome://tracing`, one lane per pool, speculation and
-//! checker thread), `--folded-out` (folded stacks for
+//! in Perfetto / `chrome://tracing`, one lane per pool worker and
+//! verification session thread), `--folded-out` (folded stacks for
 //! `flamegraph.pl`-style tools) and `--hotspots N` (top-N `(kind,
 //! label)` pairs by self time) runs the suite under a hierarchical
 //! profile session. The trace is validated (balanced begin/end events,
@@ -47,7 +47,7 @@
 //! rollups are cross-checked against the flat telemetry counters — the
 //! run aborts if the two instrumentation paths disagree.
 //!
-//! Snapshot diffing: `--diff BASELINE.json` compares this run's v7
+//! Snapshot diffing: `--diff BASELINE.json` compares this run's v8
 //! snapshot against a committed baseline and prints a markdown
 //! regression report (per-example search-time ratios, deterministic
 //! counter drift); the exit code is non-zero when any gate fails. With
@@ -373,7 +373,7 @@ fn main() {
         }
     }
     if let Some(b) = &diff_baseline {
-        // Fresh-run mode: this run's v7 snapshot against the committed
+        // Fresh-run mode: this run's v8 snapshot against the committed
         // baseline. Exits non-zero on any regression.
         let current = figure6_json(&cache, jobs, wall, store_exp.as_ref());
         run_diff(&read_or_exit(b), &current, &diff_opts);

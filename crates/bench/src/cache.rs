@@ -182,14 +182,6 @@ impl SuiteCache {
 /// Runs one `(example, variant)` verification, timing search and trace
 /// replay separately. Panics (ablated searches can trip engine
 /// invariants) are contained and rendered as errors.
-///
-/// With `DIAFRAME_PIPELINE_CHECK` on (the default), checking is
-/// *pipelined*: completed traces stream to a consumer thread over a
-/// bounded channel, so the replay of spec 1 overlaps with the search of
-/// spec 2. Verdicts are identical to the serial path — the consumer
-/// replays the same steps in the same order — only the wall-clock
-/// attribution moves (`check_time` becomes the consumer's busy time and
-/// the saved wall-clock is reported as the `check_overlap_ms` counter).
 pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
     // A per-run session isolates this run's counters from whatever
     // session the pool worker carries (nested installs shadow the outer
@@ -203,11 +195,7 @@ pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
     let guard = session.install();
     let mut prof_span = diaframe_core::profile::span(diaframe_core::profile::SpanKind::Verify);
     prof_span.set_label(&label);
-    let (outcome, search_time, check_time) = if diaframe_core::pipeline_check_enabled() {
-        run_pipelined(ex, variant, &session)
-    } else {
-        run_serial(ex, variant)
-    };
+    let (outcome, search_time, check_time) = run_serial(ex, variant);
     drop(prof_span);
     drop(guard);
     CachedRun {
@@ -222,7 +210,7 @@ pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
 
 type RunResult = (Option<Result<ExampleOutcome, String>>, Duration, Duration);
 
-/// The pre-pipelining path: search everything, then check everything.
+/// Searches every spec, then checks every trace.
 fn run_serial(ex: &dyn Example, variant: Variant) -> RunResult {
     let t0 = Instant::now();
     let verdict = catch_unwind(AssertUnwindSafe(|| match variant {
@@ -246,172 +234,6 @@ fn run_serial(ex: &dyn Example, variant: Variant) -> RunResult {
         }
     };
     (outcome, search_time, check_time)
-}
-
-/// The pipelined path: a consumer thread replays completed traces (and,
-/// with `DIAFRAME_PIPELINE_FRAMES`, live step streams) while the search
-/// continues on the remaining specs.
-fn run_pipelined(ex: &dyn Example, variant: Variant, session: &TelemetrySession) -> RunResult {
-    use diaframe_core::{PipelineEvent, PipelineSink};
-    // Bounded: a slow consumer applies backpressure to the search
-    // instead of buffering every event of a large example.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<PipelineEvent>(256);
-    let consumer_session = session.clone();
-    let consumer_profile = diaframe_core::profile::current();
-    let consumer_parent = diaframe_core::profile::current_span_id();
-    let (verdict, search_time, busy, first_err, checked, whole) = std::thread::scope(|scope| {
-        let consumer = std::thread::Builder::new()
-            .name("diaframe-check".to_owned())
-            // Replaying a deep trace re-proves its pure obligations;
-            // give the consumer the same stack headroom as a search.
-            .stack_size(diaframe_core::verify::session_stack_bytes())
-            .spawn_scoped(scope, move || {
-                // The consumer gets its own timeline lane; its replay
-                // windows hang off this run's `Verify` span.
-                let _prof_guard = consumer_profile
-                    .as_ref()
-                    .map(|p| p.install_with_parent(consumer_parent));
-                consume_events(&rx, &consumer_session)
-            })
-            .expect("spawn pipelined checker");
-        let sink: PipelineSink = Arc::new(move |ev| {
-            // The consumer only hangs up after the channel closes, so a
-            // failed send can only mean the consumer panicked — which
-            // `join` below will surface.
-            let _ = tx.send(ev);
-        });
-        let sink_guard = diaframe_core::install_pipeline_sink(sink);
-        let t0 = Instant::now();
-        let verdict = catch_unwind(AssertUnwindSafe(|| match variant {
-            Variant::Ok => Some(ex.verify()),
-            Variant::Broken => ex.verify_broken(),
-        }));
-        let search_time = t0.elapsed();
-        // Uninstalling the sink drops the last sender: the consumer
-        // drains the queue and exits.
-        drop(sink_guard);
-        let (busy, first_err, checked) = consumer.join().expect("pipelined checker died");
-        (verdict, search_time, busy, first_err, checked, t0.elapsed())
-    });
-    // The serial path would have cost search + check back to back; the
-    // pipeline's saving is whatever overlapped.
-    let overlap = (search_time + busy).saturating_sub(whole);
-    diaframe_core::telemetry::check_overlap(u64::try_from(overlap.as_millis()).unwrap_or(u64::MAX));
-    let mut check_time = busy;
-    let outcome = match verdict {
-        Err(payload) => Some(Err(format!("panicked: {}", panic_message(payload.as_ref())))),
-        Ok(None) => None,
-        Ok(Some(Err(stuck))) => Some(Err(stuck.to_string())),
-        Ok(Some(Ok(outcome))) => {
-            let mut err = first_err;
-            if err.is_none() {
-                // Defense in depth: a proof constructed outside
-                // `diaframe_core::verify` never hit the pipeline; check
-                // any such remainder here so pipelining can only ever
-                // check *more* than the serial path, never less.
-                let t1 = Instant::now();
-                for p in outcome.proofs.iter().skip(checked) {
-                    if let Err(e) = p.check() {
-                        err = Some(format!("trace replay failed: {e}"));
-                        break;
-                    }
-                }
-                check_time += t1.elapsed();
-            }
-            match err {
-                None => Some(Ok(outcome)),
-                Some(e) => Some(Err(e)),
-            }
-        }
-    };
-    (outcome, search_time, check_time)
-}
-
-/// The consumer loop: replays streamed proofs/steps as they arrive.
-/// Returns its busy time (the pipelined equivalent of `check_time`),
-/// the first replay failure rendered like the serial path renders it,
-/// and how many complete traces it covered.
-fn consume_events(
-    rx: &std::sync::mpsc::Receiver<diaframe_core::PipelineEvent>,
-    session: &TelemetrySession,
-) -> (Duration, Option<String>, usize) {
-    use diaframe_core::checker::Replay;
-    use diaframe_core::PipelineEvent;
-    // Checker replays count into the same per-run session as the search.
-    let _guard = session.install();
-    // Frame streams replay outside `checker::check` (which scopes each
-    // batch replay itself); give them one interner scope for cache reuse
-    // across this run's windows.
-    let _intern = diaframe_term::intern::scope();
-    let mut busy = Duration::ZERO;
-    let mut first_err: Option<String> = None;
-    let mut checked = 0usize;
-    // Frames mode: the live replay of the current stream window, plus
-    // its failure if one already occurred (later steps are skipped, but
-    // the stream must keep draining so the search never blocks).
-    let mut replay = Replay::new();
-    let mut window_failed: Option<diaframe_core::checker::CheckError> = None;
-    // The live replay window's profile span: opened on the window's
-    // first streamed step, closed (and its step count recorded) at the
-    // `SpecSearched`/`SpecAbandoned` boundary. Its counts reconcile with
-    // the flat `checker_steps` counter, which is likewise bumped only at
-    // the searched boundary.
-    let mut window_span: Option<diaframe_core::profile::Span> = None;
-    while let Ok(ev) = rx.recv() {
-        let t = Instant::now();
-        match ev {
-            PipelineEvent::Proof(p) => {
-                if first_err.is_none() {
-                    if let Err(e) = p.check() {
-                        first_err = Some(format!("trace replay failed: {e}"));
-                    }
-                }
-                checked += 1;
-            }
-            PipelineEvent::Step(step) => {
-                if window_span.is_none() && diaframe_core::profile::active() {
-                    window_span = Some(diaframe_core::profile::span(
-                        diaframe_core::profile::SpanKind::CheckWindow,
-                    ));
-                }
-                if first_err.is_none() && window_failed.is_none() {
-                    if let Err(e) = replay.feed(&step) {
-                        window_failed = Some(e);
-                    }
-                }
-            }
-            PipelineEvent::SpecSearched { name } => {
-                let done = std::mem::take(&mut replay);
-                diaframe_core::telemetry::checker_steps(done.steps_seen() as u64);
-                if let Some(mut sp) = window_span.take() {
-                    diaframe_core::profile::bump(done.steps_seen() as u64);
-                    sp.set_label(&name);
-                }
-                if first_err.is_none() {
-                    let verdict = match window_failed.take() {
-                        Some(e) => Err(e),
-                        None => done.finish(),
-                    };
-                    if let Err(e) = verdict {
-                        first_err = Some(format!("trace replay failed: {e}"));
-                    }
-                }
-                window_failed = None;
-                checked += 1;
-            }
-            PipelineEvent::SpecAbandoned => {
-                // The search got stuck: the window's steps are not a
-                // finished trace. Discard and start fresh.
-                if let Some(mut sp) = window_span.take() {
-                    sp.set_label("(abandoned)");
-                }
-                replay = Replay::new();
-                window_failed = None;
-            }
-        }
-        busy += t.elapsed();
-    }
-    (busy, first_err, checked)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -9,12 +9,12 @@
 //! machine-wide slowdown still fails via the aggregate gate.
 //!
 //! Counters are split by determinism. Search-shaped counters (probes,
-//! backtracks, checker steps, per-kind trace steps…) are deterministic
-//! for a fixed engine, so drift beyond the threshold gates — an engine
-//! change that legitimately moves them must regenerate the baseline.
-//! Scheduler-shaped counters (`spec_*`, `check_overlap_ms`, interner
-//! and solver cache hit rates) depend on speculation permit timing and
-//! are reported informationally only.
+//! backtracks, checker steps, per-kind trace steps, interner and solver
+//! cache effort…) are deterministic for a fixed engine, so drift beyond
+//! the threshold gates — an engine change that legitimately moves them
+//! must regenerate the baseline. The persistent proof store's counters
+//! (`store_*`) depend on what happens to be on disk and are reported
+//! informationally only.
 
 use diaframe_core::trace_json::{parse_json_value, JsonValue};
 use std::fmt::Write as _;
@@ -62,7 +62,7 @@ pub struct DiffReport {
     /// examples, deterministic-counter drift. Empty means the diff
     /// passes.
     pub regressions: Vec<String>,
-    /// Informational drift (scheduler-shaped counters, new examples).
+    /// Informational drift (cache-temperature counters, new examples).
     pub notes: Vec<String>,
 }
 
@@ -135,14 +135,11 @@ fn parse_snapshot(which: &str, text: &str) -> Result<Snapshot, String> {
     })
 }
 
-/// Whether a counter is scheduler-shaped (speculation permits, pipeline
-/// overlap, cache temperature — including the persistent proof store's
-/// hit/miss ledger, which depends on what happens to be on disk) and
-/// therefore never gates.
+/// Whether a counter measures cache temperature (the persistent proof
+/// store's hit/miss ledger, which depends on what happens to be on
+/// disk) and therefore never gates.
 fn counter_is_informational(key: &str) -> bool {
-    ["spec_", "check_overlap", "interner_", "zonk_", "normalize_", "solver_", "store_"]
-        .iter()
-        .any(|p| key.starts_with(p))
+    key.starts_with("store_")
 }
 
 fn ratio(base: f64, cur: f64) -> f64 {
@@ -293,7 +290,7 @@ pub fn diff_snapshots(
         let _ = writeln!(md, "- **REGRESSION** {l}");
         regressions.push(l.clone());
     }
-    let _ = writeln!(md, "\n## scheduler-shaped counter drift (informational)\n");
+    let _ = writeln!(md, "\n## cache-temperature counter drift (informational)\n");
     if info_lines.is_empty() {
         let _ = writeln!(md, "none");
     }
@@ -331,7 +328,7 @@ mod tests {
         for (i, (n, t, probes)) in name_times.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{ \"name\": \"{n}\", \"search_ms\": {t:.3}, \"telemetry\": {{ \"probes_attempted\": {probes}, \"spec_won\": 5000 }} }}{}",
+                "    {{ \"name\": \"{n}\", \"search_ms\": {t:.3}, \"telemetry\": {{ \"probes_attempted\": {probes}, \"store_hits\": 5000 }} }}{}",
                 if i + 1 == name_times.len() { "" } else { "," }
             );
         }
@@ -361,16 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_counters_gate_but_scheduler_ones_do_not() {
+    fn deterministic_counters_gate_but_store_ones_do_not() {
         let base = snap(&[("a", 100.0, 1000)]);
-        // probes 3× (deterministic → gates); spec_won differs wildly in
-        // `snap` too but is prefixed as scheduler-shaped.
+        // probes 3× (deterministic → gates); store_hits differs wildly in
+        // `snap` too but is cache temperature.
         let mut cur = snap(&[("a", 100.0, 3000)]);
-        cur = cur.replace("\"spec_won\": 5000", "\"spec_won\": 1");
+        cur = cur.replace("\"store_hits\": 5000", "\"store_hits\": 1");
         let r = diff_snapshots(&base, &cur, &DiffOptions::default()).unwrap();
         assert_eq!(r.regressions.len(), 1, "{:?}", r.regressions);
         assert!(r.regressions[0].contains("probes_attempted"));
-        assert!(r.notes.iter().any(|l| l.contains("spec_won")));
+        assert!(r.notes.iter().any(|l| l.contains("store_hits")));
     }
 
     #[test]

@@ -467,11 +467,8 @@ pub fn render_hotspots(profile: &diaframe_core::ProfileSession, n: usize) -> Str
 ///
 /// Asserted identities:
 ///
-/// * Σ `find_hint` span counts == Σ `probes_attempted` + Σ
-///   `spec_wasted_probes` — a cancelled speculative worker's probes
-///   stay in the span tree but leave the winning session's ledger via
-///   `spec_wasted_probes`;
-/// * Σ (`check` + `check_window`) span counts == Σ `checker_steps`.
+/// * Σ `find_hint` span counts == Σ `probes_attempted`;
+/// * Σ `check` span counts == Σ `checker_steps`.
 ///
 /// # Errors
 ///
@@ -482,30 +479,27 @@ pub fn profile_identity_report(
 ) -> Result<String, String> {
     use diaframe_core::SpanKind;
     let rollup = profile.rollup();
-    let (mut probes, mut wasted, mut steps) = (0u64, 0u64, 0u64);
+    let (mut probes, mut steps) = (0u64, 0u64);
     for (_, run) in cache.snapshot() {
         probes += run.counters.probes_attempted;
-        wasted += run.counters.spec_wasted_probes;
         steps += run.counters.checker_steps;
     }
     let find_hint = rollup[SpanKind::FindHint.index()].count;
-    if find_hint != probes + wasted {
+    if find_hint != probes {
         return Err(format!(
             "profile identity violated: find_hint span count {find_hint} != \
-             probes_attempted {probes} + spec_wasted_probes {wasted}"
+             probes_attempted {probes}"
         ));
     }
-    let check =
-        rollup[SpanKind::Check.index()].count + rollup[SpanKind::CheckWindow.index()].count;
+    let check = rollup[SpanKind::Check.index()].count;
     if check != steps {
         return Err(format!(
-            "profile identity violated: check+check_window span count {check} != \
-             checker_steps {steps}"
+            "profile identity violated: check span count {check} != checker_steps {steps}"
         ));
     }
     Ok(format!(
-        "profile identity ok: find_hint span count {find_hint} == probes_attempted {probes} + spec_wasted_probes {wasted}\n\
-         profile identity ok: check+check_window span count {check} == checker_steps {steps}"
+        "profile identity ok: find_hint span count {find_hint} == probes_attempted {probes}\n\
+         profile identity ok: check span count {check} == checker_steps {steps}"
     ))
 }
 
@@ -553,7 +547,7 @@ impl StoreExperiment {
 }
 
 /// Serializes the Figure 6 run as JSON (schema
-/// `diaframe-bench/figure6/v7`) for committing as a `BENCH_*.json`
+/// `diaframe-bench/figure6/v8`) for committing as a `BENCH_*.json`
 /// snapshot: per-example search/check/total timings and search-effort
 /// counters, the run's worker count, stack size, wall-clock, cache
 /// accounting, and the suite-wide counter aggregate.
@@ -570,21 +564,16 @@ impl StoreExperiment {
 /// `solver_queries_rebuild`/`solver_verdict_hits`/
 /// `solver_verdict_misses`); timings in a v4 snapshot are measured with
 /// the persistent backtrackable e-graph solver active
-/// (`DIAFRAME_EGRAPH` unset) and are not comparable to v3 timings run
-/// on the rebuild-per-query path. v5 adds the intra-verification
-/// parallelism counters (`spec_spawned`/`spec_won`/`spec_cancelled`/
-/// `spec_wasted_probes`/`check_overlap_ms`) to every telemetry block;
-/// timings in a v5 snapshot are measured with speculative branch search
-/// and pipelined checking active (`DIAFRAME_SPECULATE` and
-/// `DIAFRAME_PIPELINE_CHECK` unset), which changes wall-clock but never
-/// traces or verdicts. v6 adds the `spans` duration-histogram blocks
+/// and are not comparable to v3 timings run on the rebuild-per-query
+/// path. v5 added intra-verification parallelism counters, which v8
+/// drops again. v6 adds the `spans` duration-histogram blocks
 /// (one per example, one aggregated over the suite): for each
 /// telemetry span kind (`search`/`find_hint`/`check`), the sample
 /// count, total, and p50/p95/max duration in nanoseconds — the
 /// spread behind the flat `search_ms` column, and the input to the
 /// `figure6 --diff` regression reporter. The per-example jobs-scaling
 /// sweep lives in a separate snapshot (see [`jobs_sweep_json`], schema
-/// `diaframe-bench/jobs-sweep/v1`), keeping this file's shape stable
+/// `diaframe-bench/jobs-sweep/v2`), keeping this file's shape stable
 /// for per-field consumers. v7 adds the persistent-proof-store counters
 /// (`store_hits`/`store_misses`/`store_corruptions`/`store_evictions`/
 /// `store_replay_ms`/`store_search_ms`) to every telemetry block, and a
@@ -592,7 +581,11 @@ impl StoreExperiment {
 /// --store`) recording the warm-vs-cold experiment: both suite walls,
 /// per-pass store counters, resident entries/bytes and the speedup.
 /// Store counters are cache-temperature, so the `--diff` reporter
-/// treats them as informational, never gating.
+/// treats them as informational, never gating. v8 drops the
+/// speculation and pipelined-checking counters (`spec_spawned`/
+/// `spec_won`/`spec_cancelled`/`spec_wasted_probes`/`check_overlap_ms`)
+/// from every telemetry block: the engine has one serial search path
+/// and checks after searching.
 ///
 /// # Panics
 ///
@@ -630,7 +623,7 @@ pub fn figure6_json(
         per_spans.push(spans_json(durs));
     }
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/figure6/v7\",");
+    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/figure6/v8\",");
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(
         out,
@@ -714,9 +707,8 @@ impl SweepLevel {
 /// Runs the whole suite once per entry of `levels`, each from a **fresh**
 /// cache (so every level re-verifies everything), and collects the
 /// scaling data. This is the `figure6 --jobs-sweep` backend: it answers
-/// both "does the suite scale?" (`wall`) and — the interesting question
-/// for intra-verification parallelism — "does the *slowest single
-/// example* scale?", which spec-level fan-out alone cannot improve.
+/// "does the suite scale?" (`wall`), and reports the slowest single
+/// example, the floor that spec-level fan-out cannot go below.
 #[must_use]
 pub fn run_jobs_sweep(levels: &[usize], include_broken: bool) -> Vec<SweepLevel> {
     levels
@@ -756,20 +748,21 @@ pub fn render_jobs_sweep(levels: &[SweepLevel]) -> String {
         );
     }
     out.push_str(
-        "\nsum(search) is per-example search time summed (the work done);\nslowest-example time shrinking as jobs grow is intra-verification\nparallelism — spec-level fan-out alone cannot speed up one example.\n",
+        "\nsum(search) is per-example search time summed (the work done);\nspec-level fan-out cannot make the slowest example faster than its\nserial time.\n",
     );
     out
 }
 
 /// Serializes a jobs-scaling sweep as JSON (schema
-/// `diaframe-bench/jobs-sweep/v1`) for committing as
+/// `diaframe-bench/jobs-sweep/v2`) for committing as
 /// `BENCH_jobs_sweep.json` — deliberately a separate snapshot from
 /// [`figure6_json`], whose per-run shape (one `search_ms` per example)
-/// per-field consumers rely on.
+/// per-field consumers rely on. v2 drops v1's per-example
+/// `spec_spawned`/`spec_won`/`check_overlap_ms` fields.
 #[must_use]
 pub fn jobs_sweep_json(levels: &[SweepLevel]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/jobs-sweep/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/jobs-sweep/v2\",");
     let _ = writeln!(out, "  \"levels\": [");
     for (i, l) in levels.iter().enumerate() {
         let slow = l.slowest();
@@ -791,14 +784,11 @@ pub fn jobs_sweep_json(levels: &[SweepLevel]) -> String {
         for (j, m) in l.rows.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "        {{ \"name\": \"{}\", \"search_ms\": {}, \"check_ms\": {}, \"total_ms\": {}, \"spec_spawned\": {}, \"spec_won\": {}, \"check_overlap_ms\": {} }}{}",
+                "        {{ \"name\": \"{}\", \"search_ms\": {}, \"check_ms\": {}, \"total_ms\": {} }}{}",
                 json_escape(m.name),
                 ms(m.time),
                 ms(m.check_time),
                 ms(m.time + m.check_time),
-                m.counters.spec_spawned,
-                m.counters.spec_won,
-                m.counters.check_overlap_ms,
                 if j + 1 == l.rows.len() { "" } else { "," }
             );
         }

@@ -61,10 +61,9 @@ pub const STORE_FORMAT: u32 = 1;
 /// over everything that determines the proof trace.
 ///
 /// The engine fingerprint covers crate versions, the trace-format
-/// revision and the process-wide semantics knobs
-/// (`DIAFRAME_EGRAPH`/`DIAFRAME_INTERN`/`DIAFRAME_SPECULATE`/hint
-/// index); the per-thread [`Ablation`] is keyed here because it varies
-/// per lookup, not per process.
+/// revision and the process-wide hint-index switch; the per-thread
+/// [`Ablation`] is keyed here because it varies per lookup, not per
+/// process.
 #[must_use]
 pub fn store_key(ex: &dyn Example, variant: Variant, ablation: Ablation) -> String {
     let mut fp = Fingerprinter::new();
@@ -173,6 +172,9 @@ pub struct ProofStore {
     root: PathBuf,
     budget: Option<u64>,
     index: Mutex<Index>,
+    /// Held across snapshot + write + rename of the index file, so the
+    /// last index published is always the newest snapshot.
+    index_write: Mutex<()>,
     inflight: Mutex<HashMap<String, Arc<OnceLock<Arc<CachedRun>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -223,6 +225,7 @@ impl ProofStore {
             root: root.to_owned(),
             budget,
             index: Mutex::new(index),
+            index_write: Mutex::new(()),
             inflight: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -402,7 +405,7 @@ impl ProofStore {
     fn insert(&self, key: &str, ex: &dyn Example, outcome: &ExampleOutcome) -> io::Result<()> {
         let payload = encode_payload(key, ex, outcome);
         let file = format!("{{\"checksum\":\"{}\",\"payload\":{payload}}}", sha256_hex(payload.as_bytes()));
-        let tmp = self.root.join(format!("tmp-{key}-{}", std::process::id()));
+        let tmp = self.tmp_path(key);
         fs::write(&tmp, &file)?;
         // The rename is the publication point: readers either see the
         // complete entry or the previous state, never a partial write.
@@ -418,6 +421,7 @@ impl ProofStore {
                     last_used,
                 },
             );
+            index.dirty = true;
         }
         self.sweep_budget();
         self.write_index()
@@ -479,9 +483,21 @@ impl ProofStore {
         }
     }
 
-    /// Atomically persists the index.
+    /// A staging path unique to one write: concurrent writers (threads
+    /// of one process, or processes sharing the store) never stage under
+    /// the same name, so no writer's `rename` can lose its source file.
+    fn tmp_path(&self, what: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        self.root.join(format!("tmp-{what}-{}-{n}", std::process::id()))
+    }
+
+    /// Atomically persists the index. `dirty` is cleared only once the
+    /// rename succeeded, and only if no touch or insert happened since
+    /// the snapshot was taken.
     fn write_index(&self) -> io::Result<()> {
-        let body = {
+        let _writing = self.index_write.lock().unwrap();
+        let (body, clock) = {
             let index = self.index.lock().unwrap();
             let mut keys: Vec<&String> = index.entries.keys().collect();
             keys.sort();
@@ -504,12 +520,19 @@ impl ProofStore {
                 );
             }
             out.push_str("]}");
-            out
+            (out, index.clock)
         };
-        self.index.lock().unwrap().dirty = false;
-        let tmp = self.root.join(format!("tmp-index-{}", std::process::id()));
+        let tmp = self.tmp_path("index");
         fs::write(&tmp, body)?;
-        fs::rename(&tmp, self.root.join("index.json"))
+        if let Err(e) = fs::rename(&tmp, self.root.join("index.json")) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+        let mut index = self.index.lock().unwrap();
+        if index.clock == clock {
+            index.dirty = false;
+        }
+        Ok(())
     }
 }
 

@@ -14,33 +14,35 @@
 use diaframe_bench::{figure6_rows, prefetch_suite, render_figure6, Measured, SuiteCache, Variant};
 use diaframe_core::set_hint_index_enabled;
 use diaframe_examples::all_examples;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The hint-index switch is process-global and moves the probe counters
+/// (skipped vs run), so the test that flips it must not overlap the
+/// counter comparison.
+static INDEX_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    INDEX_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn zeroed(mut m: Measured) -> Measured {
     m.time = Duration::ZERO;
     m.check_time = Duration::ZERO;
-    // The pipelined-checking overlap is wall-clock, like the two timings.
-    m.counters.check_overlap_ms = 0;
     m
 }
 
 #[test]
 fn parallel_and_serial_runs_agree() {
+    let _lock = lock();
     let n = all_examples().len();
 
-    // Speculative branch search is forced off here: a speculative worker
-    // searches its branch on cold caches, so the *effort* counters
-    // (interner/solver hits and misses, spec_*) legitimately depend on
-    // permit availability. This test pins the stronger claim for the
-    // pool itself — spec-level parallelism is invisible in every
-    // counter; `tests/speculation_identity.rs` pins the speculative
-    // mode's own guarantee (traces and tables byte-identical).
-    diaframe_core::speculate::force_disable(true);
+    // Spec-level parallelism is invisible in every counter: the rows
+    // below are compared with all counters included.
     let serial = SuiteCache::new();
     prefetch_suite(&serial, 1, true);
     let parallel = SuiteCache::new();
     prefetch_suite(&parallel, 4, true);
-    diaframe_core::speculate::force_disable(false);
 
     // Exactly one verification per (example, variant) task, regardless
     // of the worker count.
@@ -80,6 +82,7 @@ fn parallel_and_serial_runs_agree() {
 
 #[test]
 fn indexed_and_linear_hint_search_agree() {
+    let _lock = lock();
     // A cross-section of the suite: plain sequential, lock-based and
     // counter examples exercise points-to, invariant and ghost heads.
     let examples = all_examples();

@@ -8,13 +8,12 @@
 //! lane).
 //!
 //! The profiler switch is ambient (thread-local session, adopted by the
-//! pool and speculation workers), so the tests serialize on a file-local
-//! lock like `tests/speculation_identity.rs`.
+//! pool workers), so the tests serialize on a file-local lock.
 
 use diaframe_bench::{
     figure6_rows, prefetch_suite, profile_identity_report, render_figure6, Measured, SuiteCache,
 };
-use diaframe_core::{profile, speculate, trace_json};
+use diaframe_core::{profile, trace_json};
 use diaframe_examples::all_examples;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -28,7 +27,6 @@ fn lock() -> MutexGuard<'static, ()> {
 fn zeroed(mut m: Measured) -> Measured {
     m.time = Duration::ZERO;
     m.check_time = Duration::ZERO;
-    m.counters.check_overlap_ms = 0;
     m
 }
 
@@ -96,12 +94,6 @@ fn profiling_on_and_off_traces_are_byte_identical() {
 #[test]
 fn suite_tables_unaffected_by_profiling_and_rollups_reconcile() {
     let _lock = lock();
-    // Speculation off for the *row comparison*: a cancelled worker's
-    // wasted-probe count is scheduling-dependent, so effort counters
-    // legitimately vary run to run (see tests/telemetry.rs). The
-    // identity-report leg below re-enables it — the whole point of the
-    // `spec_wasted_probes` term is to reconcile under speculation.
-    speculate::force_disable(true);
     let plain = SuiteCache::new();
     prefetch_suite(&plain, 2, false);
 
@@ -110,7 +102,6 @@ fn suite_tables_unaffected_by_profiling_and_rollups_reconcile() {
     let profiled = SuiteCache::new();
     prefetch_suite(&profiled, 2, false);
     drop(guard);
-    speculate::force_disable(false);
 
     let a: Vec<Measured> = figure6_rows(&plain).into_iter().map(zeroed).collect();
     let b: Vec<Measured> = figure6_rows(&profiled).into_iter().map(zeroed).collect();

@@ -1,10 +1,11 @@
 //! Store concurrency: racing lookups of the same spec share one search
 //! (single-flight), parallel batches produce byte-identical verdict
-//! tables to serial runs, and LRU eviction under concurrent readers
-//! never surfaces a half-written or torn entry.
+//! tables to serial runs, LRU eviction under concurrent readers never
+//! surfaces a half-written or torn entry, and concurrent index writes
+//! never lose an entry.
 
-use diaframe_bench::{verdict_table_for, ProofStore, SuiteCache, Variant};
-use diaframe_core::run_ordered;
+use diaframe_bench::{store_key, verdict_table_for, ProofStore, SuiteCache, Variant};
+use diaframe_core::{run_ordered, Ablation};
 use diaframe_examples::{all_examples, Example};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -189,5 +190,57 @@ fn distinct_specs_verify_concurrently() {
     }
     assert_eq!(store.stats().misses, batch.len() as u64);
     assert_eq!(store.len(), batch.len(), "every spec landed its own entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parallel inserts (and the flushes that follow the hits) never trip
+/// over each other's staged index files: every write returns `Ok`, no
+/// staging file is left behind, and the index on disk lists every key.
+#[test]
+fn parallel_inserts_keep_a_complete_index() {
+    let dir = tmp_store("index");
+    let store = ProofStore::open(&dir, None).unwrap();
+    let examples = all_examples();
+    let batch: Vec<&dyn Example> = examples.iter().take(8).map(AsRef::as_ref).collect();
+    let barrier = Barrier::new(batch.len());
+    for _round in 0..5 {
+        std::thread::scope(|s| {
+            for ex in &batch {
+                let (store, barrier) = (&store, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let run = store.get_or_run(*ex, Variant::Ok);
+                    assert!(run.outcome.as_ref().unwrap().is_ok(), "{}", ex.name());
+                    store.flush().expect("index write must not race");
+                });
+            }
+        });
+    }
+    assert_eq!(store.stats().misses, batch.len() as u64, "first round inserts, later rounds hit");
+
+    let index = std::fs::read_to_string(dir.join("index.json")).expect("index written");
+    let index = diaframe_core::trace_json::parse_json_value(&index).expect("index parses");
+    let mut listed: Vec<&str> = index
+        .get("entries")
+        .and_then(|e| e.as_array())
+        .expect("entries array")
+        .iter()
+        .map(|e| e.get("key").and_then(|k| k.as_str()).expect("key"))
+        .collect();
+    listed.sort_unstable();
+    let mut expected: Vec<String> = batch
+        .iter()
+        .map(|ex| store_key(*ex, Variant::Ok, Ablation::none()))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(listed, expected, "the index lists every inserted key");
+
+    let stray: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|d| d.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("tmp-"))
+        .collect();
+    assert!(stray.is_empty(), "staging files left behind: {stray:?}");
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

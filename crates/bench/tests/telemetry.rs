@@ -11,8 +11,6 @@ use std::time::Duration;
 fn zeroed(mut m: Measured) -> Measured {
     m.time = Duration::ZERO;
     m.check_time = Duration::ZERO;
-    // The pipelined-checking overlap is wall-clock, like the two timings.
-    m.counters.check_overlap_ms = 0;
     m
 }
 
@@ -60,13 +58,6 @@ fn telemetry_on_and_off_traces_are_byte_identical() {
 /// nondeterminism) or the suite's counter accounting.
 #[test]
 fn suite_tables_unaffected_by_telemetry() {
-    // Speculation off: a speculative worker searches on cold caches and
-    // a cancelled one's wasted-probe count is scheduling-dependent, so
-    // the *effort* counters legitimately vary run to run once the pool
-    // tail starts speculating. This test isolates the telemetry switch;
-    // `tests/speculation_identity.rs` pins the speculative mode's own
-    // guarantee (traces and tables byte-identical).
-    diaframe_core::speculate::force_disable(true);
     let plain = SuiteCache::new();
     prefetch_suite(&plain, 2, false);
 
@@ -75,18 +66,17 @@ fn suite_tables_unaffected_by_telemetry() {
     let telemetered = SuiteCache::new();
     prefetch_suite(&telemetered, 2, false);
     drop(guard);
-    diaframe_core::speculate::force_disable(false);
 
     let a: Vec<Measured> = figure6_rows(&plain).into_iter().map(zeroed).collect();
     let b: Vec<Measured> = figure6_rows(&telemetered).into_iter().map(zeroed).collect();
     assert_eq!(a, b, "rows (counters included) must not depend on an outer session");
     assert_eq!(render_figure6(&a), render_figure6(&b), "tables must be byte-identical");
 
-    // The v7 snapshot carries the telemetry blocks, the per-span-kind
+    // The v8 snapshot carries the telemetry blocks, the per-span-kind
     // duration histograms, and a non-trivial aggregate (`figure6_json`
     // re-checks every row's invariants).
     let json = figure6_json(&plain, 2, Duration::ZERO, None);
-    assert!(json.contains("\"schema\": \"diaframe-bench/figure6/v7\""));
+    assert!(json.contains("\"schema\": \"diaframe-bench/figure6/v8\""));
     assert!(json.contains("\"telemetry\""));
     assert!(json.contains("\"probes_attempted\""));
     assert!(json.contains("\"spans\""));

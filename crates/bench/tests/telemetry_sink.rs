@@ -9,16 +9,10 @@
 use std::process::Command;
 
 /// Runs figure6 with the file sink attached and returns the sink bytes.
-/// Speculation and pipelined checking are forced off: a cancelled
-/// speculative worker's effort counters are scheduling-dependent (see
-/// tests/speculation_identity.rs), and this test pins the *sink
-/// ordering*, not the parallelism counters.
 fn sink_lines(path: &std::path::Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_figure6"))
         .args(["--jobs", "4"])
         .env("DIAFRAME_TELEMETRY", path)
-        .env("DIAFRAME_SPECULATE", "off")
-        .env("DIAFRAME_PIPELINE_CHECK", "off")
         .output()
         .expect("figure6 runs");
     assert!(

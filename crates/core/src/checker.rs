@@ -32,8 +32,7 @@
 
 use crate::trace::{ProofTrace, TraceStep};
 use diaframe_logic::Namespace;
-use diaframe_term::solver::egraph::{self, EGraph};
-use diaframe_term::solver::PureSolver;
+use diaframe_term::solver::egraph::EGraph;
 use diaframe_term::{EVarId, PureProp, VarCtx, VarId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -197,40 +196,21 @@ fn reuse_or_rebuild<'a>(
     slot.as_mut().expect("just assigned Some")
 }
 
-/// The shared replay core as an **incremental** state machine: feed
-/// steps one at a time, then [`Replay::finish`] to validate the
-/// end-of-trace conditions. Every checker entry point funnels through
-/// this type — [`check`]/[`check_json`] feed a finished trace in one
-/// loop, and the bench harness's pipelined-checking consumer feeds steps
-/// as the search streams them, overlapping replay with the remaining
-/// search. Incrementality changes *when* steps are validated, never the
-/// verdict: feeding a trace step-by-step is literally the same loop.
-pub struct Replay {
+/// The shared replay core as a state machine: feed steps one at a time,
+/// then [`Replay::finish`] to validate the end-of-trace conditions.
+/// Every checker entry point funnels through this type via [`replay`].
+struct Replay {
     stack: Vec<Frame>,
     steps_seen: usize,
 }
 
-impl Default for Replay {
-    fn default() -> Replay {
-        Replay::new()
-    }
-}
-
 impl Replay {
     /// A replay at the start of a trace.
-    #[must_use]
-    pub fn new() -> Replay {
+    fn new() -> Replay {
         Replay {
             stack: vec![Frame::root()],
             steps_seen: 0,
         }
-    }
-
-    /// How many steps have been fed so far (error indices count from the
-    /// start of the trace, matching the batch entry points).
-    #[must_use]
-    pub fn steps_seen(&self) -> usize {
-        self.steps_seen
     }
 
     /// Validates one more step of the trace.
@@ -239,7 +219,7 @@ impl Replay {
     ///
     /// Returns the validation failure for this step; the replay should
     /// be discarded afterwards.
-    pub fn feed(&mut self, step: &TraceStep) -> Result<(), CheckError> {
+    fn feed(&mut self, step: &TraceStep) -> Result<(), CheckError> {
         let i = self.steps_seen;
         self.steps_seen += 1;
         let stack = &mut self.stack;
@@ -249,13 +229,8 @@ impl Replay {
                 // Re-prove independently. Remaining evars in recorded
                 // obligations are treated as opaque constants by the
                 // solver (frozen mode), which is sound.
-                let proved = if egraph::enabled() {
-                    let fs = reuse_or_rebuild(&mut frame.solver, facts, vars);
-                    fs.egraph.prove_frozen(&mut vars.clone(), goal)
-                } else {
-                    PureSolver::new(facts).prove_frozen(&mut vars.clone(), goal)
-                };
-                if !proved {
+                let fs = reuse_or_rebuild(&mut frame.solver, facts, vars);
+                if !fs.egraph.prove_frozen(&mut vars.clone(), goal) {
                     return Err(CheckError {
                         step: i,
                         message: format!("pure obligation does not re-prove: {goal:?}"),
@@ -343,7 +318,7 @@ impl Replay {
     /// # Errors
     ///
     /// Returns a [`CheckError`] at the one-past-the-end step index.
-    pub fn finish(mut self) -> Result<(), CheckError> {
+    fn finish(mut self) -> Result<(), CheckError> {
         if self.stack.len() != 1 {
             return Err(CheckError {
                 step: self.steps_seen,

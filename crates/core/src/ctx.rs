@@ -4,8 +4,7 @@
 use crate::index::HeadSet;
 use crate::symval::SymTable;
 use diaframe_logic::{Assertion, MaskStore, PredTable};
-use diaframe_term::solver::egraph::{self, EGraph};
-use diaframe_term::solver::PureSolver;
+use diaframe_term::solver::egraph::EGraph;
 use diaframe_term::{PureProp, Subst, Term, VarCtx, VarId};
 
 /// One hypothesis in `Δ`.
@@ -49,19 +48,6 @@ pub struct ProofCtx {
     /// when the branch completes).
     pub pending_pure: Vec<PureProp>,
     next_hyp: u32,
-    /// Revision counter for `facts`, bumped by every mutation
-    /// ([`ProofCtx::add_fact`], [`ProofCtx::truncate_facts`], the
-    /// substitution/zonking rewrites). `facts` must only be mutated
-    /// through those methods; reads are unrestricted. Keys the cached
-    /// pure solver below.
-    facts_rev: u64,
-    /// The last pure solver built over `facts`, with the revision it was
-    /// built at. The rebuild-per-query fallback path
-    /// (`DIAFRAME_EGRAPH=off`): rebuilding the solver used to dominate
-    /// `prove_pure` — every call re-flattened and re-cloned every fact
-    /// even though the fact list changes far more rarely than it is
-    /// queried.
-    solver_cache: Option<(u64, PureSolver)>,
     /// The incremental pure solver, kept in lockstep with `facts` by
     /// [`ProofCtx::add_fact`] / [`ProofCtx::truncate_facts`] (push and
     /// O(changes) rollback instead of rebuilds). Dropped to `None` by the
@@ -72,9 +58,8 @@ pub struct ProofCtx {
     egraph: Option<EGraph>,
 }
 
-/// Solver caches are internal state, not proof state: keep them out of
-/// `Debug` so rendered contexts are identical whether or not the
-/// incremental solver is enabled (and regardless of its warm-up state).
+/// The solver is internal state, not proof state: keep it out of `Debug`
+/// so rendered contexts are identical regardless of its warm-up state.
 impl std::fmt::Debug for ProofCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProofCtx")
@@ -103,33 +88,6 @@ impl ProofCtx {
             syms: SymTable::new(),
             pending_pure: Vec::new(),
             next_hyp: 0,
-            facts_rev: 0,
-            solver_cache: None,
-            egraph: None,
-        }
-    }
-
-    /// A clone of the proof state for a speculative branch worker on
-    /// another thread: all *proof* state (variables, masks, hypotheses,
-    /// facts, symbolic heaps) is copied, while the thread-affine solver
-    /// caches are dropped. The caches live in the spawning thread's
-    /// interner scope, so a detached fork must rebuild them — which the
-    /// first pure query does, cheaply and deterministically from
-    /// `facts` — under the worker's own scope. Verdicts never depend on
-    /// cache warm-up, so a fork proves exactly what its parent would.
-    #[must_use]
-    pub fn fork_detached(&self) -> ProofCtx {
-        ProofCtx {
-            vars: self.vars.clone(),
-            masks: self.masks.clone(),
-            preds: self.preds.clone(),
-            facts: self.facts.clone(),
-            delta: self.delta.clone(),
-            syms: self.syms.clone(),
-            pending_pure: self.pending_pure.clone(),
-            next_hyp: self.next_hyp,
-            facts_rev: self.facts_rev,
-            solver_cache: None,
             egraph: None,
         }
     }
@@ -141,22 +99,18 @@ impl ProofCtx {
                 eg.push_fact(p.clone());
             }
             self.facts.push(p);
-            self.facts_rev += 1;
         }
     }
 
     /// Truncates `Γ` back to a previously recorded length (probe-loop
     /// rollback). All fact mutations must go through `ProofCtx` methods so
-    /// the cached solver is invalidated — see [`ProofCtx::facts_rev`].
-    ///
-    /// [`ProofCtx::facts_rev`]: field@ProofCtx::facts_rev
+    /// the incremental solver stays in lockstep with `facts`.
     pub fn truncate_facts(&mut self, len: usize) {
         if len < self.facts.len() {
             if let Some(eg) = &mut self.egraph {
                 eg.truncate_facts(len);
             }
             self.facts.truncate(len);
-            self.facts_rev += 1;
         }
     }
 
@@ -178,83 +132,20 @@ impl ProofCtx {
         self.delta.remove(idx)
     }
 
-    /// A pure solver over the current facts.
-    #[must_use]
-    pub fn solver(&self) -> PureSolver {
-        PureSolver::new(&self.facts)
-    }
-
-    /// Rebuilds the cached solver if `facts` changed since it was built.
-    fn refresh_solver(&mut self) {
-        if self.solver_cache.as_ref().map(|(rev, _)| *rev) != Some(self.facts_rev) {
-            // Asserting the whole fact list into a fresh solver is the
-            // batch-shaped cost of pure reasoning; individual `prove`
-            // calls against the cached solver are too cheap (and far too
-            // numerous) to span individually.
-            let mut sp = crate::profile::span(crate::profile::SpanKind::SolverBatch);
-            sp.set_label("solver-rebuild");
-            crate::profile::bump(self.facts.len() as u64);
-            self.solver_cache = Some((self.facts_rev, PureSolver::new(&self.facts)));
-        }
-    }
-
-    /// Ensures the incremental solver exists and belongs to the current
-    /// interner scope; rebuilt from the fact list otherwise (context
-    /// creation, a whole-context rewrite, or a context that outlived its
-    /// scope).
-    fn refresh_egraph(&mut self) {
-        if !self.egraph.as_ref().is_some_and(EGraph::valid) {
-            let mut sp = crate::profile::span(crate::profile::SpanKind::SolverBatch);
-            sp.set_label("egraph-rebuild");
-            crate::profile::bump(self.facts.len() as u64);
-            self.egraph = Some(EGraph::from_facts(&self.facts));
-        }
-    }
-
     /// Proves a pure proposition from `Γ` (may instantiate evars).
     pub fn prove_pure(&mut self, goal: &PureProp) -> bool {
-        if egraph::enabled() {
-            self.refresh_egraph();
-            if let Some(eg) = &mut self.egraph {
-                return eg.prove(&mut self.vars, goal);
-            }
-        }
-        self.refresh_solver();
-        let Some((_, solver)) = &self.solver_cache else {
-            unreachable!("refresh_solver always fills the cache")
-        };
-        solver.prove(&mut self.vars, goal)
+        egraph_over(&mut self.egraph, &self.facts).prove(&mut self.vars, goal)
     }
 
     /// Proves a pure proposition without instantiating evars (for
     /// disjunction guards, §5.3).
     pub fn prove_pure_frozen(&mut self, goal: &PureProp) -> bool {
-        if egraph::enabled() {
-            self.refresh_egraph();
-            if let Some(eg) = &mut self.egraph {
-                return eg.prove_frozen(&mut self.vars, goal);
-            }
-        }
-        self.refresh_solver();
-        let Some((_, solver)) = &self.solver_cache else {
-            unreachable!("refresh_solver always fills the cache")
-        };
-        solver.prove_frozen(&mut self.vars, goal)
+        egraph_over(&mut self.egraph, &self.facts).prove_frozen(&mut self.vars, goal)
     }
 
     /// Whether `Γ` is contradictory.
     pub fn inconsistent(&mut self) -> bool {
-        if egraph::enabled() {
-            self.refresh_egraph();
-            if let Some(eg) = &mut self.egraph {
-                return eg.inconsistent(&mut self.vars);
-            }
-        }
-        self.refresh_solver();
-        let Some((_, solver)) = &self.solver_cache else {
-            unreachable!("refresh_solver always fills the cache")
-        };
-        solver.inconsistent(&mut self.vars)
+        egraph_over(&mut self.egraph, &self.facts).inconsistent(&mut self.vars)
     }
 
     /// Substitutes a variable by a term throughout the context (facts and
@@ -262,7 +153,6 @@ impl ProofCtx {
     /// `⌜x = t⌝` with `x` a variable.
     pub fn substitute_var(&mut self, v: VarId, t: &Term) {
         let s = Subst::single(v, t.clone());
-        self.facts_rev += 1;
         self.egraph = None;
         for f in &mut self.facts {
             *f = f.subst(&s);
@@ -277,7 +167,6 @@ impl ProofCtx {
     /// Zonks all hypotheses and facts (resolving solved evars), keeping
     /// displays and matching fast paths precise.
     pub fn zonk_all(&mut self) {
-        self.facts_rev += 1;
         self.egraph = None;
         let vars = &self.vars;
         for f in &mut self.facts {
@@ -288,6 +177,19 @@ impl ProofCtx {
         }
         self.syms.map_terms(|t| t.zonk(vars));
     }
+}
+
+/// The incremental solver in `slot`, rebuilt from `facts` when absent
+/// or bound to another interner scope (context creation, a whole-context
+/// rewrite, or a context that outlived its scope).
+fn egraph_over<'a>(slot: &'a mut Option<EGraph>, facts: &[PureProp]) -> &'a mut EGraph {
+    if !slot.as_ref().is_some_and(EGraph::valid) {
+        let mut sp = crate::profile::span(crate::profile::SpanKind::SolverBatch);
+        sp.set_label("egraph-rebuild");
+        crate::profile::bump(facts.len() as u64);
+        *slot = Some(EGraph::from_facts(facts));
+    }
+    slot.as_mut().expect("just rebuilt")
 }
 
 #[cfg(test)]

@@ -58,12 +58,6 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
-    // The pool and the branch-level speculative workers share one thread
-    // budget of `jobs` units (see `crate::speculate`): each pool worker
-    // occupies a unit for its lifetime, so while the pool is saturated no
-    // search speculates, and as workers exit their freed units let the
-    // remaining stragglers go intra-spec parallel.
-    let _budget = crate::speculate::budget_scope(jobs);
     let ablation = crate::tactic::current_ablation();
     // The telemetry session (like the ablation override) is thread-local
     // state that must be re-installed in every worker; the counters
@@ -88,7 +82,6 @@ where
                 .stack_size(crate::verify::session_stack_bytes())
                 .spawn_scoped(scope, move || {
                     crate::verify::mark_session_thread();
-                    let _slot = crate::speculate::occupy_worker();
                     let _telemetry_guard = telemetry.as_ref().map(|s| s.install());
                     let _profile_guard = profile
                         .as_ref()
@@ -167,17 +160,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    /// Pool runs install a budget scope on the process-global speculation
-    /// budget; serialize against the `speculate` module's own tests.
-    fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
-        crate::speculate::TEST_BUDGET_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn results_come_back_in_item_order() {
-        let _b = budget_lock();
         let items: Vec<usize> = (0..64).collect();
         for jobs in [1, 3, 8] {
             let out = run_ordered(&items, jobs, |i, &x| {
@@ -195,7 +179,6 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_per_item() {
-        let _b = budget_lock();
         let items: Vec<usize> = (0..10).collect();
         let out = run_ordered(&items, 4, |_, &x| {
             assert!(x != 3 && x != 7, "boom {x}");
@@ -213,7 +196,6 @@ mod tests {
 
     #[test]
     fn ablation_override_reaches_workers() {
-        let _b = budget_lock();
         use crate::{current_ablation, with_ablation_override, Ablation};
         let ab = Ablation {
             oldest_first: true,
@@ -229,7 +211,6 @@ mod tests {
 
     #[test]
     fn telemetry_session_reaches_workers() {
-        let _b = budget_lock();
         let session = crate::telemetry::TelemetrySession::new("pool");
         let _guard = session.install();
         let labels = run_ordered(&[(), (), ()], 2, |_, ()| {
@@ -250,7 +231,6 @@ mod tests {
 
     #[test]
     fn empty_and_single_item_edge_cases() {
-        let _b = budget_lock();
         let out = run_ordered::<u8, u8, _>(&[], 4, |_, _| unreachable!());
         assert!(out.is_empty());
         let out = run_ordered(&[5u8], 16, |_, &x| x);
@@ -260,7 +240,6 @@ mod tests {
 
     #[test]
     fn collect_ordered_reports_every_panic_in_item_order() {
-        let _b = budget_lock();
         let items: Vec<usize> = (0..10).collect();
         for jobs in [1, 4] {
             let results = run_ordered(&items, jobs, |_, &x| {

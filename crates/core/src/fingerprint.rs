@@ -209,25 +209,22 @@ impl Fingerprinter {
 ///   bumped whenever the serialized trace shape or the checker contract
 ///   changes, which is exactly when old stored traces must stop
 ///   replaying;
-/// * the state of every semantics-affecting engine knob: the term
-///   interner (`DIAFRAME_INTERN`), the incremental e-graph solver
-///   (`DIAFRAME_EGRAPH`), speculative branch search
-///   (`DIAFRAME_SPECULATE`) and the hint index. All four are
-///   trace-identical by construction (each has an identity test pinning
-///   that), but the store treats "identical" as a claim to be immune
-///   to, not to rely on: flipping any knob changes the fingerprint and
-///   cold-misses the cache rather than replaying traces recorded under
-///   a different configuration.
+/// * the state of the one remaining engine switch, the hint index. It
+///   is trace-identical by construction (the fuzz driver uses it as its
+///   indexed-vs-linear oracle), but the store treats "identical" as a
+///   claim to be immune to, not to rely on: flipping it changes the
+///   fingerprint and cold-misses the cache rather than replaying traces
+///   recorded under a different configuration.
 ///
 /// Deliberately **not** included: the per-thread [`crate::Ablation`]
 /// override (it varies per request, so the store keys it separately)
 /// and observability state (telemetry/profiling are identity-preserving
 /// side channels; their identity tests gate that in CI).
 ///
-/// The digest is stable across processes of the same build + knob
-/// configuration — asserted by `crates/core/tests/fingerprint_restart.rs`
-/// via a subprocess — and is cheap enough to recompute per call (the
-/// store caches it once per open).
+/// The digest is stable across processes of the same build — asserted
+/// by `crates/core/tests/fingerprint_restart.rs` via a subprocess — and
+/// is cheap enough to recompute per call (the store caches it once per
+/// open).
 #[must_use]
 pub fn engine_fingerprint() -> String {
     let mut fp = Fingerprinter::new();
@@ -235,18 +232,6 @@ pub fn engine_fingerprint() -> String {
     fp.field(
         "trace_format_rev",
         &crate::trace_json::FORMAT_REV.to_string(),
-    );
-    fp.field(
-        "intern",
-        if diaframe_term::intern::enabled() { "on" } else { "off" },
-    );
-    fp.field(
-        "egraph",
-        if diaframe_term::solver::egraph::configured() { "on" } else { "off" },
-    );
-    fp.field(
-        "speculate",
-        if crate::speculate::enabled() { "on" } else { "off" },
     );
     fp.field(
         "hint_index",
@@ -309,19 +294,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 64);
         assert!(a.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn engine_fingerprint_tracks_solver_knob() {
-        use diaframe_term::solver::egraph;
-        let on = engine_fingerprint();
-        egraph::force_disable(true);
-        let off = engine_fingerprint();
-        egraph::force_disable(false);
-        assert_ne!(
-            on, off,
-            "flipping the e-graph knob must change the engine fingerprint"
-        );
-        assert_eq!(engine_fingerprint(), on);
     }
 }

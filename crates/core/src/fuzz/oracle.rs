@@ -160,15 +160,13 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
         let snap = p_session.snapshot();
         let rollup = profile.rollup();
         let find_hint = rollup[crate::profile::SpanKind::FindHint.index()].count;
-        if find_hint != snap.probes_attempted + snap.spec_wasted_probes {
+        if find_hint != snap.probes_attempted {
             divergences.push(format!(
-                "case {index}: find_hint span count {find_hint} != probes_attempted {} \
-                 + spec_wasted_probes {}",
-                snap.probes_attempted, snap.spec_wasted_probes
+                "case {index}: find_hint span count {find_hint} != probes_attempted {}",
+                snap.probes_attempted
             ));
         }
-        let check_spans = rollup[crate::profile::SpanKind::Check.index()].count
-            + rollup[crate::profile::SpanKind::CheckWindow.index()].count;
+        let check_spans = rollup[crate::profile::SpanKind::Check.index()].count;
         if check_spans != snap.checker_steps {
             divergences.push(format!(
                 "case {index}: check span count {check_spans} != checker_steps {}",

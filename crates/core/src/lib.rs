@@ -27,10 +27,10 @@
 //!   the structured stuck diagnostics of
 //!   [`report::Stuck::render_explain`] — at zero cost when disabled;
 //! * an opt-in hierarchical [`profile`] span tree records where wall
-//!   clock goes across pool workers, speculative branch workers and the
-//!   pipelined checker, exporting Chrome trace-event timelines, folded
-//!   flamegraph stacks and per-hint hotspot attribution — cross-checked
-//!   against the flat telemetry counters by asserted rollup identities;
+//!   clock goes across pool workers and verification sessions, exporting
+//!   Chrome trace-event timelines, folded flamegraph stacks and per-hint
+//!   hotspot attribution — cross-checked against the flat telemetry
+//!   counters by asserted rollup identities;
 //! * a deterministic [`fuzz`] harness stress-tests the checker (the
 //!   trusted computing base) with generated entailments, a differential
 //!   oracle across every verdict path, and an adversarial trace mutator
@@ -47,7 +47,6 @@ pub mod index;
 pub mod profile;
 pub mod report;
 pub mod spec;
-pub mod speculate;
 pub mod strategy;
 pub mod symval;
 pub mod tactic;
@@ -64,11 +63,7 @@ pub use goal::Goal;
 pub use index::{hint_index_enabled, set_hint_index_enabled, HeadSet};
 pub use report::Stuck;
 pub use spec::{Spec, SpecTable};
-pub use speculate::budget_scope;
 pub use tactic::{current_ablation, with_ablation_override, Ablation, Tactic, VerifyOptions};
 pub use telemetry::{CounterSnapshot, DiagSnapshot, TelemetrySession};
 pub use trace::{ProofTrace, TraceKind, TraceStep};
-pub use verify::{
-    install_pipeline_sink, pipeline_check_enabled, pipeline_frames_enabled, verify,
-    with_verification_session, PipelineEvent, PipelineSink, VerifiedProof,
-};
+pub use verify::{verify, with_verification_session, VerifiedProof};

@@ -2,14 +2,14 @@
 //!
 //! Where [`crate::telemetry`] aggregates *flat counters* per verification,
 //! this module records the *shape* of a run: every verification, spec,
-//! search phase, hint-probe batch, case-split branch, speculative worker
-//! lifetime, solver query batch and checker replay window becomes a
-//! timestamped span with a parent id and a thread/worker *lane*. The span
-//! tree is the substrate for three consumers in `diaframe-bench`:
+//! search phase, hint-probe batch, case-split branch, solver query batch
+//! and checker replay becomes a timestamped span with a parent id and a
+//! thread/worker *lane*. The span tree is the substrate for three
+//! consumers in `diaframe-bench`:
 //!
 //! * `figure6 --profile-out FILE` — Chrome trace-event JSON (open the file
 //!   in [Perfetto](https://ui.perfetto.dev), one lane per pool worker /
-//!   speculation worker / pipelined-checker consumer), hand-rolled like
+//!   verification session thread), hand-rolled like
 //!   [`crate::trace_json`] since serde is not available in this container;
 //! * `figure6 --folded-out FILE` — folded-stacks text for flamegraph tools
 //!   (`kind:label;kind:label;... self_us` per line);
@@ -18,17 +18,18 @@
 //!
 //! Discipline is identical to the telemetry layer: **zero cost when off**
 //! (a single relaxed atomic load per hook), sessions are installed
-//! per-thread and propagated across `run_ordered` workers, verification
-//! session threads, speculative branch workers and the pipelined-checker
-//! consumer. Profiling is a pure side channel: turning it on must not
-//! change a single byte of any emitted proof trace or figure6 table
-//! (pinned by `crates/bench/tests/profile_identity.rs`).
+//! per-thread and propagated across `run_ordered` workers and
+//! verification session threads. Profiling is a pure side channel:
+//! turning it on must not change a single byte of any emitted proof
+//! trace or figure6 table (pinned by
+//! `crates/bench/tests/profile_identity.rs`).
 //!
 //! The profiler is not trusted, it is *cross-checked*: span rollups must
-//! reconcile exactly with the flat telemetry counters (e.g. the sum of
-//! probe-batch span counts equals `probes_attempted` plus
-//! `spec_wasted_probes`), asserted by `figure6 --profile-out`, the
-//! profile-identity suite and the fuzz campaign in CI.
+//! reconcile exactly with the flat telemetry counters (the sum of
+//! probe-batch span counts equals `probes_attempted`, the sum of check
+//! span counts equals `checker_steps`), asserted by
+//! `figure6 --profile-out`, the profile-identity suite and the fuzz
+//! campaign in CI.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -55,25 +56,17 @@ pub enum SpanKind {
     /// One case-split branch search, labelled with the branch index
     /// (`strategy.rs`).
     Branch,
-    /// The lifetime of one speculative branch worker, from spawn to join
-    /// (`strategy.rs::split_branches`); win/cancel outcomes appear as
-    /// zero-duration `Speculate` marks on the spawning lane.
-    Speculate,
     /// One pure-solver query batch discharging a recorded obligation;
     /// `count` is the number of solver queries in the batch.
     SolverBatch,
     /// One whole-trace checker replay (`checker::check`); `count` is the
     /// number of steps replayed.
     Check,
-    /// One pipelined incremental checker replay window (`cache.rs`
-    /// consumer); `count` is the number of steps fed through
-    /// `checker::Replay`.
-    CheckWindow,
 }
 
 impl SpanKind {
     /// Number of span kinds.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// All kinds, in `index()` order.
     pub const ALL: [SpanKind; SpanKind::COUNT] = [
@@ -82,10 +75,8 @@ impl SpanKind {
         SpanKind::Search,
         SpanKind::FindHint,
         SpanKind::Branch,
-        SpanKind::Speculate,
         SpanKind::SolverBatch,
         SpanKind::Check,
-        SpanKind::CheckWindow,
     ];
 
     /// Dense index of this kind (position in [`SpanKind::ALL`]).
@@ -97,10 +88,8 @@ impl SpanKind {
             SpanKind::Search => 2,
             SpanKind::FindHint => 3,
             SpanKind::Branch => 4,
-            SpanKind::Speculate => 5,
-            SpanKind::SolverBatch => 6,
-            SpanKind::Check => 7,
-            SpanKind::CheckWindow => 8,
+            SpanKind::SolverBatch => 5,
+            SpanKind::Check => 6,
         }
     }
 
@@ -114,10 +103,8 @@ impl SpanKind {
             SpanKind::Search => "search",
             SpanKind::FindHint => "find_hint",
             SpanKind::Branch => "branch",
-            SpanKind::Speculate => "speculate",
             SpanKind::SolverBatch => "solver_batch",
             SpanKind::Check => "check",
-            SpanKind::CheckWindow => "check_window",
         }
     }
 }
@@ -143,7 +130,7 @@ pub struct SpanRec {
     /// Duration, nanoseconds (0 for instant marks).
     pub dur_ns: u64,
     /// Kind-specific payload counter (probes for `FindHint`, replayed
-    /// steps for `Check`/`CheckWindow`, queries for `SolverBatch`).
+    /// steps for `Check`, queries for `SolverBatch`).
     pub count: u64,
 }
 
@@ -264,8 +251,8 @@ impl ProfileSession {
     /// Install this session on the current thread: spans opened on this
     /// thread are recorded into it until the guard drops. The thread gets
     /// its own *lane*, named after the OS thread (uniquified with `#k` on
-    /// collision), so pool workers, speculation workers and the checker
-    /// consumer each render as their own timeline row.
+    /// collision), so pool workers and verification session threads each
+    /// render as their own timeline row.
     #[must_use]
     pub fn install(&self) -> ProfileGuard {
         self.install_with_parent(None)
@@ -273,9 +260,8 @@ impl ProfileSession {
 
     /// Like [`install`](ProfileSession::install), but new root spans on
     /// this thread adopt `parent` as their parent id — used when hopping
-    /// threads (verification session threads, speculative workers, the
-    /// pipelined-checker consumer) so the tree stays connected across
-    /// lanes.
+    /// threads (pool workers, verification session threads) so the tree
+    /// stays connected across lanes.
     #[must_use]
     pub fn install_with_parent(&self, parent: Option<u64>) -> ProfileGuard {
         let base = std::thread::current()
@@ -543,8 +529,8 @@ fn per_lane_sorted(spans: &[SpanRec]) -> BTreeMap<u32, Vec<usize>> {
 }
 
 /// Self time per span: duration minus the durations of *direct same-lane
-/// children* (concurrent cross-lane children — speculative workers under
-/// a branch span — do not eat their parent's self time).
+/// children* (cross-lane children — a verification session thread under
+/// a pool worker's span — do not eat their parent's self time).
 fn self_times(spans: &[SpanRec]) -> Vec<u64> {
     let mut child_ns = vec![0u64; spans.len()];
     for idxs in per_lane_sorted(spans).values() {
@@ -724,36 +710,6 @@ pub fn bump(n: u64) {
     });
 }
 
-/// Record an instant (zero-duration) mark of `kind` under the innermost
-/// open span — used for speculative win/cancel outcomes on the deciding
-/// lane. No-op when profiling is off.
-pub fn mark(kind: SpanKind, label: &str) {
-    if !enabled() {
-        return;
-    }
-    let Some(inner) = CURRENT.with(|c| c.borrow().as_ref().map(Arc::clone)) else {
-        return;
-    };
-    let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-    let parent = OPEN.with(|o| o.borrow().last().map(|f| f.id)).or_else(|| ADOPTED.with(Cell::get));
-    let start_ns = u64::try_from(
-        Instant::now()
-            .saturating_duration_since(inner.epoch)
-            .as_nanos(),
-    )
-    .unwrap_or(u64::MAX);
-    inner.push(SpanRec {
-        id,
-        parent,
-        kind,
-        label: label.to_string(),
-        lane: LANE.with(Cell::get),
-        start_ns,
-        dur_ns: 0,
-        count: 0,
-    });
-}
-
 /// Validate a Chrome trace-event JSON document produced by
 /// [`ProfileSession::chrome_trace`] (or anything claiming the same
 /// contract): every lane's `B`/`E` events must balance and its
@@ -837,7 +793,6 @@ mod tests {
             let mut sp = span(SpanKind::Search);
             sp.set_label("ignored");
             bump(7);
-            mark(SpanKind::Speculate, "win");
         }
         assert!(s.spans().is_empty());
         assert_eq!(current_span_id(), None);
@@ -856,22 +811,16 @@ mod tests {
                 bump(2);
                 spin(50);
             }
-            mark(SpanKind::Speculate, "win");
         }
         drop(g);
         let spans = s.spans();
-        assert_eq!(spans.len(), 3);
-        // Completion order: inner FindHint, Speculate mark, outer Spec.
+        assert_eq!(spans.len(), 2);
+        // Completion order: inner FindHint, outer Spec.
         let inner = &spans[0];
-        let mk = &spans[1];
-        let outer = &spans[2];
+        let outer = &spans[1];
         assert_eq!(inner.kind, SpanKind::FindHint);
         assert_eq!(inner.count, 5);
         assert_eq!(inner.parent, Some(outer.id));
-        assert_eq!(mk.kind, SpanKind::Speculate);
-        assert_eq!(mk.label, "win");
-        assert_eq!(mk.dur_ns, 0);
-        assert_eq!(mk.parent, Some(outer.id));
         assert_eq!(outer.kind, SpanKind::Spec);
         assert_eq!(outer.label, "push");
         assert_eq!(outer.parent, None);
@@ -893,7 +842,7 @@ mod tests {
             .name("prof-test-worker".into())
             .spawn(move || {
                 let _g = s2.install_with_parent(Some(parent));
-                let _w = span(SpanKind::Speculate);
+                let _w = span(SpanKind::Search);
                 spin(20);
             })
             .expect("spawn")
@@ -904,7 +853,7 @@ mod tests {
         let spans = s.spans();
         let worker = spans
             .iter()
-            .find(|r| r.kind == SpanKind::Speculate)
+            .find(|r| r.kind == SpanKind::Search)
             .expect("worker span recorded");
         assert_eq!(worker.parent, Some(parent));
         let lanes = s.lanes();

@@ -24,13 +24,7 @@ use diaframe_heaplang::step::head_step;
 use diaframe_heaplang::{BinOp, Expr, Heap, UnOp, Val};
 use diaframe_logic::{Assertion, Atom, Binder, Mask, MaskT, Namespace, WpPost};
 use diaframe_term::{PureProp, Sort, Subst, Sym, Term, VarId};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// A live step consumer for pipelined per-frame checking: every step
-/// appended to the trace (including spliced speculative steps, in trace
-/// order) is mirrored to the sink as it lands.
-pub(crate) type StepSink = Arc<dyn Fn(&TraceStep) + Send + Sync>;
 
 /// The proof search engine for one verification.
 pub struct Engine<'a> {
@@ -42,10 +36,6 @@ pub struct Engine<'a> {
     tactic_used: Vec<bool>,
     tactic_fires: Vec<u32>,
     fuel: u64,
-    /// Set on speculative branch engines: polled at every `solve` entry,
-    /// aborting the worker's search once its result cannot matter.
-    cancel: Option<Arc<AtomicBool>>,
-    step_sink: Option<StepSink>,
 }
 
 type Solved = Result<ProofCtx, Box<Stuck>>;
@@ -62,16 +52,7 @@ impl<'a> Engine<'a> {
             tactic_used: vec![false; opts.tactics.len()],
             tactic_fires: vec![0; opts.tactics.len()],
             fuel: opts.effective_fuel(),
-            cancel: None,
-            step_sink: None,
         }
-    }
-
-    /// Attaches a live step consumer (pipelined frame checking). Not
-    /// compatible with opt-in disjunction backtracking, which truncates
-    /// the trace — callers gate on `opts.backtrack_disjunctions`.
-    pub(crate) fn set_step_sink(&mut self, sink: StepSink) {
-        self.step_sink = Some(sink);
     }
 
     fn stuck(&self, ctx: &ProofCtx, reason: impl Into<String>, goal: &Goal) -> Box<Stuck> {
@@ -97,20 +78,6 @@ impl<'a> Engine<'a> {
     /// measure search effort, not final trace length.
     fn push_step(&mut self, step: TraceStep) {
         crate::telemetry::count_step(&step);
-        if let Some(sink) = &self.step_sink {
-            sink(&step);
-        }
-        self.trace.push(step);
-    }
-
-    /// Appends a step produced by a *won speculative worker*. Bypasses
-    /// `count_step` — the worker already counted its steps into its own
-    /// session, which the parent absorbs wholesale on a win — but still
-    /// feeds the live step sink (steps reach the sink in trace order).
-    fn splice_step(&mut self, step: TraceStep) {
-        if let Some(sink) = &self.step_sink {
-            sink(&step);
-        }
         self.trace.push(step);
     }
 
@@ -175,15 +142,6 @@ impl<'a> Engine<'a> {
     ///
     /// Returns a [`Stuck`] report when no rule applies and no tactic helps.
     pub fn solve(&mut self, mut ctx: ProofCtx, goal: Goal) -> Solved {
-        // Speculative engines poll their cancellation flag here — the
-        // one place every rule application funnels through. The sentinel
-        // error is always discarded by the spawner; it never reaches a
-        // user-visible stuck report.
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Err(self.stuck(&ctx, crate::speculate::CANCELLED_REASON, &goal));
-            }
-        }
         if self.fuel == 0 {
             return Err(self.stuck(&ctx, "out of fuel", &goal));
         }
@@ -383,8 +341,7 @@ impl<'a> Engine<'a> {
                     let cont2 = cont.clone();
                     pending.push(*l);
                     pending2.push(*r);
-                    // Both branches must complete the remaining proof;
-                    // branch 1 may run speculatively.
+                    // Both branches must complete the remaining proof.
                     return self.split_branches(ctx, pending, cont, ctx2, pending2, cont2);
                 }
                 Assertion::Later(inner) => {
@@ -1082,11 +1039,10 @@ impl<'a> Engine<'a> {
         Err(self.stuck(&ctx, "cannot decide goal disjunction", &goal))
     }
 
-    /// The strictly serial two-branch order (the historical behavior,
-    /// and the fallback whenever no speculation permit is available):
-    /// branch 0, then branch 1, each bracketed by its `BranchStart`/
-    /// `BranchEnd` steps. The caller has already pushed the `CaseSplit`.
-    fn split_serial(
+    /// Solves both branches of a 2-way case split whose `CaseSplit` step
+    /// the caller has already pushed: branch 0, then branch 1, each
+    /// bracketed by its `BranchStart`/`BranchEnd` steps.
+    fn split_branches(
         &mut self,
         ctx0: ProofCtx,
         pending0: Vec<Assertion>,
@@ -1110,208 +1066,6 @@ impl<'a> Engine<'a> {
         };
         self.push_step(TraceStep::BranchEnd { index: 1 });
         Ok(out)
-    }
-
-    /// Solves both branches of a 2-way case split whose `CaseSplit` step
-    /// the caller has already pushed: branch 0 inline, branch 1 either
-    /// serially after it or — when the speculation budget grants a
-    /// permit (see [`crate::speculate`]) — concurrently on a worker
-    /// thread.
-    ///
-    /// # Determinism
-    ///
-    /// The emitted trace is byte-identical to the serial search
-    /// regardless of scheduling. The worker searches branch 1 from a
-    /// detached snapshot of the split state (context fork, cloned tactic
-    /// state, fresh interner scope, private telemetry session); its
-    /// result is accepted only when it is provably what the serial
-    /// search would have produced:
-    ///
-    /// * the worker finished its branch without getting stuck,
-    ///   cancelled, or panicking, **and**
-    /// * branch 0 left the tactic consumption state untouched (the
-    ///   worker started from the state *at the split*; serial branch 1
-    ///   would start from the state *after branch 0*), **and**
-    /// * the worker consumed no more fuel than remained after branch 0
-    ///   (otherwise the serial branch 1 could have run out of fuel
-    ///   mid-search and produced a different outcome).
-    ///
-    /// On acceptance the worker's steps are spliced into the trace and
-    /// its fuel/tactic/telemetry state adopted — exactly the serial
-    /// outcome, minus the wall-clock. On any other outcome branch 1
-    /// reruns serially from the kept originals (a deterministic worker
-    /// panic thereby reproduces inline with exact serial semantics and
-    /// payload). Outcomes never depend on thread scheduling; only wall
-    /// time and the `spec_*` telemetry counters do.
-    #[allow(clippy::too_many_arguments)]
-    fn split_branches(
-        &mut self,
-        ctx0: ProofCtx,
-        pending0: Vec<Assertion>,
-        cont0: Goal,
-        ctx1: ProofCtx,
-        pending1: Vec<Assertion>,
-        cont1: Goal,
-    ) -> Solved {
-        let Some(permit) = crate::speculate::try_acquire() else {
-            return self.split_serial(ctx0, pending0, cont0, ctx1, pending1, cont1);
-        };
-        crate::telemetry::spec_spawned();
-        let fuel_at_split = self.fuel;
-        let used_at_split = self.tactic_used.clone();
-        let fires_at_split = self.tactic_fires.clone();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let worker_session = crate::telemetry::TelemetrySession::new("speculate");
-        let (registry, specs, opts) = (self.registry, self.specs, self.opts);
-        let w_ctx = ctx1.fork_detached();
-        let w_pending = pending1.clone();
-        let w_cont = cont1.clone();
-        let w_cancel = Arc::clone(&cancel);
-        let w_session = worker_session.clone();
-        let w_used = used_at_split.clone();
-        let w_fires = fires_at_split.clone();
-        let w_prof = crate::profile::current();
-        let w_prof_parent = crate::profile::current_span_id();
-        // If branch 0 *panics* (unwinds out of the scope closure), the
-        // spawn must still be resolved as cancelled so the session's
-        // `spec_spawned == spec_won + spec_cancelled` identity holds
-        // even when a harness contains the panic and snapshots the
-        // counters afterwards — and the worker's probes must land in
-        // `spec_wasted_probes` or the profiler's probe-batch rollup
-        // would drift from the flat ledger. This guard sits *outside*
-        // the scope, so by the time it drops the scope's implicit join
-        // has completed and the worker session counters are final.
-        struct ResolveOnUnwind<'s> {
-            armed: bool,
-            session: &'s crate::telemetry::TelemetrySession,
-        }
-        impl Drop for ResolveOnUnwind<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    crate::telemetry::spec_cancelled();
-                    crate::telemetry::spec_wasted(self.session.snapshot().probes_attempted);
-                    crate::profile::mark(crate::profile::SpanKind::Speculate, "cancel");
-                }
-            }
-        }
-        let mut resolve_guard = ResolveOnUnwind {
-            armed: true,
-            session: &worker_session,
-        };
-        let result = std::thread::scope(|scope| {
-            let handle = std::thread::Builder::new()
-                .name("diaframe-speculate".to_owned())
-                .stack_size(crate::verify::session_stack_bytes())
-                .spawn_scoped(scope, move || {
-                    let _permit = permit; // unit freed when the worker exits
-                    let _guard = w_session.install();
-                    let _prof_guard = w_prof
-                        .as_ref()
-                        .map(|p| p.install_with_parent(w_prof_parent));
-                    let mut prof_span =
-                        crate::profile::span(crate::profile::SpanKind::Speculate);
-                    prof_span.set_label("branch-1");
-                    let intern_scope = diaframe_term::intern::scope();
-                    let mut sub = Engine {
-                        registry,
-                        specs,
-                        opts,
-                        trace: ProofTrace::new(),
-                        tactic_used: w_used,
-                        tactic_fires: w_fires,
-                        fuel: fuel_at_split,
-                        cancel: Some(w_cancel),
-                        step_sink: None,
-                    };
-                    let result = sub.intro_hyps(w_ctx, w_pending, w_cont);
-                    crate::telemetry::intern_stats(diaframe_term::intern::stats());
-                    crate::telemetry::egraph_stats(diaframe_term::intern::egraph_stats());
-                    drop(intern_scope);
-                    (result, sub.trace, sub.tactic_used, sub.tactic_fires, sub.fuel)
-                })
-                .expect("spawn speculative branch worker");
-            // If branch 0 *panics* (unwinds out of this closure), cancel
-            // the worker before the scope's implicit join so the panic
-            // is not stalled behind a doomed search; nested speculation
-            // inside the worker unwinds the same way, recursively. The
-            // counter bookkeeping for that path lives in the outer
-            // `ResolveOnUnwind` guard, which fires only after the join.
-            struct CancelOnUnwind<'c>(&'c AtomicBool);
-            impl Drop for CancelOnUnwind<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, Ordering::Relaxed);
-                }
-            }
-            let unwind_guard = CancelOnUnwind(&cancel);
-            self.push_step(TraceStep::BranchStart { index: 0 });
-            let r0 = {
-                let mut sp = crate::profile::span(crate::profile::SpanKind::Branch);
-                sp.set_label("0");
-                self.intro_hyps(ctx0, pending0, cont0)
-            };
-            std::mem::forget(unwind_guard);
-            if r0.is_err() {
-                // Branch 0 failed: whatever the worker finds is moot —
-                // the serial search would have stopped here too.
-                cancel.store(true, Ordering::Relaxed);
-            }
-            // Always reap the worker before deciding anything: fuel
-            // bounds its search, so the join cannot hang.
-            let joined = handle.join();
-            if let Err(mut e) = r0 {
-                crate::telemetry::spec_cancelled();
-                crate::telemetry::spec_wasted(worker_session.snapshot().probes_attempted);
-                crate::profile::mark(crate::profile::SpanKind::Speculate, "cancel");
-                // The stuck report snapshotted the counters at its
-                // construction site, *inside* branch 0 — before this
-                // spawn was resolved. Refresh it so the diagnostics a
-                // caller renders satisfy the counter identities.
-                e.diag = crate::telemetry::stuck_diag();
-                return Err(e);
-            }
-            self.push_step(TraceStep::BranchEnd { index: 0 });
-            let fuel_after_b0 = self.fuel;
-            if let Ok((w_result, w_trace, w_used, w_fires, w_fuel)) = joined {
-                let consumed = fuel_at_split - w_fuel;
-                if let Ok(out) = w_result {
-                    if self.tactic_used == used_at_split
-                        && self.tactic_fires == fires_at_split
-                        && consumed <= fuel_after_b0
-                    {
-                        crate::telemetry::spec_won();
-                        crate::profile::mark(crate::profile::SpanKind::Speculate, "win");
-                        if let Some(session) = crate::telemetry::current() {
-                            session.absorb(&worker_session);
-                        }
-                        self.push_step(TraceStep::BranchStart { index: 1 });
-                        for step in w_trace.into_steps() {
-                            self.splice_step(step);
-                        }
-                        self.push_step(TraceStep::BranchEnd { index: 1 });
-                        self.fuel = fuel_after_b0 - consumed;
-                        self.tactic_used = w_used;
-                        self.tactic_fires = w_fires;
-                        return Ok(out);
-                    }
-                }
-            }
-            // Worker stuck, cancelled, panicked, or diverged from what
-            // the serial accounting allows: discard it and rerun branch
-            // 1 serially from the kept originals.
-            crate::telemetry::spec_cancelled();
-            crate::telemetry::spec_wasted(worker_session.snapshot().probes_attempted);
-            crate::profile::mark(crate::profile::SpanKind::Speculate, "cancel");
-            self.push_step(TraceStep::BranchStart { index: 1 });
-            let out = {
-                let mut sp = crate::profile::span(crate::profile::SpanKind::Branch);
-                sp.set_label("1");
-                self.intro_hyps(ctx1, pending1, cont1)?
-            };
-            self.push_step(TraceStep::BranchEnd { index: 1 });
-            Ok(out)
-        });
-        resolve_guard.armed = false;
-        result
     }
 
     /// Applies a user case-split tactic: prove the goal under `φ` and

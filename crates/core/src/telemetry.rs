@@ -74,11 +74,6 @@ struct Counters {
     solver_queries_rebuild: AtomicU64,
     solver_verdict_hits: AtomicU64,
     solver_verdict_misses: AtomicU64,
-    spec_spawned: AtomicU64,
-    spec_won: AtomicU64,
-    spec_cancelled: AtomicU64,
-    spec_wasted_probes: AtomicU64,
-    check_overlap_ms: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_corruptions: AtomicU64,
@@ -148,28 +143,17 @@ pub struct CounterSnapshot {
     pub solver_verdict_hits: u64,
     /// Entailment queries that missed the verdict memo.
     pub solver_verdict_misses: u64,
-    /// Speculative branch workers spawned at 2-way case splits (see
-    /// [`crate::speculate`]). Always equals
-    /// `spec_won + spec_cancelled` — every spawn is resolved one way or
-    /// the other ([`check_invariants`](CounterSnapshot::check_invariants)
-    /// asserts it).
+    /// Always zero: the engine no longer speculates. Remains only for
+    /// the benchmark's compile surface; no engine code writes it.
     pub spec_spawned: u64,
-    /// Speculative workers whose result was accepted and spliced into
-    /// the trace (byte-identical to what the serial search would have
-    /// produced).
+    /// Always zero: the engine no longer speculates. Remains only for
+    /// the benchmark's compile surface; no engine code writes it.
     pub spec_won: u64,
-    /// Speculative workers cancelled or discarded (branch 0 failed, the
-    /// worker got stuck, fuel/tactic accounting diverged from the serial
-    /// order, or the worker panicked — the branch then reruns serially).
-    pub spec_cancelled: u64,
-    /// Hint probes attempted by discarded speculative workers — the
-    /// wasted-work side of the speculation ledger (a won worker's probes
-    /// are absorbed into the ordinary probe counters instead).
+    /// Always zero: the engine no longer speculates. Remains only for
+    /// the benchmark's compile surface; no engine code writes it.
     pub spec_wasted_probes: u64,
-    /// Milliseconds of checker replay that overlapped with ongoing proof
-    /// search under pipelined checking (search wall + checker busy time,
-    /// minus end-to-end wall; 0 when the pipeline is off or nothing
-    /// overlapped).
+    /// Always zero: checking no longer overlaps search. Remains only for
+    /// the benchmark's compile surface; no engine code writes it.
     pub check_overlap_ms: u64,
     /// Persistent proof-store lookups answered by a successfully
     /// *replayed* cached trace (a hit is only counted after the
@@ -262,11 +246,6 @@ impl CounterSnapshot {
         self.solver_queries_rebuild += other.solver_queries_rebuild;
         self.solver_verdict_hits += other.solver_verdict_hits;
         self.solver_verdict_misses += other.solver_verdict_misses;
-        self.spec_spawned += other.spec_spawned;
-        self.spec_won += other.spec_won;
-        self.spec_cancelled += other.spec_cancelled;
-        self.spec_wasted_probes += other.spec_wasted_probes;
-        self.check_overlap_ms += other.check_overlap_ms;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.store_corruptions += other.store_corruptions;
@@ -306,11 +285,6 @@ impl CounterSnapshot {
             solver_queries_rebuild: self.solver_queries_rebuild - before.solver_queries_rebuild,
             solver_verdict_hits: self.solver_verdict_hits - before.solver_verdict_hits,
             solver_verdict_misses: self.solver_verdict_misses - before.solver_verdict_misses,
-            spec_spawned: self.spec_spawned - before.spec_spawned,
-            spec_won: self.spec_won - before.spec_won,
-            spec_cancelled: self.spec_cancelled - before.spec_cancelled,
-            spec_wasted_probes: self.spec_wasted_probes - before.spec_wasted_probes,
-            check_overlap_ms: self.check_overlap_ms - before.check_overlap_ms,
             store_hits: self.store_hits - before.store_hits,
             store_misses: self.store_misses - before.store_misses,
             store_corruptions: self.store_corruptions - before.store_corruptions,
@@ -318,6 +292,7 @@ impl CounterSnapshot {
             store_replay_ms: self.store_replay_ms - before.store_replay_ms,
             store_search_ms: self.store_search_ms - before.store_search_ms,
             steps_by_kind: [0; TraceKind::COUNT],
+            ..CounterSnapshot::default()
         };
         if self.deepest_abandoned > before.deepest_abandoned {
             out.deepest_abandoned = self.deepest_abandoned;
@@ -378,20 +353,6 @@ impl CounterSnapshot {
                 self.solver_verdict_misses
             ));
         }
-        // Every speculative spawn resolves exactly once: either its
-        // result was spliced in (won) or it was discarded (cancelled).
-        if self.spec_spawned != self.spec_won + self.spec_cancelled {
-            return Err(format!(
-                "spec_spawned ({}) != spec_won ({}) + spec_cancelled ({})",
-                self.spec_spawned, self.spec_won, self.spec_cancelled
-            ));
-        }
-        if self.spec_wasted_probes > 0 && self.spec_cancelled == 0 {
-            return Err(format!(
-                "spec_wasted_probes ({}) recorded without any cancelled speculation",
-                self.spec_wasted_probes
-            ));
-        }
         // A corrupt store entry is always demoted to a miss before the
         // re-search, so corruptions can never exceed misses.
         if self.store_corruptions > self.store_misses {
@@ -426,8 +387,6 @@ impl CounterSnapshot {
              \"solver_merges\": {}, \"solver_undo_ops\": {}, \
              \"solver_queries_incremental\": {}, \"solver_queries_rebuild\": {}, \
              \"solver_verdict_hits\": {}, \"solver_verdict_misses\": {}, \
-             \"spec_spawned\": {}, \"spec_won\": {}, \"spec_cancelled\": {}, \
-             \"spec_wasted_probes\": {}, \"check_overlap_ms\": {}, \
              \"store_hits\": {}, \"store_misses\": {}, \
              \"store_corruptions\": {}, \"store_evictions\": {}, \
              \"store_replay_ms\": {}, \"store_search_ms\": {}, \
@@ -452,11 +411,6 @@ impl CounterSnapshot {
             self.solver_queries_rebuild,
             self.solver_verdict_hits,
             self.solver_verdict_misses,
-            self.spec_spawned,
-            self.spec_won,
-            self.spec_cancelled,
-            self.spec_wasted_probes,
-            self.check_overlap_ms,
             self.store_hits,
             self.store_misses,
             self.store_corruptions,
@@ -791,11 +745,6 @@ impl TelemetrySession {
             solver_queries_rebuild: c.solver_queries_rebuild.load(Ordering::Relaxed),
             solver_verdict_hits: c.solver_verdict_hits.load(Ordering::Relaxed),
             solver_verdict_misses: c.solver_verdict_misses.load(Ordering::Relaxed),
-            spec_spawned: c.spec_spawned.load(Ordering::Relaxed),
-            spec_won: c.spec_won.load(Ordering::Relaxed),
-            spec_cancelled: c.spec_cancelled.load(Ordering::Relaxed),
-            spec_wasted_probes: c.spec_wasted_probes.load(Ordering::Relaxed),
-            check_overlap_ms: c.check_overlap_ms.load(Ordering::Relaxed),
             store_hits: c.store_hits.load(Ordering::Relaxed),
             store_misses: c.store_misses.load(Ordering::Relaxed),
             store_corruptions: c.store_corruptions.load(Ordering::Relaxed),
@@ -803,6 +752,7 @@ impl TelemetrySession {
             store_replay_ms: c.store_replay_ms.load(Ordering::Relaxed),
             store_search_ms: c.store_search_ms.load(Ordering::Relaxed),
             steps_by_kind: steps,
+            ..CounterSnapshot::default()
         }
     }
 
@@ -832,105 +782,6 @@ impl TelemetrySession {
             .lock()
             .unwrap()
             .push((name.to_owned(), delta));
-    }
-
-    /// Folds another session's counters, diagnostics, and span
-    /// aggregates into this one. Used when a speculative branch worker
-    /// **wins**: the worker searched under a private session (so a
-    /// discarded loser leaves no trace in the parent's counters), and
-    /// the winner's effort is merged back here so the parent session
-    /// accounts for exactly the work the serial search would have done.
-    ///
-    /// Sums everywhere except `deepest_abandoned` (max). Per-span
-    /// records (the JSON `"span"` lines) are not transferred — only the
-    /// aggregate totals — and per-spec deltas are not transferred (a
-    /// speculative worker never completes a spec).
-    pub fn absorb(&self, other: &TelemetrySession) {
-        let snap = other.snapshot();
-        let c = &self.inner.counters;
-        c.probes_attempted
-            .fetch_add(snap.probes_attempted, Ordering::Relaxed);
-        c.probes_skipped
-            .fetch_add(snap.probes_skipped, Ordering::Relaxed);
-        c.probes_indexed_hit
-            .fetch_add(snap.probes_indexed_hit, Ordering::Relaxed);
-        c.probes_matched
-            .fetch_add(snap.probes_matched, Ordering::Relaxed);
-        c.hint_misses.fetch_add(snap.hint_misses, Ordering::Relaxed);
-        c.backtracks.fetch_add(snap.backtracks, Ordering::Relaxed);
-        c.deepest_abandoned
-            .fetch_max(snap.deepest_abandoned, Ordering::Relaxed);
-        c.evar_solve_events
-            .fetch_add(snap.evar_solve_events, Ordering::Relaxed);
-        c.checker_steps
-            .fetch_add(snap.checker_steps, Ordering::Relaxed);
-        c.interner_hits
-            .fetch_add(snap.interner_hits, Ordering::Relaxed);
-        c.interner_misses
-            .fetch_add(snap.interner_misses, Ordering::Relaxed);
-        c.zonk_cache_hits
-            .fetch_add(snap.zonk_cache_hits, Ordering::Relaxed);
-        c.normalize_cache_hits
-            .fetch_add(snap.normalize_cache_hits, Ordering::Relaxed);
-        c.solver_facts_asserted
-            .fetch_add(snap.solver_facts_asserted, Ordering::Relaxed);
-        c.solver_merges
-            .fetch_add(snap.solver_merges, Ordering::Relaxed);
-        c.solver_undo_ops
-            .fetch_add(snap.solver_undo_ops, Ordering::Relaxed);
-        c.solver_queries_incremental
-            .fetch_add(snap.solver_queries_incremental, Ordering::Relaxed);
-        c.solver_queries_rebuild
-            .fetch_add(snap.solver_queries_rebuild, Ordering::Relaxed);
-        c.solver_verdict_hits
-            .fetch_add(snap.solver_verdict_hits, Ordering::Relaxed);
-        c.solver_verdict_misses
-            .fetch_add(snap.solver_verdict_misses, Ordering::Relaxed);
-        c.spec_spawned.fetch_add(snap.spec_spawned, Ordering::Relaxed);
-        c.spec_won.fetch_add(snap.spec_won, Ordering::Relaxed);
-        c.spec_cancelled
-            .fetch_add(snap.spec_cancelled, Ordering::Relaxed);
-        c.spec_wasted_probes
-            .fetch_add(snap.spec_wasted_probes, Ordering::Relaxed);
-        c.check_overlap_ms
-            .fetch_add(snap.check_overlap_ms, Ordering::Relaxed);
-        c.store_hits.fetch_add(snap.store_hits, Ordering::Relaxed);
-        c.store_misses
-            .fetch_add(snap.store_misses, Ordering::Relaxed);
-        c.store_corruptions
-            .fetch_add(snap.store_corruptions, Ordering::Relaxed);
-        c.store_evictions
-            .fetch_add(snap.store_evictions, Ordering::Relaxed);
-        c.store_replay_ms
-            .fetch_add(snap.store_replay_ms, Ordering::Relaxed);
-        c.store_search_ms
-            .fetch_add(snap.store_search_ms, Ordering::Relaxed);
-        for (i, n) in snap.steps_by_kind.into_iter().enumerate() {
-            if n > 0 {
-                c.steps_by_kind[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let (failed, missed) = {
-            let d = other.inner.diag.lock().unwrap();
-            (d.failed_probes.clone(), d.missed_heads.clone())
-        };
-        {
-            let mut d = self.inner.diag.lock().unwrap();
-            for (k, v) in failed {
-                *d.failed_probes.entry(k).or_insert(0) += v;
-            }
-            for (k, v) in missed {
-                *d.missed_heads.entry(k).or_insert(0) += v;
-            }
-        }
-        let agg = { other.inner.spans.lock().unwrap().agg.clone() };
-        let mut log = self.inner.spans.lock().unwrap();
-        for (name, a) in agg {
-            let e = log.agg.entry(name).or_default();
-            e.count += a.count;
-            e.total_ns += a.total_ns;
-            e.durs.extend(a.durs);
-        }
     }
 
     /// Per-span-name duration histograms (count/total/p50/p95/max) for
@@ -1233,7 +1084,7 @@ pub(crate) fn evar_solves(delta: u64) {
 
 /// The checker replayed `n` steps.
 #[inline]
-pub fn checker_steps(n: u64) {
+pub(crate) fn checker_steps(n: u64) {
     with_session(|s| {
         s.counters.checker_steps.fetch_add(n, Ordering::Relaxed);
     });
@@ -1292,55 +1143,6 @@ pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
         s.counters
             .solver_verdict_misses
             .fetch_add(stats.verdict_misses, Ordering::Relaxed);
-    });
-}
-
-/// A speculative branch worker was spawned at a 2-way split.
-#[inline]
-pub(crate) fn spec_spawned() {
-    with_session(|s| {
-        s.counters.spec_spawned.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A speculative worker's result was accepted and spliced in.
-#[inline]
-pub(crate) fn spec_won() {
-    with_session(|s| {
-        s.counters.spec_won.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A speculative worker was cancelled or its result discarded.
-#[inline]
-pub(crate) fn spec_cancelled() {
-    with_session(|s| {
-        s.counters.spec_cancelled.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A discarded speculative worker had attempted `probes` hint probes.
-#[inline]
-pub(crate) fn spec_wasted(probes: u64) {
-    if probes == 0 {
-        return;
-    }
-    with_session(|s| {
-        s.counters
-            .spec_wasted_probes
-            .fetch_add(probes, Ordering::Relaxed);
-    });
-}
-
-/// `ms` milliseconds of checker replay overlapped with ongoing search
-/// (reported by the pipelined-checking consumer in the bench harness).
-#[inline]
-pub fn check_overlap(ms: u64) {
-    if ms == 0 {
-        return;
-    }
-    with_session(|s| {
-        s.counters.check_overlap_ms.fetch_add(ms, Ordering::Relaxed);
     });
 }
 
@@ -1492,58 +1294,6 @@ mod tests {
             ..CounterSnapshot::default()
         };
         assert!(snap.check_invariants().is_err());
-
-        let snap = CounterSnapshot {
-            spec_spawned: 2,
-            spec_won: 1,
-            ..CounterSnapshot::default()
-        };
-        let err = snap.check_invariants().unwrap_err();
-        assert!(err.contains("spec_spawned"), "{err}");
-
-        let snap = CounterSnapshot {
-            spec_wasted_probes: 4,
-            ..CounterSnapshot::default()
-        };
-        assert!(snap.check_invariants().is_err());
-    }
-
-    #[test]
-    fn speculation_counters_and_absorb() {
-        let parent = TelemetrySession::new("parent");
-        let worker = TelemetrySession::new("worker");
-        {
-            let _g = worker.install();
-            probe_attempted();
-            probe_run();
-            probe_failed("W");
-            backtracked(3);
-        }
-        {
-            let _g = parent.install();
-            spec_spawned();
-            spec_won();
-            spec_spawned();
-            spec_cancelled();
-            spec_wasted(7);
-            check_overlap(12);
-        }
-        parent.absorb(&worker);
-        let snap = parent.snapshot();
-        assert_eq!(snap.spec_spawned, 2);
-        assert_eq!(snap.spec_won, 1);
-        assert_eq!(snap.spec_cancelled, 1);
-        assert_eq!(snap.spec_wasted_probes, 7);
-        assert_eq!(snap.check_overlap_ms, 12);
-        // The worker's search effort landed in the parent's ordinary
-        // counters, and its diagnostics merged.
-        assert_eq!(snap.probes_attempted, 1);
-        assert_eq!(snap.probes_indexed_hit, 1);
-        assert_eq!(snap.backtracks, 1);
-        assert_eq!(snap.deepest_abandoned, 3);
-        snap.check_invariants().unwrap();
-        let diag = parent.diag_snapshot();
-        assert_eq!(diag.failed_probes, vec![("W".to_owned(), 1)]);
     }
 
     #[test]

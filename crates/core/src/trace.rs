@@ -242,14 +242,6 @@ impl ProofTrace {
         &self.steps
     }
 
-    /// Consumes the trace, yielding its steps in order. Used to splice a
-    /// speculative worker's branch trace into the parent trace without
-    /// cloning every step.
-    #[must_use]
-    pub fn into_steps(self) -> Vec<TraceStep> {
-        self.steps
-    }
-
     /// Number of steps.
     #[must_use]
     pub fn len(&self) -> usize {

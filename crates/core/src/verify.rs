@@ -71,13 +71,6 @@ pub fn verify(
     let session = crate::telemetry::current();
     let before = session.as_ref().map(crate::telemetry::TelemetrySession::snapshot);
     let result = with_verification_session(|| verify_inner(registry, specs, opts, ctx, spec));
-    if let (Ok(proof), Some(sink)) = (&result, pipeline_sink()) {
-        // Frames-mode searches already streamed their steps (bounded by
-        // `SpecSearched`); everything else ships the finished proof.
-        if !frames_active(opts) {
-            sink(PipelineEvent::Proof(proof.clone()));
-        }
-    }
     if let (Some(session), Some(before)) = (&session, &before) {
         // Attribute this call's counter movement to the spec by name.
         session.record_spec(&spec.name, session.snapshot().delta_since(before));
@@ -91,159 +84,6 @@ pub fn verify(
 std::thread_local! {
     /// Whether this thread is already a big-stack verification worker.
     static IN_SESSION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined checking: the search streams its output to a consumer.
-//
-// The checker is an independent replay over finished traces, so nothing
-// about it needs the search to have *ended* — only to have produced the
-// steps it replays. A harness (the bench driver's `run_once`) installs a
-// [`PipelineSink`]; `verify` then emits events the consumer can check
-// while the remaining specifications are still searching:
-//
-// * per-spec granularity (`DIAFRAME_PIPELINE_CHECK`, default on): one
-//   [`PipelineEvent::Proof`] per successful `verify`, carrying a clone
-//   of the finished proof — replaying a clone is replaying the same
-//   steps, so verdicts are byte-identical to the serial check;
-// * per-step granularity (`DIAFRAME_PIPELINE_FRAMES`, default off):
-//   the engine's step sink streams every [`PipelineEvent::Step`] as it
-//   is pushed, bounded by [`PipelineEvent::SpecSearched`] on success or
-//   [`PipelineEvent::SpecAbandoned`] on a stuck search, and the
-//   consumer drives an incremental [`crate::checker::Replay`]. Gated
-//   off per spec when `backtrack_disjunctions` is on — backtracking
-//   truncates the trace, which a stream cannot un-send.
-//
-// The sink is thread-local (like the telemetry session and the ablation
-// override) and propagates across `with_verification_session`'s thread
-// hop. Speculative branch workers never see it: their steps reach the
-// sink only when the parent splices the winning branch.
-// ---------------------------------------------------------------------------
-
-/// One event of the pipelined-checking stream, in search order.
-#[derive(Debug, Clone)]
-pub enum PipelineEvent {
-    /// Frames mode: a trace step, streamed live as the search pushes it.
-    Step(crate::trace::TraceStep),
-    /// Frames mode: the steps streamed since the previous boundary form
-    /// exactly the finished trace of the named specification.
-    SpecSearched {
-        /// The specification whose trace just completed.
-        name: String,
-    },
-    /// Frames mode: the search since the previous boundary got stuck;
-    /// the streamed steps are not a finished trace and must be
-    /// discarded.
-    SpecAbandoned,
-    /// Per-spec mode: a finished proof, ready for independent replay.
-    Proof(VerifiedProof),
-}
-
-/// A consumer of [`PipelineEvent`]s, installed per thread by a harness.
-pub type PipelineSink = std::sync::Arc<dyn Fn(PipelineEvent) + Send + Sync>;
-
-std::thread_local! {
-    static PIPELINE_SINK: std::cell::RefCell<Option<PipelineSink>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Installs `sink` as this thread's pipeline sink until the guard drops
-/// (restoring the previous sink, so nested harnesses shadow correctly).
-#[must_use]
-pub fn install_pipeline_sink(sink: PipelineSink) -> PipelineSinkGuard {
-    let prev = PIPELINE_SINK.with(|s| s.borrow_mut().replace(sink));
-    PipelineSinkGuard { prev }
-}
-
-/// Guard from [`install_pipeline_sink`].
-pub struct PipelineSinkGuard {
-    prev: Option<PipelineSink>,
-}
-
-impl Drop for PipelineSinkGuard {
-    fn drop(&mut self) {
-        PIPELINE_SINK.with(|s| *s.borrow_mut() = self.prev.take());
-    }
-}
-
-/// The current thread's pipeline sink, if a harness installed one.
-#[must_use]
-pub fn pipeline_sink() -> Option<PipelineSink> {
-    PIPELINE_SINK.with(|s| s.borrow().clone())
-}
-
-/// `0` = no override, `1` = forced off, `2` = forced on.
-static PIPELINE_CHECK_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-static PIPELINE_FRAMES_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-fn override_code(mode: Option<bool>) -> u8 {
-    match mode {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
-fn apply_override(code: u8, env: bool) -> bool {
-    match code {
-        1 => false,
-        2 => true,
-        _ => env,
-    }
-}
-
-/// Programmatically overrides `DIAFRAME_PIPELINE_CHECK` (process-wide;
-/// `None` restores the environment's verdict). Used by the identity
-/// tests to compare pipelined and serial checking in one process.
-pub fn override_pipeline_check(mode: Option<bool>) {
-    PIPELINE_CHECK_OVERRIDE.store(override_code(mode), std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Programmatically overrides `DIAFRAME_PIPELINE_FRAMES` (process-wide;
-/// `None` restores the environment's verdict).
-pub fn override_pipeline_frames(mode: Option<bool>) {
-    PIPELINE_FRAMES_OVERRIDE.store(override_code(mode), std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether per-spec pipelined checking is on: `DIAFRAME_PIPELINE_CHECK`
-/// unset or anything but `0`/`off`/empty means enabled.
-#[must_use]
-pub fn pipeline_check_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let env = *ON.get_or_init(|| {
-        std::env::var("DIAFRAME_PIPELINE_CHECK").map_or(true, |v| {
-            let v = v.trim();
-            !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off"))
-        })
-    });
-    apply_override(
-        PIPELINE_CHECK_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst),
-        env,
-    )
-}
-
-/// Whether per-step (frame) streaming is on: `DIAFRAME_PIPELINE_FRAMES`
-/// must be explicitly `1`/`on`/`true`; default off.
-#[must_use]
-pub fn pipeline_frames_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let env = *ON.get_or_init(|| {
-        std::env::var("DIAFRAME_PIPELINE_FRAMES").is_ok_and(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true")
-        })
-    });
-    apply_override(
-        PIPELINE_FRAMES_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst),
-        env,
-    )
-}
-
-/// Whether this `verify` call streams its steps (frames mode): requires
-/// a sink, the frames flag, and a non-backtracking search (disjunction
-/// backtracking truncates the trace, which a stream cannot un-send).
-fn frames_active(opts: &VerifyOptions) -> bool {
-    pipeline_frames_enabled() && !opts.backtrack_disjunctions
 }
 
 /// The verification worker's stack size in bytes: `DIAFRAME_STACK_MB`
@@ -289,15 +129,14 @@ pub fn with_verification_session<T: Send>(f: impl FnOnce() -> T + Send) -> T {
         return f();
     }
     // Thread-locals don't cross the spawn: re-establish the caller's
-    // ablation override, telemetry session, profile session and pipeline
-    // sink inside the worker. Profile spans opened in the worker adopt
-    // the caller's innermost span as parent so the tree stays connected
-    // across the hop.
+    // ablation override, telemetry session and profile session inside
+    // the worker. Profile spans opened in the worker adopt the caller's
+    // innermost span as parent so the tree stays connected across the
+    // hop.
     let ablation = crate::tactic::current_ablation();
     let telemetry = crate::telemetry::current();
     let profile = crate::profile::current();
     let profile_parent = crate::profile::current_span_id();
-    let pipeline = pipeline_sink();
     std::thread::scope(|scope| {
         let outcome = std::thread::Builder::new()
             .name("diaframe-verify".to_owned())
@@ -308,7 +147,6 @@ pub fn with_verification_session<T: Send>(f: impl FnOnce() -> T + Send) -> T {
                 let _profile_guard = profile
                     .as_ref()
                     .map(|p| p.install_with_parent(profile_parent));
-                let _pipeline_guard = pipeline.map(install_pipeline_sink);
                 crate::tactic::with_ablation_override(ablation, f)
             })
             .expect("spawn verification worker")
@@ -349,18 +187,6 @@ fn verify_goal(
     spec: &Spec,
 ) -> Result<VerifiedProof, Box<Stuck>> {
     let mut engine = Engine::new(registry, specs, opts);
-    // Frames mode: stream every pushed step to the pipeline sink so the
-    // consumer can replay them while this search is still running.
-    let frames_sink = match pipeline_sink() {
-        Some(sink) if frames_active(opts) => {
-            let step_sink = std::sync::Arc::clone(&sink);
-            engine.set_step_sink(std::sync::Arc::new(move |step| {
-                step_sink(PipelineEvent::Step(step.clone()));
-            }));
-            Some(sink)
-        }
-        _ => None,
-    };
     // Introduce the argument and auxiliary binders as fresh universals.
     ctx.vars.push_level();
     let mut s = Subst::new();
@@ -396,22 +222,11 @@ fn verify_goal(
     );
     // The wp postcondition still mentions `spec.ret` as binder — `post.at`
     // substitutes it at the value step, so no further renaming is needed.
-    let solved = {
+    {
         let _span = crate::telemetry::span("search");
         let _prof = crate::profile::span(crate::profile::SpanKind::Search);
-        engine.solve(ctx, goal)
-    };
-    if let Some(sink) = frames_sink {
-        // Close the stream window: on success the streamed steps ARE the
-        // finished trace; on a stuck search they must be discarded.
-        match &solved {
-            Ok(_) => sink(PipelineEvent::SpecSearched {
-                name: spec.name.clone(),
-            }),
-            Err(_) => sink(PipelineEvent::SpecAbandoned),
-        }
+        engine.solve(ctx, goal)?;
     }
-    solved?;
     Ok(VerifiedProof {
         name: spec.name.clone(),
         trace: engine.trace,

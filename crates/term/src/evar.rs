@@ -549,11 +549,10 @@ mod tests {
     }
 
     /// Stamps must stay globally unique when contexts evolve on several
-    /// threads at once: a speculative branch worker mutates a *clone* of
-    /// the parent's `VarCtx` concurrently with the parent, and the
-    /// `(TermId, generation)` memo keys in `crate::intern` are only
-    /// sound if no two mutation events — on any thread — ever share a
-    /// stamp.
+    /// threads at once: pool workers mutate their own `VarCtx`s
+    /// concurrently, and the `(TermId, generation)` memo keys in
+    /// `crate::intern` are only sound if no two mutation events — on any
+    /// thread — ever share a stamp.
     #[test]
     fn generation_stamps_unique_across_threads() {
         use std::collections::HashSet;

@@ -38,17 +38,16 @@
 //! one), which keeps hit/miss counters deterministic per example
 //! regardless of how worker threads are shared, and bounds memory by the
 //! size of one search. Without an active scope every operation falls back
-//! to the structural implementations, byte-for-byte identical — that is
-//! also the escape hatch: `DIAFRAME_INTERN=off` (or `0`) disables scope
-//! installation process-wide.
+//! to the structural implementations, byte-for-byte identical (pinned by
+//! `tests/intern_props.rs`).
 
 use crate::evar::VarCtx;
 use crate::normalize::LinComb;
 use crate::term::{Sym, Term};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Identity of an interned term within the current thread's arena.
 ///
@@ -326,35 +325,6 @@ thread_local! {
     static INTERNER: RefCell<Option<Interner>> = const { RefCell::new(None) };
 }
 
-/// Process-wide test/bench override; see [`force_disable`].
-static FORCE_OFF: AtomicBool = AtomicBool::new(false);
-
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("DIAFRAME_INTERN").map_or(true, |v| v != "off" && v != "0")
-    })
-}
-
-/// Disables (or re-enables) scope installation process-wide, overriding
-/// the `DIAFRAME_INTERN` environment gate. Test and benchmark support:
-/// lets one process compare interned and structural runs. Scopes already
-/// installed are unaffected.
-pub fn force_disable(off: bool) {
-    FORCE_OFF.store(off, Ordering::SeqCst);
-}
-
-/// Whether interner scopes install at all under the current process
-/// configuration (the `DIAFRAME_INTERN` environment gate combined with
-/// any [`force_disable`] override). This is a *configuration* probe —
-/// use [`is_active`] to ask whether the current thread has a live scope.
-/// The engine fingerprint folds this in, so proof-store entries recorded
-/// under one interner setting never replay under the other.
-#[must_use]
-pub fn enabled() -> bool {
-    env_enabled() && !FORCE_OFF.load(Ordering::Relaxed)
-}
-
 /// Whether an interner scope is active on this thread.
 #[must_use]
 pub fn is_active() -> bool {
@@ -368,29 +338,23 @@ fn with_active<R>(f: impl FnOnce(&mut Interner) -> R) -> Option<R> {
 /// An installed interner scope; restores the previous thread state (an
 /// outer scope, or none) on drop.
 pub struct InternScope {
-    /// `Some(prev)` when a fresh interner was installed over `prev`;
-    /// `None` when interning is disabled and this scope is a no-op.
-    saved: Option<Option<Interner>>,
+    /// The interner (or absence of one) this scope was installed over.
+    prev: Option<Interner>,
 }
 
 impl Drop for InternScope {
     fn drop(&mut self) {
-        if let Some(prev) = self.saved.take() {
-            INTERNER.with(|slot| *slot.borrow_mut() = prev);
-        }
+        let prev = self.prev.take();
+        INTERNER.with(|slot| *slot.borrow_mut() = prev);
     }
 }
 
-/// Installs a fresh interner for the current thread (unless disabled via
-/// `DIAFRAME_INTERN=off` or [`force_disable`]). The verification entry
-/// points call this once per specification.
+/// Installs a fresh interner for the current thread. The verification
+/// entry points call this once per specification.
 #[must_use]
 pub fn scope() -> InternScope {
-    if !env_enabled() || FORCE_OFF.load(Ordering::Relaxed) {
-        return InternScope { saved: None };
-    }
     let prev = INTERNER.with(|slot| slot.borrow_mut().replace(Interner::fresh()));
-    InternScope { saved: Some(prev) }
+    InternScope { prev }
 }
 
 /// Snapshot of the current scope's counters (zeroes when no scope is
@@ -661,10 +625,10 @@ mod tests {
         assert!(!is_active());
     }
 
-    /// Scopes are strictly per-thread state: a speculative branch
-    /// worker installing its own scope must never perturb the scope its
-    /// parent search is running under — ids minted in one thread's
-    /// scope are meaningless (and invisible) in another's.
+    /// Scopes are strictly per-thread state: a worker thread installing
+    /// its own scope must never perturb the scope of the thread that
+    /// spawned it — ids minted in one thread's scope are meaningless
+    /// (and invisible) in another's.
     #[test]
     fn scopes_are_isolated_per_thread() {
         let _scope = scope();

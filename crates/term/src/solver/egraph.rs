@@ -20,9 +20,9 @@
 //! case-splitting [`crate::solver::unsat`] search on byte-equal inputs,
 //! and rollback restores the union-find parent array bit-for-bit
 //! (including path-compression writes — constraint *order* feeds the
-//! Fourier–Motzkin budget cutoff, so layout matters). The
-//! `DIAFRAME_EGRAPH=off` escape hatch drops back to the rebuild-per-query
-//! path wholesale.
+//! Fourier–Motzkin budget cutoff, so layout matters). The legacy
+//! solver stays as the test-only reference these properties are checked
+//! against (`tests/egraph_props.rs`).
 //!
 //! **Memoization.** Entailment verdicts are memoized in the interner
 //! scope under `(version, goal hash, generation)`, where the version is a
@@ -38,8 +38,7 @@ use super::{add_literal, flatten_literal, normalize_fact, prop_hash, unsat, MAX_
 use crate::evar::VarCtx;
 use crate::pure::PureProp;
 use crate::unify::unify;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Work counters for the incremental solver, aggregated per interner
 /// scope and reported to telemetry by the verification entry points.
@@ -62,43 +61,6 @@ pub struct EGraphStats {
     pub verdict_hits: u64,
     /// Entailment queries that missed the verdict memo.
     pub verdict_misses: u64,
-}
-
-/// Process-wide test/bench override; see [`force_disable`].
-static FORCE_OFF: AtomicBool = AtomicBool::new(false);
-
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("DIAFRAME_EGRAPH").map_or(true, |v| v != "off" && v != "0")
-    })
-}
-
-/// Disables (or re-enables) the incremental solver process-wide,
-/// overriding the `DIAFRAME_EGRAPH` environment gate. Test and benchmark
-/// support: lets one process compare incremental and rebuild-per-query
-/// runs.
-pub fn force_disable(off: bool) {
-    FORCE_OFF.store(off, Ordering::SeqCst);
-}
-
-/// Whether the incremental solver should be used for pure obligations.
-/// Requires an active interner scope: the e-graph's node keys and version
-/// stamps live there.
-#[must_use]
-pub fn enabled() -> bool {
-    configured() && crate::intern::is_active()
-}
-
-/// Whether the incremental solver is *configured* on (the
-/// `DIAFRAME_EGRAPH` environment gate plus the [`force_disable`]
-/// override), ignoring whether the calling thread currently has an
-/// interner scope. This is the semantics-affecting knob state a cache
-/// fingerprint should key on: scope activity is per-thread plumbing,
-/// not configuration.
-#[must_use]
-pub fn configured() -> bool {
-    env_enabled() && !FORCE_OFF.load(Ordering::Relaxed)
 }
 
 /// Version stamps for literals pushed outside any interner scope: unique
@@ -663,12 +625,9 @@ mod tests {
         assert!(EGraph::new().valid());
     }
 
-    /// A speculative branch worker starts on a detached proof context
-    /// with no solver state (`ProofCtx::fork_detached` drops the
-    /// incremental e-graph), so its first pure query rebuilds via
-    /// [`EGraph::from_facts`] on its own thread and interner scope. The
-    /// rebuild must reach the same verdicts there as anywhere else —
-    /// worker placement must never change what is provable.
+    /// A rebuild via [`EGraph::from_facts`] must reach the same verdicts
+    /// on any thread and under any interner scope: where a search runs
+    /// must never change what is provable.
     #[test]
     fn rebuild_verdicts_are_thread_independent() {
         let mut ctx = VarCtx::new();
