@@ -1,15 +1,18 @@
 //! Golden pin of the engine's observable output: the SHA-256 of every
-//! example's proof-trace JSON, of every sabotaged variant's rejection
-//! report, and of the rendered Figure 6 and failing-verification tables
-//! (with their wall-clock columns masked), against the digests committed
-//! in `tests/trace_digests.golden`.
+//! example's proof-trace JSON, of its compact proof-store bundle
+//! (`traces_to_compact_json`, the bytes a store entry embeds), of every
+//! sabotaged variant's rejection report, and of the rendered Figure 6 and
+//! failing-verification tables (with their wall-clock columns masked),
+//! against the digests committed in `tests/trace_digests.golden`.
 //!
 //! This is the migration gate for engine refactors: any change that
 //! moves a single trace byte, a verdict, a manual-step count or a hint
-//! tally fails here. A deliberate output change regenerates the golden
-//! file from the `actual` block this test prints on mismatch.
+//! tally fails here, and so does an encoder change that moves a single
+//! bundle byte (a different delta base, table order or escape). A
+//! deliberate output change regenerates the golden file from the
+//! `actual` block this test prints on mismatch.
 
-use diaframe::core::trace_json::trace_to_json;
+use diaframe::core::trace_json::{trace_to_json, traces_to_compact_json};
 use diaframe::core::{default_jobs, sha256_hex};
 use diaframe::examples::all_examples;
 use diaframe_bench::{failing_table, figure6_rows, prefetch_suite, render_figure6, SuiteCache, Variant};
@@ -49,6 +52,9 @@ fn actual_digests() -> String {
             let _ = writeln!(traces, "{}\n{}", p.name, trace_to_json(&p.trace));
         }
         let _ = writeln!(out, "trace/{} {}", ex.name(), sha256_hex(traces.as_bytes()));
+        let specs: Vec<_> = outcome.proofs.iter().map(|p| (p.name.as_str(), &p.trace)).collect();
+        let bundle = traces_to_compact_json(&specs);
+        let _ = writeln!(out, "bundle/{} {}", ex.name(), sha256_hex(bundle.as_bytes()));
         let broken = cache.get_or_run(ex.as_ref(), Variant::Broken);
         match &broken.outcome {
             None => {}
