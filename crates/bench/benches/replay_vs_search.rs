@@ -1,9 +1,17 @@
-//! Criterion bench: checker *replay* of a stored trace versus full proof
-//! *search*, on the five slowest Figure 6 examples.
+//! Criterion bench: full proof *search*, compact-bundle *encode* and
+//! checker *replay* of a stored trace, side by side on the five slowest
+//! Figure 6 examples.
 //!
-//! The ratio between the two is the persistent proof store's value
-//! proposition — a warm `diaframe serve` hit pays only the `replay`
-//! side. The measured ratio is recorded in EXPERIMENTS.md.
+//! A cold store miss pays `search` + `encode` (plus checking and the
+//! write); a warm `diaframe serve` hit pays only the `replay` side. The
+//! search/replay ratio is the persistent proof store's value
+//! proposition, and `encode` is what a miss adds on top of the search
+//! to fill the store. The measured numbers are recorded in
+//! EXPERIMENTS.md.
+//!
+//! ```text
+//! cargo bench -p diaframe-bench --bench replay_vs_search
+//! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diaframe_core::trace_json::{parse_json_value, traces_from_compact_value, traces_to_compact_json};
@@ -43,6 +51,9 @@ fn bench_replay_vs_search(c: &mut Criterion) {
                 let outcome = ex.verify().expect("verifies");
                 criterion::black_box(outcome.proofs.len())
             });
+        });
+        group.bench_function("encode", |b| {
+            b.iter(|| criterion::black_box(traces_to_compact_json(&specs).len()));
         });
         group.bench_function("replay", |b| {
             b.iter(|| {

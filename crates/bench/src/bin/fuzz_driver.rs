@@ -5,7 +5,8 @@
 //! 1. **differential pass** — generates `--cases` entailments, runs the
 //!    search engine on each, and cross-checks every proved case through
 //!    the oracle's legs (telemetry on/off, `check` vs `check_json`,
-//!    codec byte-stability, executable spec);
+//!    codec byte-stability, compact-bundle round-trip and verdict,
+//!    executable spec);
 //! 2. **index pass** — re-runs every proved case with the `HeadSet`
 //!    hint index disabled (a process-global toggle, hence a separate
 //!    whole pass) and demands byte-identical trace JSON;
@@ -379,7 +380,7 @@ fn main() {
         proved_unexpected.len()
     );
     println!(
-        "differential: {} divergences (telemetry, verdict, codec, spec legs + index pass \
+        "differential: {} divergences (telemetry, verdict, codec, bundle, spec legs + index pass \
          over {} proved cases)",
         divergences.len(),
         proved_idx.len()

@@ -569,7 +569,11 @@ fn read_index(path: &Path) -> Option<Index> {
 /// ([`traces_to_compact_json`]): variable-context snapshots are
 /// delta-shared across the example's specs, which keeps both the store
 /// small and the warm replay path fast (the hit path's cost is
-/// dominated by bytes hashed and parsed).
+/// dominated by bytes hashed and parsed). Encoding renders each distinct
+/// context entry once and matches delta bases on dense integer ids, so
+/// its cost grows with the bundle's size rather than with obligations ×
+/// context length; on a store miss it is a small fraction of the search
+/// it follows.
 fn encode_payload(key: &str, ex: &dyn Example, outcome: &ExampleOutcome) -> String {
     let mut out = String::new();
     let _ = write!(

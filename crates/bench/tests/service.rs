@@ -211,3 +211,36 @@ fn storeless_daemon_serves_and_reports_null_store() {
     shutdown(&endpoint, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn daemon_answers_deeply_nested_frames_with_an_error() {
+    let dir = tmp_dir("deep");
+    let socket = dir.join("daemon.sock");
+    let endpoint = Endpoint::Unix(socket.clone());
+    let handle = start_daemon(
+        socket,
+        ServerConfig {
+            store_dir: None,
+            budget: None,
+            jobs: 1,
+        },
+    );
+    // A 100 KB frame of open brackets: far inside the frame size limit,
+    // far past the parser's nesting limit. Unbounded recursion would
+    // overflow the connection thread's stack and abort the daemon.
+    let mut client = Client::connect(&endpoint).unwrap();
+    let response = client.call(&"[".repeat(100_000)).unwrap();
+    let v = parse_json_value(&response).unwrap();
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false), "{v:?}");
+    let error = v.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert!(error.contains("nesting deeper than"), "got {error:?}");
+    // The same connection serves the next request.
+    let response = client
+        .call("{\"op\":\"verify\",\"examples\":[\"spin_lock\"]}")
+        .unwrap();
+    let v = parse_json_value(&response).unwrap();
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true), "{v:?}");
+    drop(client);
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

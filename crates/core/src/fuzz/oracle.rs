@@ -10,6 +10,9 @@
 //!   codec;
 //! * the codec must be byte-stable (decode ∘ encode is the identity on
 //!   encoder output);
+//! * the proof store's compact bundle must be byte-stable too (encode,
+//!   parse, decode, re-encode), and the checker must reach the in-memory
+//!   verdict on the trace decoded from it;
 //! * the executable spec ([`spec_check`]) must agree with the checker.
 //!
 //! Disagreement anywhere is a *divergence* — the driver shrinks and
@@ -29,7 +32,10 @@ use crate::strategy::Engine;
 use crate::tactic::VerifyOptions;
 use crate::telemetry::TelemetrySession;
 use crate::trace::{ProofTrace, TraceStep};
-use crate::trace_json::{trace_from_json, trace_to_json};
+use crate::trace_json::{
+    parse_json_value, trace_from_json, trace_to_json, traces_from_compact_value,
+    traces_to_compact_json,
+};
 use diaframe_ghost::Registry;
 
 /// Search options for fuzz cases: fully automatic, with a small fuel so
@@ -195,6 +201,37 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
                 }
             }
             Err(e) => divergences.push(format!("case {index}: engine trace fails to decode: {e}")),
+        }
+
+        // Bundle leg: the proof store's compact encoding, which
+        // delta-shares the variable-context snapshots, must round-trip
+        // byte-stable and hand the checker a trace with the same verdict.
+        let bundle = traces_to_compact_json(&[("case", trace)]);
+        match parse_json_value(&bundle).and_then(|v| traces_from_compact_value(&v)) {
+            Ok(decoded) => {
+                let specs: Vec<(&str, &ProofTrace)> =
+                    decoded.iter().map(|(n, t)| (n.as_str(), t)).collect();
+                if traces_to_compact_json(&specs) != bundle {
+                    divergences.push(format!(
+                        "case {index}: bundle round-trip is not byte-stable"
+                    ));
+                }
+                match decoded.as_slice() {
+                    [(_, t)] => {
+                        let v_bundle = checker::check(t);
+                        if v_bundle != v_mem {
+                            divergences.push(format!(
+                                "case {index}: check vs check of the bundle-decoded trace disagree: {v_mem:?} vs {v_bundle:?}"
+                            ));
+                        }
+                    }
+                    other => divergences.push(format!(
+                        "case {index}: a one-trace bundle decoded to {} traces",
+                        other.len()
+                    )),
+                }
+            }
+            Err(e) => divergences.push(format!("case {index}: engine bundle fails to decode: {e}")),
         }
 
         // Spec leg: the independent contract implementation must agree.
