@@ -11,40 +11,38 @@
 #   4. clippy, warnings-as-errors, across every target
 #   5. a full `figure6 --all` report run, writing the machine-readable
 #      timing snapshot to target/BENCH_figure6.json, followed by the
-#      snapshot-diff perf gate: `figure6 --diff` compares the fresh v8
+#      snapshot-diff perf gate: `figure6 --diff` compares the fresh v9
 #      snapshot against the committed BENCH_figure6.json — per-example
 #      search-time ratios (3x with a 25ms floor), the 2x aggregate
 #      bound, and 1.5x drift gates on every *deterministic* search
 #      counter (the proof-store counters are reported, not gated) —
 #      and a self-comparison must report exactly zero regressions
-#   6. the profiling smoke gate: a suite run under `--profile-out` /
-#      `--folded-out` / `--hotspots` must emit a Chrome trace that
-#      passes structural validation, and the span rollups must satisfy
-#      the accounting identities against the flat telemetry counters
-#      ("profile identity ok"); the profiling-on/off trace- and
-#      table-equivalence test and the sink-ordering test must hold
-#   7. the telemetry smoke gate: the same run with a file sink attached
-#      must produce a v8 snapshot with non-zero counters (including the
-#      term-interner hit/miss counters, the incremental pure-solver
-#      counters, and the per-span-kind duration histograms), the
-#      telemetry-on/off trace-equivalence test must hold, and
-#      `figure6 --explain` must render a structured stuck report
-#   8. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
+#   6. the observability gate: one `figure6 --all` run under the
+#      profiler (`--profile-out` / `--folded-out` / `--hotspots`) with a
+#      telemetry file sink attached must emit a Chrome trace that passes
+#      structural validation, a v9 snapshot with non-zero counters
+#      (including the term-interner hit/miss counters and the
+#      incremental pure-solver counters) and per-span-kind duration
+#      histograms, and counter summaries in the sink; the
+#      observability-on/off trace- and table-equivalence test and the
+#      sink-ordering test must hold, and `figure6 --explain` must render
+#      a structured stuck report
+#   7. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
 #      campaign must report zero differential divergences and zero
 #      surviving trace mutants, two runs at the same seed must produce
 #      byte-identical JSON reports, and a third run under the profiler
 #      must produce the *same* report bytes plus a validated trace
-#   9. the adequacy schedule-sweep gate: every proved example's client
+#   8. the adequacy schedule-sweep gate: every proved example's client
 #      must sweep clean (1000 seeded interleavings + preemption-bounded
 #      DFS, postconditions checked, race / manifest-deadlock /
 #      lock-order detectors live), every intentionally-buggy negative
 #      example must be flagged with its expected categories, and the
 #      JSON snapshot must be byte-identical across worker counts and
 #      against the committed BENCH_adequacy.json
-#  10. the verification-service gate: `figure6 --store` must pass its
+#   9. the verification-service gate: `figure6 --store` must pass its
 #      built-in warm-vs-cold gate (warm pass answered entirely by
 #      checker-replayed store hits, byte-identical verdict table, warm
-#      wall <= 0.5x cold) with the v8 snapshot carrying the `store`
+#      wall <= 0.5x cold) with the v9 snapshot carrying the `store`
 #      block; then the `diaframe serve` daemon itself is started over a
 #      Unix socket, the full suite is requested twice across a daemon
 #      restart sharing one store directory, the second run must answer
@@ -70,7 +68,7 @@ cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/B
 
 # --- snapshot-diff perf gate (see EXPERIMENTS.md "Performance") ----------
 # `figure6 --diff` replaces the old awk aggregate/max gates: it compares
-# the fresh v8 snapshot against the committed baseline and gates on
+# the fresh v9 snapshot against the committed baseline and gates on
 # per-example search-time ratios (3x with a 25ms noise floor), the 2x
 # aggregate bound, and 1.5x drift on every *deterministic* search
 # counter (probes, backtracks, checker steps, per-kind step counts,
@@ -86,41 +84,33 @@ cargo run --release -p diaframe-bench --bin figure6 -- \
   --diff BENCH_figure6.json --diff-current BENCH_figure6.json > target/diff_self.md
 grep -q 'verdict: PASS — 0 regressions' target/diff_self.md
 
-# --- profiling smoke gate (see README "Observability") -------------------
-# A suite run under the hierarchical profiler: the Chrome trace must
-# pass structural validation (balanced begin/end, per-lane monotonic
-# timestamps) and the span rollups must reconcile exactly with the flat
-# telemetry counters — the binary exits non-zero if either fails, and
-# the identity lines are asserted here so a silent skip cannot pass.
-cargo run --release -p diaframe-bench --bin figure6 -- \
-  --profile-out target/profile_trace.json --folded-out target/profile_folded.txt \
-  --hotspots 10 > target/profile_smoke.log
-grep -q 'profile identity ok: find_hint span count' target/profile_smoke.log
-grep -q 'profile identity ok: check span count' target/profile_smoke.log
-grep -q 'span events across .* lanes, validated' target/profile_smoke.log
-grep -q 'profile hotspots' target/profile_smoke.log
-test -s target/profile_folded.txt
-# Profiling on vs off must be byte-identical in every trace and table,
-# and the sink ordering must be deterministic across --jobs 4 runs.
-cargo test --release -p diaframe-bench --test profile_identity -q
-cargo test --release -p diaframe-bench --test telemetry_sink -q
-
-# --- telemetry smoke gate (see README "Observability") -------------------
-# The run above is telemetry-off; re-run with the file sink on and check
-# the v2 schema fields are present with non-zero counters.
+# --- observability gate (see README "Observability") --------------------
+# One suite run under the hierarchical profiler with the telemetry file
+# sink attached. The Chrome trace must pass structural validation
+# (balanced begin/end, per-lane monotonic timestamps; the binary exits
+# non-zero otherwise), the v9 snapshot must carry non-zero counters and
+# the per-span-kind duration histograms taken from the profile tree,
+# and the sink must hold the per-run counter summaries.
 rm -f target/telemetry.jsonl
 DIAFRAME_TELEMETRY=target/telemetry.jsonl \
-  cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6_telemetry.json > /dev/null
-grep -q '"schema": "diaframe-bench/figure6/v8"' target/BENCH_figure6_telemetry.json
+  cargo run --release -p diaframe-bench --bin figure6 -- --all \
+  --json-out target/BENCH_figure6_telemetry.json \
+  --profile-out target/profile_trace.json --folded-out target/profile_folded.txt \
+  --hotspots 10 > target/observability.log
+grep -q 'span events across .* lanes, validated' target/observability.log
+grep -q 'profile hotspots' target/observability.log
+test -s target/profile_folded.txt
+grep -q '"schema": "diaframe-bench/figure6/v9"' target/BENCH_figure6_telemetry.json
 grep -q '"telemetry": { "probes_attempted": [1-9]' target/BENCH_figure6_telemetry.json
 # v7+: the persistent-proof-store counters ride along in every telemetry
 # block (zero on a storeless run, but the keys must be present).
 grep -q '"store_hits": [0-9]' target/BENCH_figure6_telemetry.json
 grep -q '"store_replay_ms": [0-9]' target/BENCH_figure6_telemetry.json
-# v6: the per-span-kind duration histograms (p50/p95/max) ride along in
-# the snapshot, per example and in aggregate.
+# v9: the per-span-kind duration histograms (p50/p95/max) of the profile
+# tree ride along in the snapshot, per example and in aggregate.
 grep -q '"spans": { ' target/BENCH_figure6_telemetry.json
 grep -q '"search": { "count": [1-9]' target/BENCH_figure6_telemetry.json
+grep -q '"find_hint": { "count": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"p95_ns"' target/BENCH_figure6_telemetry.json
 grep -q '"interner_hits": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"zonk_cache_hits": [0-9]' target/BENCH_figure6_telemetry.json
@@ -132,17 +122,18 @@ grep -q '"solver_queries_incremental": [1-9]' target/BENCH_figure6_telemetry.jso
 grep -q '"solver_undo_ops": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"solver_verdict_hits": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"event":"summary"' target/telemetry.jsonl
-grep -q '"event":"span"' target/telemetry.jsonl
-# Telemetry on vs off must be byte-identical in every trace and table
-# (also asserts the counter accounting identities on the live suite).
+# Telemetry and profiling on vs off must be byte-identical in every
+# trace and table (also asserts the counter accounting identities on the
+# live suite), and the sink must be byte-identical across --jobs 4 runs.
 cargo test --release -p diaframe-bench --test telemetry -q
+cargo test --release -p diaframe-bench --test telemetry_sink -q
 # The stuck-state diagnostics must name the goal head the search missed.
 cargo run --release -p diaframe-bench --bin figure6 -- --explain spin_lock \
   | grep -q 'unmatched goal head'
 
 # --- soundness-fuzzing smoke gate (see EXPERIMENTS.md "Soundness harness") --
 # Fixed seed: ~200 generated entailments through the differential oracle
-# (engine → checker / check_json / telemetry / spec / index-off), then
+# (engine → checker / check_json / telemetry+profile / spec / index-off), then
 # adversarial mutation of every generated + real example trace. Any
 # divergence or surviving mutant makes fuzz_driver exit non-zero.
 cargo run --release -p diaframe-bench --bin fuzz_driver -- \
@@ -157,8 +148,7 @@ cargo run --release -p diaframe-bench --bin fuzz_driver -- \
 cmp target/fuzz_report.json target/fuzz_report2.json
 # Third run under the campaign-wide profiler: the report bytes must not
 # move (profiling is pure observability, down to the fuzz verdicts),
-# and the campaign trace must pass structural validation. The per-case
-# rollup-vs-counter identities run inside the oracle on every case.
+# and the campaign trace must pass structural validation.
 DIAFRAME_PROFILE=target/fuzz_profile.json \
   cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report3.json \
@@ -191,14 +181,14 @@ cmp BENCH_adequacy.json target/BENCH_adequacy.json
 # fresh persistent store. The binary's built-in gate exits non-zero
 # unless the warm pass is answered entirely by checker-replayed store
 # hits, renders a byte-identical verdict table, and finishes in at most
-# half the cold wall; the v8 snapshot must carry the `store` block with
+# half the cold wall; the v9 snapshot must carry the `store` block with
 # both passes' counters.
 rm -rf target/proof_store
 cargo run --release -p diaframe-bench --bin figure6 -- --all \
   --store target/proof_store --json-out target/BENCH_figure6_store.json \
   > target/store_gate.log
 grep -q 'store gate: PASS' target/store_gate.log
-grep -q '"schema": "diaframe-bench/figure6/v8"' target/BENCH_figure6_store.json
+grep -q '"schema": "diaframe-bench/figure6/v9"' target/BENCH_figure6_store.json
 grep -q '"store": { "cold_wall_ms"' target/BENCH_figure6_store.json
 grep -q '"warm": { "hits": [1-9]' target/BENCH_figure6_store.json
 grep -q '"cold": { "hits": 0, "misses": [1-9]' target/BENCH_figure6_store.json

@@ -16,7 +16,7 @@
 //! `DIAFRAME_JOBS` or the core count), into a shared cache; every
 //! requested table is then rendered from that cache without re-running
 //! anything. `--json` prints the machine-readable timing + telemetry
-//! snapshot (schema `diaframe-bench/figure6/v8`) instead of tables;
+//! snapshot (schema `diaframe-bench/figure6/v9`) instead of tables;
 //! `--json-out` writes it to a file alongside the tables — the committed
 //! `BENCH_figure6.json` is produced that way. `--store DIR` runs the
 //! warm-vs-cold proof-store experiment: the suite is prefetched twice
@@ -42,12 +42,12 @@
 //! verification session thread), `--folded-out` (folded stacks for
 //! `flamegraph.pl`-style tools) and `--hotspots N` (top-N `(kind,
 //! label)` pairs by self time) runs the suite under a hierarchical
-//! profile session. The trace is validated (balanced begin/end events,
-//! monotonic timestamps per lane) before it is written, and the span
-//! rollups are cross-checked against the flat telemetry counters — the
-//! run aborts if the two instrumentation paths disagree.
+//! profile session, as does any run that writes the JSON snapshot (its
+//! `spans` histograms come from the profile tree). The trace is
+//! validated (balanced begin/end events, monotonic timestamps per lane)
+//! before it is written.
 //!
-//! Snapshot diffing: `--diff BASELINE.json` compares this run's v8
+//! Snapshot diffing: `--diff BASELINE.json` compares this run's v9
 //! snapshot against a committed baseline and prints a markdown
 //! regression report (per-example search-time ratios, deterministic
 //! counter drift); the exit code is non-zero when any gate fails. With
@@ -56,7 +56,7 @@
 
 use diaframe_bench::{
     ablation_table, aggregate_table, diff_snapshots, failing_table, figure6_json, figure6_table,
-    jobs_sweep_json, prefetch_ablations, prefetch_suite, profile_identity_report, render_hotspots,
+    jobs_sweep_json, prefetch_ablations, prefetch_suite, render_hotspots,
     render_jobs_sweep, run_jobs_sweep, verdict_table, DiffOptions, ProofStore, StoreExperiment,
     SuiteCache,
 };
@@ -218,20 +218,14 @@ fn main() {
     let (failing, ablation, aggregate) = (has("--failing"), has("--ablation"), has("--aggregate"));
     let figure6 = all || !(failing || ablation || aggregate);
     let store_dir = opt("--store").cloned();
-    if store_dir.is_some()
-        && (profile_out.is_some() || folded_out.is_some() || hotspots.is_some())
-    {
-        // The profile identity report reconciles span rollups against
-        // exactly one prefetch pass; the store experiment runs two.
-        eprintln!("--store cannot be combined with the profiling flags");
-        std::process::exit(2);
-    }
+    let json = has("--json");
 
     // The profile session covers exactly the prefetch passes below —
-    // every verification, and nothing else — so its span rollups must
-    // reconcile with the cached runs' flat counters.
-    let profile =
-        (profile_out.is_some() || folded_out.is_some() || hotspots.is_some()).then(ProfileSession::new);
+    // every verification, and nothing else. The JSON snapshot reads its
+    // duration histograms from it, so any run that writes one profiles.
+    let wants_profile = profile_out.is_some() || folded_out.is_some() || hotspots.is_some();
+    let writes_json = json || json_out.is_some() || diff_baseline.is_some();
+    let profile = (wants_profile || writes_json).then(ProfileSession::new);
     let profile_guard = profile.as_ref().map(ProfileSession::install);
     let mut store_exp: Option<StoreExperiment> = None;
     // One parallel pass fills the cache with everything the requested
@@ -306,7 +300,6 @@ fn main() {
     };
     drop(profile_guard);
 
-    let json = has("--json");
     if !json {
         if figure6 {
             println!("== Figure 6 reproduction ==");
@@ -332,27 +325,16 @@ fn main() {
             cache.misses()
         );
     }
-    if json || json_out.is_some() {
-        let snapshot = figure6_json(&cache, jobs, wall, store_exp.as_ref());
-        if let Some(path) = json_out {
-            std::fs::write(&path, &snapshot)
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("[timing snapshot written to {path}]");
-        }
-        if json {
-            print!("{snapshot}");
-        }
+    let snapshot =
+        writes_json.then(|| figure6_json(&cache, jobs, wall, store_exp.as_ref(), profile.as_ref()));
+    if let (Some(path), Some(snapshot)) = (&json_out, &snapshot) {
+        std::fs::write(path, snapshot).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("[timing snapshot written to {path}]");
+    }
+    if let (true, Some(snapshot)) = (json, &snapshot) {
+        print!("{snapshot}");
     }
     if let Some(p) = &profile {
-        // Two independent instrumentation paths, one ledger: abort if
-        // the span tree and the flat counters disagree.
-        match profile_identity_report(p, &cache) {
-            Ok(lines) => println!("{lines}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
         if let Some(n) = hotspots {
             println!("== profile hotspots (top {n} by self time) ==");
             print!("{}", render_hotspots(p, n));
@@ -372,10 +354,9 @@ fn main() {
             println!("[folded stacks written to {path}]");
         }
     }
-    if let Some(b) = &diff_baseline {
-        // Fresh-run mode: this run's v8 snapshot against the committed
+    if let (Some(b), Some(current)) = (&diff_baseline, &snapshot) {
+        // Fresh-run mode: this run's v9 snapshot against the committed
         // baseline. Exits non-zero on any regression.
-        let current = figure6_json(&cache, jobs, wall, store_exp.as_ref());
-        run_diff(&read_or_exit(b), &current, &diff_opts);
+        run_diff(&read_or_exit(b), current, &diff_opts);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **differential pass** — generates `--cases` entailments, runs the
 //!    search engine on each, and cross-checks every proved case through
-//!    the oracle's legs (telemetry on/off, `check` vs `check_json`,
+//!    the oracle's legs (telemetry + profiling on/off, `check` vs `check_json`,
 //!    codec byte-stability, compact-bundle round-trip and verdict,
 //!    executable spec);
 //! 2. **index pass** — re-runs every proved case with the `HeadSet`

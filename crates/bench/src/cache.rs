@@ -16,7 +16,9 @@
 //! per-key `OnceLock` guarantees exactly-once execution even when
 //! parallel workers race on the same key.
 
-use diaframe_core::{current_ablation, Ablation, CounterSnapshot, TelemetrySession};
+use diaframe_core::{
+    current_ablation, profile, Ablation, CounterSnapshot, SpanKind, TelemetrySession,
+};
 use diaframe_examples::{Example, ExampleOutcome};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,16 +54,20 @@ pub struct CachedRun {
     /// [`TelemetrySession`], so runs are counted in isolation even when
     /// the pool interleaves them.
     pub counters: CounterSnapshot,
-    /// The per-run session itself, kept so consumers can read span
-    /// duration histograms (`span_stats`) and flush the run's telemetry
-    /// JSON line *in a deterministic order* — `run_once` no longer
-    /// flushes at completion time, which under `--jobs N` depended on
-    /// the pool interleaving; the suite driver flushes cached runs in
-    /// task-submission order instead.
+    /// The per-run session itself, kept so the suite driver can flush
+    /// the run's telemetry summary line *in a deterministic order*:
+    /// runs complete in whatever order the pool interleaves them, so the
+    /// driver flushes cached runs in task-submission order instead.
     pub session: TelemetrySession,
     /// Whether this run was served by replaying a persistent-store
     /// entry (no search happened; `search_time` is zero).
     pub from_store: bool,
+    /// Id of the run's `verify` span in the profile session that was
+    /// installed while it ran (`None` when none was). The run's duration
+    /// histograms are [`ProfileSession::span_stats`] over this subtree.
+    ///
+    /// [`ProfileSession::span_stats`]: diaframe_core::ProfileSession::span_stats
+    pub verify_span: Option<u64>,
 }
 
 impl CachedRun {
@@ -193,9 +199,10 @@ pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
     };
     let session = TelemetrySession::new(&label);
     let guard = session.install();
-    let mut prof_span = diaframe_core::profile::span(diaframe_core::profile::SpanKind::Verify);
+    let mut prof_span = profile::span(SpanKind::Verify);
     prof_span.set_label(&label);
     let (outcome, search_time, check_time) = run_serial(ex, variant);
+    let verify_span = prof_span.id();
     drop(prof_span);
     drop(guard);
     CachedRun {
@@ -205,6 +212,7 @@ pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
         counters: session.snapshot(),
         session,
         from_store: false,
+        verify_span,
     }
 }
 

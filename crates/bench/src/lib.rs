@@ -31,7 +31,7 @@ pub use diff::{diff_snapshots, DiffOptions, DiffReport};
 pub use store::{store_key, ProofStore, StoreStats};
 pub use suite::{ablation_configs, assert_counter_invariants, prefetch_ablations, prefetch_suite};
 
-use diaframe_core::{CounterSnapshot, TelemetrySession};
+use diaframe_core::{CounterSnapshot, ProfileSession, SpanKind, SpanStats, TelemetrySession};
 use diaframe_examples::{all_examples, count_lines, Example, ToolStat};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -402,27 +402,24 @@ fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
 }
 
-/// Renders a set of telemetry span duration samples as the v6 `spans`
-/// JSON object: per span name (sorted), the sample count, total, and
-/// the p50/p95/max duration in nanoseconds.
-fn spans_json(mut durs: Vec<(&'static str, Vec<u64>)>) -> String {
-    durs.sort_by_key(|(name, _)| *name);
-    let mut parts: Vec<String> = Vec::new();
-    for (name, mut d) in durs {
-        if d.is_empty() {
-            continue;
-        }
-        d.sort_unstable();
-        let count = d.len();
-        let total: u64 = d.iter().sum();
-        let p50 = diaframe_core::telemetry::percentile(&d, 50);
-        let p95 = diaframe_core::telemetry::percentile(&d, 95);
-        let max = *d.last().expect("non-empty samples");
-        parts.push(format!(
-            "\"{}\": {{ \"count\": {count}, \"total_ns\": {total}, \"p50_ns\": {p50}, \"p95_ns\": {p95}, \"max_ns\": {max} }}",
-            json_escape(name)
-        ));
-    }
+/// Renders per-kind span duration histograms as a `spans` JSON object:
+/// per [`SpanKind`] name, the span count, total, and the p50/p95/max
+/// duration in nanoseconds.
+fn spans_json(stats: &[(SpanKind, SpanStats)]) -> String {
+    let parts: Vec<String> = stats
+        .iter()
+        .map(|(kind, s)| {
+            format!(
+                "\"{}\": {{ \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"max_ns\": {} }}",
+                kind.name(),
+                s.count,
+                s.total_ns,
+                s.p50_ns,
+                s.p95_ns,
+                s.max_ns
+            )
+        })
+        .collect();
     format!("{{ {} }}", parts.join(", "))
 }
 
@@ -433,7 +430,7 @@ fn spans_json(mut durs: Vec<(&'static str, Vec<u64>)>) -> String {
 /// subtree; `count` is the span kind's payload counter (probes for
 /// `find_hint` batches, replayed steps for the checker).
 #[must_use]
-pub fn render_hotspots(profile: &diaframe_core::ProfileSession, n: usize) -> String {
+pub fn render_hotspots(profile: &ProfileSession, n: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -458,49 +455,6 @@ pub fn render_hotspots(profile: &diaframe_core::ProfileSession, n: usize) -> Str
         "\nself = span wall-clock minus same-lane child spans; cum = span wall-clock;\ncount = the kind's payload (hint probes, checker steps, solver facts).\n",
     );
     out
-}
-
-/// Cross-checks the profiler's span rollups against the flat telemetry
-/// counters summed over every cached run: the span tree and the counter
-/// ledger are independent instrumentation paths, so agreement means
-/// neither lost events.
-///
-/// Asserted identities:
-///
-/// * Σ `find_hint` span counts == Σ `probes_attempted`;
-/// * Σ `check` span counts == Σ `checker_steps`.
-///
-/// # Errors
-///
-/// Returns the violated identity with both sides' values.
-pub fn profile_identity_report(
-    profile: &diaframe_core::ProfileSession,
-    cache: &SuiteCache,
-) -> Result<String, String> {
-    use diaframe_core::SpanKind;
-    let rollup = profile.rollup();
-    let (mut probes, mut steps) = (0u64, 0u64);
-    for (_, run) in cache.snapshot() {
-        probes += run.counters.probes_attempted;
-        steps += run.counters.checker_steps;
-    }
-    let find_hint = rollup[SpanKind::FindHint.index()].count;
-    if find_hint != probes {
-        return Err(format!(
-            "profile identity violated: find_hint span count {find_hint} != \
-             probes_attempted {probes}"
-        ));
-    }
-    let check = rollup[SpanKind::Check.index()].count;
-    if check != steps {
-        return Err(format!(
-            "profile identity violated: check span count {check} != checker_steps {steps}"
-        ));
-    }
-    Ok(format!(
-        "profile identity ok: find_hint span count {find_hint} == probes_attempted {probes}\n\
-         profile identity ok: check span count {check} == checker_steps {steps}"
-    ))
 }
 
 /// The warm-vs-cold proof-store experiment attached to a v7 snapshot by
@@ -547,7 +501,7 @@ impl StoreExperiment {
 }
 
 /// Serializes the Figure 6 run as JSON (schema
-/// `diaframe-bench/figure6/v8`) for committing as a `BENCH_*.json`
+/// `diaframe-bench/figure6/v9`) for committing as a `BENCH_*.json`
 /// snapshot: per-example search/check/total timings and search-effort
 /// counters, the run's worker count, stack size, wall-clock, cache
 /// accounting, and the suite-wide counter aggregate.
@@ -585,7 +539,12 @@ impl StoreExperiment {
 /// speculation and pipelined-checking counters (`spec_spawned`/
 /// `spec_won`/`spec_cancelled`/`spec_wasted_probes`/`check_overlap_ms`)
 /// from every telemetry block: the engine has one serial search path
-/// and checks after searching.
+/// and checks after searching. v9 takes the `spans` blocks from the
+/// profile span tree: `profile` is the session that was installed while
+/// `cache` was filled, each example's block covers the subtree of its
+/// `verify` span, the aggregate covers all the examples' subtrees, and
+/// the keys are the [`SpanKind`] names. Without
+/// a profile session the `spans` blocks are empty.
 ///
 /// # Panics
 ///
@@ -597,6 +556,7 @@ pub fn figure6_json(
     jobs: usize,
     wall: Duration,
     store: Option<&StoreExperiment>,
+    profile: Option<&ProfileSession>,
 ) -> String {
     let rows = figure6_rows(cache);
     let mut aggregate = CounterSnapshot::default();
@@ -606,24 +566,22 @@ pub fn figure6_json(
             .unwrap_or_else(|e| panic!("{}: counter invariant violated: {e}", m.name));
         aggregate.merge(&m.counters);
     }
-    // Span duration histograms come straight from the cached sessions
-    // (every request below is a warm hit), keeping `Measured` — which
-    // the driver-equivalence tests compare across worker counts — free
-    // of wall-clock samples.
-    let examples = all_examples();
-    let mut agg_durs: std::collections::BTreeMap<&'static str, Vec<u64>> =
-        std::collections::BTreeMap::new();
-    let mut per_spans: Vec<String> = Vec::with_capacity(examples.len());
-    for ex in &examples {
-        let run = cache.get_or_run(ex.as_ref(), Variant::Ok);
-        let durs = run.session.span_durations();
-        for (name, d) in &durs {
-            agg_durs.entry(name).or_default().extend(d);
-        }
-        per_spans.push(spans_json(durs));
-    }
+    // Span duration histograms come from the profile tree, rooted at
+    // each cached run's `verify` span (every request below is a warm
+    // hit), keeping `Measured` — which the driver-equivalence tests
+    // compare across worker counts — free of wall-clock samples.
+    let roots: Vec<Option<u64>> = all_examples()
+        .iter()
+        .map(|ex| cache.get_or_run(ex.as_ref(), Variant::Ok).verify_span)
+        .collect();
+    let stats = |roots: &[u64]| profile.map_or_else(Vec::new, |p| p.span_stats(roots));
+    let per_spans: Vec<String> = roots
+        .iter()
+        .map(|root| spans_json(&stats(root.as_slice())))
+        .collect();
+    let all_roots: Vec<u64> = roots.iter().flatten().copied().collect();
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/figure6/v8\",");
+    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/figure6/v9\",");
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(
         out,
@@ -646,7 +604,7 @@ pub fn figure6_json(
     let _ = writeln!(
         out,
         "  \"spans\": {},",
-        spans_json(agg_durs.into_iter().collect())
+        spans_json(&stats(&all_roots))
     );
     let _ = writeln!(out, "  \"examples\": [");
     for (i, m) in rows.iter().enumerate() {

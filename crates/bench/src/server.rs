@@ -13,7 +13,7 @@
 //! requester, flips a flag, and pokes the acceptor with a self-connect
 //! so the blocking `accept` observes the flag and exits.
 
-use crate::proto::{read_frame, write_frame, PROTO_VERSION};
+use crate::proto::{read_frame, write_frame, MAX_FRAME, PROTO_VERSION};
 use crate::{json_escape, verdict_table_for, CachedRun, ProofStore, SuiteCache, Variant};
 use diaframe_core::trace_json::{parse_json_value, JsonValue};
 use diaframe_core::{engine_fingerprint, run_ordered};
@@ -130,7 +130,15 @@ fn handle_connection<S: Read + Write>(mut stream: S, state: &ServerState, endpoi
             Ok(None) | Err(_) => return,
         };
         state.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, is_shutdown) = handle_request(&body, state);
+        let (mut response, is_shutdown) = handle_request(&body, state);
+        if response.len() > MAX_FRAME as usize {
+            // `write_frame` would refuse the frame and the client would
+            // wait forever; answer with an error naming the size instead.
+            response = error_response(&format!(
+                "response of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+                response.len()
+            ));
+        }
         let _ = write_frame(&mut stream, &response);
         if is_shutdown {
             state.shutdown.store(true, Ordering::SeqCst);

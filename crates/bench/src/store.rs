@@ -39,8 +39,8 @@ use diaframe_core::trace_json::{
     parse_json_value, traces_from_compact_value, traces_to_compact_json, JsonValue,
 };
 use diaframe_core::{
-    current_ablation, engine_fingerprint, sha256_hex, telemetry, Ablation, Fingerprinter,
-    TelemetrySession, VerifiedProof,
+    current_ablation, engine_fingerprint, profile, sha256_hex, telemetry, Ablation, Fingerprinter,
+    SpanKind, TelemetrySession, VerifiedProof,
 };
 use diaframe_examples::{Example, ExampleOutcome};
 use std::collections::HashMap;
@@ -373,9 +373,13 @@ impl ProofStore {
         };
         let session = TelemetrySession::new(ex.name());
         let guard = session.install();
+        let mut prof_span = profile::span(SpanKind::Verify);
+        prof_span.set_label(ex.name());
         let t0 = Instant::now();
         let replayed = replay_entry(&text, key, ex);
         let replay_time = t0.elapsed();
+        let verify_span = prof_span.id();
+        drop(prof_span);
         let outcome = match replayed {
             Ok(outcome) => outcome,
             Err(reason) => {
@@ -397,6 +401,7 @@ impl ProofStore {
             counters: session.snapshot(),
             session,
             from_store: true,
+            verify_span,
         })
     }
 

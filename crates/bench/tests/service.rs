@@ -1,7 +1,9 @@
 //! End-to-end daemon tests: a `diaframe serve` instance over a Unix
 //! socket, driven through the framed-JSON protocol by the library
 //! client. Covers verify (single and batch), the deterministic verdict
-//! table, stats, shutdown, and warm restarts against a shared store.
+//! table, stats, shutdown, warm restarts against a shared store, and
+//! error answers (bad requests, oversized responses) that leave the
+//! connection serving.
 #![cfg(unix)]
 
 use diaframe_bench::server::{serve, Client, Endpoint, ServerConfig};
@@ -238,6 +240,39 @@ fn daemon_answers_deeply_nested_frames_with_an_error() {
     let response = client
         .call("{\"op\":\"verify\",\"examples\":[\"spin_lock\"]}")
         .unwrap();
+    let v = parse_json_value(&response).unwrap();
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true), "{v:?}");
+    drop(client);
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn daemon_refuses_an_oversized_response_and_keeps_serving() {
+    let dir = tmp_dir("oversized");
+    let socket = dir.join("daemon.sock");
+    let endpoint = Endpoint::Unix(socket.clone());
+    let handle = start_daemon(
+        socket,
+        ServerConfig {
+            store_dir: None,
+            budget: None,
+            jobs: 1,
+        },
+    );
+    // A 700 KB request whose response (one result row and one table row
+    // per name) is larger than the 16 MiB frame cap.
+    let names = vec!["\"arc\""; 100_000].join(",");
+    let mut client = Client::connect(&endpoint).unwrap();
+    let response = client
+        .call(&format!("{{\"op\":\"verify\",\"examples\":[{names}]}}"))
+        .unwrap();
+    let v = parse_json_value(&response).unwrap();
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false), "{v:?}");
+    let error = v.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert!(error.contains("exceeds the 16777216-byte frame cap"), "got {error:?}");
+    // The same connection serves the next request.
+    let response = client.call("{\"op\":\"stats\"}").unwrap();
     let v = parse_json_value(&response).unwrap();
     assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true), "{v:?}");
     drop(client);

@@ -353,10 +353,8 @@ fn replay(steps: &[TraceStep]) -> Result<(), CheckError> {
 ///
 /// Returns the first [`CheckError`] encountered.
 pub fn check(trace: &ProofTrace) -> Result<(), CheckError> {
-    let _span = crate::telemetry::span("check");
     let _prof = crate::profile::span(crate::profile::SpanKind::Check);
     crate::telemetry::checker_steps(trace.len() as u64);
-    crate::profile::bump(trace.len() as u64);
     // Replay gets its own interner scope (nested scopes restore the
     // outer arena on drop): one trace replays against one arena.
     let intern_scope = diaframe_term::intern::scope();

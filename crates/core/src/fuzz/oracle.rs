@@ -3,8 +3,8 @@
 //! For every generated case the engine proves, the oracle cross-checks
 //! all the verdict paths the repo exposes:
 //!
-//! * telemetry **on vs off** must produce byte-identical trace JSON
-//!   (telemetry is observability, never behavior);
+//! * telemetry and profiling **on vs off** must produce byte-identical
+//!   trace JSON (observability, never behavior);
 //! * [`checker::check`] must accept the engine's trace, and
 //!   [`checker::check_json`] must return the *same* verdict through the
 //!   codec;
@@ -119,65 +119,24 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
     if let Some(trace) = &first.trace {
         let json = trace_to_json(trace);
 
-        // Telemetry leg: counters may differ, the trace must not.
+        // Observability leg: with a telemetry session and a profile
+        // session both installed (every counter and span hook firing),
+        // counters may differ, the trace must not.
         let session = TelemetrySession::new(&format!("fuzz-{index}"));
+        let profile = crate::profile::ProfileSession::new();
         let second = {
-            let _guard = session.install();
+            let _t = session.install();
+            let _p = profile.install();
             search_once(seed, index, cfg)
         };
         match &second.trace {
             Some(t2) if trace_to_json(t2) == json => {}
             Some(_) => divergences.push(format!(
-                "case {index}: telemetry-on run produced a different trace"
+                "case {index}: telemetry/profile-on run produced a different trace"
             )),
             None => divergences.push(format!(
-                "case {index}: proved without telemetry but stuck with it"
+                "case {index}: proved without telemetry/profiling but stuck with it"
             )),
-        }
-
-        // Profile leg: the hierarchical profiler is observability too —
-        // the trace must be byte-identical under it, and its span
-        // rollups must reconcile *exactly* with the flat counters of
-        // the same run (the accounting identities of the profile
-        // layer: probe-batch span counts vs probes, checker span
-        // counts vs replayed steps).
-        let p_session = TelemetrySession::new(&format!("fuzz-{index}-profiled"));
-        let profile = crate::profile::ProfileSession::new();
-        let third = {
-            let _t = p_session.install();
-            let _p = profile.install();
-            let r = search_once(seed, index, cfg);
-            if let Some(t) = &r.trace {
-                // Replay under the profiler so the checker-side
-                // identity is exercised as well.
-                let _ = checker::check(t);
-            }
-            r
-        };
-        match &third.trace {
-            Some(t3) if trace_to_json(t3) == json => {}
-            Some(_) => divergences.push(format!(
-                "case {index}: profiled run produced a different trace"
-            )),
-            None => divergences.push(format!(
-                "case {index}: proved without the profiler but stuck with it"
-            )),
-        }
-        let snap = p_session.snapshot();
-        let rollup = profile.rollup();
-        let find_hint = rollup[crate::profile::SpanKind::FindHint.index()].count;
-        if find_hint != snap.probes_attempted {
-            divergences.push(format!(
-                "case {index}: find_hint span count {find_hint} != probes_attempted {}",
-                snap.probes_attempted
-            ));
-        }
-        let check_spans = rollup[crate::profile::SpanKind::Check.index()].count;
-        if check_spans != snap.checker_steps {
-            divergences.push(format!(
-                "case {index}: check span count {check_spans} != checker_steps {}",
-                snap.checker_steps
-            ));
         }
 
         // Verdict leg: in-memory replay vs replay through the codec.

@@ -64,11 +64,9 @@ pub fn find_hint(
     atom: &Atom,
     from: &Mask,
 ) -> Option<FoundHint> {
-    let _span = crate::telemetry::span("find_hint");
     // Profile: one probe-batch span per hint search; its payload counter
-    // (bumped next to `probe_attempted` in the loop below) is what the
-    // rollup identity reconciles against the flat probe counters, and
-    // its label carries the matched rule for per-hint cost attribution.
+    // is fed by `probe_attempted` in the loop below, and its label
+    // carries the matched rule for per-hint cost attribution.
     let mut prof_span = crate::profile::span(crate::profile::SpanKind::FindHint);
     let solves_before = ctx.vars.solve_events();
     let found = find_hint_inner(ctx, registry, opts, atom, from);
@@ -147,7 +145,6 @@ fn find_hint_inner(
             // one pass, so counting earlier would double-count every
             // hypothesis under the two-pass scan.
             crate::telemetry::probe_attempted();
-            crate::profile::bump(1);
             // Head-indexed skip: a probe that cannot structurally
             // succeed is not worth a checkpoint (see `index.rs`; failed
             // probes roll back completely, so skipping them leaves the

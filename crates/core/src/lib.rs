@@ -23,14 +23,14 @@
 //!   the user may resume with tactics ([`tactic`]): manual case splits,
 //!   custom hints, or opt-in disjunction backtracking;
 //! * an opt-in [`telemetry`] layer counts hint probes, rule applications,
-//!   backtracks and checker replays, times the search phases, and feeds
-//!   the structured stuck diagnostics of
-//!   [`report::Stuck::render_explain`] — at zero cost when disabled;
-//! * an opt-in hierarchical [`profile`] span tree records where wall
-//!   clock goes across pool workers and verification sessions, exporting
-//!   Chrome trace-event timelines, folded flamegraph stacks and per-hint
-//!   hotspot attribution — cross-checked against the flat telemetry
-//!   counters by asserted rollup identities;
+//!   backtracks and checker replays, and feeds the structured stuck
+//!   diagnostics of [`report::Stuck::render_explain`] — at zero cost when
+//!   disabled; it reads no clock;
+//! * an opt-in hierarchical [`profile`] span tree is the one place
+//!   durations are recorded: it shows where wall clock goes across pool
+//!   workers and verification sessions, exporting Chrome trace-event
+//!   timelines, folded flamegraph stacks, per-hint hotspot attribution
+//!   and per-kind duration histograms;
 //! * a deterministic [`fuzz`] harness stress-tests the checker (the
 //!   trusted computing base) with generated entailments, a differential
 //!   oracle across every verdict path, and an adversarial trace mutator
@@ -58,7 +58,7 @@ pub mod verify;
 pub use ctx::{Hyp, ProofCtx};
 pub use driver::{collect_ordered, default_jobs, run_ordered, JobPanic};
 pub use fingerprint::{engine_fingerprint, sha256_hex, Fingerprinter, Sha256};
-pub use profile::{ProfileSession, SpanKind};
+pub use profile::{ProfileSession, SpanKind, SpanStats};
 pub use goal::Goal;
 pub use index::{hint_index_enabled, set_hint_index_enabled, HeadSet};
 pub use report::Stuck;

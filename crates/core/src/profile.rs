@@ -1,11 +1,12 @@
-//! Opt-in hierarchical search-tree profiler.
+//! Opt-in hierarchical search-tree profiler — the only place span
+//! durations are recorded.
 //!
-//! Where [`crate::telemetry`] aggregates *flat counters* per verification,
-//! this module records the *shape* of a run: every verification, spec,
-//! search phase, hint-probe batch, case-split branch, solver query batch
-//! and checker replay becomes a timestamped span with a parent id and a
-//! thread/worker *lane*. The span tree is the substrate for three
-//! consumers in `diaframe-bench`:
+//! Where [`crate::telemetry`] aggregates *flat counters* per verification
+//! (and reads no clock), this module records the *shape* and the timing
+//! of a run: every verification, spec, search phase, hint-probe batch,
+//! case-split branch, solver query batch and checker replay becomes a
+//! timestamped span with a parent id and a thread/worker *lane*. The span
+//! tree is the substrate for four consumers in `diaframe-bench`:
 //!
 //! * `figure6 --profile-out FILE` — Chrome trace-event JSON (open the file
 //!   in [Perfetto](https://ui.perfetto.dev), one lane per pool worker /
@@ -14,25 +15,26 @@
 //! * `figure6 --folded-out FILE` — folded-stacks text for flamegraph tools
 //!   (`kind:label;kind:label;... self_us` per line);
 //! * `figure6 --hotspots N` — per-rule/per-hint cost attribution (self vs.
-//!   cumulative time, probe counts per span label).
+//!   cumulative time, probe counts per span label);
+//! * the `"spans"` blocks of the `figure6` JSON snapshot — per-kind
+//!   count/total/p50/p95/max histograms over a run's subtree
+//!   ([`ProfileSession::span_stats`]).
 //!
 //! Discipline is identical to the telemetry layer: **zero cost when off**
 //! (a single relaxed atomic load per hook), sessions are installed
 //! per-thread and propagated across `run_ordered` workers and
 //! verification session threads. Profiling is a pure side channel:
 //! turning it on must not change a single byte of any emitted proof
-//! trace or figure6 table (pinned by
-//! `crates/bench/tests/profile_identity.rs`).
+//! trace or figure6 table (pinned by `crates/bench/tests/telemetry.rs`).
 //!
-//! The profiler is not trusted, it is *cross-checked*: span rollups must
-//! reconcile exactly with the flat telemetry counters (the sum of
-//! probe-batch span counts equals `probes_attempted`, the sum of check
-//! span counts equals `checker_steps`), asserted by
-//! `figure6 --profile-out`, the profile-identity suite and the fuzz
-//! campaign in CI.
+//! The `find_hint` and `check` payload counters are fed by the telemetry
+//! hooks themselves (`probe_attempted`, `checker_steps`), so they equal
+//! the flat `probes_attempted` and `checker_steps` counters by
+//! construction. The exported Chrome trace is still *validated*
+//! ([`validate_chrome_trace`]) before `figure6 --profile-out` writes it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -304,26 +306,31 @@ impl ProfileSession {
             .clone()
     }
 
-    /// Per-kind rollup: number of spans, payload-counter sum, cumulative
-    /// nanoseconds. Indexed by [`SpanKind::index`]. These are the values
-    /// the accounting identities check against the flat telemetry
-    /// counters.
+    /// Per-kind duration histograms over the subtrees rooted at the
+    /// span ids in `roots` (each root included), in [`SpanKind::ALL`]
+    /// order; kinds with no span in the subtrees are omitted. Subtrees
+    /// follow parent ids across lanes, so a verification's spans on a
+    /// session thread count toward the `verify` span that spawned it.
     #[must_use]
-    pub fn rollup(&self) -> [KindRollup; SpanKind::COUNT] {
-        let mut out = [KindRollup::default(); SpanKind::COUNT];
-        for s in self
-            .inner
-            .spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            let slot = &mut out[s.kind.index()];
-            slot.spans += 1;
-            slot.count += s.count;
-            slot.total_ns += s.dur_ns;
+    pub fn span_stats(&self, roots: &[u64]) -> Vec<(SpanKind, SpanStats)> {
+        // Ids are allocated when a span opens, and its parent is open at
+        // that moment, so in id order every parent precedes its children.
+        let mut spans = self.spans();
+        spans.sort_unstable_by_key(|s| s.id);
+        let mut inside: HashSet<u64> = roots.iter().copied().collect();
+        let mut durs: [Vec<u64>; SpanKind::COUNT] = Default::default();
+        for s in &spans {
+            if inside.contains(&s.id) || s.parent.is_some_and(|p| inside.contains(&p)) {
+                inside.insert(s.id);
+                durs[s.kind.index()].push(s.dur_ns);
+            }
         }
-        out
+        SpanKind::ALL
+            .into_iter()
+            .zip(durs)
+            .filter(|(_, d)| !d.is_empty())
+            .map(|(kind, d)| (kind, SpanStats::from_durations(d)))
+            .collect()
     }
 
     /// Chrome trace-event JSON for the whole session: balanced `B`/`E`
@@ -482,15 +489,44 @@ impl ProfileSession {
     }
 }
 
-/// Per-kind rollup totals (see [`ProfileSession::rollup`]).
+/// Duration histogram for one span kind (see
+/// [`ProfileSession::span_stats`]): count, total, and nearest-rank
+/// p50/p95/max percentiles, all in nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindRollup {
-    /// Number of spans of this kind.
-    pub spans: u64,
-    /// Sum of the kind-specific payload counters.
+pub struct SpanStats {
+    /// Number of spans.
     pub count: u64,
-    /// Cumulative duration, nanoseconds.
+    /// Sum of all durations, nanoseconds.
     pub total_ns: u64,
+    /// Median duration (nearest-rank), nanoseconds.
+    pub p50_ns: u64,
+    /// 95th-percentile duration (nearest-rank), nanoseconds.
+    pub p95_ns: u64,
+    /// Maximum duration, nanoseconds.
+    pub max_ns: u64,
+}
+
+impl SpanStats {
+    fn from_durations(mut durs: Vec<u64>) -> SpanStats {
+        durs.sort_unstable();
+        SpanStats {
+            count: durs.len() as u64,
+            total_ns: durs.iter().sum(),
+            p50_ns: percentile(&durs, 50),
+            p95_ns: percentile(&durs, 95),
+            max_ns: durs.last().copied().unwrap_or(0),
+        }
+    }
+}
+
+/// Nearest-rank percentile over **sorted** durations (`q` in 0..=100).
+fn percentile(sorted: &[u64], q: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let n = sorted.len() as u64;
+    let rank = (q * n).div_ceil(100).max(1);
+    sorted[usize::try_from(rank - 1).expect("rank fits usize")]
 }
 
 /// One row of the `figure6 --hotspots` table.
@@ -606,6 +642,7 @@ pub struct Span {
 
 struct SpanActive {
     inner: Arc<ProfInner>,
+    id: u64,
     idx: usize,
 }
 
@@ -639,12 +676,19 @@ pub fn span(kind: SpanKind) -> Span {
         open.len() - 1
     });
     Span {
-        active: Some(SpanActive { inner, idx }),
+        active: Some(SpanActive { inner, id, idx }),
         _not_send: PhantomData,
     }
 }
 
 impl Span {
+    /// The span's session-unique id, or `None` when the span is inactive
+    /// (no session installed on this thread).
+    #[must_use]
+    pub fn id(&self) -> Option<u64> {
+        self.active.as_ref().map(|a| a.id)
+    }
+
     /// Attach a label (spec name, matched hypothesis…). Cheap no-op when
     /// the span is inactive; call sites guard expensive label rendering
     /// behind [`active`].
@@ -716,8 +760,8 @@ pub fn bump(n: u64) {
 /// timestamps must be monotonically non-decreasing. Returns
 /// `(duration_event_count, lane_count)`.
 ///
-/// This is the checker the CI profile gate runs against the exported
-/// trace — the profiler is cross-checked, not trusted.
+/// This is the checker the CI observability gate runs against the
+/// exported trace.
 pub fn validate_chrome_trace(text: &str) -> Result<(usize, usize), String> {
     let doc = parse_json_value(text).map_err(|e| format!("trace JSON parse error: {e}"))?;
     let events = doc
@@ -826,9 +870,34 @@ mod tests {
         assert_eq!(outer.parent, None);
         assert!(outer.dur_ns >= inner.dur_ns);
         assert!(inner.start_ns >= outer.start_ns);
-        let roll = s.rollup();
-        assert_eq!(roll[SpanKind::FindHint.index()].count, 5);
-        assert_eq!(roll[SpanKind::Spec.index()].spans, 1);
+    }
+
+    #[test]
+    fn span_stats_cover_exactly_the_subtree() {
+        let s = ProfileSession::new();
+        let g = s.install();
+        let mut roots = Vec::new();
+        for _ in 0..2 {
+            let root = span(SpanKind::Verify);
+            roots.push(root.id().expect("session installed"));
+            for us in [10, 40] {
+                let _search = span(SpanKind::Search);
+                spin(us);
+            }
+        }
+        drop(span(SpanKind::Check)); // outside both subtrees
+        drop(g);
+        let one = s.span_stats(&roots[..1]);
+        let kinds: Vec<SpanKind> = one.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, [SpanKind::Verify, SpanKind::Search]);
+        let search = one[1].1;
+        assert_eq!(search.count, 2);
+        assert!(search.p50_ns <= search.p95_ns && search.p95_ns == search.max_ns);
+        let both = s.span_stats(&roots);
+        assert_eq!((both.len(), both[0].1.count, both[1].1.count), (2, 2, 4));
+        assert!(s.span_stats(&[]).is_empty());
+        let d: Vec<u64> = (1..=20).collect();
+        assert_eq!([50, 95, 100].map(|q| percentile(&d, q)), [10, 19, 20]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Search telemetry: counters, spans, and stuck-state diagnostics.
+//! Search telemetry: counters and stuck-state diagnostics.
 //!
 //! The Coq Diaframe artifact leans on Coq's interactive feedback to explain
 //! where proof search spends its budget; this batch engine needs an
@@ -12,9 +12,8 @@
 //!   pure side channel: they never influence the search, so telemetry-on
 //!   and telemetry-off runs produce byte-identical proof traces (pinned by
 //!   `crates/bench/tests/telemetry.rs`).
-//! * **Spans** — a lightweight enter/exit stack with monotonic timing
-//!   around the search, `find_hint`, symbolic execution steps, and the
-//!   checker replay, emitted as JSON lines to a sink selected by the
+//! * **Per-spec deltas** — the counters attributable to each spec of a
+//!   verification, written with the counters to a sink selected by the
 //!   `DIAFRAME_TELEMETRY` environment variable (see [`Sink`]).
 //! * **Diagnostics** — the per-hypothesis failed-probe ranking and the
 //!   goal heads that had no keying hypothesis, which
@@ -32,21 +31,26 @@
 //! spawns a big-stack worker; [`crate::driver::run_ordered`] fans out to a
 //! pool), mirroring how the ablation override travels.
 //!
+//! This module reads no clock: durations live only in the
+//! [`crate::profile`] span tree. The two payload hooks, `probe_attempted`
+//! and `checker_steps`, also add to the payload of the innermost open
+//! profile span, so the `find_hint` and `check` span counts agree with
+//! the flat counters by construction.
+//!
 //! Under the parallel driver each worker runs its own verifications under
-//! its own session, buffering span records locally; a session's
-//! [`flush`](TelemetrySession::flush) appends its whole block to the sink
-//! under one lock, so concurrent workers never interleave lines.
+//! its own session; a session's [`flush`](TelemetrySession::flush) appends
+//! its summary line to the sink under one lock, so concurrent workers never
+//! interleave lines.
 
 use crate::trace::{TraceKind, TraceStep};
 use crate::trace_json::json_escape;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Counters
@@ -461,147 +465,25 @@ fn ranked(map: &BTreeMap<String, u64>) -> Vec<(String, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Spans
-
-#[derive(Debug, Clone, Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-    /// Individual durations, kept so sessions can report percentile
-    /// histograms (p50/p95/max) and the bench layer can merge
-    /// distributions across examples. A few hundred entries per
-    /// verification at most (one per search/find_hint/check span).
-    durs: Vec<u64>,
-}
-
-/// Duration histogram for one span name within a session (or merged
-/// across sessions by the bench layer): count, total, and nearest-rank
-/// p50/p95/max percentiles, all in nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of spans recorded under this name.
-    pub count: u64,
-    /// Sum of all durations, nanoseconds.
-    pub total_ns: u64,
-    /// Median duration (nearest-rank), nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile duration (nearest-rank), nanoseconds.
-    pub p95_ns: u64,
-    /// Maximum duration, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Nearest-rank percentile over **sorted** durations (`q` in 0..=100).
-/// Public so the bench layer computes aggregate histograms over
-/// durations merged from many sessions with the same convention.
-#[must_use]
-pub fn percentile(sorted: &[u64], q: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (q * n).div_ceil(100).max(1);
-    sorted[usize::try_from(rank - 1).expect("rank fits usize")]
-}
-
-struct SpanRecord {
-    name: &'static str,
-    depth: u32,
-    dur_ns: u64,
-}
-
-#[derive(Default)]
-struct SpanLog {
-    records: Vec<SpanRecord>,
-    agg: BTreeMap<&'static str, SpanAgg>,
-}
-
-/// An RAII span handle from [`span`]; records the elapsed time into the
-/// current session (if any) on drop. Not `Send`: a span must end on the
-/// thread that opened it.
-pub struct SpanGuard {
-    active: Option<SpanActive>,
-    _not_send: PhantomData<*const ()>,
-}
-
-struct SpanActive {
-    inner: Arc<SessionInner>,
-    name: &'static str,
-    depth: u32,
-    start: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(a) = self.active.take() {
-            SPAN_DEPTH.with(|d| d.set(a.depth));
-            let dur_ns = u64::try_from(a.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let mut log = a.inner.spans.lock().unwrap();
-            let e = log.agg.entry(a.name).or_default();
-            e.count += 1;
-            e.total_ns += dur_ns;
-            e.durs.push(dur_ns);
-            if a.inner.record_span_lines {
-                log.records.push(SpanRecord {
-                    name: a.name,
-                    depth: a.depth,
-                    dur_ns,
-                });
-            }
-        }
-    }
-}
-
-/// Opens a timing span named `name`, closed when the returned guard
-/// drops. A no-op (no clock read, no allocation) unless a session is
-/// installed on this thread. Durations are always aggregated into the
-/// session (they feed the p50/p95/max histograms of the figure6 JSON
-/// snapshot); the per-span JSON lines additionally require a file sink.
-#[must_use]
-pub fn span(name: &'static str) -> SpanGuard {
-    let mut active = None;
-    if ACTIVE_SESSIONS.load(Ordering::Relaxed) != 0 {
-        CURRENT.with(|c| {
-            if let Some(inner) = c.borrow().as_ref() {
-                let depth = SPAN_DEPTH.with(|d| {
-                    let v = d.get();
-                    d.set(v + 1);
-                    v
-                });
-                active = Some(SpanActive {
-                    inner: Arc::clone(inner),
-                    name,
-                    depth,
-                    start: Instant::now(),
-                });
-            }
-        });
-    }
-    SpanGuard {
-        active,
-        _not_send: PhantomData,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The sink
 
-/// Where span records and per-verification summaries go, selected once
-/// per process by the `DIAFRAME_TELEMETRY` environment variable:
+/// Where per-verification counter summaries go, selected once per
+/// process by the `DIAFRAME_TELEMETRY` environment variable:
 ///
-/// * unset, empty, `0`, or `off` — no sink; spans are not even recorded;
+/// * unset, empty, `0`, or `off` — no sink;
 /// * `stderr` — a one-line human-readable summary per verification on
 ///   standard error;
-/// * anything else — treated as a file path; JSON lines are appended
-///   (`{"event":"span",…}` per span and one `{"event":"summary",…}` per
-///   verification, with counters and per-spec deltas).
+/// * anything else — treated as a file path; one `{"event":"summary",…}`
+///   JSON line per verification is appended, with counters and per-spec
+///   deltas. The sink carries no durations: timing lives in the
+///   [`crate::profile`] span tree (`figure6 --profile-out`).
 ///
 /// Counters and diagnostics work regardless of the sink: the bench
 /// harness installs sessions programmatically and reads snapshots
 /// directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sink {
-    /// No sink: spans are disabled.
+    /// No sink.
     Off,
     /// Per-verification summary lines on standard error.
     Stderr,
@@ -646,10 +528,8 @@ static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 struct SessionInner {
     label: String,
-    record_span_lines: bool,
     counters: Counters,
     diag: Mutex<DiagState>,
-    spans: Mutex<SpanLog>,
     per_spec: Mutex<Vec<(String, CounterSnapshot)>>,
     flushed: AtomicBool,
 }
@@ -676,7 +556,6 @@ static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CURRENT: RefCell<Option<Arc<SessionInner>>> = const { RefCell::new(None) };
-    static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 impl TelemetrySession {
@@ -684,14 +563,11 @@ impl TelemetrySession {
     /// spec name; the label tags every sink line).
     #[must_use]
     pub fn new(label: &str) -> TelemetrySession {
-        let s = sink();
         TelemetrySession {
             inner: Arc::new(SessionInner {
                 label: label.to_owned(),
-                record_span_lines: matches!(s, Sink::File(_)),
                 counters: Counters::default(),
                 diag: Mutex::new(DiagState::default()),
-                spans: Mutex::new(SpanLog::default()),
                 per_spec: Mutex::new(Vec::new()),
                 flushed: AtomicBool::new(false),
             }),
@@ -784,44 +660,10 @@ impl TelemetrySession {
             .push((name.to_owned(), delta));
     }
 
-    /// Per-span-name duration histograms (count/total/p50/p95/max) for
-    /// this session, in name order. These land in the per-example
-    /// `"spans"` block of the figure6 snapshot.
-    #[must_use]
-    pub fn span_stats(&self) -> Vec<(&'static str, SpanStats)> {
-        self.span_durations()
-            .into_iter()
-            .map(|(name, mut durs)| {
-                durs.sort_unstable();
-                let stats = SpanStats {
-                    count: durs.len() as u64,
-                    total_ns: durs.iter().sum(),
-                    p50_ns: percentile(&durs, 50),
-                    p95_ns: percentile(&durs, 95),
-                    max_ns: durs.last().copied().unwrap_or(0),
-                };
-                (name, stats)
-            })
-            .collect()
-    }
-
-    /// Raw span durations per name (unsorted, in record order) — the
-    /// bench layer concatenates these across examples to compute
-    /// aggregate histograms with the same percentile convention.
-    #[must_use]
-    pub fn span_durations(&self) -> Vec<(&'static str, Vec<u64>)> {
-        let log = self.inner.spans.lock().unwrap();
-        log.agg
-            .iter()
-            .map(|(name, a)| (*name, a.durs.clone()))
-            .collect()
-    }
-
-    /// Writes the session's spans and summary to the process sink.
-    /// Idempotent; a no-op when the sink is [`Sink::Off`]. Buffered span
-    /// records are appended as one block under a process-wide lock, so
-    /// parallel workers' output never interleaves ("one sink per worker,
-    /// merged at join").
+    /// Writes the session's summary to the process sink. Idempotent; a
+    /// no-op when the sink is [`Sink::Off`]. The summary is appended as
+    /// one line under a process-wide lock, so parallel workers' output
+    /// never interleaves ("one sink per worker, merged at join").
     pub fn flush(&self) {
         if self.inner.flushed.swap(true, Ordering::SeqCst) {
             return;
@@ -831,27 +673,13 @@ impl TelemetrySession {
             return;
         }
         let snap = self.snapshot();
-        let (records, agg) = {
-            let mut log = self.inner.spans.lock().unwrap();
-            (std::mem::take(&mut log.records), log.agg.clone())
-        };
         match s {
             Sink::Off => {}
             Sink::Stderr => {
-                let mut spans = String::new();
-                for (name, a) in &agg {
-                    let _ = write!(
-                        spans,
-                        " {}={}x/{:.3}ms",
-                        name,
-                        a.count,
-                        a.total_ns as f64 / 1e6
-                    );
-                }
                 let _guard = SINK_LOCK.lock().unwrap();
                 eprintln!(
                     "telemetry[{}]: probes {} (skipped {}, run {}, matched {}), rules {}, \
-                     backtracks {}, evar solves {}, checker {};{}",
+                     backtracks {}, evar solves {}, checker {}",
                     self.inner.label,
                     snap.probes_attempted,
                     snap.probes_skipped,
@@ -861,68 +689,26 @@ impl TelemetrySession {
                     snap.backtracks,
                     snap.evar_solve_events,
                     snap.checker_steps,
-                    if spans.is_empty() {
-                        " no spans".to_owned()
-                    } else {
-                        spans
-                    },
                 );
             }
             Sink::File(path) => {
-                let label = json_escape(&self.inner.label);
-                let mut block = String::new();
-                for r in &records {
-                    let _ = writeln!(
-                        block,
-                        "{{\"event\":\"span\",\"verify\":\"{}\",\"name\":\"{}\",\"depth\":{},\"dur_ns\":{}}}",
-                        label, r.name, r.depth, r.dur_ns
-                    );
-                }
-                let mut spans_json = String::new();
-                for (i, (name, a)) in agg.iter().enumerate() {
-                    if i > 0 {
-                        spans_json.push_str(", ");
-                    }
-                    let mut durs = a.durs.clone();
-                    durs.sort_unstable();
-                    let _ = write!(
-                        spans_json,
-                        "\"{}\": {{\"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-                         \"p95_ns\": {}, \"max_ns\": {}}}",
-                        name,
-                        a.count,
-                        a.total_ns,
-                        percentile(&durs, 50),
-                        percentile(&durs, 95),
-                        durs.last().copied().unwrap_or(0)
-                    );
-                }
-                let mut specs_json = String::new();
-                for (i, (name, delta)) in self.inner.per_spec.lock().unwrap().iter().enumerate() {
-                    if i > 0 {
-                        specs_json.push_str(", ");
-                    }
-                    let _ = write!(
-                        specs_json,
-                        "\"{}\": {}",
-                        json_escape(name),
-                        delta.json_object()
-                    );
-                }
-                let _ = writeln!(
-                    block,
-                    "{{\"event\":\"summary\",\"verify\":\"{}\",\"counters\":{},\"spans\":{{{}}},\"specs\":{{{}}}}}",
-                    label,
+                let specs: Vec<String> = self
+                    .per_spec()
+                    .iter()
+                    .map(|(name, d)| format!("\"{}\": {}", json_escape(name), d.json_object()))
+                    .collect();
+                let line = format!(
+                    "{{\"event\":\"summary\",\"verify\":\"{}\",\"counters\":{},\"specs\":{{{}}}}}\n",
+                    json_escape(&self.inner.label),
                     snap.json_object(),
-                    spans_json,
-                    specs_json
+                    specs.join(", ")
                 );
                 let _guard = SINK_LOCK.lock().unwrap();
                 let res = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(path)
-                    .and_then(|mut f| std::io::Write::write_all(&mut f, block.as_bytes()));
+                    .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
                 if let Err(e) = res {
                     eprintln!("telemetry: cannot append to {}: {e}", path.display());
                 }
@@ -987,8 +773,10 @@ fn with_session(f: impl FnOnce(&SessionInner)) {
 }
 
 /// A `(pass, hypothesis)` probe candidate passed the cheap pass filters.
+/// Also one unit of payload for the enclosing `find_hint` profile span.
 #[inline]
 pub(crate) fn probe_attempted() {
+    crate::profile::bump(1);
     with_session(|s| {
         s.counters.probes_attempted.fetch_add(1, Ordering::Relaxed);
     });
@@ -1082,9 +870,11 @@ pub(crate) fn evar_solves(delta: u64) {
     });
 }
 
-/// The checker replayed `n` steps.
+/// The checker replayed `n` steps. Also `n` units of payload for the
+/// enclosing `check` profile span.
 #[inline]
 pub(crate) fn checker_steps(n: u64) {
+    crate::profile::bump(n);
     with_session(|s| {
         s.counters.checker_steps.fetch_add(n, Ordering::Relaxed);
     });
@@ -1220,8 +1010,6 @@ mod tests {
         probe_failed("H1");
         hint_missed(|| panic!("head must not be rendered without a session"));
         backtracked(10);
-        let g = span("idle");
-        drop(g);
         assert!(stuck_diag().is_none());
     }
 
@@ -1276,6 +1064,25 @@ mod tests {
         // Counting stopped when the guard dropped.
         probe_attempted();
         assert_eq!(session.snapshot().probes_attempted, 3);
+    }
+
+    #[test]
+    fn payload_hooks_feed_the_innermost_profile_span() {
+        use crate::profile::{span, ProfileSession, SpanKind};
+        let (session, profile) = (TelemetrySession::new("payload"), ProfileSession::new());
+        {
+            let (_t, _p) = (session.install(), profile.install());
+            let find = span(SpanKind::FindHint);
+            (0..3).for_each(|_| probe_attempted());
+            drop(find);
+            let _check = span(SpanKind::Check);
+            checker_steps(5);
+        }
+        let payloads: Vec<(SpanKind, u64)> =
+            profile.spans().iter().map(|r| (r.kind, r.count)).collect();
+        let snap = session.snapshot();
+        assert_eq!((snap.probes_attempted, snap.checker_steps), (3, 5));
+        assert_eq!(payloads, [(SpanKind::FindHint, 3), (SpanKind::Check, 5)]);
     }
 
     #[test]

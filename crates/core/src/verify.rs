@@ -223,7 +223,6 @@ fn verify_goal(
     // The wp postcondition still mentions `spec.ret` as binder — `post.at`
     // substitutes it at the value step, so no further renaming is needed.
     {
-        let _span = crate::telemetry::span("search");
         let _prof = crate::profile::span(crate::profile::SpanKind::Search);
         engine.solve(ctx, goal)?;
     }
