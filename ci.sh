@@ -29,7 +29,8 @@
 #      a structured stuck report
 #   7. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
 #      campaign must report zero differential divergences and zero
-#      surviving trace mutants, two runs at the same seed must produce
+#      surviving trace mutants and zero panics on mutated example
+#      annotations, two runs at the same seed must produce
 #      byte-identical JSON reports, and a third run under the profiler
 #      must produce the *same* report bytes plus a validated trace
 #   8. the adequacy schedule-sweep gate: every proved example's client
@@ -134,13 +135,15 @@ cargo run --release -p diaframe-bench --bin figure6 -- --explain spin_lock \
 # --- soundness-fuzzing smoke gate (see EXPERIMENTS.md "Soundness harness") --
 # Fixed seed: ~200 generated entailments through the differential oracle
 # (engine → checker / check_json / telemetry+profile / spec / index-off), then
-# adversarial mutation of every generated + real example trace. Any
-# divergence or surviving mutant makes fuzz_driver exit non-zero.
+# adversarial mutation of every generated + real example trace, then every
+# example annotation mutated through parse + elaborate. Any divergence,
+# surviving mutant or annotation panic makes fuzz_driver exit non-zero.
 cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report.json
 grep -q '"divergences": 0,' target/fuzz_report.json
 grep -q '"survivors": 0,' target/fuzz_report.json
 grep -q '"proved_unexpected": 0,' target/fuzz_report.json
+grep -q '"annotation_panics": 0,' target/fuzz_report.json
 # Same seed ⇒ byte-identical report (no timestamps, no global RNG).
 cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report2.json \

@@ -13,7 +13,11 @@
 //! 3. **mutation pass** — mutates every engine trace, a synthetic
 //!    valid-by-construction corpus, and the real example-suite traces;
 //!    every certified-invalid mutant must be killed by the checker, and
-//!    survivors are shrunk to a minimal witness.
+//!    survivors are shrunk to a minimal witness;
+//! 4. **annotation pass** — mutates every example's `ANNOTATION` (token
+//!    deletion, duplication, swap) and runs each mutant through parse and
+//!    elaborate: it must succeed or fail with a positioned error, never
+//!    panic.
 //!
 //! The JSON report is **byte-reproducible**: same seed, same report, no
 //! timestamps (wall time goes to the console only). `ci.sh` runs a
@@ -24,9 +28,9 @@
 //!             [--jobs N] [--json-out PATH]
 //! ```
 //!
-//! Exits non-zero when any divergence, surviving mutant, or unexpected
-//! proof (an "unprovable-by-construction" case the engine proved) is
-//! found.
+//! Exits non-zero when any divergence, surviving mutant, unexpected
+//! proof (an "unprovable-by-construction" case the engine proved),
+//! annotation panic or unpositioned annotation error is found.
 
 use diaframe_core::fuzz::{
     gen_trace, mutation_round, run_case, search_once, CaseReport, GenConfig, MutationKind,
@@ -78,6 +82,91 @@ struct MutationRow {
 }
 
 #[allow(clippy::too_many_lines)]
+/// Splits text into mutation tokens: identifier runs, single symbols,
+/// and whitespace runs (kept so a join restores the layout).
+fn tokens(text: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    let mut prev: Option<u8> = None;
+    for c in text.chars() {
+        let class = if c.is_whitespace() {
+            0
+        } else if c.is_alphanumeric() || c == '_' {
+            1
+        } else {
+            2
+        };
+        match out.last_mut() {
+            Some(last) if class != 2 && prev == Some(class) => last.push(c),
+            _ => out.push(c.to_string()),
+        }
+        prev = Some(class);
+    }
+    out
+}
+
+/// Deletes, duplicates or swaps one non-whitespace token.
+fn mutate_annotation(text: &str, rng: &mut diaframe_core::fuzz::FuzzRng) -> String {
+    let mut toks = tokens(text);
+    let words: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].trim().is_empty()).collect();
+    if words.len() < 2 {
+        return text.to_owned();
+    }
+    let i = *rng.pick(&words);
+    match rng.below(3) {
+        0 => {
+            toks.remove(i);
+        }
+        1 => {
+            let t = toks[i].clone();
+            toks.insert(i, t);
+        }
+        _ => {
+            let j = *rng.pick(&words);
+            toks.swap(i, j);
+        }
+    }
+    toks.concat()
+}
+
+/// The annotation leg: every example's annotation, mutated at the
+/// campaign seed, through parse and elaborate. Returns (mutants, panics,
+/// errors without a position).
+fn annotation_leg(seed: u64, per_example: usize) -> (usize, usize, usize) {
+    let atoms = diaframe_ghost::Registry::standard_atoms();
+    let (mut mutants, mut panics, mut unlocated) = (0, 0, 0);
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    for (ei, ex) in all_examples().iter().enumerate() {
+        let mut rng = diaframe_core::fuzz::FuzzRng::new(seed ^ 0xA220_7A7E).fork(ei as u64);
+        for _ in 0..per_example {
+            let mutant = mutate_annotation(ex.annotation(), &mut rng);
+            mutants += 1;
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                diaframe_core::annot::elaborate(
+                    ex.source(),
+                    &mutant,
+                    &atoms,
+                    &diaframe_examples::registry::library,
+                )
+                .err()
+            }));
+            match run {
+                Err(_) => {
+                    panics += 1;
+                    eprintln!("ANNOTATION PANIC on {}:\n{mutant}", ex.name());
+                }
+                Ok(Some(e)) if e.line == 0 || e.col == 0 => {
+                    unlocated += 1;
+                    eprintln!("UNLOCATED ANNOTATION ERROR on {}: {e}", ex.name());
+                }
+                Ok(_) => {}
+            }
+        }
+    }
+    std::panic::set_hook(quiet);
+    (mutants, panics, unlocated)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -300,6 +389,8 @@ fn main() {
         }
     }
     let survivors = mutants - killed;
+    let (annotation_mutants, annotation_panics, annotation_unlocated) =
+        annotation_leg(seed, mutations_per_trace * 4);
 
     // ---- report --------------------------------------------------------
     let mut json = String::new();
@@ -355,6 +446,9 @@ fn main() {
     }
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"annotation_mutants\": {annotation_mutants},");
+    let _ = writeln!(json, "  \"annotation_panics\": {annotation_panics},");
+    let _ = writeln!(json, "  \"annotation_unlocated\": {annotation_unlocated},");
     let _ = writeln!(json, "  \"survivor_details\": [");
     for (si, s) in survivor_json.iter().enumerate() {
         let comma = if si + 1 == survivor_json.len() { "" } else { "," };
@@ -391,6 +485,10 @@ fn main() {
         corpus.len(),
         MutationKind::ALL.len()
     );
+    println!(
+        "annotations: {annotation_mutants} mutants through parse + elaborate — \
+         {annotation_panics} panics, {annotation_unlocated} errors without a position"
+    );
     println!("wall: {:.2?}", t0.elapsed());
     if let Some(path) = &json_out {
         println!("report: {path}");
@@ -426,6 +524,9 @@ fn main() {
     }
     for i in &proved_unexpected {
         eprintln!("UNEXPECTED PROOF: case {i} was built to be unprovable");
+        failed = true;
+    }
+    if annotation_panics + annotation_unlocated > 0 {
         failed = true;
     }
     if failed {

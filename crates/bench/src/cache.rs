@@ -10,7 +10,7 @@
 //! — and the hit/miss counters make that property checkable (and
 //! checked, in `tests/driver_equivalence.rs`).
 //!
-//! Entries are keyed by [`Example::cache_key`] plus the thread's current
+//! Entries are keyed by [`Example::name`] plus the thread's current
 //! [`Ablation`] override, so the ablation experiment shares its baseline
 //! rows with Figure 6 while ablated runs get their own entries. A
 //! per-key `OnceLock` guarantees exactly-once execution even when
@@ -127,7 +127,7 @@ impl SuiteCache {
     /// request for its key. Concurrent requests for the same key block
     /// on the single in-flight run instead of duplicating it.
     pub fn get_or_run(&self, ex: &dyn Example, variant: Variant) -> Arc<CachedRun> {
-        let key = (ex.cache_key(), current_ablation(), variant);
+        let key = (ex.name().to_owned(), current_ablation(), variant);
         let cell = {
             let mut map = self.entries.lock().unwrap();
             Arc::clone(map.entry(key).or_default())
@@ -153,8 +153,8 @@ impl SuiteCache {
     /// exact re-verification ledger). Used by the suite driver to flush
     /// telemetry in task-submission order after a pool run.
     #[must_use]
-    pub fn peek(&self, cache_key: &str, ablation: Ablation, variant: Variant) -> Option<Arc<CachedRun>> {
-        let key = (cache_key.to_owned(), ablation, variant);
+    pub fn peek(&self, name: &str, ablation: Ablation, variant: Variant) -> Option<Arc<CachedRun>> {
+        let key = (name.to_owned(), ablation, variant);
         let cell = Arc::clone(self.entries.lock().unwrap().get(&key)?);
         let run = cell.get()?;
         Some(Arc::clone(run))

@@ -32,7 +32,7 @@ pub use store::{store_key, ProofStore, StoreStats};
 pub use suite::{ablation_configs, assert_counter_invariants, prefetch_ablations, prefetch_suite};
 
 use diaframe_core::{CounterSnapshot, ProfileSession, SpanKind, SpanStats, TelemetrySession};
-use diaframe_examples::{all_examples, count_lines, Example, ToolStat};
+use diaframe_examples::{all_examples, annotation_lines, count_lines, Example, ToolStat};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -113,7 +113,7 @@ fn row(
     Measured {
         name: ex.name(),
         impl_lines: count_lines(ex.source()),
-        annot_lines: count_lines(ex.annotation()),
+        annot_lines: annotation_lines(ex.annotation()),
         manual,
         hints: (hints, custom),
         time,

@@ -195,7 +195,7 @@ fn handle_request(body: &str, state: &ServerState) -> (String, bool) {
                     };
                     match examples
                         .iter()
-                        .find(|ex| ex.name() == name || ex.cache_key() == name)
+                        .find(|ex| ex.name() == name)
                     {
                         Some(ex) => selected.push(ex.as_ref()),
                         None => {

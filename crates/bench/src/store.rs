@@ -68,7 +68,7 @@ pub const STORE_FORMAT: u32 = 1;
 pub fn store_key(ex: &dyn Example, variant: Variant, ablation: Ablation) -> String {
     let mut fp = Fingerprinter::new();
     fp.field("engine", &engine_fingerprint());
-    fp.field("example", &ex.cache_key());
+    fp.field("example", ex.name());
     fp.field("source", ex.source());
     fp.field("annotation", ex.annotation());
     fp.field(
@@ -584,7 +584,7 @@ fn encode_payload(key: &str, ex: &dyn Example, outcome: &ExampleOutcome) -> Stri
     let _ = write!(
         out,
         "{{\"format\":{STORE_FORMAT},\"key\":\"{key}\",\"example\":\"{}\",\"variant\":\"ok\",\"manual_steps\":{},\"bundle\":",
-        crate::json_escape(&ex.cache_key()),
+        crate::json_escape(ex.name()),
         outcome.manual_steps
     );
     let specs: Vec<(&str, &diaframe_core::ProofTrace)> = outcome
@@ -624,7 +624,7 @@ fn replay_entry(text: &str, key: &str, ex: &dyn Example) -> Result<ExampleOutcom
     if v.get("key").and_then(JsonValue::as_str) != Some(key) {
         return Err("entry key does not match its address".to_owned());
     }
-    if v.get("example").and_then(JsonValue::as_str) != Some(ex.cache_key().as_str()) {
+    if v.get("example").and_then(JsonValue::as_str) != Some(ex.name()) {
         return Err("entry is for a different example".to_owned());
     }
     let manual_steps = v

@@ -91,7 +91,7 @@ pub fn prefetch_suite(cache: &SuiteCache, jobs: usize, include_broken: bool) -> 
     // and worker counts (flush is idempotent, so re-prefetching a warm
     // cache emits nothing twice).
     for &(i, variant) in &tasks {
-        if let Some(run) = cache.peek(&examples[i].cache_key(), current_ablation(), variant) {
+        if let Some(run) = cache.peek(examples[i].name(), current_ablation(), variant) {
             run.session.flush();
         }
     }
@@ -146,7 +146,7 @@ pub fn prefetch_ablations(cache: &SuiteCache, jobs: usize) -> Duration {
     // Same ordered-flush discipline as `prefetch_suite` (each task ran
     // under its own ablation override, which is part of the cache key).
     for &(ab, i) in &tasks {
-        if let Some(run) = cache.peek(&examples[i].cache_key(), ab, Variant::Ok) {
+        if let Some(run) = cache.peek(examples[i].name(), ab, Variant::Ok) {
             run.session.flush();
         }
     }

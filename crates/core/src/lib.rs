@@ -36,6 +36,7 @@
 //!   oracle across every verdict path, and an adversarial trace mutator
 //!   whose certified-invalid mutants the checker must all reject.
 
+pub mod annot;
 pub mod checker;
 pub mod ctx;
 pub mod driver;

@@ -168,6 +168,18 @@ impl std::fmt::Debug for VerifyOptions {
     }
 }
 
+impl Tactic {
+    /// The tactic's name as recorded in traces.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        match self {
+            Tactic::CasePure { name, .. } | Tactic::UnfoldHyp { name, .. } => name,
+            Tactic::ChooseLeft => "left",
+            Tactic::ChooseRight => "right",
+        }
+    }
+}
+
 impl VerifyOptions {
     /// The default options: full automation, no manual help.
     #[must_use]

@@ -6,14 +6,11 @@
 //! case distinction between "this was the last token" (`z = 1`) and
 //! "other tokens remain" (`z > 1`); everything else is automatic.
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::counting::{counter, no_tokens_half, token};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, Atom, GhostAtom, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
+use diaframe_logic::{Atom, GhostAtom};
+use diaframe_term::{PureProp, Term};
 
 /// The implementation (Fig. 3, lines 2–13).
 pub const SOURCE: &str = "\
@@ -26,147 +23,18 @@ def unwrap a := if CAS(a, 1, 0) then () else unwrap a
 
 /// The annotation (Fig. 3, lines 14–43).
 pub const ANNOTATION: &str = "\
-arc_inv γ l := ∃ z. l ↦ #z ∗ (⌜0 < z⌝ ∗ counter P γ z ∨ ⌜z = 0⌝ ∗ no_tokens P γ)
-is_arc γ v := ∃ l. ⌜v = #l⌝ ∗ inv N (arc_inv γ l)
-SPEC {{ P 1 }} mk_arc () {{ v γ, RET v; is_arc γ v ∗ token P γ }}
-SPEC {{ is_arc γ v ∗ token P γ }} count v {{ p, RET #p; ⌜0 < p⌝ ∗ token P γ }}
-SPEC {{ is_arc γ v ∗ token P γ }} clone v {{ RET #(); token P γ ∗ token P γ }}
-SPEC {{ is_arc γ v ∗ token P γ }} drop v
-     {{ b, RET #b; ⌜b = false⌝ ∨ ⌜b = true⌝ ∗ P 1 ∗ no_tokens P γ }}
+// P: the fractional resource the counter shares out.
+Context (P : Qp → iProp) (Fractional P)
+arc_inv γ l := ∃ z. l ↦ #z ∗ (⌜0 < z⌝ ∗ counter P γ z ∨ ⌜#z = #0⌝ ∗ no_tokens P γ ½)
+is_arc γ v := ∃ l. ⌜v = #l⌝ ∗ inv arc (arc_inv γ l)
+SPEC {{ P 1 }} mk_arc () {{ w γ, RET w; is_arc γ w ∗ token P γ }}
+SPEC γ, {{ is_arc γ v ∗ token P γ }} count v {{ p, RET #p; ⌜0 < p⌝ ∗ token P γ }}
+SPEC γ, {{ is_arc γ v ∗ token P γ }} clone v {{ RET #(); token P γ ∗ token P γ }}
+SPEC γ, {{ is_arc γ v ∗ token P γ }} drop v
+     {{ w, RET w; ⌜w = #false⌝ ∨ ⌜w = #true⌝ ∗ P 1 ∗ no_tokens P γ ½ }}
 Next Obligation. destruct (decide (z = 1)); iStepsS. Qed.
-SPEC {{ is_arc γ v ∗ token P γ }} unwrap v {{ RET #(); P 1 ∗ no_tokens P γ }}
+SPEC γ, {{ is_arc γ v ∗ token P γ }} unwrap v {{ RET #(); P 1 ∗ no_tokens P γ ½ }}
 ";
-
-/// The built specs.
-pub struct ArcSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The fractional predicate `P`.
-    pub p: PredId,
-    /// mk_arc / count / clone / drop / unwrap.
-    pub specs: Vec<Spec>,
-}
-
-fn is_arc(ws: &mut Ws, p: PredId, gamma: Term, v: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let z = ws.v(Sort::Int, "z");
-    let arc_inv = ex(
-        z,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(z))),
-            or(
-                sep([
-                    Assertion::pure(PureProp::lt(Term::int(0), Term::var(z))),
-                    Assertion::atom(counter(p, gamma.clone(), Term::var(z))),
-                ]),
-                sep([
-                    eq(tm::vint(Term::var(z)), tm::int(0)),
-                    Assertion::atom(no_tokens_half(p, gamma.clone())),
-                ]),
-            ),
-        ]),
-    );
-    ex(l, sep([eq(v, tm::vloc(Term::var(l))), inv("arc", arc_inv)]))
-}
-
-/// Builds the ARC workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> ArcSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // mk_arc.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = sep([
-            is_arc(&mut ws, p, Term::var(g), Term::var(w)),
-            Assertion::atom(token(p, Term::var(g))),
-        ]);
-        ex(g, body)
-    };
-    specs.push(ws.spec(
-        "mk_arc",
-        "mk_arc",
-        a,
-        Vec::new(),
-        papp(p, vec![tm::one()]),
-        w,
-        post,
-    ));
-
-    // count.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let z = ws.v(Sort::Int, "p");
-    let pre = sep([
-        is_arc(&mut ws, p, Term::var(g), Term::var(v)),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    let post = ex(
-        z,
-        sep([
-            eq(Term::var(w), tm::vint(Term::var(z))),
-            Assertion::pure(PureProp::lt(Term::int(0), Term::var(z))),
-            Assertion::atom(token(p, Term::var(g))),
-        ]),
-    );
-    specs.push(ws.spec("count", "count", v, vec![g], pre, w, post));
-
-    // clone.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_arc(&mut ws, p, Term::var(g), Term::var(v)),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(token(p, Term::var(g))),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    specs.push(ws.spec("clone", "clone", v, vec![g], pre, w, post));
-
-    // drop.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_arc(&mut ws, p, Term::var(g), Term::var(v)),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    let post = or(
-        eq(Term::var(w), tm::boolean(false)),
-        sep([
-            eq(Term::var(w), tm::boolean(true)),
-            papp(p, vec![tm::one()]),
-            Assertion::atom(no_tokens_half(p, Term::var(g))),
-        ]),
-    );
-    specs.push(ws.spec("drop", "drop", v, vec![g], pre, w, post));
-
-    // unwrap.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_arc(&mut ws, p, Term::var(g), Term::var(v)),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        papp(p, vec![tm::one()]),
-        Assertion::atom(no_tokens_half(p, Term::var(g))),
-    ]);
-    specs.push(ws.spec("unwrap", "unwrap", v, vec![g], pre, w, post));
-
-    ArcSpecs { ws, p, specs }
-}
 
 /// The manual step of the `drop` proof (§2.2): `destruct (decide (z = 1))`
 /// on the count argument of the `counter` hypothesis.
@@ -225,18 +93,7 @@ impl Example for Arc {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[
-                (&s.specs[0], VerifyOptions::automatic()),
-                (&s.specs[1], VerifyOptions::automatic()),
-                (&s.specs[2], VerifyOptions::automatic()),
-                (&s.specs[3], drop_case_split()),
-                (&s.specs[4], VerifyOptions::automatic()),
-            ],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|name| if name == "drop" { drop_case_split() } else { VerifyOptions::automatic() })
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -249,12 +106,7 @@ def clone a := FAA(a, 0) ;; ()
 def drop a := FAA(a, -1) = 1
 def unwrap a := if CAS(a, 1, 0) then () else unwrap a
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[2], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["clone"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -270,9 +122,8 @@ def unwrap a := if CAS(a, 1, 0) then () else unwrap a
              count a",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(0),
         ))
     }
@@ -317,19 +168,13 @@ mod tests {
         // Reproduces the §2.2 stuck state: without the manual case
         // distinction the automation stops at the invariant-closing
         // disjunction.
-        let s = build_with_source(SOURCE);
+        let ws = Ws::new(SOURCE, ANNOTATION);
         let registry = diaframe_ghost::Registry::standard();
-        let r = s
-            .ws
-            .verify_all(&registry, &[(&s.specs[3], VerifyOptions::automatic())]);
+        let r = ws.verify_all(&registry, &[(ws.named("drop"), VerifyOptions::automatic())]);
         let stuck = r.expect_err("drop must get stuck without the case split");
         assert!(stuck.reason.contains("disjunction") || stuck.reason.contains("hint"));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(Arc.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -7,14 +7,13 @@
 //! hints — a fold hint, a duplicate-and-extract-skeleton hint, and an
 //! unfold hint for the recursive occurrence.
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{eq, papp, program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_ghost::HintCandidate;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, Atom, Binder, PredId, PredTable};
+use diaframe_logic::{Assertion, Atom, PredId};
 use diaframe_term::{PureProp, Sort, Term};
+use diaframe_logic::Binder;
 
 /// The implementation. The bag handle is `(#head_cell, #null)` where
 /// `null` is a dummy sentinel location.
@@ -40,60 +39,17 @@ def pop b :=
 /// Specifications and the recursive chain predicate (axiomatised through
 /// the custom hints below).
 pub const ANNOTATION: &str = "\
+// Φ: the resource each element carries.
+Context (Φ : val → iProp)
 chain h nl := ⌜h = nl⌝ ∨ ∃ l v nx q. ⌜h = #l⌝ ∗ l ↦{q} (v, nx) ∗ Φ v ∗ chain nx nl
-is_bag b := ∃ s null. ⌜b = (#s, #null)⌝ ∗ inv N (∃ h. s ↦ h ∗ chain h #null)
-SPEC {{ True }} make () {{ b, RET b; is_bag b }}
-SPEC {{ ⌜a = (b, v)⌝ ∗ is_bag b ∗ Φ v }} push a {{ RET #(); True }}
-SPEC {{ is_bag b }} pop b {{ r, RET r; ⌜r = inl #()⌝ ∨ ∃ v. ⌜r = inr v⌝ ∗ Φ v }}
-custom hint  chain-dup:    chain h nl ⊫ chain h nl ∗ [skeleton h nl]
-custom hint  chain-fold:   ε₁ ∗ [⌜h = nl⌝ ∨ l ↦{q} (v,nx) ∗ Φ v ∗ chain nx nl] ⊫ chain h nl
-custom hint  chain-unfold: replace chain #l nl by Φ v ∗ chain nx nl (head agreement)
+is_bag b := ∃ s (null : loc). ⌜b = (#s, #null)⌝ ∗ inv bag (∃ h. s ↦ h ∗ chain h #null)
+SPEC {{ True }} make () {{ w, RET w; is_bag w }}
+SPEC b v, {{ ⌜a = (b, v)⌝ ∗ is_bag b ∗ Φ v }} push a {{ RET #(); True }}
+SPEC {{ is_bag b }} pop b {{ w, RET w; ⌜w = inl #()⌝ ∨ ∃ v. ⌜w = inr v⌝ ∗ Φ v }}
+HINT chain-dup: chain h nl ⊫ chain h nl ∗ [skeleton h nl]
+HINT chain-fold: ε₁ ∗ [⌜h = nl⌝ ∨ l ↦{q} (v,nx) ∗ Φ v ∗ chain nx nl] ⊫ chain h nl
+HINT chain-unfold: replace chain #l nl by Φ v ∗ chain nx nl (head agreement)
 ";
-
-/// The built specs.
-pub struct BagStackSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The element resource `Φ`.
-    pub phi: PredId,
-    /// The recursive chain predicate.
-    pub chain: PredId,
-    /// make / push / pop.
-    pub specs: Vec<Spec>,
-}
-
-fn chain_app(chain: PredId, h: Term, nl: Term) -> Assertion {
-    Assertion::atom(Atom::PredApp {
-        pred: chain,
-        args: vec![h, nl],
-    })
-}
-
-fn is_bag(ws: &mut Ws, chain: PredId, b: Term) -> Assertion {
-    let s = ws.v(Sort::Loc, "s");
-    let null = ws.v(Sort::Loc, "null");
-    let hv = ws.v(Sort::Val, "h");
-    let body = ex(
-        hv,
-        sep([
-            pt(Term::var(s), Term::var(hv)),
-            chain_app(chain, Term::var(hv), tm::vloc(Term::var(null))),
-        ]),
-    );
-    ex(
-        s,
-        ex(
-            null,
-            sep([
-                eq(
-                    b,
-                    Term::v_pair(tm::vloc(Term::var(s)), tm::vloc(Term::var(null))),
-                ),
-                inv("bag", body),
-            ]),
-        ),
-    )
-}
 
 /// The *skeleton* of a chain: the persistently extractable part — the
 /// head shape plus a fraction of the head node.
@@ -103,7 +59,7 @@ fn skeleton(ctx: &mut diaframe_term::VarCtx, chain: PredId, phi: PredId, h: Term
     let v = ctx.fresh_var(Sort::Val, "v");
     let nx = ctx.fresh_var(Sort::Val, "nx");
     let q = ctx.fresh_var(Sort::Qp, "q");
-    or(
+    Assertion::or(
         Assertion::pure(PureProp::eq(h.clone(), nl)),
         Assertion::exists(
             Binder::new(l),
@@ -113,8 +69,8 @@ fn skeleton(ctx: &mut diaframe_term::VarCtx, chain: PredId, phi: PredId, h: Term
                     Binder::new(nx),
                     Assertion::exists(
                         Binder::new(q),
-                        sep([
-                            eq(h, tm::vloc(Term::var(l))),
+                        Assertion::sep_list([
+                            eq(h, Term::v_loc(Term::var(l))),
                             pt_frac_pair(l, q, v, nx),
                         ]),
                     ),
@@ -173,7 +129,7 @@ fn chain_options(chain: PredId, phi: PredId) -> VerifyOptions {
             let nx = vars.fresh_evar(Sort::Val);
             let cons = HintCandidate::new("chain-fold-cons")
                 .unify(h, Term::v_loc(Term::evar(l)))
-                .side(sep([
+                .side(Assertion::sep_list([
                     Assertion::atom(Atom::points_to_frac(
                         Term::evar(l),
                         Term::qp(diaframe_term::Qp::half()),
@@ -218,7 +174,7 @@ fn chain_options(chain: PredId, phi: PredId) -> VerifyOptions {
                         let (v, nx) = (parts[0].clone(), parts[1].clone());
                         return Some((
                             idx,
-                            sep([
+                            Assertion::sep_list([
                                 papp(phi, vec![v]),
                                 Assertion::atom(Atom::PredApp {
                                     pred: chain,
@@ -231,66 +187,6 @@ fn chain_options(chain: PredId, phi: PredId) -> VerifyOptions {
             }
             None
         })
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> BagStackSpecs {
-    let mut preds = PredTable::new();
-    let phi = preds.fresh_pred("Φ", 1);
-    let chain = preds.fresh_pred("chain", 2);
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let post = is_bag(&mut ws, chain, Term::var(w));
-    specs.push(ws.spec("make", "make", a, Vec::new(), Assertion::emp(), w, post));
-
-    // push: argument (b, v).
-    let a = ws.v(Sort::Val, "a");
-    let b = ws.v(Sort::Val, "b");
-    let v = ws.v(Sort::Val, "v");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(Term::var(a), Term::v_pair(Term::var(b), Term::var(v))),
-        is_bag(&mut ws, chain, Term::var(b)),
-        papp(phi, vec![Term::var(v)]),
-    ]);
-    specs.push(ws.spec(
-        "push",
-        "push",
-        a,
-        vec![b, v],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // pop.
-    let b = ws.v(Sort::Val, "b");
-    let w = ws.v(Sort::Val, "w");
-    let v = ws.v(Sort::Val, "v");
-    let pre = is_bag(&mut ws, chain, Term::var(b));
-    let post = or(
-        eq(Term::var(w), Term::v_inj_l(tm::unit())),
-        ex(
-            v,
-            sep([
-                eq(Term::var(w), Term::v_inj_r(Term::var(v))),
-                papp(phi, vec![Term::var(v)]),
-            ]),
-        ),
-    );
-    specs.push(ws.spec("pop", "pop", b, Vec::new(), pre, w, post));
-
-    BagStackSpecs {
-        ws,
-        phi,
-        chain,
-        specs,
-    }
 }
 
 /// The Figure 6 example.
@@ -326,11 +222,9 @@ impl Example for BagStack {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = chain_options(s.chain, s.phi);
-        let jobs: Vec<_> = s.specs.iter().map(|sp| (sp, opts.clone())).collect();
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        let opts = chain_options(ws.pred("chain"), ws.pred("Φ"));
+        ws.verify_declared(|_| opts.clone())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -353,10 +247,9 @@ def pop b :=
   then inl ()
   else (let p := !h in inr (fst p))
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = chain_options(s.chain, s.phi);
-        Some(s.ws.verify_all(&registry, &[(&s.specs[2], opts)]))
+        let ws = Ws::new(broken, ANNOTATION);
+        let opts = chain_options(ws.pred("chain"), ws.pred("Φ"));
+        Some(ws.verify_named(&["pop"], |_| opts.clone()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -370,9 +263,8 @@ def pop b :=
              end",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(22),
         ))
     }
@@ -394,10 +286,6 @@ mod tests {
         assert!(custom.iter().any(|h| h.contains("chain")));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(BagStack.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

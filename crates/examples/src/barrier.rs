@@ -8,14 +8,9 @@
 //! backtracking of §5.3 — this is the example family the paper reports as
 //! its hardest (barrier is its slowest benchmark).
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::gvar::gvar;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{Sort, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -26,115 +21,16 @@ def wait b := if !b then () else wait b
 
 /// Specifications and the invariant.
 pub const ANNOTATION: &str = "\
+// P: the fractional resource broadcast to the two waiters.
+Context (P : Qp → iProp) (Fractional P)
 bar_inv γw l := ∃ s. l ↦ #s ∗
-  (⌜s = false⌝
-   ∨ ⌜s = true⌝ ∗ (P 1 ∨ gvar γw ½ () ∗ P ½ ∨ gvar γw 1 ()))
-is_bar γw b := ∃ l. ⌜b = #l⌝ ∗ inv N (bar_inv γw l)
-SPEC {{ True }} new_barrier () {{ b γw, RET b; is_bar γw b ∗ gvar γw ½ () ∗ gvar γw ½ () }}
-SPEC {{ is_bar γw b ∗ P 1 }} signal b {{ RET #(); True }}
-SPEC {{ is_bar γw b ∗ gvar γw ½ () }} wait b {{ RET #(); P ½ }}
+  (⌜#s = #false⌝
+   ∨ ⌜#s = #true⌝ ∗ (P 1 ∨ gvar γw ½ () ∗ P ½ ∨ gvar γw 1 ()))
+is_bar γw b := ∃ l. ⌜b = #l⌝ ∗ inv bar (bar_inv γw l)
+SPEC {{ True }} new_barrier () {{ w γw, RET w; is_bar γw w ∗ gvar γw ½ () ∗ gvar γw ½ () }}
+SPEC γw, {{ is_bar γw b ∗ P 1 }} signal b {{ RET #(); True }}
+SPEC γw, {{ is_bar γw b ∗ gvar γw ½ () }} wait b {{ RET #(); P ½ }}
 ";
-
-/// The built specs.
-pub struct BarrierSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The broadcast resource.
-    pub p: PredId,
-    /// new_barrier / signal / wait.
-    pub specs: Vec<Spec>,
-}
-
-/// `is_bar γw b` — exported for the client example.
-pub fn is_bar(ws: &mut Ws, p: PredId, gw: Term, b: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let s = ws.v(Sort::Bool, "s");
-    let body = ex(
-        s,
-        sep([
-            pt(Term::var(l), tm::vbool(Term::var(s))),
-            or(
-                eq(tm::vbool(Term::var(s)), tm::boolean(false)),
-                sep([
-                    eq(tm::vbool(Term::var(s)), tm::boolean(true)),
-                    or(
-                        papp(p, vec![tm::one()]),
-                        or(
-                            sep([
-                                Assertion::atom(gvar(gw.clone(), tm::half(), tm::unit())),
-                                papp(p, vec![tm::half()]),
-                            ]),
-                            Assertion::atom(gvar(gw.clone(), tm::one(), tm::unit())),
-                        ),
-                    ),
-                ]),
-            ),
-        ]),
-    );
-    ex(l, sep([eq(b, tm::vloc(Term::var(l))), inv("bar", body)]))
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> BarrierSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // new_barrier.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let gw = ws.v(Sort::GhostName, "γw");
-    let post = {
-        let body = sep([
-            is_bar(&mut ws, p, Term::var(gw), Term::var(w)),
-            Assertion::atom(gvar(Term::var(gw), tm::half(), tm::unit())),
-            Assertion::atom(gvar(Term::var(gw), tm::half(), tm::unit())),
-        ]);
-        ex(gw, body)
-    };
-    specs.push(ws.spec(
-        "new_barrier",
-        "new_barrier",
-        a,
-        Vec::new(),
-        Assertion::emp(),
-        w,
-        post,
-    ));
-
-    // signal.
-    let b = ws.v(Sort::Val, "b");
-    let gw = ws.v(Sort::GhostName, "γw");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_bar(&mut ws, p, Term::var(gw), Term::var(b)),
-        papp(p, vec![tm::one()]),
-    ]);
-    specs.push(ws.spec(
-        "signal",
-        "signal",
-        b,
-        vec![gw],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // wait.
-    let b = ws.v(Sort::Val, "b");
-    let gw = ws.v(Sort::GhostName, "γw");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_bar(&mut ws, p, Term::var(gw), Term::var(b)),
-        Assertion::atom(gvar(Term::var(gw), tm::half(), tm::unit())),
-    ]);
-    let post = sep([eq(Term::var(w), tm::unit()), papp(p, vec![tm::half()])]);
-    specs.push(ws.spec("wait", "wait", b, vec![gw], pre, w, post));
-
-    BarrierSpecs { ws, p, specs }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -169,14 +65,7 @@ impl Example for Barrier {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic().with_backtracking()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -186,12 +75,7 @@ def new_barrier _ := ref false
 def signal b := b <- true
 def wait b := if ~(!b) then () else wait b
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(s.ws.verify_all(
-            &registry,
-            &[(&s.specs[2], VerifyOptions::automatic().with_backtracking())],
-        ))
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["wait"], |_| VerifyOptions::automatic().with_backtracking()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -202,9 +86,8 @@ def wait b := if ~(!b) then () else wait b
              signal b ;; 9",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(9),
         ))
     }
@@ -235,10 +118,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(Barrier.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

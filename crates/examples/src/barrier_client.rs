@@ -1,22 +1,19 @@
 //! A client of the barrier: forks two waiters and signals — resources flow
 //! from the signaller through the barrier to both forked threads.
 
-use crate::barrier::is_bar;
-use crate::common::{eq, papp, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
 use diaframe_core::{Stuck, VerifyOptions};
-use diaframe_ghost::gvar::gvar;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::Assertion;
-use diaframe_term::{Sort, Term};
 
 /// The client.
 pub const SOURCE: &str = "\
 def broadcast b := fork { wait b ;; () } ;; fork { wait b ;; () } ;; signal b
 ";
 
-/// The client's specification.
+/// The client's specification, against the barrier library's.
 pub const ANNOTATION: &str = "\
-SPEC {{ is_bar γw b ∗ gvar γw ½ () ∗ gvar γw ½ () ∗ P 1 }}
+Require barrier
+SPEC γw, {{ is_bar γw b ∗ gvar γw ½ () ∗ gvar γw ½ () ∗ P 1 }}
      broadcast b {{ RET #(); True }}
 ";
 
@@ -53,42 +50,15 @@ impl Example for BarrierClient {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let combined = format!("{}{}", crate::barrier::SOURCE, SOURCE);
-        let mut s = crate::barrier::build_with_source(&combined);
-        let p = s.p;
-        let ws = &mut s.ws;
-        let b = ws.v(Sort::Val, "b");
-        let gw = ws.v(Sort::GhostName, "γw");
-        let w = ws.v(Sort::Val, "w");
-        let pre = sep([
-            is_bar(ws, p, Term::var(gw), Term::var(b)),
-            Assertion::atom(gvar(Term::var(gw), tm::half(), tm::unit())),
-            Assertion::atom(gvar(Term::var(gw), tm::half(), tm::unit())),
-            papp(p, vec![tm::one()]),
-        ]);
-        let spec = ws.spec(
-            "broadcast",
-            "broadcast",
-            b,
-            vec![gw],
-            pre,
-            w,
-            eq(Term::var(w), tm::unit()),
-        );
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[(&spec, VerifyOptions::automatic().with_backtracking())],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
         let combined = format!("{}{}", crate::barrier::SOURCE, SOURCE);
-        let s = crate::barrier::build_with_source(&combined);
         let main =
             parse_expr("let b := new_barrier () in broadcast b ;; !b").expect("client parses");
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(&combined), &main),
             Val::Bool(true),
         ))
     }

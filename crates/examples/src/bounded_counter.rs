@@ -5,11 +5,9 @@
 //! Voila fix the bound to 3" (§6) — so does this reproduction: the bound
 //! `b` is a specification variable constrained only by `0 < b`.
 
-use crate::common::{eq, ex, inv, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
 
 /// The implementation. `incr` takes the pair `(b, c)` of bound and counter
 /// (recursive functions take a single argument; see DESIGN.md).
@@ -28,91 +26,11 @@ def read c := !c
 /// Specifications and the invariant (parametric bound `b`).
 pub const ANNOTATION: &str = "\
 bc_inv l b := ∃ n. l ↦ #n ∗ ⌜0 ≤ n⌝ ∗ ⌜n < b⌝
-is_bc c b := ∃ l. ⌜c = #l⌝ ∗ inv N (bc_inv l b)
-SPEC {{ ⌜0 < b⌝ }} make () {{ c, RET c; is_bc c b }}
-SPEC {{ ⌜a = (#b, c)⌝ ∗ ⌜0 < b⌝ ∗ is_bc c b }} incr a {{ n, RET #n; ⌜0 ≤ n⌝ ∗ ⌜n < b⌝ }}
-SPEC {{ is_bc c b }} read c {{ n, RET #n; ⌜0 ≤ n⌝ ∗ ⌜n < b⌝ }}
+is_bc c b := ∃ l. ⌜c = #l⌝ ∗ inv bc (bc_inv l b)
+SPEC b, {{ ⌜0 < b⌝ }} make () {{ w, RET w; is_bc w b }}
+SPEC b c, {{ ⌜a = (#b, c)⌝ ∗ ⌜0 < b⌝ ∗ is_bc c b }} incr a {{ n, RET #n; ⌜0 ≤ n⌝ ∗ ⌜n < b⌝ }}
+SPEC b, {{ is_bc c b }} read c {{ n, RET #n; ⌜0 ≤ n⌝ ∗ ⌜n < b⌝ }}
 ";
-
-/// Built specs.
-pub struct BoundedCounterSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// make / incr / read.
-    pub specs: Vec<Spec>,
-}
-
-fn is_bc(ws: &mut Ws, c: Term, b: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let n = ws.v(Sort::Int, "n");
-    let body = ex(
-        n,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::int(0), Term::var(n))),
-            Assertion::pure(PureProp::lt(Term::var(n), b)),
-        ]),
-    );
-    ex(l, sep([eq(c, tm::vloc(Term::var(l))), inv("bc", body)]))
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> BoundedCounterSpecs {
-    let mut ws = Ws::new(PredTable::new(), source);
-    let mut specs = Vec::new();
-
-    // make (bound is chosen by the caller; the invariant is established
-    // for it).
-    let a = ws.v(Sort::Val, "a");
-    let b = ws.v(Sort::Int, "b");
-    let w = ws.v(Sort::Val, "w");
-    let pre = Assertion::pure(PureProp::lt(Term::int(0), Term::var(b)));
-    let post = is_bc(&mut ws, Term::var(w), Term::var(b));
-    specs.push(ws.spec("make", "make", a, vec![b], pre, w, post));
-
-    // incr: argument is the pair (#b, c).
-    let a = ws.v(Sort::Val, "a");
-    let b = ws.v(Sort::Int, "b");
-    let c = ws.v(Sort::Val, "c");
-    let w = ws.v(Sort::Val, "w");
-    let n = ws.v(Sort::Int, "n");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(tm::vint(Term::var(b)), Term::var(c)),
-        ),
-        Assertion::pure(PureProp::lt(Term::int(0), Term::var(b))),
-        is_bc(&mut ws, Term::var(c), Term::var(b)),
-    ]);
-    let post = ex(
-        n,
-        sep([
-            eq(Term::var(w), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::int(0), Term::var(n))),
-            Assertion::pure(PureProp::lt(Term::var(n), Term::var(b))),
-        ]),
-    );
-    specs.push(ws.spec("incr", "incr", a, vec![b, c], pre, w, post));
-
-    // read.
-    let c = ws.v(Sort::Val, "c");
-    let b = ws.v(Sort::Int, "b");
-    let w = ws.v(Sort::Val, "w");
-    let n = ws.v(Sort::Int, "n");
-    let pre = is_bc(&mut ws, Term::var(c), Term::var(b));
-    let post = ex(
-        n,
-        sep([
-            eq(Term::var(w), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::int(0), Term::var(n))),
-            Assertion::pure(PureProp::lt(Term::var(n), Term::var(b))),
-        ]),
-    );
-    specs.push(ws.spec("read", "read", c, vec![b], pre, w, post));
-
-    BoundedCounterSpecs { ws, specs }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -147,14 +65,7 @@ impl Example for BoundedCounter {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -171,12 +82,7 @@ def incr a :=
   else (if CAS(c, v, v + 1) then v else incr a)
 def read c := !c
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[1], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["incr"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -187,9 +93,8 @@ def read c := !c
              read c",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(1),
         ))
     }
@@ -208,10 +113,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(BoundedCounter.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

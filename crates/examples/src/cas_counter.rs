@@ -6,12 +6,9 @@
 //! value and `incr` certifies the counter passed `n + 1`. Verifies fully
 //! automatically (0 manual lines in Figure 6).
 
-use crate::common::{eq, ex, inv, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::monotone::{mono, mono_lb};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -23,123 +20,11 @@ def read c := !c
 /// Specifications and the counter invariant.
 pub const ANNOTATION: &str = "\
 counter_inv γ l := ∃ n. l ↦ #n ∗ ⌜0 ≤ n⌝ ∗ mono γ n
-is_counter γ c := ∃ l. ⌜c = #l⌝ ∗ inv N (counter_inv γ l)
-SPEC {{ True }} make_counter () {{ c γ, RET c; is_counter γ c ∗ mono_lb γ 0 }}
-SPEC {{ is_counter γ c ∗ mono_lb γ k }} incr c {{ n, RET #n; ⌜k ≤ n⌝ ∗ mono_lb γ (n+1) }}
-SPEC {{ is_counter γ c ∗ mono_lb γ k }} read c {{ n, RET #n; ⌜k ≤ n⌝ ∗ mono_lb γ n }}
+is_counter γ c := ∃ l. ⌜c = #l⌝ ∗ inv counter (counter_inv γ l)
+SPEC {{ True }} make_counter () {{ w γ, RET w; is_counter γ w ∗ mono_lb γ 0 }}
+SPEC γ k, {{ is_counter γ c ∗ mono_lb γ k }} incr c {{ n, RET #n; ⌜k ≤ n⌝ ∗ mono_lb γ (n+1) }}
+SPEC γ k, {{ is_counter γ c ∗ mono_lb γ k }} read c {{ n, RET #n; ⌜k ≤ n⌝ ∗ mono_lb γ n }}
 ";
-
-/// The built specs, shared with the client example.
-pub struct CasCounterSpecs {
-    /// The workspace.
-    pub ws: Ws,
-    /// `make_counter`'s spec.
-    pub make_counter: Spec,
-    /// `incr`'s spec.
-    pub incr: Spec,
-    /// `read`'s spec.
-    pub read: Spec,
-}
-
-fn is_counter(ws: &mut Ws, gamma: Term, c: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let n = ws.v(Sort::Int, "n");
-    let counter_inv = ex(
-        n,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::int(0), Term::var(n))),
-            Assertion::atom(mono(gamma, Term::var(n))),
-        ]),
-    );
-    ex(
-        l,
-        sep([eq(c, tm::vloc(Term::var(l))), inv("counter", counter_inv)]),
-    )
-}
-
-/// Builds the workspace and specs from the given source.
-#[must_use]
-pub fn build_with_source(source: &str) -> CasCounterSpecs {
-    let mut ws = Ws::new(PredTable::new(), source);
-
-    // make_counter.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = sep([
-            is_counter(&mut ws, Term::var(g), Term::var(w)),
-            Assertion::atom(mono_lb(Term::var(g), Term::int(0))),
-        ]);
-        ex(g, body)
-    };
-    let make_counter = ws.spec(
-        "make_counter",
-        "make_counter",
-        a,
-        Vec::new(),
-        Assertion::emp(),
-        w,
-        post,
-    );
-
-    // incr (with a lower-bound premise so two incrs compose in clients).
-    let c = ws.v(Sort::Val, "c");
-    let g = ws.v(Sort::GhostName, "γ");
-    let k = ws.v(Sort::Int, "k");
-    let w = ws.v(Sort::Val, "w");
-    let n = ws.v(Sort::Int, "n");
-    let pre = sep([
-        is_counter(&mut ws, Term::var(g), Term::var(c)),
-        Assertion::atom(mono_lb(Term::var(g), Term::var(k))),
-    ]);
-    let post = ex(
-        n,
-        sep([
-            eq(Term::var(w), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::var(k), Term::var(n))),
-            Assertion::atom(mono_lb(
-                Term::var(g),
-                Term::add(Term::var(n), Term::int(1)),
-            )),
-        ]),
-    );
-    let incr = ws.spec("incr", "incr", c, vec![g, k], pre, w, post);
-
-    // read.
-    let c = ws.v(Sort::Val, "c");
-    let g = ws.v(Sort::GhostName, "γ");
-    let k = ws.v(Sort::Int, "k");
-    let w = ws.v(Sort::Val, "w");
-    let n = ws.v(Sort::Int, "n");
-    let pre = sep([
-        is_counter(&mut ws, Term::var(g), Term::var(c)),
-        Assertion::atom(mono_lb(Term::var(g), Term::var(k))),
-    ]);
-    let post = ex(
-        n,
-        sep([
-            eq(Term::var(w), tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::var(k), Term::var(n))),
-            Assertion::atom(mono_lb(Term::var(g), Term::var(n))),
-        ]),
-    );
-    let read = ws.spec("read", "read", c, vec![g, k], pre, w, post);
-
-    CasCounterSpecs {
-        ws,
-        make_counter,
-        incr,
-        read,
-    }
-}
-
-/// Builds the standard specs.
-#[must_use]
-pub fn build() -> CasCounterSpecs {
-    build_with_source(SOURCE)
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -174,16 +59,7 @@ impl Example for CasCounter {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build();
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[
-                (&s.make_counter, VerifyOptions::automatic()),
-                (&s.incr, VerifyOptions::automatic()),
-                (&s.read, VerifyOptions::automatic()),
-            ],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -194,12 +70,7 @@ def make_counter _ := ref 0
 def incr c := let v := !c in if CAS(c, v, v - 1) then v else incr c
 def read c := !c
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.incr, VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["incr"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -210,9 +81,8 @@ def read c := !c
              (rec wait u := if read c = 2 then read c else wait u) ()",
         )
         .expect("client parses");
-        let s = build();
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -248,11 +118,6 @@ mod tests {
         assert!(outcome.hints_used().iter().any(|h| h.contains("mono")));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        let result = CasCounter.verify_broken().expect("has a broken variant");
-        assert!(result.is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -2,22 +2,20 @@
 //! specifications (the library is not re-verified — the §6 comparison
 //! point against Caper, which must restate libraries).
 
-use crate::common::{eq, ex, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
 use diaframe_core::{Stuck, VerifyOptions};
-use diaframe_ghost::monotone::mono_lb;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::Assertion;
-use diaframe_term::{PureProp, Sort, Term};
 
 /// The client: bump the counter twice.
 pub const SOURCE: &str = "\
 def incr_twice c := incr c ;; incr c ;; ()
 ";
 
-/// The client's specification.
+/// The client's specification, against the counter library's. Its
+/// precondition is `read`'s at `k = 0` — `is_counter γ c ∗ mono_lb γ 0`.
 pub const ANNOTATION: &str = "\
-SPEC {{ is_counter γ c ∗ mono_lb γ 0 }} incr_twice c
-     {{ RET #(); ∃ m. ⌜2 ≤ m⌝ ∗ mono_lb γ m }}
+Require cas_counter
+SPEC γ, {{ PRE read c γ 0 }} incr_twice c {{ m, RET #(); ⌜2 ≤ m⌝ ∗ mono_lb γ m }}
 ";
 
 /// The Figure 6 example.
@@ -53,57 +51,17 @@ impl Example for CasCounterClient {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        // Build the counter library's specs, then add the client on top.
-        let combined = format!("{}{}", crate::cas_counter::SOURCE, SOURCE);
-        let mut s = crate::cas_counter::build_with_source(&combined);
-        let ws = &mut s.ws;
-
-        let c = ws.v(Sort::Val, "c");
-        let g = ws.v(Sort::GhostName, "γ");
-        let w = ws.v(Sort::Val, "w");
-        let m = ws.v(Sort::Int, "m");
-        let is_counter = {
-            // Reuse the library's own representation predicate by taking
-            // the precondition of `read` shape: rebuild via the module's
-            // helper through a fresh spec? The counter module exposes its
-            // builder only internally, so restate it structurally — it
-            // must match the library template for invariant unification,
-            // so we reuse `s.read.pre`'s first conjunct via substitution.
-            let pre = s.read.pre.clone();
-            // read.pre = is_counter(γr, cr) ∗ mono_lb(γr, kr): instantiate
-            // its binders at our client variables.
-            let mut sub = diaframe_term::Subst::new();
-            sub.insert(s.read.arg, Term::var(c));
-            sub.insert(s.read.binders[0], Term::var(g));
-            // Drop the mono_lb conjunct by instantiating k at 0 — the
-            // client's own precondition also carries mono_lb γ 0.
-            sub.insert(s.read.binders[1], Term::int(0));
-            pre.subst(&sub)
-        };
-        let pre = is_counter;
-        let post = ex(
-            m,
-            sep([
-                eq(Term::var(w), tm::unit()),
-                Assertion::pure(PureProp::le(Term::int(2), Term::var(m))),
-                Assertion::atom(mono_lb(Term::var(g), Term::var(m))),
-            ]),
-        );
-        let spec = ws.spec("incr_twice", "incr_twice", c, vec![g], pre, w, post);
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws
-            .verify_all(&registry, &[(&spec, VerifyOptions::automatic())])
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
         let combined = format!("{}{}", crate::cas_counter::SOURCE, SOURCE);
-        let s = crate::cas_counter::build_with_source(&combined);
         let main = parse_expr(
             "let c := make_counter () in incr_twice c ;; read c",
         )
         .expect("client parses");
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(&combined), &main),
             Val::Int(2),
         ))
     }

@@ -8,14 +8,9 @@
 //! being guarded by a ghost boolean whose other half the unique successor
 //! received through the tail swap.
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt_frac, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::gvar::gvar;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{Sort, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -38,225 +33,24 @@ def release n := n <- false
 
 /// Specifications and the node/tail invariants.
 pub const ANNOTATION: &str = "\
+// R: the resource handed from each holder to its successor.
+Context (R : iProp)
 node_inv l γ := ∃ b t. l ↦{½} #b ∗
-  (⌜b = true⌝ ∗ ⌜t = false⌝
-   ∨ ⌜b = false⌝ ∗ ⌜t = false⌝ ∗ R
-   ∨ ⌜b = false⌝ ∗ ⌜t = true⌝) ∗ gvar γ ½ #t
-claim l γ := inv Nn (node_inv l γ) ∗ gvar γ ½ #false
+  (⌜#b = #true⌝ ∗ ⌜#t = #false⌝
+   ∨ ⌜#b = #false⌝ ∗ ⌜#t = #false⌝ ∗ R
+   ∨ ⌜#b = #false⌝ ∗ ⌜#t = #true⌝) ∗ gvar γ ½ #t
+claim l γ := inv clh.node (node_inv l γ) ∗ gvar γ ½ #false
 clh_inv tl := ∃ tv l γ. tl ↦ tv ∗ ⌜tv = #l⌝ ∗ claim l γ
-is_clh lk := ∃ tl. ⌜lk = #tl⌝ ∗ inv Nt (clh_inv tl)
-clh_locked v := ∃ l γ. ⌜v = #l⌝ ∗ l ↦{½} #true ∗ inv Nn (node_inv l γ)
-SPEC {{ R }} newclh () {{ lk, RET lk; is_clh lk }}
-SPEC {{ ⌜a = (lk, #n)⌝ ∗ is_clh lk ∗ claim n γn }} swaptail a {{ p, RET p; ∃ lp γp. claim lp γp ∗ ⌜p = #lp⌝ }}
-SPEC {{ ⌜p = #lp⌝ ∗ claim lp γp }} spin p {{ RET #(); R }}
-SPEC {{ is_clh lk }} acquire lk {{ n, RET n; clh_locked n ∗ R }}
+is_clh lk := ∃ tl. ⌜lk = #tl⌝ ∗ inv clh.tail (clh_inv tl)
+clh_locked v := ∃ l γ. ⌜v = #l⌝ ∗ l ↦{½} #true ∗ inv clh.node (node_inv l γ)
+// The swap elaborates the caller's claim before the lock.
+swap_pre a lk (n : loc) C := ⌜a = (lk, #n)⌝ ∗ is_clh lk ∗ C
+SPEC {{ R }} newclh () {{ w, RET w; is_clh w }}
+SPEC lk n γn, {{ swap_pre a lk n (claim n γn) }} swaptail a {{ lp γp, RET #lp; claim lp γp }}
+SPEC lp γp, {{ ⌜p = #lp⌝ ∗ claim lp γp }} spin p {{ RET #(); R }}
+SPEC {{ is_clh lk }} acquire lk {{ w, RET w; clh_locked w ∗ R }}
 SPEC {{ clh_locked n ∗ R }} release n {{ RET #(); True }}
 ";
-
-/// The built specs.
-pub struct ClhSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected resource.
-    pub r: PredId,
-    /// newclh / swaptail / spin / acquire / release.
-    pub specs: Vec<Spec>,
-}
-
-/// The spin value in the "busy" state (true for CLH, false for the
-/// MCS-style grant box); the released state is its negation.
-pub(crate) struct Polarity {
-    pub busy: bool,
-}
-
-pub(crate) fn node_inv(ws: &mut Ws, r: PredId, pol: &Polarity, l: Term, g: Term) -> Assertion {
-    let b = ws.v(Sort::Bool, "b");
-    let t = ws.v(Sort::Bool, "t");
-    ex(
-        b,
-        ex(
-            t,
-            sep([
-                pt_frac(l, tm::half(), tm::vbool(Term::var(b))),
-                or(
-                    sep([
-                        eq(tm::vbool(Term::var(b)), tm::boolean(pol.busy)),
-                        eq(tm::vbool(Term::var(t)), tm::boolean(false)),
-                    ]),
-                    or(
-                        sep([
-                            eq(tm::vbool(Term::var(b)), tm::boolean(!pol.busy)),
-                            eq(tm::vbool(Term::var(t)), tm::boolean(false)),
-                            papp(r, Vec::new()),
-                        ]),
-                        sep([
-                            eq(tm::vbool(Term::var(b)), tm::boolean(!pol.busy)),
-                            eq(tm::vbool(Term::var(t)), tm::boolean(true)),
-                        ]),
-                    ),
-                ),
-                Assertion::atom(gvar(g, tm::half(), tm::vbool(Term::var(t)))),
-            ]),
-        ),
-    )
-}
-
-/// `claim l γ`: the successor's exclusive right to consume node `l`'s
-/// handoff.
-pub(crate) fn claim(ws: &mut Ws, r: PredId, pol: &Polarity, ns: &str, l: Term, g: Term) -> Assertion {
-    let body = node_inv(ws, r, pol, l.clone(), g.clone());
-    sep([
-        inv(ns, body),
-        Assertion::atom(gvar(g, tm::half(), tm::boolean(false))),
-    ])
-}
-
-pub(crate) fn is_qlock(ws: &mut Ws, r: PredId, pol: &Polarity, nns: &str, tns: &str, lk: Term) -> Assertion {
-    let tl = ws.v(Sort::Loc, "tl");
-    let tv = ws.v(Sort::Val, "tv");
-    let l = ws.v(Sort::Loc, "l");
-    let g = ws.v(Sort::GhostName, "γ");
-    let cl = claim(ws, r, pol, nns, Term::var(l), Term::var(g));
-    let body = ex(
-        tv,
-        ex(
-            l,
-            ex(
-                g,
-                sep([
-                    crate::common::pt(Term::var(tl), Term::var(tv)),
-                    eq(Term::var(tv), tm::vloc(Term::var(l))),
-                    cl,
-                ]),
-            ),
-        ),
-    );
-    ex(tl, sep([eq(lk, tm::vloc(Term::var(tl))), inv(tns, body)]))
-}
-
-pub(crate) fn qlock_locked(ws: &mut Ws, r: PredId, pol: &Polarity, nns: &str, v: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let g = ws.v(Sort::GhostName, "γ");
-    let body = node_inv(ws, r, pol, Term::var(l), Term::var(g));
-    ex(
-        l,
-        ex(
-            g,
-            sep([
-                eq(v, tm::vloc(Term::var(l))),
-                pt_frac(
-                    Term::var(l),
-                    tm::half(),
-                    tm::boolean(pol.busy),
-                ),
-                inv(nns, body),
-            ]),
-        ),
-    )
-}
-
-/// Builds the five specs for either polarity. Shared with the MCS-style
-/// variant.
-pub(crate) fn build_qlock(
-    source: &str,
-    pol: &Polarity,
-    nns: &'static str,
-    tns: &'static str,
-    names: (&str, &str, &str, &str, &str),
-) -> ClhSpecs {
-    let (newn, swapn, spinn, acqn, reln) = names;
-    let mut preds = PredTable::new();
-    let r = preds.fresh_plain("R");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // new.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let pre = papp(r, Vec::new());
-    let post = is_qlock(&mut ws, r, pol, nns, tns, Term::var(w));
-    specs.push(ws.spec(newn, newn, a, Vec::new(), pre, w, post));
-
-    // swaptail.
-    let a = ws.v(Sort::Val, "a");
-    let lk = ws.v(Sort::Val, "lk");
-    let n = ws.v(Sort::Loc, "n");
-    let gn = ws.v(Sort::GhostName, "γn");
-    let w = ws.v(Sort::Val, "w");
-    let lp = ws.v(Sort::Loc, "lp");
-    let gp = ws.v(Sort::GhostName, "γp");
-    let cl_n = claim(&mut ws, r, pol, nns, Term::var(n), Term::var(gn));
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(Term::var(lk), tm::vloc(Term::var(n))),
-        ),
-        is_qlock(&mut ws, r, pol, nns, tns, Term::var(lk)),
-        cl_n,
-    ]);
-    let cl_p = claim(&mut ws, r, pol, nns, Term::var(lp), Term::var(gp));
-    // The return-value equation comes first so it *determines* the
-    // existential before the claim is matched.
-    let post = ex(
-        lp,
-        ex(
-            gp,
-            sep([eq(Term::var(w), tm::vloc(Term::var(lp))), cl_p]),
-        ),
-    );
-    specs.push(ws.spec(swapn, swapn, a, vec![lk, n, gn], pre, w, post));
-
-    // spin.
-    let p = ws.v(Sort::Val, "p");
-    let lp = ws.v(Sort::Loc, "lp");
-    let gp = ws.v(Sort::GhostName, "γp");
-    let w = ws.v(Sort::Val, "w");
-    let cl = claim(&mut ws, r, pol, nns, Term::var(lp), Term::var(gp));
-    let pre = sep([eq(Term::var(p), tm::vloc(Term::var(lp))), cl]);
-    let post = sep([eq(Term::var(w), tm::unit()), papp(r, Vec::new())]);
-    specs.push(ws.spec(spinn, spinn, p, vec![lp, gp], pre, w, post));
-
-    // acquire.
-    let lk = ws.v(Sort::Val, "lk");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_qlock(&mut ws, r, pol, nns, tns, Term::var(lk));
-    let post = sep([
-        qlock_locked(&mut ws, r, pol, nns, Term::var(w)),
-        papp(r, Vec::new()),
-    ]);
-    specs.push(ws.spec(acqn, acqn, lk, Vec::new(), pre, w, post));
-
-    // release.
-    let n = ws.v(Sort::Val, "n");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        qlock_locked(&mut ws, r, pol, nns, Term::var(n)),
-        papp(r, Vec::new()),
-    ]);
-    specs.push(ws.spec(
-        reln,
-        reln,
-        n,
-        Vec::new(),
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    ClhSpecs { ws, r, specs }
-}
-
-/// Builds the CLH specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> ClhSpecs {
-    build_qlock(
-        source,
-        &Polarity { busy: true },
-        "clh.node",
-        "clh.tail",
-        ("newclh", "swaptail", "spin", "acquire", "release"),
-    )
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -291,14 +85,7 @@ impl Example for ClhLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic().with_backtracking()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -308,12 +95,7 @@ impl Example for ClhLock {
             "def spin p := if !p then spin p else ()",
             "def spin p := !p ;; ()",
         );
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(s.ws.verify_all(
-            &registry,
-            &[(&s.specs[2], VerifyOptions::automatic().with_backtracking())],
-        ))
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["spin"], |_| VerifyOptions::automatic().with_backtracking()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -331,9 +113,8 @@ impl Example for ClhLock {
                 if v = 2 then v else wait u) ()",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -365,10 +146,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(ClhLock.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -1,15 +1,14 @@
 //! Shared infrastructure for the benchmark examples.
 
-use diaframe_core::{Spec, SpecTable, Stuck, VerifiedProof, VerifyOptions};
-use diaframe_core::ctx::ProofCtx;
-use diaframe_ghost::Registry;
+use diaframe_core::annot::{AnnotError, Annotation, Elaborated};
+use diaframe_core::{Spec, Stuck, Tactic, VerifiedProof, VerifyOptions};
+use diaframe_ghost::{AtomSig, Registry};
 use diaframe_heaplang::monitor::SyncModel;
 use diaframe_heaplang::parser::{parse_program, Def};
 use diaframe_heaplang::{Expr, Heap, Val};
-use diaframe_logic::{Assertion, Atom, Binder, Namespace, PredId, PredTable};
-use diaframe_term::{PureProp, Qp, Sort, Subst, Term, VarId};
+use diaframe_logic::{Assertion, Atom, PredId};
+use diaframe_term::{PureProp, Term};
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 
 /// The paper-reported numbers for one tool on one example: `(total, proof)`
 /// — `n/m` in Figure 6.
@@ -103,13 +102,10 @@ pub trait Example: Sync + Send {
     /// The Figure 6 row name.
     fn name(&self) -> &'static str;
 
-    /// A stable key identifying this example's verification work for
-    /// result memoization: two calls of [`Example::verify`] (or
-    /// [`Example::verify_broken`]) on examples with equal cache keys
-    /// must produce interchangeable outcomes. The default — the row
-    /// name — is right for every ordinary example; override it only for
-    /// parameterized examples whose verification depends on more than
-    /// the name.
+    /// The row name as a string. Verification depends on nothing but
+    /// the name, so this is what memoization keys on; the workspace
+    /// keys on [`Example::name`] directly, and this stays for the
+    /// benchmark harness, which calls it.
     fn cache_key(&self) -> String {
         self.name().to_owned()
     }
@@ -117,8 +113,9 @@ pub trait Example: Sync + Send {
     /// The HeapLang source (the `impl` column counts its lines).
     fn source(&self) -> &'static str;
 
-    /// The annotation: a textual rendering of specifications + invariants
-    /// (the `annot` column counts its lines).
+    /// The annotation: the specifications, invariants and hint names in
+    /// the paper's notation, elaborated by [`Ws::new`] into the specs
+    /// [`Example::verify`] proves (the `annot` column counts its lines).
     fn annotation(&self) -> &'static str;
 
     /// The paper-reported statistics.
@@ -206,107 +203,132 @@ pub fn count_lines(src: &str) -> usize {
     src.lines().filter(|l| !l.trim().is_empty()).count()
 }
 
-/// A workspace for building one example's specs: owns the proof context
-/// template (cloned per verification), the parsed + linked functions, and
-/// the spec table.
-pub struct Ws {
-    /// The proof-context template.
-    pub ctx: ProofCtx,
-    /// The registered specifications.
-    pub specs: SpecTable,
-    funcs: HashMap<String, Val>,
-    defs: Vec<Def>,
+/// Counts an annotation's statement lines (the unit of the `annot`
+/// column): every line the parser consumes, not its `//` comments.
+#[must_use]
+pub fn annotation_lines(text: &str) -> usize {
+    Annotation::parse(text).map_or_else(|_| count_lines(text), |a| a.statement_lines().len())
 }
 
+/// One example's elaborated annotation: the proof-context template
+/// (cloned per verification), the registered specs, and the specs the
+/// annotation declares, produced by [`diaframe_core::annot::elaborate`].
+pub struct Ws(Elaborated);
+
 impl Ws {
-    /// Parses the source and links its definitions.
+    /// Elaborates an example's annotation against its source, with the
+    /// standard ghost atoms and the examples as libraries.
     ///
     /// # Panics
     ///
-    /// Panics on parse errors or unresolved names (the sources are static
-    /// program text, so this is a programming error in the example).
+    /// Panics on a parse or elaboration error (the texts are static, so
+    /// this is a mistake in the example).
     #[must_use]
-    pub fn new(preds: PredTable, source: &str) -> Ws {
-        let defs = parse_program(source).expect("example source parses");
-        let mut funcs: HashMap<String, Val> = HashMap::new();
-        for def in &defs {
-            let mut body = def.body.clone();
-            for (name, val) in &funcs {
-                body = body.subst(name, val);
-            }
+    pub fn new(source: &str, annotation: &str) -> Ws {
+        Ws::elaborate(source, annotation, &Registry::standard_atoms())
+            .unwrap_or_else(|e| panic!("{e}\n{annotation}"))
+    }
+
+    /// Elaborates with an explicit ghost-atom name table (for examples
+    /// that bring their own ghost library).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first parse or elaboration error.
+    pub fn elaborate(source: &str, annotation: &str, atoms: &[AtomSig]) -> Result<Ws, AnnotError> {
+        diaframe_core::annot::elaborate(source, annotation, atoms, &crate::registry::library).map(Ws)
+    }
+
+    /// The specs the annotation declares, in declaration order.
+    #[must_use]
+    pub fn declared(&self) -> &[Spec] {
+        &self.0.declared
+    }
+
+    /// A registered spec by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no spec has that name.
+    #[must_use]
+    pub fn named(&self, name: &str) -> &Spec {
+        self.0
+            .table
+            .specs()
+            .iter()
+            .rev()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no spec named {name}"))
+    }
+
+    /// An abstract predicate of the annotation by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the annotation declares no such predicate.
+    #[must_use]
+    pub fn pred(&self, name: &str) -> PredId {
+        self.0
+            .ctx
+            .preds
+            .find(name)
+            .unwrap_or_else(|| panic!("no predicate named {name}"))
+    }
+
+    /// Verifies every declared spec, in declaration order, with the
+    /// options `opts` gives each spec name.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first stuck report.
+    pub fn verify_declared(
+        &self,
+        opts: impl Fn(&str) -> VerifyOptions,
+    ) -> Result<ExampleOutcome, Box<Stuck>> {
+        let names: Vec<&str> = self.0.declared.iter().map(|s| s.name.as_str()).collect();
+        self.verify_named(&names, opts)
+    }
+
+    /// Verifies the named specs in the given order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first stuck report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `Next Obligation.` spec gets no tactic, or a `HINT`
+    /// the annotation names is registered for none of the specs.
+    pub fn verify_named(
+        &self,
+        names: &[&str],
+        opts: impl Fn(&str) -> VerifyOptions,
+    ) -> Result<ExampleOutcome, Box<Stuck>> {
+        let jobs: Vec<(&Spec, VerifyOptions)> =
+            names.iter().map(|n| (self.named(n), opts(n))).collect();
+        for (spec, script) in &self.0.obligations {
             assert!(
-                body.is_closed(),
-                "definition {} mentions undefined {:?}",
-                def.name,
-                body.free_vars()
+                !names.contains(&spec.as_str()) || !opts(spec).tactics.is_empty(),
+                "`{spec}` has `Next Obligation. {script} Qed.` but no tactic"
             );
-            let val = body
-                .to_rec_val()
-                .or_else(|| body.as_val().cloned())
-                .unwrap_or_else(|| panic!("definition {} is not a value", def.name));
-            funcs.insert(def.name.clone(), val);
         }
-        Ws {
-            ctx: ProofCtx::new(preds),
-            specs: SpecTable::new(),
-            funcs,
-            defs,
+        let registered: BTreeSet<&str> = jobs
+            .iter()
+            .flat_map(|(_, o)| {
+                o.tactics
+                    .iter()
+                    .map(Tactic::name)
+                    .chain(o.custom_hints.iter().map(|(n, _)| n.as_str()))
+                    .chain(o.custom_alloc_hints.iter().map(|(n, _)| n.as_str()))
+            })
+            .collect();
+        for h in &self.0.hints {
+            assert!(
+                registered.contains(h.as_str()),
+                "HINT {h} names no registered hint or tactic"
+            );
         }
-    }
-
-    /// The linked function value for a definition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no definition has that name.
-    #[must_use]
-    pub fn func(&self, name: &str) -> Val {
-        self.funcs
-            .get(name)
-            .unwrap_or_else(|| panic!("no definition named {name}"))
-            .clone()
-    }
-
-    /// The parsed definitions (for building adequacy clients).
-    #[must_use]
-    pub fn defs(&self) -> &[Def] {
-        &self.defs
-    }
-
-    /// A fresh placeholder variable.
-    pub fn v(&mut self, sort: Sort, name: &str) -> VarId {
-        self.ctx.vars.fresh_var(sort, name)
-    }
-
-    /// A fresh placeholder as a term.
-    pub fn t(&mut self, sort: Sort, name: &str) -> Term {
-        Term::var(self.v(sort, name))
-    }
-
-    /// Registers a spec and returns it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spec(
-        &mut self,
-        name: &str,
-        func: &str,
-        arg: VarId,
-        binders: Vec<VarId>,
-        pre: Assertion,
-        ret: VarId,
-        post: Assertion,
-    ) -> Spec {
-        let spec = Spec {
-            name: name.to_owned(),
-            func: self.func(func),
-            arg,
-            binders,
-            pre,
-            ret,
-            post,
-            atomic: false,
-        };
-        self.specs.register(spec.clone());
-        spec
+        self.verify_all(&Registry::standard(), &jobs)
     }
 
     /// Verifies a list of specs (with per-spec options), producing the
@@ -332,7 +354,7 @@ impl Ws {
             for (spec, opts) in specs_with_opts {
                 manual = manual.max(opts.manual_steps());
                 let proof =
-                    diaframe_core::verify(registry, &self.specs, opts, self.ctx.clone(), spec)?;
+                    diaframe_core::verify(registry, &self.0.table, opts, self.0.ctx.clone(), spec)?;
                 proofs.push(proof);
             }
             Ok(ExampleOutcome {
@@ -343,8 +365,19 @@ impl Ws {
     }
 }
 
+/// The parsed definitions of an example's program, for linking its
+/// adequacy client.
+///
+/// # Panics
+///
+/// Panics when the program does not parse.
+#[must_use]
+pub fn program(source: &str) -> Vec<Def> {
+    parse_program(source).expect("example source parses")
+}
+
 // ---------------------------------------------------------------------
-// Assertion-building conveniences.
+// Assertion-building conveniences for the custom hints.
 // ---------------------------------------------------------------------
 
 /// `ℓ ↦ v`.
@@ -353,107 +386,16 @@ pub fn pt(l: Term, v: Term) -> Assertion {
     Assertion::atom(Atom::points_to(l, v))
 }
 
-/// `ℓ ↦{q} v`.
-#[must_use]
-pub fn pt_frac(l: Term, q: Term, v: Term) -> Assertion {
-    Assertion::atom(Atom::points_to_frac(l, q, v))
-}
-
 /// `⌜a = b⌝`.
 #[must_use]
 pub fn eq(a: Term, b: Term) -> Assertion {
     Assertion::pure(PureProp::eq(a, b))
 }
 
-/// `∃x. body`.
-#[must_use]
-pub fn ex(x: VarId, body: Assertion) -> Assertion {
-    Assertion::exists(Binder::new(x), body)
-}
-
-/// `a ∗ b ∗ …`.
-#[must_use]
-pub fn sep<I: IntoIterator<Item = Assertion>>(items: I) -> Assertion {
-    Assertion::sep_list(items)
-}
-
-/// `a ∨ b`.
-#[must_use]
-pub fn or(a: Assertion, b: Assertion) -> Assertion {
-    Assertion::or(a, b)
-}
-
-/// `inv N (body)`.
-#[must_use]
-pub fn inv(ns: &str, body: Assertion) -> Assertion {
-    Assertion::atom(Atom::invariant(Namespace::new(ns), body))
-}
-
 /// An abstract predicate application.
 #[must_use]
 pub fn papp(p: PredId, args: Vec<Term>) -> Assertion {
     Assertion::atom(Atom::PredApp { pred: p, args })
-}
-
-/// The `#b`/`#n`/`#ℓ` embeddings and fraction literals, re-exported for
-/// terse example code.
-pub mod tm {
-    use super::{Qp, Term};
-
-    /// `#n` for an integer term.
-    #[must_use]
-    pub fn vint(t: Term) -> Term {
-        Term::v_int(t)
-    }
-
-    /// `#n` for an integer literal.
-    #[must_use]
-    pub fn int(n: i128) -> Term {
-        Term::v_int_lit(n)
-    }
-
-    /// `#b` for a boolean term.
-    #[must_use]
-    pub fn vbool(t: Term) -> Term {
-        Term::v_bool(t)
-    }
-
-    /// `#true` / `#false`.
-    #[must_use]
-    pub fn boolean(b: bool) -> Term {
-        Term::v_bool_lit(b)
-    }
-
-    /// `#ℓ` for a location term.
-    #[must_use]
-    pub fn vloc(t: Term) -> Term {
-        Term::v_loc(t)
-    }
-
-    /// `#()`.
-    #[must_use]
-    pub fn unit() -> Term {
-        Term::v_unit()
-    }
-
-    /// The fraction `1`.
-    #[must_use]
-    pub fn one() -> Term {
-        Term::qp_one()
-    }
-
-    /// The fraction `1/2`.
-    #[must_use]
-    pub fn half() -> Term {
-        Term::qp(Qp::half())
-    }
-}
-
-/// Instantiates a template assertion at the given placeholder bindings.
-#[must_use]
-pub fn inst(template: &Assertion, bindings: &[(VarId, Term)]) -> Assertion {
-    let s: Subst = bindings.iter().cloned().collect();
-    template.subst(&s)
 }
 
 #[cfg(test)]
@@ -468,11 +410,10 @@ mod tests {
     #[test]
     fn workspace_links_functions() {
         let ws = Ws::new(
-            PredTable::new(),
             "def f x := x + 1\ndef g y := f (f y)",
+            "SPEC {{ True }} g y {{ n, RET #n; True }}",
         );
-        assert!(matches!(ws.func("f"), Val::Rec { .. }));
-        assert!(matches!(ws.func("g"), Val::Rec { .. }));
-        assert_eq!(ws.defs().len(), 2);
+        assert!(matches!(ws.named("g").func, Val::Rec { .. }));
+        assert_eq!(ws.declared().len(), 1);
     }
 }

@@ -7,14 +7,9 @@
 //! automation needs no help. Double-`finish` is excluded by the one-shot
 //! ghost (`pending γ` / `shot γ`).
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::oneshot::{pending, shot};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{Sort, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -25,101 +20,15 @@ def join j := if CAS(j, 1, 2) then () else join j
 
 /// Specifications and the invariant.
 pub const ANNOTATION: &str = "\
+// Q: the resource the worker hands to the joiner.
+Context (Q : iProp)
 join_inv γ l := ∃ s. l ↦ #s ∗
-  (⌜s = 0⌝ ∨ ⌜s = 1⌝ ∗ shot γ ∗ Q ∨ ⌜s = 2⌝ ∗ shot γ)
-is_join γ j := ∃ l. ⌜j = #l⌝ ∗ inv N (join_inv γ l)
-SPEC {{ True }} make () {{ j γ, RET j; is_join γ j ∗ pending γ }}
-SPEC {{ is_join γ j ∗ pending γ ∗ Q }} finish j {{ RET #(); True }}
-SPEC {{ is_join γ j }} join j {{ RET #(); Q }}
+  (⌜#s = #0⌝ ∨ ⌜#s = #1⌝ ∗ shot γ #() ∗ Q ∨ ⌜#s = #2⌝ ∗ shot γ #())
+is_join γ j := ∃ l. ⌜j = #l⌝ ∗ inv join (join_inv γ l)
+SPEC {{ True }} make () {{ w γ, RET w; is_join γ w ∗ pending γ }}
+SPEC γ, {{ is_join γ j ∗ pending γ ∗ Q }} finish j {{ RET #(); True }}
+SPEC γ, {{ is_join γ j }} join j {{ RET #(); Q }}
 ";
-
-/// The built specs.
-pub struct ForkJoinSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The transferred resource `Q`.
-    pub q: PredId,
-    /// make / finish / join.
-    pub specs: Vec<Spec>,
-}
-
-/// `is_join γ j` over the resource `q`.
-pub fn is_join(ws: &mut Ws, q: PredId, gamma: Term, j: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let s = ws.v(Sort::Int, "s");
-    let join_inv = ex(
-        s,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(s))),
-            or(
-                eq(tm::vint(Term::var(s)), tm::int(0)),
-                or(
-                    sep([
-                        eq(tm::vint(Term::var(s)), tm::int(1)),
-                        Assertion::atom(shot(gamma.clone(), tm::unit())),
-                        papp(q, Vec::new()),
-                    ]),
-                    sep([
-                        eq(tm::vint(Term::var(s)), tm::int(2)),
-                        Assertion::atom(shot(gamma.clone(), tm::unit())),
-                    ]),
-                ),
-            ),
-        ]),
-    );
-    ex(l, sep([eq(j, tm::vloc(Term::var(l))), inv("join", join_inv)]))
-}
-
-/// Builds the fork/join workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> ForkJoinSpecs {
-    let mut preds = PredTable::new();
-    let q = preds.fresh_plain("Q");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = sep([
-            is_join(&mut ws, q, Term::var(g), Term::var(w)),
-            Assertion::atom(pending(Term::var(g))),
-        ]);
-        ex(g, body)
-    };
-    specs.push(ws.spec("make", "make", a, Vec::new(), Assertion::emp(), w, post));
-
-    // finish.
-    let j = ws.v(Sort::Val, "j");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_join(&mut ws, q, Term::var(g), Term::var(j)),
-        Assertion::atom(pending(Term::var(g))),
-        papp(q, Vec::new()),
-    ]);
-    specs.push(ws.spec(
-        "finish",
-        "finish",
-        j,
-        vec![g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // join.
-    let j = ws.v(Sort::Val, "j");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_join(&mut ws, q, Term::var(g), Term::var(j));
-    let post = sep([eq(Term::var(w), tm::unit()), papp(q, Vec::new())]);
-    specs.push(ws.spec("join", "join", j, vec![g], pre, w, post));
-
-    ForkJoinSpecs { ws, q, specs }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -154,14 +63,7 @@ impl Example for ForkJoin {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -172,12 +74,7 @@ def make _ := ref 0
 def finish j := j <- 1
 def join j := if CAS(j, 0, 2) then () else join j
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[2], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["join"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -189,9 +86,8 @@ def join j := if CAS(j, 0, 2) then () else join j
              !r",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(42),
         ))
     }
@@ -229,10 +125,6 @@ mod tests {
         assert!(outcome.hints_used().contains("oneshot-fire"));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(ForkJoin.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -2,21 +2,19 @@
 //! then join and hand `Q` back — verified modularly against the library
 //! specifications, with a real `fork` in the client code.
 
-use crate::common::{eq, papp, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
 use diaframe_core::{Stuck, VerifyOptions};
-use diaframe_ghost::oneshot::pending;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::Assertion;
-use diaframe_term::{Sort, Term};
 
 /// The client: the worker finishes the handle, the main thread joins.
 pub const SOURCE: &str = "\
 def roundtrip j := fork { finish j } ;; join j ;; ()
 ";
 
-/// The client's specification.
+/// The client's specification, against the fork/join library's.
 pub const ANNOTATION: &str = "\
-SPEC {{ is_join γ j ∗ pending γ ∗ Q }} roundtrip j {{ RET #(); Q }}
+Require fork_join
+SPEC γ, {{ is_join γ j ∗ pending γ ∗ Q }} roundtrip j {{ RET #(); Q }}
 ";
 
 /// The Figure 6 example.
@@ -52,31 +50,14 @@ impl Example for ForkJoinClient {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let combined = format!("{}{}", crate::fork_join::SOURCE, SOURCE);
-        let mut s = crate::fork_join::build_with_source(&combined);
-        let q = s.q;
-        let ws = &mut s.ws;
-        let j = ws.v(Sort::Val, "j");
-        let g = ws.v(Sort::GhostName, "γ");
-        let w = ws.v(Sort::Val, "w");
-        let pre = sep([
-            crate::fork_join::is_join(ws, q, Term::var(g), Term::var(j)),
-            Assertion::atom(pending(Term::var(g))),
-            papp(q, Vec::new()),
-        ]);
-        let post = sep([eq(Term::var(w), tm::unit()), papp(q, Vec::new())]);
-        let spec = ws.spec("roundtrip", "roundtrip", j, vec![g], pre, w, post);
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws
-            .verify_all(&registry, &[(&spec, VerifyOptions::automatic())])
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
         let combined = format!("{}{}", crate::fork_join::SOURCE, SOURCE);
-        let s = crate::fork_join::build_with_source(&combined);
         let main = parse_expr("let j := make () in roundtrip j ;; !j").expect("parses");
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(&combined), &main),
             Val::Int(2),
         ))
     }

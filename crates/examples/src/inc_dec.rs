@@ -5,11 +5,9 @@
 //! operation returns the value it replaced), with the invariant merely
 //! owning the location — the Caper-style "no functional spec" benchmark.
 
-use crate::common::{eq, ex, inv, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredTable};
-use diaframe_term::{Sort, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -22,52 +20,12 @@ def get c := !c
 /// Specifications and the invariant.
 pub const ANNOTATION: &str = "\
 incdec_inv l := ∃ n. l ↦ #n
-is_incdec c := ∃ l. ⌜c = #l⌝ ∗ inv N (incdec_inv l)
-SPEC {{ True }} make () {{ c, RET c; is_incdec c }}
+is_incdec c := ∃ l. ⌜c = #l⌝ ∗ inv incdec (incdec_inv l)
+SPEC {{ True }} make () {{ w, RET w; is_incdec w }}
 SPEC {{ is_incdec c }} incr c {{ n, RET #n; True }}
 SPEC {{ is_incdec c }} decr c {{ n, RET #n; True }}
 SPEC {{ is_incdec c }} get c {{ n, RET #n; True }}
 ";
-
-/// Built specs.
-pub struct IncDecSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// All four specs, in source order.
-    pub specs: Vec<Spec>,
-}
-
-fn is_incdec(ws: &mut Ws, c: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let n = ws.v(Sort::Int, "n");
-    let body = ex(n, pt(Term::var(l), tm::vint(Term::var(n))));
-    ex(
-        l,
-        sep([eq(c, tm::vloc(Term::var(l))), inv("incdec", body)]),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> IncDecSpecs {
-    let mut ws = Ws::new(PredTable::new(), source);
-    let mut specs = Vec::new();
-
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let post = is_incdec(&mut ws, Term::var(w));
-    specs.push(ws.spec("make", "make", a, Vec::new(), Assertion::emp(), w, post));
-
-    for name in ["incr", "decr", "get"] {
-        let c = ws.v(Sort::Val, "c");
-        let w = ws.v(Sort::Val, "w");
-        let n = ws.v(Sort::Int, "n");
-        let pre = is_incdec(&mut ws, Term::var(c));
-        let post = ex(n, eq(Term::var(w), tm::vint(Term::var(n))));
-        specs.push(ws.spec(name, name, c, Vec::new(), pre, w, post));
-    }
-    IncDecSpecs { ws, specs }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -102,14 +60,7 @@ impl Example for IncDec {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -120,12 +71,7 @@ def incr c := let v := !c in if CAS(c, v, v + 1) then v else incr c
 def decr c := let v := !c in if CAS(c, v, v - 1) then v else decr c
 def get c := ! !c
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[3], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["get"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -137,9 +83,8 @@ def get c := ! !c
              get c ;; 0",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(0),
         ))
     }
@@ -175,10 +120,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(IncDec.verify_broken().expect("broken variant").is_err());
-    }
 
     #[test]
     fn adequacy() {

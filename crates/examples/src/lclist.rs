@@ -7,14 +7,11 @@
 //! hand-over-hand locking; this reproduction verifies the coarse-grained
 //! variant, see EXPERIMENTS.md.)
 
-use crate::common::{
-    eq, ex, or, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use crate::spin_lock::{is_lock_with, lock_instance, LockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{eq, papp, program, pt, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_ghost::HintCandidate;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, Atom, PredId, PredTable};
+use diaframe_logic::{Assertion, Atom, PredId};
 use diaframe_term::{PureProp, Sort, Term};
 
 /// The implementation. The list handle is `(lk, (head_cell, null))`.
@@ -51,38 +48,24 @@ def add a :=
   release (fst w)
 ";
 
-/// Specifications and the recursive list predicate.
+/// Specifications and the recursive list predicate; the lock is the
+/// spin lock's annotation at `R := R_list hd null`.
 pub const ANNOTATION: &str = "\
 llchain h nl := ⌜h = nl⌝ ∨ ∃ l k nx. ⌜h = #l⌝ ∗ l ↦ (#k, nx) ∗ llchain nx nl
-R_list hd null := ∃ h. hd ↦ h ∗ llchain h #null
-is_list γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock γ lk (R_list hd null)
+R_list hd (null : loc) := ∃ h. hd ↦ h ∗ llchain h #null
+Context (hd null : loc)
+Instance spin_lock hd null with N := list, R := R_list hd null
+is_list γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock list γ lk (R_list hd null)
 SPEC {{ True }} newlist () {{ w γ, RET w; is_list γ w }}
-SPEC {{ ⌜a = (h, (#k, #null))⌝ ∗ llchain h #null }} find a
-     {{ r, RET r; ∃ bb. ⌜r = #bb⌝ ∗ llchain h #null }}
-SPEC {{ ⌜a = (w, #k)⌝ ∗ is_list γ w }} contains a {{ r, RET r; ∃ bb. ⌜r = #bb⌝ }}
-SPEC {{ ⌜a = (w, #k)⌝ ∗ is_list γ w }} add a {{ RET #(); True }}
-custom hints: llchain fold (nil/cons) and unfold
+SPEC h k (null : loc), {{ ⌜a = (h, (#k, #null))⌝ ∗ llchain h #null }} find a
+     {{ (bb : bool), RET #bb; llchain h #null }}
+// `contains` allocates its result binder after the precondition.
+some_bool w := ∃ (bb : bool). ⌜w = #bb⌝
+SPEC wv k γ, {{ ⌜a = (wv, #k)⌝ ∗ is_list γ wv }} contains a {{ w, RET w; some_bool w }}
+SPEC wv k γ, {{ ⌜a = (wv, #k)⌝ ∗ is_list γ wv }} add a {{ RET #(); True }}
+HINT llchain-fold: ε₁ ∗ [⌜h = nl⌝ ∨ l ↦ (#k, nx) ∗ llchain nx nl] ⊫ llchain h nl
+HINT llchain-unfold: replace the newest llchain h nl by its one-level unfolding
 ";
-
-/// The built specs.
-pub struct LclistSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The recursive predicate.
-    pub llchain: PredId,
-    /// The lock instance.
-    pub lock: LockInstance,
-    /// newlist / find / contains / add.
-    pub specs: Vec<Spec>,
-}
-
-/// `chain hd nl`: the list segment from head pointer `hd` to the integer list `nl`.
-pub fn chain_app(chain: PredId, h: Term, nl: Term) -> Assertion {
-    Assertion::atom(Atom::PredApp {
-        pred: chain,
-        args: vec![h, nl],
-    })
-}
 
 /// The shared chain hint set for fully-owned integer lists: fold hints and
 /// the unconditional one-level unfold.
@@ -104,12 +87,12 @@ pub fn llchain_options(chain: PredId) -> VerifyOptions {
             let nx = vars.fresh_evar(Sort::Val);
             let cons = HintCandidate::new("llchain-fold-cons")
                 .unify(h, Term::v_loc(Term::evar(l)))
-                .side(sep([
+                .side(Assertion::sep_list([
                     Assertion::atom(Atom::points_to(
                         Term::evar(l),
                         Term::v_pair(Term::v_int(Term::evar(k)), Term::evar(nx)),
                     )),
-                    chain_app(chain, Term::evar(nx), nl),
+                    papp(chain, vec![Term::evar(nx), nl]),
                 ]));
             vec![nil, cons]
         })
@@ -136,149 +119,21 @@ pub fn llchain_options(chain: PredId) -> VerifyOptions {
                         diaframe_logic::Binder::new(k),
                         Assertion::exists(
                             diaframe_logic::Binder::new(nx),
-                            sep([
-                                eq(h.clone(), tm::vloc(Term::var(l))),
+                            Assertion::sep_list([
+                                eq(h.clone(), Term::v_loc(Term::var(l))),
                                 pt(
                                     Term::var(l),
                                     Term::v_pair(Term::v_int(Term::var(k)), Term::var(nx)),
                                 ),
-                                chain_app(chain, Term::var(nx), nl.clone()),
+                                papp(chain, vec![Term::var(nx), nl.clone()]),
                             ]),
                         ),
                     ),
                 );
-                return Some((idx, or(eq(h, nl), cons)));
+                return Some((idx, Assertion::or(eq(h, nl), cons)));
             }
             None
         })
-}
-
-fn r_list(ws: &mut Ws, chain: PredId, hd: Term, null: Term) -> Assertion {
-    let h = ws.v(Sort::Val, "h");
-    ex(
-        h,
-        sep([
-            pt(hd, Term::var(h)),
-            chain_app(chain, Term::var(h), tm::vloc(null)),
-        ]),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> LclistSpecs {
-    let mut preds = PredTable::new();
-    let llchain = preds.fresh_pred("llchain", 2);
-    let mut ws = Ws::new(preds, source);
-
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let lock = lock_instance(&mut ws, "list", &[hd, null], &|ws| {
-        r_list(ws, llchain, Term::var(hd), Term::var(null))
-    });
-
-    let mut specs = Vec::new();
-
-    // newlist.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_list(&mut ws, llchain, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    specs.push(ws.spec(
-        "newlist",
-        "newlist",
-        a,
-        Vec::new(),
-        Assertion::emp(),
-        w,
-        post,
-    ));
-
-    // find.
-    let a = ws.v(Sort::Val, "a");
-    let h = ws.v(Sort::Val, "h");
-    let k = ws.v(Sort::Int, "k");
-    let null = ws.v(Sort::Loc, "null");
-    let w = ws.v(Sort::Val, "w");
-    let bb = ws.v(Sort::Bool, "bb");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(
-                Term::var(h),
-                Term::v_pair(tm::vint(Term::var(k)), tm::vloc(Term::var(null))),
-            ),
-        ),
-        chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))),
-    ]);
-    let post = ex(
-        bb,
-        sep([
-            eq(Term::var(w), tm::vbool(Term::var(bb))),
-            chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))),
-        ]),
-    );
-    specs.push(ws.spec("find", "find", a, vec![h, k, null], pre, w, post));
-
-    // contains / add.
-    for name in ["contains", "add"] {
-        let a = ws.v(Sort::Val, "a");
-        let wv = ws.v(Sort::Val, "wv");
-        let k = ws.v(Sort::Int, "k");
-        let g = ws.v(Sort::GhostName, "γ");
-        let w = ws.v(Sort::Val, "w");
-        let pre = sep([
-            eq(
-                Term::var(a),
-                Term::v_pair(Term::var(wv), tm::vint(Term::var(k))),
-            ),
-            is_list(&mut ws, llchain, Term::var(g), Term::var(wv)),
-        ]);
-        let post = if name == "contains" {
-            let bb = ws.v(Sort::Bool, "bb");
-            ex(bb, eq(Term::var(w), tm::vbool(Term::var(bb))))
-        } else {
-            eq(Term::var(w), tm::unit())
-        };
-        specs.push(ws.spec(name, name, a, vec![wv, k, g], pre, w, post));
-    }
-
-    LclistSpecs {
-        ws,
-        llchain,
-        lock,
-        specs,
-    }
-}
-
-fn is_list(ws: &mut Ws, chain: PredId, g: Term, w: Term) -> Assertion {
-    let lk = ws.v(Sort::Val, "lk");
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let res = r_list(ws, chain, Term::var(hd), Term::var(null));
-    let lockpart = is_lock_with(ws, "list", res, g, Term::var(lk));
-    ex(
-        lk,
-        ex(
-            hd,
-            ex(
-                null,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(lk),
-                            Term::v_pair(tm::vloc(Term::var(hd)), tm::vloc(Term::var(null))),
-                        ),
-                    ),
-                    lockpart,
-                ]),
-            ),
-        ),
-    )
 }
 
 /// The Figure 6 example.
@@ -314,28 +169,18 @@ impl Example for Lclist {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = llchain_options(s.llchain);
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.lock.newlock, opts.clone()),
-            (&s.lock.acquire, opts.clone()),
-            (&s.lock.release, opts.clone()),
-        ];
-        for sp in &s.specs {
-            jobs.push((sp, opts.clone()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        let opts = llchain_options(ws.pred("llchain"));
+        ws.verify_declared(|_| opts.clone())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: add stores the raw key into the head pointer — the
         // chain predicate cannot be re-established for a non-location.
         let broken = SOURCE.replace("hd <- n ;;", "hd <- k ;;");
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = llchain_options(s.llchain);
-        Some(s.ws.verify_all(&registry, &[(&s.specs[3], opts)]))
+        let ws = Ws::new(&broken, ANNOTATION);
+        let opts = llchain_options(ws.pred("llchain"));
+        Some(ws.verify_named(&["add"], |_| opts.clone()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -347,9 +192,8 @@ impl Example for Lclist {
              (if contains (w, 5) then 1 else 0) + (if contains (w, 6) then 10 else 0)",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(1),
         ))
     }
@@ -372,10 +216,6 @@ mod tests {
             .any(|h| h.contains("llchain")));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(Lclist.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -2,13 +2,10 @@
 //! `push_back` (traversal with mutation at the end) — the paper's
 //! `lclist_extra` row (its largest implementation).
 
-use crate::common::{eq, ex, pt, sep, tm, Example, ExampleOutcome, PaperRow, Ws};
-use crate::lclist::{chain_app, llchain_options};
-use crate::spin_lock::{is_lock_with, lock_instance, LockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use diaframe_core::Stuck;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
+use crate::lclist::llchain_options;
 
 /// The implementation: the lclist plus traversal operations.
 pub const SOURCE: &str = "\
@@ -64,234 +61,27 @@ def push_back a :=
   release (fst w)
 ";
 
-/// Specifications.
+/// Specifications: the list of [`crate::lclist`] with more traversals.
 pub const ANNOTATION: &str = "\
 llchain h nl := ⌜h = nl⌝ ∨ ∃ l k nx. ⌜h = #l⌝ ∗ l ↦ (#k, nx) ∗ llchain nx nl
-R_list hd null := ∃ h. hd ↦ h ∗ llchain h #null
-is_list γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock γ lk (R_list hd null)
+R_list hd (null : loc) := ∃ h. hd ↦ h ∗ llchain h #null
+Context (hd null : loc)
+Instance spin_lock hd null with N := list, R := R_list hd null
+is_list γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock list γ lk (R_list hd null)
 SPEC {{ True }} newlist () {{ w γ, RET w; is_list γ w }}
-SPEC {{ ⌜a = (w, #k)⌝ ∗ is_list γ w }} add a {{ RET #(); True }}
-SPEC {{ ⌜a = (h, #null)⌝ ∗ llchain h #null }} len_from a
+SPEC wv k γ, {{ ⌜a = (wv, #k)⌝ ∗ is_list γ wv }} add a {{ RET #(); True }}
+SPEC h (null : loc), {{ ⌜a = (h, #null)⌝ ∗ llchain h #null }} len_from a
      {{ n, RET #n; ⌜0 ≤ n⌝ ∗ llchain h #null }}
-SPEC {{ is_list γ w }} length w {{ n, RET #n; ⌜0 ≤ n⌝ }}
-SPEC {{ ⌜a = (h, #null)⌝ ∗ llchain h #null }} sum_from a {{ n, RET #n; llchain h #null }}
-SPEC {{ is_list γ w }} sum w {{ n, RET #n; True }}
-SPEC {{ ⌜a = (h, (#n, #null))⌝ ∗ ⌜h ≠ #null⌝ ∗ llchain h #null ∗
+SPEC h (null : loc), {{ ⌜a = (h, #null)⌝ ∗ llchain h #null }} sum_from a
+     {{ n, RET #n; llchain h #null }}
+SPEC γ, {{ is_list γ wv }} length wv {{ n, RET #n; ⌜0 ≤ n⌝ }}
+SPEC γ, {{ is_list γ wv }} sum wv {{ n, RET #n; True }}
+SPEC h (n : loc) k (null : loc), {{ ⌜a = (h, (#n, #null))⌝ ∗ ⌜h ≠ #null⌝ ∗ llchain h #null ∗
         n ↦ (#k, #null) }} append_to a {{ RET #(); llchain h #null }}
-SPEC {{ ⌜a = (w, #k)⌝ ∗ is_list γ w }} push_back a {{ RET #(); True }}
+SPEC wv k γ, {{ ⌜a = (wv, #k)⌝ ∗ is_list γ wv }} push_back a {{ RET #(); True }}
+HINT llchain-fold: ε₁ ∗ [⌜h = nl⌝ ∨ l ↦ (#k, nx) ∗ llchain nx nl] ⊫ llchain h nl
+HINT llchain-unfold: replace the newest llchain h nl by its one-level unfolding
 ";
-
-/// The built specs.
-pub struct LclistExtraSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The recursive predicate.
-    pub llchain: PredId,
-    /// The lock instance.
-    pub lock: LockInstance,
-    /// All specs in source order.
-    pub specs: Vec<Spec>,
-}
-
-fn r_list(ws: &mut Ws, chain: PredId, hd: Term, null: Term) -> Assertion {
-    let h = ws.v(Sort::Val, "h");
-    ex(
-        h,
-        sep([
-            pt(hd, Term::var(h)),
-            chain_app(chain, Term::var(h), tm::vloc(null)),
-        ]),
-    )
-}
-
-fn is_list(ws: &mut Ws, chain: PredId, g: Term, w: Term) -> Assertion {
-    let lk = ws.v(Sort::Val, "lk");
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let res = r_list(ws, chain, Term::var(hd), Term::var(null));
-    let lockpart = is_lock_with(ws, "list", res, g, Term::var(lk));
-    ex(
-        lk,
-        ex(
-            hd,
-            ex(
-                null,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(lk),
-                            Term::v_pair(tm::vloc(Term::var(hd)), tm::vloc(Term::var(null))),
-                        ),
-                    ),
-                    lockpart,
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn build_with_source(source: &str) -> LclistExtraSpecs {
-    let mut preds = PredTable::new();
-    let llchain = preds.fresh_pred("llchain", 2);
-    let mut ws = Ws::new(preds, source);
-
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let lock = lock_instance(&mut ws, "list", &[hd, null], &|ws| {
-        r_list(ws, llchain, Term::var(hd), Term::var(null))
-    });
-
-    let mut specs = Vec::new();
-
-    // newlist.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_list(&mut ws, llchain, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    specs.push(ws.spec(
-        "newlist",
-        "newlist",
-        a,
-        Vec::new(),
-        Assertion::emp(),
-        w,
-        post,
-    ));
-
-    // add.
-    let a = ws.v(Sort::Val, "a");
-    let wv = ws.v(Sort::Val, "wv");
-    let k = ws.v(Sort::Int, "k");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(Term::var(wv), tm::vint(Term::var(k))),
-        ),
-        is_list(&mut ws, llchain, Term::var(g), Term::var(wv)),
-    ]);
-    specs.push(ws.spec(
-        "add",
-        "add",
-        a,
-        vec![wv, k, g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // len_from and sum_from: traversals returning an integer.
-    for (name, bounded) in [("len_from", true), ("sum_from", false)] {
-        let a = ws.v(Sort::Val, "a");
-        let h = ws.v(Sort::Val, "h");
-        let null = ws.v(Sort::Loc, "null");
-        let w = ws.v(Sort::Val, "w");
-        let n = ws.v(Sort::Int, "n");
-        let pre = sep([
-            eq(
-                Term::var(a),
-                Term::v_pair(Term::var(h), tm::vloc(Term::var(null))),
-            ),
-            chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))),
-        ]);
-        let mut post_parts = vec![eq(Term::var(w), tm::vint(Term::var(n)))];
-        if bounded {
-            post_parts.push(Assertion::pure(PureProp::le(Term::int(0), Term::var(n))));
-        }
-        post_parts.push(chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))));
-        let post = ex(n, sep(post_parts));
-        specs.push(ws.spec(name, name, a, vec![h, null], pre, w, post));
-    }
-
-    // length / sum wrappers.
-    for (name, bounded) in [("length", true), ("sum", false)] {
-        let wv = ws.v(Sort::Val, "wv");
-        let g = ws.v(Sort::GhostName, "γ");
-        let w = ws.v(Sort::Val, "w");
-        let n = ws.v(Sort::Int, "n");
-        let pre = is_list(&mut ws, llchain, Term::var(g), Term::var(wv));
-        let mut post_parts = vec![eq(Term::var(w), tm::vint(Term::var(n)))];
-        if bounded {
-            post_parts.push(Assertion::pure(PureProp::le(Term::int(0), Term::var(n))));
-        }
-        let post = ex(n, sep(post_parts));
-        specs.push(ws.spec(name, name, wv, vec![g], pre, w, post));
-    }
-
-    // append_to.
-    let a = ws.v(Sort::Val, "a");
-    let h = ws.v(Sort::Val, "h");
-    let nloc = ws.v(Sort::Loc, "n");
-    let k = ws.v(Sort::Int, "k");
-    let null = ws.v(Sort::Loc, "null");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(
-                Term::var(h),
-                Term::v_pair(tm::vloc(Term::var(nloc)), tm::vloc(Term::var(null))),
-            ),
-        ),
-        Assertion::pure(PureProp::ne(Term::var(h), tm::vloc(Term::var(null)))),
-        chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))),
-        pt(
-            Term::var(nloc),
-            Term::v_pair(tm::vint(Term::var(k)), tm::vloc(Term::var(null))),
-        ),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        chain_app(llchain, Term::var(h), tm::vloc(Term::var(null))),
-    ]);
-    specs.push(ws.spec(
-        "append_to",
-        "append_to",
-        a,
-        vec![h, nloc, k, null],
-        pre,
-        w,
-        post,
-    ));
-
-    // push_back.
-    let a = ws.v(Sort::Val, "a");
-    let wv = ws.v(Sort::Val, "wv");
-    let k = ws.v(Sort::Int, "k");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(Term::var(wv), tm::vint(Term::var(k))),
-        ),
-        is_list(&mut ws, llchain, Term::var(g), Term::var(wv)),
-    ]);
-    specs.push(ws.spec(
-        "push_back",
-        "push_back",
-        a,
-        vec![wv, k, g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    LclistExtraSpecs {
-        ws,
-        llchain,
-        lock,
-        specs,
-    }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -326,18 +116,9 @@ impl Example for LclistExtra {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = llchain_options(s.llchain);
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.lock.newlock, opts.clone()),
-            (&s.lock.acquire, opts.clone()),
-            (&s.lock.release, opts.clone()),
-        ];
-        for sp in &s.specs {
-            jobs.push((sp, opts.clone()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        let opts = llchain_options(ws.pred("llchain"));
+        ws.verify_declared(|_| opts.clone())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -349,9 +130,8 @@ impl Example for LclistExtra {
              length w * 100 + sum w",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(314),
         ))
     }

@@ -6,9 +6,9 @@
 //! Every example provides:
 //!
 //! * the **program** in HeapLang surface syntax (the `impl` column);
-//! * the **annotation**: Hoare specifications + invariant definitions
-//!   (the `annot` column), both as executable builders and as the textual
-//!   rendering whose line count feeds the Figure 6 reproduction;
+//! * the **annotation**: Hoare specifications, invariant definitions and
+//!   hint names in the paper's notation (the `annot` column), elaborated
+//!   into the verified specs by [`diaframe_core::annot`];
 //! * a [`common::Example::verify`] run proving all specifications with
 //!   the Diaframe strategy;
 //! * the **paper-reported statistics** for the comparison columns;
@@ -47,7 +47,7 @@ pub mod ticket_lock_client;
 pub mod negative;
 
 pub use common::{
-    count_lines, Example, ExampleOutcome, PaperRow, PostPredicate, SweepSpec, ToolStat, Ws,
+    annotation_lines, count_lines, Example, ExampleOutcome, PaperRow, PostPredicate, SweepSpec, ToolStat, Ws,
 };
 pub use negative::{negative_examples, ExpectedFindings, NegativeExample};
 pub use registry::all_examples;

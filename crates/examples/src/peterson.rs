@@ -11,14 +11,9 @@
 //! full resource-transfer specification is *not* reproduced — see
 //! EXPERIMENTS.md for this documented deviation.
 
-use crate::common::{
-    eq, ex, inv, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::gvar::gvar;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
 
 /// The implementation. The lock is `(#fa, (#fb, #turn))`.
 pub const SOURCE: &str = "\
@@ -43,153 +38,21 @@ def unlock_b w := fst w ;; fst (snd w) <- false
 
 /// Specifications.
 pub const ANNOTATION: &str = "\
-pet_inv γa γb fa fb t := ∃ ba bb n. fa ↦ #ba ∗ fb ↦ #bb ∗ t ↦ #n ∗
+pet_inv γa γb fa fb t := ∃ (ba bb : bool) n. fa ↦ #ba ∗ fb ↦ #bb ∗ t ↦ #n ∗
   ⌜0 ≤ n⌝ ∗ ⌜n ≤ 1⌝ ∗ gvar γa ½ #ba ∗ gvar γb ½ #bb
-is_pet γa γb w := ∃ fa fb t. ⌜w = (#fa, (#fb, #t))⌝ ∗ inv N (pet_inv γa γb fa fb t)
-SPEC {{ True }} newpet () {{ w γa γb, RET w; is_pet γa γb w ∗ gvar γa ½ false ∗ gvar γb ½ false }}
-SPEC {{ is_pet γa γb w ∗ gvar γa ½ false }} lock_a w {{ RET #(); gvar γa ½ true }}
-SPEC {{ is_pet γa γb w ∗ gvar γa ½ true }} unlock_a w {{ RET #(); gvar γa ½ false }}
-(symmetric for b)
+is_pet γa γb w := ∃ fa fb t. ⌜w = (#fa, (#fb, #t))⌝ ∗ inv pet (pet_inv γa γb fa fb t)
+SPEC {{ True }} newpet () {{ w γa γb, RET w; is_pet γa γb w ∗ gvar γa ½ #false ∗ gvar γb ½ #false }}
+SPEC γa γb, {{ is_pet γa γb w }} waita w {{ ret, RET ret; ⌜ret = #()⌝ }}
+SPEC γa γb, {{ is_pet γa γb w }} waitb w {{ ret, RET ret; ⌜ret = #()⌝ }}
+SPEC γa γb, {{ is_pet γa γb w ∗ gvar γa ½ #false }} lock_a w
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ gvar γa ½ #true }}
+SPEC γa γb, {{ is_pet γa γb w ∗ gvar γa ½ #true }} unlock_a w
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ gvar γa ½ #false }}
+SPEC γa γb, {{ is_pet γa γb w ∗ gvar γb ½ #false }} lock_b w
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ gvar γb ½ #true }}
+SPEC γa γb, {{ is_pet γa γb w ∗ gvar γb ½ #true }} unlock_b w
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ gvar γb ½ #false }}
 ";
-
-/// The built specs.
-pub struct PetersonSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// newpet / waita / lock_a / unlock_a / waitb / lock_b / unlock_b.
-    pub specs: Vec<Spec>,
-}
-
-fn pet_inv(ws: &mut Ws, ga: Term, gb: Term, fa: Term, fb: Term, t: Term) -> Assertion {
-    let ba = ws.v(Sort::Bool, "ba");
-    let bb = ws.v(Sort::Bool, "bb");
-    let n = ws.v(Sort::Int, "n");
-    ex(
-        ba,
-        ex(
-            bb,
-            ex(
-                n,
-                sep([
-                    pt(fa, tm::vbool(Term::var(ba))),
-                    pt(fb, tm::vbool(Term::var(bb))),
-                    pt(t, tm::vint(Term::var(n))),
-                    Assertion::pure(PureProp::le(Term::int(0), Term::var(n))),
-                    Assertion::pure(PureProp::le(Term::var(n), Term::int(1))),
-                    Assertion::atom(gvar(ga, tm::half(), tm::vbool(Term::var(ba)))),
-                    Assertion::atom(gvar(gb, tm::half(), tm::vbool(Term::var(bb)))),
-                ]),
-            ),
-        ),
-    )
-}
-
-fn is_pet(ws: &mut Ws, ga: Term, gb: Term, w: Term) -> Assertion {
-    let fa = ws.v(Sort::Loc, "fa");
-    let fb = ws.v(Sort::Loc, "fb");
-    let t = ws.v(Sort::Loc, "t");
-    let body = pet_inv(
-        ws,
-        ga,
-        gb,
-        Term::var(fa),
-        Term::var(fb),
-        Term::var(t),
-    );
-    ex(
-        fa,
-        ex(
-            fb,
-            ex(
-                t,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            tm::vloc(Term::var(fa)),
-                            Term::v_pair(tm::vloc(Term::var(fb)), tm::vloc(Term::var(t))),
-                        ),
-                    ),
-                    inv("pet", body),
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn build_with_source(source: &str) -> PetersonSpecs {
-    let mut ws = Ws::new(PredTable::new(), source);
-    let mut specs = Vec::new();
-
-    // newpet.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let ga = ws.v(Sort::GhostName, "γa");
-    let gb = ws.v(Sort::GhostName, "γb");
-    let post = {
-        let body = sep([
-            is_pet(&mut ws, Term::var(ga), Term::var(gb), Term::var(w)),
-            Assertion::atom(gvar(Term::var(ga), tm::half(), tm::boolean(false))),
-            Assertion::atom(gvar(Term::var(gb), tm::half(), tm::boolean(false))),
-        ]);
-        ex(ga, ex(gb, body))
-    };
-    specs.push(ws.spec(
-        "newpet",
-        "newpet",
-        a,
-        Vec::new(),
-        Assertion::emp(),
-        w,
-        post,
-    ));
-
-    // waita / waitb: pure spinning, needs only the invariant.
-    for name in ["waita", "waitb"] {
-        let wv = ws.v(Sort::Val, "w");
-        let ga = ws.v(Sort::GhostName, "γa");
-        let gb = ws.v(Sort::GhostName, "γb");
-        let ret = ws.v(Sort::Val, "ret");
-        let pre = is_pet(&mut ws, Term::var(ga), Term::var(gb), Term::var(wv));
-        specs.push(ws.spec(
-            name,
-            name,
-            wv,
-            vec![ga, gb],
-            pre,
-            ret,
-            eq(Term::var(ret), tm::unit()),
-        ));
-    }
-
-    // lock_a / unlock_a / lock_b / unlock_b: flip the own-flag shadow.
-    for (name, own_is_a, before, after) in [
-        ("lock_a", true, false, true),
-        ("unlock_a", true, true, false),
-        ("lock_b", false, false, true),
-        ("unlock_b", false, true, false),
-    ] {
-        let wv = ws.v(Sort::Val, "w");
-        let ga = ws.v(Sort::GhostName, "γa");
-        let gb = ws.v(Sort::GhostName, "γb");
-        let ret = ws.v(Sort::Val, "ret");
-        let own = if own_is_a { ga } else { gb };
-        let pre = sep([
-            is_pet(&mut ws, Term::var(ga), Term::var(gb), Term::var(wv)),
-            Assertion::atom(gvar(Term::var(own), tm::half(), tm::boolean(before))),
-        ]);
-        let post = sep([
-            eq(Term::var(ret), tm::unit()),
-            Assertion::atom(gvar(Term::var(own), tm::half(), tm::boolean(after))),
-        ]);
-        specs.push(ws.spec(name, name, wv, vec![ga, gb], pre, ret, post));
-    }
-
-    PetersonSpecs { ws, specs }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -224,26 +87,14 @@ impl Example for Peterson {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let jobs: Vec<_> = s
-            .specs
-            .iter()
-            .map(|sp| (sp, VerifyOptions::automatic().with_backtracking()))
-            .collect();
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: lock_a writes an out-of-range turn value, violating
         // the invariant's 0 ≤ n ≤ 1.
         let broken = SOURCE.replace("snd (snd w) <- 1 ;;\n  waita w", "snd (snd w) <- 2 ;;\n  waita w");
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(s.ws.verify_all(
-            &registry,
-            &[(&s.specs[3], VerifyOptions::automatic().with_backtracking())],
-        ))
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["lock_a"], |_| VerifyOptions::automatic().with_backtracking()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -257,9 +108,8 @@ impl Example for Peterson {
              (rec wait u := if !c = 2 then !c else wait u) ()",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -290,10 +140,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(Peterson.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -8,14 +8,11 @@
 //! [`crate::bag_stack`]. (Caper's queue is CAS-based; this reproduction
 //! verifies the coarse-grained variant, see EXPERIMENTS.md.)
 
-use crate::common::{
-    eq, ex, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use crate::spin_lock::{is_lock_with, lock_instance, LockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
+use crate::common::{eq, papp, program, pt, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_ghost::HintCandidate;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, Atom, PredId, PredTable};
+use diaframe_logic::{Assertion, Atom, PredId};
 use diaframe_term::{PureProp, Sort, Term};
 
 /// The implementation.
@@ -60,39 +57,24 @@ def deq w :=
   r
 ";
 
-/// Specifications and the recursive queue predicate.
+/// Specifications and the recursive queue predicate; the lock is the
+/// spin lock's annotation at `R := R_q hd null`.
 pub const ANNOTATION: &str = "\
+// Φ: the resource each element carries.
+Context (Φ : val → iProp)
 qchain h nl := ⌜h = nl⌝ ∨ ∃ l v nx. ⌜h = #l⌝ ∗ l ↦ (v, nx) ∗ Φ v ∗ qchain nx nl
-R_q hd null := ∃ h. hd ↦ h ∗ qchain h #null
-is_q γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock γ lk (R_q hd null)
+R_q hd (null : loc) := ∃ h. hd ↦ h ∗ qchain h #null
+Context (hd null : loc)
+Instance spin_lock hd null with N := q, R := R_q hd null
+is_q γ w := ∃ lk hd null. ⌜w = (lk, (#hd, #null))⌝ ∗ is_lock q γ lk (R_q hd null)
 SPEC {{ True }} newq () {{ w γ, RET w; is_q γ w }}
-SPEC {{ ⌜a = (h, (#n, #null))⌝ ∗ ⌜h ≠ #null⌝ ∗ qchain h #null ∗
+SPEC h (n : loc) v (null : loc), {{ ⌜a = (h, (#n, #null))⌝ ∗ ⌜h ≠ #null⌝ ∗ qchain h #null ∗
         n ↦ (v, #null) ∗ Φ v }} append_to a {{ RET #(); qchain h #null }}
-SPEC {{ ⌜a = ((w, v), k)⌝ ∗ is_q γ w ∗ Φ v }} enq a {{ RET k; True }}
-SPEC {{ is_q γ w }} deq w {{ r, RET r; ⌜r = inl #()⌝ ∨ ∃ v. ⌜r = inr v⌝ ∗ Φ v }}
-custom hints: qchain fold (nil/cons) and unfold
+SPEC wv v kv γ, {{ ⌜a = ((wv, v), kv)⌝ ∗ is_q γ wv ∗ Φ v }} enq a {{ RET kv; True }}
+SPEC γ, {{ is_q γ wv }} deq wv {{ w, RET w; ⌜w = inl #()⌝ ∨ ∃ v. ⌜w = inr v⌝ ∗ Φ v }}
+HINT qchain-fold: ε₁ ∗ [⌜h = nl⌝ ∨ l ↦ (v, nx) ∗ Φ v ∗ qchain nx nl] ⊫ qchain h nl
+HINT qchain-unfold: replace the newest qchain h nl by its one-level unfolding
 ";
-
-/// The built specs.
-pub struct QueueSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The element resource.
-    pub phi: PredId,
-    /// The recursive predicate.
-    pub qchain: PredId,
-    /// The lock instance.
-    pub lock: LockInstance,
-    /// newq / append_to / enq / deq.
-    pub specs: Vec<Spec>,
-}
-
-fn chain_app(chain: PredId, h: Term, nl: Term) -> Assertion {
-    Assertion::atom(Atom::PredApp {
-        pred: chain,
-        args: vec![h, nl],
-    })
-}
 
 /// The chain hints for Φ-carrying fully-owned chains.
 pub fn qchain_options(chain: PredId, phi: PredId) -> VerifyOptions {
@@ -113,13 +95,13 @@ pub fn qchain_options(chain: PredId, phi: PredId) -> VerifyOptions {
             let nx = vars.fresh_evar(Sort::Val);
             let cons = HintCandidate::new("qchain-fold-cons")
                 .unify(h, Term::v_loc(Term::evar(l)))
-                .side(sep([
+                .side(Assertion::sep_list([
                     Assertion::atom(Atom::points_to(
                         Term::evar(l),
                         Term::v_pair(Term::evar(v), Term::evar(nx)),
                     )),
                     papp(phi, vec![Term::evar(v)]),
-                    chain_app(chain, Term::evar(nx), nl),
+                    papp(chain, vec![Term::evar(nx), nl]),
                 ]));
             vec![nil, cons]
         })
@@ -141,179 +123,22 @@ pub fn qchain_options(chain: PredId, phi: PredId) -> VerifyOptions {
                         diaframe_logic::Binder::new(v),
                         Assertion::exists(
                             diaframe_logic::Binder::new(nx),
-                            sep([
-                                eq(h.clone(), tm::vloc(Term::var(l))),
+                            Assertion::sep_list([
+                                eq(h.clone(), Term::v_loc(Term::var(l))),
                                 pt(
                                     Term::var(l),
                                     Term::v_pair(Term::var(v), Term::var(nx)),
                                 ),
                                 papp(phi, vec![Term::var(v)]),
-                                chain_app(chain, Term::var(nx), nl.clone()),
+                                papp(chain, vec![Term::var(nx), nl.clone()]),
                             ]),
                         ),
                     ),
                 );
-                return Some((idx, or(eq(h, nl), cons)));
+                return Some((idx, Assertion::or(eq(h, nl), cons)));
             }
             None
         })
-}
-
-fn r_q(ws: &mut Ws, chain: PredId, hd: Term, null: Term) -> Assertion {
-    let h = ws.v(Sort::Val, "h");
-    ex(
-        h,
-        sep([
-            pt(hd, Term::var(h)),
-            chain_app(chain, Term::var(h), tm::vloc(null)),
-        ]),
-    )
-}
-
-fn is_q(ws: &mut Ws, chain: PredId, g: Term, w: Term) -> Assertion {
-    let lk = ws.v(Sort::Val, "lk");
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let res = r_q(ws, chain, Term::var(hd), Term::var(null));
-    let lockpart = is_lock_with(ws, "q", res, g, Term::var(lk));
-    ex(
-        lk,
-        ex(
-            hd,
-            ex(
-                null,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(lk),
-                            Term::v_pair(tm::vloc(Term::var(hd)), tm::vloc(Term::var(null))),
-                        ),
-                    ),
-                    lockpart,
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> QueueSpecs {
-    let mut preds = PredTable::new();
-    let phi = preds.fresh_pred("Φ", 1);
-    let qchain = preds.fresh_pred("qchain", 2);
-    let mut ws = Ws::new(preds, source);
-
-    let hd = ws.v(Sort::Loc, "hd");
-    let null = ws.v(Sort::Loc, "null");
-    let lock = lock_instance(&mut ws, "q", &[hd, null], &|ws| {
-        r_q(ws, qchain, Term::var(hd), Term::var(null))
-    });
-
-    let mut specs = Vec::new();
-
-    // newq.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_q(&mut ws, qchain, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    specs.push(ws.spec("newq", "newq", a, Vec::new(), Assertion::emp(), w, post));
-
-    // append_to.
-    let a = ws.v(Sort::Val, "a");
-    let h = ws.v(Sort::Val, "h");
-    let nloc = ws.v(Sort::Loc, "n");
-    let v = ws.v(Sort::Val, "v");
-    let null = ws.v(Sort::Loc, "null");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(
-                Term::var(h),
-                Term::v_pair(tm::vloc(Term::var(nloc)), tm::vloc(Term::var(null))),
-            ),
-        ),
-        Assertion::pure(PureProp::ne(Term::var(h), tm::vloc(Term::var(null)))),
-        chain_app(qchain, Term::var(h), tm::vloc(Term::var(null))),
-        pt(
-            Term::var(nloc),
-            Term::v_pair(Term::var(v), tm::vloc(Term::var(null))),
-        ),
-        papp(phi, vec![Term::var(v)]),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        chain_app(qchain, Term::var(h), tm::vloc(Term::var(null))),
-    ]);
-    specs.push(ws.spec(
-        "append_to",
-        "append_to",
-        a,
-        vec![h, nloc, v, null],
-        pre,
-        w,
-        post,
-    ));
-
-    // enq: argument ((w, v), k) — k is an opaque passthrough showing the
-    // return value plumbing.
-    let a = ws.v(Sort::Val, "a");
-    let wv = ws.v(Sort::Val, "wv");
-    let v = ws.v(Sort::Val, "v");
-    let kv = ws.v(Sort::Val, "kv");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(
-                Term::v_pair(Term::var(wv), Term::var(v)),
-                Term::var(kv),
-            ),
-        ),
-        is_q(&mut ws, qchain, Term::var(g), Term::var(wv)),
-        papp(phi, vec![Term::var(v)]),
-    ]);
-    specs.push(ws.spec(
-        "enq",
-        "enq",
-        a,
-        vec![wv, v, kv, g],
-        pre,
-        w,
-        eq(Term::var(w), Term::var(kv)),
-    ));
-
-    // deq.
-    let wv = ws.v(Sort::Val, "wv");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let v = ws.v(Sort::Val, "v");
-    let pre = is_q(&mut ws, qchain, Term::var(g), Term::var(wv));
-    let post = or(
-        eq(Term::var(w), Term::v_inj_l(tm::unit())),
-        ex(
-            v,
-            sep([
-                eq(Term::var(w), Term::v_inj_r(Term::var(v))),
-                papp(phi, vec![Term::var(v)]),
-            ]),
-        ),
-    );
-    specs.push(ws.spec("deq", "deq", wv, vec![g], pre, w, post));
-
-    QueueSpecs {
-        ws,
-        phi,
-        qchain,
-        lock,
-        specs,
-    }
 }
 
 /// The Figure 6 example.
@@ -349,18 +174,9 @@ impl Example for Queue {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = qchain_options(s.qchain, s.phi);
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.lock.newlock, opts.clone()),
-            (&s.lock.acquire, opts.clone()),
-            (&s.lock.release, opts.clone()),
-        ];
-        for sp in &s.specs {
-            jobs.push((sp, opts.clone()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        let opts = qchain_options(ws.pred("qchain"), ws.pred("Φ"));
+        ws.verify_declared(|_| opts.clone())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -368,10 +184,9 @@ impl Example for Queue {
         // Φ would be duplicated.
         let broken = SOURCE.replace("else (let p := !h in hd <- snd p ;; inr (fst p))) in",
                                     "else (let p := !h in inr (fst p))) in");
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        let opts = qchain_options(s.qchain, s.phi);
-        Some(s.ws.verify_all(&registry, &[(&s.specs[3], opts)]))
+        let ws = Ws::new(&broken, ANNOTATION);
+        let opts = qchain_options(ws.pred("qchain"), ws.pred("Φ"));
+        Some(ws.verify_named(&["deq"], |_| opts.clone()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -382,9 +197,8 @@ impl Example for Queue {
              match deq w with inl u => 0 | inr v => v end",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(11),
         ))
     }
@@ -406,10 +220,6 @@ mod tests {
             .any(|h| h.contains("qchain")));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(Queue.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -32,3 +32,13 @@ pub fn all_examples() -> Vec<Box<dyn Example>> {
         Box::new(crate::ticket_lock_client::TicketLockClient),
     ]
 }
+
+/// An example's `(SOURCE, ANNOTATION)` by row name: the library table
+/// that annotations `Require` and `Instance` from.
+#[must_use]
+pub fn library(name: &str) -> Option<(&'static str, &'static str)> {
+    all_examples()
+        .into_iter()
+        .find(|e| e.name() == name)
+        .map(|e| (e.source(), e.annotation()))
+}

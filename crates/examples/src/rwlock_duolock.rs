@@ -7,16 +7,9 @@
 //! impredicativity of `is_lock` (§2.1): the reader lock's resource
 //! *contains the global lock's `locked` token*.
 
-use crate::common::{
-    eq, ex, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, Ws,
-};
-use crate::spin_lock::{is_lock_with, LockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::counting::{counter, no_tokens, token};
-use diaframe_ghost::excl_token::locked;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term, VarId};
 
 /// The implementation. The two lock instances are separate definitions so
 /// each gets its own specification (see DESIGN.md on spec lookup by
@@ -51,334 +44,29 @@ def write_acq w := acquireg (snd (snd w))
 def write_rel w := releaseg (snd (snd w))
 ";
 
-/// Specifications and the two lock resources.
+/// Specifications: two spin-lock instances, the reader lock's resource
+/// holding the global lock's token.
 pub const ANNOTATION: &str = "\
+// P: the fractional resource readers share and the writer owns.
+Context (P : Qp → iProp) (Fractional P)
 R_g := P 1
 R_r c γp γg := ∃ n. c ↦ #n ∗
-  (⌜n = 0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg)
+  (⌜#n = #0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg)
+Context (c : loc) (γp γg : gname)
+Instance spin_lock c γp γg with N := rlock, R := R_r c γp γg,
+  newlock := newrlock, acquire := acquirer, release := releaser
+Instance spin_lock with N := glock, R := R_g,
+  newlock := newglock, acquire := acquireg, release := releaseg
 is_duo γr γg γp w := ∃ rlk glk c. ⌜w = (rlk, (#c, glk))⌝ ∗
-  is_lock γr rlk (R_r c γp γg) ∗ is_lock γg glk R_g
+  is_lock rlock γr rlk (R_r c γp γg) ∗ is_lock glock γg glk R_g
 SPEC {{ P 1 }} make () {{ w γr γg γp, RET w; is_duo γr γg γp w }}
-SPEC {{ is_duo γr γg γp w }} read_acq w {{ RET #(); token P γp }}
-SPEC {{ is_duo γr γg γp w ∗ token P γp }} read_rel w {{ RET #(); True }}
-SPEC {{ is_duo γr γg γp w }} write_acq w {{ RET #(); locked γg ∗ P 1 }}
-SPEC {{ is_duo γr γg γp w ∗ locked γg ∗ P 1 }} write_rel w {{ RET #(); True }}
+SPEC γr γg γp, {{ is_duo γr γg γp w0 }} read_acq w0 {{ ret, RET ret; ⌜ret = #()⌝ ∗ token P γp }}
+SPEC γr γg γp, {{ is_duo γr γg γp w0 ∗ token P γp }} read_rel w0 {{ ret, RET ret; ⌜ret = #()⌝ }}
+SPEC γr γg γp, {{ is_duo γr γg γp w0 }} write_acq w0
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ locked γg ∗ P 1 }}
+SPEC γr γg γp, {{ is_duo γr γg γp w0 ∗ locked γg ∗ P 1 }} write_rel w0
+     {{ ret, RET ret; ⌜ret = #()⌝ }}
 ";
-
-/// The built specs.
-pub struct DuolockSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected fractional predicate.
-    pub p: PredId,
-    /// The reader-lock instance specs.
-    pub rlock: LockInstance,
-    /// The global-lock instance specs.
-    pub glock: LockInstance,
-    /// make / read_acq / read_rel / write_acq / write_rel.
-    pub specs: Vec<Spec>,
-}
-
-fn r_r(ws: &mut Ws, p: PredId, c: Term, gp: Term, gg: Term) -> Assertion {
-    let n = ws.v(Sort::Int, "n");
-    ex(
-        n,
-        sep([
-            pt(c, tm::vint(Term::var(n))),
-            or(
-                sep([
-                    eq(tm::vint(Term::var(n)), tm::int(0)),
-                    Assertion::atom(no_tokens(p, gp.clone(), tm::one())),
-                ]),
-                sep([
-                    Assertion::pure(PureProp::lt(Term::int(0), Term::var(n))),
-                    Assertion::atom(counter(p, gp, Term::var(n))),
-                    Assertion::atom(locked(gg)),
-                ]),
-            ),
-        ]),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn is_duo(
-    ws: &mut Ws,
-    p: PredId,
-    gr: Term,
-    gg: Term,
-    gp: Term,
-    w: Term,
-) -> Assertion {
-    let rlk = ws.v(Sort::Val, "rlk");
-    let glk = ws.v(Sort::Val, "glk");
-    let c = ws.v(Sort::Loc, "c");
-    let rres = r_r(ws, p, Term::var(c), gp, gg.clone());
-    let rl = is_lock_with(ws, "rlock", rres, gr, Term::var(rlk));
-    let gl = is_lock_with(ws, "glock", papp(p, vec![tm::one()]), gg, Term::var(glk));
-    ex(
-        rlk,
-        ex(
-            glk,
-            ex(
-                c,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(rlk),
-                            Term::v_pair(tm::vloc(Term::var(c)), Term::var(glk)),
-                        ),
-                    ),
-                    rl,
-                    gl,
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> DuolockSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-
-    // Lock instances. The reader lock's resource mentions the count cell
-    // and both ghost names, which therefore join its specs' binders.
-    let c = ws.v(Sort::Loc, "c");
-    let gp = ws.v(Sort::GhostName, "γp");
-    let gg = ws.v(Sort::GhostName, "γg");
-    let rlock = lock_instance_named(
-        &mut ws,
-        "rlock",
-        &[c, gp, gg],
-        &|ws| r_r(ws, p, Term::var(c), Term::var(gp), Term::var(gg)),
-        ("newrlock", "acquirer", "releaser"),
-    );
-    let glock = lock_instance_named(
-        &mut ws,
-        "glock",
-        &[],
-        &|_| papp(p, vec![tm::one()]),
-        ("newglock", "acquireg", "releaseg"),
-    );
-
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let gr = ws.v(Sort::GhostName, "γr");
-    let gg2 = ws.v(Sort::GhostName, "γg");
-    let gp2 = ws.v(Sort::GhostName, "γp");
-    let post = {
-        let body = is_duo(
-            &mut ws,
-            p,
-            Term::var(gr),
-            Term::var(gg2),
-            Term::var(gp2),
-            Term::var(w),
-        );
-        ex(gr, ex(gg2, ex(gp2, body)))
-    };
-    specs.push(ws.spec(
-        "make",
-        "make",
-        a,
-        Vec::new(),
-        papp(p, vec![tm::one()]),
-        w,
-        post,
-    ));
-
-    // read_acq.
-    let w0 = ws.v(Sort::Val, "w0");
-    let gr = ws.v(Sort::GhostName, "γr");
-    let gg2 = ws.v(Sort::GhostName, "γg");
-    let gp2 = ws.v(Sort::GhostName, "γp");
-    let ret = ws.v(Sort::Val, "ret");
-    let pre = is_duo(
-        &mut ws,
-        p,
-        Term::var(gr),
-        Term::var(gg2),
-        Term::var(gp2),
-        Term::var(w0),
-    );
-    let post = sep([
-        eq(Term::var(ret), tm::unit()),
-        Assertion::atom(token(p, Term::var(gp2))),
-    ]);
-    specs.push(ws.spec(
-        "read_acq",
-        "read_acq",
-        w0,
-        vec![gr, gg2, gp2],
-        pre,
-        ret,
-        post,
-    ));
-
-    // read_rel.
-    let w0 = ws.v(Sort::Val, "w0");
-    let gr = ws.v(Sort::GhostName, "γr");
-    let gg2 = ws.v(Sort::GhostName, "γg");
-    let gp2 = ws.v(Sort::GhostName, "γp");
-    let ret = ws.v(Sort::Val, "ret");
-    let pre = sep([
-        is_duo(
-            &mut ws,
-            p,
-            Term::var(gr),
-            Term::var(gg2),
-            Term::var(gp2),
-            Term::var(w0),
-        ),
-        Assertion::atom(token(p, Term::var(gp2))),
-    ]);
-    specs.push(ws.spec(
-        "read_rel",
-        "read_rel",
-        w0,
-        vec![gr, gg2, gp2],
-        pre,
-        ret,
-        eq(Term::var(ret), tm::unit()),
-    ));
-
-    // write_acq.
-    let w0 = ws.v(Sort::Val, "w0");
-    let gr = ws.v(Sort::GhostName, "γr");
-    let gg2 = ws.v(Sort::GhostName, "γg");
-    let gp2 = ws.v(Sort::GhostName, "γp");
-    let ret = ws.v(Sort::Val, "ret");
-    let pre = is_duo(
-        &mut ws,
-        p,
-        Term::var(gr),
-        Term::var(gg2),
-        Term::var(gp2),
-        Term::var(w0),
-    );
-    let post = sep([
-        eq(Term::var(ret), tm::unit()),
-        Assertion::atom(locked(Term::var(gg2))),
-        papp(p, vec![tm::one()]),
-    ]);
-    specs.push(ws.spec(
-        "write_acq",
-        "write_acq",
-        w0,
-        vec![gr, gg2, gp2],
-        pre,
-        ret,
-        post,
-    ));
-
-    // write_rel.
-    let w0 = ws.v(Sort::Val, "w0");
-    let gr = ws.v(Sort::GhostName, "γr");
-    let gg2 = ws.v(Sort::GhostName, "γg");
-    let gp2 = ws.v(Sort::GhostName, "γp");
-    let ret = ws.v(Sort::Val, "ret");
-    let pre = sep([
-        is_duo(
-            &mut ws,
-            p,
-            Term::var(gr),
-            Term::var(gg2),
-            Term::var(gp2),
-            Term::var(w0),
-        ),
-        Assertion::atom(locked(Term::var(gg2))),
-        papp(p, vec![tm::one()]),
-    ]);
-    specs.push(ws.spec(
-        "write_rel",
-        "write_rel",
-        w0,
-        vec![gr, gg2, gp2],
-        pre,
-        ret,
-        eq(Term::var(ret), tm::unit()),
-    ));
-
-    DuolockSpecs {
-        ws,
-        p,
-        rlock,
-        glock,
-        specs,
-    }
-}
-
-/// Like [`lock_instance`] but with explicit function names (the duolock
-/// carries two textually separate lock implementations).
-fn lock_instance_named(
-    ws: &mut Ws,
-    ns: &str,
-    extra_binders: &[VarId],
-    r: &dyn Fn(&mut Ws) -> Assertion,
-    names: (&str, &str, &str),
-) -> LockInstance {
-    // Reuse lock_instance's structure by temporarily binding the standard
-    // names: simplest is to inline the construction with custom names.
-    let (newlock_n, acquire_n, release_n) = names;
-
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let pre = r(ws);
-    let post = {
-        let rr = r(ws);
-        let body = is_lock_with(ws, ns, rr, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    let newlock = ws.spec(newlock_n, newlock_n, a, extra_binders.to_vec(), pre, w, post);
-
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    let mut binders = extra_binders.to_vec();
-    binders.push(g);
-    let acquire = ws.spec(acquire_n, acquire_n, lk, binders.clone(), pre, w, post);
-
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = sep([
-        is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    let mut rel_binders = extra_binders.to_vec();
-    rel_binders.push(g);
-    let release = ws.spec(
-        release_n,
-        release_n,
-        lk,
-        rel_binders,
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    );
-
-    LockInstance {
-        newlock,
-        acquire,
-        release,
-    }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -413,20 +101,13 @@ impl Example for RwLockDuolock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.glock.newlock, VerifyOptions::automatic()),
-            (&s.glock.acquire, VerifyOptions::automatic()),
-            (&s.glock.release, VerifyOptions::automatic()),
-            (&s.rlock.newlock, VerifyOptions::automatic()),
-            (&s.rlock.acquire, VerifyOptions::automatic()),
-            (&s.rlock.release, VerifyOptions::automatic()),
+        // The libraries' instances first (global lock, then reader lock),
+        // then the lock's own operations.
+        let order = [
+            "newglock", "acquireg", "releaseg", "newrlock", "acquirer", "releaser", "make",
+            "read_acq", "read_rel", "write_acq", "write_rel",
         ];
-        for sp in &s.specs {
-            jobs.push((sp, VerifyOptions::automatic()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        Ws::new(SOURCE, ANNOTATION).verify_named(&order, |_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -435,12 +116,7 @@ impl Example for RwLockDuolock {
             "(if n = 0 then acquireg (snd (snd w)) else ()) ;;\n  releaser (fst w)\ndef read_rel",
             "releaser (fst w)\ndef read_rel",
         );
-        let s = build_with_source(&broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[1], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["read_acq"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -453,9 +129,8 @@ impl Example for RwLockDuolock {
              write_rel w ;; 3",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(3),
         ))
     }
@@ -495,10 +170,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(RwLockDuolock.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -6,14 +6,11 @@
 //! state keeps half a `no_tokens` witness so a stray reader release is
 //! provably impossible.
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::counting::{counter, no_tokens, token};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
+use diaframe_logic::Assertion;
+use diaframe_term::{PureProp, Term};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -30,145 +27,20 @@ def write_rel l := l <- 0
 
 /// Specifications and the invariant.
 pub const ANNOTATION: &str = "\
+// P: the fractional resource readers share and the writer owns.
+Context (P : Qp → iProp) (Fractional P)
 rw_inv γ l := ∃ z. l ↦ #z ∗
-  (⌜z = -1⌝ ∗ no_tokens P γ ½
-   ∨ ⌜z = 0⌝ ∗ no_tokens P γ 1 ∗ P 1
+  (⌜#z = #-1⌝ ∗ no_tokens P γ ½
+   ∨ ⌜#z = #0⌝ ∗ no_tokens P γ 1 ∗ P 1
    ∨ ⌜0 < z⌝ ∗ counter P γ z)
-is_rw γ l := ∃ l. ⌜v = #l⌝ ∗ inv N (rw_inv γ l)
-SPEC {{ P 1 }} make () {{ v γ, RET v; is_rw γ v }}
-SPEC {{ is_rw γ v }} read_acq v {{ RET #(); token P γ }}
-SPEC {{ is_rw γ v ∗ token P γ }} read_rel v {{ RET #(); True }}
-SPEC {{ is_rw γ v }} write_acq v {{ RET #(); P 1 ∗ no_tokens P γ ½ }}
-SPEC {{ is_rw γ v ∗ P 1 ∗ no_tokens P γ ½ }} write_rel v {{ RET #(); True }}
+is_rw γ v := ∃ l. ⌜v = #l⌝ ∗ inv rw (rw_inv γ l)
+SPEC {{ P 1 }} make () {{ w γ, RET w; is_rw γ w }}
+SPEC γ, {{ is_rw γ v }} read_acq v {{ RET #(); token P γ }}
+SPEC γ, {{ is_rw γ v ∗ token P γ }} read_rel v {{ RET #(); True }}
+Next Obligation. destruct (decide (z = 1)); iStepsS. Qed.
+SPEC γ, {{ is_rw γ v }} write_acq v {{ RET #(); P 1 ∗ no_tokens P γ ½ }}
+SPEC γ, {{ is_rw γ v ∗ P 1 ∗ no_tokens P γ ½ }} write_rel v {{ RET #(); True }}
 ";
-
-/// The built specs.
-pub struct RwLockSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected fractional predicate.
-    pub p: PredId,
-    /// make / read_acq / read_rel / write_acq / write_rel.
-    pub specs: Vec<Spec>,
-}
-
-fn is_rw(ws: &mut Ws, p: PredId, gamma: Term, v: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let z = ws.v(Sort::Int, "z");
-    let body = ex(
-        z,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(z))),
-            or(
-                sep([
-                    eq(tm::vint(Term::var(z)), tm::int(-1)),
-                    Assertion::atom(no_tokens(p, gamma.clone(), tm::half())),
-                ]),
-                or(
-                    sep([
-                        eq(tm::vint(Term::var(z)), tm::int(0)),
-                        Assertion::atom(no_tokens(p, gamma.clone(), tm::one())),
-                        papp(p, vec![tm::one()]),
-                    ]),
-                    sep([
-                        Assertion::pure(PureProp::lt(Term::int(0), Term::var(z))),
-                        Assertion::atom(counter(p, gamma.clone(), Term::var(z))),
-                    ]),
-                ),
-            ),
-        ]),
-    );
-    ex(l, sep([eq(v, tm::vloc(Term::var(l))), inv("rw", body)]))
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> RwLockSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_rw(&mut ws, p, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    specs.push(ws.spec(
-        "make",
-        "make",
-        a,
-        Vec::new(),
-        papp(p, vec![tm::one()]),
-        w,
-        post,
-    ));
-
-    // read_acq.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_rw(&mut ws, p, Term::var(g), Term::var(v));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    specs.push(ws.spec("read_acq", "read_acq", v, vec![g], pre, w, post));
-
-    // read_rel.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_rw(&mut ws, p, Term::var(g), Term::var(v)),
-        Assertion::atom(token(p, Term::var(g))),
-    ]);
-    specs.push(ws.spec(
-        "read_rel",
-        "read_rel",
-        v,
-        vec![g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    // write_acq.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_rw(&mut ws, p, Term::var(g), Term::var(v));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        papp(p, vec![tm::one()]),
-        Assertion::atom(no_tokens(p, Term::var(g), tm::half())),
-    ]);
-    specs.push(ws.spec("write_acq", "write_acq", v, vec![g], pre, w, post));
-
-    // write_rel.
-    let v = ws.v(Sort::Val, "v");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_rw(&mut ws, p, Term::var(g), Term::var(v)),
-        papp(p, vec![tm::one()]),
-        Assertion::atom(no_tokens(p, Term::var(g), tm::half())),
-    ]);
-    specs.push(ws.spec(
-        "write_rel",
-        "write_rel",
-        v,
-        vec![g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    RwLockSpecs { ws, p, specs }
-}
 
 /// `decide (z = 1)` on the counter's count — the one manual line the
 /// paper also reports for this example.
@@ -219,20 +91,15 @@ impl Example for RwLockLocklessFaa {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[
-                (&s.specs[0], VerifyOptions::automatic()),
-                (&s.specs[1], VerifyOptions::automatic()),
-                // read_rel: as in the ARC's drop (§2.2), the release needs
-                // the manual case distinction "was mine the last token?".
-                (&s.specs[2], last_token_case_split()),
-                (&s.specs[3], VerifyOptions::automatic()),
-                (&s.specs[4], VerifyOptions::automatic()),
-            ],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|name| {
+            // read_rel: as in the ARC's drop (§2.2), the release needs the
+            // manual case distinction "was mine the last token?".
+            if name == "read_rel" {
+                last_token_case_split()
+            } else {
+                VerifyOptions::automatic()
+            }
+        })
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -249,12 +116,7 @@ def read_rel l := FAA(l, -1) ;; ()
 def write_acq l := if CAS(l, 1, -1) then () else write_acq l
 def write_rel l := l <- 0
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.specs[3], VerifyOptions::automatic())]),
-        )
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["write_acq"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -266,9 +128,8 @@ def write_rel l := l <- 0
              read_acq l ;; read_rel l ;; 1",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(1),
         ))
     }
@@ -291,10 +152,6 @@ mod tests {
         assert!(hints.contains("token-mutate-delete-last"));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(RwLockLocklessFaa.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -7,16 +7,10 @@
 //! lock, whereas we verify a heap-allocated version"; Caper and Voila fix
 //! such bounds).
 
-use crate::common::{
-    eq, ex, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use crate::ticket_lock::{is_tl_with, tl_instance, TicketLockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::counting::{counter, no_tokens, token};
-use diaframe_ghost::excl_token::locked;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term};
+use crate::ticket_lock;
 
 /// The implementation. `read_acq` takes the pair `(b, w)` of bound and
 /// lock and retries when `b` readers are already in.
@@ -58,251 +52,29 @@ def write_rel w := releaseg (snd (snd w))
 
 /// Specifications: as for the unbounded variant plus the parametric bound.
 pub const ANNOTATION: &str = "\
+// P: the fractional resource readers share and the writer owns.
+Context (P : Qp → iProp) (Fractional P)
 R_r c γp γg2 b := ∃ n. c ↦ #n ∗ ⌜n ≤ b⌝ ∗
-  (⌜n = 0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg2)
-is_rwb γs w b := ∃ rlk glk c. ⌜w = (rlk, (#c, glk))⌝ ∗
-  is_tl γr γr2 rlk (R_r c γp γg2 b) ∗ is_tl γg γg2 glk (P 1)
-SPEC {{ ⌜0 < b⌝ ∗ P 1 }} make () {{ w γs, RET w; is_rwb γs w b }}
-SPEC {{ ⌜a = (#b, w)⌝ ∗ ⌜0 < b⌝ ∗ is_rwb γs w b }} read_acq a {{ RET #(); token P γp }}
-SPEC {{ is_rwb γs w b ∗ token P γp }} read_rel w {{ RET #(); True }}
-SPEC {{ is_rwb γs w b }} write_acq w {{ RET #(); locked γg2 ∗ P 1 }}
-SPEC {{ is_rwb γs w b ∗ locked γg2 ∗ P 1 }} write_rel w {{ RET #(); True }}
+  (⌜#n = #0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg2)
+Context (c : loc) (γp γg2 : gname) (b : Z)
+Instance ticket_lock c γp γg2 b with N := rwb.r, R := R_r c γp γg2 b,
+  make := maker, wait := waitr, acquire := acquirer, release := releaser
+Instance ticket_lock with N := rwb.g, R := P 1,
+  make := makeg, wait := waitg, acquire := acquireg, release := releaseg
+is_rwb γr γr2 γg γg2 γp b w := ∃ rlk glk c. ⌜w = (rlk, (#c, glk))⌝ ∗
+  is_tl rwb.r γr γr2 rlk (R_r c γp γg2 b) ∗ is_tl rwb.g γg γg2 glk (P 1)
+// `make` allocates its return binder before the bound.
+SPEC (w : ret) b, {{ ⌜0 < b⌝ ∗ P 1 }} make ()
+     {{ γr γr2 γg γg2 γp, RET w; is_rwb γr γr2 γg γg2 γp b w }}
+SPEC b w0 γr γr2 γg γg2 γp, {{ ⌜a = (#b, w0)⌝ ∗ ⌜0 < b⌝ ∗ is_rwb γr γr2 γg γg2 γp b w0 }}
+     read_acq a {{ ret, RET ret; ⌜ret = #()⌝ ∗ token P γp }}
+SPEC b γr γr2 γg γg2 γp, {{ is_rwb γr γr2 γg γg2 γp b w0 ∗ token P γp }} read_rel w0
+     {{ ret, RET ret; ⌜ret = #()⌝ }}
+SPEC b γr γr2 γg γg2 γp, {{ is_rwb γr γr2 γg γg2 γp b w0 }} write_acq w0
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ locked γg2 ∗ P 1 }}
+SPEC b γr γr2 γg γg2 γp, {{ is_rwb γr γr2 γg γg2 γp b w0 ∗ locked γg2 ∗ P 1 }} write_rel w0
+     {{ ret, RET ret; ⌜ret = #()⌝ }}
 ";
-
-/// The built specs.
-pub struct RwTicketBoundedSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected fractional predicate.
-    pub p: PredId,
-    /// Reader / global ticket locks.
-    pub rlock: TicketLockInstance,
-    /// See [`RwTicketBoundedSpecs::rlock`].
-    pub glock: TicketLockInstance,
-    /// make / read_acq / read_rel / write_acq / write_rel.
-    pub specs: Vec<Spec>,
-}
-
-fn r_r_bounded(ws: &mut Ws, p: PredId, c: Term, gp: Term, gg2: Term, b: Term) -> Assertion {
-    let n = ws.v(Sort::Int, "n");
-    ex(
-        n,
-        sep([
-            pt(c, tm::vint(Term::var(n))),
-            Assertion::pure(PureProp::le(Term::var(n), b)),
-            or(
-                sep([
-                    eq(tm::vint(Term::var(n)), tm::int(0)),
-                    Assertion::atom(no_tokens(p, gp.clone(), tm::one())),
-                ]),
-                sep([
-                    Assertion::pure(PureProp::lt(Term::int(0), Term::var(n))),
-                    Assertion::atom(counter(p, gp, Term::var(n))),
-                    Assertion::atom(locked(gg2)),
-                ]),
-            ),
-        ]),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn is_rwb(
-    ws: &mut Ws,
-    p: PredId,
-    gr: Term,
-    gr2: Term,
-    gg: Term,
-    gg2: Term,
-    gp: Term,
-    b: Term,
-    w: Term,
-) -> Assertion {
-    let rlk = ws.v(Sort::Val, "rlk");
-    let glk = ws.v(Sort::Val, "glk");
-    let c = ws.v(Sort::Loc, "c");
-    let rres = r_r_bounded(ws, p, Term::var(c), gp, gg2.clone(), b);
-    let rl = is_tl_with(ws, "rwb.r", rres, gr, gr2, Term::var(rlk));
-    let gl = is_tl_with(ws, "rwb.g", papp(p, vec![tm::one()]), gg, gg2, Term::var(glk));
-    ex(
-        rlk,
-        ex(
-            glk,
-            ex(
-                c,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(rlk),
-                            Term::v_pair(tm::vloc(Term::var(c)), Term::var(glk)),
-                        ),
-                    ),
-                    rl,
-                    gl,
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> RwTicketBoundedSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-
-    let c = ws.v(Sort::Loc, "c");
-    let gp = ws.v(Sort::GhostName, "γp");
-    let gg2 = ws.v(Sort::GhostName, "γg2");
-    let bb = ws.v(Sort::Int, "b");
-    let rlock = tl_instance(
-        &mut ws,
-        "rwb.r",
-        &[c, gp, gg2, bb],
-        &|ws| {
-            r_r_bounded(
-                ws,
-                p,
-                Term::var(c),
-                Term::var(gp),
-                Term::var(gg2),
-                Term::var(bb),
-            )
-        },
-        ("maker", "waitr", "acquirer", "releaser"),
-    );
-    let glock = tl_instance(
-        &mut ws,
-        "rwb.g",
-        &[],
-        &|_| papp(p, vec![tm::one()]),
-        ("makeg", "waitg", "acquireg", "releaseg"),
-    );
-
-    let mut specs = Vec::new();
-    let ghosts = |ws: &mut Ws| {
-        [
-            ws.v(Sort::GhostName, "γr"),
-            ws.v(Sort::GhostName, "γr2"),
-            ws.v(Sort::GhostName, "γg"),
-            ws.v(Sort::GhostName, "γg2"),
-            ws.v(Sort::GhostName, "γp"),
-        ]
-    };
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let b = ws.v(Sort::Int, "b");
-    let gs = ghosts(&mut ws);
-    let pre = sep([
-        Assertion::pure(PureProp::lt(Term::int(0), Term::var(b))),
-        papp(p, vec![tm::one()]),
-    ]);
-    let post = {
-        let body = is_rwb(
-            &mut ws,
-            p,
-            Term::var(gs[0]),
-            Term::var(gs[1]),
-            Term::var(gs[2]),
-            Term::var(gs[3]),
-            Term::var(gs[4]),
-            Term::var(b),
-            Term::var(w),
-        );
-        gs.iter().rev().fold(body, |acc, g| ex(*g, acc))
-    };
-    let mut binders = vec![b];
-    binders.extend(gs.iter().skip(5)); // none — ghosts are existential here
-    specs.push(ws.spec("make", "make", a, binders, pre, w, post));
-
-    // read_acq: argument (#b, w).
-    let a = ws.v(Sort::Val, "a");
-    let b = ws.v(Sort::Int, "b");
-    let w0 = ws.v(Sort::Val, "w0");
-    let gs = ghosts(&mut ws);
-    let ret = ws.v(Sort::Val, "ret");
-    let duo = is_rwb(
-        &mut ws,
-        p,
-        Term::var(gs[0]),
-        Term::var(gs[1]),
-        Term::var(gs[2]),
-        Term::var(gs[3]),
-        Term::var(gs[4]),
-        Term::var(b),
-        Term::var(w0),
-    );
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(tm::vint(Term::var(b)), Term::var(w0)),
-        ),
-        Assertion::pure(PureProp::lt(Term::int(0), Term::var(b))),
-        duo,
-    ]);
-    let post = sep([
-        eq(Term::var(ret), tm::unit()),
-        Assertion::atom(token(p, Term::var(gs[4]))),
-    ]);
-    let mut binders = vec![b, w0];
-    binders.extend(gs);
-    specs.push(ws.spec("read_acq", "read_acq", a, binders, pre, ret, post));
-
-    // read_rel / write_acq / write_rel.
-    for name in ["read_rel", "write_acq", "write_rel"] {
-        let w0 = ws.v(Sort::Val, "w0");
-        let b = ws.v(Sort::Int, "b");
-        let gs = ghosts(&mut ws);
-        let ret = ws.v(Sort::Val, "ret");
-        let duo = is_rwb(
-            &mut ws,
-            p,
-            Term::var(gs[0]),
-            Term::var(gs[1]),
-            Term::var(gs[2]),
-            Term::var(gs[3]),
-            Term::var(gs[4]),
-            Term::var(b),
-            Term::var(w0),
-        );
-        let mut pre_parts = vec![duo];
-        let mut post_parts = vec![eq(Term::var(ret), tm::unit())];
-        match name {
-            "read_rel" => pre_parts.push(Assertion::atom(token(p, Term::var(gs[4])))),
-            "write_acq" => {
-                post_parts.push(Assertion::atom(locked(Term::var(gs[3]))));
-                post_parts.push(papp(p, vec![tm::one()]));
-            }
-            _ => {
-                pre_parts.push(Assertion::atom(locked(Term::var(gs[3]))));
-                pre_parts.push(papp(p, vec![tm::one()]));
-            }
-        }
-        let mut binders = vec![b, w0];
-        binders.extend(gs);
-        binders.remove(1); // w0 is the argument itself
-        specs.push(ws.spec(
-            name,
-            name,
-            w0,
-            binders,
-            sep(pre_parts),
-            ret,
-            sep(post_parts),
-        ));
-    }
-
-    RwTicketBoundedSpecs {
-        ws,
-        p,
-        rlock,
-        glock,
-        specs,
-    }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -337,23 +109,18 @@ impl Example for RwLockTicketBounded {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let bt = VerifyOptions::automatic().with_backtracking();
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.glock.make, bt.clone()),
-            (&s.glock.wait, s.glock.wait_opts.clone()),
-            (&s.glock.acquire, bt.clone()),
-            (&s.glock.release, bt.clone()),
-            (&s.rlock.make, bt.clone()),
-            (&s.rlock.wait, s.rlock.wait_opts.clone()),
-            (&s.rlock.acquire, bt.clone()),
-            (&s.rlock.release, bt.clone()),
-        ];
-        for sp in &s.specs {
-            jobs.push((sp, VerifyOptions::automatic()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        // The libraries' instances first (global lock, then reader lock),
+        // then the lock's own operations.
+        let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        let order = ["makeg", "waitg", "acquireg", "releaseg", "maker", "waitr", "acquirer", "releaser", "make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        ws.verify_named(&order, |name| {
+            if own.contains(&name) {
+                VerifyOptions::automatic()
+            } else {
+                ticket_lock::options(name)
+            }
+        })
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -364,9 +131,8 @@ impl Example for RwLockTicketBounded {
              write_acq w ;; write_rel w ;; 5",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(5),
         ))
     }

@@ -4,16 +4,10 @@
 //! readers enter fairly. The reader count is unbounded; compare
 //! [`crate::rwlock_ticket_bounded`].
 
-use crate::common::{
-    eq, ex, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, Ws,
-};
-use crate::ticket_lock::{is_tl_with, tl_instance, TicketLockInstance};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::counting::{counter, no_tokens, token};
-use diaframe_ghost::excl_token::locked;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{PureProp, Sort, Term, VarId};
+use crate::ticket_lock;
 
 /// The implementation: two textually separate ticket locks plus the
 /// reader-count protocol.
@@ -49,215 +43,29 @@ def write_acq w := acquireg (snd (snd w))
 def write_rel w := releaseg (snd (snd w))
 ";
 
-/// Specifications (duolock-shaped, with ticket locks underneath).
+/// Specifications: two ticket-lock instances, duolock-shaped.
 pub const ANNOTATION: &str = "\
-R_g := P 1
+// P: the fractional resource readers share and the writer owns.
+Context (P : Qp → iProp) (Fractional P)
 R_r c γp γg2 := ∃ n. c ↦ #n ∗
-  (⌜n = 0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg2)
-is_rwt γs w := ∃ rlk glk c. ⌜w = (rlk, (#c, glk))⌝ ∗
-  is_tl γr γr2 rlk (R_r c γp γg2) ∗ is_tl γg γg2 glk R_g
-SPEC {{ P 1 }} make () {{ w γs, RET w; is_rwt γs w }}
-SPEC {{ is_rwt γs w }} read_acq w {{ RET #(); token P γp }}
-SPEC {{ is_rwt γs w ∗ token P γp }} read_rel w {{ RET #(); True }}
-SPEC {{ is_rwt γs w }} write_acq w {{ RET #(); locked γg2 ∗ P 1 }}
-SPEC {{ is_rwt γs w ∗ locked γg2 ∗ P 1 }} write_rel w {{ RET #(); True }}
+  (⌜#n = #0⌝ ∗ no_tokens P γp 1 ∨ ⌜0 < n⌝ ∗ counter P γp n ∗ locked γg2)
+Context (c : loc) (γp γg2 : gname)
+Instance ticket_lock c γp γg2 with N := rwt.r, R := R_r c γp γg2,
+  make := maker, wait := waitr, acquire := acquirer, release := releaser
+Instance ticket_lock with N := rwt.g, R := P 1,
+  make := makeg, wait := waitg, acquire := acquireg, release := releaseg
+is_rwt γr γr2 γg γg2 γp w := ∃ rlk glk c. ⌜w = (rlk, (#c, glk))⌝ ∗
+  is_tl rwt.r γr γr2 rlk (R_r c γp γg2) ∗ is_tl rwt.g γg γg2 glk (P 1)
+SPEC {{ P 1 }} make () {{ w γr γr2 γg γg2 γp, RET w; is_rwt γr γr2 γg γg2 γp w }}
+SPEC γr γr2 γg γg2 γp, {{ is_rwt γr γr2 γg γg2 γp w0 }} read_acq w0
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ token P γp }}
+SPEC γr γr2 γg γg2 γp, {{ is_rwt γr γr2 γg γg2 γp w0 ∗ token P γp }} read_rel w0
+     {{ ret, RET ret; ⌜ret = #()⌝ }}
+SPEC γr γr2 γg γg2 γp, {{ is_rwt γr γr2 γg γg2 γp w0 }} write_acq w0
+     {{ ret, RET ret; ⌜ret = #()⌝ ∗ locked γg2 ∗ P 1 }}
+SPEC γr γr2 γg γg2 γp, {{ is_rwt γr γr2 γg γg2 γp w0 ∗ locked γg2 ∗ P 1 }} write_rel w0
+     {{ ret, RET ret; ⌜ret = #()⌝ }}
 ";
-
-/// The built specs.
-pub struct RwTicketSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected fractional predicate.
-    pub p: PredId,
-    /// Reader ticket-lock instance.
-    pub rlock: TicketLockInstance,
-    /// Global ticket-lock instance.
-    pub glock: TicketLockInstance,
-    /// make / read_acq / read_rel / write_acq / write_rel.
-    pub specs: Vec<Spec>,
-}
-
-pub(crate) fn r_r(ws: &mut Ws, p: PredId, c: Term, gp: Term, gg2: Term) -> Assertion {
-    let n = ws.v(Sort::Int, "n");
-    ex(
-        n,
-        sep([
-            pt(c, tm::vint(Term::var(n))),
-            or(
-                sep([
-                    eq(tm::vint(Term::var(n)), tm::int(0)),
-                    Assertion::atom(no_tokens(p, gp.clone(), tm::one())),
-                ]),
-                sep([
-                    Assertion::pure(PureProp::lt(Term::int(0), Term::var(n))),
-                    Assertion::atom(counter(p, gp, Term::var(n))),
-                    Assertion::atom(locked(gg2)),
-                ]),
-            ),
-        ]),
-    )
-}
-
-#[allow(clippy::many_single_char_names, clippy::too_many_arguments)]
-pub(crate) fn is_rwt(
-    ws: &mut Ws,
-    p: PredId,
-    gr: Term,
-    gr2: Term,
-    gg: Term,
-    gg2: Term,
-    gp: Term,
-    w: Term,
-) -> Assertion {
-    let rlk = ws.v(Sort::Val, "rlk");
-    let glk = ws.v(Sort::Val, "glk");
-    let c = ws.v(Sort::Loc, "c");
-    let rres = r_r(ws, p, Term::var(c), gp, gg2.clone());
-    let rl = is_tl_with(ws, "rwt.r", rres, gr, gr2, Term::var(rlk));
-    let gl = is_tl_with(ws, "rwt.g", papp(p, vec![tm::one()]), gg, gg2, Term::var(glk));
-    ex(
-        rlk,
-        ex(
-            glk,
-            ex(
-                c,
-                sep([
-                    eq(
-                        w,
-                        Term::v_pair(
-                            Term::var(rlk),
-                            Term::v_pair(tm::vloc(Term::var(c)), Term::var(glk)),
-                        ),
-                    ),
-                    rl,
-                    gl,
-                ]),
-            ),
-        ),
-    )
-}
-
-/// Ghost binders for one rwt spec: (γr, γr2, γg, γg2, γp).
-pub(crate) fn ghost_binders(ws: &mut Ws) -> [VarId; 5] {
-    [
-        ws.v(Sort::GhostName, "γr"),
-        ws.v(Sort::GhostName, "γr2"),
-        ws.v(Sort::GhostName, "γg"),
-        ws.v(Sort::GhostName, "γg2"),
-        ws.v(Sort::GhostName, "γp"),
-    ]
-}
-
-/// Builds the workspace and specs.
-#[must_use]
-pub fn build_with_source(source: &str) -> RwTicketSpecs {
-    let mut preds = PredTable::new();
-    let p = preds.fresh_fractional("P");
-    let mut ws = Ws::new(preds, source);
-
-    let c = ws.v(Sort::Loc, "c");
-    let gp = ws.v(Sort::GhostName, "γp");
-    let gg2 = ws.v(Sort::GhostName, "γg2");
-    let rlock = tl_instance(
-        &mut ws,
-        "rwt.r",
-        &[c, gp, gg2],
-        &|ws| r_r(ws, p, Term::var(c), Term::var(gp), Term::var(gg2)),
-        ("maker", "waitr", "acquirer", "releaser"),
-    );
-    let glock = tl_instance(
-        &mut ws,
-        "rwt.g",
-        &[],
-        &|_| papp(p, vec![tm::one()]),
-        ("makeg", "waitg", "acquireg", "releaseg"),
-    );
-
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let gs = ghost_binders(&mut ws);
-    let post = {
-        let body = is_rwt(
-            &mut ws,
-            p,
-            Term::var(gs[0]),
-            Term::var(gs[1]),
-            Term::var(gs[2]),
-            Term::var(gs[3]),
-            Term::var(gs[4]),
-            Term::var(w),
-        );
-        gs.iter().rev().fold(body, |acc, g| ex(*g, acc))
-    };
-    specs.push(ws.spec(
-        "make",
-        "make",
-        a,
-        Vec::new(),
-        papp(p, vec![tm::one()]),
-        w,
-        post,
-    ));
-
-    // read_acq / read_rel / write_acq / write_rel.
-    for (name, needs_token, gives_token, write) in [
-        ("read_acq", false, true, false),
-        ("read_rel", true, false, false),
-        ("write_acq", false, false, true),
-        ("write_rel", false, false, false),
-    ] {
-        let w0 = ws.v(Sort::Val, "w0");
-        let gs = ghost_binders(&mut ws);
-        let ret = ws.v(Sort::Val, "ret");
-        let duo = is_rwt(
-            &mut ws,
-            p,
-            Term::var(gs[0]),
-            Term::var(gs[1]),
-            Term::var(gs[2]),
-            Term::var(gs[3]),
-            Term::var(gs[4]),
-            Term::var(w0),
-        );
-        let mut pre_parts = vec![duo];
-        if needs_token {
-            pre_parts.push(Assertion::atom(token(p, Term::var(gs[4]))));
-        }
-        if name == "write_rel" {
-            pre_parts.push(Assertion::atom(locked(Term::var(gs[3]))));
-            pre_parts.push(papp(p, vec![tm::one()]));
-        }
-        let mut post_parts = vec![eq(Term::var(ret), tm::unit())];
-        if gives_token {
-            post_parts.push(Assertion::atom(token(p, Term::var(gs[4]))));
-        }
-        if write {
-            post_parts.push(Assertion::atom(locked(Term::var(gs[3]))));
-            post_parts.push(papp(p, vec![tm::one()]));
-        }
-        let spec = ws.spec(
-            name,
-            name,
-            w0,
-            gs.to_vec(),
-            sep(pre_parts),
-            ret,
-            sep(post_parts),
-        );
-        specs.push(spec);
-    }
-
-    RwTicketSpecs {
-        ws,
-        p,
-        rlock,
-        glock,
-        specs,
-    }
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -292,23 +100,18 @@ impl Example for RwLockTicketUnbounded {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        let bt = VerifyOptions::automatic().with_backtracking();
-        let mut jobs: Vec<(&Spec, VerifyOptions)> = vec![
-            (&s.glock.make, bt.clone()),
-            (&s.glock.wait, s.glock.wait_opts.clone()),
-            (&s.glock.acquire, bt.clone()),
-            (&s.glock.release, bt.clone()),
-            (&s.rlock.make, bt.clone()),
-            (&s.rlock.wait, s.rlock.wait_opts.clone()),
-            (&s.rlock.acquire, bt.clone()),
-            (&s.rlock.release, bt.clone()),
-        ];
-        for sp in &s.specs {
-            jobs.push((sp, VerifyOptions::automatic()));
-        }
-        s.ws.verify_all(&registry, &jobs)
+        let ws = Ws::new(SOURCE, ANNOTATION);
+        // The libraries' instances first (global lock, then reader lock),
+        // then the lock's own operations.
+        let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        let order = ["makeg", "waitg", "acquireg", "releaseg", "maker", "waitr", "acquirer", "releaser", "make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        ws.verify_named(&order, |name| {
+            if own.contains(&name) {
+                VerifyOptions::automatic()
+            } else {
+                ticket_lock::options(name)
+            }
+        })
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -319,9 +122,8 @@ impl Example for RwLockTicketUnbounded {
              write_acq w ;; write_rel w ;; 4",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(4),
         ))
     }

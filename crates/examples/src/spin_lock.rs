@@ -5,15 +5,9 @@
 //! invariant and the exclusive `locked γ` ghost token. Verifies fully
 //! automatically (0 lines of manual proof in Figure 6).
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow,
-    ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::excl_token::locked;
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{Sort, Term};
 
 /// The implementation (Fig. 2, lines 1–8).
 pub const SOURCE: &str = "\
@@ -23,208 +17,16 @@ def release l := l <- false
 ";
 
 /// The annotation: specifications and the lock invariant (Fig. 2,
-/// lines 9–26).
+/// lines 9–26). Other examples instantiate it at a concrete `R`.
 pub const ANNOTATION: &str = "\
-lock_inv γ l R := ∃ b. l ↦ #b ∗ (⌜b = true⌝ ∨ ⌜b = false⌝ ∗ locked γ ∗ R)
-is_lock γ lk R := ∃ l. ⌜lk = #l⌝ ∗ inv N (lock_inv γ l R)
-SPEC {{ R }} newlock () {{ lk γ, RET lk; is_lock γ lk R }}
-SPEC {{ is_lock γ lk R }} acquire lk {{ RET #(); locked γ ∗ R }}
-SPEC {{ is_lock γ lk R ∗ locked γ ∗ R }} release lk {{ RET #(); True }}
+// R: the protected resource; N: the lock invariant's namespace.
+Context (R : iProp) (N := lock)
+lock_inv γ l R := ∃ b. l ↦ #b ∗ (⌜#b = #true⌝ ∨ ⌜#b = #false⌝ ∗ locked γ ∗ R)
+is_lock N γ lk R := ∃ l. ⌜lk = #l⌝ ∗ inv N (lock_inv γ l R)
+SPEC {{ R }} newlock () {{ w γ, RET w; is_lock N γ w R }}
+SPEC γ, {{ is_lock N γ lk R }} acquire lk {{ RET #(); locked γ ∗ R }}
+SPEC γ, {{ is_lock N γ lk R ∗ locked γ ∗ R }} release lk {{ RET #(); True }}
 ";
-
-/// The built specs of the spin lock, shared with client examples.
-pub struct SpinLockSpecs {
-    /// The workspace (context template, spec table, linked functions).
-    pub ws: Ws,
-    /// The protected resource parameter `R`.
-    pub r: PredId,
-    /// `newlock`'s spec.
-    pub newlock: Spec,
-    /// `acquire`'s spec.
-    pub acquire: Spec,
-    /// `release`'s spec.
-    pub release: Spec,
-}
-
-/// A lock instantiated at a *concrete* resource assertion `R` — the
-/// impredicative flexibility §2.1 highlights: `R` "can contain other
-/// locks, Hoare triples, etc.". Used by the duolock, which stores one
-/// lock's token inside another lock's resource.
-pub struct LockInstance {
-    /// `newlock`'s spec for this instance.
-    pub newlock: Spec,
-    /// `acquire`'s spec.
-    pub acquire: Spec,
-    /// `release`'s spec.
-    pub release: Spec,
-}
-
-/// Builds `is_lock γ lk R` for an arbitrary resource assertion.
-pub fn is_lock_with(ws: &mut Ws, ns: &str, r: Assertion, gamma: Term, lk: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let b = ws.v(Sort::Bool, "b");
-    let lock_inv = ex(
-        b,
-        sep([
-            pt(Term::var(l), tm::vbool(Term::var(b))),
-            or(
-                eq(tm::vbool(Term::var(b)), tm::boolean(true)),
-                sep([
-                    eq(tm::vbool(Term::var(b)), tm::boolean(false)),
-                    Assertion::atom(locked(gamma.clone())),
-                    r,
-                ]),
-            ),
-        ]),
-    );
-    ex(
-        l,
-        sep([eq(lk, tm::vloc(Term::var(l))), inv(ns, lock_inv)]),
-    )
-}
-
-/// Registers newlock/acquire/release specs for a lock protecting the
-/// (possibly open) assertion produced by `r` at the given extra spec
-/// binders. The function names must exist in `ws`' source.
-pub fn lock_instance(
-    ws: &mut Ws,
-    ns: &str,
-    extra_binders: &[diaframe_term::VarId],
-    r: &dyn Fn(&mut Ws) -> Assertion,
-) -> LockInstance {
-    // newlock.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let pre = r(ws);
-    let post = {
-        let rr = r(ws);
-        let body = is_lock_with(ws, ns, rr, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    let mut binders = extra_binders.to_vec();
-    let newlock = ws.spec("newlock", "newlock", a, binders.clone(), pre, w, post);
-
-    // acquire.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    binders.push(g);
-    let acquire = ws.spec("acquire", "acquire", lk, binders.clone(), pre, w, post);
-
-    // release.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = sep([
-        is_lock_with(ws, ns, rr, Term::var(g), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g))),
-        r(ws),
-    ]);
-    let mut rel_binders = extra_binders.to_vec();
-    rel_binders.push(g);
-    let release = ws.spec(
-        "release",
-        "release",
-        lk,
-        rel_binders,
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    );
-
-    LockInstance {
-        newlock,
-        acquire,
-        release,
-    }
-}
-
-/// Builds `is_lock γ lk R` for the abstract resource `R` (with the shared
-/// invariant-body template, so all specs' invariants unify structurally).
-fn is_lock(ws: &mut Ws, r: PredId, gamma: Term, lk: Term) -> Assertion {
-    is_lock_with(ws, "lock", papp(r, Vec::new()), gamma, lk)
-}
-
-/// Builds the spin-lock workspace and specs, parameterised by the source
-/// (so the sabotage variant can reuse the construction).
-#[must_use]
-pub fn build_with_source(source: &str) -> SpinLockSpecs {
-    let mut preds = PredTable::new();
-    let r = preds.fresh_plain("R");
-    let mut ws = Ws::new(preds, source);
-
-    // newlock: SPEC {R} newlock () {lk γ. is_lock γ lk R}.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_lock(&mut ws, r, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    let newlock = ws.spec(
-        "newlock",
-        "newlock",
-        a,
-        Vec::new(),
-        papp(r, Vec::new()),
-        w,
-        post,
-    );
-
-    // acquire: SPEC {is_lock γ lk R} acquire lk {RET (); locked γ ∗ R}.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_lock(&mut ws, r, Term::var(g), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g))),
-        papp(r, Vec::new()),
-    ]);
-    let acquire = ws.spec("acquire", "acquire", lk, vec![g], pre, w, post);
-
-    // release: SPEC {is_lock γ lk R ∗ locked γ ∗ R} release lk {RET (); True}.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_lock(&mut ws, r, Term::var(g), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g))),
-        papp(r, Vec::new()),
-    ]);
-    let release = ws.spec(
-        "release",
-        "release",
-        lk,
-        vec![g],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    );
-
-    SpinLockSpecs {
-        ws,
-        r,
-        newlock,
-        acquire,
-        release,
-    }
-}
-
-/// Builds the standard spin-lock specs.
-#[must_use]
-pub fn build() -> SpinLockSpecs {
-    build_with_source(SOURCE)
-}
 
 /// The Figure 6 example.
 #[derive(Debug, Default)]
@@ -259,32 +61,14 @@ impl Example for SpinLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build();
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[
-                (&s.newlock, VerifyOptions::automatic()),
-                (&s.acquire, VerifyOptions::automatic()),
-                (&s.release, VerifyOptions::automatic()),
-            ],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: `acquire` "succeeds" without actually taking the lock
         // (CAS from true to true) — the specification must fail.
-        let broken = "\
-def newlock _ := ref false
-def acquire l := if CAS(l, true, true) then () else acquire l
-def release l := l <- false
-";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(
-            s.ws
-                .verify_all(&registry, &[(&s.acquire, VerifyOptions::automatic())]),
-        )
+        let broken = SOURCE.replace("CAS(l, false, true)", "CAS(l, true, true)");
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["acquire"], |_| VerifyOptions::automatic()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -300,9 +84,8 @@ def release l := l <- false
                 if n = 2 then n else wait u) ()",
         )
         .expect("client parses");
-        let s = build();
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -341,11 +124,6 @@ mod tests {
         assert!(hints.iter().any(|h| h == "inv-open"));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        let result = SpinLock.verify_broken().expect("has a broken variant");
-        assert!(result.is_err(), "sabotaged acquire must not verify");
-    }
 
     #[test]
     fn adequacy() {
@@ -353,12 +131,5 @@ mod tests {
         for v in diaframe_heaplang::interp::run_schedules(&prog, 15, 2_000_000) {
             assert_eq!(v, expected);
         }
-    }
-
-    #[test]
-    fn line_counts_are_consistent() {
-        use crate::common::count_lines;
-        assert!(count_lines(SOURCE) >= 3);
-        assert!(count_lines(ANNOTATION) >= 5);
     }
 }

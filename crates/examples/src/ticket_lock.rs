@@ -8,15 +8,11 @@
 //! deposited) has no pure guards, so — exactly like Caper (§6) — the
 //! proof search uses the opt-in disjunction *backtracking* of §5.3.
 
-use crate::common::{
-    eq, ex, inv, or, papp, pt, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat, Ws,
-};
-use diaframe_core::{Spec, Stuck, VerifyOptions};
-use diaframe_ghost::excl_token::locked;
-use diaframe_ghost::tickets::{ticket, tickets};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::{Assertion, PredId, PredTable};
-use diaframe_term::{Sort, Term};
+use diaframe_logic::Assertion;
+use diaframe_term::Term;
 
 /// The implementation. The lock value is the pair `(owner, next)`;
 /// `wait` takes `(owner_location, my_ticket)`.
@@ -27,336 +23,34 @@ def acquire lk := let n := FAA(snd lk, 1) in wait (fst lk, n)
 def release lk := fst lk <- !(fst lk) + 1
 ";
 
-/// Specifications and the invariant.
+/// Specifications and the invariant. Other examples instantiate it at
+/// a concrete `R`.
 pub const ANNOTATION: &str = "\
-tl_inv γ γ2 lo ln := ∃ o n. (ticket γ o ∨ locked γ2 ∗ R) ∗ lo ↦ #o ∗
+// R: the protected resource; N: the lock invariant's namespace.
+Context (R : iProp) (N := tl)
+// The resource disjunct comes first so that, when the invariant is
+// re-established, the choice is made while the counters are in context.
+tl_inv γ γ2 lo ln R := ∃ o n. (ticket γ o ∨ locked γ2 ∗ R) ∗ lo ↦ #o ∗
   ln ↦ #n ∗ tickets γ n
-is_tl γ γ2 lk := ∃ lo ln. ⌜lk = (#lo, #ln)⌝ ∗ inv N (tl_inv γ γ2 lo ln)
-SPEC {{ R }} make () {{ lk γ γ2, RET lk; is_tl γ γ2 lk }}
-SPEC {{ ⌜a = (#lo, #m)⌝ ∗ inv N (tl_inv γ γ2 lo ln) ∗ ticket γ m }}
+is_tl N γ γ2 lk R := ∃ lo ln. ⌜lk = (#lo, #ln)⌝ ∗ inv N (tl_inv γ γ2 lo ln R)
+SPEC {{ R }} make () {{ w γ γ2, RET w; is_tl N γ γ2 w R }}
+SPEC lo ln m γ γ2, {{ ⌜a = (#lo, #m)⌝ ∗ inv N (tl_inv γ γ2 lo ln R) ∗ ticket γ m }}
      wait a {{ RET #(); locked γ2 ∗ R }}
-SPEC {{ is_tl γ γ2 lk }} acquire lk {{ RET #(); locked γ2 ∗ R }}
-SPEC {{ is_tl γ γ2 lk ∗ locked γ2 ∗ R }} release lk {{ RET #(); True }}
+Next Obligation. destruct (decide (o = m)); iStepsS. Qed.
+SPEC γ γ2, {{ is_tl N γ γ2 lk R }} acquire lk {{ RET #(); locked γ2 ∗ R }}
+SPEC γ γ2, {{ is_tl N γ γ2 lk R ∗ locked γ2 ∗ R }} release lk {{ RET #(); True }}
 ";
 
-/// The built specs.
-pub struct TicketLockSpecs {
-    /// Workspace.
-    pub ws: Ws,
-    /// The protected resource.
-    pub r: PredId,
-    /// make / wait / acquire / release.
-    pub specs: Vec<Spec>,
-}
-
-/// `tl_inv` over an arbitrary resource assertion (used by the ticket
-/// reader-writer locks to instantiate the lock at a concrete resource).
-pub fn tl_inv_with(
-    ws: &mut Ws,
-    r: Assertion,
-    g: Term,
-    g2: Term,
-    lo: Term,
-    ln: Term,
-) -> Assertion {
-    let o = ws.v(Sort::Int, "o");
-    let n = ws.v(Sort::Int, "n");
-    ex(
-        o,
-        ex(
-            n,
-            sep([
-                or(
-                    Assertion::atom(ticket(g.clone(), Term::var(o))),
-                    sep([Assertion::atom(locked(g2)), r]),
-                ),
-                pt(lo, tm::vint(Term::var(o))),
-                pt(ln, tm::vint(Term::var(n))),
-                Assertion::atom(tickets(g, Term::var(n))),
-            ]),
-        ),
-    )
-}
-
-/// `is_tl` over an arbitrary resource assertion.
-pub fn is_tl_with(ws: &mut Ws, ns: &str, r: Assertion, g: Term, g2: Term, lk: Term) -> Assertion {
-    let lo = ws.v(Sort::Loc, "lo");
-    let ln = ws.v(Sort::Loc, "ln");
-    let body = tl_inv_with(ws, r, g, g2, Term::var(lo), Term::var(ln));
-    ex(
-        lo,
-        ex(
-            ln,
-            sep([
-                eq(
-                    lk,
-                    Term::v_pair(tm::vloc(Term::var(lo)), tm::vloc(Term::var(ln))),
-                ),
-                inv(ns, body),
-            ]),
-        ),
-    )
-}
-
-/// A ticket lock instantiated at a concrete resource; see
-/// [`crate::spin_lock::LockInstance`].
-pub struct TicketLockInstance {
-    /// make / wait / acquire / release specs.
-    pub make: Spec,
-    /// The internal wait-loop helper's spec.
-    pub wait: Spec,
-    /// `acquire`'s spec.
-    pub acquire: Spec,
-    /// `release`'s spec.
-    pub release: Spec,
-    /// The manual case split the `wait` proof needs.
-    pub wait_opts: VerifyOptions,
-}
-
-/// Registers make/wait/acquire/release specs for a ticket lock protecting
-/// the assertion produced by `r`. Function names are explicit so several
-/// instances can coexist in one source.
-pub fn tl_instance(
-    ws: &mut Ws,
-    ns: &str,
-    extra_binders: &[diaframe_term::VarId],
-    r: &dyn Fn(&mut Ws) -> Assertion,
-    names: (&str, &str, &str, &str),
-) -> TicketLockInstance {
-    let (make_n, wait_n, acquire_n, release_n) = names;
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let pre = r(ws);
-    let post = {
-        let rr = r(ws);
-        let body = is_tl_with(ws, ns, rr, Term::var(g), Term::var(g2), Term::var(w));
-        ex(g, ex(g2, body))
-    };
-    let make = ws.spec(make_n, make_n, a, extra_binders.to_vec(), pre, w, post);
-
-    // wait.
-    let a = ws.v(Sort::Val, "a");
-    let lo = ws.v(Sort::Loc, "lo");
-    let ln = ws.v(Sort::Loc, "ln");
-    let m = ws.v(Sort::Int, "m");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let body = tl_inv_with(ws, rr, Term::var(g), Term::var(g2), Term::var(lo), Term::var(ln));
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(tm::vloc(Term::var(lo)), tm::vint(Term::var(m))),
-        ),
-        inv(ns, body),
-        Assertion::atom(ticket(Term::var(g), Term::var(m))),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g2))),
-        r(ws),
-    ]);
-    let mut binders = extra_binders.to_vec();
-    binders.extend([lo, ln, m, g, g2]);
-    let wait = ws.spec(wait_n, wait_n, a, binders, pre, w, post);
-
-    // acquire.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = is_tl_with(ws, ns, rr, Term::var(g), Term::var(g2), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g2))),
-        r(ws),
-    ]);
-    let mut binders = extra_binders.to_vec();
-    binders.extend([g, g2]);
-    let acquire = ws.spec(acquire_n, acquire_n, lk, binders, pre, w, post);
-
-    // release.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let rr = r(ws);
-    let pre = sep([
-        is_tl_with(ws, ns, rr, Term::var(g), Term::var(g2), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g2))),
-        r(ws),
-    ]);
-    let mut binders = extra_binders.to_vec();
-    binders.extend([g, g2]);
-    let release = ws.spec(
-        release_n,
-        release_n,
-        lk,
-        binders,
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    );
-
-    TicketLockInstance {
-        make,
-        wait,
-        acquire,
-        release,
-        wait_opts: wait_case_split().with_backtracking(),
-    }
-}
-
-fn tl_inv(ws: &mut Ws, r: PredId, g: Term, g2: Term, lo: Term, ln: Term) -> Assertion {
-    let o = ws.v(Sort::Int, "o");
-    let n = ws.v(Sort::Int, "n");
-    // The resource disjunct comes first so that, when the invariant is
-    // re-established, the disjunct choice is made while the counters'
-    // points-to facts are still in the context (the manual case split
-    // inspects them).
-    ex(
-        o,
-        ex(
-            n,
-            sep([
-                or(
-                    Assertion::atom(ticket(g.clone(), Term::var(o))),
-                    sep([Assertion::atom(locked(g2)), papp(r, Vec::new())]),
-                ),
-                pt(lo, tm::vint(Term::var(o))),
-                pt(ln, tm::vint(Term::var(n))),
-                Assertion::atom(tickets(g, Term::var(n))),
-            ]),
-        ),
-    )
-}
-
-/// `is_tl γ γ₂ lk`.
-pub fn is_tl(ws: &mut Ws, r: PredId, g: Term, g2: Term, lk: Term) -> Assertion {
-    let lo = ws.v(Sort::Loc, "lo");
-    let ln = ws.v(Sort::Loc, "ln");
-    let body = tl_inv(
-        ws,
-        r,
-        g,
-        g2,
-        Term::var(lo),
-        Term::var(ln),
-    );
-    ex(
-        lo,
-        ex(
-            ln,
-            sep([
-                eq(
-                    lk,
-                    Term::v_pair(tm::vloc(Term::var(lo)), tm::vloc(Term::var(ln))),
-                ),
-                inv("tl", body),
-            ]),
-        ),
-    )
-}
-
-/// Builds the workspace and specs.
+/// The options of a ticket-lock spec: backtracking everywhere, plus the
+/// manual case split for the `wait` loop (named `wait` in the library
+/// and `waitr`/`waitg` in the reader-writer locks' instances).
 #[must_use]
-pub fn build_with_source(source: &str) -> TicketLockSpecs {
-    let mut preds = PredTable::new();
-    let r = preds.fresh_plain("R");
-    let mut ws = Ws::new(preds, source);
-    let mut specs = Vec::new();
-
-    // make.
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let post = {
-        let body = is_tl(&mut ws, r, Term::var(g), Term::var(g2), Term::var(w));
-        ex(g, ex(g2, body))
-    };
-    specs.push(ws.spec(
-        "make",
-        "make",
-        a,
-        Vec::new(),
-        papp(r, Vec::new()),
-        w,
-        post,
-    ));
-
-    // wait: argument (#lo, #m); precondition names the invariant directly
-    // (the helper is internal to the module, like an auxiliary lemma).
-    let a = ws.v(Sort::Val, "a");
-    let lo = ws.v(Sort::Loc, "lo");
-    let ln = ws.v(Sort::Loc, "ln");
-    let m = ws.v(Sort::Int, "m");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let body = tl_inv(
-        &mut ws,
-        r,
-        Term::var(g),
-        Term::var(g2),
-        Term::var(lo),
-        Term::var(ln),
-    );
-    let pre = sep([
-        eq(
-            Term::var(a),
-            Term::v_pair(tm::vloc(Term::var(lo)), tm::vint(Term::var(m))),
-        ),
-        inv("tl", body),
-        Assertion::atom(ticket(Term::var(g), Term::var(m))),
-    ]);
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g2))),
-        papp(r, Vec::new()),
-    ]);
-    specs.push(ws.spec("wait", "wait", a, vec![lo, ln, m, g, g2], pre, w, post));
-
-    // acquire.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_tl(&mut ws, r, Term::var(g), Term::var(g2), Term::var(lk));
-    let post = sep([
-        eq(Term::var(w), tm::unit()),
-        Assertion::atom(locked(Term::var(g2))),
-        papp(r, Vec::new()),
-    ]);
-    specs.push(ws.spec("acquire", "acquire", lk, vec![g, g2], pre, w, post));
-
-    // release.
-    let lk = ws.v(Sort::Val, "lk");
-    let g = ws.v(Sort::GhostName, "γ");
-    let g2 = ws.v(Sort::GhostName, "γ2");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_tl(&mut ws, r, Term::var(g), Term::var(g2), Term::var(lk)),
-        Assertion::atom(locked(Term::var(g2))),
-        papp(r, Vec::new()),
-    ]);
-    specs.push(ws.spec(
-        "release",
-        "release",
-        lk,
-        vec![g, g2],
-        pre,
-        w,
-        eq(Term::var(w), tm::unit()),
-    ));
-
-    TicketLockSpecs { ws, r, specs }
+pub fn options(spec: &str) -> VerifyOptions {
+    if spec.starts_with("wait") {
+        wait_case_split().with_backtracking()
+    } else {
+        VerifyOptions::automatic().with_backtracking()
+    }
 }
 
 /// The manual step of the `wait` proof: case split on "is the currently
@@ -430,17 +124,7 @@ impl Example for TicketLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let s = build_with_source(SOURCE);
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws.verify_all(
-            &registry,
-            &[
-                (&s.specs[0], VerifyOptions::automatic().with_backtracking()),
-                (&s.specs[1], wait_case_split().with_backtracking()),
-                (&s.specs[2], VerifyOptions::automatic().with_backtracking()),
-                (&s.specs[3], VerifyOptions::automatic().with_backtracking()),
-            ],
-        )
+        Ws::new(SOURCE, ANNOTATION).verify_declared(options)
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -452,12 +136,7 @@ def wait a := if !(fst a) = snd a then () else wait a
 def acquire lk := let n := FAA(snd lk, 1) in wait (fst lk, n + 1)
 def release lk := fst lk <- !(fst lk) + 1
 ";
-        let s = build_with_source(broken);
-        let registry = diaframe_ghost::Registry::standard();
-        Some(s.ws.verify_all(
-            &registry,
-            &[(&s.specs[2], VerifyOptions::automatic().with_backtracking())],
-        ))
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["acquire"], |_| VerifyOptions::automatic().with_backtracking()))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -473,9 +152,8 @@ def release lk := fst lk <- !(fst lk) + 1
                 if v = 2 then v else spin u) ()",
         )
         .expect("client parses");
-        let s = build_with_source(SOURCE);
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(SOURCE), &main),
             Val::Int(2),
         ))
     }
@@ -523,10 +201,6 @@ mod tests {
         assert!(hints.contains("tickets-allocate"));
     }
 
-    #[test]
-    fn broken_variant_fails() {
-        assert!(TicketLock.verify_broken().expect("broken").is_err());
-    }
 
     #[test]
     fn adequacy() {

@@ -1,21 +1,19 @@
 //! A client of the ticket lock, verified modularly against the lock's
 //! specifications (acquire/release as black boxes).
 
-use crate::common::{eq, papp, sep, tm, Example, ExampleOutcome, PaperRow, ToolStat};
+use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
 use diaframe_core::{Stuck, VerifyOptions};
-use diaframe_ghost::excl_token::locked;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use diaframe_logic::Assertion;
-use diaframe_term::{Sort, Term};
 
 /// The client: a critical section that acquires, uses `R`, and releases.
 pub const SOURCE: &str = "\
 def with_lock lk := acquire lk ;; release lk ;; ()
 ";
 
-/// The client's specification.
+/// The client's specification, against the ticket lock's.
 pub const ANNOTATION: &str = "\
-SPEC {{ is_tl γ γ2 lk }} with_lock lk {{ RET #(); True }}
+Require ticket_lock
+SPEC γ γ2, {{ is_tl N γ γ2 lk R }} with_lock lk {{ RET #(); True }}
 ";
 
 /// The Figure 6 example.
@@ -51,32 +49,15 @@ impl Example for TicketLockClient {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let combined = format!("{}{}", crate::ticket_lock::SOURCE, SOURCE);
-        let mut s = crate::ticket_lock::build_with_source(&combined);
-        let r = s.r;
-        let ws = &mut s.ws;
-        let lk = ws.v(Sort::Val, "lk");
-        let g = ws.v(Sort::GhostName, "γ");
-        let g2 = ws.v(Sort::GhostName, "γ2");
-        let w = ws.v(Sort::Val, "w");
-        let pre = crate::ticket_lock::is_tl(ws, r, Term::var(g), Term::var(g2), Term::var(lk));
-        let post = eq(Term::var(w), tm::unit());
-        let spec = ws.spec("with_lock", "with_lock", lk, vec![g, g2], pre, w, post);
-        // Quiet the unused-import warnings for the helpers used only in
-        // some cfgs.
-        let _ = (sep([Assertion::emp()]), papp(r, Vec::new()), locked(Term::var(g2)));
-        let registry = diaframe_ghost::Registry::standard();
-        s.ws
-            .verify_all(&registry, &[(&spec, VerifyOptions::automatic())])
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
         let combined = format!("{}{}", crate::ticket_lock::SOURCE, SOURCE);
-        let s = crate::ticket_lock::build_with_source(&combined);
         let main =
             parse_expr("let lk := make () in with_lock lk ;; with_lock lk ;; 7").expect("parses");
         Some((
-            diaframe_heaplang::parser::link(s.ws.defs(), &main),
+            diaframe_heaplang::parser::link(&program(&combined), &main),
             Val::Int(7),
         ))
     }

@@ -2,7 +2,7 @@
 //! blocks for `clh_lock` and `mcs_lock` (98 probes, 308 checker steps
 //! each). That is not spec-suite sharing gone wrong: the MCS grant-box
 //! lock is deliberately built as the polarity-inverted dual of the CLH
-//! lock (same `build_qlock` skeleton, inverted booleans), so the two
+//! lock (the same annotation with inverted booleans), so the two
 //! searches are step-for-step isomorphic and their effort counters
 //! coincide. This test pins down that the *inputs* — programs, specs,
 //! and the resulting proof traces — are nevertheless genuinely

@@ -36,4 +36,4 @@ pub mod monotone;
 pub mod oneshot;
 pub mod tickets;
 
-pub use library::{GhostLibrary, HintCandidate, MergeOutcome, Registry};
+pub use library::{AtomSig, GhostLibrary, HintCandidate, MergeOutcome, Registry};

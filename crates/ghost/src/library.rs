@@ -1,7 +1,7 @@
 //! The [`GhostLibrary`] trait and the library [`Registry`].
 
 use diaframe_logic::{Assertion, Atom, GhostAtom, GhostKind};
-use diaframe_term::{PureProp, Term, VarCtx};
+use diaframe_term::{PureProp, Sort, Term, VarCtx};
 
 /// One candidate bi-abduction hint
 /// `H ∗ [y⃗; L] ⊫ [|⇛E E] x⃗; A ∗ [U]` (§4.1 of the paper) proposed by a
@@ -179,6 +179,20 @@ pub struct Registry {
     libs: Vec<Box<dyn GhostLibrary>>,
 }
 
+/// How an annotation writes one ghost atom: `kind.name γ args…`, with
+/// the library's abstract predicate first when `pred` is set
+/// (`counter P γ z`). The annotation elaborator looks atoms up by
+/// `kind.name` and checks the argument sorts against `args`.
+#[derive(Debug, Clone, Copy)]
+pub struct AtomSig {
+    /// The kind; its `name` is the atom's name in annotation text.
+    pub kind: GhostKind,
+    /// Whether the atom takes an abstract predicate before the ghost name.
+    pub pred: bool,
+    /// Sorts of the term arguments after the ghost name.
+    pub args: &'static [Sort],
+}
+
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
@@ -208,6 +222,27 @@ impl Registry {
         r.register(Box::new(crate::gvar::GVarLib));
         r.register(Box::new(crate::monotone::MonotoneLib));
         r
+    }
+
+    /// The ghost atoms of the built-in libraries, by annotation name
+    /// (the name table of [`Registry::standard`]).
+    #[must_use]
+    pub fn standard_atoms() -> Vec<AtomSig> {
+        use crate::{counting, excl_token, gvar, monotone, oneshot, tickets};
+        let sig = |kind, pred, args| AtomSig { kind, pred, args };
+        vec![
+            sig(excl_token::LOCKED, false, &[]),
+            sig(counting::COUNTER, true, &[Sort::Int]),
+            sig(counting::TOKEN, true, &[]),
+            sig(counting::NO_TOKENS, true, &[Sort::Qp]),
+            sig(tickets::TICKETS_AUTH, false, &[Sort::Int]),
+            sig(tickets::TICKET, false, &[Sort::Int]),
+            sig(oneshot::PENDING, false, &[]),
+            sig(oneshot::SHOT, false, &[Sort::Val]),
+            sig(gvar::GVAR, false, &[Sort::Qp, Sort::Val]),
+            sig(monotone::MONO_AUTH, false, &[Sort::Int]),
+            sig(monotone::MONO_LB, false, &[Sort::Int]),
+        ]
     }
 
     /// Registers a library.

@@ -149,16 +149,27 @@ pub fn link(defs: &[Def], main: &Expr) -> Expr {
     out
 }
 
+/// Deepest expression nesting the parser accepts (parentheses, prefix
+/// operators, `let`/`;;` chains): past it, a [`ParseError`] instead of a
+/// stack overflow. The deepest example program or adequacy client nests
+/// 22 levels.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 struct Parser<'a> {
     toks: &'a [SpannedTok],
     pos: usize,
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
 
 impl<'a> Parser<'a> {
     fn new(toks: &'a [SpannedTok]) -> Parser<'a> {
-        Parser { toks, pos: 0 }
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -266,7 +277,22 @@ impl<'a> Parser<'a> {
         Ok(Def { name, body })
     }
 
+    /// Runs `f` one nesting level deeper, failing past the cap.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING_DEPTH}")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expr(&mut self) -> PResult<Expr> {
+        self.nested(Self::expr_inner)
+    }
+
+    fn expr_inner(&mut self) -> PResult<Expr> {
         match self.peek() {
             Some(Tok::Let) => {
                 self.bump();
@@ -506,6 +532,10 @@ impl<'a> Parser<'a> {
     }
 
     fn prefix(&mut self) -> PResult<Expr> {
+        self.nested(Self::prefix_inner)
+    }
+
+    fn prefix_inner(&mut self) -> PResult<Expr> {
         match self.peek() {
             Some(Tok::Bang) => {
                 self.bump();
@@ -714,6 +744,18 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(parse_expr("let x := in 3").is_err());
         assert!(parse_expr("(1, 2").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_crash() {
+        // 20 KB of `(` used to overflow the stack and abort the process.
+        let deep = "(".repeat(20_000);
+        let err = parse_expr(&deep).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert!(parse_program(&format!("def f x := {deep}")).is_err());
+        let ok = format!("{}1{}", "(".repeat(100), ")".repeat(100));
+        assert!(parse_expr(&ok).is_ok());
+        assert!(parse_expr(&"!".repeat(20_000)).is_err());
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl PredTable {
         &self.preds[id.0 as usize]
     }
 
+    /// The predicate registered under `name`, if any.
+    #[must_use]
+    pub fn find(&self, name: &str) -> Option<PredId> {
+        let i = self.preds.iter().position(|p| p.name == name)?;
+        Some(PredId(u32::try_from(i).ok()?))
+    }
+
     #[must_use]
     /// Number of registered predicates.
     pub fn len(&self) -> usize {

@@ -8,22 +8,22 @@
 
 use diaframe::core::VerifyOptions;
 use diaframe::examples::arc;
-use diaframe::examples::Example;
+use diaframe::examples::{Example, Ws};
 
 fn main() {
     // 1. Run drop's verification with NO manual help: the automation
     //    stops at the invariant-closing disjunction, exactly as in §2.2.
-    let s = arc::build_with_source(arc::SOURCE);
+    let ws = Ws::new(arc::SOURCE, arc::ANNOTATION);
     let registry = diaframe::ghost::Registry::standard();
-    let stuck = s
-        .ws
-        .verify_all(&registry, &[(&s.specs[3], VerifyOptions::automatic())])
+    let stuck = ws
+        .verify_all(&registry, &[(ws.named("drop"), VerifyOptions::automatic())])
         .expect_err("drop must get stuck without the case split");
     println!("=== drop without the case split: the §2.2 stuck state ===");
     println!("{stuck}");
 
-    // 2. With the one-line case distinction (destruct (decide (z = 1))),
-    //    everything goes through.
+    // 2. With the one-line case distinction the annotation attaches to
+    //    drop (`Next Obligation. destruct (decide (z = 1)); iStepsS.
+    //    Qed.`), everything goes through.
     let outcome = arc::Arc.verify().expect("arc verifies with the tactic");
     println!("=== with the case split ===");
     println!(

@@ -20,9 +20,9 @@
 //! ```
 
 use diaframe::core::VerifyOptions;
-use diaframe::examples::common::{eq, ex, inv, or, pt, sep, tm, Ws};
-use diaframe::ghost::{GhostLibrary, HintCandidate, MergeOutcome, Registry};
-use diaframe::logic::{Assertion, Atom, GhostAtom, GhostKind, PredTable};
+use diaframe::examples::common::Ws;
+use diaframe::ghost::{AtomSig, GhostLibrary, HintCandidate, MergeOutcome, Registry};
+use diaframe::logic::{Assertion, Atom, GhostAtom, GhostKind};
 use diaframe::term::{Sort, Term, VarCtx};
 
 /// `unset γ` — the exclusive right to trip the bit.
@@ -33,15 +33,6 @@ const UNSET: GhostKind = GhostKind {
 
 /// `set γ` — the persistent fact that the bit was tripped.
 const SET: GhostKind = GhostKind { id: 901, name: "set" };
-
-fn unset(gname: Term) -> Atom {
-    Atom::Ghost(GhostAtom {
-        kind: UNSET,
-        gname,
-        pred: None,
-        args: Vec::new(),
-    })
-}
 
 fn set(gname: Term) -> Atom {
     Atom::Ghost(GhostAtom {
@@ -116,74 +107,35 @@ def trip f := f <- 1
 def observe f := !f
 ";
 
-/// `is_flag γ v`: `∃ℓ. ⌜v = #ℓ⌝ ∗ inv N (∃b. ℓ ↦ #b ∗ (⌜b = 0⌝ ∗ unset γ ∨ ⌜b = 1⌝ ∗ set γ))`.
-fn is_flag(ws: &mut Ws, gamma: Term, v: Term) -> Assertion {
-    let l = ws.v(Sort::Loc, "l");
-    let b = ws.v(Sort::Int, "b");
-    let body = ex(
-        b,
-        sep([
-            pt(Term::var(l), tm::vint(Term::var(b))),
-            or(
-                sep([
-                    eq(Term::var(b), Term::int(0)),
-                    Assertion::atom(unset(gamma.clone())),
-                ]),
-                sep([
-                    eq(Term::var(b), Term::int(1)),
-                    Assertion::atom(set(gamma)),
-                ]),
-            ),
-        ]),
-    );
-    ex(l, sep([eq(v, tm::vloc(Term::var(l))), inv("flag", body)]))
-}
+/// `is_flag γ v`: the cell's invariant ties its value to the bit.
+const FLAG: &str = "\
+is_flag γ v := ∃ l. ⌜v = #l⌝ ∗ inv flag (∃ b. l ↦ #b ∗ (⌜b = 0⌝ ∗ unset γ ∨ ⌜b = 1⌝ ∗ set γ))
+";
+
+/// The cell's specifications.
+const SPECS: &str = "\
+SPEC {{ True }} make () {{ w γ, RET w; is_flag γ w }}
+SPEC γ, {{ is_flag γ f }} trip f {{ RET #(); set γ }}
+SPEC γ, {{ is_flag γ f ∗ set γ }} observe f {{ RET #1; True }}
+";
 
 fn main() {
-    // Register the user library *next to* the built-in ones.
+    // Register the user library *next to* the built-in ones, and its two
+    // atoms next to the built-in names, so annotations can mention them.
     let mut registry = Registry::standard();
     registry.register(Box::new(StickyLib));
+    let mut atoms = Registry::standard_atoms();
+    atoms.push(AtomSig { kind: UNSET, pred: false, args: &[] });
+    atoms.push(AtomSig { kind: SET, pred: false, args: &[] });
 
-    let mut ws = Ws::new(PredTable::new(), SOURCE);
-
-    // SPEC {True} make () {v γ, RET v; is_flag γ v}
-    let a = ws.v(Sort::Val, "a");
-    let w = ws.v(Sort::Val, "w");
-    let g = ws.v(Sort::GhostName, "γ");
-    let post = {
-        let body = is_flag(&mut ws, Term::var(g), Term::var(w));
-        ex(g, body)
-    };
-    let make = ws.spec("make", "make", a, Vec::new(), Assertion::emp(), w, post);
-
-    // SPEC {is_flag γ f} trip f {RET (); set γ}
-    let f = ws.v(Sort::Val, "f");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = is_flag(&mut ws, Term::var(g), Term::var(f));
-    let post = sep([eq(Term::var(w), tm::unit()), Assertion::atom(set(Term::var(g)))]);
-    let trip = ws.spec("trip", "trip", f, vec![g], pre, w, post);
-
-    // SPEC {is_flag γ f ∗ set γ} observe f {RET v; v = #1}
-    let f = ws.v(Sort::Val, "f");
-    let g = ws.v(Sort::GhostName, "γ");
-    let w = ws.v(Sort::Val, "w");
-    let pre = sep([
-        is_flag(&mut ws, Term::var(g), Term::var(f)),
-        Assertion::atom(set(Term::var(g))),
-    ]);
-    let post = eq(Term::var(w), tm::vint(Term::int(1)));
-    let observe = ws.spec("observe", "observe", f, vec![g], pre, w, post);
-
+    let ws = Ws::elaborate(SOURCE, &format!("{FLAG}{SPECS}"), &atoms).expect("annotation elaborates");
+    let jobs: Vec<_> = ws
+        .declared()
+        .iter()
+        .map(|s| (s, VerifyOptions::automatic()))
+        .collect();
     let outcome = ws
-        .verify_all(
-            &registry,
-            &[
-                (&make, VerifyOptions::automatic()),
-                (&trip, VerifyOptions::automatic()),
-                (&observe, VerifyOptions::automatic()),
-            ],
-        )
+        .verify_all(&registry, &jobs)
         .expect("the write-once cell verifies");
     outcome.check_all().expect("traces replay");
 
@@ -203,18 +155,12 @@ fn main() {
     }
     println!("hints used: {hints:?}");
 
-    // `observe` before any `trip` is unprovable: the spec {is_flag γ f}
-    // observe f {RET v; v = #1} (without set γ) must get stuck, because
-    // the cell may still hold 0.
-    let mut ws2 = Ws::new(PredTable::new(), SOURCE);
-    let f = ws2.v(Sort::Val, "f");
-    let g = ws2.v(Sort::GhostName, "γ");
-    let w = ws2.v(Sort::Val, "w");
-    let pre = is_flag(&mut ws2, Term::var(g), Term::var(f));
-    let post = eq(Term::var(w), tm::vint(Term::int(1)));
-    let bad = ws2.spec("observe_unset", "observe", f, vec![g], pre, w, post);
+    // `observe` before any `trip` is unprovable: without `set γ` in the
+    // precondition the cell may still hold 0.
+    let unset_spec = "SPEC γ, {{ is_flag γ f }} observe f {{ RET #1; True }}\n";
+    let ws2 = Ws::elaborate(SOURCE, &format!("{FLAG}{unset_spec}"), &atoms).expect("elaborates");
     let err = ws2
-        .verify_all(&registry, &[(&bad, VerifyOptions::automatic())])
+        .verify_all(&registry, &[(ws2.named("observe"), VerifyOptions::automatic())])
         .expect_err("reading 1 without set γ must not verify");
     println!("\nwithout set γ the read is rightly rejected:\n{err}");
 }

@@ -40,19 +40,13 @@ pub use diaframe_term as term;
 /// ```
 /// use diaframe::prelude::*;
 ///
-/// let s = diaframe::examples::spin_lock::build();
-/// let registry = Registry::standard();
-/// let outcome = s
-///     .ws
-///     .verify_all(
-///         &registry,
-///         &[
-///             (&s.newlock, VerifyOptions::automatic()),
-///             (&s.acquire, VerifyOptions::automatic()),
-///             (&s.release, VerifyOptions::automatic()),
-///         ],
-///     )
-///     .expect("the spin lock verifies");
+/// let ws = Ws::new(
+///     "def incr c := FAA(c, 1)",
+///     "SPEC l, {{ ⌜c = #l⌝ ∗ l ↦ #0 }} incr c {{ RET #0; l ↦ #1 }}",
+/// );
+/// let outcome = ws
+///     .verify_declared(|_| VerifyOptions::automatic())
+///     .expect("the increment verifies");
 /// assert_eq!(outcome.manual_steps, 0);
 /// outcome.check_all().expect("traces replay");
 /// ```
