@@ -93,8 +93,8 @@ fn fail<T>(pos: Pos, message: impl Into<String>) -> Res<T> {
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+enum Tok<'a> {
+    Ident(&'a str),
     Num(i128),
     Half,
     Hash,
@@ -125,7 +125,7 @@ enum Tok {
 }
 
 /// The symbol tokens, longest first where one is a prefix of another.
-const SYMBOLS: &[(&str, Tok)] = &[
+const SYMBOLS: &[(&str, Tok<'static>)] = &[
     ("{{", Tok::LSpec),
     ("}}", Tok::RSpec),
     (":=", Tok::ColonEq),
@@ -155,7 +155,7 @@ const SYMBOLS: &[(&str, Tok)] = &[
     ("-", Tok::Minus),
 ];
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(x) => write!(f, "'{x}'"),
@@ -168,7 +168,7 @@ impl fmt::Display for Tok {
     }
 }
 
-fn describe(t: Option<&Tok>) -> String {
+fn describe(t: Option<&Tok<'_>>) -> String {
     t.map_or_else(|| "end of statement".to_owned(), ToString::to_string)
 }
 
@@ -180,7 +180,7 @@ fn ident_continue(c: char) -> bool {
     c.is_alphabetic() || c.is_ascii_digit() || c == '_' || c == '\''
 }
 
-fn lex_line(line: usize, text: &str, out: &mut Vec<(Tok, Pos)>) -> Res<()> {
+fn lex_line<'a>(line: usize, text: &'a str, out: &mut Vec<(Tok<'a>, Pos)>) -> Res<()> {
     let mut rest = text;
     let mut col = 1;
     loop {
@@ -192,9 +192,7 @@ fn lex_line(line: usize, text: &str, out: &mut Vec<(Tok, Pos)>) -> Res<()> {
             return Ok(());
         }
         let pos = Pos { line, col };
-        let (tok, len) = if let Some((sym, t)) = SYMBOLS.iter().find(|(s, _)| rest.starts_with(s)) {
-            (t.clone(), sym.len())
-        } else if c.is_ascii_digit() {
+        let (tok, len) = if c.is_ascii_digit() {
             let len = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
             match rest[..len].parse::<i128>() {
                 Ok(n) if n <= i128::from(i64::MAX) => (Tok::Num(n), len),
@@ -213,7 +211,9 @@ fn lex_line(line: usize, text: &str, out: &mut Vec<(Tok, Pos)>) -> Res<()> {
                     break;
                 }
             }
-            (Tok::Ident(rest[..len].to_owned()), len)
+            (Tok::Ident(&rest[..len]), len)
+        } else if let Some((sym, t)) = SYMBOLS.iter().find(|(s, _)| rest.starts_with(s)) {
+            (t.clone(), sym.len())
         } else {
             return fail(pos, format!("unexpected character '{c}'"));
         };
@@ -422,11 +422,11 @@ fn parse_stmt(group: &[(usize, &str)], ids: &mut usize) -> Res<Stmt> {
     Ok(stmt)
 }
 
-struct Parser<'a> {
-    toks: Vec<(Tok, Pos)>,
+struct Parser<'a, 'b> {
+    toks: Vec<(Tok<'a>, Pos)>,
     i: usize,
     depth: usize,
-    ids: &'a mut usize,
+    ids: &'b mut usize,
     end: Pos,
 }
 
@@ -442,8 +442,8 @@ fn sort_named(s: &str) -> Option<Sort> {
     })
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Parser<'a, '_> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.i).map(|(t, _)| t)
     }
 
@@ -451,7 +451,7 @@ impl Parser<'_> {
         self.toks.get(self.i).map_or(self.end, |(_, p)| *p)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
+    fn bump(&mut self) -> Option<Tok<'a>> {
         let t = self.toks.get(self.i).map(|(t, _)| t.clone());
         if t.is_some() {
             self.i += 1;
@@ -459,7 +459,7 @@ impl Parser<'_> {
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: &Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.i += 1;
             true
@@ -468,7 +468,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Res<()> {
+    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Res<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -479,13 +479,13 @@ impl Parser<'_> {
     fn ident(&mut self, what: &str) -> Res<String> {
         let pos = self.pos();
         match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s),
+            Some(Tok::Ident(s)) => Ok(s.to_owned()),
             other => fail(pos, format!("expected {what}, found {}", describe(other.as_ref()))),
         }
     }
 
     fn is_ident(&self, s: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(x)) if x == s)
+        matches!(self.peek(), Some(Tok::Ident(x)) if *x == s)
     }
 
     fn enter(&mut self) -> Res<()> {
@@ -514,7 +514,7 @@ impl Parser<'_> {
     }
 
     /// `x (y z : loc) …` up to (not including) the terminator.
-    fn binders(&mut self, stop: &Tok) -> Res<Vec<BinderDecl>> {
+    fn binders(&mut self, stop: &Tok<'_>) -> Res<Vec<BinderDecl>> {
         let mut out = Vec::new();
         while self.peek() != Some(stop) {
             let pos = self.pos();
@@ -553,23 +553,23 @@ impl Parser<'_> {
     fn stmt(&mut self) -> Res<Stmt> {
         let pos = self.pos();
         match self.peek() {
-            Some(Tok::Ident(k)) if k == "SPEC" => {
+            Some(Tok::Ident("SPEC")) => {
                 self.bump();
                 self.spec(pos).map(|d| Stmt::Spec(Box::new(d)))
             }
-            Some(Tok::Ident(k)) if k == "Context" => {
+            Some(Tok::Ident("Context")) => {
                 self.bump();
                 self.context()
             }
-            Some(Tok::Ident(k)) if k == "Require" => {
+            Some(Tok::Ident("Require")) => {
                 self.bump();
                 Ok(Stmt::Require(self.ident("a library name")?, pos))
             }
-            Some(Tok::Ident(k)) if k == "Instance" => {
+            Some(Tok::Ident("Instance")) => {
                 self.bump();
                 let lib = self.ident("a library name")?;
                 let mut extra = Vec::new();
-                while matches!(self.peek(), Some(Tok::Ident(x)) if x != "with") {
+                while matches!(self.peek(), Some(Tok::Ident(x)) if *x != "with") {
                     let p = self.pos();
                     extra.push((self.ident("a section variable")?, p));
                 }
@@ -825,8 +825,8 @@ impl Parser<'_> {
             });
         }
         match self.peek() {
-            Some(Tok::Ident(k)) if k == "inl" || k == "inr" => {
-                let left = k == "inl";
+            Some(Tok::Ident(k @ ("inl" | "inr"))) => {
+                let left = *k == "inl";
                 self.bump();
                 let inner = self.primary()?;
                 Ok(Node {
@@ -834,7 +834,7 @@ impl Parser<'_> {
                     pos,
                 })
             }
-            Some(Tok::Ident(k)) if !matches!(k.as_str(), "inv" | "PRE" | "RET" | "True") => {
+            Some(Tok::Ident(k)) if !matches!(*k, "inv" | "PRE" | "RET" | "True") => {
                 let f = self.ident("a name")?;
                 let args = self.args()?;
                 Ok(Node {
@@ -848,7 +848,7 @@ impl Parser<'_> {
 
     fn starts_primary(&self) -> bool {
         match self.peek() {
-            Some(Tok::Ident(k)) => !matches!(k.as_str(), "inv" | "PRE" | "RET" | "with"),
+            Some(Tok::Ident(k)) => !matches!(*k, "inv" | "PRE" | "RET" | "with"),
             Some(Tok::Num(_) | Tok::Half | Tok::Hash | Tok::LParen | Tok::LPure) => true,
             _ => false,
         }
@@ -866,13 +866,9 @@ impl Parser<'_> {
         self.enter()?;
         let pos = self.pos();
         let ast = match self.bump() {
-            Some(Tok::Ident(k)) if k == "True" => Ast::True,
-            Some(Tok::Ident(k)) if k == "inl" || k == "inr" => {
-                Ast::Inj(k == "inl", Box::new(self.primary()?))
-            }
-            Some(Tok::Ident(k)) if !matches!(k.as_str(), "inv" | "PRE" | "RET" | "with") => {
-                Ast::Name(k)
-            }
+            Some(Tok::Ident("True")) => Ast::True,
+            Some(Tok::Ident(k @ ("inl" | "inr"))) => Ast::Inj(k == "inl", Box::new(self.primary()?)),
+            Some(Tok::Ident(k)) if !matches!(k, "inv" | "PRE" | "RET" | "with") => Ast::Name(k.to_owned()),
             Some(Tok::Num(n)) => Ast::Num(n),
             Some(Tok::Half) => Ast::Half,
             Some(Tok::Hash) => {
@@ -1426,8 +1422,10 @@ fn link(source: &str) -> Res<HashMap<String, Val>> {
     let mut funcs: HashMap<String, Val> = HashMap::new();
     for def in &defs {
         let mut body = def.body.clone();
-        for (name, val) in &funcs {
-            body = body.subst(name, val);
+        for name in def.body.free_vars() {
+            if let Some(val) = funcs.get(&name) {
+                body = body.subst(&name, val);
+            }
         }
         if !body.is_closed() {
             return source_err(format!(
