@@ -33,7 +33,7 @@
 use crate::trace::{ProofTrace, TraceStep};
 use diaframe_logic::Namespace;
 use diaframe_term::solver::egraph::EGraph;
-use diaframe_term::{EVarId, PureProp, VarCtx, VarId};
+use diaframe_term::{PureProp, VarCtx};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -140,38 +140,22 @@ impl Frame {
     }
 }
 
-/// Whether `new` is an extension of `old` as a variable context: every
-/// variable and evar of `old` still exists with the same sort and (for
-/// evars) the same recorded solution. Obligations are checked in frozen
-/// mode — no evar is ever instantiated — so sorts and solutions are the
-/// only inputs the solver reads; levels and display names are irrelevant
-/// to verdicts.
-fn vars_extends(new: &VarCtx, old: &VarCtx) -> bool {
-    new.num_vars() >= old.num_vars()
-        && new.num_evars() >= old.num_evars()
-        && (0..old.num_vars()).all(|i| {
-            let v = VarId::from_index(i);
-            new.var_sort(v) == old.var_sort(v)
-        })
-        && (0..old.num_evars()).all(|i| {
-            let e = EVarId::from_index(i);
-            new.evar_sort(e) == old.evar_sort(e) && new.evar_solution(e) == old.evar_solution(e)
-        })
-}
-
 /// Aligns the frame's incremental solver with this obligation's recorded
 /// `facts`/`vars`, reusing the shared fact prefix when the recorded
 /// variable context extends the one the solver was built under, and
 /// rebuilding from scratch otherwise (a mutated or reordered trace never
 /// passes the reuse check — it is re-proved on a fresh solver, exactly
-/// like the first obligation of a branch).
+/// like the first obligation of a branch). [`VarCtx::extends`] compares
+/// only sorts and evar solutions: obligations are checked in frozen mode,
+/// where no evar is ever instantiated, so those are the only inputs the
+/// solver reads.
 fn reuse_or_rebuild<'a>(
     slot: &'a mut Option<FrameSolver>,
     facts: &[PureProp],
     vars: &VarCtx,
 ) -> &'a mut FrameSolver {
     if let Some(fs) = slot {
-        if fs.egraph.valid() && vars_extends(vars, &fs.vars) {
+        if fs.egraph.valid() && vars.extends(&fs.vars) {
             let common = fs
                 .facts
                 .iter()

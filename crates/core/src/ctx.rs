@@ -27,8 +27,10 @@ pub struct Hyp {
 /// The entire mutable proof state of one branch of the search.
 ///
 /// Branching (hypothesis disjunctions, `if` on symbolic booleans, manual
-/// case splits) clones the whole context, so sibling branches can never
-/// interfere through shared evars.
+/// case splits) clones the context, so sibling branches can never
+/// interfere through shared evars. The clone of [`ProofCtx::vars`] shares
+/// its storage copy-on-write: a branch copies a chunk of variables or
+/// evars only when it writes to it (see [`diaframe_term::evar`]).
 #[derive(Clone)]
 pub struct ProofCtx {
     /// Variables and term evars.

@@ -1000,7 +1000,7 @@ impl<'a> Engine<'a> {
         // Opt-in backtracking.
         if self.opts.backtrack_disjunctions {
             let ctx2 = ctx.clone();
-            let saved_trace = self.trace.clone();
+            let saved_len = self.trace.len();
             let saved_fuel = self.fuel;
             match self.syn_fupd_inner(
                 ctx,
@@ -1018,8 +1018,8 @@ impl<'a> Engine<'a> {
                     return Ok(out);
                 }
                 Err(_) => {
-                    crate::telemetry::backtracked((self.trace.len() - saved_trace.len()) as u64);
-                    self.trace = saved_trace;
+                    crate::telemetry::backtracked((self.trace.len() - saved_len) as u64);
+                    self.trace.truncate(saved_len);
                     self.fuel = saved_fuel.saturating_sub(1);
                     self.push_step(TraceStep::DisjunctChosen {
                         side: "right",

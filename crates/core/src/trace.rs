@@ -236,6 +236,13 @@ impl ProofTrace {
         self.steps.push(step);
     }
 
+    /// Drops every step from index `len` on. The search only appends to
+    /// the trace, so truncating to an earlier length restores the trace
+    /// as it was then (disjunction backtracking).
+    pub fn truncate(&mut self, len: usize) {
+        self.steps.truncate(len);
+    }
+
     /// All steps, in order.
     #[must_use]
     pub fn steps(&self) -> &[TraceStep] {
@@ -330,6 +337,44 @@ mod tests {
         assert_eq!(t.custom_hints_used().len(), 1);
         assert_eq!(t.tactics_used(), 1);
         assert_eq!(t.len(), 3);
+    }
+
+    /// A recorded obligation shares the live context's storage, so every
+    /// later mutation of the live context (solving, level pruning,
+    /// solution rewrites, rollback, fresh entries in a shared chunk) must
+    /// copy before it writes and leave the snapshot's text unchanged.
+    #[test]
+    fn recorded_snapshot_is_isolated_from_the_live_context() {
+        use diaframe_term::{EVarId, Sort, Subst, Term, VarId};
+        let mut vars = VarCtx::new();
+        vars.push_level();
+        // More than one chunk of each, with a partly filled last chunk.
+        let xs: Vec<VarId> = (0..40)
+            .map(|i| vars.fresh_var(Sort::Int, &format!("x{i}")))
+            .collect();
+        let es: Vec<EVarId> = (0..45).map(|_| vars.fresh_evar(Sort::Int)).collect();
+        vars.solve_evar(es[3], Term::var(xs[1]));
+        vars.solve_evar(es[40], Term::add(Term::var(xs[2]), Term::int(1)));
+
+        let mut t = ProofTrace::new();
+        t.push(TraceStep::PureObligation {
+            facts: vec![PureProp::Eq(Term::var(xs[0]), Term::int(0))],
+            goal: PureProp::Le(Term::int(0), Term::var(xs[0])),
+            vars: vars.clone(),
+        });
+        let recorded = format!("{:?}", t.steps()[0]);
+
+        let mark = vars.checkpoint();
+        vars.solve_evar(es[0], Term::int(5));
+        vars.solve_evar(es[44], Term::int(6));
+        vars.lower_evar_level(es[1], 0);
+        vars.fresh_var(Sort::Int, "late");
+        vars.fresh_evar(Sort::Int);
+        vars.map_solutions(|t| Subst::single(xs[1], Term::int(9)).apply(t));
+        assert_eq!(format!("{:?}", t.steps()[0]), recorded);
+        vars.rollback(&mark);
+        vars.solve_evar(es[10], Term::int(7));
+        assert_eq!(format!("{:?}", t.steps()[0]), recorded);
     }
 
     #[test]

@@ -785,11 +785,11 @@ fn varctx_json(vars: &VarCtx, out: &mut String) {
     out.push_str("]}");
 }
 
-fn var_entry_from_json(entry: &JsonValue) -> Result<(Sort, u32, String), JsonError> {
+fn var_entry_from_json(entry: &JsonValue) -> Result<(Sort, u32, &str), JsonError> {
     let sort = sort_from_name(entry.str_field("sort")?)?;
     let level = u32::try_from(entry.usize_field("level")?)
         .map_err(|_| JsonError("variable level out of range".into()))?;
-    Ok((sort, level, entry.str_field("name")?.to_owned()))
+    Ok((sort, level, entry.str_field("name")?))
 }
 
 fn evar_entry_from_json(entry: &JsonValue) -> Result<(Sort, u32, Option<Term>), JsonError> {
@@ -807,7 +807,7 @@ fn varctx_from_json(v: &JsonValue) -> Result<VarCtx, JsonError> {
     let mut ctx = VarCtx::new();
     for entry in v.arr_field("vars")? {
         let (sort, level, name) = var_entry_from_json(entry)?;
-        ctx.push_raw_var(sort, level, &name);
+        ctx.push_raw_var(sort, level, name);
     }
     for entry in v.arr_field("evars")? {
         let (sort, level, sol) = evar_entry_from_json(entry)?;
@@ -1122,25 +1122,6 @@ impl EntryTexts {
     }
 }
 
-/// Whether var `i` renders identically in `a` and `b`: its text is a
-/// function of exactly (sort, level, name).
-fn same_var(a: &VarCtx, b: &VarCtx, i: usize) -> bool {
-    let v = VarId::from_index(i);
-    a.var_sort(v) == b.var_sort(v)
-        && a.var_level(v) == b.var_level(v)
-        && a.var_name(v) == b.var_name(v)
-}
-
-/// Whether evar `i` renders identically in `a` and `b`: its text is a
-/// function of exactly (sort, level, solution), and `Term` equality is
-/// structural.
-fn same_evar(a: &VarCtx, b: &VarCtx, i: usize) -> bool {
-    let e = EVarId::from_index(i);
-    a.evar_sort(e) == b.evar_sort(e)
-        && a.evar_level(e) == b.evar_level(e)
-        && a.evar_solution(e) == b.evar_solution(e)
-}
-
 /// The previous obligation's context and its entry ids.
 struct PrevCtx<'a> {
     vars: &'a VarCtx,
@@ -1194,19 +1175,32 @@ impl<'a> BundleTables<'a> {
     fn entry_ids(&mut self, vars: &'a VarCtx) -> (usize, Rc<[u32]>) {
         let prev = self.prev.take();
         let entries = &mut self.entries;
-        let prev_var_ids = prev
-            .as_ref()
-            .map_or(&[][..], |p| &self.var_vecs[p.var_vec][..]);
-        let var_ids: Vec<u32> = (0..vars.num_vars())
-            .map(|i| match &prev {
-                Some(p) if i < prev_var_ids.len() && same_var(p.vars, vars, i) => prev_var_ids[i],
-                _ => entries.var(vars, i),
+        let empty = VarCtx::new();
+        let (old, prev_var_ids, prev_evar_ids) = match &prev {
+            Some(p) => (p.vars, &self.var_vecs[p.var_vec][..], &p.evar_ids[..]),
+            None => (&empty, &[][..], &[][..]),
+        };
+        // An unchanged entry renders to the same text, so it keeps its id.
+        let var_ids: Vec<u32> = vars
+            .unchanged_vars(old)
+            .enumerate()
+            .map(|(i, same)| {
+                if same {
+                    prev_var_ids[i]
+                } else {
+                    entries.var(vars, i)
+                }
             })
             .collect();
-        let evar_ids: Rc<[u32]> = (0..vars.num_evars())
-            .map(|i| match &prev {
-                Some(p) if i < p.evar_ids.len() && same_evar(p.vars, vars, i) => p.evar_ids[i],
-                _ => entries.evar(vars, i),
+        let evar_ids: Rc<[u32]> = vars
+            .unchanged_evars(old)
+            .enumerate()
+            .map(|(i, same)| {
+                if same {
+                    prev_evar_ids[i]
+                } else {
+                    entries.evar(vars, i)
+                }
             })
             .collect();
         let var_vec = match self.var_vec_index.get(&var_ids[..]) {
@@ -1357,17 +1351,12 @@ pub fn traces_to_compact_json(specs: &[(&str, &ProofTrace)]) -> String {
 /// forward table references and prefix lengths exceeding their base,
 /// which a corrupted store entry could present.
 pub fn traces_from_compact_value(v: &JsonValue) -> Result<Vec<(String, ProofTrace)>, JsonError> {
-    struct CtxEntry {
-        vars: Vec<(Sort, u32, String)>,
-        evars: Vec<(Sort, u32, Option<Term>)>,
-        ctx: VarCtx,
-    }
-    let mut table: Vec<CtxEntry> = Vec::new();
+    let mut table: Vec<VarCtx> = Vec::new();
     for (i, entry) in v.arr_field("varctxs")?.iter().enumerate() {
         let take = entry.usize_field("take")?;
         let etake = entry.usize_field("etake")?;
-        let (mut vars, mut evars) = match entry.field("base")? {
-            JsonValue::Null if take == 0 && etake == 0 => (Vec::new(), Vec::new()),
+        let mut ctx = match entry.field("base")? {
+            JsonValue::Null if take == 0 && etake == 0 => VarCtx::new(),
             JsonValue::Null => return err(format!("varctx {i}: baseless row takes a prefix")),
             b => {
                 let b = b
@@ -1379,30 +1368,25 @@ pub fn traces_from_compact_value(v: &JsonValue) -> Result<Vec<(String, ProofTrac
                 let base = table
                     .get(b)
                     .ok_or_else(|| JsonError(format!("varctx {i}: base {b} out of range")))?;
-                if take > base.vars.len() || etake > base.evars.len() {
+                if take > base.num_vars() || etake > base.num_evars() {
                     return err(format!("varctx {i}: prefix exceeds base {b}"));
                 }
-                (base.vars[..take].to_vec(), base.evars[..etake].to_vec())
+                base.prefix(take, etake)
             }
         };
         for e in entry.arr_field("vars")? {
-            vars.push(var_entry_from_json(e)?);
+            let (sort, level, name) = var_entry_from_json(e)?;
+            ctx.push_raw_var(sort, level, name);
         }
         for e in entry.arr_field("evars")? {
-            evars.push(evar_entry_from_json(e)?);
-        }
-        let mut ctx = VarCtx::new();
-        for (sort, level, name) in &vars {
-            ctx.push_raw_var(*sort, *level, name);
-        }
-        for (sort, level, sol) in &evars {
-            ctx.push_raw_evar(*sort, *level, sol.clone());
+            let (sort, level, sol) = evar_entry_from_json(e)?;
+            ctx.push_raw_evar(sort, level, sol);
         }
         ctx.set_level(
             u32::try_from(entry.usize_field("level")?)
                 .map_err(|_| JsonError("context level out of range".into()))?,
         );
-        table.push(CtxEntry { vars, evars, ctx });
+        table.push(ctx);
     }
     let mut factsets: Vec<Vec<PureProp>> = Vec::new();
     for row in v.arr_field("factsets")? {
@@ -1426,7 +1410,6 @@ pub fn traces_from_compact_value(v: &JsonValue) -> Result<Vec<(String, ProofTrac
                 let vars = table
                     .get(vi)
                     .ok_or_else(|| JsonError(format!("{name}: varctx {vi} out of range")))?
-                    .ctx
                     .clone();
                 trace.push(TraceStep::PureObligation {
                     facts,
