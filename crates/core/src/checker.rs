@@ -4,8 +4,9 @@
 //! and dumb. It replays a [`ProofTrace`] and re-validates:
 //!
 //! * every **pure obligation**: the recorded facts must entail the
-//!   recorded goal, re-proved from scratch by the pure solver (evar-free,
-//!   since obligations are recorded zonked);
+//!   recorded goal, re-proved from scratch by the reference
+//!   [`PureSolver`] in frozen mode (obligations are recorded zonked, so
+//!   no evar needs solving);
 //! * the **mask discipline**: along every branch of the proof tree,
 //!   invariants are opened at most once before being closed (no
 //!   reentrancy), openings happen within an atomic step, every opened
@@ -19,7 +20,12 @@
 //!
 //! This plays the role of the Coq kernel in the original artifact, at the
 //! granularity of the paper's primitive rules (see DESIGN.md §1 for the
-//! substitution argument).
+//! substitution argument). Like a kernel, it shares no accelerator with
+//! the search: each obligation gets a fresh [`PureSolver`], never the
+//! search's incremental e-graph, and replay runs outside any interner
+//! scope, so a caching or rollback bug in the search's solver cannot make
+//! the checker agree with it. The only counter it moves is
+//! `checker_steps`.
 //!
 //! Both entry points — [`check`] on in-memory traces and [`check_json`]
 //! on serialized ones — drive the *same* replay core ([`replay`] below),
@@ -32,8 +38,7 @@
 
 use crate::trace::{ProofTrace, TraceStep};
 use diaframe_logic::Namespace;
-use diaframe_term::solver::egraph::EGraph;
-use diaframe_term::{PureProp, VarCtx};
+use diaframe_term::solver::PureSolver;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -98,22 +103,6 @@ struct Frame {
     /// Case splits opened in this frame whose branches are still being
     /// replayed.
     splits: Vec<Split>,
-    /// The incremental pure solver carried across this branch's pure
-    /// obligations. Successive obligations along one branch share long
-    /// fact prefixes (the search only appends to `Γ` between branch
-    /// points), so instead of rebuilding `PureSolver::new(facts)` at
-    /// every step, the shared prefix is kept and only the delta is
-    /// pushed/rolled back. The independent `fuzz/spec.rs` oracle
-    /// intentionally keeps its from-scratch rebuild.
-    solver: Option<FrameSolver>,
-}
-
-/// The per-frame incremental solver with the inputs it was last aligned
-/// to, for the reuse check.
-struct FrameSolver {
-    egraph: EGraph,
-    facts: Vec<PureProp>,
-    vars: VarCtx,
 }
 
 impl Frame {
@@ -123,7 +112,6 @@ impl Frame {
             obligations: BTreeSet::new(),
             vacuous: false,
             splits: Vec::new(),
-            solver: None,
         }
     }
 
@@ -135,49 +123,8 @@ impl Frame {
             obligations: self.obligations.clone(),
             vacuous: false,
             splits: Vec::new(),
-            solver: None,
         }
     }
-}
-
-/// Aligns the frame's incremental solver with this obligation's recorded
-/// `facts`/`vars`, reusing the shared fact prefix when the recorded
-/// variable context extends the one the solver was built under, and
-/// rebuilding from scratch otherwise (a mutated or reordered trace never
-/// passes the reuse check — it is re-proved on a fresh solver, exactly
-/// like the first obligation of a branch). [`VarCtx::extends`] compares
-/// only sorts and evar solutions: obligations are checked in frozen mode,
-/// where no evar is ever instantiated, so those are the only inputs the
-/// solver reads.
-fn reuse_or_rebuild<'a>(
-    slot: &'a mut Option<FrameSolver>,
-    facts: &[PureProp],
-    vars: &VarCtx,
-) -> &'a mut FrameSolver {
-    if let Some(fs) = slot {
-        if fs.egraph.valid() && vars.extends(&fs.vars) {
-            let common = fs
-                .facts
-                .iter()
-                .zip(facts.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            fs.egraph.truncate_facts(common);
-            fs.facts.truncate(common);
-            for f in &facts[common..] {
-                fs.egraph.push_fact(f.clone());
-                fs.facts.push(f.clone());
-            }
-            fs.vars = vars.clone();
-            return slot.as_mut().expect("just matched Some");
-        }
-    }
-    *slot = Some(FrameSolver {
-        egraph: EGraph::from_facts(facts),
-        facts: facts.to_vec(),
-        vars: vars.clone(),
-    });
-    slot.as_mut().expect("just assigned Some")
 }
 
 /// The shared replay core as a state machine: feed steps one at a time,
@@ -209,17 +156,16 @@ impl Replay {
         let stack = &mut self.stack;
         let frame = stack.last_mut().expect("non-empty stack");
         match step {
-            TraceStep::PureObligation { facts, goal, vars } => {
-                // Re-prove independently. Remaining evars in recorded
-                // obligations are treated as opaque constants by the
-                // solver (frozen mode), which is sound.
-                let fs = reuse_or_rebuild(&mut frame.solver, facts, vars);
-                if !fs.egraph.prove_frozen(&mut vars.clone(), goal) {
-                    return Err(CheckError {
-                        step: i,
-                        message: format!("pure obligation does not re-prove: {goal:?}"),
-                    });
-                }
+            // Re-prove from scratch on the reference solver. Remaining
+            // evars in recorded obligations are treated as opaque
+            // constants (frozen mode), which is sound.
+            TraceStep::PureObligation { facts, goal, vars }
+                if !PureSolver::new(facts).prove_frozen(&mut vars.clone(), goal) =>
+            {
+                return Err(CheckError {
+                    step: i,
+                    message: format!("pure obligation does not re-prove: {goal:?}"),
+                });
             }
             TraceStep::InvOpened { ns } => {
                 if !frame.open.insert(ns.clone()) {
@@ -339,21 +285,15 @@ fn replay(steps: &[TraceStep]) -> Result<(), CheckError> {
 pub fn check(trace: &ProofTrace) -> Result<(), CheckError> {
     let _prof = crate::profile::span(crate::profile::SpanKind::Check);
     crate::telemetry::checker_steps(trace.len() as u64);
-    // Replay gets its own interner scope (nested scopes restore the
-    // outer arena on drop): one trace replays against one arena.
-    let intern_scope = diaframe_term::intern::scope();
-    let result = replay(trace.steps());
-    crate::telemetry::intern_stats(diaframe_term::intern::stats());
-    crate::telemetry::egraph_stats(diaframe_term::intern::egraph_stats());
-    drop(intern_scope);
-    result
+    replay(trace.steps())
 }
 
 /// Decodes a JSON-lines trace (see [`crate::trace_json`]) and replays
-/// it. This is the exported-trace entry point: a trace serialized by a
-/// telemetry sink or an external tool round-trips through one codec and
-/// lands in the **same** replay core as in-memory traces — the only
-/// behavior this function adds over [`check`] is the decode step.
+/// it. This is the exported-trace entry point: a trace written by
+/// [`crate::trace_json::trace_to_json`] or an external tool round-trips
+/// through one codec and lands in the **same** replay core as in-memory
+/// traces — the only behavior this function adds over [`check`] is the
+/// decode step.
 ///
 /// # Errors
 ///

@@ -13,11 +13,15 @@
 //!   generated trace the checker accepts must be accepted here too, and
 //!   disagreement in either direction is a reported divergence.
 //!
-//! The pure-obligation rule necessarily shares [`PureSolver`] with the
-//! checker (there is no simpler decision procedure to diff against); the
-//! structural rules — reentrancy, close-without-open, atomicity, branch
-//! balance, obligation inheritance and joint discharge — are implemented
-//! from the contract in the checker's module docs, not from its code.
+//! The pure-obligation rule makes the same call as the checker: a fresh
+//! reference [`PureSolver`] in frozen mode (there is no simpler decision
+//! procedure to diff against), so this leg diffs the replay rules, not
+//! the solver. The search's incremental e-graph is diffed against the
+//! reference solver on every example obligation by the root
+//! `all_examples` test. The structural rules — reentrancy,
+//! close-without-open, atomicity, branch balance, obligation inheritance
+//! and joint discharge — are implemented from the contract in the
+//! checker's module docs, not from its code.
 
 use crate::trace::TraceStep;
 use diaframe_logic::Namespace;

@@ -56,12 +56,6 @@ impl<'a> Engine<'a> {
     }
 
     fn stuck(&self, ctx: &ProofCtx, reason: impl Into<String>, goal: &Goal) -> Box<Stuck> {
-        if std::env::var_os("DIAFRAME_TRACE").is_some() {
-            eprintln!("==== trace at stuck point ====");
-            for (i, step) in self.trace.steps().iter().enumerate() {
-                eprintln!("{i:4} {step:?}");
-            }
-        }
         Box::new(Stuck {
             reason: reason.into(),
             ctx: ctx.clone(),

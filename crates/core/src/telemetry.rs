@@ -121,17 +121,22 @@ pub struct CounterSnapshot {
     /// Steps replayed by the independent [`crate::checker`].
     pub checker_steps: u64,
     /// Term-interner requests answered from the arena (see
-    /// [`diaframe_term::intern`]).
+    /// [`diaframe_term::intern`]). Like every `interner_*`, `*_cache_hits`
+    /// and `solver_*` counter, this counts the search only: the checker
+    /// replays outside any interner scope on the reference solver.
     pub interner_hits: u64,
-    /// Term-interner requests that allocated a new arena entry.
+    /// Term-interner requests that allocated a new arena entry (search
+    /// only).
     pub interner_misses: u64,
     /// Zonk requests answered from the generation-keyed memo table
-    /// (including constant-time answers for evar-free terms).
+    /// (including constant-time answers for evar-free terms; search
+    /// only).
     pub zonk_cache_hits: u64,
-    /// Linear-arithmetic normalisations answered from the memo table.
+    /// Linear-arithmetic normalisations answered from the memo table
+    /// (search only).
     pub normalize_cache_hits: u64,
-    /// Literals asserted into the incremental pure solver's persistent
-    /// base (see [`diaframe_term::solver::egraph`]).
+    /// Literals asserted into the search's incremental pure solver's
+    /// persistent base (see [`diaframe_term::solver::egraph`]).
     pub solver_facts_asserted: u64,
     /// Union-find merges performed by the incremental solver.
     pub solver_merges: u64,
@@ -881,7 +886,7 @@ pub(crate) fn checker_steps(n: u64) {
 }
 
 /// Folds one interner scope's hit/miss counters into the session (called
-/// by the verification and checker entry points at scope end).
+/// by the verification entry point at scope end).
 #[inline]
 pub(crate) fn intern_stats(stats: diaframe_term::intern::InternStats) {
     if stats == diaframe_term::intern::InternStats::default() {
@@ -904,8 +909,8 @@ pub(crate) fn intern_stats(stats: diaframe_term::intern::InternStats) {
 }
 
 /// Folds one interner scope's incremental-solver counters into the
-/// session (called by the verification and checker entry points at scope
-/// end, alongside [`intern_stats`]).
+/// session (called by the verification entry point at scope end,
+/// alongside [`intern_stats`]).
 #[inline]
 pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
     if stats == diaframe_term::solver::egraph::EGraphStats::default() {

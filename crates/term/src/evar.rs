@@ -236,18 +236,6 @@ impl<T: Clone> Chunked<T> {
             }
         }
     }
-
-    /// Whether this store is at least as long as `prefix` and `eq` holds
-    /// between each entry of `prefix` and the entry at the same index
-    /// here. Chunks shared by pointer are equal without a look.
-    fn starts_with(&self, prefix: &Chunked<T>, eq: impl Fn(&T, &T) -> bool) -> bool {
-        self.len() >= prefix.len()
-            && self
-                .chunks
-                .iter()
-                .zip(&prefix.chunks)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || b.iter().zip(a.iter()).all(|(x, y)| eq(x, y)))
-    }
 }
 
 /// The arena of variables and evars for one verification, together with the
@@ -551,18 +539,6 @@ impl VarCtx {
     #[must_use]
     pub fn scope_check(&self, level: Level, t: &Term) -> bool {
         t.free_vars().iter().all(|v| self.var_level(*v) <= level)
-    }
-
-    /// Whether this context extends `old`: every variable and evar of
-    /// `old` still exists with the same sort and (for evars) the same
-    /// recorded solution. Levels and display names are not compared.
-    /// Chunks the two contexts share are not looked at.
-    #[must_use]
-    pub fn extends(&self, old: &VarCtx) -> bool {
-        self.vars.starts_with(&old.vars, |a, b| a.sort == b.sort)
-            && self.evars.starts_with(&old.evars, |a, b| {
-                a.sort == b.sort && a.solution == b.solution
-            })
     }
 
     /// For each variable, in order: whether `old` has one with the same

@@ -26,19 +26,20 @@
 //!   solved — the steady-state majority inside probe loops — is decided
 //!   without walking or allocating anything (see `needs_zonk`, which
 //!   applies the same test to un-interned terms);
-//! * pure-entailment verdicts are memoized per (solver fingerprint, goal,
-//!   solution fingerprint), which is what turns the repeated
-//!   side-condition checks of the hint-matching probe loops into hash
-//!   lookups.
+//! * the search's incremental e-graph memoizes its entailment verdicts
+//!   here per (e-graph version, goal, solution fingerprint), which is
+//!   what turns the repeated side-condition checks of the hint-matching
+//!   probe loops into hash lookups.
 //!
 //! The arena is scoped: [`scope`] installs a fresh interner for the
 //! current thread and restores the previous one on drop. The verification
 //! entry points install a scope per specification (on the big-stack
-//! session thread, so the whole search and the replay checker run inside
-//! one), which keeps hit/miss counters deterministic per example
-//! regardless of how worker threads are shared, and bounds memory by the
-//! size of one search. Without an active scope every operation falls back
-//! to the structural implementations, byte-for-byte identical (pinned by
+//! session thread, so the whole search runs inside one; the replay
+//! checker runs outside any scope), which keeps hit/miss counters
+//! deterministic per example regardless of how worker threads are
+//! shared, and bounds memory by the size of one search. Without an
+//! active scope every operation falls back to the structural
+//! implementations, byte-for-byte identical (pinned by
 //! `tests/intern_props.rs`).
 
 use crate::evar::VarCtx;
@@ -126,25 +127,15 @@ struct Interner {
     by_ptr: HashMap<usize, TermId>,
     zonk_cache: HashMap<(TermId, u64), TermId>,
     norm_cache: HashMap<TermId, LinComb>,
-    /// Memoized pure-entailment verdicts, keyed by (solver facts
-    /// fingerprint, goal hash, solution fingerprint) — see
-    /// [`crate::solver::PureSolver`].
-    pure_cache: HashMap<(u64, u64, u64), bool>,
-    /// Pre-built refutation states over a solver's facts, keyed by
-    /// (solver facts fingerprint, solution fingerprint). `None` marks a
-    /// fact set the fast path cannot handle (disjunctive facts), so the
-    /// build is not retried.
-    pure_base: HashMap<(u64, u64), Option<crate::solver::PureBase>>,
     /// Memoized e-graph entailment verdicts, keyed by (e-graph version,
-    /// goal hash, solution fingerprint) — the incremental analogue of
-    /// `pure_cache`; see [`crate::solver::egraph::EGraph`].
+    /// goal hash, solution fingerprint); see
+    /// [`crate::solver::egraph::EGraph`].
     egraph_cache: HashMap<(u64, u64, u64), bool>,
     /// Hash-consed e-graph version stamps: `(parent version, literal
     /// hash) → version`. Two e-graphs that assert the same literal
     /// sequence — a branch clone and its original, or an `Implies` goal
     /// re-deriving the same hypothesis — reach the same version and share
-    /// memo entries, exactly as the fingerprint chaining of
-    /// [`crate::solver::PureSolver`] does.
+    /// memo entries.
     egraph_versions: HashMap<(u64, u64), u64>,
     /// Next unallocated e-graph version (0 is the empty e-graph).
     next_version: u64,
@@ -434,35 +425,6 @@ pub fn zonk(ctx: &VarCtx, t: &Term) -> Term {
         int.entries[z.index()].term.clone()
     })
     .unwrap_or_else(|| t.zonk_structural(ctx))
-}
-
-/// Looks up a memoized pure-entailment verdict (see
-/// [`crate::solver::PureSolver`]); `None` when no scope is active or the
-/// query has not been decided under this key yet.
-#[must_use]
-pub(crate) fn pure_cache_get(key: &(u64, u64, u64)) -> Option<bool> {
-    with_active(|int| int.pure_cache.get(key).copied()).flatten()
-}
-
-/// Records a pure-entailment verdict (no-op without an active scope).
-pub(crate) fn pure_cache_put(key: (u64, u64, u64), verdict: bool) {
-    let _ = with_active(|int| int.pure_cache.insert(key, verdict));
-}
-
-/// Looks up the cached facts-side refutation state for a solver
-/// fingerprint + generation. Outer `None`: not cached (or no scope);
-/// inner `None`: cached as "not eligible" (disjunctive facts). The state
-/// is cloned out so the caller can extend it without holding the scope
-/// borrow (extending re-enters the interner through zonk/normalize).
-#[must_use]
-pub(crate) fn pure_base_get(key: &(u64, u64)) -> Option<Option<crate::solver::PureBase>> {
-    with_active(|int| int.pure_base.get(key).cloned()).flatten()
-}
-
-/// Records the facts-side refutation state (no-op without an active
-/// scope).
-pub(crate) fn pure_base_put(key: (u64, u64), base: Option<crate::solver::PureBase>) {
-    let _ = with_active(|int| int.pure_base.insert(key, base));
 }
 
 /// The globally-unique token of the current scope's interner, or `None`

@@ -33,8 +33,9 @@ pub enum ClosureResult {
 /// keyed by their interned [`TermId`] (a 4-byte hash and comparison
 /// instead of a structural walk); otherwise by the term itself. A single
 /// [`Congruence`] instance never mixes the two regimes: it lives either
-/// entirely inside one scope (the incremental solver and the cached
-/// [`crate::solver::PureBase`] both do) or entirely outside one.
+/// entirely inside one scope (the search's incremental solver does) or
+/// entirely outside one (the reference solver rebuilds its instance per
+/// query).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum NodeKey {
     Interned(TermId),

@@ -12,25 +12,26 @@
 //! solver backtracks with the search instead of being rebuilt per
 //! obligation.
 //!
-//! **Verdict identity.** Every query answers exactly what the legacy
-//! rebuild solver would: hypotheses are normalised by the shared
-//! [`crate::solver::normalize_fact`], literals are asserted in the same
+//! **Verdict identity.** Every query answers exactly what the reference
+//! [`crate::solver::PureSolver`] would: hypotheses are normalised by the
+//! shared [`crate::solver::normalize_fact`], literals are asserted in the same
 //! order through the shared [`crate::solver::add_literal`] dispatch,
 //! disjunctive or `False`-containing states take the very same
 //! case-splitting [`crate::solver::unsat`] search on byte-equal inputs,
 //! and rollback restores the union-find parent array bit-for-bit
 //! (including path-compression writes — constraint *order* feeds the
-//! Fourier–Motzkin budget cutoff, so layout matters). The legacy
-//! solver stays as the test-only reference these properties are checked
-//! against (`tests/egraph_props.rs`).
+//! Fourier–Motzkin budget cutoff, so layout matters). The reference
+//! solver is what the trace checker re-proves every obligation on, so
+//! the search and the checker share no solver state; the e-graph is
+//! checked against it on random scripts (`tests/egraph_props.rs`) and on
+//! every obligation of the example suite (the root `all_examples` test).
 //!
 //! **Memoization.** Entailment verdicts are memoized in the interner
 //! scope under `(version, goal hash, generation)`, where the version is a
 //! hash-consed stamp allocated per `(parent version, literal hash)` pair:
 //! two e-graphs that assert the same literal sequence (a branch clone and
 //! its original, or an `Implies` goal re-deriving the same hypothesis)
-//! reach the same version and share verdicts, replacing the facts
-//! fingerprint keying of the legacy solver.
+//! reach the same version and share verdicts.
 
 use super::congruence::{ClosureResult, Congruence, CongruenceMark};
 use super::linear::{LinResult, Linear, LinearMark};
@@ -98,7 +99,7 @@ pub struct EGraph {
     /// [`EGraph::valid`].
     token: u64,
     /// Normalised hypothesis literals, in assertion order — byte-equal to
-    /// the legacy solver's fact list over the same inputs.
+    /// the reference solver's fact list over the same inputs.
     lits: Vec<Lit>,
     /// Hash-consed version stamp after each literal; `versions[i]` keys
     /// verdicts over `lits[..=i]`.
@@ -276,7 +277,8 @@ impl EGraph {
     /// Only called on the incremental query path, i.e. with no `Or` or
     /// `False` literal present — the base therefore only ever holds
     /// `Eq`/`Ne`/`Le`/`Lt` literals, asserted in list order, exactly as
-    /// the legacy cached-base build does.
+    /// the reference solver's scratch build ([`crate::solver::unsat`])
+    /// does.
     fn catch_up(&mut self, ctx: &VarCtx) -> bool {
         let gen = ctx.solution_fp();
         let mut rebuilt = false;
@@ -365,7 +367,7 @@ impl EGraph {
                 return self.prove_inner(ctx, a, may_unify) && self.prove_inner(ctx, b, may_unify)
             }
             PureProp::Implies(a, b) => {
-                // The legacy solver clones itself and adds the hypothesis;
+                // The reference solver clones itself and adds the hypothesis;
                 // here the hypothesis is pushed onto the live state and
                 // rolled back — same fact list, no rebuild.
                 let lit_mark = self.lits.len();
@@ -411,7 +413,7 @@ impl EGraph {
 
     /// Refutation-based entailment, memoized under `(version, goal hash,
     /// solution fingerprint)` — the solution component dropping to 0 for
-    /// fully ground queries exactly as the legacy key does.
+    /// fully ground queries, whose verdict no evar solution can change.
     fn entails(&mut self, ctx: &mut VarCtx, goal: &PureProp) -> bool {
         let key_gen = if self.evar_lits > 0 || goal.has_evars() {
             ctx.solution_fp()
@@ -434,7 +436,7 @@ impl EGraph {
         flatten_literal(&goal.negated(), &mut goal_flat);
         if self.or_lits > 0 || goal_flat.iter().any(|f| matches!(f, PureProp::Or(..))) {
             // Disjunctions need the case-splitting search; hand it the
-            // byte-identical input the legacy solver would build.
+            // byte-identical input the reference solver would build.
             stat(|s| s.queries_rebuild += 1);
             let mut facts: Vec<PureProp> = self.lits.iter().map(|l| l.prop.clone()).collect();
             facts.push(goal.negated());

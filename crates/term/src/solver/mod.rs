@@ -21,21 +21,16 @@ use linear::{LinResult, Linear};
 /// Maximum depth of disjunctive fact splitting.
 pub(crate) const MAX_OR_DEPTH: usize = 4;
 
-/// A solver over a fixed set of hypotheses.
+/// A solver over a fixed set of hypotheses: the plain reference, which
+/// keeps nothing between queries. Every entailment rebuilds the
+/// refutation state from the facts, so a verdict depends only on the
+/// facts, the goal and the evar solutions — which is why the trace
+/// checker and the fuzz specification re-prove obligations on it. The
+/// search answers the same queries on the incremental
+/// [`egraph::EGraph`], which must agree with it verdict for verdict.
 #[derive(Debug, Clone, Default)]
 pub struct PureSolver {
     facts: Vec<PureProp>,
-    /// Order-sensitive fingerprint of `facts`, maintained incrementally by
-    /// [`PureSolver::add_fact`]. Together with the goal's hash and the
-    /// [`VarCtx::generation`] stamp it keys the memoized entailment
-    /// verdicts in [`crate::intern`]: refutation never instantiates evars,
-    /// so its verdict is a pure function of those three inputs.
-    fp: u64,
-    /// Whether any recorded fact mentions an evar. When neither the facts
-    /// nor the goal do, zonking is the identity whatever the solution
-    /// state, so memo keys can drop the generation component entirely —
-    /// ground queries (the majority) then hit across solve/rollback churn.
-    has_evars: bool,
 }
 
 pub(crate) fn prop_hash(p: &PureProp) -> u64 {
@@ -59,16 +54,7 @@ impl PureSolver {
 
     /// Adds a hypothesis.
     pub fn add_fact(&mut self, p: PureProp) {
-        let PureSolver {
-            facts,
-            fp,
-            has_evars,
-        } = self;
-        normalize_fact(p, &mut |other| {
-            *fp = fp.rotate_left(7) ^ prop_hash(&other);
-            *has_evars |= other.has_evars();
-            facts.push(other);
-        });
+        normalize_fact(p, &mut |other| self.facts.push(other));
     }
 
     /// The recorded literal/disjunctive facts.
@@ -138,94 +124,16 @@ impl PureSolver {
     }
 
     /// Refutation-based entailment check (never instantiates evars:
-    /// remaining evars are treated as opaque constants, which is sound).
-    ///
-    /// The verdict depends only on the recorded facts, the goal, and the
-    /// current evar solutions, so when an interner scope is active it is
-    /// memoized under `(facts fingerprint, goal hash, solution
-    /// fingerprint)`, and the facts' share of the refutation state is
-    /// reused across goals (see [`PureBase`]).
-    /// The solution component of this solver's memo keys: 0 when the
-    /// query mentions no evar at all (solutions cannot matter), and the
-    /// content fingerprint of the solution map ([`VarCtx::solution_fp`])
-    /// otherwise — two probes that instantiate the same evars the same
-    /// way share the entry even across intervening rollbacks.
-    fn key_gen(&self, ctx: &VarCtx, goal: &PureProp) -> u64 {
-        if self.has_evars || goal.has_evars() {
-            ctx.solution_fp()
-        } else {
-            0
-        }
-    }
-
+    /// remaining evars are treated as opaque constants, which is sound):
+    /// the facts plus the negated goal must be unsatisfiable.
     fn entails(&self, ctx: &mut VarCtx, goal: &PureProp) -> bool {
-        let key = (self.fp, prop_hash(goal), self.key_gen(ctx, goal));
-        if let Some(verdict) = crate::intern::pure_cache_get(&key) {
-            return verdict;
-        }
-        let verdict = match self.entails_via_base(ctx, goal) {
-            Some(v) => v,
-            None => {
-                let mut facts = self.facts.clone();
-                facts.push(goal.negated());
-                unsat(ctx, &facts, MAX_OR_DEPTH)
-            }
-        };
-        crate::intern::pure_cache_put(key, verdict);
-        verdict
-    }
-
-    /// The fast path of [`PureSolver::entails`]: reuses the cached
-    /// [`PureBase`] built over the facts alone and adds only the negated
-    /// goal's literals. `None` when the path does not apply (no interner
-    /// scope, or a disjunction is involved — those go through the
-    /// splitting search of [`unsat`]). The operation sequence replayed
-    /// here is exactly the one the scratch build performs (facts in
-    /// order, then the goal), so the verdict is identical.
-    fn entails_via_base(&self, ctx: &mut VarCtx, goal: &PureProp) -> Option<bool> {
-        if !crate::intern::is_active() {
-            return None;
-        }
-        let mut goal_flat = Vec::new();
-        flatten_literal(&goal.negated(), &mut goal_flat);
-        if goal_flat.iter().any(|f| matches!(f, PureProp::Or(..))) {
-            return None;
-        }
-        let bkey = (
-            self.fp,
-            if self.has_evars { ctx.solution_fp() } else { 0 },
-        );
-        let base = match crate::intern::pure_base_get(&bkey) {
-            Some(cached) => cached?,
-            None => {
-                let built = PureBase::build(ctx, &self.facts);
-                crate::intern::pure_base_put(bkey, built.clone());
-                built?
-            }
-        };
-        let PureBase {
-            mut cc,
-            mut lin,
-            has_false,
-        } = base;
-        if has_false || goal_flat.iter().any(|f| matches!(f, PureProp::False)) {
-            return Some(true);
-        }
-        for f in &goal_flat {
-            add_literal(&mut cc, &mut lin, ctx, f);
-        }
-        if cc.saturate(ctx) == ClosureResult::Contradiction {
-            return Some(true);
-        }
-        for d in cc.derived_numeric().to_vec() {
-            lin.add_fact(ctx, &d);
-        }
-        Some(lin.refute(ctx) == LinResult::Unsat)
+        let mut facts = self.facts.clone();
+        facts.push(goal.negated());
+        unsat(ctx, &facts, MAX_OR_DEPTH)
     }
 
     /// Whether the hypotheses are contradictory. Equivalent to entailing
-    /// `False` (the negated goal `True` flattens away), which shares the
-    /// memoized verdicts of [`PureSolver::prove`].
+    /// `False` (the negated goal `True` flattens away).
     pub fn inconsistent(&self, ctx: &mut VarCtx) -> bool {
         self.entails(ctx, &PureProp::False)
     }
@@ -295,8 +203,8 @@ pub(crate) fn unsat(ctx: &mut VarCtx, facts: &[PureProp], or_budget: usize) -> b
 }
 
 /// Routes one literal fact to the congruence or linear engine — the single
-/// dispatch both the scratch build ([`unsat`]) and the cached-base build
-/// ([`PureBase`]) go through, so the two construct bitwise-identical
+/// dispatch both the scratch build ([`unsat`]) and the incremental
+/// [`egraph::EGraph`] go through, so the two construct bitwise-identical
 /// states.
 pub(crate) fn add_literal(cc: &mut Congruence, lin: &mut Linear, ctx: &VarCtx, f: &PureProp) {
     match f {
@@ -316,40 +224,6 @@ pub(crate) fn add_literal(cc: &mut Congruence, lin: &mut Linear, ctx: &VarCtx, f
         }
         PureProp::Le(..) | PureProp::Lt(..) => lin.add_fact(ctx, f),
         _ => {}
-    }
-}
-
-/// The facts' share of a refutation: congruence and linear states with
-/// every literal fact asserted (unsaturated — saturation runs per query,
-/// after the goal's literals are added, exactly as the scratch build
-/// does). Cached per `(facts fingerprint, generation)` in the interner
-/// scope; `build` returns `None` when a fact flattens to a disjunction,
-/// which needs [`unsat`]'s case-splitting search instead.
-#[derive(Clone)]
-pub(crate) struct PureBase {
-    cc: Congruence,
-    lin: Linear,
-    has_false: bool,
-}
-
-impl PureBase {
-    fn build(ctx: &VarCtx, facts: &[PureProp]) -> Option<PureBase> {
-        let mut flat = Vec::new();
-        for f in facts {
-            flatten_literal(f, &mut flat);
-        }
-        if flat.iter().any(|f| matches!(f, PureProp::Or(..))) {
-            return None;
-        }
-        let has_false = flat.iter().any(|f| matches!(f, PureProp::False));
-        let mut cc = Congruence::new();
-        let mut lin = Linear::new();
-        if !has_false {
-            for f in &flat {
-                add_literal(&mut cc, &mut lin, ctx, f);
-            }
-        }
-        Some(PureBase { cc, lin, has_false })
     }
 }
 
