@@ -4,8 +4,8 @@
 //! the rebuild-per-query baseline (legacy [`PureSolver`] and a fresh
 //! [`EGraph`] per query), the incremental query path (one persistent
 //! e-graph, facts asserted once), and the assert/rollback trail churn a
-//! checker branch frame produces. No interner scope is opened, so every
-//! number is the uncached cost — what a memo miss pays.
+//! checker branch frame produces. Nothing is memoized, so every number
+//! is the full cost of deciding the query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diaframe_core::trace::TraceStep;

@@ -9,10 +9,10 @@
 //! machine-wide slowdown still fails via the aggregate gate.
 //!
 //! Counters are split by determinism. Search-shaped counters (probes,
-//! backtracks, checker steps, per-kind trace steps, interner and solver
-//! cache effort…) are deterministic for a fixed engine, so drift beyond
-//! the threshold gates — an engine change that legitimately moves them
-//! must regenerate the baseline. The persistent proof store's counters
+//! backtracks, checker steps, per-kind trace steps, solver effort…) are
+//! deterministic for a fixed engine, so drift beyond the threshold gates
+//! — an engine change that legitimately moves them must regenerate the
+//! baseline. The persistent proof store's counters
 //! (`store_*`) depend on what happens to be on disk and are reported
 //! informationally only.
 

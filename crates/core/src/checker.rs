@@ -22,9 +22,8 @@
 //! granularity of the paper's primitive rules (see DESIGN.md §1 for the
 //! substitution argument). Like a kernel, it shares no accelerator with
 //! the search: each obligation gets a fresh [`PureSolver`], never the
-//! search's incremental e-graph, and replay runs outside any interner
-//! scope, so a caching or rollback bug in the search's solver cannot make
-//! the checker agree with it. The only counter it moves is
+//! search's incremental e-graph, so a rollback bug in the search's solver
+//! cannot make the checker agree with it. The only counter it moves is
 //! `checker_steps`.
 //!
 //! Both entry points — [`check`] on in-memory traces and [`check_json`]

@@ -55,8 +55,7 @@ pub struct ProofCtx {
     /// O(changes) rollback instead of rebuilds). Dropped to `None` by the
     /// whole-context rewrites (substitution, zonking) — those change
     /// every fact at once, so a rebuild at the next query is the honest
-    /// cost — and rebuilt lazily when absent or from a dead interner
-    /// scope.
+    /// cost — and rebuilt lazily when absent.
     egraph: Option<EGraph>,
 }
 
@@ -182,16 +181,14 @@ impl ProofCtx {
 }
 
 /// The incremental solver in `slot`, rebuilt from `facts` when absent
-/// or bound to another interner scope (context creation, a whole-context
-/// rewrite, or a context that outlived its scope).
+/// (context creation, or a whole-context rewrite).
 fn egraph_over<'a>(slot: &'a mut Option<EGraph>, facts: &[PureProp]) -> &'a mut EGraph {
-    if !slot.as_ref().is_some_and(EGraph::valid) {
+    slot.get_or_insert_with(|| {
         let mut sp = crate::profile::span(crate::profile::SpanKind::SolverBatch);
         sp.set_label("egraph-rebuild");
         crate::profile::bump(facts.len() as u64);
-        *slot = Some(EGraph::from_facts(facts));
-    }
-    slot.as_mut().expect("just rebuilt")
+        EGraph::from_facts(facts)
+    })
 }
 
 #[cfg(test)]

@@ -614,7 +614,7 @@ mod tests {
     use crate::trace_json::{trace_from_json, trace_to_json};
 
     #[test]
-    fn generation_is_deterministic() {
+    fn generated_entailments_are_deterministic() {
         let cfg = GenConfig::default();
         for i in 0..8 {
             let a = gen_entailment(0xD1AF, i, &cfg);

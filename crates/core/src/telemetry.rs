@@ -67,17 +67,11 @@ struct Counters {
     deepest_abandoned: AtomicU64,
     evar_solve_events: AtomicU64,
     checker_steps: AtomicU64,
-    interner_hits: AtomicU64,
-    interner_misses: AtomicU64,
-    zonk_cache_hits: AtomicU64,
-    normalize_cache_hits: AtomicU64,
     solver_facts_asserted: AtomicU64,
     solver_merges: AtomicU64,
     solver_undo_ops: AtomicU64,
     solver_queries_incremental: AtomicU64,
     solver_queries_rebuild: AtomicU64,
-    solver_verdict_hits: AtomicU64,
-    solver_verdict_misses: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_corruptions: AtomicU64,
@@ -120,37 +114,37 @@ pub struct CounterSnapshot {
     pub evar_solve_events: u64,
     /// Steps replayed by the independent [`crate::checker`].
     pub checker_steps: u64,
-    /// Term-interner requests answered from the arena (see
-    /// [`diaframe_term::intern`]). Like every `interner_*`, `*_cache_hits`
-    /// and `solver_*` counter, this counts the search only: the checker
-    /// replays outside any interner scope on the reference solver.
+    /// Always zero: there is no term interner. Remains only for the
+    /// benchmark's compile surface until its next change drops it
+    /// (ROADMAP, trace format v2); no engine code writes it.
     pub interner_hits: u64,
-    /// Term-interner requests that allocated a new arena entry (search
-    /// only).
+    /// Always zero, like [`CounterSnapshot::interner_hits`].
     pub interner_misses: u64,
-    /// Zonk requests answered from the generation-keyed memo table
-    /// (including constant-time answers for evar-free terms; search
-    /// only).
+    /// Always zero, like [`CounterSnapshot::interner_hits`]: zonk is not
+    /// memoized.
     pub zonk_cache_hits: u64,
-    /// Linear-arithmetic normalisations answered from the memo table
-    /// (search only).
+    /// Always zero, like [`CounterSnapshot::interner_hits`]: normalisation
+    /// is not memoized.
     pub normalize_cache_hits: u64,
     /// Literals asserted into the search's incremental pure solver's
-    /// persistent base (see [`diaframe_term::solver::egraph`]).
+    /// persistent base (see [`diaframe_term::solver::egraph`]). Like
+    /// every `solver_*` counter, this counts the search only: the checker
+    /// replays on the reference solver.
     pub solver_facts_asserted: u64,
     /// Union-find merges performed by the incremental solver.
     pub solver_merges: u64,
     /// Undo operations replayed by solver rollbacks (trail pops, node
     /// removals, constraint truncations).
     pub solver_undo_ops: u64,
-    /// Uncached entailment queries answered on the persistent base.
+    /// Entailment queries answered on the persistent base.
     pub solver_queries_incremental: u64,
-    /// Uncached entailment queries that fell back to a from-scratch
-    /// build (disjunctive state, or a base reset after evar churn).
+    /// Entailment queries that fell back to a from-scratch build
+    /// (disjunctive state, or a base reset after evar churn).
     pub solver_queries_rebuild: u64,
-    /// Entailment queries answered from the solver's verdict memo.
+    /// Always zero, like [`CounterSnapshot::interner_hits`]: solver
+    /// verdicts are not memoized.
     pub solver_verdict_hits: u64,
-    /// Entailment queries that missed the verdict memo.
+    /// Always zero, like [`CounterSnapshot::interner_hits`].
     pub solver_verdict_misses: u64,
     /// Always zero: the engine no longer speculates. Remains only for
     /// the benchmark's compile surface; no engine code writes it.
@@ -244,17 +238,11 @@ impl CounterSnapshot {
         self.deepest_abandoned = self.deepest_abandoned.max(other.deepest_abandoned);
         self.evar_solve_events += other.evar_solve_events;
         self.checker_steps += other.checker_steps;
-        self.interner_hits += other.interner_hits;
-        self.interner_misses += other.interner_misses;
-        self.zonk_cache_hits += other.zonk_cache_hits;
-        self.normalize_cache_hits += other.normalize_cache_hits;
         self.solver_facts_asserted += other.solver_facts_asserted;
         self.solver_merges += other.solver_merges;
         self.solver_undo_ops += other.solver_undo_ops;
         self.solver_queries_incremental += other.solver_queries_incremental;
         self.solver_queries_rebuild += other.solver_queries_rebuild;
-        self.solver_verdict_hits += other.solver_verdict_hits;
-        self.solver_verdict_misses += other.solver_verdict_misses;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.store_corruptions += other.store_corruptions;
@@ -282,18 +270,12 @@ impl CounterSnapshot {
             deepest_abandoned: 0,
             evar_solve_events: self.evar_solve_events - before.evar_solve_events,
             checker_steps: self.checker_steps - before.checker_steps,
-            interner_hits: self.interner_hits - before.interner_hits,
-            interner_misses: self.interner_misses - before.interner_misses,
-            zonk_cache_hits: self.zonk_cache_hits - before.zonk_cache_hits,
-            normalize_cache_hits: self.normalize_cache_hits - before.normalize_cache_hits,
             solver_facts_asserted: self.solver_facts_asserted - before.solver_facts_asserted,
             solver_merges: self.solver_merges - before.solver_merges,
             solver_undo_ops: self.solver_undo_ops - before.solver_undo_ops,
             solver_queries_incremental: self.solver_queries_incremental
                 - before.solver_queries_incremental,
             solver_queries_rebuild: self.solver_queries_rebuild - before.solver_queries_rebuild,
-            solver_verdict_hits: self.solver_verdict_hits - before.solver_verdict_hits,
-            solver_verdict_misses: self.solver_verdict_misses - before.solver_verdict_misses,
             store_hits: self.store_hits - before.store_hits,
             store_misses: self.store_misses - before.store_misses,
             store_corruptions: self.store_corruptions - before.store_corruptions,
@@ -347,19 +329,6 @@ impl CounterSnapshot {
             return Err(format!(
                 "deepest_abandoned ({}) recorded without any backtrack",
                 self.deepest_abandoned
-            ));
-        }
-        // Every verdict-memo miss is decided by exactly one uncached
-        // query path (incremental base or from-scratch build).
-        if self.solver_queries_incremental + self.solver_queries_rebuild
-            != self.solver_verdict_misses
-        {
-            return Err(format!(
-                "solver_queries_incremental ({}) + solver_queries_rebuild ({}) != \
-                 solver_verdict_misses ({})",
-                self.solver_queries_incremental,
-                self.solver_queries_rebuild,
-                self.solver_verdict_misses
             ));
         }
         // A corrupt store entry is always demoted to a miss before the
@@ -615,17 +584,11 @@ impl TelemetrySession {
             deepest_abandoned: c.deepest_abandoned.load(Ordering::Relaxed),
             evar_solve_events: c.evar_solve_events.load(Ordering::Relaxed),
             checker_steps: c.checker_steps.load(Ordering::Relaxed),
-            interner_hits: c.interner_hits.load(Ordering::Relaxed),
-            interner_misses: c.interner_misses.load(Ordering::Relaxed),
-            zonk_cache_hits: c.zonk_cache_hits.load(Ordering::Relaxed),
-            normalize_cache_hits: c.normalize_cache_hits.load(Ordering::Relaxed),
             solver_facts_asserted: c.solver_facts_asserted.load(Ordering::Relaxed),
             solver_merges: c.solver_merges.load(Ordering::Relaxed),
             solver_undo_ops: c.solver_undo_ops.load(Ordering::Relaxed),
             solver_queries_incremental: c.solver_queries_incremental.load(Ordering::Relaxed),
             solver_queries_rebuild: c.solver_queries_rebuild.load(Ordering::Relaxed),
-            solver_verdict_hits: c.solver_verdict_hits.load(Ordering::Relaxed),
-            solver_verdict_misses: c.solver_verdict_misses.load(Ordering::Relaxed),
             store_hits: c.store_hits.load(Ordering::Relaxed),
             store_misses: c.store_misses.load(Ordering::Relaxed),
             store_corruptions: c.store_corruptions.load(Ordering::Relaxed),
@@ -885,32 +848,8 @@ pub(crate) fn checker_steps(n: u64) {
     });
 }
 
-/// Folds one interner scope's hit/miss counters into the session (called
-/// by the verification entry point at scope end).
-#[inline]
-pub(crate) fn intern_stats(stats: diaframe_term::intern::InternStats) {
-    if stats == diaframe_term::intern::InternStats::default() {
-        return;
-    }
-    with_session(|s| {
-        s.counters
-            .interner_hits
-            .fetch_add(stats.interner_hits, Ordering::Relaxed);
-        s.counters
-            .interner_misses
-            .fetch_add(stats.interner_misses, Ordering::Relaxed);
-        s.counters
-            .zonk_cache_hits
-            .fetch_add(stats.zonk_cache_hits, Ordering::Relaxed);
-        s.counters
-            .normalize_cache_hits
-            .fetch_add(stats.normalize_cache_hits, Ordering::Relaxed);
-    });
-}
-
-/// Folds one interner scope's incremental-solver counters into the
-/// session (called by the verification entry point at scope end,
-/// alongside [`intern_stats`]).
+/// Folds one specification's incremental-solver counters into the
+/// session (called by the verification entry point after each spec).
 #[inline]
 pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
     if stats == diaframe_term::solver::egraph::EGraphStats::default() {
@@ -932,12 +871,6 @@ pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
         s.counters
             .solver_queries_rebuild
             .fetch_add(stats.queries_rebuild, Ordering::Relaxed);
-        s.counters
-            .solver_verdict_hits
-            .fetch_add(stats.verdict_hits, Ordering::Relaxed);
-        s.counters
-            .solver_verdict_misses
-            .fetch_add(stats.verdict_misses, Ordering::Relaxed);
     });
 }
 

@@ -17,6 +17,7 @@ use crate::trace::ProofTrace;
 use diaframe_ghost::Registry;
 use diaframe_heaplang::{Expr, Val};
 use diaframe_logic::{Binder, MaskT, PredTable, WpPost};
+use diaframe_term::solver::egraph;
 use diaframe_term::{Subst, Term};
 
 /// A successfully verified specification.
@@ -165,17 +166,14 @@ fn verify_inner(
     ctx: ProofCtx,
     spec: &Spec,
 ) -> Result<VerifiedProof, Box<Stuck>> {
-    // One interner scope per specification: the whole search shares one
-    // hash-consing arena and its zonk/normalize memo tables, and the
-    // hit/miss counters it reports stay deterministic per spec no matter
-    // how worker threads are reused across examples.
     let mut prof_span = crate::profile::span(crate::profile::SpanKind::Spec);
     prof_span.set_label(&spec.name);
-    let intern_scope = diaframe_term::intern::scope();
+    // The solver counters are per thread; draining them on both sides
+    // keeps what this spec reports deterministic no matter how worker
+    // threads are reused across examples.
+    let _ = egraph::take_stats();
     let result = verify_goal(registry, specs, opts, ctx, spec);
-    crate::telemetry::intern_stats(diaframe_term::intern::stats());
-    crate::telemetry::egraph_stats(diaframe_term::intern::egraph_stats());
-    drop(intern_scope);
+    crate::telemetry::egraph_stats(egraph::take_stats());
     result
 }
 

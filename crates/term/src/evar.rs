@@ -23,17 +23,7 @@
 use crate::sort::Sort;
 use crate::term::Term;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide source of solution-generation stamps. Stamps are globally
-/// unique, so `(TermId, generation)` memo keys (see [`crate::intern`])
-/// cannot collide across contexts or across clones of one context.
-static NEXT_GEN: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_gen() -> u64 {
-    NEXT_GEN.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A scope level. Level 0 is the outermost scope.
 pub type Level = u32;
@@ -246,10 +236,10 @@ pub struct VarCtx {
     evars: Chunked<EVarInfo>,
     level: Level,
     solves: u64,
-    generation: u64,
     /// Count of in-place solution rewrites ([`VarCtx::map_solutions`]) —
     /// the one mutation [`VarCtx::rollback`] cannot undo. Used to decide
-    /// whether a rollback restores the checkpoint's generation stamp.
+    /// whether a rollback may restore the checkpoint's evar store
+    /// outright.
     maps: u64,
     /// Content fingerprint of the recorded solution map: the XOR of one
     /// hash per `(evar, solution)` entry, maintained incrementally (XOR is
@@ -267,13 +257,11 @@ fn sol_entry_fp(e: EVarId, t: &Term) -> u64 {
     h.finish()
 }
 
-// `solves` and `generation` are deliberately excluded. `solves` counts
-// speculative solve *events* (see [`VarCtx::solve_events`]), which vary
-// with search effort (e.g. the hint index on/off) even when the resulting
-// proof state is identical; `generation` is a cache-invalidation stamp
-// ([`VarCtx::generation`]) whose raw value depends on global allocation
-// order. Trace snapshots embed a `VarCtx` and are compared via `Debug`,
-// so neither may leak into the rendering.
+// `solves` is deliberately excluded: it counts speculative solve
+// *events* (see [`VarCtx::solve_events`]), which vary with search effort
+// (e.g. the hint index on/off) even when the resulting proof state is
+// identical. Trace snapshots embed a `VarCtx` and are compared via
+// `Debug`, so it may not leak into the rendering.
 impl fmt::Debug for VarCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VarCtx")
@@ -371,7 +359,6 @@ impl VarCtx {
             level,
             solution,
         });
-        self.generation = fresh_gen();
         id
     }
 
@@ -450,37 +437,15 @@ impl VarCtx {
         self.sol_fp ^= sol_entry_fp(e, &t);
         self.evars.get_mut(e.index()).solution = Some(t);
         self.solves += 1;
-        self.generation = fresh_gen();
-    }
-
-    /// The current solution generation: a stamp identifying the recorded
-    /// evar-solution state. It changes whenever that state may have changed
-    /// (solving, [`VarCtx::map_solutions`], raw evar pushes) and is
-    /// *restored* by a rollback that provably re-creates the checkpointed
-    /// state. Two reads returning the same stamp guarantee zonk/normalize
-    /// results are interchangeable, so [`crate::intern`] keys its memo
-    /// tables on it.
-    ///
-    /// Stamps are globally unique across all contexts (clones share a stamp
-    /// only until either side mutates), unlike [`VarCtx::solve_events`],
-    /// which is a per-context effort counter that does **not** change on
-    /// rollback and therefore cannot key a cache soundly.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// A content fingerprint of the recorded solution map: two contexts
     /// with equal fingerprints hold the same `(evar, solution)` entries
-    /// (up to 64-bit hash collision, the same risk class as every other
-    /// memo key in [`crate::intern`]). Unlike [`VarCtx::generation`] —
-    /// which stamps mutation *events*, so two probes that reach the same
-    /// solution state through different solve/rollback histories get
-    /// different stamps — the fingerprint depends only on the state
-    /// itself: a speculative solve that is later re-done identically, or
-    /// two branch clones converging on the same instantiation, produce
-    /// the same fingerprint and therefore share every cache keyed on it
-    /// (zonk memo, entailment verdicts, the e-graph's asserted base).
+    /// (up to 64-bit hash collision). It depends only on the state, not
+    /// on the solve/rollback history that reached it, so a speculative
+    /// solve that is rolled back and re-done identically leaves it
+    /// unchanged. The e-graph compares it to decide whether its asserted
+    /// base is stale ([`crate::solver::egraph::EGraph`]).
     #[must_use]
     pub fn solution_fp(&self) -> u64 {
         self.sol_fp
@@ -521,7 +486,6 @@ impl VarCtx {
         });
         self.sol_fp = fp;
         self.maps += 1;
-        self.generation = fresh_gen();
     }
 
     /// Lowers the level of an evar (level pruning). The level can only
@@ -569,7 +533,6 @@ impl VarCtx {
         out.vars.truncate(num_vars);
         if num_evars < self.num_evars() {
             out.truncate_evars(num_evars);
-            out.generation = fresh_gen();
         }
         out
     }
@@ -595,7 +558,6 @@ impl VarCtx {
             evars: self.evars.clone(),
             level: self.level,
             sol_fp: self.sol_fp,
-            generation: self.generation,
             maps: self.maps,
         }
     }
@@ -606,10 +568,10 @@ impl VarCtx {
     /// When every mutation since the mark is one rollback can undo (solves,
     /// fresh entities, level changes — everything except
     /// [`VarCtx::map_solutions`], which rewrites solutions in place), the
-    /// restored state is bitwise the checkpointed one, so the checkpoint's
-    /// generation stamp is restored too. That is what lets the
-    /// [`crate::intern`] memo tables stay warm across the speculative
-    /// probe loops of hint matching, which checkpoint/rollback constantly.
+    /// restored state is bitwise the checkpointed one, so the mark's copy
+    /// of the evar store is put back outright. That keeps rollback cheap
+    /// in the speculative probe loops of hint matching, which
+    /// checkpoint/rollback constantly.
     ///
     /// # Panics
     ///
@@ -625,7 +587,6 @@ impl VarCtx {
             // mark's copy of the evars is exactly the state to restore.
             self.evars = mark.evars.clone();
             self.sol_fp = mark.sol_fp;
-            self.generation = mark.generation;
             return;
         }
         self.truncate_evars(mark.evars.len());
@@ -651,7 +612,6 @@ impl VarCtx {
             })
         });
         self.sol_fp = fp;
-        self.generation = fresh_gen();
     }
 }
 
@@ -663,7 +623,6 @@ pub struct VarCtxMark {
     evars: Chunked<EVarInfo>,
     level: Level,
     sol_fp: u64,
-    generation: u64,
     maps: u64,
 }
 
@@ -960,37 +919,6 @@ mod tests {
         // ... and it stays out of the Debug rendering, which trace
         // equivalence tests compare byte-for-byte.
         assert!(!format!("{ctx:?}").contains("solves"));
-    }
-
-    /// Stamps must stay globally unique when contexts evolve on several
-    /// threads at once: pool workers mutate their own `VarCtx`s
-    /// concurrently, and the `(TermId, generation)` memo keys in
-    /// `crate::intern` are only sound if no two mutation events — on any
-    /// thread — ever share a stamp.
-    #[test]
-    fn generation_stamps_unique_across_threads() {
-        use std::collections::HashSet;
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut ctx = VarCtx::new();
-                    let mut seen = Vec::with_capacity(64);
-                    for i in 0..64 {
-                        let e = ctx.fresh_evar(Sort::Int);
-                        ctx.solve_evar(e, Term::int(i128::from(t) * 100 + i));
-                        seen.push(ctx.generation());
-                    }
-                    seen
-                })
-            })
-            .collect();
-        let mut all = HashSet::new();
-        for h in handles {
-            for g in h.join().expect("stamping thread panicked") {
-                assert!(all.insert(g), "generation stamp {g} issued twice");
-            }
-        }
-        assert_eq!(all.len(), 8 * 64);
     }
 
     #[test]

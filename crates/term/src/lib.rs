@@ -36,7 +36,6 @@
 
 pub mod display;
 pub mod evar;
-pub mod intern;
 pub mod normalize;
 pub mod pure;
 pub mod qp;
@@ -47,7 +46,6 @@ pub mod term;
 pub mod unify;
 
 pub use evar::{EVarId, EVarInfo, Level, VarCtx, VarId, VarInfo};
-pub use intern::{InternScope, InternStats, TermId};
 pub use pure::PureProp;
 pub use qp::{Qp, Rat};
 pub use sort::Sort;

@@ -4,7 +4,8 @@
 //! `c + Σᵢ qᵢ·tᵢ` where the `tᵢ` are non-arithmetic *atoms* (variables,
 //! evars, or opaque applications such as `min`/`max`). The normal form backs
 //! both unification-modulo-arithmetic (`z + (-1)` matches `-1 + z`) and the
-//! Fourier–Motzkin pure solver.
+//! Fourier–Motzkin pure solver. Normalising is one structural walk over
+//! the zonked term; nothing is memoized.
 
 use crate::evar::{EVarId, VarCtx};
 use crate::qp::Rat;
@@ -158,41 +159,21 @@ impl LinComb {
 
 /// Normalises a numeric term into a [`LinComb`]. The term is zonked first,
 /// so solved evars are transparent.
-///
-/// When a [`crate::intern`] scope is active the result is memoized by the
-/// interned id of the *zonked* term (normalisation of a fully-zonked term
-/// is purely structural); the result is always identical to
-/// [`normalize_structural`].
 #[must_use]
 pub fn normalize(ctx: &VarCtx, t: &Term) -> LinComb {
-    match crate::intern::normalize_memo(ctx, t) {
-        Some(lc) => lc,
-        None => normalize_structural(ctx, t),
-    }
+    normalize_zonked(&t.zonk(ctx))
 }
 
-/// The direct, uncached normalisation. [`normalize`] is the memoized
-/// front; property tests compare the two.
-#[must_use]
-pub fn normalize_structural(ctx: &VarCtx, t: &Term) -> LinComb {
-    normalize_resolved(ctx, &t.zonk_structural(ctx))
-}
-
-#[allow(clippy::only_used_in_recursion)]
-pub(crate) fn normalize_resolved(ctx: &VarCtx, t: &Term) -> LinComb {
+fn normalize_zonked(t: &Term) -> LinComb {
     match t {
         Term::Int(n) => LinComb::constant(Rat::from_int(*n)),
         Term::QpLit(q) => LinComb::constant(q.as_rat()),
-        Term::App(Sym::Add, args) => {
-            normalize_resolved(ctx, &args[0]).plus(&normalize_resolved(ctx, &args[1]))
-        }
-        Term::App(Sym::Sub, args) => {
-            normalize_resolved(ctx, &args[0]).minus(&normalize_resolved(ctx, &args[1]))
-        }
-        Term::App(Sym::Neg, args) => normalize_resolved(ctx, &args[0]).scale(-Rat::ONE),
+        Term::App(Sym::Add, args) => normalize_zonked(&args[0]).plus(&normalize_zonked(&args[1])),
+        Term::App(Sym::Sub, args) => normalize_zonked(&args[0]).minus(&normalize_zonked(&args[1])),
+        Term::App(Sym::Neg, args) => normalize_zonked(&args[0]).scale(-Rat::ONE),
         Term::App(Sym::Mul, args) => {
-            let a = normalize_resolved(ctx, &args[0]);
-            let b = normalize_resolved(ctx, &args[1]);
+            let a = normalize_zonked(&args[0]);
+            let b = normalize_zonked(&args[1]);
             if a.is_constant() {
                 b.scale(a.constant)
             } else if b.is_constant() {

@@ -10,7 +10,7 @@ use crate::term::Term;
 /// These are the propositions that appear embedded in separation-logic
 /// assertions as `⌜φ⌝`, and the side conditions of bi-abduction hints. The
 /// pure solver ([`crate::solver::PureSolver`]) decides a useful fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PureProp {
     /// The trivially true proposition.
     True,

@@ -14,7 +14,6 @@
 //! and pop them afterwards instead of cloning the whole closure per query.
 
 use crate::evar::VarCtx;
-use crate::intern::TermId;
 use crate::pure::PureProp;
 use crate::sort::Sort;
 use crate::term::Term;
@@ -29,28 +28,6 @@ pub enum ClosureResult {
     Contradiction,
 }
 
-/// Key of the node-lookup map. When an interner scope is active, terms are
-/// keyed by their interned [`TermId`] (a 4-byte hash and comparison
-/// instead of a structural walk); otherwise by the term itself. A single
-/// [`Congruence`] instance never mixes the two regimes: it lives either
-/// entirely inside one scope (the search's incremental solver does) or
-/// entirely outside one (the reference solver rebuilds its instance per
-/// query).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum NodeKey {
-    Interned(TermId),
-    Structural(Term),
-}
-
-impl NodeKey {
-    fn of(t: &Term) -> NodeKey {
-        match crate::intern::term_id(t) {
-            Some(id) => NodeKey::Interned(id),
-            None => NodeKey::Structural(t.clone()),
-        }
-    }
-}
-
 /// The congruence-closure engine.
 ///
 /// Numeric-sorted equalities derived through injectivity (e.g. from
@@ -59,7 +36,7 @@ impl NodeKey {
 #[derive(Debug, Clone, Default)]
 pub struct Congruence {
     nodes: Vec<Term>,
-    ids: HashMap<NodeKey, usize>,
+    ids: HashMap<Term, usize>,
     parent: Vec<usize>,
     /// Disequality edges (by node id).
     diseqs: Vec<(usize, usize)>,
@@ -92,13 +69,12 @@ impl Congruence {
     }
 
     fn node(&mut self, t: &Term) -> usize {
-        let key = NodeKey::of(t);
-        if let Some(&id) = self.ids.get(&key) {
+        if let Some(&id) = self.ids.get(t) {
             return id;
         }
         let id = self.nodes.len();
         self.nodes.push(t.clone());
-        self.ids.insert(key, id);
+        self.ids.insert(t.clone(), id);
         self.parent.push(id);
         // Register subterms too, so congruence can fire on them.
         if let Term::App(_, args) = t {
@@ -164,7 +140,7 @@ impl Congruence {
             undone += 1;
         }
         for i in (mark.nodes..self.nodes.len()).rev() {
-            self.ids.remove(&NodeKey::of(&self.nodes[i]));
+            self.ids.remove(&self.nodes[i]);
             undone += 1;
         }
         self.nodes.truncate(mark.nodes);

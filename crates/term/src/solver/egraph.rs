@@ -6,11 +6,10 @@
 //! union-find and constraint state back through the undo trail in
 //! O(changes), and each entailment query asserts only the negated goal's
 //! literals on top of the persistent base instead of re-asserting every
-//! hypothesis. This matches the [`crate::evar::VarCtx`]
-//! checkpoint/generation discipline: the search context pushes and
-//! truncates facts in lockstep with its variable checkpoints, so the
-//! solver backtracks with the search instead of being rebuilt per
-//! obligation.
+//! hypothesis. This matches the [`crate::evar::VarCtx`] checkpoint
+//! discipline: the search context pushes and truncates facts in lockstep
+//! with its variable checkpoints, so the solver backtracks with the
+//! search instead of being rebuilt per obligation.
 //!
 //! **Verdict identity.** Every query answers exactly what the reference
 //! [`crate::solver::PureSolver`] would: hypotheses are normalised by the
@@ -25,24 +24,21 @@
 //! the search and the checker share no solver state; the e-graph is
 //! checked against it on random scripts (`tests/egraph_props.rs`) and on
 //! every obligation of the example suite (the root `all_examples` test).
-//!
-//! **Memoization.** Entailment verdicts are memoized in the interner
-//! scope under `(version, goal hash, generation)`, where the version is a
-//! hash-consed stamp allocated per `(parent version, literal hash)` pair:
-//! two e-graphs that assert the same literal sequence (a branch clone and
-//! its original, or an `Implies` goal re-deriving the same hypothesis)
-//! reach the same version and share verdicts.
+//! Every query is decided afresh on the persistent base; no verdict is
+//! memoized.
 
 use super::congruence::{ClosureResult, Congruence, CongruenceMark};
 use super::linear::{LinResult, Linear, LinearMark};
-use super::{add_literal, flatten_literal, normalize_fact, prop_hash, unsat, MAX_OR_DEPTH};
+use super::{add_literal, flatten_literal, normalize_fact, unsat, MAX_OR_DEPTH};
 use crate::evar::VarCtx;
 use crate::pure::PureProp;
 use crate::unify::unify;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Work counters for the incremental solver, aggregated per interner
-/// scope and reported to telemetry by the verification entry points.
+/// Work counters for the incremental solver. Every e-graph on a thread
+/// adds to that thread's running totals; the verification entry point
+/// drains them with [`take_stats`] before and after each specification,
+/// so the counts it reports are per spec and deterministic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EGraphStats {
     /// Literals asserted into the persistent congruence/linear base.
@@ -53,27 +49,30 @@ pub struct EGraphStats {
     /// Undo operations replayed by rollbacks (trail pops, node removals,
     /// constraint truncations).
     pub undo_ops: u64,
-    /// Uncached entailment queries answered on the persistent base.
+    /// Entailment queries answered on the persistent base.
     pub queries_incremental: u64,
-    /// Uncached entailment queries that fell back to a from-scratch
-    /// build (disjunctive state, or a base reset after evar churn).
+    /// Entailment queries that fell back to a from-scratch build
+    /// (disjunctive state, or a base reset after evar churn).
     pub queries_rebuild: u64,
-    /// Entailment queries answered from the scope's verdict memo.
-    pub verdict_hits: u64,
-    /// Entailment queries that missed the verdict memo.
-    pub verdict_misses: u64,
 }
 
-/// Version stamps for literals pushed outside any interner scope: unique
-/// (so they never alias a hash-consed stamp) and drawn from the top half
-/// of the space (so they never collide with the interner's allocator).
-fn fallback_version() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1 << 63);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+thread_local! {
+    static STATS: Cell<EGraphStats> = Cell::new(EGraphStats::default());
+}
+
+/// This thread's solver counters since the last call, resetting them to
+/// zero.
+#[must_use]
+pub fn take_stats() -> EGraphStats {
+    STATS.with(Cell::take)
 }
 
 fn stat(f: impl FnOnce(&mut EGraphStats)) {
-    crate::intern::egraph_stats_mut(f);
+    STATS.with(|cell| {
+        let mut stats = cell.get();
+        f(&mut stats);
+        cell.set(stats);
+    });
 }
 
 /// One recorded hypothesis literal (the output of
@@ -95,23 +94,16 @@ struct Lit {
 /// from the shared prefix.
 #[derive(Clone)]
 pub struct EGraph {
-    /// The interner-scope token this e-graph was built under; see
-    /// [`EGraph::valid`].
-    token: u64,
     /// Normalised hypothesis literals, in assertion order — byte-equal to
     /// the reference solver's fact list over the same inputs.
     lits: Vec<Lit>,
-    /// Hash-consed version stamp after each literal; `versions[i]` keys
-    /// verdicts over `lits[..=i]`.
-    versions: Vec<u64>,
     /// `fact_marks[k]` is the literal count before user-level fact `k`
     /// was pushed (one fact may normalise to several literals).
     fact_marks: Vec<usize>,
-    /// Counts over `lits` of disjunctive, `False`, and evar-mentioning
-    /// literals, maintained incrementally for O(1) query dispatch.
+    /// Counts over `lits` of disjunctive and `False` literals, maintained
+    /// incrementally for O(1) query dispatch.
     or_lits: usize,
     false_lits: usize,
-    evar_lits: usize,
     /// The persistent refutation base: `lits[..base_upto]` asserted, in
     /// order, with a pre-assert mark per literal for exact rollback.
     cc: Congruence,
@@ -136,7 +128,6 @@ impl std::fmt::Debug for EGraph {
             .field("facts", &self.fact_marks.len())
             .field("lits", &self.lits.len())
             .field("base_upto", &self.base_upto)
-            .field("version", &self.version())
             .finish_non_exhaustive()
     }
 }
@@ -148,17 +139,14 @@ impl Default for EGraph {
 }
 
 impl EGraph {
-    /// An empty solver bound to the current interner scope (if any).
+    /// An empty solver.
     #[must_use]
     pub fn new() -> EGraph {
         EGraph {
-            token: crate::intern::scope_token().unwrap_or(u64::MAX),
             lits: Vec::new(),
-            versions: Vec::new(),
             fact_marks: Vec::new(),
             or_lits: 0,
             false_lits: 0,
-            evar_lits: 0,
             cc: Congruence::new(),
             lin: Linear::new(),
             base_upto: 0,
@@ -180,25 +168,11 @@ impl EGraph {
         eg
     }
 
-    /// Whether this e-graph may serve queries under the current interner
-    /// scope: its node keys and version stamps are only meaningful in the
-    /// scope it was built in.
-    #[must_use]
-    pub fn valid(&self) -> bool {
-        crate::intern::scope_token().unwrap_or(u64::MAX) == self.token
-    }
-
     /// The number of user-level facts recorded (the unit
     /// [`EGraph::truncate_facts`] counts in).
     #[must_use]
     pub fn num_facts(&self) -> usize {
         self.fact_marks.len()
-    }
-
-    /// The hash-consed version identifying the current literal sequence.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.versions.last().copied().unwrap_or(0)
     }
 
     /// Records one hypothesis (normalising exactly as
@@ -228,9 +202,6 @@ impl EGraph {
     }
 
     fn push_lit(&mut self, prop: PureProp) {
-        let parent = self.version();
-        let version = crate::intern::egraph_version(parent, prop_hash(&prop))
-            .unwrap_or_else(fallback_version);
         let lit = Lit {
             has_evars: prop.has_evars(),
             disjunctive: matches!(prop, PureProp::Or(..)),
@@ -239,9 +210,7 @@ impl EGraph {
         };
         self.or_lits += usize::from(lit.disjunctive);
         self.false_lits += usize::from(lit.is_false);
-        self.evar_lits += usize::from(lit.has_evars);
         self.lits.push(lit);
-        self.versions.push(version);
     }
 
     /// Rolls the literal list (and the asserted base, where it reaches)
@@ -261,10 +230,8 @@ impl EGraph {
         for lit in &self.lits[n..] {
             self.or_lits -= usize::from(lit.disjunctive);
             self.false_lits -= usize::from(lit.is_false);
-            self.evar_lits -= usize::from(lit.has_evars);
         }
         self.lits.truncate(n);
-        self.versions.truncate(n);
         if undone > 0 {
             stat(|s| s.undo_ops += undone);
         }
@@ -411,27 +378,9 @@ impl EGraph {
         self.entails(ctx, &goal)
     }
 
-    /// Refutation-based entailment, memoized under `(version, goal hash,
-    /// solution fingerprint)` — the solution component dropping to 0 for
-    /// fully ground queries, whose verdict no evar solution can change.
+    /// Refutation-based entailment: asserts the negated goal and looks
+    /// for a contradiction.
     fn entails(&mut self, ctx: &mut VarCtx, goal: &PureProp) -> bool {
-        let key_gen = if self.evar_lits > 0 || goal.has_evars() {
-            ctx.solution_fp()
-        } else {
-            0
-        };
-        let key = (self.version(), prop_hash(goal), key_gen);
-        if let Some(verdict) = crate::intern::egraph_cache_get(&key) {
-            stat(|s| s.verdict_hits += 1);
-            return verdict;
-        }
-        stat(|s| s.verdict_misses += 1);
-        let verdict = self.entails_uncached(ctx, goal);
-        crate::intern::egraph_cache_put(key, verdict);
-        verdict
-    }
-
-    fn entails_uncached(&mut self, ctx: &mut VarCtx, goal: &PureProp) -> bool {
         let mut goal_flat = Vec::new();
         flatten_literal(&goal.negated(), &mut goal_flat);
         if self.or_lits > 0 || goal_flat.iter().any(|f| matches!(f, PureProp::Or(..))) {
@@ -578,7 +527,7 @@ mod tests {
         assert!(!eg.prove_frozen(&mut ctx, &PureProp::le(Term::int(3), z.clone())));
         ctx.solve_evar(e, Term::int(3));
         // Solved: 3 ≤ z now follows; the base must re-assert under the
-        // new generation rather than serve the stale zonked form.
+        // new solution map rather than serve the stale zonked form.
         assert!(eg.prove_frozen(&mut ctx, &PureProp::le(Term::int(3), z)));
     }
 
@@ -595,41 +544,9 @@ mod tests {
         assert_eq!(Term::evar(e).zonk(&ctx), Term::add(z, Term::int(1)));
     }
 
-    #[test]
-    fn versions_hash_cons_across_clones() {
-        let _scope = crate::intern::scope();
-        let mut ctx = VarCtx::new();
-        let z = int_var(&mut ctx, "z");
-        let mut a = EGraph::new();
-        a.push_fact(PureProp::lt(Term::int(0), z.clone()));
-        let mut b = EGraph::new();
-        b.push_fact(PureProp::lt(Term::int(0), z.clone()));
-        assert_eq!(a.version(), b.version());
-        a.push_fact(PureProp::lt(z.clone(), Term::int(9)));
-        assert_ne!(a.version(), b.version());
-        b.push_fact(PureProp::lt(z, Term::int(9)));
-        assert_eq!(a.version(), b.version());
-        // And truncation returns to the shared stamp.
-        a.truncate_facts(1);
-        b.truncate_facts(1);
-        assert_eq!(a.version(), b.version());
-    }
-
-    #[test]
-    fn scope_token_invalidates_across_scopes() {
-        let eg = {
-            let _scope = crate::intern::scope();
-            EGraph::new()
-        };
-        assert!(!eg.valid() || crate::intern::scope_token().is_none());
-        let _scope = crate::intern::scope();
-        assert!(!eg.valid());
-        assert!(EGraph::new().valid());
-    }
-
     /// A rebuild via [`EGraph::from_facts`] must reach the same verdicts
-    /// on any thread and under any interner scope: where a search runs
-    /// must never change what is provable.
+    /// on any thread: where a search runs must never change what is
+    /// provable.
     #[test]
     fn rebuild_verdicts_are_thread_independent() {
         let mut ctx = VarCtx::new();
@@ -658,7 +575,6 @@ mod tests {
                 let (facts, goals, here) = (&facts, &goals, &here);
                 let mut ctx = ctx.clone();
                 s.spawn(move || {
-                    let _scope = crate::intern::scope();
                     let mut eg = EGraph::from_facts(facts);
                     let there: Vec<bool> =
                         goals.iter().map(|(g, _)| eg.prove(&mut ctx, g)).collect();

@@ -33,13 +33,6 @@ pub struct PureSolver {
     facts: Vec<PureProp>,
 }
 
-pub(crate) fn prop_hash(p: &PureProp) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    p.hash(&mut h);
-    h.finish()
-}
-
 impl PureSolver {
     /// Creates a solver from hypotheses. Conjunctions are flattened,
     /// negations and implications are normalised.

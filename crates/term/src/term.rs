@@ -82,10 +82,9 @@ impl Sym {
 ///
 /// Application arguments live behind an `Arc`, so cloning a term is a
 /// refcount bump regardless of depth, and equality between terms that
-/// share the same argument allocation (e.g. two clones, or two terms
-/// canonicalised by [`crate::intern`]) short-circuits on pointer
-/// identity. `Arc<[Term]>` renders exactly like `Vec<Term>` under
-/// `Debug`, so trace snapshots are unaffected.
+/// share the same argument allocation (e.g. two clones) short-circuits
+/// on pointer identity. `Arc<[Term]>` renders exactly like `Vec<Term>`
+/// under `Debug`, so trace snapshots are unaffected.
 // The manual `PartialEq` below is structural equality plus an
 // `Arc::ptr_eq` fast path, so the derived structural `Hash` still
 // satisfies `a == b ⇒ hash(a) == hash(b)`.
@@ -113,7 +112,7 @@ pub enum Term {
 }
 
 /// Structural equality, with an `Arc::ptr_eq` fast path on shared
-/// argument lists (sound because interned/cloned terms share storage).
+/// argument lists (sound because cloned terms share storage).
 impl PartialEq for Term {
     fn eq(&self, other: &Term) -> bool {
         match (self, other) {
@@ -341,12 +340,16 @@ impl Term {
     /// Replaces solved evars by their solutions, recursively, and reduces
     /// projections applied to pairs.
     ///
-    /// When a [`crate::intern`] scope is active this goes through the
-    /// generation-keyed zonk cache; the result is always identical to
-    /// [`Term::zonk_structural`].
+    /// Most zonks in the search happen while every relevant evar is still
+    /// unsolved, so a term [`Term::needs_zonk`] clears is returned as a
+    /// clone (a refcount bump) without rebuilding anything.
     #[must_use]
     pub fn zonk(&self, ctx: &VarCtx) -> Term {
-        crate::intern::zonk(ctx, self)
+        if self.needs_zonk(ctx) {
+            self.zonk_walk(ctx)
+        } else {
+            self.clone()
+        }
     }
 
     /// Whether [`Term::zonk`] would change this term at all: some
@@ -356,20 +359,25 @@ impl Term {
     /// walks entirely in the common all-unsolved state.
     #[must_use]
     pub fn needs_zonk(&self, ctx: &VarCtx) -> bool {
-        crate::intern::needs_zonk(ctx, self)
+        match self {
+            Term::EVar(e) => !ctx.evar_unsolved(*e),
+            Term::App(sym, args) => {
+                (matches!(sym, Sym::Fst | Sym::Snd)
+                    && matches!(&args[..], [Term::App(Sym::VPair, _)]))
+                    || args.iter().any(|a| a.needs_zonk(ctx))
+            }
+            _ => false,
+        }
     }
 
-    /// The direct, uncached zonk implementation. [`Term::zonk`] is the
-    /// memoized front; property tests compare the two.
-    #[must_use]
-    pub fn zonk_structural(&self, ctx: &VarCtx) -> Term {
+    fn zonk_walk(&self, ctx: &VarCtx) -> Term {
         match self {
             Term::EVar(e) => match ctx.evar_solution(*e) {
-                Some(sol) => sol.zonk_structural(ctx),
+                Some(sol) => sol.zonk_walk(ctx),
                 None => self.clone(),
             },
             Term::App(sym, args) => {
-                let args: Vec<Term> = args.iter().map(|a| a.zonk_structural(ctx)).collect();
+                let args: Vec<Term> = args.iter().map(|a| a.zonk_walk(ctx)).collect();
                 match (sym, args.as_slice()) {
                     (Sym::Fst, [Term::App(Sym::VPair, ps)]) => ps[0].clone(),
                     (Sym::Snd, [Term::App(Sym::VPair, ps)]) => ps[1].clone(),

@@ -2,15 +2,14 @@
 //! random fact/goal/checkpoint scripts are run in lockstep against the
 //! rebuild-per-query [`PureSolver`], and additionally against a fresh
 //! [`EGraph`] rebuilt from the same facts at every query — any rollback
-//! or memoization bug shows up as a three-way verdict disagreement.
+//! bug shows up as a three-way verdict disagreement.
 //!
 //! The scripts deliberately exercise the paths the Figure 6 suite leans
 //! on: evar solutions made and undone across [`VarCtx`] checkpoints (the
-//! solution-fingerprint keying and the partial base resets), fact
+//! solution-fingerprint checks and the partial base resets), fact
 //! truncation in lockstep with those checkpoints (the undo trail), and
 //! disjunctive facts (the case-splitting fallback).
 
-use diaframe_term::intern;
 use diaframe_term::solver::egraph::EGraph;
 use diaframe_term::solver::PureSolver;
 use diaframe_term::{EVarId, PureProp, Sort, Term, VarCtx, VarId};
@@ -151,9 +150,6 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
-    // An interner scope keeps the verdict memo and version stamps live —
-    // the memoized path must answer exactly what the uncached one would.
-    let _scope = intern::scope();
     let mut ctx = VarCtx::new();
     let vars: Vec<VarId> = (0..NUM_VARS)
         .map(|i| ctx.fresh_var(Sort::Int, &format!("x{i}")))
@@ -238,7 +234,6 @@ proptest! {
 /// and the solver keeps answering correctly across the churn.
 #[test]
 fn solution_fp_restored_across_rollback() {
-    let _scope = intern::scope();
     let mut ctx = VarCtx::new();
     let z = ctx.fresh_var(Sort::Int, "z");
     let e = ctx.fresh_evar(Sort::Int);

@@ -1,12 +1,13 @@
 //! Property-based tests for the term substrate: normalisation against an
-//! independent evaluator, unification soundness and scope discipline,
-//! pure-solver soundness against random models, and the rational/fraction
-//! arithmetic laws.
+//! independent evaluator, zonk and its `needs_zonk` short-cut against a
+//! model of the evar solutions, unification soundness and scope
+//! discipline, pure-solver soundness against random models, and the
+//! rational/fraction arithmetic laws.
 
 use diaframe_term::normalize::{arith_eq, normalize};
 use diaframe_term::qp::Rat;
 use diaframe_term::solver::PureSolver;
-use diaframe_term::{unify, PureProp, Qp, Sort, Subst, Term, VarCtx, VarId};
+use diaframe_term::{unify, EVarId, PureProp, Qp, Sort, Subst, Sym, Term, VarCtx, VarId};
 use proptest::prelude::*;
 
 const NUM_VARS: usize = 3;
@@ -125,6 +126,101 @@ fn ground_subst(vars: &[VarId], env: &[i64]) -> Subst {
     s
 }
 
+const NUM_EVARS: usize = 3;
+
+/// A linear expression whose leaves may also be evars (by index).
+#[derive(Debug, Clone)]
+enum OExpr {
+    Closed(IExpr),
+    EVar(usize),
+    Add(Box<OExpr>, Box<OExpr>),
+    Neg(Box<OExpr>),
+}
+
+impl OExpr {
+    fn to_term(&self, vars: &[VarId], evars: &[EVarId]) -> Term {
+        self.resolve(vars, evars, &[const { None }; NUM_EVARS])
+    }
+
+    /// The term with every evar the model has solved replaced by its
+    /// solution: what zonk must produce, built without zonk.
+    fn resolve(&self, vars: &[VarId], evars: &[EVarId], model: &[Option<Term>]) -> Term {
+        match self {
+            OExpr::Closed(e) => e.to_term(vars),
+            OExpr::EVar(i) => model[*i].clone().unwrap_or_else(|| Term::evar(evars[*i])),
+            OExpr::Add(a, b) => {
+                Term::add(a.resolve(vars, evars, model), b.resolve(vars, evars, model))
+            }
+            OExpr::Neg(a) => Term::neg(a.resolve(vars, evars, model)),
+        }
+    }
+}
+
+fn oexpr() -> impl Strategy<Value = OExpr> {
+    let leaf = prop_oneof![
+        iexpr().prop_map(OExpr::Closed),
+        (0..NUM_EVARS).prop_map(OExpr::EVar),
+    ];
+    leaf.prop_recursive(3, 12, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| OExpr::Add(Box::new(a), Box::new(b))),
+            inner.prop_map(|a| OExpr::Neg(Box::new(a))),
+        ]
+    })
+}
+
+/// One step of a search-shaped mutation of the variable context.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Solve evar `i`, if still unsolved, with an evar-free term.
+    Solve(usize, IExpr),
+    Checkpoint,
+    /// Roll back to the most recent checkpoint, if any.
+    Rollback,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..NUM_EVARS, iexpr()).prop_map(|(i, e)| Op::Solve(i, e)),
+        Just(Op::Checkpoint),
+        Just(Op::Rollback),
+    ]
+}
+
+/// Replays `script` on `ctx` while keeping a plain model of the evar
+/// solutions, calling `probe` with both after every step.
+fn run_script(
+    ctx: &mut VarCtx,
+    vars: &[VarId],
+    evars: &[EVarId],
+    script: &[Op],
+    mut probe: impl FnMut(&VarCtx, &[Option<Term>]),
+) {
+    let mut model: Vec<Option<Term>> = vec![None; NUM_EVARS];
+    let mut marks = Vec::new();
+    probe(ctx, &model);
+    for o in script {
+        match o {
+            Op::Solve(i, e) => {
+                if model[*i].is_none() {
+                    let t = e.to_term(vars);
+                    ctx.solve_evar(evars[*i], t.clone());
+                    model[*i] = Some(t);
+                }
+            }
+            Op::Checkpoint => marks.push((ctx.checkpoint(), model.clone())),
+            Op::Rollback => {
+                if let Some((mark, saved)) = marks.pop() {
+                    ctx.rollback(&mark);
+                    model = saved;
+                }
+            }
+        }
+        probe(ctx, &model);
+    }
+}
+
 proptest! {
     /// Normalisation agrees with direct evaluation: substituting a ground
     /// model into a linear term and normalising yields the same constant
@@ -206,6 +302,36 @@ proptest! {
         let rhs = Term::add(Term::var(deep), Term::int(i128::from(offset)));
         prop_assert!(unify(&mut ctx, &Term::evar(ev), &rhs).is_err());
         prop_assert!(ctx.evar_unsolved(ev));
+    }
+
+    /// Zonk over random solve/checkpoint/rollback scripts matches the
+    /// term rebuilt from a model of the solutions; `needs_zonk` is false
+    /// exactly when that leaves the term unchanged; a projection redex
+    /// always needs zonking; and normalising commutes with zonking.
+    #[test]
+    fn zonk_short_cut_matches_model(
+        t in oexpr(),
+        script in prop::collection::vec(op(), 0..12),
+    ) {
+        let (mut ctx, vars) = int_ctx();
+        let evars: Vec<EVarId> = (0..NUM_EVARS).map(|_| ctx.fresh_evar(Sort::Int)).collect();
+        let term = t.to_term(&vars, &evars);
+        let pair = Term::v_pair(Term::v_int(term.clone()), Term::v_unit());
+        let proj = Term::app(Sym::Fst, vec![pair]);
+        let mut failures = Vec::new();
+        run_script(&mut ctx, &vars, &evars, &script, |ctx, model| {
+            let expected = t.resolve(&vars, &evars, model);
+            let zonked = term.zonk(ctx);
+            if zonked != expected
+                || term.needs_zonk(ctx) == (expected == term)
+                || !proj.needs_zonk(ctx)
+                || proj.zonk(ctx) != Term::v_int(expected.clone())
+                || normalize(ctx, &term) != normalize(ctx, &zonked)
+            {
+                failures.push((format!("{model:?}"), zonked, expected));
+            }
+        });
+        prop_assert!(failures.is_empty(), "zonk diverged from the model: {failures:?}");
     }
 
     /// Checkpoint/rollback restores evar solutions exactly.

@@ -139,14 +139,13 @@ fn egraph_agrees_with_reference_solver_on_every_obligation() {
     // every obligation of every example trace through both, reusing one
     // e-graph per branch frame across the shared fact prefix
     // (`truncate_facts` + `push_fact`) the way the search backtracks, so
-    // a rollback or memo bug in the e-graph shows up as a disagreement.
+    // a rollback bug in the e-graph shows up as a disagreement.
     let (mut obligations, mut reused) = (0usize, 0usize);
     for ex in all_examples() {
         let outcome = ex
             .verify()
             .unwrap_or_else(|e| panic!("{} failed to verify:\n{e}", ex.name()));
         for proof in &outcome.proofs {
-            let _scope = diaframe::term::intern::scope();
             let mut frames: Vec<Option<FrameSolver>> = vec![None];
             for (i, step) in proof.trace.steps().iter().enumerate() {
                 match step {
@@ -157,7 +156,7 @@ fn egraph_agrees_with_reference_solver_on_every_obligation() {
                     TraceStep::PureObligation { facts, goal, vars } => {
                         let slot = frames.last_mut().expect("balanced branches");
                         match slot {
-                            Some(fs) if fs.egraph.valid() && extends(vars, &fs.vars) => {
+                            Some(fs) if extends(vars, &fs.vars) => {
                                 let common = fs
                                     .facts
                                     .iter()
@@ -207,8 +206,7 @@ fn egraph_agrees_with_reference_solver_on_every_obligation() {
 
 #[test]
 fn checker_replay_moves_only_the_checker_counter() {
-    // The checker runs on the reference solver outside any interner
-    // scope, so the interner, zonk/normalize memo and solver counters
+    // The checker runs on the reference solver, so the solver counters
     // measure the search alone.
     let proofs: Vec<_> = all_examples()
         .into_iter()
