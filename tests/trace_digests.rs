@@ -1,7 +1,9 @@
 //! Golden pin of the engine's observable output: the SHA-256 of every
 //! example's proof-trace JSON, of its compact proof-store bundle
 //! (`traces_to_compact_json`, the bytes a store entry embeds), of every
-//! sabotaged variant's rejection report, and of the rendered Figure 6 and
+//! sabotaged variant's rejection report and of its `--explain` diagnosis
+//! (`Stuck::render_explain` under a telemetry session), and of the
+//! rendered Figure 6 and
 //! failing-verification tables (with their wall-clock columns masked),
 //! against the digests committed in `tests/trace_digests.golden`.
 //!
@@ -13,7 +15,7 @@
 //! `actual` block this test prints on mismatch.
 
 use diaframe::core::trace_json::{trace_to_json, traces_to_compact_json};
-use diaframe::core::{default_jobs, sha256_hex};
+use diaframe::core::{default_jobs, sha256_hex, with_verification_session, TelemetrySession};
 use diaframe::examples::all_examples;
 use diaframe_bench::{failing_table, figure6_rows, prefetch_suite, render_figure6, SuiteCache, Variant};
 use std::fmt::Write as _;
@@ -39,6 +41,19 @@ fn mask_timings(table: &str) -> String {
     out
 }
 
+/// The structured stuck report of `ex`'s sabotaged variant, produced the
+/// way `figure6 --explain` produces it: under a fresh telemetry session,
+/// so the diagnostics block (failed probes, missed heads, counters) is
+/// pinned along with the proof state.
+fn explain(ex: &dyn diaframe::examples::Example) -> String {
+    let session = TelemetrySession::new(ex.name());
+    let _guard = session.install();
+    match with_verification_session(|| ex.verify_broken()) {
+        Some(Err(stuck)) => stuck.render_explain(),
+        _ => panic!("{}: sabotaged variant did not get stuck", ex.name()),
+    }
+}
+
 /// One `<label> <sha256>` line per pinned artifact, in a fixed order.
 fn actual_digests() -> String {
     let cache = SuiteCache::new();
@@ -61,6 +76,7 @@ fn actual_digests() -> String {
             Some(Ok(_)) => panic!("{}: sabotaged variant verified", ex.name()),
             Some(Err(report)) => {
                 let _ = writeln!(out, "broken/{} {}", ex.name(), sha256_hex(report.as_bytes()));
+                let _ = writeln!(out, "explain/{} {}", ex.name(), sha256_hex(explain(ex.as_ref()).as_bytes()));
             }
         }
     }
