@@ -37,15 +37,15 @@
 //! `diaframe-bench/jobs-sweep/v2`, the committed
 //! `BENCH_jobs_sweep.json`).
 //!
-//! Profiling: any of `--profile-out` (Chrome trace-event JSON, loadable
-//! in Perfetto / `chrome://tracing`, one lane per pool worker and
-//! verification session thread), `--folded-out` (folded stacks for
-//! `flamegraph.pl`-style tools) and `--hotspots N` (top-N `(kind,
-//! label)` pairs by self time) runs the suite under a hierarchical
-//! profile session, as does any run that writes the JSON snapshot (its
-//! `spans` histograms come from the profile tree). The trace is
-//! validated (balanced begin/end events, monotonic timestamps per lane)
-//! before it is written.
+//! Profiling: the suite always runs under one telemetry session, whose
+//! span tree gives the counters of each run (the subtree of its `verify`
+//! span) and the snapshot's `spans` histograms. `--profile-out` (Chrome
+//! trace-event JSON, loadable in Perfetto / `chrome://tracing`, one lane
+//! per pool worker and verification session thread), `--folded-out`
+//! (folded stacks for `flamegraph.pl`-style tools) and `--hotspots N`
+//! (top-N `(kind, label)` pairs by self time) export that tree. The
+//! trace is validated (balanced begin/end events, monotonic timestamps
+//! per lane) before it is written.
 //!
 //! Snapshot diffing: `--diff BASELINE.json` compares this run's v9
 //! snapshot against a committed baseline and prints a markdown
@@ -60,7 +60,7 @@ use diaframe_bench::{
     render_jobs_sweep, run_jobs_sweep, verdict_table, DiffOptions, ProofStore, StoreExperiment,
     SuiteCache,
 };
-use diaframe_core::{ProfileSession, TelemetrySession};
+use diaframe_core::TelemetrySession;
 use diaframe_examples::all_examples;
 
 /// Reads a whole file or exits with a diagnostic (used for the diff
@@ -220,13 +220,13 @@ fn main() {
     let store_dir = opt("--store").cloned();
     let json = has("--json");
 
-    // The profile session covers exactly the prefetch passes below —
-    // every verification, and nothing else. The JSON snapshot reads its
-    // duration histograms from it, so any run that writes one profiles.
-    let wants_profile = profile_out.is_some() || folded_out.is_some() || hotspots.is_some();
+    // The session covers exactly the prefetch passes below — every
+    // verification, and nothing else. Each run is counted by its own
+    // `verify` subtree, and the JSON snapshot and the profile exports
+    // read the span tree.
     let writes_json = json || json_out.is_some() || diff_baseline.is_some();
-    let profile = (wants_profile || writes_json).then(ProfileSession::new);
-    let profile_guard = profile.as_ref().map(ProfileSession::install);
+    let session = TelemetrySession::new("figure6");
+    let session_guard = session.install();
     let mut store_exp: Option<StoreExperiment> = None;
     // One parallel pass fills the cache with everything the requested
     // tables will read; rendering below re-runs nothing.
@@ -298,7 +298,7 @@ fn main() {
         }
         (cache, wall)
     };
-    drop(profile_guard);
+    drop(session_guard);
 
     if !json {
         if figure6 {
@@ -326,7 +326,7 @@ fn main() {
         );
     }
     let snapshot =
-        writes_json.then(|| figure6_json(&cache, jobs, wall, store_exp.as_ref(), profile.as_ref()));
+        writes_json.then(|| figure6_json(&cache, jobs, wall, store_exp.as_ref(), Some(&session)));
     if let (Some(path), Some(snapshot)) = (&json_out, &snapshot) {
         std::fs::write(path, snapshot).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("[timing snapshot written to {path}]");
@@ -334,25 +334,23 @@ fn main() {
     if let (true, Some(snapshot)) = (json, &snapshot) {
         print!("{snapshot}");
     }
-    if let Some(p) = &profile {
-        if let Some(n) = hotspots {
-            println!("== profile hotspots (top {n} by self time) ==");
-            print!("{}", render_hotspots(p, n));
-        }
-        if let Some(path) = &profile_out {
-            let trace = p.chrome_trace();
-            let (events, lanes) = diaframe_core::profile::validate_chrome_trace(&trace)
-                .unwrap_or_else(|e| panic!("--profile-out: trace failed validation: {e}"));
-            std::fs::write(path, &trace).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!(
-                "[profile trace written to {path}: {events} span events across {lanes} lanes, validated]"
-            );
-        }
-        if let Some(path) = &folded_out {
-            std::fs::write(path, p.folded_stacks())
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("[folded stacks written to {path}]");
-        }
+    if let Some(n) = hotspots {
+        println!("== profile hotspots (top {n} by self time) ==");
+        print!("{}", render_hotspots(&session, n));
+    }
+    if let Some(path) = &profile_out {
+        let trace = session.chrome_trace();
+        let (events, lanes) = diaframe_core::profile::validate_chrome_trace(&trace)
+            .unwrap_or_else(|e| panic!("--profile-out: trace failed validation: {e}"));
+        std::fs::write(path, &trace).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!(
+            "[profile trace written to {path}: {events} span events across {lanes} lanes, validated]"
+        );
+    }
+    if let Some(path) = &folded_out {
+        std::fs::write(path, session.folded_stacks())
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("[folded stacks written to {path}]");
     }
     if let (Some(b), Some(current)) = (&diff_baseline, &snapshot) {
         // Fresh-run mode: this run's v9 snapshot against the committed

@@ -194,9 +194,9 @@ fn main() {
         .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
     let json_out = flag_value(&args, "--json-out");
 
-    // DIAFRAME_PROFILE=<path>: run the whole campaign under a
-    // hierarchical profile session and write the validated Chrome
-    // trace-event JSON there at the end. The report bytes are
+    // DIAFRAME_PROFILE=<path>: run the whole campaign under one
+    // telemetry session and write the validated Chrome trace-event JSON
+    // of its span tree there at the end. The report bytes are
     // unaffected (the trace goes to its own file and the report
     // carries no timings), so the reproducibility `cmp` in ci.sh
     // holds with profiling on or off.
@@ -205,8 +205,8 @@ fn main() {
         .filter(|p| !p.is_empty());
     let profile = profile_path
         .as_ref()
-        .map(|_| diaframe_core::ProfileSession::new());
-    let profile_guard = profile.as_ref().map(diaframe_core::ProfileSession::install);
+        .map(|_| diaframe_core::TelemetrySession::new("fuzz_driver"));
+    let profile_guard = profile.as_ref().map(diaframe_core::TelemetrySession::install);
 
     let t0 = Instant::now();
     let cfg = GenConfig::default();

@@ -17,12 +17,12 @@
 //! parallel workers race on the same key.
 
 use diaframe_core::{
-    current_ablation, profile, Ablation, CounterSnapshot, SpanKind, TelemetrySession,
+    current_ablation, profile, telemetry, Ablation, CounterSnapshot, SpanKind, TelemetrySession,
 };
 use diaframe_examples::{Example, ExampleOutcome};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -50,27 +50,35 @@ pub struct CachedRun {
     pub check_time: Duration,
     /// Search-effort counters for this run (probes, rule applications,
     /// backtracks, checker steps — see
-    /// [`CounterSnapshot::check_invariants`]). Collected by a per-run
-    /// [`TelemetrySession`], so runs are counted in isolation even when
-    /// the pool interleaves them.
+    /// [`CounterSnapshot::check_invariants`]): the subtree of the run's
+    /// `verify` span, so runs are counted in isolation even when the pool
+    /// interleaves them in one session.
     pub counters: CounterSnapshot,
-    /// The per-run session itself, kept so the suite driver can flush
-    /// the run's telemetry summary line *in a deterministic order*:
-    /// runs complete in whatever order the pool interleaves them, so the
-    /// driver flushes cached runs in task-submission order instead.
-    pub session: TelemetrySession,
+    /// The counters of each `spec` span inside the run, in verification
+    /// order (the `specs` block of the run's sink line).
+    pub specs: Vec<(String, CounterSnapshot)>,
     /// Whether this run was served by replaying a persistent-store
     /// entry (no search happened; `search_time` is zero).
     pub from_store: bool,
-    /// Id of the run's `verify` span in the profile session that was
+    /// Id of the run's `verify` span in the telemetry session that was
     /// installed while it ran (`None` when none was). The run's duration
-    /// histograms are [`ProfileSession::span_stats`] over this subtree.
-    ///
-    /// [`ProfileSession::span_stats`]: diaframe_core::ProfileSession::span_stats
+    /// histograms are [`TelemetrySession::span_stats`] over this subtree.
     pub verify_span: Option<u64>,
+    /// Whether the run's sink line was written: the suite driver flushes
+    /// runs in task-submission order, once each, whatever order the pool
+    /// completed them in.
+    flushed: AtomicBool,
 }
 
 impl CachedRun {
+    /// Writes the run's summary line to the telemetry sink under
+    /// `label`, unless it was written before.
+    pub(crate) fn flush(&self, label: &str) {
+        if !self.flushed.swap(true, Ordering::SeqCst) {
+            telemetry::write_summary(label, &self.counters, &self.specs);
+        }
+    }
+
     /// The successful outcome.
     ///
     /// # Panics
@@ -185,41 +193,53 @@ impl SuiteCache {
     }
 }
 
+/// The label of a run's `verify` span and sink line.
+pub(crate) fn run_label(name: &str, variant: Variant) -> String {
+    match variant {
+        Variant::Ok => name.to_owned(),
+        Variant::Broken => format!("{name}!broken"),
+    }
+}
+
 /// Runs one `(example, variant)` verification, timing search and trace
 /// replay separately. Panics (ablated searches can trip engine
 /// invariants) are contained and rendered as errors.
 pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
-    // A per-run session isolates this run's counters from whatever
-    // session the pool worker carries (nested installs shadow the outer
-    // one and restore it on drop). Counters are a pure side channel, so
-    // the verification itself — and its trace — is unaffected.
-    let label = match variant {
-        Variant::Ok => ex.name().to_owned(),
-        Variant::Broken => format!("{}!broken", ex.name()),
-    };
-    let session = TelemetrySession::new(&label);
-    let guard = session.install();
-    let mut prof_span = profile::span(SpanKind::Verify);
-    prof_span.set_label(&label);
-    let (outcome, search_time, check_time) = run_serial(ex, variant);
-    let verify_span = prof_span.id();
-    drop(prof_span);
+    in_verify_span(&run_label(ex.name(), variant), false, || run_serial(ex, variant))
+}
+
+/// Runs `body` inside a `verify` span labelled `label` and packages its
+/// result with the span's subtree counters. The span opens in the
+/// installed session — the pool's, under the driver — or in a fresh one
+/// when none is installed. Counters are a pure side channel, so the
+/// verification itself — and its trace — is unaffected.
+pub(crate) fn in_verify_span(label: &str, from_store: bool, body: impl FnOnce() -> RunResult) -> CachedRun {
+    let installed = telemetry::current();
+    let session = installed.clone().unwrap_or_else(|| TelemetrySession::new(label));
+    let guard = installed.is_none().then(|| session.install());
+    let mut span = profile::span(SpanKind::Verify);
+    span.set_label(label);
+    let id = span.id().expect("a session is installed");
+    let (outcome, search_time, check_time) = body();
+    drop(span);
     drop(guard);
+    let (counters, specs) = session.subtree_counters(id);
     CachedRun {
         outcome,
         search_time,
         check_time,
-        counters: session.snapshot(),
-        session,
-        from_store: false,
-        verify_span,
+        counters,
+        specs,
+        from_store,
+        verify_span: installed.map(|_| id),
+        flushed: AtomicBool::new(false),
     }
 }
 
-type RunResult = (Option<Result<ExampleOutcome, String>>, Duration, Duration);
+pub(crate) type RunResult = (Option<Result<ExampleOutcome, String>>, Duration, Duration);
 
 /// Searches every spec, then checks every trace.
-fn run_serial(ex: &dyn Example, variant: Variant) -> RunResult {
+pub(crate) fn run_serial(ex: &dyn Example, variant: Variant) -> RunResult {
     let t0 = Instant::now();
     let verdict = catch_unwind(AssertUnwindSafe(|| match variant {
         Variant::Ok => Some(ex.verify()),

@@ -31,7 +31,7 @@ pub use diff::{diff_snapshots, DiffOptions, DiffReport};
 pub use store::{store_key, ProofStore, StoreStats};
 pub use suite::{ablation_configs, assert_counter_invariants, prefetch_ablations, prefetch_suite};
 
-use diaframe_core::{CounterSnapshot, ProfileSession, SpanKind, SpanStats, TelemetrySession};
+use diaframe_core::{CounterSnapshot, SpanKind, SpanStats, TelemetrySession};
 use diaframe_examples::{all_examples, annotation_lines, count_lines, Example, ToolStat};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -430,7 +430,7 @@ fn spans_json(stats: &[(SpanKind, SpanStats)]) -> String {
 /// subtree; `count` is the span kind's payload counter (probes for
 /// `find_hint` batches, replayed steps for the checker).
 #[must_use]
-pub fn render_hotspots(profile: &ProfileSession, n: usize) -> String {
+pub fn render_hotspots(session: &TelemetrySession, n: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -439,7 +439,7 @@ pub fn render_hotspots(profile: &ProfileSession, n: usize) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(88));
     #[allow(clippy::cast_precision_loss)]
-    for h in profile.hotspots(n) {
+    for h in session.hotspots(n) {
         let _ = writeln!(
             out,
             "{:<12} {:<28} | {:>7} {:>11.3} {:>11.3} {:>9}",
@@ -540,11 +540,11 @@ impl StoreExperiment {
 /// `spec_won`/`spec_cancelled`/`spec_wasted_probes`/`check_overlap_ms`)
 /// from every telemetry block: the engine has one serial search path
 /// and checks after searching. v9 takes the `spans` blocks from the
-/// profile span tree: `profile` is the session that was installed while
-/// `cache` was filled, each example's block covers the subtree of its
-/// `verify` span, the aggregate covers all the examples' subtrees, and
-/// the keys are the [`SpanKind`] names. Without
-/// a profile session the `spans` blocks are empty.
+/// span tree: `session` is the telemetry session that was installed
+/// while `cache` was filled, each example's block covers the subtree of
+/// its `verify` span, the aggregate covers all the examples' subtrees,
+/// and the keys are the [`SpanKind`] names. Without a session the
+/// `spans` blocks are empty.
 ///
 /// # Panics
 ///
@@ -556,7 +556,7 @@ pub fn figure6_json(
     jobs: usize,
     wall: Duration,
     store: Option<&StoreExperiment>,
-    profile: Option<&ProfileSession>,
+    session: Option<&TelemetrySession>,
 ) -> String {
     let rows = figure6_rows(cache);
     let mut aggregate = CounterSnapshot::default();
@@ -566,7 +566,7 @@ pub fn figure6_json(
             .unwrap_or_else(|e| panic!("{}: counter invariant violated: {e}", m.name));
         aggregate.merge(&m.counters);
     }
-    // Span duration histograms come from the profile tree, rooted at
+    // Span duration histograms come from the span tree, rooted at
     // each cached run's `verify` span (every request below is a warm
     // hit), keeping `Measured` — which the driver-equivalence tests
     // compare across worker counts — free of wall-clock samples.
@@ -574,7 +574,7 @@ pub fn figure6_json(
         .iter()
         .map(|ex| cache.get_or_run(ex.as_ref(), Variant::Ok).verify_span)
         .collect();
-    let stats = |roots: &[u64]| profile.map_or_else(Vec::new, |p| p.span_stats(roots));
+    let stats = |roots: &[u64]| session.map_or_else(Vec::new, |s| s.span_stats(roots));
     let per_spans: Vec<String> = roots
         .iter()
         .map(|root| spans_json(&stats(root.as_slice())))
@@ -586,7 +586,7 @@ pub fn figure6_json(
     let _ = writeln!(
         out,
         "  \"stack_mb\": {},",
-        diaframe_core::verify::session_stack_bytes() / (1024 * 1024)
+        diaframe_core::verify::SESSION_STACK_BYTES / (1024 * 1024)
     );
     let _ = writeln!(out, "  \"wall_ms\": {},", ms(wall));
     let _ = writeln!(

@@ -34,13 +34,13 @@
 //! persisted *logical* clock (not wall time, which would make store
 //! bytes nondeterministic) against an optional byte budget.
 
-use crate::cache::{run_once, CachedRun, Variant};
+use crate::cache::{in_verify_span, run_once, run_serial, CachedRun, Variant};
 use diaframe_core::trace_json::{
     parse_json_value, traces_from_compact_value, traces_to_compact_json, JsonValue,
 };
 use diaframe_core::{
-    current_ablation, engine_fingerprint, profile, sha256_hex, telemetry, Ablation, Fingerprinter,
-    SpanKind, TelemetrySession, VerifiedProof,
+    current_ablation, engine_fingerprint, sha256_hex, telemetry, Ablation, Fingerprinter,
+    VerifiedProof,
 };
 use diaframe_examples::{Example, ExampleOutcome};
 use std::collections::HashMap;
@@ -50,7 +50,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The revision of the on-disk envelope + index layout. Bump on any
 /// incompatible change; old entries then read as corrupt and are
@@ -334,22 +334,20 @@ impl ProofStore {
                     let _ = self.write_index();
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut run = run_once(ex, variant);
-                let search_ms = u64::try_from(run.search_time.as_millis()).unwrap_or(u64::MAX);
-                self.search_ms.fetch_add(search_ms, Ordering::Relaxed);
-                {
-                    // Land the store events in the run's own counter
-                    // session, where the invariant checks and the
-                    // per-run telemetry lines will see them.
-                    let guard = run.session.install();
+                // The store events land inside the run's `verify` span,
+                // where the invariant checks and the per-run telemetry
+                // line see them.
+                let run = in_verify_span(ex.name(), false, || {
+                    let run = run_serial(ex, variant);
+                    let search_ms = u64::try_from(run.1.as_millis()).unwrap_or(u64::MAX);
+                    self.search_ms.fetch_add(search_ms, Ordering::Relaxed);
                     telemetry::store_miss();
                     if corrupt.is_some() {
                         telemetry::store_corruption();
                     }
                     telemetry::store_search_ms(search_ms);
-                    drop(guard);
-                    run.counters = run.session.snapshot();
-                }
+                    run
+                });
                 if let Some(Ok(outcome)) = &run.outcome {
                     if let Err(e) = self.insert(key, ex, outcome) {
                         // Disk trouble only costs future hits.
@@ -371,38 +369,31 @@ impl ProofStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(None),
             Err(e) => return Err(Some(format!("unreadable entry: {e}"))),
         };
-        let session = TelemetrySession::new(ex.name());
-        let guard = session.install();
-        let mut prof_span = profile::span(SpanKind::Verify);
-        prof_span.set_label(ex.name());
-        let t0 = Instant::now();
-        let replayed = replay_entry(&text, key, ex);
-        let replay_time = t0.elapsed();
-        let verify_span = prof_span.id();
-        drop(prof_span);
-        let outcome = match replayed {
-            Ok(outcome) => outcome,
-            Err(reason) => {
-                drop(guard);
-                return Err(Some(reason));
+        let mut failure = None;
+        let run = in_verify_span(ex.name(), true, || {
+            let t0 = Instant::now();
+            let replayed = replay_entry(&text, key, ex);
+            let replay_time = t0.elapsed();
+            match replayed {
+                Ok(outcome) => {
+                    let replay_ms = u64::try_from(replay_time.as_millis()).unwrap_or(u64::MAX);
+                    self.replay_ms.fetch_add(replay_ms, Ordering::Relaxed);
+                    telemetry::store_hit();
+                    telemetry::store_replay_ms(replay_ms);
+                    // No search happened; the entire cost of a hit is
+                    // the checker replay.
+                    (Some(Ok(outcome)), Duration::ZERO, replay_time)
+                }
+                Err(reason) => {
+                    failure = Some(reason);
+                    (None, Duration::ZERO, Duration::ZERO)
+                }
             }
-        };
-        let replay_ms = u64::try_from(replay_time.as_millis()).unwrap_or(u64::MAX);
-        self.replay_ms.fetch_add(replay_ms, Ordering::Relaxed);
-        telemetry::store_hit();
-        telemetry::store_replay_ms(replay_ms);
-        drop(guard);
-        Ok(CachedRun {
-            outcome: Some(Ok(outcome)),
-            // No search happened; the entire cost of a hit is the
-            // checker replay.
-            search_time: std::time::Duration::ZERO,
-            check_time: replay_time,
-            counters: session.snapshot(),
-            session,
-            from_store: true,
-            verify_span,
-        })
+        });
+        match failure {
+            Some(reason) => Err(Some(reason)),
+            None => Ok(run),
+        }
     }
 
     /// Serializes and atomically publishes one verified outcome, then

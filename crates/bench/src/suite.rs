@@ -9,7 +9,7 @@
 //! afterwards are pure (and serial) cache reads — byte-identical
 //! whatever `jobs` was.
 
-use crate::cache::{SuiteCache, Variant};
+use crate::cache::{run_label, SuiteCache, Variant};
 use diaframe_core::{collect_ordered, current_ablation, run_ordered, with_ablation_override, Ablation};
 use diaframe_examples::all_examples;
 use std::time::{Duration, Instant};
@@ -91,8 +91,9 @@ pub fn prefetch_suite(cache: &SuiteCache, jobs: usize, include_broken: bool) -> 
     // and worker counts (flush is idempotent, so re-prefetching a warm
     // cache emits nothing twice).
     for &(i, variant) in &tasks {
-        if let Some(run) = cache.peek(examples[i].name(), current_ablation(), variant) {
-            run.session.flush();
+        let name = examples[i].name();
+        if let Some(run) = cache.peek(name, current_ablation(), variant) {
+            run.flush(&run_label(name, variant));
         }
     }
     wall
@@ -146,8 +147,9 @@ pub fn prefetch_ablations(cache: &SuiteCache, jobs: usize) -> Duration {
     // Same ordered-flush discipline as `prefetch_suite` (each task ran
     // under its own ablation override, which is part of the cache key).
     for &(ab, i) in &tasks {
-        if let Some(run) = cache.peek(examples[i].name(), ab, Variant::Ok) {
-            run.session.flush();
+        let name = examples[i].name();
+        if let Some(run) = cache.peek(name, ab, Variant::Ok) {
+            run.flush(&run_label(name, Variant::Ok));
         }
     }
     wall

@@ -1,14 +1,13 @@
 //! Observability must be a pure side channel: installing a telemetry
-//! session and a profile session together (every counter and span hook
-//! firing, every lane recording) cannot change a single byte of any
-//! proof trace or rendered table. On top of that, the counters must
+//! session (every counter and span hook firing, every lane recording)
+//! cannot change a single byte of any proof trace or rendered table. On top of that, the counters must
 //! satisfy their accounting identities on the real suite, the exported
 //! Chrome trace must pass the structural validator (balanced begin/end,
 //! monotonic timestamps per lane), and the exported trace JSON must
 //! replay through the independent checker.
 
 use diaframe_bench::{figure6_json, figure6_rows, prefetch_suite, render_figure6, Measured, SuiteCache};
-use diaframe_core::{profile, trace_json, ProfileSession, SpanKind, TelemetrySession};
+use diaframe_core::{profile, trace_json, SpanKind, TelemetrySession};
 use diaframe_examples::all_examples;
 use std::time::Duration;
 
@@ -18,20 +17,19 @@ fn zeroed(mut m: Measured) -> Measured {
     m
 }
 
-/// The tentpole guarantee, example by example: verifying with both
-/// sessions installed produces byte-identical proof-trace JSON to
-/// verifying with no session at all, across the whole suite — and the
-/// sessions really were live (the test would be vacuous otherwise).
+/// The tentpole guarantee, example by example: verifying with a session
+/// installed produces byte-identical proof-trace JSON to verifying with
+/// no session at all, across the whole suite — and the sessions really
+/// were live (the test would be vacuous otherwise).
 #[test]
 fn observability_on_and_off_traces_are_byte_identical() {
     let examples = all_examples();
-    let profile = ProfileSession::new();
     let mut compared_proofs = 0usize;
     for ex in &examples {
         let off = ex.verify().unwrap_or_else(|e| panic!("{} (off): {e}", ex.name()));
         let session = TelemetrySession::new(ex.name());
         let on = {
-            let _guards = (session.install(), profile.install());
+            let _installed = session.install();
             ex.verify()
         };
         let on = on.unwrap_or_else(|e| panic!("{} (on): {e}", ex.name()));
@@ -53,39 +51,39 @@ fn observability_on_and_off_traces_are_byte_identical() {
             );
             compared_proofs += 1;
         }
-        // The telemetry session was live: the hooks counted.
+        // The session was live: the hooks counted and the spans
+        // recorded.
         let snap = session.snapshot();
         assert!(snap.probes_attempted > 0, "{}: no probes counted", ex.name());
         assert!(snap.rule_applications() > 0, "{}: no steps counted", ex.name());
         snap.check_invariants()
             .unwrap_or_else(|e| panic!("{}: {e}", ex.name()));
+        let kinds: Vec<SpanKind> = session.spans().iter().map(|s| s.kind).collect();
+        assert!(kinds.contains(&SpanKind::Search) && kinds.contains(&SpanKind::FindHint));
+        profile::validate_chrome_trace(&session.chrome_trace())
+            .unwrap_or_else(|e| panic!("{}: profile trace fails validation: {e}", ex.name()));
     }
     assert!(
         compared_proofs >= 24,
         "expected at least one proof per example, compared {compared_proofs}"
     );
-
-    // The profile session was live across every run too.
-    let kinds: Vec<SpanKind> = profile.spans().iter().map(|s| s.kind).collect();
-    assert!(kinds.contains(&SpanKind::Search) && kinds.contains(&SpanKind::FindHint));
-    profile::validate_chrome_trace(&profile.chrome_trace())
-        .unwrap_or_else(|e| panic!("per-example profile trace fails validation: {e}"));
 }
 
-/// Both sessions around the whole parallel suite must not change the
+/// A session around the whole parallel suite must not change the
 /// rendered Figure 6 table (timings zeroed — the only legitimate
-/// nondeterminism) or the suite's counter accounting; the suite-wide
-/// profile exports must validate, and the v9 snapshot must carry the
-/// span histograms taken from the profile tree.
+/// nondeterminism) or the suite's counter accounting, which comes from
+/// each run's `verify` subtree instead of a session per run; the
+/// suite-wide profile exports must validate, and the v9 snapshot must
+/// carry the span histograms taken from the span tree.
 #[test]
 fn suite_tables_unaffected_by_observability() {
     let plain = SuiteCache::new();
     prefetch_suite(&plain, 2, false);
 
-    let (session, profile) = (TelemetrySession::new("suite"), ProfileSession::new());
+    let session = TelemetrySession::new("suite");
     let observed = SuiteCache::new();
     {
-        let _guards = (session.install(), profile.install());
+        let _installed = session.install();
         prefetch_suite(&observed, 2, false);
     }
 
@@ -96,20 +94,20 @@ fn suite_tables_unaffected_by_observability() {
 
     // The structural validator accepts the suite-wide trace, and the
     // folded stacks cover the span kinds the suite must exercise.
-    let (events, lanes) = profile::validate_chrome_trace(&profile.chrome_trace())
+    let (events, lanes) = profile::validate_chrome_trace(&session.chrome_trace())
         .unwrap_or_else(|e| panic!("suite profile trace fails validation: {e}"));
     assert!(events > 0 && lanes >= 2, "suite trace too small: {events} events, {lanes} lanes");
     // Folded frames are `kind:label`; spans with <1µs self time are
     // dropped, so only the macroscopic kinds are guaranteed a line.
-    let folded = profile.folded_stacks();
+    let folded = session.folded_stacks();
     for kind in ["verify:", "search"] {
         assert!(folded.contains(kind), "folded stacks missing {kind:?}");
     }
 
     // The v9 snapshot carries the telemetry blocks, the per-span-kind
-    // duration histograms from the profile tree, and a non-trivial
+    // duration histograms from the span tree, and a non-trivial
     // aggregate (`figure6_json` re-checks every row's invariants).
-    let json = figure6_json(&observed, 2, Duration::ZERO, None, Some(&profile));
+    let json = figure6_json(&observed, 2, Duration::ZERO, None, Some(&session));
     for needle in [
         "\"schema\": \"diaframe-bench/figure6/v9\"",
         "\"telemetry\"",
@@ -120,11 +118,14 @@ fn suite_tables_unaffected_by_observability() {
     ] {
         assert!(json.contains(needle), "v9 snapshot lacks {needle}");
     }
-    let aggregate: u64 = figure6_rows(&observed)
-        .iter()
-        .map(|m| m.counters.probes_attempted)
-        .sum();
-    assert!(aggregate > 0, "suite-wide probe count must be non-zero");
+    let mut aggregate = diaframe_core::CounterSnapshot::default();
+    for m in figure6_rows(&observed) {
+        aggregate.merge(&m.counters);
+    }
+    assert!(aggregate.probes_attempted > 0, "suite-wide probe count must be non-zero");
+    // The runs' `verify` subtrees partition everything the session
+    // counted.
+    assert_eq!(aggregate, session.snapshot());
 }
 
 /// S3: a sabotaged spec must produce a structured stuck report that

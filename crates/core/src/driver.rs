@@ -60,32 +60,22 @@ where
         items.iter().map(|_| Mutex::new(None)).collect();
     let ablation = crate::tactic::current_ablation();
     // The telemetry session (like the ablation override) is thread-local
-    // state that must be re-installed in every worker; the counters
-    // behind it are atomics shared through an `Arc`, so all workers feed
-    // one session and the merge at join is free.
-    let telemetry = crate::telemetry::current();
-    // The profiler propagates the same way; pool workers register their
-    // own timeline lanes, and their spans hang off whatever span was
-    // open at the pool call site.
-    let profile = crate::profile::current();
-    let profile_parent = crate::profile::current_span_id();
+    // state that must be re-installed in every worker. Workers register
+    // their own timeline lanes, and their spans — with the counters
+    // riding on them — hang off the span open at the pool call site.
+    let handoff = crate::telemetry::Handoff::capture();
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(jobs);
         for w in 0..jobs {
-            let (cursor, slots, f) = (&cursor, &slots, &f);
-            let telemetry = telemetry.clone();
-            let profile = profile.clone();
+            let (cursor, slots, f, handoff) = (&cursor, &slots, &f, &handoff);
             let worker = std::thread::Builder::new()
                 .name(format!("diaframe-worker-{w}"))
                 // Workers double as verification sessions — see the
                 // stack-size rationale at `with_verification_session`.
-                .stack_size(crate::verify::session_stack_bytes())
+                .stack_size(crate::verify::SESSION_STACK_BYTES)
                 .spawn_scoped(scope, move || {
                     crate::verify::mark_session_thread();
-                    let _telemetry_guard = telemetry.as_ref().map(|s| s.install());
-                    let _profile_guard = profile
-                        .as_ref()
-                        .map(|p| p.install_with_parent(profile_parent));
+                    let _session = handoff.as_ref().map(crate::telemetry::Handoff::install);
                     crate::tactic::with_ablation_override(ablation, || loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
@@ -207,26 +197,6 @@ mod tests {
         for s in seen {
             assert_eq!(s.unwrap(), ab);
         }
-    }
-
-    #[test]
-    fn telemetry_session_reaches_workers() {
-        let session = crate::telemetry::TelemetrySession::new("pool");
-        let _guard = session.install();
-        let labels = run_ordered(&[(), (), ()], 2, |_, ()| {
-            // Workers count into the *caller's* session…
-            crate::telemetry::probe_attempted();
-            crate::telemetry::probe_run();
-            crate::telemetry::current().map(|s| s.label().to_owned())
-        });
-        for l in labels {
-            assert_eq!(l.unwrap().as_deref(), Some("pool"));
-        }
-        // …so the aggregate is visible at the join, no merge step needed.
-        let snap = session.snapshot();
-        assert_eq!(snap.probes_attempted, 3);
-        assert_eq!(snap.probes_indexed_hit, 3);
-        snap.check_invariants().unwrap();
     }
 
     #[test]

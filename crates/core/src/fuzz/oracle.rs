@@ -119,14 +119,12 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
     if let Some(trace) = &first.trace {
         let json = trace_to_json(trace);
 
-        // Observability leg: with a telemetry session and a profile
-        // session both installed (every counter and span hook firing),
-        // counters may differ, the trace must not.
+        // Observability leg: with a telemetry session installed (every
+        // counter and span hook firing), counters may differ, the trace
+        // must not.
         let session = TelemetrySession::new(&format!("fuzz-{index}"));
-        let profile = crate::profile::ProfileSession::new();
         let second = {
-            let _t = session.install();
-            let _p = profile.install();
+            let _installed = session.install();
             search_once(seed, index, cfg)
         };
         match &second.trace {

@@ -79,11 +79,9 @@ pub fn find_hint(
             crate::index::goal_head(&atom.zonk(&ctx.vars), &ctx.preds)
         });
     }
-    if crate::profile::active() {
-        match &found {
-            Some(f) => prof_span.set_label(f.rules.first().map_or("(unnamed)", String::as_str)),
-            None => prof_span.set_label("(miss)"),
-        }
+    match &found {
+        Some(f) => prof_span.set_label(f.rules.first().map_or("(unnamed)", String::as_str)),
+        None => prof_span.set_label("(miss)"),
     }
     found
 }

@@ -24,9 +24,11 @@ pub struct Stuck {
     /// The head of the goal atom no hypothesis could key, when the
     /// engine stopped inside hint search (`goal_head` taxonomy).
     pub unmatched_head: Option<String>,
-    /// Search-effort diagnostics, captured from the ambient
+    /// Search-effort diagnostics, captured from the installed
     /// [`TelemetrySession`](crate::telemetry::TelemetrySession) at the
-    /// stuck point; `None` when no session was installed.
+    /// stuck point: the subtree of the innermost open `verify` span, or
+    /// the whole session outside one. `None` when no session was
+    /// installed.
     pub diag: Option<DiagSnapshot>,
 }
 

@@ -1,92 +1,75 @@
-//! Search telemetry: counters and stuck-state diagnostics.
+//! Search telemetry: the one instrumentation session — span tree,
+//! counters and stuck-state diagnostics.
 //!
 //! The Coq Diaframe artifact leans on Coq's interactive feedback to explain
 //! where proof search spends its budget; this batch engine needs an
-//! explicit instrumentation layer instead. This module provides one, built
-//! to be **zero-cost when disabled**:
+//! explicit instrumentation layer instead. A [`TelemetrySession`] is that
+//! layer, built to be **zero-cost when disabled**:
 //!
-//! * **Counters** — per-verification tallies of hint probes (attempted /
-//!   skipped by the [`crate::index`] head filter / run / matched), rule
-//!   applications by [`TraceKind`], disjunction backtracks, evar solve
-//!   events, invariant openings, and checker replay steps. Counters are a
-//!   pure side channel: they never influence the search, so telemetry-on
-//!   and telemetry-off runs produce byte-identical proof traces (pinned by
+//! * **Spans** — every verification, spec, search phase, hint-probe
+//!   batch, case-split branch, solver batch and checker replay is a timed
+//!   span with a parent id and a thread lane ([`crate::profile`] has the
+//!   span kinds and the exporters). Spans are the only place durations
+//!   are recorded.
+//! * **Counters** — hint probes (attempted / skipped by the
+//!   [`crate::index`] head filter / run / matched), rule applications by
+//!   [`TraceKind`], backtracks, evar solve events, checker replay steps,
+//!   solver and proof-store effort. Counters are span payloads: each hook
+//!   adds to the counter block of the innermost open span on its own
+//!   thread that keeps one (`verify` and `spec` spans and a thread's
+//!   outermost span), or to the session's block when no span is open, and
+//!   a closing span folds its block into the enclosing one, so a block
+//!   holds the merge over its span's subtree. A run or a spec is counted
+//!   by the subtree of its `verify` or `spec` span
+//!   ([`TelemetrySession::subtree_counters`]). Counters are a pure side
+//!   channel: they never influence the search, so observed and unobserved
+//!   runs produce byte-identical proof traces (pinned by
 //!   `crates/bench/tests/telemetry.rs`).
-//! * **Per-spec deltas** — the counters attributable to each spec of a
-//!   verification, written with the counters to a sink selected by the
-//!   `DIAFRAME_TELEMETRY` environment variable (see [`Sink`]).
 //! * **Diagnostics** — the per-hypothesis failed-probe ranking and the
-//!   goal heads that had no keying hypothesis, which
-//!   [`crate::report::Stuck::render_explain`] turns into a structured
-//!   stuck report.
+//!   goal heads that had no keying hypothesis ride on the spans the same
+//!   way; [`crate::report::Stuck::render_explain`] turns them into a
+//!   structured stuck report.
 //!
 //! # Sessions
 //!
-//! All state hangs off a [`TelemetrySession`], installed into a thread
-//! with [`TelemetrySession::install`]. When **no** session is installed
-//! anywhere in the process, every instrumentation hook short-circuits on
-//! one relaxed atomic load — the engine's hot paths pay nothing. The
-//! session handle is `Send + Sync` and is re-installed across the thread
-//! hops the engine performs ([`crate::verify::with_verification_session`]
-//! spawns a big-stack worker; [`crate::driver::run_ordered`] fans out to a
-//! pool), mirroring how the ablation override travels.
+//! A session is installed into a thread with
+//! [`TelemetrySession::install`]. When **no** session is installed
+//! anywhere in the process, every hook short-circuits on one relaxed
+//! atomic load — the engine's hot paths pay nothing. Each thread keeps one
+//! state: the installed session, its lane, the span adopted as parent
+//! across a thread hop, and its stack of open spans. The engine's thread
+//! hops ([`crate::verify::with_verification_session`] spawns a big-stack
+//! worker; [`crate::driver::run_ordered`] fans out to a pool) capture one
+//! [`Handoff`] — the session plus the innermost open span — and
+//! re-install it in the new thread next to the ablation override, so the
+//! span tree stays connected across lanes.
 //!
-//! This module reads no clock: durations live only in the
-//! [`crate::profile`] span tree. The two payload hooks, `probe_attempted`
-//! and `checker_steps`, also add to the payload of the innermost open
-//! profile span, so the `find_hint` and `check` span counts agree with
-//! the flat counters by construction.
-//!
-//! Under the parallel driver each worker runs its own verifications under
-//! its own session; a session's [`flush`](TelemetrySession::flush) appends
-//! its summary line to the sink under one lock, so concurrent workers never
-//! interleave lines.
+//! Per-run summary lines go to the sink selected by `DIAFRAME_TELEMETRY`
+//! (see [`Sink`]); each line is appended under one lock, so concurrent
+//! writers never interleave.
 
+use crate::profile::{OpenSpan, SpanKind, SpanRec};
 use crate::trace::{TraceKind, TraceStep};
 use crate::trace_json::json_escape;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Counters
 
-/// The live atomic counters of one session.
-#[derive(Default)]
-struct Counters {
-    probes_attempted: AtomicU64,
-    probes_skipped: AtomicU64,
-    probes_indexed_hit: AtomicU64,
-    probes_matched: AtomicU64,
-    hint_misses: AtomicU64,
-    backtracks: AtomicU64,
-    deepest_abandoned: AtomicU64,
-    evar_solve_events: AtomicU64,
-    checker_steps: AtomicU64,
-    solver_facts_asserted: AtomicU64,
-    solver_merges: AtomicU64,
-    solver_undo_ops: AtomicU64,
-    solver_queries_incremental: AtomicU64,
-    solver_queries_rebuild: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_corruptions: AtomicU64,
-    store_evictions: AtomicU64,
-    store_replay_ms: AtomicU64,
-    store_search_ms: AtomicU64,
-    steps_by_kind: [AtomicU64; TraceKind::COUNT],
-}
-
 /// A point-in-time copy of a session's counters.
 ///
-/// Obtained from [`TelemetrySession::snapshot`]; all fields are plain
-/// totals since session creation. Snapshots of deterministic searches are
-/// themselves deterministic, which is why the bench harness can cache and
-/// compare them.
+/// Obtained from [`TelemetrySession::snapshot`] (the whole session) or
+/// [`TelemetrySession::subtree_counters`] (one span's subtree); all fields
+/// are plain totals. Snapshots of deterministic searches are themselves
+/// deterministic, which is why the bench harness can cache and compare
+/// them. The same type is the counter block each open span carries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Hypothesis probes considered by `find_hint`'s scan loop (each
@@ -226,8 +209,8 @@ impl CounterSnapshot {
     }
 
     /// Folds `other` into `self` (sums everywhere except
-    /// `deepest_abandoned`, which takes the max). Used to aggregate
-    /// per-example counters into suite totals.
+    /// `deepest_abandoned`, which takes the max). Used to sum a span
+    /// subtree and to aggregate per-example counters into suite totals.
     pub fn merge(&mut self, other: &CounterSnapshot) {
         self.probes_attempted += other.probes_attempted;
         self.probes_skipped += other.probes_skipped;
@@ -252,46 +235,6 @@ impl CounterSnapshot {
         for (a, b) in self.steps_by_kind.iter_mut().zip(other.steps_by_kind.iter()) {
             *a += *b;
         }
-    }
-
-    /// The counters accumulated since `before` was taken (used to carve
-    /// per-spec deltas out of a per-example session). Sums subtract;
-    /// `deepest_abandoned` is attributed to the interval in which the
-    /// maximum grew.
-    #[must_use]
-    pub fn delta_since(&self, before: &CounterSnapshot) -> CounterSnapshot {
-        let mut out = CounterSnapshot {
-            probes_attempted: self.probes_attempted - before.probes_attempted,
-            probes_skipped: self.probes_skipped - before.probes_skipped,
-            probes_indexed_hit: self.probes_indexed_hit - before.probes_indexed_hit,
-            probes_matched: self.probes_matched - before.probes_matched,
-            hint_misses: self.hint_misses - before.hint_misses,
-            backtracks: self.backtracks - before.backtracks,
-            deepest_abandoned: 0,
-            evar_solve_events: self.evar_solve_events - before.evar_solve_events,
-            checker_steps: self.checker_steps - before.checker_steps,
-            solver_facts_asserted: self.solver_facts_asserted - before.solver_facts_asserted,
-            solver_merges: self.solver_merges - before.solver_merges,
-            solver_undo_ops: self.solver_undo_ops - before.solver_undo_ops,
-            solver_queries_incremental: self.solver_queries_incremental
-                - before.solver_queries_incremental,
-            solver_queries_rebuild: self.solver_queries_rebuild - before.solver_queries_rebuild,
-            store_hits: self.store_hits - before.store_hits,
-            store_misses: self.store_misses - before.store_misses,
-            store_corruptions: self.store_corruptions - before.store_corruptions,
-            store_evictions: self.store_evictions - before.store_evictions,
-            store_replay_ms: self.store_replay_ms - before.store_replay_ms,
-            store_search_ms: self.store_search_ms - before.store_search_ms,
-            steps_by_kind: [0; TraceKind::COUNT],
-            ..CounterSnapshot::default()
-        };
-        if self.deepest_abandoned > before.deepest_abandoned {
-            out.deepest_abandoned = self.deepest_abandoned;
-        }
-        for (i, o) in out.steps_by_kind.iter_mut().enumerate() {
-            *o = self.steps_by_kind[i] - before.steps_by_kind[i];
-        }
-        out
     }
 
     /// Checks the cross-counter consistency invariants. The suite runner
@@ -426,16 +369,55 @@ pub struct DiagSnapshot {
     pub counters: CounterSnapshot,
 }
 
-#[derive(Default)]
-struct DiagState {
+/// One counter block: what the hooks recorded while its span was the
+/// innermost open span on its thread that keeps a block, plus what the
+/// closed spans below it folded in (for the session's own block:
+/// everything outside spans).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    pub(crate) counters: CounterSnapshot,
     failed_probes: BTreeMap<String, u64>,
     missed_heads: BTreeMap<String, u64>,
 }
 
-fn ranked(map: &BTreeMap<String, u64>) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = map.iter().map(|(k, n)| (k.clone(), *n)).collect();
+impl Tally {
+    pub(crate) fn merge(&mut self, other: Tally) {
+        self.counters.merge(&other.counters);
+        for (mine, theirs) in [
+            (&mut self.failed_probes, other.failed_probes),
+            (&mut self.missed_heads, other.missed_heads),
+        ] {
+            if mine.is_empty() {
+                *mine = theirs;
+            } else {
+                for (key, n) in theirs {
+                    *mine.entry(key).or_insert(0) += n;
+                }
+            }
+        }
+    }
+
+    fn diag(self) -> DiagSnapshot {
+        DiagSnapshot {
+            failed_probes: ranked(self.failed_probes),
+            missed_heads: ranked(self.missed_heads),
+            counters: self.counters,
+        }
+    }
+}
+
+fn ranked(map: BTreeMap<String, u64>) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = map.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     v
+}
+
+fn bump_key(map: &mut BTreeMap<String, u64>, key: &str) {
+    if let Some(n) = map.get_mut(key) {
+        *n += 1;
+    } else {
+        map.insert(key.to_owned(), 1);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,9 +430,9 @@ fn ranked(map: &BTreeMap<String, u64>) -> Vec<(String, u64)> {
 /// * `stderr` — a one-line human-readable summary per verification on
 ///   standard error;
 /// * anything else — treated as a file path; one `{"event":"summary",…}`
-///   JSON line per verification is appended, with counters and per-spec
-///   deltas. The sink carries no durations: timing lives in the
-///   [`crate::profile`] span tree (`figure6 --profile-out`).
+///   JSON line per verification is appended, with the counters of the
+///   run and of each of its specs. The sink carries no durations: they
+///   live in the span tree (`figure6 --profile-out`).
 ///
 /// Counters and diagnostics work regardless of the sink: the bench
 /// harness installs sessions programmatically and reads snapshots
@@ -466,7 +448,7 @@ pub enum Sink {
 }
 
 impl Sink {
-    fn is_on(&self) -> bool {
+    pub(crate) fn is_on(&self) -> bool {
         *self != Sink::Off
     }
 }
@@ -493,27 +475,106 @@ pub fn sink() -> &'static Sink {
     SINK.get_or_init(|| parse_sink(std::env::var("DIAFRAME_TELEMETRY").ok().as_deref()))
 }
 
-/// Serializes sink appends so per-verification blocks from parallel
+/// Serializes sink appends so per-verification lines from parallel
 /// workers never interleave.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Writes one verification's summary — its counters and each spec's — to
+/// the process sink as one line. A no-op when the sink is [`Sink::Off`].
+pub fn write_summary(label: &str, counters: &CounterSnapshot, specs: &[(String, CounterSnapshot)]) {
+    match sink() {
+        Sink::Off => {}
+        Sink::Stderr => {
+            let _guard = lock(&SINK_LOCK);
+            eprintln!(
+                "telemetry[{label}]: probes {} (skipped {}, run {}, matched {}), rules {}, \
+                 backtracks {}, evar solves {}, checker {}",
+                counters.probes_attempted,
+                counters.probes_skipped,
+                counters.probes_indexed_hit,
+                counters.probes_matched,
+                counters.rule_applications(),
+                counters.backtracks,
+                counters.evar_solve_events,
+                counters.checker_steps,
+            );
+        }
+        Sink::File(path) => {
+            let specs: Vec<String> = specs
+                .iter()
+                .map(|(name, c)| format!("\"{}\": {}", json_escape(name), c.json_object()))
+                .collect();
+            let line = format!(
+                "{{\"event\":\"summary\",\"verify\":\"{}\",\"counters\":{},\"specs\":{{{}}}}}\n",
+                json_escape(label),
+                counters.json_object(),
+                specs.join(", ")
+            );
+            let _guard = lock(&SINK_LOCK);
+            let res = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+            if let Err(e) = res {
+                eprintln!("telemetry: cannot append to {}: {e}", path.display());
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Sessions
 
-struct SessionInner {
-    label: String,
-    counters: Counters,
-    diag: Mutex<DiagState>,
-    per_spec: Mutex<Vec<(String, CounterSnapshot)>>,
-    flushed: AtomicBool,
+/// Locks `m`, ignoring poisoning: the instrumentation state stays usable
+/// after a panic in a verification it observed.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One verification's worth of telemetry state. Cheap to clone (an
-/// `Arc`), and `Send + Sync` so the handle can follow the engine across
+pub(crate) struct SessionInner {
+    label: String,
+    pub(crate) epoch: Instant,
+    pub(crate) next_id: AtomicU64,
+    /// What the hooks counted while no span was open, and the subtrees of
+    /// the closed spans that had no parent.
+    pub(crate) root: Mutex<Tally>,
+    pub(crate) log: Mutex<SpanLog>,
+    pub(crate) lanes: Mutex<Vec<String>>,
+}
+
+/// The closed spans of a session.
+#[derive(Default)]
+pub(crate) struct SpanLog {
+    /// Every closed span, in completion order.
+    pub(crate) spans: Vec<SpanRec>,
+    /// The subtrees of closed spans whose parent is still open on another
+    /// thread (the far side of a thread hop), keyed by that parent; the
+    /// parent folds them in when it closes.
+    pub(crate) handed_back: HashMap<u64, Tally>,
+}
+
+impl SessionInner {
+    fn register_lane(&self, base: &str) -> u32 {
+        let mut lanes = lock(&self.lanes);
+        let mut name = base.to_string();
+        let mut k = 1usize;
+        while lanes.iter().any(|l| l == &name) {
+            k += 1;
+            name = format!("{base}#{k}");
+        }
+        lanes.push(name);
+        u32::try_from(lanes.len() - 1).expect("lane count fits u32")
+    }
+}
+
+/// One instrumentation session: the span log, the counters riding on the
+/// spans, and the diagnostics. Cheap to clone (an `Arc`; clones share
+/// the log), and `Send + Sync` so the handle can follow the engine across
 /// its worker threads.
 #[derive(Clone)]
 pub struct TelemetrySession {
-    inner: Arc<SessionInner>,
+    pub(crate) inner: Arc<SessionInner>,
 }
 
 impl std::fmt::Debug for TelemetrySession {
@@ -528,22 +589,69 @@ impl std::fmt::Debug for TelemetrySession {
 /// instrumentation fast path is one relaxed load of this.
 static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// One thread's instrumentation state: the installed session and the
+/// thread's place in its span tree.
+struct Local {
+    session: Option<Arc<SessionInner>>,
+    spans: ThreadSpans,
+}
+
+/// A thread's place in the installed session's span tree.
+pub(crate) struct ThreadSpans {
+    /// This thread's lane in the session.
+    pub(crate) lane: u32,
+    /// The parent of spans opened with no span open on this thread (the
+    /// span open at the far side of a thread hop).
+    pub(crate) adopted: Option<u64>,
+    /// The innermost `verify` span open at the far side of a thread hop.
+    verify: Option<u64>,
+    /// The open spans, innermost last.
+    pub(crate) open: Vec<OpenSpan>,
+    /// The counter blocks of the open spans that have one, innermost last.
+    pub(crate) blocks: Vec<Tally>,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<SessionInner>>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            session: None,
+            spans: ThreadSpans {
+                lane: 0,
+                adopted: None,
+                verify: None,
+                open: Vec::new(),
+                blocks: Vec::new(),
+            },
+        })
+    };
+}
+
+/// Runs `f` on this thread's spans and session when a session is
+/// installed here.
+#[inline]
+pub(crate) fn with_local<R>(f: impl FnOnce(&mut ThreadSpans, &Arc<SessionInner>) -> R) -> Option<R> {
+    if ACTIVE_SESSIONS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    LOCAL.with(|l| {
+        let Local { session, spans } = &mut *l.borrow_mut();
+        Some(f(spans, session.as_ref()?))
+    })
 }
 
 impl TelemetrySession {
     /// A fresh session labelled `label` (by convention the example or
-    /// spec name; the label tags every sink line).
+    /// spec name; the label tags the session's own sink line).
     #[must_use]
     pub fn new(label: &str) -> TelemetrySession {
         TelemetrySession {
             inner: Arc::new(SessionInner {
                 label: label.to_owned(),
-                counters: Counters::default(),
-                diag: Mutex::new(DiagState::default()),
-                per_spec: Mutex::new(Vec::new()),
-                flushed: AtomicBool::new(false),
+                epoch: Instant::now(),
+                next_id: AtomicU64::new(1),
+                root: Mutex::new(Tally::default()),
+                log: Mutex::new(SpanLog::default()),
+                lanes: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -555,272 +663,206 @@ impl TelemetrySession {
     }
 
     /// Installs the session into the current thread until the returned
-    /// guard drops (a previously installed session is restored then).
+    /// guard drops; the thread's previous state (session, lane, open
+    /// spans) is restored then. The thread gets its own *lane*, named
+    /// after the OS thread (uniquified with `#k` on collision), so pool
+    /// workers and verification session threads each render as their own
+    /// timeline row.
     #[must_use]
     pub fn install(&self) -> TelemetryGuard {
+        self.install_with_parent(None, None)
+    }
+
+    /// Like [`install`](TelemetrySession::install), but spans opened with
+    /// no span open on this thread adopt `adopted` as their parent id, and
+    /// stuck diagnostics are scoped to the `verify` span `verify` — the
+    /// spans open at the far side of a thread hop.
+    fn install_with_parent(&self, adopted: Option<u64>, verify: Option<u64>) -> TelemetryGuard {
+        let state = Local {
+            session: Some(Arc::clone(&self.inner)),
+            spans: ThreadSpans {
+                lane: self.inner.register_lane(std::thread::current().name().unwrap_or("main")),
+                adopted,
+                verify,
+                open: Vec::new(),
+                blocks: Vec::new(),
+            },
+        };
         ACTIVE_SESSIONS.fetch_add(1, Ordering::SeqCst);
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.inner)));
         TelemetryGuard {
-            prev,
+            prev: LOCAL.with(|l| std::mem::replace(&mut *l.borrow_mut(), state)),
             _not_send: PhantomData,
         }
     }
 
-    /// A copy of the current counter values.
+    /// The counters of the whole session. Spans still open, and what
+    /// their closed children folded into them, are not included.
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
-        let c = &self.inner.counters;
-        let mut steps = [0u64; TraceKind::COUNT];
-        for (o, a) in steps.iter_mut().zip(c.steps_by_kind.iter()) {
-            *o = a.load(Ordering::Relaxed);
-        }
-        CounterSnapshot {
-            probes_attempted: c.probes_attempted.load(Ordering::Relaxed),
-            probes_skipped: c.probes_skipped.load(Ordering::Relaxed),
-            probes_indexed_hit: c.probes_indexed_hit.load(Ordering::Relaxed),
-            probes_matched: c.probes_matched.load(Ordering::Relaxed),
-            hint_misses: c.hint_misses.load(Ordering::Relaxed),
-            backtracks: c.backtracks.load(Ordering::Relaxed),
-            deepest_abandoned: c.deepest_abandoned.load(Ordering::Relaxed),
-            evar_solve_events: c.evar_solve_events.load(Ordering::Relaxed),
-            checker_steps: c.checker_steps.load(Ordering::Relaxed),
-            solver_facts_asserted: c.solver_facts_asserted.load(Ordering::Relaxed),
-            solver_merges: c.solver_merges.load(Ordering::Relaxed),
-            solver_undo_ops: c.solver_undo_ops.load(Ordering::Relaxed),
-            solver_queries_incremental: c.solver_queries_incremental.load(Ordering::Relaxed),
-            solver_queries_rebuild: c.solver_queries_rebuild.load(Ordering::Relaxed),
-            store_hits: c.store_hits.load(Ordering::Relaxed),
-            store_misses: c.store_misses.load(Ordering::Relaxed),
-            store_corruptions: c.store_corruptions.load(Ordering::Relaxed),
-            store_evictions: c.store_evictions.load(Ordering::Relaxed),
-            store_replay_ms: c.store_replay_ms.load(Ordering::Relaxed),
-            store_search_ms: c.store_search_ms.load(Ordering::Relaxed),
-            steps_by_kind: steps,
-            ..CounterSnapshot::default()
-        }
+        lock(&self.inner.root).counters.clone()
     }
 
-    /// The diagnostic state (failed-probe ranking + missed goal heads),
-    /// with a counter snapshot attached.
+    /// The counters of the closed span `root`'s subtree, and of each of
+    /// its `spec` children's subtrees, in verification order. The subtree
+    /// follows parent ids across lanes, so work done on a verification
+    /// session thread counts toward the span that spawned it.
     #[must_use]
-    pub fn diag_snapshot(&self) -> DiagSnapshot {
-        let d = self.inner.diag.lock().unwrap();
-        DiagSnapshot {
-            failed_probes: ranked(&d.failed_probes),
-            missed_heads: ranked(&d.missed_heads),
-            counters: self.snapshot(),
-        }
+    pub fn subtree_counters(&self, root: u64) -> (CounterSnapshot, Vec<(String, CounterSnapshot)>) {
+        let log = lock(&self.inner.log);
+        let total = log.spans.iter().rev().find(|s| s.id == root).and_then(|s| s.counters.as_deref());
+        let total = total.cloned().unwrap_or_default();
+        (total, spec_counters(&log.spans, Some(root)))
     }
 
-    /// Per-spec counter deltas recorded by [`crate::verify::verify`], in
-    /// verification order.
-    #[must_use]
-    pub fn per_spec(&self) -> Vec<(String, CounterSnapshot)> {
-        self.inner.per_spec.lock().unwrap().clone()
-    }
-
-    /// Records the counter delta attributable to one spec.
-    pub fn record_spec(&self, name: &str, delta: CounterSnapshot) {
-        self.inner
-            .per_spec
-            .lock()
-            .unwrap()
-            .push((name.to_owned(), delta));
-    }
-
-    /// Writes the session's summary to the process sink. Idempotent; a
-    /// no-op when the sink is [`Sink::Off`]. The summary is appended as
-    /// one line under a process-wide lock, so parallel workers' output
-    /// never interleaves ("one sink per worker, merged at join").
+    /// Writes the whole session's summary (its counters, and each `spec`
+    /// span's subtree) to the process sink. A no-op when the sink is
+    /// [`Sink::Off`].
     pub fn flush(&self) {
-        if self.inner.flushed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let s = sink();
-        if !s.is_on() {
-            return;
-        }
-        let snap = self.snapshot();
-        match s {
-            Sink::Off => {}
-            Sink::Stderr => {
-                let _guard = SINK_LOCK.lock().unwrap();
-                eprintln!(
-                    "telemetry[{}]: probes {} (skipped {}, run {}, matched {}), rules {}, \
-                     backtracks {}, evar solves {}, checker {}",
-                    self.inner.label,
-                    snap.probes_attempted,
-                    snap.probes_skipped,
-                    snap.probes_indexed_hit,
-                    snap.probes_matched,
-                    snap.rule_applications(),
-                    snap.backtracks,
-                    snap.evar_solve_events,
-                    snap.checker_steps,
-                );
-            }
-            Sink::File(path) => {
-                let specs: Vec<String> = self
-                    .per_spec()
-                    .iter()
-                    .map(|(name, d)| format!("\"{}\": {}", json_escape(name), d.json_object()))
-                    .collect();
-                let line = format!(
-                    "{{\"event\":\"summary\",\"verify\":\"{}\",\"counters\":{},\"specs\":{{{}}}}}\n",
-                    json_escape(&self.inner.label),
-                    snap.json_object(),
-                    specs.join(", ")
-                );
-                let _guard = SINK_LOCK.lock().unwrap();
-                let res = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-                if let Err(e) = res {
-                    eprintln!("telemetry: cannot append to {}: {e}", path.display());
-                }
-            }
+        if sink().is_on() {
+            let specs = spec_counters(&lock(&self.inner.log).spans, None);
+            write_summary(&self.inner.label, &self.snapshot(), &specs);
         }
     }
 }
 
-/// Restores the previously installed session (if any) on drop. Not
+/// The subtree counters of the `spec` spans that are children of
+/// `parent` (of any parent when `None`), in id order.
+fn spec_counters(spans: &[SpanRec], parent: Option<u64>) -> Vec<(String, CounterSnapshot)> {
+    let mut specs: Vec<&SpanRec> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Spec && parent.is_none_or(|p| s.parent == Some(p)))
+        .collect();
+    specs.sort_unstable_by_key(|s| s.id);
+    specs
+        .into_iter()
+        .map(|s| (s.label.clone(), s.counters.as_deref().cloned().unwrap_or_default()))
+        .collect()
+}
+
+/// Restores the thread's previous instrumentation state on drop. Not
 /// `Send`: the guard must drop on the thread that installed the session.
 pub struct TelemetryGuard {
-    prev: Option<Arc<SessionInner>>,
+    prev: Local,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        LOCAL.with(|l| std::mem::swap(&mut *l.borrow_mut(), &mut self.prev));
         ACTIVE_SESSIONS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// The session installed on this thread, if any. Used to re-install the
-/// session across the engine's worker-thread hops.
+/// The session installed on this thread, if any.
 #[must_use]
 pub fn current() -> Option<TelemetrySession> {
-    if ACTIVE_SESSIONS.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    CURRENT.with(|c| {
-        c.borrow().as_ref().map(|inner| TelemetrySession {
-            inner: Arc::clone(inner),
-        })
+    with_local(|_, inner| TelemetrySession {
+        inner: Arc::clone(inner),
     })
 }
 
-/// A session `verify` should auto-create: `Some` only when a sink is
-/// configured and no session is already installed (an installed session —
-/// e.g. the bench harness's per-example one — is reused instead).
-#[must_use]
-pub(crate) fn auto_session(label: &str) -> Option<TelemetrySession> {
-    if sink().is_on() && current().is_none() {
-        Some(TelemetrySession::new(label))
-    } else {
-        None
+/// What a thread hop carries: the installed session, the innermost open
+/// span (the parent of the far side's spans) and the innermost open
+/// `verify` span (the scope of stuck diagnostics over there).
+pub(crate) struct Handoff {
+    session: TelemetrySession,
+    parent: Option<u64>,
+    verify: Option<u64>,
+}
+
+impl Handoff {
+    /// Captures this thread's session and innermost open spans; `None`
+    /// when no session is installed here.
+    #[must_use]
+    pub(crate) fn capture() -> Option<Handoff> {
+        with_local(|l, inner| Handoff {
+            session: TelemetrySession {
+                inner: Arc::clone(inner),
+            },
+            parent: l.open.last().map(|f| f.id).or(l.adopted),
+            verify: innermost_verify(l).map_or(l.verify, |k| Some(l.open[k].id)),
+        })
     }
+
+    /// Installs the captured session on the current thread, adopting the
+    /// captured span as the parent of its root spans.
+    #[must_use]
+    pub(crate) fn install(&self) -> TelemetryGuard {
+        self.session.install_with_parent(self.parent, self.verify)
+    }
+}
+
+fn innermost_verify(l: &ThreadSpans) -> Option<usize> {
+    l.open.iter().rposition(|f| f.kind == SpanKind::Verify)
 }
 
 // ---------------------------------------------------------------------------
 // Instrumentation hooks (called from the engine; no-ops without a session)
 
+/// Adds to the counter block of the innermost open span on this thread
+/// that has one, or to the session's block when no span is open.
 #[inline]
-fn with_session(f: impl FnOnce(&SessionInner)) {
-    if ACTIVE_SESSIONS.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    CURRENT.with(|c| {
-        if let Some(inner) = c.borrow().as_ref() {
-            f(inner);
-        }
+fn with_tally(f: impl FnOnce(&mut Tally)) {
+    with_local(|l, inner| match l.blocks.last_mut() {
+        Some(block) => f(block),
+        None => f(&mut lock(&inner.root)),
     });
 }
 
 /// A `(pass, hypothesis)` probe candidate passed the cheap pass filters.
-/// Also one unit of payload for the enclosing `find_hint` profile span.
+/// Also one unit of payload for the enclosing `find_hint` span.
 #[inline]
 pub(crate) fn probe_attempted() {
     crate::profile::bump(1);
-    with_session(|s| {
-        s.counters.probes_attempted.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.probes_attempted += 1);
 }
 
 /// The head index proved the candidate cannot key the goal.
 #[inline]
 pub(crate) fn probe_skipped() {
-    with_session(|s| {
-        s.counters.probes_skipped.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.probes_skipped += 1);
 }
 
 /// The candidate passed the index filter; a hint search runs.
 #[inline]
 pub(crate) fn probe_run() {
-    with_session(|s| {
-        s.counters.probes_indexed_hit.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.probes_indexed_hit += 1);
 }
 
 /// The probe produced an applicable hint.
 #[inline]
 pub(crate) fn probe_matched() {
-    with_session(|s| {
-        s.counters.probes_matched.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.probes_matched += 1);
 }
 
 /// The probe on hypothesis `hyp` ran and failed (rolled back).
 #[inline]
 pub(crate) fn probe_failed(hyp: &str) {
-    with_session(|s| {
-        let mut d = s.diag.lock().unwrap();
-        match d.failed_probes.get_mut(hyp) {
-            Some(n) => *n += 1,
-            None => {
-                d.failed_probes.insert(hyp.to_owned(), 1);
-            }
-        }
-    });
+    with_tally(|t| bump_key(&mut t.failed_probes, hyp));
 }
 
 /// `find_hint` found nothing for a goal atom whose head `head` renders.
 /// The head is only rendered when a session is installed.
 #[inline]
 pub(crate) fn hint_missed(head: impl FnOnce() -> String) {
-    with_session(|s| {
-        s.counters.hint_misses.fetch_add(1, Ordering::Relaxed);
-        let mut d = s.diag.lock().unwrap();
-        let head = head();
-        match d.missed_heads.get_mut(&head) {
-            Some(n) => *n += 1,
-            None => {
-                d.missed_heads.insert(head, 1);
-            }
-        }
+    with_tally(|t| {
+        t.counters.hint_misses += 1;
+        bump_key(&mut t.missed_heads, &head());
     });
 }
 
 /// A [`TraceStep`] was appended to the proof trace.
 #[inline]
 pub(crate) fn count_step(step: &TraceStep) {
-    with_session(|s| {
-        s.counters.steps_by_kind[step.kind().index()].fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.steps_by_kind[step.kind().index()] += 1);
 }
 
 /// A disjunction backtrack discarded `discarded_steps` trace steps.
 #[inline]
 pub(crate) fn backtracked(discarded_steps: u64) {
-    with_session(|s| {
-        s.counters.backtracks.fetch_add(1, Ordering::Relaxed);
-        s.counters
-            .deepest_abandoned
-            .fetch_max(discarded_steps, Ordering::Relaxed);
+    with_tally(|t| {
+        t.counters.backtracks += 1;
+        t.counters.deepest_abandoned = t.counters.deepest_abandoned.max(discarded_steps);
     });
 }
 
@@ -828,49 +870,31 @@ pub(crate) fn backtracked(discarded_steps: u64) {
 /// [`CounterSnapshot::evar_solve_events`]).
 #[inline]
 pub(crate) fn evar_solves(delta: u64) {
-    if delta == 0 {
-        return;
+    if delta > 0 {
+        with_tally(|t| t.counters.evar_solve_events += delta);
     }
-    with_session(|s| {
-        s.counters
-            .evar_solve_events
-            .fetch_add(delta, Ordering::Relaxed);
-    });
 }
 
 /// The checker replayed `n` steps. Also `n` units of payload for the
-/// enclosing `check` profile span.
+/// enclosing `check` span.
 #[inline]
 pub(crate) fn checker_steps(n: u64) {
     crate::profile::bump(n);
-    with_session(|s| {
-        s.counters.checker_steps.fetch_add(n, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.checker_steps += n);
 }
 
 /// Folds one specification's incremental-solver counters into the
-/// session (called by the verification entry point after each spec).
+/// innermost open span (the verification entry point calls this at the
+/// end of each `spec` span).
 #[inline]
 pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
-    if stats == diaframe_term::solver::egraph::EGraphStats::default() {
-        return;
-    }
-    with_session(|s| {
-        s.counters
-            .solver_facts_asserted
-            .fetch_add(stats.facts_asserted, Ordering::Relaxed);
-        s.counters
-            .solver_merges
-            .fetch_add(stats.merges, Ordering::Relaxed);
-        s.counters
-            .solver_undo_ops
-            .fetch_add(stats.undo_ops, Ordering::Relaxed);
-        s.counters
-            .solver_queries_incremental
-            .fetch_add(stats.queries_incremental, Ordering::Relaxed);
-        s.counters
-            .solver_queries_rebuild
-            .fetch_add(stats.queries_rebuild, Ordering::Relaxed);
+    with_tally(|t| {
+        let c = &mut t.counters;
+        c.solver_facts_asserted += stats.facts_asserted;
+        c.solver_merges += stats.merges;
+        c.solver_undo_ops += stats.undo_ops;
+        c.solver_queries_incremental += stats.queries_incremental;
+        c.solver_queries_rebuild += stats.queries_rebuild;
     });
 }
 
@@ -878,18 +902,14 @@ pub(crate) fn egraph_stats(stats: diaframe_term::solver::egraph::EGraphStats) {
 /// the checker replayed successfully.
 #[inline]
 pub fn store_hit() {
-    with_session(|s| {
-        s.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.store_hits += 1);
 }
 
 /// A persistent proof-store lookup fell through to a full search (no
 /// entry, stale fingerprint, or a corrupt entry demoted to a miss).
 #[inline]
 pub fn store_miss() {
-    with_session(|s| {
-        s.counters.store_misses.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.store_misses += 1);
 }
 
 /// A store entry was rejected as corrupt (checksum mismatch, decode
@@ -897,48 +917,64 @@ pub fn store_miss() {
 /// accompanying [`store_miss`] separately.
 #[inline]
 pub fn store_corruption() {
-    with_session(|s| {
-        s.counters.store_corruptions.fetch_add(1, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.store_corruptions += 1);
 }
 
 /// `n` store entries were evicted by the LRU byte-budget sweep.
 #[inline]
 pub fn store_evictions(n: u64) {
-    if n == 0 {
-        return;
+    if n > 0 {
+        with_tally(|t| t.counters.store_evictions += n);
     }
-    with_session(|s| {
-        s.counters.store_evictions.fetch_add(n, Ordering::Relaxed);
-    });
 }
 
 /// `ms` milliseconds were spent replaying a stored trace on a hit.
 #[inline]
 pub fn store_replay_ms(ms: u64) {
-    with_session(|s| {
-        s.counters.store_replay_ms.fetch_add(ms, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.store_replay_ms += ms);
 }
 
 /// `ms` milliseconds were spent in full search on the store miss path.
 #[inline]
 pub fn store_search_ms(ms: u64) {
-    with_session(|s| {
-        s.counters.store_search_ms.fetch_add(ms, Ordering::Relaxed);
-    });
+    with_tally(|t| t.counters.store_search_ms += ms);
 }
 
-/// The diagnostic snapshot of the current session, if one is installed
-/// (attached to [`crate::report::Stuck`] reports at stuck time).
+/// The diagnostics attached to a [`crate::report::Stuck`] report at stuck
+/// time: the subtree of the innermost open `verify` span, including the
+/// spans still open on this thread, or the whole session when no
+/// `verify` span is open. `None` without a session.
 #[must_use]
 pub(crate) fn stuck_diag() -> Option<DiagSnapshot> {
-    current().as_ref().map(TelemetrySession::diag_snapshot)
+    with_local(|l, inner| {
+        let at = innermost_verify(l);
+        let open = &l.open[at.unwrap_or(0)..];
+        let whole = at.is_none() && l.verify.is_none();
+        let mut tally = if whole { lock(&inner.root).clone() } else { Tally::default() };
+        // Closed spans are folded into their open parents, or wait for a
+        // parent open on another thread in `handed_back`.
+        let mut ids: Vec<u64> = open.iter().map(|f| f.id).collect();
+        if at.is_none() {
+            ids.extend(l.verify.into_iter().chain(l.adopted));
+        }
+        for (id, t) in &lock(&inner.log).handed_back {
+            if whole || ids.contains(id) {
+                tally.merge(t.clone());
+            }
+        }
+        let outside = l.open.len() - open.len();
+        let skip = l.open[..outside].iter().filter(|f| f.block).count();
+        for block in &l.blocks[skip..] {
+            tally.merge(block.clone());
+        }
+        tally.diag()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::span;
 
     #[test]
     fn hooks_are_noops_without_a_session() {
@@ -992,7 +1028,7 @@ mod tests {
         assert_eq!(snap.rule_applications(), 2);
         snap.check_invariants().unwrap();
 
-        let diag = session.diag_snapshot();
+        let diag = lock(&session.inner.root).clone().diag();
         assert_eq!(
             diag.failed_probes,
             vec![("H2".to_owned(), 2), ("H0".to_owned(), 1)]
@@ -1005,22 +1041,80 @@ mod tests {
     }
 
     #[test]
-    fn payload_hooks_feed_the_innermost_profile_span() {
-        use crate::profile::{span, ProfileSession, SpanKind};
-        let (session, profile) = (TelemetrySession::new("payload"), ProfileSession::new());
+    fn payload_hooks_feed_the_innermost_span() {
+        let session = TelemetrySession::new("payload");
         {
-            let (_t, _p) = (session.install(), profile.install());
+            let _installed = session.install();
             let find = span(SpanKind::FindHint);
             (0..3).for_each(|_| probe_attempted());
             drop(find);
             let _check = span(SpanKind::Check);
             checker_steps(5);
         }
-        let payloads: Vec<(SpanKind, u64)> =
-            profile.spans().iter().map(|r| (r.kind, r.count)).collect();
+        let payloads: Vec<(SpanKind, u64)> = session.spans().iter().map(|r| (r.kind, r.count)).collect();
+        assert_eq!(payloads, [(SpanKind::FindHint, 3), (SpanKind::Check, 5)]);
         let snap = session.snapshot();
         assert_eq!((snap.probes_attempted, snap.checker_steps), (3, 5));
-        assert_eq!(payloads, [(SpanKind::FindHint, 3), (SpanKind::Check, 5)]);
+    }
+
+    /// Pool workers and a verification-session hop all record into the
+    /// caller's session, under the span open at the call site, and that
+    /// span's subtree counts exactly what they bumped.
+    #[test]
+    fn workers_and_session_hops_land_in_the_callers_session() {
+        let session = TelemetrySession::new("caller");
+        let _installed = session.install();
+        let call_site = span(SpanKind::Verify);
+        let site = call_site.id().expect("session installed");
+        let labels = crate::driver::run_ordered(&[1u64, 2, 3], 2, |_, &n| {
+            let _worker = span(SpanKind::Search);
+            (0..n).for_each(|_| probe_attempted());
+            current().map(|s| s.label().to_owned())
+        });
+        let hop = crate::verify::with_verification_session(|| {
+            let _hop = span(SpanKind::Check);
+            checker_steps(4);
+            current().map(|s| s.label().to_owned())
+        });
+        drop(call_site);
+        for l in labels {
+            assert_eq!(l.unwrap().as_deref(), Some("caller"));
+        }
+        assert_eq!(hop.as_deref(), Some("caller"));
+
+        let spans = session.spans();
+        let lanes = session.lanes();
+        let hopped: Vec<&SpanRec> = spans.iter().filter(|s| s.id != site).collect();
+        assert_eq!(hopped.len(), 4);
+        for s in &hopped {
+            assert_eq!(s.parent, Some(site), "{:?} is not under the call site", s.kind);
+            let lane = &lanes[usize::try_from(s.lane).unwrap()];
+            assert!(lane.starts_with("diaframe-"), "{:?} recorded on lane {lane}", s.kind);
+        }
+        let (counters, specs) = session.subtree_counters(site);
+        assert_eq!((counters.probes_attempted, counters.checker_steps), (6, 4));
+        assert!(specs.is_empty());
+        assert_eq!(counters, session.snapshot());
+    }
+
+    #[test]
+    fn stuck_diagnostics_cover_the_open_verify_subtree() {
+        let session = TelemetrySession::new("stuck");
+        let _installed = session.install();
+        {
+            let _earlier = span(SpanKind::Verify);
+            probe_failed("H1");
+        }
+        let _run = span(SpanKind::Verify);
+        let _search = span(SpanKind::Search);
+        probe_failed("H2");
+        {
+            let _find = span(SpanKind::FindHint);
+            probe_failed("H3");
+            probe_failed("H3");
+        }
+        let diag = stuck_diag().expect("session installed");
+        assert_eq!(diag.failed_probes, [("H3".to_owned(), 2), ("H2".to_owned(), 1)]);
     }
 
     #[test]
@@ -1046,18 +1140,24 @@ mod tests {
         let outer = TelemetrySession::new("outer");
         let inner = TelemetrySession::new("inner");
         let _og = outer.install();
+        let outer_span = span(SpanKind::Verify);
         {
             let _ig = inner.install();
+            let _inner_span = span(SpanKind::Search);
             probe_attempted();
         }
+        // The outer span is innermost again.
         probe_attempted();
+        drop(outer_span);
         assert_eq!(inner.snapshot().probes_attempted, 1);
+        assert_eq!(inner.spans()[0].parent, None);
         assert_eq!(outer.snapshot().probes_attempted, 1);
+        assert_eq!(outer.spans().len(), 1);
         assert_eq!(current().unwrap().label(), "outer");
     }
 
     #[test]
-    fn merge_and_delta_are_consistent() {
+    fn merge_sums_and_keeps_the_deepest_abandoned_branch() {
         let a = CounterSnapshot {
             probes_attempted: 2,
             probes_indexed_hit: 2,
@@ -1073,12 +1173,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.probes_attempted, 5);
         assert_eq!(b.deepest_abandoned, 9);
-
-        let delta = b.delta_since(&a);
-        assert_eq!(delta.probes_attempted, 3);
-        // The max grew after `a`, so the delta carries it.
-        assert_eq!(delta.deepest_abandoned, 9);
-        assert_eq!(a.delta_since(&a).deepest_abandoned, 0);
     }
 
     #[test]

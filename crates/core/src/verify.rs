@@ -13,6 +13,7 @@ use crate::report::Stuck;
 use crate::spec::{Spec, SpecTable};
 use crate::strategy::Engine;
 use crate::tactic::VerifyOptions;
+use crate::telemetry::{self, TelemetrySession};
 use crate::trace::ProofTrace;
 use diaframe_ghost::Registry;
 use diaframe_heaplang::{Expr, Val};
@@ -66,16 +67,12 @@ pub fn verify(
     let opts = &opts;
     // When a telemetry sink is configured and no session is active,
     // auto-install one scoped to this call so standalone `verify` calls
-    // still emit their summary.
-    let auto = crate::telemetry::auto_session(&spec.name);
-    let _auto_guard = auto.as_ref().map(crate::telemetry::TelemetrySession::install);
-    let session = crate::telemetry::current();
-    let before = session.as_ref().map(crate::telemetry::TelemetrySession::snapshot);
+    // still emit their summary (an installed session — e.g. the bench
+    // harness's — is reused instead).
+    let auto = (telemetry::sink().is_on() && telemetry::current().is_none())
+        .then(|| TelemetrySession::new(&spec.name));
+    let _auto_guard = auto.as_ref().map(TelemetrySession::install);
     let result = with_verification_session(|| verify_inner(registry, specs, opts, ctx, spec));
-    if let (Some(session), Some(before)) = (&session, &before) {
-        // Attribute this call's counter movement to the spec by name.
-        session.record_spec(&spec.name, session.snapshot().delta_since(before));
-    }
     if let Some(auto) = auto {
         auto.flush();
     }
@@ -87,17 +84,9 @@ std::thread_local! {
     static IN_SESSION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The verification worker's stack size in bytes: `DIAFRAME_STACK_MB`
-/// megabytes, defaulting to 512.
-#[must_use]
-pub fn session_stack_bytes() -> usize {
-    let mb = std::env::var("DIAFRAME_STACK_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&mb| mb > 0)
-        .unwrap_or(512);
-    mb * 1024 * 1024
-}
+/// The verification worker's stack size in bytes (512 MiB; see
+/// [`with_verification_session`] for why it is this large).
+pub const SESSION_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// Marks the current thread as an established verification session, so
 /// nested `verify` calls run inline instead of spawning a fresh worker.
@@ -114,9 +103,9 @@ pub fn mark_session_thread() {
 /// worklist — a single symbolic-execution step can nest `solve` →
 /// `intro_hyps` → `solve` → … hundreds of frames deep, and each frame
 /// holds cloned proof contexts for branching. Default 8 MB thread stacks
-/// overflow on the larger examples, so workers get `DIAFRAME_STACK_MB`
-/// (default 512 MB — address space, not resident memory: only pages
-/// actually touched are ever committed). Callers verifying many specs
+/// overflow on the larger examples, so workers get 512 MiB stacks
+/// (address space, not resident memory: only pages actually touched are
+/// ever committed). Callers verifying many specs
 /// should wrap the whole batch in one session: entering an established
 /// session is a thread-local check instead of a thread spawn per
 /// `verify` call.
@@ -130,24 +119,18 @@ pub fn with_verification_session<T: Send>(f: impl FnOnce() -> T + Send) -> T {
         return f();
     }
     // Thread-locals don't cross the spawn: re-establish the caller's
-    // ablation override, telemetry session and profile session inside
-    // the worker. Profile spans opened in the worker adopt the caller's
-    // innermost span as parent so the tree stays connected across the
-    // hop.
+    // ablation override and telemetry session inside the worker. Spans
+    // opened in the worker adopt the caller's innermost span as parent so
+    // the tree stays connected across the hop.
     let ablation = crate::tactic::current_ablation();
-    let telemetry = crate::telemetry::current();
-    let profile = crate::profile::current();
-    let profile_parent = crate::profile::current_span_id();
+    let handoff = telemetry::Handoff::capture();
     std::thread::scope(|scope| {
         let outcome = std::thread::Builder::new()
             .name("diaframe-verify".to_owned())
-            .stack_size(session_stack_bytes())
+            .stack_size(SESSION_STACK_BYTES)
             .spawn_scoped(scope, move || {
                 IN_SESSION.with(|c| c.set(true));
-                let _telemetry_guard = telemetry.as_ref().map(|s| s.install());
-                let _profile_guard = profile
-                    .as_ref()
-                    .map(|p| p.install_with_parent(profile_parent));
+                let _session = handoff.as_ref().map(telemetry::Handoff::install);
                 crate::tactic::with_ablation_override(ablation, f)
             })
             .expect("spawn verification worker")
@@ -173,7 +156,7 @@ fn verify_inner(
     // threads are reused across examples.
     let _ = egraph::take_stats();
     let result = verify_goal(registry, specs, opts, ctx, spec);
-    crate::telemetry::egraph_stats(egraph::take_stats());
+    telemetry::egraph_stats(egraph::take_stats());
     result
 }
 
