@@ -17,20 +17,21 @@
 #      bound, and 1.5x drift gates on every *deterministic* search
 #      counter (the proof-store counters are reported, not gated) —
 #      and a self-comparison must report exactly zero regressions
-#   6. the observability gate: one `figure6 --all` run under the
-#      profiler (`--profile-out` / `--folded-out` / `--hotspots`) with a
-#      telemetry file sink attached must emit a Chrome trace that passes
-#      structural validation, a v9 snapshot with non-zero counters
-#      (including the incremental pure-solver counters) and
-#      per-span-kind duration histograms, and counter summaries in the
-#      sink; the observability-on/off trace- and table-equivalence test
-#      and the sink-ordering test must hold, and `figure6 --explain` must
-#      render a structured stuck report
+#   6. the observability gate: one `figure6 --all` run exporting its
+#      telemetry session's span tree (`--profile-out` / `--folded-out` /
+#      `--hotspots`) with the telemetry file sink attached must emit a
+#      Chrome trace that passes structural validation, a v9 snapshot with
+#      non-zero counters (including the incremental pure-solver counters)
+#      and per-span-kind duration histograms, and counter summaries in
+#      the sink; the observability-on/off trace- and table-equivalence
+#      test and the sink-ordering test must hold, and `figure6 --explain`
+#      must render a structured stuck report
 #   7. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
 #      campaign must report zero differential divergences and zero
 #      surviving trace mutants and zero panics on mutated example
 #      annotations, two runs at the same seed must produce
-#      byte-identical JSON reports, and a third run under the profiler
+#      byte-identical JSON reports, and a third run under one
+#      campaign-wide telemetry session
 #      must produce the *same* report bytes plus a validated trace
 #   8. the adequacy schedule-sweep gate: every proved example's client
 #      must sweep clean (1000 seeded interleavings + preemption-bounded
@@ -85,12 +86,13 @@ cargo run --release -p diaframe-bench --bin figure6 -- \
 grep -q 'verdict: PASS — 0 regressions' target/diff_self.md
 
 # --- observability gate (see README "Observability") --------------------
-# One suite run under the hierarchical profiler with the telemetry file
-# sink attached. The Chrome trace must pass structural validation
-# (balanced begin/end, per-lane monotonic timestamps; the binary exits
-# non-zero otherwise), the v9 snapshot must carry non-zero counters and
-# the per-span-kind duration histograms taken from the profile tree,
-# and the sink must hold the per-run counter summaries.
+# One suite run under figure6's telemetry session, exporting its span
+# tree, with the telemetry file sink attached. The Chrome trace must
+# pass structural validation (balanced begin/end, per-lane monotonic
+# timestamps; the binary exits non-zero otherwise), the v9 snapshot must
+# carry non-zero counters and the per-span-kind duration histograms
+# taken from the span tree, and the sink must hold the per-run counter
+# summaries.
 rm -f target/telemetry.jsonl
 DIAFRAME_TELEMETRY=target/telemetry.jsonl \
   cargo run --release -p diaframe-bench --bin figure6 -- --all \
@@ -106,7 +108,7 @@ grep -q '"telemetry": { "probes_attempted": [1-9]' target/BENCH_figure6_telemetr
 # block (zero on a storeless run, but the keys must be present).
 grep -q '"store_hits": [0-9]' target/BENCH_figure6_telemetry.json
 grep -q '"store_replay_ms": [0-9]' target/BENCH_figure6_telemetry.json
-# v9: the per-span-kind duration histograms (p50/p95/max) of the profile
+# v9: the per-span-kind duration histograms (p50/p95/max) of the span
 # tree ride along in the snapshot, per example and in aggregate.
 grep -q '"spans": { ' target/BENCH_figure6_telemetry.json
 grep -q '"search": { "count": [1-9]' target/BENCH_figure6_telemetry.json
@@ -120,9 +122,10 @@ grep -q '"solver_facts_asserted": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"solver_queries_incremental": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"solver_undo_ops": [1-9]' target/BENCH_figure6_telemetry.json
 grep -q '"event":"summary"' target/telemetry.jsonl
-# Telemetry and profiling on vs off must be byte-identical in every
-# trace and table (also asserts the counter accounting identities on the
-# live suite), and the sink must be byte-identical across --jobs 4 runs.
+# A telemetry session on vs off must be byte-identical in every trace
+# and table (also asserts the counter accounting identities on the live
+# suite), and the sink must be byte-identical across --jobs 4 and
+# --jobs 1 runs, each run's spec blocks adding up to its counters.
 cargo test --release -p diaframe-bench --test telemetry -q
 cargo test --release -p diaframe-bench --test telemetry_sink -q
 # The stuck-state diagnostics must name the goal head the search missed.
@@ -131,7 +134,7 @@ cargo run --release -p diaframe-bench --bin figure6 -- --explain spin_lock \
 
 # --- soundness-fuzzing smoke gate (see EXPERIMENTS.md "Soundness harness") --
 # Fixed seed: ~200 generated entailments through the differential oracle
-# (engine → checker / check_json / telemetry+profile / spec / index-off), then
+# (engine → checker / check_json / telemetry session / spec / index-off), then
 # adversarial mutation of every generated + real example trace, then every
 # example annotation mutated through parse + elaborate. Any divergence,
 # surviving mutant or annotation panic makes fuzz_driver exit non-zero.
@@ -146,9 +149,9 @@ cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report2.json \
   > /dev/null
 cmp target/fuzz_report.json target/fuzz_report2.json
-# Third run under the campaign-wide profiler: the report bytes must not
-# move (profiling is pure observability, down to the fuzz verdicts),
-# and the campaign trace must pass structural validation.
+# Third run under one campaign-wide telemetry session: the report bytes
+# must not move (the session is pure observability, down to the fuzz
+# verdicts), and the campaign trace must pass structural validation.
 DIAFRAME_PROFILE=target/fuzz_profile.json \
   cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report3.json \
