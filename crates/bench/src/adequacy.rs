@@ -31,7 +31,8 @@ use diaframe_heaplang::monitor::SyncModel;
 use diaframe_heaplang::sweep::{sweep, SweepConfig, SweepOutcome};
 use std::fmt::Write as _;
 
-/// Configuration of one adequacy run.
+/// Configuration of one adequacy run. The `adequacy` binary runs the
+/// defaults; tests build smaller sweeps.
 #[derive(Debug, Clone)]
 pub struct AdequacyConfig {
     /// Seeded random interleavings per proved example.

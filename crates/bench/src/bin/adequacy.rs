@@ -4,13 +4,10 @@
 //! intentionally-buggy negative suite the detectors must flag.
 //!
 //! ```text
-//! cargo run -p diaframe-bench --bin adequacy -- \
-//!     [--seeds N] [--fuel N] [--preemption-bound N] \
-//!     [--dfs-max-runs N] [--dfs-max-steps N] \
-//!     [--neg-seeds N] [--neg-fuel N] \
-//!     [--jobs N] [--json] [--json-out PATH]
+//! cargo run -p diaframe-bench --bin adequacy -- [--jobs N] [--json] [--json-out PATH]
 //! ```
 //!
+//! The sweep runs with [`AdequacyConfig::default`]'s seeds and budgets.
 //! Prints the human-readable report (or, with `--json`, the
 //! machine-readable snapshot — schema `diaframe-bench/adequacy/v1`);
 //! `--json-out` writes the snapshot to a file alongside the report —
@@ -30,36 +27,12 @@ fn main() {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
     };
-    let num = |flag: &str| {
-        opt(flag).map(|v| {
-            v.parse::<u64>()
-                .unwrap_or_else(|_| panic!("{flag}: bad number {v:?}"))
-        })
-    };
     let mut cfg = AdequacyConfig::default();
-    if let Some(v) = num("--seeds") {
-        cfg.seeds = v;
-    }
-    if let Some(v) = num("--fuel") {
-        cfg.fuel = v;
-    }
-    if let Some(v) = num("--preemption-bound") {
-        cfg.preemption_bound = u32::try_from(v).expect("--preemption-bound: out of range");
-    }
-    if let Some(v) = num("--dfs-max-runs") {
-        cfg.dfs_max_runs = v;
-    }
-    if let Some(v) = num("--dfs-max-steps") {
-        cfg.dfs_max_steps = v;
-    }
-    if let Some(v) = num("--neg-seeds") {
-        cfg.neg_seeds = v;
-    }
-    if let Some(v) = num("--neg-fuel") {
-        cfg.neg_fuel = v;
-    }
-    if let Some(v) = num("--jobs") {
-        cfg.jobs = usize::try_from(v).map_or(1, |n| n.max(1));
+    if let Some(v) = opt("--jobs") {
+        let n: usize = v
+            .parse()
+            .unwrap_or_else(|_| panic!("--jobs: bad number {v:?}"));
+        cfg.jobs = n.max(1);
     }
 
     let start = std::time::Instant::now();

@@ -5,17 +5,13 @@
 //! cargo run -p diaframe-bench --bin figure6 -- \
 //!     [--aggregate] [--failing] [--ablation] [--all] \
 //!     [--jobs N] [--json] [--json-out PATH] [--explain EXAMPLE] \
-//!     [--store DIR] [--jobs-sweep 1,2,4,8] [--sweep-out PATH] \
-//!     [--profile-out PATH] [--folded-out PATH] [--hotspots N] \
-//!     [--diff BASELINE.json] [--diff-current CURRENT.json] \
-//!     [--diff-ratio X] [--diff-aggregate-ratio X] [--diff-min-ms X] \
-//!     [--diff-counter-ratio X] [--diff-counter-floor N]
+//!     [--store DIR] [--profile-out PATH] [--folded-out PATH] [--hotspots N] \
+//!     [--diff BASELINE.json] [--diff-current CURRENT.json]
 //! ```
 //!
-//! The suite is verified once, in parallel (`--jobs`, default
-//! `DIAFRAME_JOBS` or the core count), into a shared cache; every
-//! requested table is then rendered from that cache without re-running
-//! anything. `--json` prints the machine-readable timing + telemetry
+//! The suite is verified once, in parallel (`--jobs`, default the core
+//! count), into a shared cache; every requested table is then rendered
+//! from that cache without re-running anything. `--json` prints the machine-readable timing + telemetry
 //! snapshot (schema `diaframe-bench/figure6/v9`) instead of tables;
 //! `--json-out` writes it to a file alongside the tables — the committed
 //! `BENCH_figure6.json` is produced that way. `--store DIR` runs the
@@ -30,12 +26,6 @@
 //! telemetry session, printing the structured stuck report
 //! (`Stuck::render_explain`): the unmatched goal head, the hypotheses
 //! the search kept failing to key on, and the search-effort counters.
-//! `--jobs-sweep 1,2,4,8` skips the normal tables and instead re-runs
-//! the whole suite once per worker count from a fresh cache, reporting
-//! how the suite wall-clock *and the slowest single example* scale;
-//! `--sweep-out PATH` writes the machine-readable sweep (schema
-//! `diaframe-bench/jobs-sweep/v2`, the committed
-//! `BENCH_jobs_sweep.json`).
 //!
 //! Profiling: the suite always runs under one telemetry session, whose
 //! span tree gives the counters of each run (the subtree of its `verify`
@@ -49,16 +39,16 @@
 //!
 //! Snapshot diffing: `--diff BASELINE.json` compares this run's v9
 //! snapshot against a committed baseline and prints a markdown
-//! regression report (per-example search-time ratios, deterministic
-//! counter drift); the exit code is non-zero when any gate fails. With
+//! regression report: an example missing from this run, or any change
+//! in a deterministic counter, fails it, and timings are not compared.
+//! The exit code is non-zero when the diff fails. With
 //! `--diff-current CURRENT.json` both sides come from files and the
 //! suite is not run at all.
 
 use diaframe_bench::{
     ablation_table, aggregate_table, diff_snapshots, failing_table, figure6_json, figure6_table,
-    jobs_sweep_json, prefetch_ablations, prefetch_suite, render_hotspots,
-    render_jobs_sweep, run_jobs_sweep, verdict_table, DiffOptions, ProofStore, StoreExperiment,
-    SuiteCache,
+    prefetch_ablations, prefetch_suite, render_hotspots, verdict_table, ProofStore,
+    StoreExperiment, SuiteCache,
 };
 use diaframe_core::TelemetrySession;
 use diaframe_examples::all_examples;
@@ -73,8 +63,8 @@ fn read_or_exit(path: &str) -> String {
 }
 
 /// Runs the snapshot diff and exits non-zero when a gate fails.
-fn run_diff(baseline: &str, current: &str, opts: &DiffOptions) -> ! {
-    match diff_snapshots(baseline, current, opts) {
+fn run_diff(baseline: &str, current: &str) -> ! {
+    match diff_snapshots(baseline, current) {
         Ok(report) => {
             print!("{}", report.markdown);
             std::process::exit(i32::from(!report.regressions.is_empty()));
@@ -123,58 +113,23 @@ fn explain(name: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    if let Some(name) = args
-        .iter()
-        .position(|a| a == "--explain")
-        .and_then(|i| args.get(i + 1))
-    {
-        explain(name);
-    }
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
-    let json_out = args
-        .iter()
-        .position(|a| a == "--json-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let opt = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
     };
-    let mut diff_opts = DiffOptions::default();
-    let parse_f64 = |flag: &str| {
-        opt(flag).map(|v| {
-            v.parse::<f64>()
-                .unwrap_or_else(|_| panic!("{flag}: bad number {v:?}"))
-        })
-    };
-    if let Some(v) = parse_f64("--diff-ratio") {
-        diff_opts.example_ratio = v;
+    if let Some(name) = opt("--explain") {
+        explain(name);
     }
-    if let Some(v) = parse_f64("--diff-aggregate-ratio") {
-        diff_opts.aggregate_ratio = v;
-    }
-    if let Some(v) = parse_f64("--diff-min-ms") {
-        diff_opts.min_ms = v;
-    }
-    if let Some(v) = parse_f64("--diff-counter-ratio") {
-        diff_opts.counter_ratio = v;
-    }
-    if let Some(v) = opt("--diff-counter-floor") {
-        diff_opts.counter_floor = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--diff-counter-floor: bad count {v:?}"));
-    }
+    let jobs = opt("--jobs")
+        .and_then(|v| v.parse::<usize>().ok())
+        .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
+    let json_out = opt("--json-out").cloned();
     let diff_baseline = opt("--diff").cloned();
     let diff_current = opt("--diff-current").cloned();
     if let (Some(b), Some(c)) = (&diff_baseline, &diff_current) {
         // Pure file-vs-file mode: nothing is verified.
-        run_diff(&read_or_exit(b), &read_or_exit(c), &diff_opts);
+        run_diff(&read_or_exit(b), &read_or_exit(c));
     }
     let profile_out = opt("--profile-out").cloned();
     let folded_out = opt("--folded-out").cloned();
@@ -182,37 +137,6 @@ fn main() {
         v.parse()
             .unwrap_or_else(|_| panic!("--hotspots: bad count {v:?}"))
     });
-
-    if let Some(list) = args
-        .iter()
-        .position(|a| a == "--jobs-sweep")
-        .and_then(|i| args.get(i + 1))
-    {
-        let levels: Vec<usize> = list
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .unwrap_or_else(|_| panic!("--jobs-sweep: bad worker count {v:?}"))
-            })
-            .collect();
-        assert!(!levels.is_empty(), "--jobs-sweep: empty level list");
-        let sweep = run_jobs_sweep(&levels, false);
-        println!("== jobs-scaling sweep ==");
-        println!("{}", render_jobs_sweep(&sweep));
-        if let Some(path) = args
-            .iter()
-            .position(|a| a == "--sweep-out")
-            .and_then(|i| args.get(i + 1))
-        {
-            let snapshot = jobs_sweep_json(&sweep);
-            std::fs::write(path, &snapshot)
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("[jobs-sweep snapshot written to {path}]");
-        }
-        return;
-    }
 
     let all = has("--all");
     let (failing, ablation, aggregate) = (has("--failing"), has("--ablation"), has("--aggregate"));
@@ -355,6 +279,6 @@ fn main() {
     if let (Some(b), Some(current)) = (&diff_baseline, &snapshot) {
         // Fresh-run mode: this run's v9 snapshot against the committed
         // baseline. Exits non-zero on any regression.
-        run_diff(&read_or_exit(b), current, &diff_opts);
+        run_diff(&read_or_exit(b), current);
     }
 }

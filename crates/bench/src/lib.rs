@@ -27,14 +27,14 @@ pub use adequacy::{
     ProvedRow,
 };
 pub use cache::{CachedRun, SuiteCache, Variant};
-pub use diff::{diff_snapshots, DiffOptions, DiffReport};
+pub use diff::{diff_snapshots, DiffReport};
 pub use store::{store_key, ProofStore, StoreStats};
 pub use suite::{ablation_configs, assert_counter_invariants, prefetch_ablations, prefetch_suite};
 
 use diaframe_core::{CounterSnapshot, SpanKind, SpanStats, TelemetrySession};
 use diaframe_examples::{all_examples, annotation_lines, count_lines, Example, ToolStat};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Measured statistics for one example.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,31 +61,6 @@ pub struct Measured {
     pub counters: CounterSnapshot,
 }
 
-/// Verifies one example from scratch (no cache) and collects its row.
-/// The criterion benches use this; reports should go through
-/// [`measure_cached`] so repeated tables share one verification.
-///
-/// # Panics
-///
-/// Panics if the example fails to verify (the whole suite is expected to
-/// be green).
-#[must_use]
-pub fn measure(ex: &dyn Example) -> Measured {
-    let session = TelemetrySession::new(ex.name());
-    let _guard = session.install();
-    let start = Instant::now();
-    let outcome = ex
-        .verify()
-        .unwrap_or_else(|e| panic!("{} failed to verify:\n{e}", ex.name()));
-    let time = start.elapsed();
-    let t1 = Instant::now();
-    outcome
-        .check_all()
-        .unwrap_or_else(|e| panic!("{}: trace replay failed: {e}", ex.name()));
-    let check_time = t1.elapsed();
-    row(ex, outcome.manual_steps, outcome.hints_used().len(), outcome.custom_hints_used().len(), outcome.proofs.len(), time, check_time, session.snapshot())
-}
-
 /// Collects one example's row from the shared cache, verifying it only
 /// on the first request.
 ///
@@ -96,30 +71,16 @@ pub fn measure(ex: &dyn Example) -> Measured {
 pub fn measure_cached(cache: &SuiteCache, ex: &dyn Example) -> Measured {
     let run = cache.get_or_run(ex, Variant::Ok);
     let outcome = run.expect_ok(ex.name());
-    row(ex, outcome.manual_steps, outcome.hints_used().len(), outcome.custom_hints_used().len(), outcome.proofs.len(), run.search_time, run.check_time, run.counters.clone())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn row(
-    ex: &dyn Example,
-    manual: usize,
-    hints: usize,
-    custom: usize,
-    specs: usize,
-    time: Duration,
-    check_time: Duration,
-    counters: CounterSnapshot,
-) -> Measured {
     Measured {
         name: ex.name(),
         impl_lines: count_lines(ex.source()),
         annot_lines: annotation_lines(ex.annotation()),
-        manual,
-        hints: (hints, custom),
-        time,
-        check_time,
-        specs,
-        counters,
+        manual: outcome.manual_steps,
+        hints: (outcome.hints_used().len(), outcome.custom_hints_used().len()),
+        time: run.search_time,
+        check_time: run.check_time,
+        specs: outcome.proofs.len(),
+        counters: run.counters.clone(),
     }
 }
 
@@ -524,11 +485,7 @@ impl StoreExperiment {
 /// (one per example, one aggregated over the suite): for each
 /// telemetry span kind (`search`/`find_hint`/`check`), the sample
 /// count, total, and p50/p95/max duration in nanoseconds — the
-/// spread behind the flat `search_ms` column, and the input to the
-/// `figure6 --diff` regression reporter. The per-example jobs-scaling
-/// sweep lives in a separate snapshot (see [`jobs_sweep_json`], schema
-/// `diaframe-bench/jobs-sweep/v2`), keeping this file's shape stable
-/// for per-field consumers. v7 adds the persistent-proof-store counters
+/// spread behind the flat `search_ms` column. v7 adds the persistent-proof-store counters
 /// (`store_hits`/`store_misses`/`store_corruptions`/`store_evictions`/
 /// `store_replay_ms`/`store_search_ms`) to every telemetry block, and a
 /// top-level `store` block (`null` unless the run was `figure6
@@ -622,138 +579,6 @@ pub fn figure6_json(
             m.counters.json_object(),
             per_spans[i],
             if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One level of the jobs-scaling sweep: the whole suite re-verified from
-/// a fresh cache at one worker count.
-#[derive(Debug)]
-pub struct SweepLevel {
-    /// The worker count this level ran at.
-    pub jobs: usize,
-    /// Suite wall-clock at this level.
-    pub wall: Duration,
-    /// The per-example rows measured at this level.
-    pub rows: Vec<Measured>,
-}
-
-impl SweepLevel {
-    /// The example with the largest search+check time at this level —
-    /// the suite's critical path once `jobs` exceeds the example count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty row set (the suite always has examples).
-    #[must_use]
-    pub fn slowest(&self) -> &Measured {
-        self.rows
-            .iter()
-            .max_by_key(|m| m.time + m.check_time)
-            .expect("sweep level with no rows")
-    }
-
-    /// Sum of per-example search times at this level.
-    #[must_use]
-    pub fn aggregate_search(&self) -> Duration {
-        self.rows.iter().map(|m| m.time).sum()
-    }
-}
-
-/// Runs the whole suite once per entry of `levels`, each from a **fresh**
-/// cache (so every level re-verifies everything), and collects the
-/// scaling data. This is the `figure6 --jobs-sweep` backend: it answers
-/// "does the suite scale?" (`wall`), and reports the slowest single
-/// example, the floor that spec-level fan-out cannot go below.
-#[must_use]
-pub fn run_jobs_sweep(levels: &[usize], include_broken: bool) -> Vec<SweepLevel> {
-    levels
-        .iter()
-        .map(|&jobs| {
-            let cache = SuiteCache::new();
-            let wall = prefetch_suite(&cache, jobs, include_broken);
-            SweepLevel {
-                jobs,
-                wall,
-                rows: figure6_rows(&cache),
-            }
-        })
-        .collect()
-}
-
-/// Renders the jobs-scaling sweep as a human-readable table.
-#[must_use]
-pub fn render_jobs_sweep(levels: &[SweepLevel]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<6} | {:>10} {:>12} | {:<24} {:>10}",
-        "jobs", "suite wall", "sum(search)", "slowest example", "its time"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(72));
-    for l in levels {
-        let slow = l.slowest();
-        let _ = writeln!(
-            out,
-            "{:<6} | {:>10.2?} {:>12.2?} | {:<24} {:>10.2?}",
-            l.jobs,
-            l.wall,
-            l.aggregate_search(),
-            slow.name,
-            slow.time + slow.check_time,
-        );
-    }
-    out.push_str(
-        "\nsum(search) is per-example search time summed (the work done);\nspec-level fan-out cannot make the slowest example faster than its\nserial time.\n",
-    );
-    out
-}
-
-/// Serializes a jobs-scaling sweep as JSON (schema
-/// `diaframe-bench/jobs-sweep/v2`) for committing as
-/// `BENCH_jobs_sweep.json` — deliberately a separate snapshot from
-/// [`figure6_json`], whose per-run shape (one `search_ms` per example)
-/// per-field consumers rely on. v2 drops v1's per-example
-/// `spec_spawned`/`spec_won`/`check_overlap_ms` fields.
-#[must_use]
-pub fn jobs_sweep_json(levels: &[SweepLevel]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diaframe-bench/jobs-sweep/v2\",");
-    let _ = writeln!(out, "  \"levels\": [");
-    for (i, l) in levels.iter().enumerate() {
-        let slow = l.slowest();
-        let _ = writeln!(out, "    {{ \"jobs\": {},", l.jobs);
-        let _ = writeln!(out, "      \"suite_wall_ms\": {},", ms(l.wall));
-        let _ = writeln!(
-            out,
-            "      \"aggregate_search_ms\": {},",
-            ms(l.aggregate_search())
-        );
-        let _ = writeln!(
-            out,
-            "      \"slowest_example\": {{ \"name\": \"{}\", \"search_ms\": {}, \"total_ms\": {} }},",
-            json_escape(slow.name),
-            ms(slow.time),
-            ms(slow.time + slow.check_time)
-        );
-        let _ = writeln!(out, "      \"examples\": [");
-        for (j, m) in l.rows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{ \"name\": \"{}\", \"search_ms\": {}, \"check_ms\": {}, \"total_ms\": {} }}{}",
-                json_escape(m.name),
-                ms(m.time),
-                ms(m.check_time),
-                ms(m.time + m.check_time),
-                if j + 1 == l.rows.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "      ]\n    }}{}",
-            if i + 1 == levels.len() { "" } else { "," }
         );
     }
     out.push_str("  ]\n}\n");

@@ -1,8 +1,9 @@
 //! Edge cases of the `figure6 --diff` snapshot reporter: examples
 //! missing in either direction, degenerate (empty) snapshots and
-//! telemetry blocks, and the exact counter-floor boundary.
+//! telemetry blocks, and the exact counter gate (any deterministic
+//! drift gates, timings and store counters never do).
 
-use diaframe_bench::{diff_snapshots, DiffOptions};
+use diaframe_bench::diff_snapshots;
 use std::fmt::Write as _;
 
 /// Builds a v6-shaped snapshot from `(name, search_ms, telemetry-json)`
@@ -26,7 +27,7 @@ fn snap(rows: &[(&str, f64, &str)]) -> String {
 fn example_missing_from_current_gates_but_new_example_only_notes() {
     let base = snap(&[("a", 100.0, "{ }"), ("gone", 50.0, "{ }")]);
     let cur = snap(&[("a", 100.0, "{ }"), ("brand_new", 50.0, "{ }")]);
-    let r = diff_snapshots(&base, &cur, &DiffOptions::default()).unwrap();
+    let r = diff_snapshots(&base, &cur).unwrap();
     // Losing an example is a regression (coverage shrank)…
     assert_eq!(r.regressions.len(), 1, "{:?}", r.regressions);
     assert!(r.regressions[0].contains("gone"));
@@ -38,24 +39,18 @@ fn example_missing_from_current_gates_but_new_example_only_notes() {
 }
 
 #[test]
-fn empty_baseline_makes_the_aggregate_gate_fire_not_divide_by_zero() {
-    // No baseline examples: aggregate base sum is 0 ms, so any current
-    // work is an infinite ratio — the diff must gate, not panic or pass.
+fn empty_baseline_only_notes_the_new_examples() {
     let base = snap(&[]);
     let cur = snap(&[("a", 100.0, "{ }")]);
-    let r = diff_snapshots(&base, &cur, &DiffOptions::default()).unwrap();
-    assert!(
-        r.regressions.iter().any(|l| l.starts_with("aggregate")),
-        "{:?}",
-        r.regressions
-    );
+    let r = diff_snapshots(&base, &cur).unwrap();
+    assert!(r.regressions.is_empty(), "{:?}", r.regressions);
     assert!(r.notes.iter().any(|l| l.contains("a") && l.contains("new")));
 }
 
 #[test]
 fn two_empty_snapshots_diff_clean() {
     let empty = snap(&[]);
-    let r = diff_snapshots(&empty, &empty, &DiffOptions::default()).unwrap();
+    let r = diff_snapshots(&empty, &empty).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
     assert!(r.markdown.contains("PASS — 0 regressions"));
 }
@@ -65,39 +60,45 @@ fn empty_telemetry_blocks_are_tolerated() {
     // No counters at all (and empty span histograms): parse, compare,
     // pass — absence of data is not drift.
     let a = snap(&[("a", 10.0, "{ }")]);
-    let r = diff_snapshots(&a, &a, &DiffOptions::default()).unwrap();
+    let r = diff_snapshots(&a, &a).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
     assert!(r.markdown.contains("none"), "counter sections should be empty");
 }
 
 #[test]
-fn counter_floor_boundary_is_exact() {
-    let opts = DiffOptions::default();
-    assert_eq!(opts.counter_floor, 100, "test pins the default floor");
-    // hi == 99 < floor: even an infinite ratio (0 → 99) must not gate.
-    let base = snap(&[("a", 10.0, "{ \"probes_attempted\": 0 }")]);
-    let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 99 }")]);
-    let r = diff_snapshots(&base, &cur, &opts).unwrap();
-    assert!(r.regressions.is_empty(), "{:?}", r.regressions);
+fn any_deterministic_counter_drift_gates() {
+    // One count on a large counter, and one count up from zero.
+    for (from, to) in [(1000, 1001), (0, 1)] {
+        let base = snap(&[("a", 10.0, &format!("{{ \"probes_attempted\": {from} }}"))]);
+        let cur = snap(&[("a", 10.0, &format!("{{ \"probes_attempted\": {to} }}"))]);
+        let r = diff_snapshots(&base, &cur).unwrap();
+        assert_eq!(r.regressions, [format!("a: probes_attempted {from} → {to}")]);
+    }
+}
 
-    // hi == 100 == floor: the counter now participates, and 0 → 100 is
-    // infinite drift — gates.
-    let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 100 }")]);
-    let r = diff_snapshots(&base, &cur, &opts).unwrap();
-    assert_eq!(r.regressions.len(), 1, "{:?}", r.regressions);
-    assert!(r.regressions[0].contains("probes_attempted"));
-
-    // At the floor but within the ratio: 100 → 120 (1.2× ≤ 1.5×) passes.
-    let base = snap(&[("a", 10.0, "{ \"probes_attempted\": 100 }")]);
-    let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 120 }")]);
-    let r = diff_snapshots(&base, &cur, &opts).unwrap();
+#[test]
+fn search_time_alone_never_gates() {
+    let tele = "{ \"probes_attempted\": 1000 }";
+    let base = snap(&[("a", 100.0, tele)]);
+    let cur = snap(&[("a", 1000.0, tele)]);
+    let r = diff_snapshots(&base, &cur).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
+    assert!(r.notes.is_empty(), "{:?}", r.notes);
+}
+
+#[test]
+fn store_counter_drift_is_only_a_note() {
+    let base = snap(&[("a", 10.0, "{ \"probes_attempted\": 7, \"store_hits\": 0, \"store_misses\": 1 }")]);
+    let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 7, \"store_hits\": 1, \"store_misses\": 0 }")]);
+    let r = diff_snapshots(&base, &cur).unwrap();
+    assert!(r.regressions.is_empty(), "{:?}", r.regressions);
+    assert_eq!(r.notes, ["a: store_hits 0 → 1", "a: store_misses 1 → 0"]);
 }
 
 #[test]
 fn zero_to_zero_counters_and_timings_are_not_drift() {
     let a = snap(&[("a", 0.0, "{ \"probes_attempted\": 0 }")]);
-    let r = diff_snapshots(&a, &a, &DiffOptions::default()).unwrap();
+    let r = diff_snapshots(&a, &a).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
 }
 
@@ -107,7 +108,7 @@ fn counter_improvements_gate_too_because_determinism_cuts_both_ways() {
     // drop means the engine changed and the baseline is stale.
     let base = snap(&[("a", 10.0, "{ \"probes_attempted\": 3000 }")]);
     let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 1000 }")]);
-    let r = diff_snapshots(&base, &cur, &DiffOptions::default()).unwrap();
+    let r = diff_snapshots(&base, &cur).unwrap();
     assert_eq!(r.regressions.len(), 1, "{:?}", r.regressions);
     assert!(r.regressions[0].contains("probes_attempted"));
 }

@@ -47,7 +47,12 @@ use std::fmt;
 use std::rc::Rc;
 
 /// Deepest nesting of parentheses, quantifiers and expansions accepted.
-pub const MAX_ANNOTATION_DEPTH: usize = 256;
+/// A parenthesis counts two levels (the assertion and the primary it
+/// opens). Each level costs several parser or elaborator frames, up to
+/// about 17 KiB of stack in a debug build (a definition expansion), so 64
+/// levels stay near 1 MiB: half of a 2 MiB thread stack. The Figure 6
+/// annotations nest at most 13 levels when parsed and 19 when elaborated.
+pub const MAX_ANNOTATION_DEPTH: usize = 64;
 
 /// Elaboration budget: assertion nodes built across all expansions.
 const MAX_ELABORATION_STEPS: usize = 200_000;
@@ -2176,6 +2181,35 @@ def acquire l := if CAS(l, false, true) then () else acquire l
         assert!(err.message.contains("no definition `release`"), "{err}");
     }
 
+
+    /// The deepest nesting the bound admits parses and elaborates within
+    /// a test thread's 2 MiB stack in a debug build; one level more is an
+    /// error. The specification itself takes the first two levels.
+    #[test]
+    fn deepest_accepted_nesting_fits_a_thread_stack() {
+        let max = MAX_ANNOTATION_DEPTH - 2;
+        let spec = |pre: &str| format!("SPEC {{{{ {pre} }}}} acquire l {{{{ RET #(); True }}}}\n");
+        // `dᵢ := dᵢ₋₁`: one definition expansion per level.
+        let chain = |n: usize| {
+            let mut a = String::from("d0 := True\n");
+            for i in 1..=n {
+                a.push_str(&format!("d{i} := d{}\n", i - 1));
+            }
+            a + &spec(&format!("d{n}"))
+        };
+        run(LOCK, &chain(max)).unwrap();
+        let err = run(LOCK, &chain(max + 1)).unwrap_err();
+        assert!(err.message.contains("expansion nested deeper than"), "{err}");
+        let exists = |n: usize| spec(&format!("{}True", "∃ y. ".repeat(n)));
+        run(LOCK, &exists(max)).unwrap();
+        let err = run(LOCK, &exists(max + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        // A parenthesis is two levels.
+        let parens = |n: usize| format!("f x := {}True{}", "(".repeat(n), ")".repeat(n));
+        Annotation::parse(&parens(max / 2)).unwrap();
+        assert!(Annotation::parse(&parens(max / 2 + 1)).is_err());
+    }
+
     #[test]
     fn deep_nesting_is_an_error_not_a_crash() {
         // 20 KB of `(` in one statement.
@@ -2188,11 +2222,13 @@ def acquire l := if CAS(l, false, true) then () else acquire l
 
     #[test]
     fn exponential_expansion_runs_out_of_budget() {
+        // Two nesting levels per definition (the name and its `∗` body):
+        // 30 stay under the depth bound, and 2^30 nodes exceed the budget.
         let mut ann = String::from("d0 := True\n");
-        for i in 1..40 {
+        for i in 1..30 {
             ann.push_str(&format!("d{i} := d{} ∗ d{}\n", i - 1, i - 1));
         }
-        ann.push_str("SPEC {{ d39 }} acquire l {{ RET #(); True }}\n");
+        ann.push_str("SPEC {{ d29 }} acquire l {{ RET #(); True }}\n");
         let err = run(LOCK, &ann).unwrap_err();
         assert!(err.message.contains("budget"), "{err}");
     }

@@ -164,20 +164,6 @@ impl ProofCtx {
         self.syms.map_terms(|t| s.apply(t));
         self.vars.map_solutions(|t| s.apply(t));
     }
-
-    /// Zonks all hypotheses and facts (resolving solved evars), keeping
-    /// displays and matching fast paths precise.
-    pub fn zonk_all(&mut self) {
-        self.egraph = None;
-        let vars = &self.vars;
-        for f in &mut self.facts {
-            *f = f.zonk(vars);
-        }
-        for h in &mut self.delta {
-            h.assertion = h.assertion.zonk(vars);
-        }
-        self.syms.map_terms(|t| t.zonk(vars));
-    }
 }
 
 /// The incremental solver in `slot`, rebuilt from `facts` when absent

@@ -28,16 +28,10 @@ impl std::fmt::Display for JobPanic {
     }
 }
 
-/// The default worker count: `DIAFRAME_JOBS` if set (minimum 1), else
-/// [`std::thread::available_parallelism`].
+/// The default worker count: [`std::thread::available_parallelism`]
+/// (1 when it is unknown).
 #[must_use]
 pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("DIAFRAME_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

@@ -96,7 +96,7 @@ impl Stuck {
         }
         let Some(diag) = &self.diag else {
             out.push_str(
-                "(no telemetry session was active; set DIAFRAME_TELEMETRY or use \
+                "(no telemetry session was active; install a TelemetrySession or use \
                  `figure6 --explain` to capture counters)\n",
             );
             return out;

@@ -46,7 +46,9 @@
 //!
 //! Per-run summary lines go to the sink selected by `DIAFRAME_TELEMETRY`
 //! (see [`Sink`]); each line is appended under one lock, so concurrent
-//! writers never interleave.
+//! writers never interleave. Only code that installs a session writes
+//! them (the bench harness's runs and `figure6 --explain`): a bare
+//! `verify` call counts nothing and writes nothing.
 
 use crate::profile::{OpenSpan, SpanKind, SpanRec};
 use crate::trace::{TraceKind, TraceStep};
@@ -186,12 +188,6 @@ impl CounterSnapshot {
     #[must_use]
     pub fn inv_openings(&self) -> u64 {
         self.steps(TraceKind::InvOpened)
-    }
-
-    /// Invariant closings.
-    #[must_use]
-    pub fn inv_closings(&self) -> u64 {
-        self.steps(TraceKind::InvClosed)
     }
 
     /// Hint applications (the `hint_applied` step count; includes `ε₁`

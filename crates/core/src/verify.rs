@@ -13,11 +13,11 @@ use crate::report::Stuck;
 use crate::spec::{Spec, SpecTable};
 use crate::strategy::Engine;
 use crate::tactic::VerifyOptions;
-use crate::telemetry::{self, TelemetrySession};
+use crate::telemetry;
 use crate::trace::ProofTrace;
 use diaframe_ghost::Registry;
 use diaframe_heaplang::{Expr, Val};
-use diaframe_logic::{Binder, MaskT, PredTable, WpPost};
+use diaframe_logic::{MaskT, WpPost};
 use diaframe_term::solver::egraph;
 use diaframe_term::{Subst, Term};
 
@@ -65,18 +65,7 @@ pub fn verify(
     let mut opts = opts.clone();
     opts.ablation = opts.ablation.merged(crate::tactic::current_ablation());
     let opts = &opts;
-    // When a telemetry sink is configured and no session is active,
-    // auto-install one scoped to this call so standalone `verify` calls
-    // still emit their summary (an installed session — e.g. the bench
-    // harness's — is reused instead).
-    let auto = (telemetry::sink().is_on() && telemetry::current().is_none())
-        .then(|| TelemetrySession::new(&spec.name));
-    let _auto_guard = auto.as_ref().map(TelemetrySession::install);
-    let result = with_verification_session(|| verify_inner(registry, specs, opts, ctx, spec));
-    if let Some(auto) = auto {
-        auto.flush();
-    }
-    result
+    with_verification_session(|| verify_inner(registry, specs, opts, ctx, spec))
 }
 
 std::thread_local! {
@@ -229,23 +218,10 @@ fn beta_reduce(f: &Val, a: &Val) -> Expr {
     }
 }
 
-/// Helper for binders: create a spec-builder context. Examples use this to
-/// construct their specs with shared placeholder variables.
-pub fn spec_binder(ctx: &mut ProofCtx, sort: diaframe_term::Sort, name: &str) -> Binder {
-    Binder::new(ctx.vars.fresh_var(sort, name))
-}
-
-/// Builds the initial proof context for an example, given its predicate
-/// table.
-#[must_use]
-pub fn initial_ctx(preds: PredTable) -> ProofCtx {
-    ProofCtx::new(preds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diaframe_logic::Assertion;
+    use diaframe_logic::{Assertion, Binder, PredTable};
     use diaframe_term::{PureProp, Sort};
 
     /// Verify the identity function: SPEC {True} (fun x := x) v {RET v; True}

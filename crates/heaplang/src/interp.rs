@@ -173,23 +173,6 @@ impl Machine {
         }
     }
 
-    /// Runs *all* threads to completion (not just main).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::run`].
-    pub fn run_all(&mut self, sched: &mut dyn Scheduler, fuel: u64) -> Result<Val, RunError> {
-        for _ in 0..fuel {
-            let runnable = self.runnable();
-            if runnable.is_empty() {
-                return Ok(self.threads[0].as_val().expect("all finished").clone());
-            }
-            let i = sched.pick(&runnable);
-            self.step_thread(i)?;
-        }
-        Err(RunError::OutOfFuel)
-    }
-
     /// Convenience: run under deterministic round-robin scheduling.
     ///
     /// # Errors

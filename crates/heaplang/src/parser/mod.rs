@@ -151,9 +151,12 @@ pub fn link(defs: &[Def], main: &Expr) -> Expr {
 
 /// Deepest expression nesting the parser accepts (parentheses, prefix
 /// operators, `let`/`;;` chains): past it, a [`ParseError`] instead of a
-/// stack overflow. The deepest example program or adequacy client nests
-/// 22 levels.
-pub const MAX_NESTING_DEPTH: usize = 256;
+/// stack overflow. A parenthesis counts two levels (the expression and
+/// the prefix atom it opens), and each level costs up to about 14 KiB of
+/// stack in a debug build, so 64 levels stay under 1 MiB: half of a
+/// 2 MiB thread stack. The deepest example program or adequacy client
+/// nests 22 levels.
+pub const MAX_NESTING_DEPTH: usize = 64;
 
 struct Parser<'a> {
     toks: &'a [SpannedTok],
@@ -753,9 +756,16 @@ mod tests {
         let err = parse_expr(&deep).unwrap_err();
         assert!(err.message.contains("nesting deeper than"), "{err}");
         assert!(parse_program(&format!("def f x := {deep}")).is_err());
-        let ok = format!("{}1{}", "(".repeat(100), ")".repeat(100));
+        // The outermost expression and its atom take the first two levels,
+        // and each parenthesis two more.
+        let parens = MAX_NESTING_DEPTH / 2 - 1;
+        let ok = format!("{}1{}", "(".repeat(parens), ")".repeat(parens));
         assert!(parse_expr(&ok).is_ok());
+        let too_deep = format!("{}1{}", "(".repeat(parens + 1), ")".repeat(parens + 1));
+        assert!(parse_expr(&too_deep).is_err());
         assert!(parse_expr(&"!".repeat(20_000)).is_err());
+        assert!(parse_expr(&"CAS(".repeat(20_000)).is_err());
+        assert!(parse_expr(&"let x := 1 in ".repeat(20_000)).is_err());
     }
 
     #[test]

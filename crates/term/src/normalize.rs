@@ -113,12 +113,6 @@ impl LinComb {
         }
     }
 
-    /// Whether the combination mentions any (unsolved) evar atom.
-    #[must_use]
-    pub fn has_evar_atoms(&self) -> bool {
-        self.coeffs.keys().any(Term::has_evars)
-    }
-
     /// Renders the combination back into a canonical term of the given
     /// integral-ness (`true` → integer literals where possible).
     #[must_use]
