@@ -24,7 +24,7 @@
 //! timestamps and no worker-count dependence, so two runs at any
 //! `--jobs` produce byte-identical bytes — which CI checks with `cmp`.
 
-use crate::json_escape;
+use diaframe_core::trace_json::json_escape;
 use diaframe_core::{run_ordered, JobPanic};
 use diaframe_examples::{all_examples, negative_examples};
 use diaframe_heaplang::monitor::SyncModel;

@@ -17,21 +17,18 @@
 //! checks by running twice and `cmp`-ing. Exits non-zero when the gate
 //! fails (a proved example swept dirty or a negative went unflagged).
 
+use diaframe_bench::cli::Args;
 use diaframe_bench::{adequacy_json, render_adequacy, run_adequacy, AdequacyConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let opt = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
+    let args = Args::parse(
+        &std::env::args().skip(1).collect::<Vec<_>>(),
+        &["--json"],
+        &["--jobs", "--json-out"],
+        "usage: adequacy [--jobs N] [--json] [--json-out PATH]",
+    );
     let mut cfg = AdequacyConfig::default();
-    if let Some(v) = opt("--jobs") {
-        let n: usize = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--jobs: bad number {v:?}"));
+    if let Some(n) = args.number::<usize>("--jobs") {
         cfg.jobs = n.max(1);
     }
 
@@ -39,7 +36,7 @@ fn main() {
     let report = run_adequacy(&cfg);
     let wall = start.elapsed();
 
-    let json = has("--json");
+    let json = args.has("--json");
     if json {
         print!("{}", adequacy_json(&report));
     } else {
@@ -47,7 +44,7 @@ fn main() {
         print!("{}", render_adequacy(&report));
         println!("[{} jobs, {wall:.2?} wall]", cfg.jobs);
     }
-    if let Some(path) = opt("--json-out") {
+    if let Some(path) = args.value("--json-out") {
         let snapshot = adequacy_json(&report);
         std::fs::write(path, &snapshot).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         if !json {

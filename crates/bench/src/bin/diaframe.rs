@@ -19,47 +19,35 @@
 //! `verify-all --table-out` writes the deterministic verdict table,
 //! which CI byte-compares across a cold and a warm run.
 
+use diaframe_bench::cli::Args;
 use diaframe_bench::server::{serve, Client, Endpoint, ServerConfig};
+use diaframe_core::trace_json::json_escape;
 use std::path::PathBuf;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  diaframe serve  (--listen ADDR | --socket PATH) [--store DIR] [--budget BYTES] [--jobs N]\n  diaframe client (--connect ADDR | --socket PATH) (verify NAME... | verify-all [--table-out PATH] | stats | shutdown)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage:\n  diaframe serve  (--listen ADDR | --socket PATH) [--store DIR] [--budget BYTES] [--jobs N]\n  diaframe client (--connect ADDR | --socket PATH) (verify NAME... | verify-all [--table-out PATH] | stats | shutdown)";
 
-fn endpoint(args: &[String], tcp_flag: &str) -> Endpoint {
-    let opt = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    match (opt(tcp_flag), opt("--socket")) {
-        (Some(addr), None) => Endpoint::Tcp(addr.clone()),
+fn endpoint(args: &Args, tcp_flag: &str) -> Endpoint {
+    match (args.value(tcp_flag), args.value("--socket")) {
+        (Some(addr), None) => Endpoint::Tcp(addr.to_owned()),
         (None, Some(path)) => Endpoint::Unix(PathBuf::from(path)),
-        _ => usage(),
+        _ => args.fail(&format!("give exactly one of {tcp_flag} and --socket")),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    match args.first().map(String::as_str) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match argv.first().map(String::as_str) {
         Some("serve") => {
+            let args = Args::parse(
+                &argv[1..],
+                &[],
+                &["--listen", "--socket", "--store", "--budget", "--jobs"],
+                USAGE,
+            );
             let config = ServerConfig {
-                store_dir: opt("--store").map(PathBuf::from),
-                budget: opt("--budget").map(|v| {
-                    v.parse()
-                        .unwrap_or_else(|_| panic!("--budget: bad byte count {v:?}"))
-                }),
-                jobs: opt("--jobs")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(diaframe_core::default_jobs),
+                store_dir: args.value("--store").map(PathBuf::from),
+                budget: args.number("--budget"),
+                jobs: args.number("--jobs").unwrap_or_else(diaframe_core::default_jobs),
             };
             let ep = endpoint(&args, "--listen");
             if let Err(e) = serve(&ep, &config) {
@@ -68,32 +56,23 @@ fn main() {
             }
         }
         Some("client") => {
+            let args = Args::parse_with_operands(
+                &argv[1..],
+                &[],
+                &["--connect", "--socket", "--table-out"],
+                USAGE,
+            );
             let ep = endpoint(&args, "--connect");
-            // The verb is the first non-flag argument after "client".
-            let mut i = 1;
-            let verb = loop {
-                match args.get(i).map(String::as_str) {
-                    Some("--connect" | "--socket" | "--table-out") => i += 2,
-                    Some(v) => break v,
-                    None => usage(),
-                }
-            };
-            let request = match verb {
-                "verify" => {
-                    let names: Vec<String> = args[i + 1..]
-                        .iter()
-                        .take_while(|a| !a.starts_with("--"))
-                        .map(|n| format!("\"{n}\""))
-                        .collect();
-                    if names.is_empty() {
-                        usage();
-                    }
+            let request = match args.operands.split_first() {
+                Some((verb, names)) if verb == "verify" && !names.is_empty() => {
+                    let names: Vec<String> =
+                        names.iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
                     format!("{{\"op\":\"verify\",\"examples\":[{}]}}", names.join(","))
                 }
-                "verify-all" => String::from("{\"op\":\"verify_all\"}"),
-                "stats" => String::from("{\"op\":\"stats\"}"),
-                "shutdown" => String::from("{\"op\":\"shutdown\"}"),
-                _ => usage(),
+                Some((verb, [])) if verb == "verify-all" => String::from("{\"op\":\"verify_all\"}"),
+                Some((verb, [])) if verb == "stats" => String::from("{\"op\":\"stats\"}"),
+                Some((verb, [])) if verb == "shutdown" => String::from("{\"op\":\"shutdown\"}"),
+                _ => args.fail(&format!("bad client command {:?}", args.operands.join(" "))),
             };
             let mut client = Client::connect(&ep).unwrap_or_else(|e| {
                 eprintln!("diaframe client: cannot connect: {e}");
@@ -109,7 +88,7 @@ fn main() {
                 .get("ok")
                 .and_then(diaframe_core::trace_json::JsonValue::as_bool)
                 .unwrap_or(false);
-            if let Some(path) = opt("--table-out") {
+            if let Some(path) = args.value("--table-out") {
                 let table = parsed
                     .get("table")
                     .and_then(diaframe_core::trace_json::JsonValue::as_str)
@@ -126,6 +105,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        _ => usage(),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
     }
 }

@@ -45,6 +45,7 @@
 //! `--diff-current CURRENT.json` both sides come from files and the
 //! suite is not run at all.
 
+use diaframe_bench::cli::Args;
 use diaframe_bench::{
     ablation_table, aggregate_table, diff_snapshots, failing_table, figure6_json, figure6_table,
     prefetch_ablations, prefetch_suite, render_hotspots, verdict_table, ProofStore,
@@ -92,7 +93,6 @@ fn explain(name: &str) -> ! {
     let guard = session.install();
     let verdict = diaframe_core::with_verification_session(|| ex.verify_broken());
     drop(guard);
-    session.flush();
     match verdict {
         None => {
             eprintln!("--explain: {name} has no sabotaged variant");
@@ -110,39 +110,49 @@ fn explain(name: &str) -> ! {
     }
 }
 
+const USAGE: &str = "usage: figure6 [--aggregate] [--failing] [--ablation] [--all] \
+[--jobs N] [--json] [--json-out PATH] [--explain EXAMPLE] [--store DIR] [--profile-out PATH] \
+[--folded-out PATH] [--hotspots N] [--diff BASELINE.json] [--diff-current CURRENT.json]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let opt = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    if let Some(name) = opt("--explain") {
+    let args = Args::parse(
+        &std::env::args().skip(1).collect::<Vec<_>>(),
+        &["--aggregate", "--failing", "--ablation", "--all", "--json"],
+        &[
+            "--jobs",
+            "--json-out",
+            "--explain",
+            "--store",
+            "--profile-out",
+            "--folded-out",
+            "--hotspots",
+            "--diff",
+            "--diff-current",
+        ],
+        USAGE,
+    );
+    let jobs = args
+        .number::<usize>("--jobs")
+        .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
+    let hotspots: Option<usize> = args.number("--hotspots");
+    if let Some(name) = args.value("--explain") {
         explain(name);
     }
-    let jobs = opt("--jobs")
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
-    let json_out = opt("--json-out").cloned();
-    let diff_baseline = opt("--diff").cloned();
-    let diff_current = opt("--diff-current").cloned();
-    if let (Some(b), Some(c)) = (&diff_baseline, &diff_current) {
+    let json_out = args.value("--json-out");
+    let diff_baseline = args.value("--diff");
+    if let (Some(b), Some(c)) = (diff_baseline, args.value("--diff-current")) {
         // Pure file-vs-file mode: nothing is verified.
         run_diff(&read_or_exit(b), &read_or_exit(c));
     }
-    let profile_out = opt("--profile-out").cloned();
-    let folded_out = opt("--folded-out").cloned();
-    let hotspots: Option<usize> = opt("--hotspots").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--hotspots: bad count {v:?}"))
-    });
+    let profile_out = args.value("--profile-out");
+    let folded_out = args.value("--folded-out");
 
-    let all = has("--all");
-    let (failing, ablation, aggregate) = (has("--failing"), has("--ablation"), has("--aggregate"));
+    let all = args.has("--all");
+    let (failing, ablation, aggregate) =
+        (args.has("--failing"), args.has("--ablation"), args.has("--aggregate"));
     let figure6 = all || !(failing || ablation || aggregate);
-    let store_dir = opt("--store").cloned();
-    let json = has("--json");
+    let store_dir = args.value("--store");
+    let json = args.has("--json");
 
     // The session covers exactly the prefetch passes below — every
     // verification, and nothing else. Each run is counted by its own
@@ -154,7 +164,7 @@ fn main() {
     let mut store_exp: Option<StoreExperiment> = None;
     // One parallel pass fills the cache with everything the requested
     // tables will read; rendering below re-runs nothing.
-    let (cache, wall) = if let Some(dir) = &store_dir {
+    let (cache, wall) = if let Some(dir) = store_dir {
         // Warm-vs-cold store experiment: the same suite twice against
         // one persistent store — a cold pass that searches and
         // populates, then a warm pass (fresh in-memory cache, same
@@ -250,8 +260,8 @@ fn main() {
         );
     }
     let snapshot =
-        writes_json.then(|| figure6_json(&cache, jobs, wall, store_exp.as_ref(), Some(&session)));
-    if let (Some(path), Some(snapshot)) = (&json_out, &snapshot) {
+        writes_json.then(|| figure6_json(&cache, jobs, wall, store_exp.as_ref(), &session));
+    if let (Some(path), Some(snapshot)) = (json_out, &snapshot) {
         std::fs::write(path, snapshot).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("[timing snapshot written to {path}]");
     }
@@ -262,7 +272,7 @@ fn main() {
         println!("== profile hotspots (top {n} by self time) ==");
         print!("{}", render_hotspots(&session, n));
     }
-    if let Some(path) = &profile_out {
+    if let Some(path) = profile_out {
         let trace = session.chrome_trace();
         let (events, lanes) = diaframe_core::profile::validate_chrome_trace(&trace)
             .unwrap_or_else(|e| panic!("--profile-out: trace failed validation: {e}"));
@@ -271,12 +281,12 @@ fn main() {
             "[profile trace written to {path}: {events} span events across {lanes} lanes, validated]"
         );
     }
-    if let Some(path) = &folded_out {
+    if let Some(path) = folded_out {
         std::fs::write(path, session.folded_stacks())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("[folded stacks written to {path}]");
     }
-    if let (Some(b), Some(current)) = (&diff_baseline, &snapshot) {
+    if let (Some(b), Some(current)) = (diff_baseline, &snapshot) {
         // Fresh-run mode: this run's v9 snapshot against the committed
         // baseline. Exits non-zero on any regression.
         run_diff(&read_or_exit(b), current);

@@ -32,11 +32,12 @@
 //! proof (an "unprovable-by-construction" case the engine proved),
 //! annotation panic or unpositioned annotation error is found.
 
+use diaframe_bench::cli::Args;
 use diaframe_core::fuzz::{
     gen_trace, mutation_round, run_case, search_once, CaseReport, GenConfig, MutationKind,
     MutationOutcome,
 };
-use diaframe_core::trace_json::trace_to_json;
+use diaframe_core::trace_json::{json_escape, trace_to_json};
 use diaframe_core::{hint_index_enabled, run_ordered, set_hint_index_enabled, TraceStep};
 use diaframe_examples::all_examples;
 use std::collections::BTreeMap;
@@ -49,31 +50,6 @@ fn parse_seed(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
-}
-
-/// Minimal JSON string escaping for report detail strings.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 struct MutationRow {
@@ -167,32 +143,27 @@ fn annotation_leg(seed: u64, per_example: usize) -> (usize, usize, usize) {
     (mutants, panics, unlocated)
 }
 
+const USAGE: &str = "usage: fuzz_driver [--seed 0xD1AF] [--cases 200] [--mutations-per-trace 8] \
+[--jobs N] [--json-out PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "fuzz_driver [--seed 0xD1AF] [--cases 200] [--mutations-per-trace 8] \
-             [--jobs N] [--json-out PATH]"
-        );
+    let args = Args::parse(
+        &std::env::args().skip(1).collect::<Vec<_>>(),
+        &["--help", "-h"],
+        &["--seed", "--cases", "--mutations-per-trace", "--jobs", "--json-out"],
+        USAGE,
+    );
+    if args.has("--help") || args.has("-h") {
+        println!("{USAGE}");
         return;
     }
-    let seed = match flag_value(&args, "--seed") {
-        Some(v) => parse_seed(&v).unwrap_or_else(|| {
-            eprintln!("fuzz_driver: bad --seed {v:?} (decimal or 0x-hex u64)");
-            std::process::exit(2);
-        }),
-        None => 0xD1AF,
-    };
-    let cases: usize = flag_value(&args, "--cases")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let mutations_per_trace: usize = flag_value(&args, "--mutations-per-trace")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let jobs = flag_value(&args, "--jobs")
-        .and_then(|v| v.parse::<usize>().ok())
+    let seed = args.value_with("--seed", parse_seed).unwrap_or(0xD1AF);
+    let cases: usize = args.number("--cases").unwrap_or(200);
+    let mutations_per_trace: usize = args.number("--mutations-per-trace").unwrap_or(8);
+    let jobs = args
+        .number::<usize>("--jobs")
         .map_or_else(diaframe_core::default_jobs, |n| n.max(1));
-    let json_out = flag_value(&args, "--json-out");
+    let json_out = args.value("--json-out");
 
     // DIAFRAME_PROFILE=<path>: run the whole campaign under one
     // telemetry session and write the validated Chrome trace-event JSON
@@ -373,10 +344,10 @@ fn main() {
                 survivor_json.push(format!(
                     "{{ \"trace\": \"{}\", \"kind\": \"{}\", \"description\": \"{}\", \
                      \"minimized\": \"{}\" }}",
-                    esc(&row.label),
+                    json_escape(&row.label),
                     out.kind.name(),
-                    esc(&out.description),
-                    esc(&minimized)
+                    json_escape(&out.description),
+                    json_escape(&minimized)
                 ));
                 survivor_console.push(format!(
                     "SURVIVING MUTANT [{}] on {}: {}\n  minimized: {}",
@@ -417,7 +388,7 @@ fn main() {
     let _ = writeln!(json, "  \"divergence_details\": [");
     for (di, d) in divergences.iter().enumerate() {
         let comma = if di + 1 == divergences.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{}\"{comma}", esc(d));
+        let _ = writeln!(json, "    \"{}\"{comma}", json_escape(d));
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(

@@ -15,14 +15,18 @@
 //! rows with Figure 6 while ablated runs get their own entries. A
 //! per-key `OnceLock` guarantees exactly-once execution even when
 //! parallel workers race on the same key.
+//!
+//! A run is counted only under an installed [`TelemetrySession`] (the
+//! `figure6` binary installs one over its prefetch passes): its counters
+//! are the subtree of its `verify` span in that session. With no session
+//! installed — a daemon request, a bare library call — nothing is
+//! counted or recorded, and [`CachedRun::counters`] is all zeros.
 
-use diaframe_core::{
-    current_ablation, profile, telemetry, Ablation, CounterSnapshot, SpanKind, TelemetrySession,
-};
+use diaframe_core::{current_ablation, profile, telemetry, Ablation, CounterSnapshot, SpanKind};
 use diaframe_examples::{Example, ExampleOutcome};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -52,33 +56,21 @@ pub struct CachedRun {
     /// backtracks, checker steps — see
     /// [`CounterSnapshot::check_invariants`]): the subtree of the run's
     /// `verify` span, so runs are counted in isolation even when the pool
-    /// interleaves them in one session.
+    /// interleaves them in one session. All zeros when no session was
+    /// installed.
     pub counters: CounterSnapshot,
-    /// The counters of each `spec` span inside the run, in verification
-    /// order (the `specs` block of the run's sink line).
-    pub specs: Vec<(String, CounterSnapshot)>,
     /// Whether this run was served by replaying a persistent-store
     /// entry (no search happened; `search_time` is zero).
     pub from_store: bool,
     /// Id of the run's `verify` span in the telemetry session that was
     /// installed while it ran (`None` when none was). The run's duration
-    /// histograms are [`TelemetrySession::span_stats`] over this subtree.
+    /// histograms are
+    /// [`TelemetrySession::span_stats`](diaframe_core::TelemetrySession::span_stats)
+    /// over this subtree.
     pub verify_span: Option<u64>,
-    /// Whether the run's sink line was written: the suite driver flushes
-    /// runs in task-submission order, once each, whatever order the pool
-    /// completed them in.
-    flushed: AtomicBool,
 }
 
 impl CachedRun {
-    /// Writes the run's summary line to the telemetry sink under
-    /// `label`, unless it was written before.
-    pub(crate) fn flush(&self, label: &str) {
-        if !self.flushed.swap(true, Ordering::SeqCst) {
-            telemetry::write_summary(label, &self.counters, &self.specs);
-        }
-    }
-
     /// The successful outcome.
     ///
     /// # Panics
@@ -120,7 +112,7 @@ impl SuiteCache {
     /// An empty cache whose first-time runs go through the persistent
     /// proof `store`: a hit replays the stored trace through the
     /// checker, a miss searches and inserts. Everything downstream
-    /// (tables, telemetry flushes, counter invariants) is unchanged —
+    /// (tables, counters, counter invariants) is unchanged —
     /// the store only swaps how a [`CachedRun`] gets produced.
     #[must_use]
     pub fn with_store(store: Arc<crate::ProofStore>) -> SuiteCache {
@@ -156,18 +148,6 @@ impl SuiteCache {
         run
     }
 
-    /// Looks up a completed entry without running anything and without
-    /// touching the hit/miss counters (which several tests treat as an
-    /// exact re-verification ledger). Used by the suite driver to flush
-    /// telemetry in task-submission order after a pool run.
-    #[must_use]
-    pub fn peek(&self, name: &str, ablation: Ablation, variant: Variant) -> Option<Arc<CachedRun>> {
-        let key = (name.to_owned(), ablation, variant);
-        let cell = Arc::clone(self.entries.lock().unwrap().get(&key)?);
-        let run = cell.get()?;
-        Some(Arc::clone(run))
-    }
-
     /// How many requests were served from the cache.
     #[must_use]
     pub fn hits(&self) -> usize {
@@ -193,8 +173,8 @@ impl SuiteCache {
     }
 }
 
-/// The label of a run's `verify` span and sink line.
-pub(crate) fn run_label(name: &str, variant: Variant) -> String {
+/// The label of a run's `verify` span.
+fn run_label(name: &str, variant: Variant) -> String {
     match variant {
         Variant::Ok => name.to_owned(),
         Variant::Broken => format!("{name}!broken"),
@@ -209,30 +189,29 @@ pub(crate) fn run_once(ex: &dyn Example, variant: Variant) -> CachedRun {
 }
 
 /// Runs `body` inside a `verify` span labelled `label` and packages its
-/// result with the span's subtree counters. The span opens in the
-/// installed session — the pool's, under the driver — or in a fresh one
-/// when none is installed. Counters are a pure side channel, so the
-/// verification itself — and its trace — is unaffected.
+/// result with the span's subtree counters. The span opens only in the
+/// session installed on this thread — the pool's, under the driver;
+/// without one, nothing is recorded and the counters stay zero. Counters
+/// are a pure side channel, so the verification itself — and its trace —
+/// is unaffected.
 pub(crate) fn in_verify_span(label: &str, from_store: bool, body: impl FnOnce() -> RunResult) -> CachedRun {
-    let installed = telemetry::current();
-    let session = installed.clone().unwrap_or_else(|| TelemetrySession::new(label));
-    let guard = installed.is_none().then(|| session.install());
+    let session = telemetry::current();
     let mut span = profile::span(SpanKind::Verify);
     span.set_label(label);
-    let id = span.id().expect("a session is installed");
+    let verify_span = span.id();
     let (outcome, search_time, check_time) = body();
     drop(span);
-    drop(guard);
-    let (counters, specs) = session.subtree_counters(id);
+    let counters = session
+        .zip(verify_span)
+        .map(|(session, id)| session.subtree_counters(id))
+        .unwrap_or_default();
     CachedRun {
         outcome,
         search_time,
         check_time,
         counters,
-        specs,
         from_store,
-        verify_span: installed.map(|_| id),
-        flushed: AtomicBool::new(false),
+        verify_span,
     }
 }
 

@@ -16,6 +16,7 @@
 
 pub mod adequacy;
 mod cache;
+pub mod cli;
 pub mod diff;
 pub mod proto;
 pub mod server;
@@ -31,6 +32,7 @@ pub use diff::{diff_snapshots, DiffReport};
 pub use store::{store_key, ProofStore, StoreStats};
 pub use suite::{ablation_configs, assert_counter_invariants, prefetch_ablations, prefetch_suite};
 
+use diaframe_core::trace_json::json_escape;
 use diaframe_core::{CounterSnapshot, SpanKind, SpanStats, TelemetrySession};
 use diaframe_examples::{all_examples, annotation_lines, count_lines, Example, ToolStat};
 use std::fmt::Write as _;
@@ -343,22 +345,6 @@ pub fn aggregate_table(cache: &SuiteCache) -> String {
     )
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
 }
@@ -500,8 +486,7 @@ impl StoreExperiment {
 /// span tree: `session` is the telemetry session that was installed
 /// while `cache` was filled, each example's block covers the subtree of
 /// its `verify` span, the aggregate covers all the examples' subtrees,
-/// and the keys are the [`SpanKind`] names. Without a session the
-/// `spans` blocks are empty.
+/// and the keys are the [`SpanKind`] names.
 ///
 /// # Panics
 ///
@@ -513,7 +498,7 @@ pub fn figure6_json(
     jobs: usize,
     wall: Duration,
     store: Option<&StoreExperiment>,
-    session: Option<&TelemetrySession>,
+    session: &TelemetrySession,
 ) -> String {
     let rows = figure6_rows(cache);
     let mut aggregate = CounterSnapshot::default();
@@ -531,10 +516,9 @@ pub fn figure6_json(
         .iter()
         .map(|ex| cache.get_or_run(ex.as_ref(), Variant::Ok).verify_span)
         .collect();
-    let stats = |roots: &[u64]| session.map_or_else(Vec::new, |s| s.span_stats(roots));
     let per_spans: Vec<String> = roots
         .iter()
-        .map(|root| spans_json(&stats(root.as_slice())))
+        .map(|root| spans_json(&session.span_stats(root.as_slice())))
         .collect();
     let all_roots: Vec<u64> = roots.iter().flatten().copied().collect();
     let mut out = String::from("{\n");
@@ -561,7 +545,7 @@ pub fn figure6_json(
     let _ = writeln!(
         out,
         "  \"spans\": {},",
-        spans_json(&stats(&all_roots))
+        spans_json(&session.span_stats(&all_roots))
     );
     let _ = writeln!(out, "  \"examples\": [");
     for (i, m) in rows.iter().enumerate() {

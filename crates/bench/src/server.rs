@@ -14,8 +14,8 @@
 //! so the blocking `accept` observes the flag and exits.
 
 use crate::proto::{read_frame, write_frame, MAX_FRAME, PROTO_VERSION};
-use crate::{json_escape, verdict_table_for, CachedRun, ProofStore, SuiteCache, Variant};
-use diaframe_core::trace_json::{parse_json_value, JsonValue};
+use crate::{verdict_table_for, CachedRun, ProofStore, SuiteCache, Variant};
+use diaframe_core::trace_json::{json_escape, parse_json_value, JsonValue};
 use diaframe_core::{engine_fingerprint, run_ordered};
 use diaframe_examples::{all_examples, Example};
 use std::fmt::Write as _;

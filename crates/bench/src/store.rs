@@ -36,7 +36,7 @@
 
 use crate::cache::{in_verify_span, run_once, run_serial, CachedRun, Variant};
 use diaframe_core::trace_json::{
-    parse_json_value, traces_from_compact_value, traces_to_compact_json, JsonValue,
+    json_escape, parse_json_value, traces_from_compact_value, traces_to_compact_json, JsonValue,
 };
 use diaframe_core::{
     current_ablation, engine_fingerprint, sha256_hex, telemetry, Ablation, Fingerprinter,
@@ -90,8 +90,8 @@ pub fn store_key(ex: &dyn Example, variant: Variant, ablation: Ablation) -> Stri
 
 /// Counter totals for one store, independent of any telemetry session
 /// (the `diaframe serve` stats endpoint and the `figure6 --store` report
-/// read these; the same events also feed the per-run telemetry counters
-/// of [`diaframe_core::CounterSnapshot`]).
+/// read these; under an installed telemetry session the same events
+/// also feed the per-run counters of [`diaframe_core::CounterSnapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups answered by a successfully replayed entry.
@@ -335,8 +335,7 @@ impl ProofStore {
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 // The store events land inside the run's `verify` span,
-                // where the invariant checks and the per-run telemetry
-                // line see them.
+                // where its counters and the invariant checks see them.
                 let run = in_verify_span(ex.name(), false, || {
                     let run = run_serial(ex, variant);
                     let search_ms = u64::try_from(run.1.as_millis()).unwrap_or(u64::MAX);
@@ -575,7 +574,7 @@ fn encode_payload(key: &str, ex: &dyn Example, outcome: &ExampleOutcome) -> Stri
     let _ = write!(
         out,
         "{{\"format\":{STORE_FORMAT},\"key\":\"{key}\",\"example\":\"{}\",\"variant\":\"ok\",\"manual_steps\":{},\"bundle\":",
-        crate::json_escape(ex.name()),
+        json_escape(ex.name()),
         outcome.manual_steps
     );
     let specs: Vec<(&str, &diaframe_core::ProofTrace)> = outcome

@@ -9,8 +9,8 @@
 //! afterwards are pure (and serial) cache reads — byte-identical
 //! whatever `jobs` was.
 
-use crate::cache::{run_label, SuiteCache, Variant};
-use diaframe_core::{collect_ordered, current_ablation, run_ordered, with_ablation_override, Ablation};
+use crate::cache::{SuiteCache, Variant};
+use diaframe_core::{collect_ordered, run_ordered, with_ablation_override, Ablation};
 use diaframe_examples::all_examples;
 use std::time::{Duration, Instant};
 
@@ -83,19 +83,6 @@ pub fn prefetch_suite(cache: &SuiteCache, jobs: usize, include_broken: bool) -> 
     })
     .unwrap_or_else(|e| panic!("suite driver job panicked: {e}"));
     assert_counter_invariants(cache);
-    // Flush each run's telemetry JSON line in *task-submission* order:
-    // runs complete in whatever order the pool interleaves them, so
-    // flushing at completion time (the old behavior) made the file
-    // sink's line order depend on `jobs`. Flushing here, serially from
-    // the ordered task list, makes the sink output stable across runs
-    // and worker counts (flush is idempotent, so re-prefetching a warm
-    // cache emits nothing twice).
-    for &(i, variant) in &tasks {
-        let name = examples[i].name();
-        if let Some(run) = cache.peek(name, current_ablation(), variant) {
-            run.flush(&run_label(name, variant));
-        }
-    }
     wall
 }
 
@@ -144,13 +131,5 @@ pub fn prefetch_ablations(cache: &SuiteCache, jobs: usize) -> Duration {
     })
     .unwrap_or_else(|e| panic!("ablation driver job panicked: {e}"));
     assert_counter_invariants(cache);
-    // Same ordered-flush discipline as `prefetch_suite` (each task ran
-    // under its own ablation override, which is part of the cache key).
-    for &(ab, i) in &tasks {
-        let name = examples[i].name();
-        if let Some(run) = cache.peek(name, ab, Variant::Ok) {
-            run.flush(&run_label(name, Variant::Ok));
-        }
-    }
     wall
 }

@@ -4,15 +4,16 @@
 //! 1. A parallel suite run (4 workers) and a serial one (1 worker)
 //!    produce identical `Measured` rows and byte-identical rendered
 //!    Figure 6 tables (timings zeroed — they are the only
-//!    nondeterminism), and every trace cached by the parallel run still
-//!    replays through the independent checker.
+//!    nondeterminism; the search counters, taken under a telemetry
+//!    session, included), and every trace cached by the parallel run
+//!    still replays through the independent checker.
 //! 2. Verifying with the atom-head index enabled and disabled yields
 //!    identical proof traces — skipping a structurally hopeless
 //!    hypothesis probe must be observationally identical to running it
 //!    and rolling it back.
 
 use diaframe_bench::{figure6_rows, prefetch_suite, render_figure6, Measured, SuiteCache, Variant};
-use diaframe_core::set_hint_index_enabled;
+use diaframe_core::{set_hint_index_enabled, TelemetrySession};
 use diaframe_examples::all_examples;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -37,12 +38,18 @@ fn parallel_and_serial_runs_agree() {
     let _lock = lock();
     let n = all_examples().len();
 
-    // Spec-level parallelism is invisible in every counter: the rows
-    // below are compared with all counters included.
-    let serial = SuiteCache::new();
-    prefetch_suite(&serial, 1, true);
-    let parallel = SuiteCache::new();
-    prefetch_suite(&parallel, 4, true);
+    // Parallelism is invisible in every counter: the rows below are
+    // compared with all counters included, each pass counted under its
+    // own session.
+    let counted = |jobs: usize| {
+        let cache = SuiteCache::new();
+        let session = TelemetrySession::new("driver_equivalence");
+        let _installed = session.install();
+        prefetch_suite(&cache, jobs, true);
+        cache
+    };
+    let serial = counted(1);
+    let parallel = counted(4);
 
     // Exactly one verification per (example, variant) task, regardless
     // of the worker count.
@@ -51,6 +58,9 @@ fn parallel_and_serial_runs_agree() {
 
     let s: Vec<Measured> = figure6_rows(&serial).into_iter().map(zeroed).collect();
     let p: Vec<Measured> = figure6_rows(&parallel).into_iter().map(zeroed).collect();
+    for m in &s {
+        assert!(m.counters.probes_attempted > 0, "{}: no probes counted", m.name);
+    }
     assert_eq!(s, p, "parallel rows must match the serial rows");
     assert_eq!(
         render_figure6(&s),

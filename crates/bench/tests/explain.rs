@@ -2,7 +2,8 @@
 //! diagnosis mode `ci.sh` smoke-tests with a pipeline grep. These tests
 //! pin the exit-code contract that grep relies on (`set -euo pipefail`
 //! turns a wrong exit code into a silent CI pass or a spurious
-//! failure).
+//! failure), and the usage-error contract of every bench binary's
+//! command line.
 
 use std::process::Command;
 
@@ -67,4 +68,46 @@ fn explain_without_broken_variant_exits_2() {
         stderr.contains("no sabotaged variant"),
         "unexpected stderr:\n{stderr}"
     );
+}
+
+/// Runs `bin` with `args` and asserts a usage error: exit 2 and the
+/// usage text on stderr, before any work starts.
+fn assert_usage_error(bin: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("usage"), "{bin} {args:?} printed no usage:\n{stderr}");
+}
+
+const FIGURE6: &str = env!("CARGO_BIN_EXE_figure6");
+const ADEQUACY: &str = env!("CARGO_BIN_EXE_adequacy");
+const FUZZ_DRIVER: &str = env!("CARGO_BIN_EXE_fuzz_driver");
+const DIAFRAME: &str = env!("CARGO_BIN_EXE_diaframe");
+
+#[test]
+fn unknown_flags_exit_2() {
+    assert_usage_error(FIGURE6, &["--jobs-sweep", "1,2"]);
+    assert_usage_error(ADEQUACY, &["--seeds", "5"]);
+    assert_usage_error(FUZZ_DRIVER, &["--case", "3"]);
+    assert_usage_error(DIAFRAME, &["client", "--socket", "x.sock", "verify-all", "--tabel-out", "t"]);
+}
+
+#[test]
+fn options_without_a_value_exit_2() {
+    assert_usage_error(FIGURE6, &["--all", "--jobs"]);
+    assert_usage_error(FIGURE6, &["--json-out", "--all"]);
+    assert_usage_error(ADEQUACY, &["--json-out"]);
+    assert_usage_error(FUZZ_DRIVER, &["--seed"]);
+    assert_usage_error(DIAFRAME, &["serve", "--socket"]);
+}
+
+#[test]
+fn unparsable_numbers_exit_2() {
+    assert_usage_error(FIGURE6, &["--jobs", "abc"]);
+    assert_usage_error(FIGURE6, &["--hotspots", "ten", "--explain", "spin_lock"]);
+    assert_usage_error(ADEQUACY, &["--jobs", "abc"]);
+    assert_usage_error(FUZZ_DRIVER, &["--cases", "abc"]);
+    assert_usage_error(FUZZ_DRIVER, &["--seed", "0xZZ"]);
+    assert_usage_error(DIAFRAME, &["serve", "--socket", "x.sock", "--jobs", "abc"]);
+    assert_usage_error(DIAFRAME, &["serve", "--socket", "x.sock", "--budget", "1k"]);
 }

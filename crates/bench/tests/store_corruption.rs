@@ -5,7 +5,7 @@
 //! verdict and never panic.
 
 use diaframe_bench::{store_key, ProofStore, Variant};
-use diaframe_core::{current_ablation, sha256_hex};
+use diaframe_core::{current_ablation, sha256_hex, TelemetrySession};
 use diaframe_examples::all_examples;
 use std::path::{Path, PathBuf};
 
@@ -52,13 +52,17 @@ fn assert_detected_demoted_repaired(tag: &str, damage: impl Fn(&PathBuf)) {
     // Detected + demoted: the damaged entry reads as one corruption and
     // one miss, and the verdict is the re-searched (correct) one.
     let store = ProofStore::open(&dir, None).unwrap();
+    let session = TelemetrySession::new(tag);
+    let installed = session.install();
     let run = store.get_or_run(ex, Variant::Ok);
+    drop(installed);
     assert!(!run.from_store, "{tag}: corrupt entry must not serve a hit");
     let stats = store.stats();
     assert_eq!(stats.corruptions, 1, "{tag}: corruption must be counted");
     assert_eq!(stats.misses, 1, "{tag}: corruption demotes to a miss");
     assert_eq!(stats.hits, 0, "{tag}");
     assert_eq!(run.counters.store_corruptions, 1, "{tag}: telemetry counter");
+    assert!(run.counters.probes_attempted > 0, "{tag}: the re-search was counted");
     assert_eq!(render(&run), reference, "{tag}: verdict must not change");
 
     // Repaired: the re-search re-inserted a good entry, so a fresh

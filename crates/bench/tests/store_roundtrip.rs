@@ -4,7 +4,7 @@
 //! original outcome exactly.
 
 use diaframe_bench::{store_key, ProofStore, SuiteCache, Variant};
-use diaframe_core::{current_ablation, Ablation};
+use diaframe_core::{current_ablation, Ablation, TelemetrySession};
 use diaframe_examples::{all_examples, Example, ExampleOutcome};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -47,6 +47,10 @@ fn miss_searches_then_hits_replay_identically() {
         .as_ref();
     let dir = tmp_store("roundtrip");
 
+    // Counted under a session: the run's own counters carry the store
+    // events and the search effort.
+    let session = TelemetrySession::new("roundtrip");
+    let installed = session.install();
     let store = ProofStore::open(&dir, None).unwrap();
     let cold = store.get_or_run(ex, Variant::Ok);
     assert!(!cold.from_store, "first lookup must search");
@@ -54,9 +58,9 @@ fn miss_searches_then_hits_replay_identically() {
     assert_eq!(store.stats().hits, 0);
     assert_eq!(store.len(), 1);
     assert!(store.total_bytes() > 0);
-    // The run's own telemetry counters carry the store events.
     assert_eq!(cold.counters.store_misses, 1);
     assert_eq!(cold.counters.store_hits, 0);
+    assert!(cold.counters.probes_attempted > 0, "the search was counted");
 
     // Same handle, second lookup: the single-flight cell is gone, so
     // this goes back to disk and replays.
@@ -64,12 +68,14 @@ fn miss_searches_then_hits_replay_identically() {
     assert!(warm.from_store, "second lookup must replay from disk");
     assert_eq!(store.stats().hits, 1);
     assert_eq!(warm.counters.store_hits, 1);
+    assert!(warm.counters.checker_steps > 0, "the replay was counted");
     assert_eq!(
         warm.search_time,
         std::time::Duration::ZERO,
         "a hit performs no search"
     );
     assert_eq!(rendered(outcome_of(&cold)), rendered(outcome_of(&warm)));
+    drop(installed);
 
     // A fresh handle over the same directory — a daemon restart — must
     // hit the persisted entry.

@@ -6,8 +6,11 @@
 //! monotonic timestamps per lane), and the exported trace JSON must
 //! replay through the independent checker.
 
-use diaframe_bench::{figure6_json, figure6_rows, prefetch_suite, render_figure6, Measured, SuiteCache};
-use diaframe_core::{profile, trace_json, SpanKind, TelemetrySession};
+use diaframe_bench::{
+    figure6_json, figure6_rows, prefetch_suite, render_figure6, Measured, ProofStore, SuiteCache,
+    Variant,
+};
+use diaframe_core::{profile, trace_json, CounterSnapshot, SpanKind, TelemetrySession};
 use diaframe_examples::all_examples;
 use std::time::Duration;
 
@@ -15,6 +18,13 @@ fn zeroed(mut m: Measured) -> Measured {
     m.time = Duration::ZERO;
     m.check_time = Duration::ZERO;
     m
+}
+
+/// A row with its counters cleared as well: what a run without a session
+/// and one under a session must agree on.
+fn uncounted(mut m: Measured) -> Measured {
+    m.counters = CounterSnapshot::default();
+    zeroed(m)
 }
 
 /// The tentpole guarantee, example by example: verifying with a session
@@ -71,10 +81,11 @@ fn observability_on_and_off_traces_are_byte_identical() {
 
 /// A session around the whole parallel suite must not change the
 /// rendered Figure 6 table (timings zeroed — the only legitimate
-/// nondeterminism) or the suite's counter accounting, which comes from
-/// each run's `verify` subtree instead of a session per run; the
-/// suite-wide profile exports must validate, and the v9 snapshot must
-/// carry the span histograms taken from the span tree.
+/// nondeterminism) or any row beyond its counters, which only a session
+/// records: without one they are zero, under one they come from each
+/// run's `verify` subtree. The suite-wide profile exports must validate,
+/// and the v9 snapshot must carry the span histograms taken from the
+/// span tree.
 #[test]
 fn suite_tables_unaffected_by_observability() {
     let plain = SuiteCache::new();
@@ -87,9 +98,13 @@ fn suite_tables_unaffected_by_observability() {
         prefetch_suite(&observed, 2, false);
     }
 
-    let a: Vec<Measured> = figure6_rows(&plain).into_iter().map(zeroed).collect();
-    let b: Vec<Measured> = figure6_rows(&observed).into_iter().map(zeroed).collect();
-    assert_eq!(a, b, "rows (counters included) must not depend on outer sessions");
+    let plain_rows = figure6_rows(&plain);
+    for m in &plain_rows {
+        assert!(m.counters.is_zero(), "{}: counted without a session", m.name);
+    }
+    let a: Vec<Measured> = plain_rows.into_iter().map(uncounted).collect();
+    let b: Vec<Measured> = figure6_rows(&observed).into_iter().map(uncounted).collect();
+    assert_eq!(a, b, "rows must not depend on an outer session");
     assert_eq!(render_figure6(&a), render_figure6(&b), "tables must be byte-identical");
 
     // The structural validator accepts the suite-wide trace, and the
@@ -107,7 +122,7 @@ fn suite_tables_unaffected_by_observability() {
     // The v9 snapshot carries the telemetry blocks, the per-span-kind
     // duration histograms from the span tree, and a non-trivial
     // aggregate (`figure6_json` re-checks every row's invariants).
-    let json = figure6_json(&observed, 2, Duration::ZERO, None, Some(&session));
+    let json = figure6_json(&observed, 2, Duration::ZERO, None, &session);
     for needle in [
         "\"schema\": \"diaframe-bench/figure6/v9\"",
         "\"telemetry\"",
@@ -126,6 +141,48 @@ fn suite_tables_unaffected_by_observability() {
     // The runs' `verify` subtrees partition everything the session
     // counted.
     assert_eq!(aggregate, session.snapshot());
+}
+
+/// Without an installed session a run records nothing: a bare cache run
+/// and a bare store run (miss, then hit) return zero counters and no
+/// `verify` span, with the same outcome as the same runs under a session.
+#[test]
+fn bare_runs_count_nothing_and_verify_the_same() {
+    let examples = all_examples();
+    let ex = examples
+        .iter()
+        .find(|e| e.name() == "spin_lock")
+        .expect("spin_lock example")
+        .as_ref();
+    let dir = |tag: &str| std::env::temp_dir().join(format!("diaframe-bare-{tag}-{}", std::process::id()));
+    // Cache run, store miss, store hit.
+    let runs = |tag: &str| {
+        let _ = std::fs::remove_dir_all(dir(tag));
+        let store = ProofStore::open(&dir(tag), None).expect("store opens");
+        let runs = [
+            SuiteCache::new().get_or_run(ex, Variant::Ok),
+            store.get_or_run(ex, Variant::Ok),
+            store.get_or_run(ex, Variant::Ok),
+        ];
+        let _ = std::fs::remove_dir_all(dir(tag));
+        runs
+    };
+    let bare = runs("off");
+    let session = TelemetrySession::new("bare");
+    let counted = {
+        let _installed = session.install();
+        runs("on")
+    };
+    for (off, on) in bare.iter().zip(&counted) {
+        assert_eq!(off.counters, CounterSnapshot::default());
+        assert_eq!(off.verify_span, None);
+        assert!(on.counters.checker_steps > 0 && on.verify_span.is_some());
+        assert_eq!(off.from_store, on.from_store);
+        let trace = |run: &diaframe_bench::CachedRun| format!("{:?}", run.expect_ok(ex.name()).proofs);
+        assert_eq!(trace(off), trace(on), "{}: outcome depends on the session", ex.name());
+    }
+    assert!(counted[1].counters.probes_attempted > 0, "the store miss searched");
+    assert!(counted[2].from_store, "the second store run replays");
 }
 
 /// S3: a sabotaged spec must produce a structured stuck report that

@@ -4,8 +4,8 @@
 //! Every verification, spec, search phase, hint-probe batch, case-split
 //! branch, solver query batch and checker replay becomes a timestamped
 //! span with a parent id and a thread/worker *lane*, recorded into the
-//! session installed on the thread ([`crate::telemetry`]); `verify` and
-//! `spec` spans also carry their subtree's counters. The span tree is the
+//! session installed on the thread ([`crate::telemetry`]); `verify`
+//! spans also carry their subtree's counters. The span tree is the
 //! substrate for four consumers in `diaframe-bench`:
 //!
 //! * `figure6 --profile-out FILE` — Chrome trace-event JSON (open the file
@@ -130,10 +130,9 @@ pub struct SpanRec {
     /// Kind-specific payload counter (probes for `FindHint`, replayed
     /// steps for `Check`, queries for `SolverBatch`).
     pub count: u64,
-    /// The counters of this span's subtree, kept for `verify` and `spec`
-    /// spans: their subtrees are the per-run and per-spec counters. `None`
-    /// for the other kinds, which keeps the log small (every hint search
-    /// writes a record).
+    /// The counters of this span's subtree, kept for `verify` spans: their
+    /// subtrees are the per-run counters. `None` for the other kinds,
+    /// which keeps the log small (every hint search writes a record).
     pub counters: Option<Box<CounterSnapshot>>,
 }
 
@@ -471,15 +470,15 @@ struct SpanActive {
 /// Open a span of `kind` on this thread. No-op (and allocation-free)
 /// unless a session is installed here.
 ///
-/// Only `verify` and `spec` spans — whose subtrees are the per-run and
-/// per-spec counters — and a thread's outermost span get a counter block
-/// of their own; the hooks feed the innermost open span that has one.
-/// That keeps the frame of every other span, one per hint search, small.
+/// Only `verify` spans — whose subtrees are the per-run counters — and a
+/// thread's outermost span get a counter block of their own; the hooks
+/// feed the innermost open span that has one. That keeps the frame of
+/// every other span, one per hint search, small.
 #[must_use]
 pub fn span(kind: SpanKind) -> Span {
     let active = with_local(|l, inner| {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let block = matches!(kind, SpanKind::Verify | SpanKind::Spec) || l.open.is_empty();
+        let block = kind == SpanKind::Verify || l.open.is_empty();
         if block {
             l.blocks.push(Tally::default());
         }
@@ -563,7 +562,7 @@ impl Drop for Span {
                     count: f.count,
                     counters: tally
                         .as_ref()
-                        .filter(|_| matches!(f.kind, SpanKind::Verify | SpanKind::Spec))
+                        .filter(|_| f.kind == SpanKind::Verify)
                         .map(|t| Box::new(t.counters.clone())),
                 });
                 let Some(tally) = tally else { continue };

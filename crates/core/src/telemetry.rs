@@ -16,14 +16,13 @@
 //!   [`TraceKind`], backtracks, evar solve events, checker replay steps,
 //!   solver and proof-store effort. Counters are span payloads: each hook
 //!   adds to the counter block of the innermost open span on its own
-//!   thread that keeps one (`verify` and `spec` spans and a thread's
-//!   outermost span), or to the session's block when no span is open, and
-//!   a closing span folds its block into the enclosing one, so a block
-//!   holds the merge over its span's subtree. A run or a spec is counted
-//!   by the subtree of its `verify` or `spec` span
-//!   ([`TelemetrySession::subtree_counters`]). Counters are a pure side
-//!   channel: they never influence the search, so observed and unobserved
-//!   runs produce byte-identical proof traces (pinned by
+//!   thread that keeps one (`verify` spans and a thread's outermost span),
+//!   or to the session's block when no span is open, and a closing span
+//!   folds its block into the enclosing one, so a block holds the merge
+//!   over its span's subtree. A run is counted by the subtree of its
+//!   `verify` span ([`TelemetrySession::subtree_counters`]). Counters are
+//!   a pure side channel: they never influence the search, so observed
+//!   and unobserved runs produce byte-identical proof traces (pinned by
 //!   `crates/bench/tests/telemetry.rs`).
 //! * **Diagnostics** — the per-hypothesis failed-probe ranking and the
 //!   goal heads that had no keying hypothesis ride on the spans the same
@@ -44,22 +43,19 @@
 //! re-install it in the new thread next to the ablation override, so the
 //! span tree stays connected across lanes.
 //!
-//! Per-run summary lines go to the sink selected by `DIAFRAME_TELEMETRY`
-//! (see [`Sink`]); each line is appended under one lock, so concurrent
-//! writers never interleave. Only code that installs a session writes
-//! them (the bench harness's runs and `figure6 --explain`): a bare
-//! `verify` call counts nothing and writes nothing.
+//! Only code that installs a session counts or records anything (the
+//! bench harness's `figure6` runs, `figure6 --explain`, the fuzz
+//! campaign under `DIAFRAME_PROFILE`, and tests): a bare `verify` call,
+//! a bare suite run and a daemon request count nothing.
 
 use crate::profile::{OpenSpan, SpanKind, SpanRec};
 use crate::trace::{TraceKind, TraceStep};
-use crate::trace_json::json_escape;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -287,9 +283,8 @@ impl CounterSnapshot {
         Ok(())
     }
 
-    /// Renders the snapshot as a JSON object (the shared serialization
-    /// used by the `figure6 --json` v2 `telemetry` blocks and the
-    /// `DIAFRAME_TELEMETRY` file sink). Key order is fixed, so equal
+    /// Renders the snapshot as a JSON object (the `telemetry` blocks of
+    /// the `figure6 --json` snapshot). Key order is fixed, so equal
     /// snapshots render identically.
     #[must_use]
     pub fn json_object(&self) -> String {
@@ -417,109 +412,6 @@ fn bump_key(map: &mut BTreeMap<String, u64>, key: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// The sink
-
-/// Where per-verification counter summaries go, selected once per
-/// process by the `DIAFRAME_TELEMETRY` environment variable:
-///
-/// * unset, empty, `0`, or `off` — no sink;
-/// * `stderr` — a one-line human-readable summary per verification on
-///   standard error;
-/// * anything else — treated as a file path; one `{"event":"summary",…}`
-///   JSON line per verification is appended, with the counters of the
-///   run and of each of its specs. The sink carries no durations: they
-///   live in the span tree (`figure6 --profile-out`).
-///
-/// Counters and diagnostics work regardless of the sink: the bench
-/// harness installs sessions programmatically and reads snapshots
-/// directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sink {
-    /// No sink.
-    Off,
-    /// Per-verification summary lines on standard error.
-    Stderr,
-    /// JSON lines appended to this path.
-    File(PathBuf),
-}
-
-impl Sink {
-    pub(crate) fn is_on(&self) -> bool {
-        *self != Sink::Off
-    }
-}
-
-fn parse_sink(value: Option<&str>) -> Sink {
-    match value {
-        None => Sink::Off,
-        Some(v) => {
-            let v = v.trim();
-            if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
-                Sink::Off
-            } else if v.eq_ignore_ascii_case("stderr") {
-                Sink::Stderr
-            } else {
-                Sink::File(PathBuf::from(v))
-            }
-        }
-    }
-}
-
-/// The process-wide sink (the `DIAFRAME_TELEMETRY` variable, read once).
-pub fn sink() -> &'static Sink {
-    static SINK: OnceLock<Sink> = OnceLock::new();
-    SINK.get_or_init(|| parse_sink(std::env::var("DIAFRAME_TELEMETRY").ok().as_deref()))
-}
-
-/// Serializes sink appends so per-verification lines from parallel
-/// workers never interleave.
-static SINK_LOCK: Mutex<()> = Mutex::new(());
-
-/// Writes one verification's summary — its counters and each spec's — to
-/// the process sink as one line. A no-op when the sink is [`Sink::Off`].
-pub fn write_summary(label: &str, counters: &CounterSnapshot, specs: &[(String, CounterSnapshot)]) {
-    match sink() {
-        Sink::Off => {}
-        Sink::Stderr => {
-            let _guard = lock(&SINK_LOCK);
-            eprintln!(
-                "telemetry[{label}]: probes {} (skipped {}, run {}, matched {}), rules {}, \
-                 backtracks {}, evar solves {}, checker {}",
-                counters.probes_attempted,
-                counters.probes_skipped,
-                counters.probes_indexed_hit,
-                counters.probes_matched,
-                counters.rule_applications(),
-                counters.backtracks,
-                counters.evar_solve_events,
-                counters.checker_steps,
-            );
-        }
-        Sink::File(path) => {
-            let specs: Vec<String> = specs
-                .iter()
-                .map(|(name, c)| format!("\"{}\": {}", json_escape(name), c.json_object()))
-                .collect();
-            let line = format!(
-                "{{\"event\":\"summary\",\"verify\":\"{}\",\"counters\":{},\"specs\":{{{}}}}}\n",
-                json_escape(label),
-                counters.json_object(),
-                specs.join(", ")
-            );
-            let _guard = lock(&SINK_LOCK);
-            let res = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-            if let Err(e) = res {
-                eprintln!("telemetry: cannot append to {}: {e}", path.display());
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sessions
 
 /// Locks `m`, ignoring poisoning: the instrumentation state stays usable
@@ -637,7 +529,7 @@ pub(crate) fn with_local<R>(f: impl FnOnce(&mut ThreadSpans, &Arc<SessionInner>)
 
 impl TelemetrySession {
     /// A fresh session labelled `label` (by convention the example or
-    /// spec name; the label tags the session's own sink line).
+    /// tool name).
     #[must_use]
     pub fn new(label: &str) -> TelemetrySession {
         TelemetrySession {
@@ -698,41 +590,17 @@ impl TelemetrySession {
         lock(&self.inner.root).counters.clone()
     }
 
-    /// The counters of the closed span `root`'s subtree, and of each of
-    /// its `spec` children's subtrees, in verification order. The subtree
-    /// follows parent ids across lanes, so work done on a verification
-    /// session thread counts toward the span that spawned it.
+    /// The counters of the closed `verify` span `root`'s subtree (the
+    /// default snapshot when `root` is no closed `verify` span). The
+    /// subtree follows parent ids across lanes, so work done on a
+    /// verification session thread counts toward the span that spawned
+    /// it.
     #[must_use]
-    pub fn subtree_counters(&self, root: u64) -> (CounterSnapshot, Vec<(String, CounterSnapshot)>) {
+    pub fn subtree_counters(&self, root: u64) -> CounterSnapshot {
         let log = lock(&self.inner.log);
-        let total = log.spans.iter().rev().find(|s| s.id == root).and_then(|s| s.counters.as_deref());
-        let total = total.cloned().unwrap_or_default();
-        (total, spec_counters(&log.spans, Some(root)))
+        let rec = log.spans.iter().rev().find(|s| s.id == root);
+        rec.and_then(|s| s.counters.as_deref()).cloned().unwrap_or_default()
     }
-
-    /// Writes the whole session's summary (its counters, and each `spec`
-    /// span's subtree) to the process sink. A no-op when the sink is
-    /// [`Sink::Off`].
-    pub fn flush(&self) {
-        if sink().is_on() {
-            let specs = spec_counters(&lock(&self.inner.log).spans, None);
-            write_summary(&self.inner.label, &self.snapshot(), &specs);
-        }
-    }
-}
-
-/// The subtree counters of the `spec` spans that are children of
-/// `parent` (of any parent when `None`), in id order.
-fn spec_counters(spans: &[SpanRec], parent: Option<u64>) -> Vec<(String, CounterSnapshot)> {
-    let mut specs: Vec<&SpanRec> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Spec && parent.is_none_or(|p| s.parent == Some(p)))
-        .collect();
-    specs.sort_unstable_by_key(|s| s.id);
-    specs
-        .into_iter()
-        .map(|s| (s.label.clone(), s.counters.as_deref().cloned().unwrap_or_default()))
-        .collect()
 }
 
 /// Restores the thread's previous instrumentation state on drop. Not
@@ -1087,9 +955,8 @@ mod tests {
             let lane = &lanes[usize::try_from(s.lane).unwrap()];
             assert!(lane.starts_with("diaframe-"), "{:?} recorded on lane {lane}", s.kind);
         }
-        let (counters, specs) = session.subtree_counters(site);
+        let counters = session.subtree_counters(site);
         assert_eq!((counters.probes_attempted, counters.checker_steps), (6, 4));
-        assert!(specs.is_empty());
         assert_eq!(counters, session.snapshot());
     }
 
@@ -1169,20 +1036,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.probes_attempted, 5);
         assert_eq!(b.deepest_abandoned, 9);
-    }
-
-    #[test]
-    fn sink_parsing() {
-        assert_eq!(parse_sink(None), Sink::Off);
-        assert_eq!(parse_sink(Some("")), Sink::Off);
-        assert_eq!(parse_sink(Some("0")), Sink::Off);
-        assert_eq!(parse_sink(Some("off")), Sink::Off);
-        assert_eq!(parse_sink(Some("OFF")), Sink::Off);
-        assert_eq!(parse_sink(Some("stderr")), Sink::Stderr);
-        assert_eq!(
-            parse_sink(Some("target/t.jsonl")),
-            Sink::File(PathBuf::from("target/t.jsonl"))
-        );
     }
 
     #[test]

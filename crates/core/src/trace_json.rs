@@ -58,8 +58,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 // Escaping and a minimal JSON value
 
 /// Escapes `s` for inclusion in a JSON string literal (non-ASCII is
-/// passed through raw; JSON is UTF-8).
-pub(crate) fn json_escape(s: &str) -> String {
+/// passed through raw; JSON is UTF-8). Shared by every JSON writer in
+/// the workspace: traces, profiles, and the bench crate's snapshots and
+/// wire responses.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     push_escaped(&mut out, s);
     out
