@@ -42,11 +42,14 @@ fn harvest(limit: usize) -> Vec<Obligation> {
                 .chain(std::iter::once(goal))
                 .map(|p| format!("{p:?}").len())
                 .sum();
-            obls.push((size, Obligation {
-                vars: vars.clone(),
-                facts: facts.clone(),
-                goal: goal.clone(),
-            }));
+            obls.push((
+                size,
+                Obligation {
+                    vars: vars.clone(),
+                    facts: facts.clone(),
+                    goal: goal.clone(),
+                },
+            ));
         }
     }
     obls.sort_by_key(|(s, _)| std::cmp::Reverse(*s));

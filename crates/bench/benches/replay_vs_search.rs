@@ -14,7 +14,9 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diaframe_core::trace_json::{parse_json_value, traces_from_compact_value, traces_to_compact_json};
+use diaframe_core::trace_json::{
+    parse_json_value, traces_from_compact_value, traces_to_compact_json,
+};
 use diaframe_examples::all_examples;
 
 /// The five slowest examples by the committed snapshot's `search_ms`.

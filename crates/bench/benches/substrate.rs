@@ -46,11 +46,7 @@ fn bench_unify(c: &mut Criterion) {
             let mut ctx = VarCtx::new();
             let z = Term::var(ctx.fresh_var(Sort::Int, "z"));
             let e = ctx.fresh_evar(Sort::Int);
-            criterion::black_box(unify(
-                &mut ctx,
-                &Term::add(Term::evar(e), Term::int(1)),
-                &z,
-            ))
+            criterion::black_box(unify(&mut ctx, &Term::add(Term::evar(e), Term::int(1)), &z))
         });
     });
 }

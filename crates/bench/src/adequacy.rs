@@ -147,8 +147,7 @@ impl AdequacyReport {
     /// example is flagged exactly as expected.
     #[must_use]
     pub fn pass(&self) -> bool {
-        self.proved.iter().all(|r| r.outcome.clean())
-            && self.negatives.iter().all(|r| r.verdict_ok)
+        self.proved.iter().all(|r| r.outcome.clean()) && self.negatives.iter().all(|r| r.verdict_ok)
     }
 }
 
@@ -231,7 +230,10 @@ pub fn run_adequacy(cfg: &AdequacyConfig) -> AdequacyReport {
 }
 
 fn str_array(items: &[&str]) -> String {
-    let parts: Vec<String> = items.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
+    let parts: Vec<String> = items
+        .iter()
+        .map(|s| format!("\"{}\"", json_escape(s)))
+        .collect();
     format!("[{}]", parts.join(", "))
 }
 

@@ -47,7 +47,9 @@ fn main() {
             let config = ServerConfig {
                 store_dir: args.value("--store").map(PathBuf::from),
                 budget: args.number("--budget"),
-                jobs: args.number("--jobs").unwrap_or_else(diaframe_core::default_jobs),
+                jobs: args
+                    .number("--jobs")
+                    .unwrap_or_else(diaframe_core::default_jobs),
             };
             let ep = endpoint(&args, "--listen");
             if let Err(e) = serve(&ep, &config) {
@@ -65,8 +67,10 @@ fn main() {
             let ep = endpoint(&args, "--connect");
             let request = match args.operands.split_first() {
                 Some((verb, names)) if verb == "verify" && !names.is_empty() => {
-                    let names: Vec<String> =
-                        names.iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
+                    let names: Vec<String> = names
+                        .iter()
+                        .map(|n| format!("\"{}\"", json_escape(n)))
+                        .collect();
                     format!("{{\"op\":\"verify\",\"examples\":[{}]}}", names.join(","))
                 }
                 Some((verb, [])) if verb == "verify-all" => String::from("{\"op\":\"verify_all\"}"),

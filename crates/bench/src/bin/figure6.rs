@@ -148,8 +148,11 @@ fn main() {
     let folded_out = args.value("--folded-out");
 
     let all = args.has("--all");
-    let (failing, ablation, aggregate) =
-        (args.has("--failing"), args.has("--ablation"), args.has("--aggregate"));
+    let (failing, ablation, aggregate) = (
+        args.has("--failing"),
+        args.has("--ablation"),
+        args.has("--aggregate"),
+    );
     let figure6 = all || !(failing || ablation || aggregate);
     let store_dir = args.value("--store");
     let json = args.has("--json");

@@ -83,7 +83,9 @@ fn tokens(text: &str) -> Vec<String> {
 /// Deletes, duplicates or swaps one non-whitespace token.
 fn mutate_annotation(text: &str, rng: &mut diaframe_core::fuzz::FuzzRng) -> String {
     let mut toks = tokens(text);
-    let words: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].trim().is_empty()).collect();
+    let words: Vec<usize> = (0..toks.len())
+        .filter(|&i| !toks[i].trim().is_empty())
+        .collect();
     if words.len() < 2 {
         return text.to_owned();
     }
@@ -150,7 +152,13 @@ fn main() {
     let args = Args::parse(
         &std::env::args().skip(1).collect::<Vec<_>>(),
         &["--help", "-h"],
-        &["--seed", "--cases", "--mutations-per-trace", "--jobs", "--json-out"],
+        &[
+            "--seed",
+            "--cases",
+            "--mutations-per-trace",
+            "--jobs",
+            "--json-out",
+        ],
         USAGE,
     );
     if args.has("--help") || args.has("-h") {
@@ -177,7 +185,9 @@ fn main() {
     let profile = profile_path
         .as_ref()
         .map(|_| diaframe_core::TelemetrySession::new("fuzz_driver"));
-    let profile_guard = profile.as_ref().map(diaframe_core::TelemetrySession::install);
+    let profile_guard = profile
+        .as_ref()
+        .map(diaframe_core::TelemetrySession::install);
 
     let t0 = Instant::now();
     let cfg = GenConfig::default();
@@ -229,9 +239,7 @@ fn main() {
     let index_was_on = hint_index_enabled();
     set_hint_index_enabled(false);
     let linear: Vec<Option<String>> = run_ordered(&proved_idx, jobs, |_, &i| {
-        search_once(seed, i, &cfg)
-            .trace
-            .map(|t| trace_to_json(&t))
+        search_once(seed, i, &cfg).trace.map(|t| trace_to_json(&t))
     })
     .into_iter()
     .map(|r| {
@@ -279,7 +287,12 @@ fn main() {
                 .proofs
                 .into_iter()
                 .enumerate()
-                .map(|(k, p)| (format!("example-{}-{k}", ex.name()), p.trace.steps().to_vec()))
+                .map(|(k, p)| {
+                    (
+                        format!("example-{}-{k}", ex.name()),
+                        p.trace.steps().to_vec(),
+                    )
+                })
                 .collect::<Vec<_>>(),
             Err(stuck) => {
                 eprintln!(
@@ -373,7 +386,11 @@ fn main() {
     let _ = writeln!(json, "  \"provable_expected\": {provable_expected},");
     let _ = writeln!(json, "  \"proved\": {proved_of_expected},");
     let _ = writeln!(json, "  \"missed_provable\": {missed_provable},");
-    let _ = writeln!(json, "  \"proved_unexpected\": {},", proved_unexpected.len());
+    let _ = writeln!(
+        json,
+        "  \"proved_unexpected\": {},",
+        proved_unexpected.len()
+    );
     let _ = writeln!(json, "  \"flavors\": {{");
     let n_flavors = flavors.len();
     for (fi, (name, (total, proved))) in flavors.iter().enumerate() {
@@ -422,7 +439,11 @@ fn main() {
     let _ = writeln!(json, "  \"annotation_unlocated\": {annotation_unlocated},");
     let _ = writeln!(json, "  \"survivor_details\": [");
     for (si, s) in survivor_json.iter().enumerate() {
-        let comma = if si + 1 == survivor_json.len() { "" } else { "," };
+        let comma = if si + 1 == survivor_json.len() {
+            ""
+        } else {
+            ","
+        };
         let _ = writeln!(json, "    {s}{comma}");
     }
     let _ = writeln!(json, "  ]");

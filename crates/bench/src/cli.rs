@@ -59,7 +59,9 @@ impl Args {
                 parsed.switches.push(switch);
             } else if let Some(&option) = options.iter().find(|o| **o == arg) {
                 match rest.next() {
-                    Some(value) if !value.starts_with("--") => parsed.options.push((option, value.clone())),
+                    Some(value) if !value.starts_with("--") => {
+                        parsed.options.push((option, value.clone()))
+                    }
                     _ => parsed.fail(&format!("{option} needs a value")),
                 }
             } else if arg.starts_with('-') {
@@ -80,7 +82,10 @@ impl Args {
     /// The value of option `flag` (its first occurrence), if given.
     #[must_use]
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.options.iter().find(|(o, _)| *o == flag).map(|(_, v)| v.as_str())
+        self.options
+            .iter()
+            .find(|(o, _)| *o == flag)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The value of option `flag` converted by `parse`, if given. Exits 2
@@ -125,7 +130,9 @@ mod tests {
         assert_eq!(args.value("--store"), None);
         assert_eq!(args.operands, ["verify", "a"]);
         let hex = Args::parse(&strings(&["--seed", "0x10"]), &[], &["--seed"], "usage");
-        let seed = hex.value_with("--seed", |v| u64::from_str_radix(v.strip_prefix("0x")?, 16).ok());
+        let seed = hex.value_with("--seed", |v| {
+            u64::from_str_radix(v.strip_prefix("0x")?, 16).ok()
+        });
         assert_eq!(seed, Some(16));
     }
 }

@@ -156,7 +156,10 @@ pub fn diff_snapshots(baseline: &str, current: &str) -> Result<DiffReport, Strin
         cur.schema,
         cur.examples.len()
     );
-    let _ = writeln!(md, "## regressions (missing examples, any deterministic counter change)\n");
+    let _ = writeln!(
+        md,
+        "## regressions (missing examples, any deterministic counter change)\n"
+    );
     if missing.is_empty() && drift.is_empty() {
         let _ = writeln!(md, "none");
     }
@@ -166,7 +169,10 @@ pub fn diff_snapshots(baseline: &str, current: &str) -> Result<DiffReport, Strin
     for l in &drift {
         let _ = writeln!(md, "- **REGRESSION** {l}");
     }
-    let _ = writeln!(md, "\n## notes (new examples, cache-temperature counter drift)\n");
+    let _ = writeln!(
+        md,
+        "\n## notes (new examples, cache-temperature counter drift)\n"
+    );
     if notes.is_empty() {
         let _ = writeln!(md, "none");
     }
@@ -203,7 +209,8 @@ mod tests {
     use super::*;
 
     fn snap(name_times: &[(&str, f64, u64)]) -> String {
-        let mut s = String::from("{\n  \"schema\": \"diaframe-bench/figure6/v6\",\n  \"examples\": [\n");
+        let mut s =
+            String::from("{\n  \"schema\": \"diaframe-bench/figure6/v6\",\n  \"examples\": [\n");
         for (i, (n, t, probes)) in name_times.iter().enumerate() {
             let _ = writeln!(
                 s,

@@ -78,7 +78,10 @@ pub fn measure_cached(cache: &SuiteCache, ex: &dyn Example) -> Measured {
         impl_lines: count_lines(ex.source()),
         annot_lines: annotation_lines(ex.annotation()),
         manual: outcome.manual_steps,
-        hints: (outcome.hints_used().len(), outcome.custom_hints_used().len()),
+        hints: (
+            outcome.hints_used().len(),
+            outcome.custom_hints_used().len(),
+        ),
         time: run.search_time,
         check_time: run.check_time,
         specs: outcome.proofs.len(),

@@ -48,7 +48,10 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
         .ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
+                format!(
+                    "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                    body.len()
+                ),
             )
         })?;
     w.write_all(&len.to_be_bytes())?;
@@ -80,9 +83,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    String::from_utf8(body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame is not UTF-8: {e}")))
+    String::from_utf8(body).map(Some).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame is not UTF-8: {e}"),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -95,7 +101,10 @@ mod tests {
         write_frame(&mut buf, "{\"op\":\"stats\"}").unwrap();
         write_frame(&mut buf, "").unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"op\":\"stats\"}"));
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("{\"op\":\"stats\"}")
+        );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }

@@ -134,7 +134,11 @@ impl StoreStats {
         format!(
             "{{ \"hits\": {}, \"misses\": {}, \"corruptions\": {}, \"evictions\": {}, \
              \"replay_ms\": {}, \"search_ms\": {} }}",
-            self.hits, self.misses, self.corruptions, self.evictions, self.replay_ms,
+            self.hits,
+            self.misses,
+            self.corruptions,
+            self.evictions,
+            self.replay_ms,
             self.search_ms
         )
     }
@@ -216,10 +220,10 @@ impl ProofStore {
         }
         index.entries.retain(|k, _| on_disk.contains_key(k));
         for (key, bytes) in on_disk {
-            index
-                .entries
-                .entry(key)
-                .or_insert(IndexEntry { bytes, last_used: 0 });
+            index.entries.entry(key).or_insert(IndexEntry {
+                bytes,
+                last_used: 0,
+            });
         }
         Ok(ProofStore {
             root: root.to_owned(),
@@ -399,7 +403,10 @@ impl ProofStore {
     /// sweeps the LRU budget.
     fn insert(&self, key: &str, ex: &dyn Example, outcome: &ExampleOutcome) -> io::Result<()> {
         let payload = encode_payload(key, ex, outcome);
-        let file = format!("{{\"checksum\":\"{}\",\"payload\":{payload}}}", sha256_hex(payload.as_bytes()));
+        let file = format!(
+            "{{\"checksum\":\"{}\",\"payload\":{payload}}}",
+            sha256_hex(payload.as_bytes())
+        );
         let tmp = self.tmp_path(key);
         fs::write(&tmp, &file)?;
         // The rename is the publication point: readers either see the
@@ -484,7 +491,8 @@ impl ProofStore {
     fn tmp_path(&self, what: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        self.root.join(format!("tmp-{what}-{}-{n}", std::process::id()))
+        self.root
+            .join(format!("tmp-{what}-{}-{n}", std::process::id()))
     }
 
     /// Atomically persists the index. `dirty` is cleared only once the
@@ -556,7 +564,11 @@ fn read_index(path: &Path) -> Option<Index> {
             },
         );
     }
-    Some(Index { clock, entries, dirty: false })
+    Some(Index {
+        clock,
+        entries,
+        dirty: false,
+    })
 }
 
 /// Serializes the payload half of an entry (the checksummed bytes).

@@ -100,9 +100,9 @@ pub fn prefetch_suite(cache: &SuiteCache, jobs: usize, include_broken: bool) -> 
 /// violated identity.
 pub fn assert_counter_invariants(cache: &SuiteCache) {
     for ((name, _, variant), run) in cache.snapshot() {
-        run.counters.check_invariants().unwrap_or_else(|e| {
-            panic!("{name} ({variant:?}): counter invariant violated: {e}")
-        });
+        run.counters
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{name} ({variant:?}): counter invariant violated: {e}"));
     }
 }
 

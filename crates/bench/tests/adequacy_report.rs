@@ -27,7 +27,11 @@ fn small_cfg(jobs: usize) -> AdequacyConfig {
 fn proved_examples_sweep_clean_and_negatives_are_flagged() {
     let report = run_adequacy(&small_cfg(diaframe_core::default_jobs()));
 
-    assert_eq!(report.proved.len(), all_examples().len(), "one row per example");
+    assert_eq!(
+        report.proved.len(),
+        all_examples().len(),
+        "one row per example"
+    );
     for row in &report.proved {
         assert!(
             row.outcome.clean(),
@@ -36,7 +40,12 @@ fn proved_examples_sweep_clean_and_negatives_are_flagged() {
             row.outcome.findings()
         );
         // ≥ seeds random runs + the fair DFS root schedule.
-        assert!(row.outcome.runs > 25, "{}: only {} runs", row.name, row.outcome.runs);
+        assert!(
+            row.outcome.runs > 25,
+            "{}: only {} runs",
+            row.name,
+            row.outcome.runs
+        );
         assert_eq!(row.outcome.terminated, row.outcome.runs);
     }
 
@@ -73,5 +82,7 @@ fn adequacy_json_is_byte_stable_across_runs_and_worker_counts() {
     assert!(a.contains("\"name\": \"lock_inversion\""));
     assert!(a.contains("\"verdict\": \"flagged\""));
     // The duolock row records its detector exemption.
-    assert!(a.contains("\"name\": \"rwlock_duolock\", \"sync_model\": \"infer_atomics\", \"lock_order\": false"));
+    assert!(a.contains(
+        "\"name\": \"rwlock_duolock\", \"sync_model\": \"infer_atomics\", \"lock_order\": false"
+    ));
 }

@@ -10,8 +10,9 @@ use std::fmt::Write as _;
 /// rows. Includes an empty `spans` histogram block per example — the
 /// diff must tolerate (and ignore) it.
 fn snap(rows: &[(&str, f64, &str)]) -> String {
-    let mut s =
-        String::from("{\n  \"schema\": \"diaframe-bench/figure6/v6\",\n  \"spans\": { },\n  \"examples\": [\n");
+    let mut s = String::from(
+        "{\n  \"schema\": \"diaframe-bench/figure6/v6\",\n  \"spans\": { },\n  \"examples\": [\n",
+    );
     for (i, (n, t, tele)) in rows.iter().enumerate() {
         let _ = writeln!(
             s,
@@ -34,7 +35,10 @@ fn example_missing_from_current_gates_but_new_example_only_notes() {
     assert!(r.regressions[0].contains("missing from current"));
     assert!(r.markdown.contains("**MISSING**"));
     // …but gaining one is informational only.
-    assert!(r.notes.iter().any(|l| l.contains("brand_new") && l.contains("new")));
+    assert!(r
+        .notes
+        .iter()
+        .any(|l| l.contains("brand_new") && l.contains("new")));
     assert!(!r.regressions.iter().any(|l| l.contains("brand_new")));
 }
 
@@ -62,7 +66,10 @@ fn empty_telemetry_blocks_are_tolerated() {
     let a = snap(&[("a", 10.0, "{ }")]);
     let r = diff_snapshots(&a, &a).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
-    assert!(r.markdown.contains("none"), "counter sections should be empty");
+    assert!(
+        r.markdown.contains("none"),
+        "counter sections should be empty"
+    );
 }
 
 #[test]
@@ -72,7 +79,10 @@ fn any_deterministic_counter_drift_gates() {
         let base = snap(&[("a", 10.0, &format!("{{ \"probes_attempted\": {from} }}"))]);
         let cur = snap(&[("a", 10.0, &format!("{{ \"probes_attempted\": {to} }}"))]);
         let r = diff_snapshots(&base, &cur).unwrap();
-        assert_eq!(r.regressions, [format!("a: probes_attempted {from} → {to}")]);
+        assert_eq!(
+            r.regressions,
+            [format!("a: probes_attempted {from} → {to}")]
+        );
     }
 }
 
@@ -88,8 +98,16 @@ fn search_time_alone_never_gates() {
 
 #[test]
 fn store_counter_drift_is_only_a_note() {
-    let base = snap(&[("a", 10.0, "{ \"probes_attempted\": 7, \"store_hits\": 0, \"store_misses\": 1 }")]);
-    let cur = snap(&[("a", 10.0, "{ \"probes_attempted\": 7, \"store_hits\": 1, \"store_misses\": 0 }")]);
+    let base = snap(&[(
+        "a",
+        10.0,
+        "{ \"probes_attempted\": 7, \"store_hits\": 0, \"store_misses\": 1 }",
+    )]);
+    let cur = snap(&[(
+        "a",
+        10.0,
+        "{ \"probes_attempted\": 7, \"store_hits\": 1, \"store_misses\": 0 }",
+    )]);
     let r = diff_snapshots(&base, &cur).unwrap();
     assert!(r.regressions.is_empty(), "{:?}", r.regressions);
     assert_eq!(r.notes, ["a: store_hits 0 → 1", "a: store_misses 1 → 0"]);

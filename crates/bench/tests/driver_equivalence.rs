@@ -24,7 +24,9 @@ use std::time::Duration;
 static INDEX_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
-    INDEX_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    INDEX_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn zeroed(mut m: Measured) -> Measured {
@@ -59,7 +61,11 @@ fn parallel_and_serial_runs_agree() {
     let s: Vec<Measured> = figure6_rows(&serial).into_iter().map(zeroed).collect();
     let p: Vec<Measured> = figure6_rows(&parallel).into_iter().map(zeroed).collect();
     for m in &s {
-        assert!(m.counters.probes_attempted > 0, "{}: no probes counted", m.name);
+        assert!(
+            m.counters.probes_attempted > 0,
+            "{}: no probes counted",
+            m.name
+        );
     }
     assert_eq!(s, p, "parallel rows must match the serial rows");
     assert_eq!(

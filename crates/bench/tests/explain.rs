@@ -76,7 +76,10 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
     let out = Command::new(bin).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
-    assert!(stderr.contains("usage"), "{bin} {args:?} printed no usage:\n{stderr}");
+    assert!(
+        stderr.contains("usage"),
+        "{bin} {args:?} printed no usage:\n{stderr}"
+    );
 }
 
 const FIGURE6: &str = env!("CARGO_BIN_EXE_figure6");
@@ -89,7 +92,17 @@ fn unknown_flags_exit_2() {
     assert_usage_error(FIGURE6, &["--jobs-sweep", "1,2"]);
     assert_usage_error(ADEQUACY, &["--seeds", "5"]);
     assert_usage_error(FUZZ_DRIVER, &["--case", "3"]);
-    assert_usage_error(DIAFRAME, &["client", "--socket", "x.sock", "verify-all", "--tabel-out", "t"]);
+    assert_usage_error(
+        DIAFRAME,
+        &[
+            "client",
+            "--socket",
+            "x.sock",
+            "verify-all",
+            "--tabel-out",
+            "t",
+        ],
+    );
 }
 
 #[test]

@@ -47,7 +47,11 @@ fn assert_detected_demoted_repaired(tag: &str, damage: impl Fn(&PathBuf)) {
     damage(&path);
 
     let examples = all_examples();
-    let ex = examples.iter().find(|e| e.name() == "spin_lock").unwrap().as_ref();
+    let ex = examples
+        .iter()
+        .find(|e| e.name() == "spin_lock")
+        .unwrap()
+        .as_ref();
 
     // Detected + demoted: the damaged entry reads as one corruption and
     // one miss, and the verdict is the re-searched (correct) one.
@@ -61,8 +65,14 @@ fn assert_detected_demoted_repaired(tag: &str, damage: impl Fn(&PathBuf)) {
     assert_eq!(stats.corruptions, 1, "{tag}: corruption must be counted");
     assert_eq!(stats.misses, 1, "{tag}: corruption demotes to a miss");
     assert_eq!(stats.hits, 0, "{tag}");
-    assert_eq!(run.counters.store_corruptions, 1, "{tag}: telemetry counter");
-    assert!(run.counters.probes_attempted > 0, "{tag}: the re-search was counted");
+    assert_eq!(
+        run.counters.store_corruptions, 1,
+        "{tag}: telemetry counter"
+    );
+    assert!(
+        run.counters.probes_attempted > 0,
+        "{tag}: the re-search was counted"
+    );
     assert_eq!(render(&run), reference, "{tag}: verdict must not change");
 
     // Repaired: the re-search re-inserted a good entry, so a fresh
@@ -165,7 +175,11 @@ fn corrupt_file_is_removed_even_before_repair() {
     let (_, path, _) = populate(&dir, "spin_lock");
     std::fs::write(&path, "garbage").unwrap();
     let examples = all_examples();
-    let ex = examples.iter().find(|e| e.name() == "spin_lock").unwrap().as_ref();
+    let ex = examples
+        .iter()
+        .find(|e| e.name() == "spin_lock")
+        .unwrap()
+        .as_ref();
     let store = ProofStore::open(&dir, None).unwrap();
     let _ = store.get_or_run(ex, Variant::Ok);
     let bytes = std::fs::read_to_string(&path).unwrap();

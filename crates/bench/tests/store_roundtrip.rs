@@ -86,7 +86,10 @@ fn miss_searches_then_hits_replay_identically() {
     assert!(restarted.from_store);
     assert_eq!(reopened.stats().hits, 1);
     assert_eq!(reopened.stats().misses, 0);
-    assert_eq!(rendered(outcome_of(&cold)), rendered(outcome_of(&restarted)));
+    assert_eq!(
+        rendered(outcome_of(&cold)),
+        rendered(outcome_of(&restarted))
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -160,7 +163,11 @@ fn index_is_an_optimization_not_a_source_of_truth() {
         let run = store.get_or_run(ex, Variant::Ok);
         assert!(!run.from_store);
         assert_eq!(store.stats().misses, 1);
-        assert_eq!(store.stats().corruptions, 0, "a vanished file is a miss, not corruption");
+        assert_eq!(
+            store.stats().corruptions,
+            0,
+            "a vanished file is a miss, not corruption"
+        );
         assert!(store.entry_path(&key).exists(), "entry re-inserted");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -224,9 +231,16 @@ fn suite_cache_memoizes_in_front_of_the_store() {
     let cache = SuiteCache::with_store(Arc::clone(&store));
     let first = cache.get_or_run(ex, Variant::Ok);
     let second = cache.get_or_run(ex, Variant::Ok);
-    assert!(Arc::ptr_eq(&first, &second), "second lookup is memoized in memory");
+    assert!(
+        Arc::ptr_eq(&first, &second),
+        "second lookup is memoized in memory"
+    );
     assert_eq!(store.stats().misses, 1);
-    assert_eq!(store.stats().hits, 0, "memoized lookups never reach the store");
+    assert_eq!(
+        store.stats().hits,
+        0,
+        "memoized lookups never reach the store"
+    );
 
     // A fresh cache over the same store replays from disk.
     let fresh = SuiteCache::with_store(Arc::clone(&store));

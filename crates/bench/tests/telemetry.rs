@@ -36,7 +36,9 @@ fn observability_on_and_off_traces_are_byte_identical() {
     let examples = all_examples();
     let mut compared_proofs = 0usize;
     for ex in &examples {
-        let off = ex.verify().unwrap_or_else(|e| panic!("{} (off): {e}", ex.name()));
+        let off = ex
+            .verify()
+            .unwrap_or_else(|e| panic!("{} (off): {e}", ex.name()));
         let session = TelemetrySession::new(ex.name());
         let on = {
             let _installed = session.install();
@@ -64,8 +66,16 @@ fn observability_on_and_off_traces_are_byte_identical() {
         // The session was live: the hooks counted and the spans
         // recorded.
         let snap = session.snapshot();
-        assert!(snap.probes_attempted > 0, "{}: no probes counted", ex.name());
-        assert!(snap.rule_applications() > 0, "{}: no steps counted", ex.name());
+        assert!(
+            snap.probes_attempted > 0,
+            "{}: no probes counted",
+            ex.name()
+        );
+        assert!(
+            snap.rule_applications() > 0,
+            "{}: no steps counted",
+            ex.name()
+        );
         snap.check_invariants()
             .unwrap_or_else(|e| panic!("{}: {e}", ex.name()));
         let kinds: Vec<SpanKind> = session.spans().iter().map(|s| s.kind).collect();
@@ -100,18 +110,29 @@ fn suite_tables_unaffected_by_observability() {
 
     let plain_rows = figure6_rows(&plain);
     for m in &plain_rows {
-        assert!(m.counters.is_zero(), "{}: counted without a session", m.name);
+        assert!(
+            m.counters.is_zero(),
+            "{}: counted without a session",
+            m.name
+        );
     }
     let a: Vec<Measured> = plain_rows.into_iter().map(uncounted).collect();
     let b: Vec<Measured> = figure6_rows(&observed).into_iter().map(uncounted).collect();
     assert_eq!(a, b, "rows must not depend on an outer session");
-    assert_eq!(render_figure6(&a), render_figure6(&b), "tables must be byte-identical");
+    assert_eq!(
+        render_figure6(&a),
+        render_figure6(&b),
+        "tables must be byte-identical"
+    );
 
     // The structural validator accepts the suite-wide trace, and the
     // folded stacks cover the span kinds the suite must exercise.
     let (events, lanes) = profile::validate_chrome_trace(&session.chrome_trace())
         .unwrap_or_else(|e| panic!("suite profile trace fails validation: {e}"));
-    assert!(events > 0 && lanes >= 2, "suite trace too small: {events} events, {lanes} lanes");
+    assert!(
+        events > 0 && lanes >= 2,
+        "suite trace too small: {events} events, {lanes} lanes"
+    );
     // Folded frames are `kind:label`; spans with <1µs self time are
     // dropped, so only the macroscopic kinds are guaranteed a line.
     let folded = session.folded_stacks();
@@ -137,7 +158,10 @@ fn suite_tables_unaffected_by_observability() {
     for m in figure6_rows(&observed) {
         aggregate.merge(&m.counters);
     }
-    assert!(aggregate.probes_attempted > 0, "suite-wide probe count must be non-zero");
+    assert!(
+        aggregate.probes_attempted > 0,
+        "suite-wide probe count must be non-zero"
+    );
     // The runs' `verify` subtrees partition everything the session
     // counted.
     assert_eq!(aggregate, session.snapshot());
@@ -154,7 +178,9 @@ fn bare_runs_count_nothing_and_verify_the_same() {
         .find(|e| e.name() == "spin_lock")
         .expect("spin_lock example")
         .as_ref();
-    let dir = |tag: &str| std::env::temp_dir().join(format!("diaframe-bare-{tag}-{}", std::process::id()));
+    let dir = |tag: &str| {
+        std::env::temp_dir().join(format!("diaframe-bare-{tag}-{}", std::process::id()))
+    };
     // Cache run, store miss, store hit.
     let runs = |tag: &str| {
         let _ = std::fs::remove_dir_all(dir(tag));
@@ -178,10 +204,19 @@ fn bare_runs_count_nothing_and_verify_the_same() {
         assert_eq!(off.verify_span, None);
         assert!(on.counters.checker_steps > 0 && on.verify_span.is_some());
         assert_eq!(off.from_store, on.from_store);
-        let trace = |run: &diaframe_bench::CachedRun| format!("{:?}", run.expect_ok(ex.name()).proofs);
-        assert_eq!(trace(off), trace(on), "{}: outcome depends on the session", ex.name());
+        let trace =
+            |run: &diaframe_bench::CachedRun| format!("{:?}", run.expect_ok(ex.name()).proofs);
+        assert_eq!(
+            trace(off),
+            trace(on),
+            "{}: outcome depends on the session",
+            ex.name()
+        );
     }
-    assert!(counted[1].counters.probes_attempted > 0, "the store miss searched");
+    assert!(
+        counted[1].counters.probes_attempted > 0,
+        "the store miss searched"
+    );
     assert!(counted[2].from_store, "the second store run replays");
 }
 
@@ -211,9 +246,10 @@ fn sabotaged_spec_reports_unmatched_goal_head() {
         }
         // The engine ran under our session, so the diagnostics are
         // attached and populated.
-        let diag = stuck.diag.as_ref().unwrap_or_else(|| {
-            panic!("{}: stuck report lost its diagnostics", ex.name())
-        });
+        let diag = stuck
+            .diag
+            .as_ref()
+            .unwrap_or_else(|| panic!("{}: stuck report lost its diagnostics", ex.name()));
         diag.counters
             .check_invariants()
             .unwrap_or_else(|e| panic!("{}: {e}", ex.name()));

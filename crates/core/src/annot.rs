@@ -71,7 +71,11 @@ pub struct AnnotError {
 
 impl fmt::Display for AnnotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "annotation error at {}:{}: {}", self.line, self.col, self.message)
+        write!(
+            f,
+            "annotation error at {}:{}: {}",
+            self.line, self.col, self.message
+        )
     }
 }
 
@@ -192,13 +196,17 @@ fn lex_line<'a>(line: usize, text: &'a str, out: &mut Vec<(Tok<'a>, Pos)>) -> Re
         let trimmed = rest.trim_start();
         col += rest[..rest.len() - trimmed.len()].chars().count();
         rest = trimmed;
-        let Some(c) = rest.chars().next() else { return Ok(()) };
+        let Some(c) = rest.chars().next() else {
+            return Ok(());
+        };
         if rest.starts_with("//") {
             return Ok(());
         }
         let pos = Pos { line, col };
         let (tok, len) = if c.is_ascii_digit() {
-            let len = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+            let len = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
             match rest[..len].parse::<i128>() {
                 Ok(n) if n <= i128::from(i64::MAX) => (Tok::Num(n), len),
                 _ => return fail(pos, "integer literal too large"),
@@ -477,7 +485,10 @@ impl<'a> Parser<'a, '_> {
         if self.eat(t) {
             Ok(())
         } else {
-            fail(self.pos(), format!("expected {what}, found {}", describe(self.peek())))
+            fail(
+                self.pos(),
+                format!("expected {what}, found {}", describe(self.peek())),
+            )
         }
     }
 
@@ -485,7 +496,10 @@ impl<'a> Parser<'a, '_> {
         let pos = self.pos();
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s.to_owned()),
-            other => fail(pos, format!("expected {what}, found {}", describe(other.as_ref()))),
+            other => fail(
+                pos,
+                format!("expected {what}, found {}", describe(other.as_ref())),
+            ),
         }
     }
 
@@ -496,7 +510,10 @@ impl<'a> Parser<'a, '_> {
     fn enter(&mut self) -> Res<()> {
         self.depth += 1;
         if self.depth > MAX_ANNOTATION_DEPTH {
-            return fail(self.pos(), format!("nesting deeper than {MAX_ANNOTATION_DEPTH}"));
+            return fail(
+                self.pos(),
+                format!("nesting deeper than {MAX_ANNOTATION_DEPTH}"),
+            );
         }
         Ok(())
     }
@@ -609,7 +626,10 @@ impl<'a> Parser<'a, '_> {
                     pos,
                 })
             }
-            _ => fail(pos, "expected a definition, SPEC, Context, Require, Instance, HINT or Next Obligation"),
+            _ => fail(
+                pos,
+                "expected a definition, SPEC, Context, Require, Instance, HINT or Next Obligation",
+            ),
         }
     }
 
@@ -843,7 +863,11 @@ impl<'a> Parser<'a, '_> {
                 let f = self.ident("a name")?;
                 let args = self.args()?;
                 Ok(Node {
-                    ast: if args.is_empty() { Ast::Name(f) } else { Ast::App(f, args) },
+                    ast: if args.is_empty() {
+                        Ast::Name(f)
+                    } else {
+                        Ast::App(f, args)
+                    },
                     pos,
                 })
             }
@@ -872,8 +896,12 @@ impl<'a> Parser<'a, '_> {
         let pos = self.pos();
         let ast = match self.bump() {
             Some(Tok::Ident("True")) => Ast::True,
-            Some(Tok::Ident(k @ ("inl" | "inr"))) => Ast::Inj(k == "inl", Box::new(self.primary()?)),
-            Some(Tok::Ident(k)) if !matches!(k, "inv" | "PRE" | "RET" | "with") => Ast::Name(k.to_owned()),
+            Some(Tok::Ident(k @ ("inl" | "inr"))) => {
+                Ast::Inj(k == "inl", Box::new(self.primary()?))
+            }
+            Some(Tok::Ident(k)) if !matches!(k, "inv" | "PRE" | "RET" | "with") => {
+                Ast::Name(k.to_owned())
+            }
             Some(Tok::Num(n)) => Ast::Num(n),
             Some(Tok::Half) => Ast::Half,
             Some(Tok::Hash) => {
@@ -1011,7 +1039,11 @@ impl<'a> Infer<'a> {
                 self.slots.push(Slot {
                     id: d.id,
                     sort: d.sort,
-                    kind: if d.sort.is_some() { SlotKind::Term } else { SlotKind::Unknown },
+                    kind: if d.sort.is_some() {
+                        SlotKind::Term
+                    } else {
+                        SlotKind::Unknown
+                    },
                     numeric: false,
                 });
                 self.slots.len() - 1
@@ -1022,7 +1054,11 @@ impl<'a> Infer<'a> {
     }
 
     fn lookup(&self, x: &str) -> Option<Ref> {
-        self.scope.iter().rev().find(|(n, _)| n == x).map(|(_, r)| *r)
+        self.scope
+            .iter()
+            .rev()
+            .find(|(n, _)| n == x)
+            .map(|(_, r)| *r)
     }
 
     fn slot_of(&self, n: &Node) -> Option<usize> {
@@ -1075,7 +1111,9 @@ impl<'a> Infer<'a> {
 
     /// The sort of the variable inside `#x`, when known.
     fn hash_inner(&self, n: &Node) -> Option<Sort> {
-        let Ast::Hash(inner) = &n.ast else { return None };
+        let Ast::Hash(inner) = &n.ast else {
+            return None;
+        };
         match &inner.ast {
             Ast::Num(_) | Ast::Add(..) | Ast::Sub(..) | Ast::Neg(_) => Some(Sort::Int),
             Ast::Name(x) => self.name_sort(x),
@@ -1223,7 +1261,11 @@ impl<'a> Infer<'a> {
             return;
         }
         if let Some(sig) = self.atoms.iter().find(|s| s.kind.name == f) {
-            let rest = if sig.pred { args.get(1..).unwrap_or(&[]) } else { args };
+            let rest = if sig.pred {
+                args.get(1..).unwrap_or(&[])
+            } else {
+                args
+            };
             let sorts = std::iter::once(Sort::GhostName).chain(sig.args.iter().copied());
             for (a, s) in rest.iter().zip(sorts) {
                 self.term(a, Some(s));
@@ -1338,7 +1380,11 @@ impl Env {
     }
 
     fn lookup(&self, x: &str) -> Option<&Bind> {
-        self.locals.iter().rev().find(|(n, _)| n == x).map(|(_, b)| b)
+        self.locals
+            .iter()
+            .rev()
+            .find(|(n, _)| n == x)
+            .map(|(_, b)| b)
     }
 }
 
@@ -1521,7 +1567,10 @@ impl Elab<'_> {
                         let ann = self.library(lib, *pos)?;
                         self.run(&ann.stmts, false, None)?;
                     } else {
-                        return fail(*pos, "Require is only allowed in an example's own annotation");
+                        return fail(
+                            *pos,
+                            "Require is only allowed in an example's own annotation",
+                        );
                     }
                 }
                 Stmt::Instance {
@@ -1585,7 +1634,10 @@ impl Elab<'_> {
                     for n in names {
                         let id = if fractional.contains(&n.as_str()) {
                             if sorts != &[Sort::Qp] {
-                                return fail(*pos, format!("fractional `{n}` must have type Qp → iProp"));
+                                return fail(
+                                    *pos,
+                                    format!("fractional `{n}` must have type Qp → iProp"),
+                                );
                             }
                             self.preds.fresh_fractional(n)
                         } else if sorts.is_empty() {
@@ -1594,7 +1646,8 @@ impl Elab<'_> {
                             self.preds.fresh_pred(n, sorts.len())
                         };
                         self.pred_sorts.insert(id, sorts.clone());
-                        self.globals.insert(n.clone(), Global::Pred(id, sorts.clone()));
+                        self.globals
+                            .insert(n.clone(), Global::Pred(id, sorts.clone()));
                     }
                 }
                 CtxItem::Fractional(n, pos) => {
@@ -1640,19 +1693,26 @@ impl Elab<'_> {
             for (p, k) in &kinds {
                 match k {
                     Kind::Term(s) => arg_sorts.push(*s),
-                    _ => return fail(pos, format!("recursive `{name}` takes term parameters only, not `{p}`")),
+                    _ => {
+                        return fail(
+                            pos,
+                            format!("recursive `{name}` takes term parameters only, not `{p}`"),
+                        )
+                    }
                 }
             }
             let id = self.preds.fresh_pred(name, arg_sorts.len());
             self.pred_sorts.insert(id, arg_sorts.clone());
-            self.globals.insert(name.to_owned(), Global::Pred(id, arg_sorts));
+            self.globals
+                .insert(name.to_owned(), Global::Pred(id, arg_sorts));
         } else {
             let info = DefInfo {
                 params: kinds,
                 body: body.clone(),
                 sorts: Rc::new(sorts),
             };
-            self.globals.insert(name.to_owned(), Global::Def(Rc::new(info)));
+            self.globals
+                .insert(name.to_owned(), Global::Def(Rc::new(info)));
         }
         Ok(())
     }
@@ -1681,15 +1741,24 @@ impl Elab<'_> {
             if let Stmt::Context(items) = s {
                 for i in items {
                     match i {
-                        CtxItem::Pred(names, sorts, _) if sorts.is_empty() => preds.extend(names.iter()),
+                        CtxItem::Pred(names, sorts, _) if sorts.is_empty() => {
+                            preds.extend(names.iter())
+                        }
                         CtxItem::Ns(n, _) => nss.push(n),
                         CtxItem::Fractional(..) => {}
-                        _ => return fail(pos, "only a library's iProp and namespace parameters can be instantiated"),
+                        _ => return fail(
+                            pos,
+                            "only a library's iProp and namespace parameters can be instantiated",
+                        ),
                     }
                 }
             }
         }
-        if let Some(n) = preds.iter().chain(&nss).find(|n| !with.iter().any(|(w, _)| w == **n)) {
+        if let Some(n) = preds
+            .iter()
+            .chain(&nss)
+            .find(|n| !with.iter().any(|(w, _)| w == **n))
+        {
             return fail(pos, format!("instance does not bind `{n}`"));
         }
         let funcs = lib.spec_names();
@@ -1697,8 +1766,10 @@ impl Elab<'_> {
             if preds.contains(&name) {
                 let mut inf = Infer::new(self);
                 let sorts = inf.solve(&mut |inf| inf.assertion(node));
-                ctx.binds
-                    .push((name.clone(), Bind::Thunk(Rc::new(node.clone()), Rc::new(sorts))));
+                ctx.binds.push((
+                    name.clone(),
+                    Bind::Thunk(Rc::new(node.clone()), Rc::new(sorts)),
+                ));
             } else if let Ast::Name(target) = &node.ast {
                 if nss.contains(&name) {
                     let ns = match self.globals.get(target.as_str()) {
@@ -1709,7 +1780,10 @@ impl Elab<'_> {
                 } else if funcs.contains(name) {
                     ctx.renames.insert(name.clone(), target.clone());
                 } else {
-                    return fail(node.pos, format!("the library has no parameter or spec `{name}`"));
+                    return fail(
+                        node.pos,
+                        format!("the library has no parameter or spec `{name}`"),
+                    );
                 }
             } else {
                 return fail(node.pos, format!("`{name}` must be bound to a name"));
@@ -1720,7 +1794,10 @@ impl Elab<'_> {
 
     fn tick(&mut self, pos: Pos) -> Res<()> {
         if self.fuel == 0 {
-            return fail(pos, "elaboration budget exhausted (definitions expand too much)");
+            return fail(
+                pos,
+                "elaboration budget exhausted (definitions expand too much)",
+            );
         }
         self.fuel -= 1;
         Ok(())
@@ -1739,8 +1816,18 @@ impl Elab<'_> {
             Ast::Name(x) if named(x) => Some(x.clone()),
             _ => None,
         };
-        if let Some(b) = d.binders.iter().find(|b| b.ret && ret_binder.as_ref() != Some(&b.name)) {
-            return fail(b.pos, format!("`{}` is ascribed `ret` but the spec returns something else", b.name));
+        if let Some(b) = d
+            .binders
+            .iter()
+            .find(|b| b.ret && ret_binder.as_ref() != Some(&b.name))
+        {
+            return fail(
+                b.pos,
+                format!(
+                    "`{}` is ascribed `ret` but the spec returns something else",
+                    b.name
+                ),
+            );
         }
         // Sorts of every binder of the spec.
         let mut inf = Infer::new(self);
@@ -1788,7 +1875,9 @@ impl Elab<'_> {
         }
         let ret = match ret {
             Some(v) => v,
-            None => self.vars.fresh_var(Sort::Val, ret_binder.as_deref().unwrap_or("w")),
+            None => self
+                .vars
+                .fresh_var(Sort::Val, ret_binder.as_deref().unwrap_or("w")),
         };
         let mut post_vars = Vec::new();
         let mut post_locals = Vec::new();
@@ -1860,7 +1949,10 @@ impl Elab<'_> {
         self.tick(n.pos)?;
         self.depth += 1;
         if self.depth > MAX_ANNOTATION_DEPTH {
-            return fail(n.pos, format!("expansion nested deeper than {MAX_ANNOTATION_DEPTH}"));
+            return fail(
+                n.pos,
+                format!("expansion nested deeper than {MAX_ANNOTATION_DEPTH}"),
+            );
         }
         let out = self.assertion_inner(n, env);
         self.depth -= 1;
@@ -1871,7 +1963,9 @@ impl Elab<'_> {
         Ok(match &n.ast {
             Ast::True => Assertion::emp(),
             Ast::Pure(cmp, a, b) => {
-                let s = self.static_sort(a, env).or_else(|| self.static_sort(b, env));
+                let s = self
+                    .static_sort(a, env)
+                    .or_else(|| self.static_sort(b, env));
                 let (ta, sa) = self.term(a, env, s)?;
                 let (tb, sb) = self.term(b, env, Some(sa))?;
                 if sa != sb {
@@ -1905,7 +1999,8 @@ impl Elab<'_> {
                         None => self.vars.fresh_var(sort, &b.name),
                     };
                     vs.push(v);
-                    env.locals.push((b.name.clone(), Bind::Term(Term::var(v), sort)));
+                    env.locals
+                        .push((b.name.clone(), Bind::Term(Term::var(v), sort)));
                 }
                 let body = self.assertion(body, env);
                 env.locals.truncate(mark);
@@ -1932,7 +2027,13 @@ impl Elab<'_> {
                     return fail(n.pos, format!("no spec `{f}` elaborated yet"));
                 };
                 if args.len() != spec.binders.len() + 1 {
-                    return fail(n.pos, format!("PRE {f} takes the argument and {} binders", spec.binders.len()));
+                    return fail(
+                        n.pos,
+                        format!(
+                            "PRE {f} takes the argument and {} binders",
+                            spec.binders.len()
+                        ),
+                    );
                 }
                 let mut s = Subst::new();
                 for (v, a) in std::iter::once(&spec.arg).chain(&spec.binders).zip(args) {
@@ -1950,7 +2051,14 @@ impl Elab<'_> {
     fn pred_app(&mut self, p: PredId, args: &[Node], pos: Pos, env: &mut Env) -> Res<Assertion> {
         let sorts = self.pred_sorts.get(&p).cloned().unwrap_or_default();
         if sorts.len() != args.len() {
-            return fail(pos, format!("predicate takes {} arguments, given {}", sorts.len(), args.len()));
+            return fail(
+                pos,
+                format!(
+                    "predicate takes {} arguments, given {}",
+                    sorts.len(),
+                    args.len()
+                ),
+            );
         }
         let mut ts = Vec::new();
         for (a, s) in args.iter().zip(sorts) {
@@ -1973,7 +2081,10 @@ impl Elab<'_> {
         if let Some(sig) = self.atoms.iter().find(|s| s.kind.name == f).copied() {
             let want = usize::from(sig.pred) + 1 + sig.args.len();
             if args.len() != want {
-                return fail(pos, format!("`{f}` takes {want} arguments, given {}", args.len()));
+                return fail(
+                    pos,
+                    format!("`{f}` takes {want} arguments, given {}", args.len()),
+                );
             }
             let pred = if sig.pred {
                 let p = match &args[0].ast {
@@ -2006,7 +2117,14 @@ impl Elab<'_> {
         match self.globals.get(f).cloned() {
             Some(Global::Def(info)) => {
                 if info.params.len() != args.len() {
-                    return fail(pos, format!("`{f}` takes {} arguments, given {}", info.params.len(), args.len()));
+                    return fail(
+                        pos,
+                        format!(
+                            "`{f}` takes {} arguments, given {}",
+                            info.params.len(),
+                            args.len()
+                        ),
+                    );
                 }
                 let mut locals = Vec::new();
                 for ((p, kind), a) in info.params.iter().zip(args) {
@@ -2043,9 +2161,9 @@ impl Elab<'_> {
             },
             Ast::Half => Some(Sort::Qp),
             Ast::Hash(_) | Ast::Unit | Ast::Pair(..) | Ast::Inj(..) => Some(Sort::Val),
-            Ast::Add(a, b) | Ast::Sub(a, b) => {
-                self.static_sort(a, env).or_else(|| self.static_sort(b, env))
-            }
+            Ast::Add(a, b) | Ast::Sub(a, b) => self
+                .static_sort(a, env)
+                .or_else(|| self.static_sort(b, env)),
             Ast::Neg(a) => self.static_sort(a, env),
             _ => None,
         }
@@ -2081,9 +2199,7 @@ impl Elab<'_> {
                 let t = match &inner.ast {
                     Ast::Num(k) => Term::v_int_lit(*k),
                     Ast::Unit => Term::v_unit(),
-                    Ast::Name(x)
-                        if (x == "true" || x == "false") && env.lookup(x).is_none() =>
-                    {
+                    Ast::Name(x) if (x == "true" || x == "false") && env.lookup(x).is_none() => {
                         Term::v_bool_lit(x == "true")
                     }
                     _ => match self.term(inner, env, None)? {
@@ -2102,7 +2218,14 @@ impl Elab<'_> {
             }
             Ast::Inj(left, a) => {
                 let (a, _) = self.term(a, env, Some(Sort::Val))?;
-                (if *left { Term::v_inj_l(a) } else { Term::v_inj_r(a) }, Sort::Val)
+                (
+                    if *left {
+                        Term::v_inj_l(a)
+                    } else {
+                        Term::v_inj_r(a)
+                    },
+                    Sort::Val,
+                )
             }
             Ast::Add(a, b) | Ast::Sub(a, b) => {
                 let s = expected
@@ -2110,7 +2233,11 @@ impl Elab<'_> {
                     .or_else(|| self.static_sort(b, env));
                 let (ta, sa) = self.term(a, env, s)?;
                 let (tb, _) = self.term(b, env, Some(sa))?;
-                let t = if matches!(n.ast, Ast::Add(..)) { Term::add(ta, tb) } else { Term::sub(ta, tb) };
+                let t = if matches!(n.ast, Ast::Add(..)) {
+                    Term::add(ta, tb)
+                } else {
+                    Term::sub(ta, tb)
+                };
                 (t, sa)
             }
             Ast::Neg(a) => {
@@ -2138,7 +2265,12 @@ def acquire l := if CAS(l, false, true) then () else acquire l
 ";
 
     fn run(src: &str, ann: &str) -> Result<Elaborated, AnnotError> {
-        elaborate(src, ann, &diaframe_ghost::Registry::standard_atoms(), &|_| None)
+        elaborate(
+            src,
+            ann,
+            &diaframe_ghost::Registry::standard_atoms(),
+            &|_| None,
+        )
     }
 
     #[test]
@@ -2163,7 +2295,8 @@ def acquire l := if CAS(l, false, true) then () else acquire l
             ("l", Sort::Loc),
             ("b", Sort::Bool),
         ];
-        let expect: Vec<(String, Sort)> = expect.iter().map(|(n, s)| ((*n).to_owned(), *s)).collect();
+        let expect: Vec<(String, Sort)> =
+            expect.iter().map(|(n, s)| ((*n).to_owned(), *s)).collect();
         assert_eq!(names, expect);
         assert_eq!(e.declared.len(), 1);
         assert_eq!(e.declared[0].binders.len(), 1);
@@ -2180,7 +2313,6 @@ def acquire l := if CAS(l, false, true) then () else acquire l
         let err = run(LOCK, "SPEC {{ True }} release l {{ RET #(); True }}\n").unwrap_err();
         assert!(err.message.contains("no definition `release`"), "{err}");
     }
-
 
     /// The deepest nesting the bound admits parses and elaborates within
     /// a test thread's 2 MiB stack in a debug build; one level more is an
@@ -2199,7 +2331,10 @@ def acquire l := if CAS(l, false, true) then () else acquire l
         };
         run(LOCK, &chain(max)).unwrap();
         let err = run(LOCK, &chain(max + 1)).unwrap_err();
-        assert!(err.message.contains("expansion nested deeper than"), "{err}");
+        assert!(
+            err.message.contains("expansion nested deeper than"),
+            "{err}"
+        );
         let exists = |n: usize| spec(&format!("{}True", "∃ y. ".repeat(n)));
         run(LOCK, &exists(max)).unwrap();
         let err = run(LOCK, &exists(max + 1)).unwrap_err();

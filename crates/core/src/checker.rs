@@ -187,9 +187,7 @@ impl Replay {
             TraceStep::SymEx { spec, atomic } if !atomic && !frame.open.is_empty() => {
                 return Err(CheckError {
                     step: i,
-                    message: format!(
-                        "non-atomic expression {spec} executed with open invariants"
-                    ),
+                    message: format!("non-atomic expression {spec} executed with open invariants"),
                 });
             }
             TraceStep::Contradiction { .. } => {

@@ -245,10 +245,7 @@ pub fn gen_entailment(seed: u64, index: usize, cfg: &GenConfig) -> EntailmentCas
             let y = ctx.vars.fresh_var(Sort::Int, "y");
             Assertion::exists(
                 Binder::new(y),
-                Assertion::atom(Atom::points_to(
-                    Term::Loc(p.loc),
-                    Term::v_int(Term::var(y)),
-                )),
+                Assertion::atom(Atom::points_to(Term::Loc(p.loc), Term::v_int(Term::var(y)))),
             )
         } else {
             Assertion::atom(Atom::points_to(
@@ -258,7 +255,11 @@ pub fn gen_entailment(seed: u64, index: usize, cfg: &GenConfig) -> EntailmentCas
         };
         // Points-to is timeless, so a later in front is stripped at
         // intro and changes nothing about provability.
-        hyp_parts.push(if rng.chance(30) { Assertion::later(a) } else { a });
+        hyp_parts.push(if rng.chance(30) {
+            Assertion::later(a)
+        } else {
+            a
+        });
     }
     if rng.chance(20) {
         // A hypothesis disjunction forces an engine case split. Both
@@ -299,10 +300,7 @@ pub fn gen_entailment(seed: u64, index: usize, cfg: &GenConfig) -> EntailmentCas
             let x = ctx.vars.fresh_var(Sort::Int, "gx");
             goal_parts.push(Assertion::exists(
                 Binder::new(x),
-                Assertion::atom(Atom::points_to(
-                    Term::Loc(p.loc),
-                    Term::v_int(Term::var(x)),
-                )),
+                Assertion::atom(Atom::points_to(Term::Loc(p.loc), Term::v_int(Term::var(x)))),
             ));
         } else {
             goal_parts.push(Assertion::atom(Atom::points_to(
@@ -365,10 +363,7 @@ pub fn gen_entailment(seed: u64, index: usize, cfg: &GenConfig) -> EntailmentCas
                     let x = ctx.vars.fresh_var(Sort::Int, "dx");
                     goal_parts.push(Assertion::exists(
                         Binder::new(x),
-                        Assertion::atom(Atom::points_to(
-                            Term::Loc(loc),
-                            Term::v_int(Term::var(x)),
-                        )),
+                        Assertion::atom(Atom::points_to(Term::Loc(loc), Term::v_int(Term::var(x)))),
                     ));
                 }
                 "dup-resource"

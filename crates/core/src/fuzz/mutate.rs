@@ -241,9 +241,10 @@ fn apply_at(
             let TraceStep::InvOpened { ns } = &steps[i] else {
                 return None;
             };
-            let j = steps[i + 1..].iter().position(
-                |s| matches!(s, TraceStep::InvClosed { ns: n } if n == ns),
-            )? + i
+            let j = steps[i + 1..]
+                .iter()
+                .position(|s| matches!(s, TraceStep::InvClosed { ns: n } if n == ns))?
+                + i
                 + 1;
             out.swap(i, j);
         }

@@ -153,8 +153,7 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
         match trace_from_json(&json) {
             Ok(decoded) => {
                 if trace_to_json(&decoded) != json {
-                    divergences
-                        .push(format!("case {index}: JSON round-trip is not byte-stable"));
+                    divergences.push(format!("case {index}: JSON round-trip is not byte-stable"));
                 }
             }
             Err(e) => divergences.push(format!("case {index}: engine trace fails to decode: {e}")),

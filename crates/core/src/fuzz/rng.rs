@@ -34,10 +34,9 @@ impl FuzzRng {
     /// order.
     #[must_use]
     pub fn fork(&self, salt: u64) -> FuzzRng {
-        FuzzRng::new(mix(
-            self.state
-                .wrapping_add(GOLDEN.wrapping_mul(salt.wrapping_add(1))),
-        ))
+        FuzzRng::new(mix(self
+            .state
+            .wrapping_add(GOLDEN.wrapping_mul(salt.wrapping_add(1)))))
     }
 
     /// The next raw 64-bit draw.
@@ -103,7 +102,10 @@ mod tests {
         let _ = advanced.next_u64();
         // fork() reads only the fork-time state, so forking before or
         // after unrelated sibling forks gives the same stream.
-        assert_eq!(parent.fork(3).next_u64(), FuzzRng::new(7).fork(3).next_u64());
+        assert_eq!(
+            parent.fork(3).next_u64(),
+            FuzzRng::new(7).fork(3).next_u64()
+        );
         assert_ne!(parent.fork(3).next_u64(), parent.fork(4).next_u64());
     }
 

@@ -35,13 +35,7 @@ use std::collections::BTreeSet;
 /// Returns a human-readable description of the first violation.
 pub fn spec_check(steps: &[TraceStep]) -> Result<(), String> {
     let mut pos = 0usize;
-    walk(
-        steps,
-        &mut pos,
-        &BTreeSet::new(),
-        &BTreeSet::new(),
-        true,
-    )?;
+    walk(steps, &mut pos, &BTreeSet::new(), &BTreeSet::new(), true)?;
     debug_assert_eq!(pos, steps.len(), "root walk must consume the trace");
     Ok(())
 }

@@ -95,7 +95,12 @@ impl Goal {
         match self {
             Goal::Forall(b, g) => Goal::Forall(*b, Box::new(g.subst(s))),
             Goal::WandIntro(u, g) => Goal::WandIntro(u.subst(s), Box::new(g.subst(s))),
-            Goal::Wp { expr, mask, post, then } => Goal::Wp {
+            Goal::Wp {
+                expr,
+                mask,
+                post,
+                then,
+            } => Goal::Wp {
                 expr: expr.clone(),
                 mask: mask.clone(),
                 post: WpPost {
@@ -138,7 +143,12 @@ impl Goal {
         match self {
             Goal::Forall(b, g) => Goal::Forall(*b, Box::new(g.zonk(ctx))),
             Goal::WandIntro(u, g) => Goal::WandIntro(u.zonk(ctx), Box::new(g.zonk(ctx))),
-            Goal::Wp { expr, mask, post, then } => Goal::Wp {
+            Goal::Wp {
+                expr,
+                mask,
+                post,
+                then,
+            } => Goal::Wp {
                 expr: expr.clone(),
                 mask: mask.clone(),
                 post: WpPost {

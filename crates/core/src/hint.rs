@@ -160,8 +160,7 @@ fn find_hint_inner(
             // it. (Cloning here dominated `find_hint`'s profile — every
             // probe of every hypothesis deep-copied its assertion.)
             let persistent = ctx.delta[idx].persistent;
-            let assertion =
-                std::mem::replace(&mut ctx.delta[idx].assertion, Assertion::emp());
+            let assertion = std::mem::replace(&mut ctx.delta[idx].assertion, Assertion::emp());
             let probed = hint_from_hyp(ctx, registry, opts, &assertion, &atom, from);
             ctx.delta[idx].assertion = assertion;
             if let Some(inner) = probed {
@@ -700,14 +699,10 @@ fn refresh_binders(ctx: &mut ProofCtx, a: &Assertion) -> Assertion {
         }
         Assertion::Sep(l, r) => Assertion::sep(refresh_binders(ctx, l), refresh_binders(ctx, r)),
         Assertion::Or(l, r) => Assertion::or(refresh_binders(ctx, l), refresh_binders(ctx, r)),
-        Assertion::Wand(l, r) => {
-            Assertion::wand(refresh_binders(ctx, l), refresh_binders(ctx, r))
-        }
+        Assertion::Wand(l, r) => Assertion::wand(refresh_binders(ctx, l), refresh_binders(ctx, r)),
         Assertion::Later(x) => Assertion::later(refresh_binders(ctx, x)),
         Assertion::BUpd(x) => Assertion::bupd(refresh_binders(ctx, x)),
-        Assertion::FUpd(f, t, x) => {
-            Assertion::fupd(f.clone(), t.clone(), refresh_binders(ctx, x))
-        }
+        Assertion::FUpd(f, t, x) => Assertion::fupd(f.clone(), t.clone(), refresh_binders(ctx, x)),
         other => other.clone(),
     }
 }
@@ -738,18 +733,25 @@ fn unify_assertions(ctx: &mut ProofCtx, a: &Assertion, b: &Assertion) -> bool {
                     frac: q2,
                     val: v2,
                 },
-            ) => terms(ctx, &[l1.clone(), q1.clone(), v1.clone()], &[
-                l2.clone(),
-                q2.clone(),
-                v2.clone(),
-            ]),
-            (Atom::Ghost(GhostAtom { kind: k1, gname: g1, pred: p1, args: a1 }),
-             Atom::Ghost(GhostAtom { kind: k2, gname: g2, pred: p2, args: a2 })) => {
-                k1 == k2
-                    && p1 == p2
-                    && unify(&mut ctx.vars, g1, g2).is_ok()
-                    && terms(ctx, a1, a2)
-            }
+            ) => terms(
+                ctx,
+                &[l1.clone(), q1.clone(), v1.clone()],
+                &[l2.clone(), q2.clone(), v2.clone()],
+            ),
+            (
+                Atom::Ghost(GhostAtom {
+                    kind: k1,
+                    gname: g1,
+                    pred: p1,
+                    args: a1,
+                }),
+                Atom::Ghost(GhostAtom {
+                    kind: k2,
+                    gname: g2,
+                    pred: p2,
+                    args: a2,
+                }),
+            ) => k1 == k2 && p1 == p2 && unify(&mut ctx.vars, g1, g2).is_ok() && terms(ctx, a1, a2),
             (Atom::Invariant { ns: n1, body: b1 }, Atom::Invariant { ns: n2, body: b2 }) => {
                 n1 == n2 && unify_assertions(ctx, b1, b2)
             }
@@ -772,9 +774,7 @@ fn unify_assertions(ctx: &mut ProofCtx, a: &Assertion, b: &Assertion) -> bool {
             }
             (P::And(x1, y1), P::And(x2, y2))
             | (P::Or(x1, y1), P::Or(x2, y2))
-            | (P::Implies(x1, y1), P::Implies(x2, y2)) => {
-                props(ctx, x1, x2) && props(ctx, y1, y2)
-            }
+            | (P::Implies(x1, y1), P::Implies(x2, y2)) => props(ctx, x1, x2) && props(ctx, y1, y2),
             (P::Not(x1), P::Not(x2)) => props(ctx, x1, x2),
             _ => false,
         }
@@ -794,10 +794,7 @@ fn unify_assertions(ctx: &mut ProofCtx, a: &Assertion, b: &Assertion) -> bool {
             if b1.var == b2.var {
                 unify_assertions(ctx, x1, x2)
             } else if ctx.vars.var_sort(b1.var) == ctx.vars.var_sort(b2.var) {
-                let x2 = x2.subst(&diaframe_term::Subst::single(
-                    b2.var,
-                    Term::var(b1.var),
-                ));
+                let x2 = x2.subst(&diaframe_term::Subst::single(b2.var, Term::var(b1.var)));
                 unify_assertions(ctx, x1, &x2)
             } else {
                 false

@@ -284,7 +284,12 @@ mod tests {
         assert!(hs.may_key(&inv, false));
         assert!(hs.may_key(&pto(), false));
         // …but foreign namespaces and unrelated heads stay skippable.
-        assert!(!hs.may_key(&Atom::CloseInv { ns: Namespace::new("M") }, false));
+        assert!(!hs.may_key(
+            &Atom::CloseInv {
+                ns: Namespace::new("M")
+            },
+            false
+        ));
         assert!(!hs.may_key(&ghost(), false));
         assert!(!hs.may_key(
             &Atom::PredApp {
@@ -297,7 +302,12 @@ mod tests {
         // A ghost in the body poisons the whole summary.
         let inv = Atom::invariant(ns, Assertion::atom(ghost()));
         let hs = HeadSet::of(&Assertion::atom(inv));
-        assert!(hs.may_key(&Atom::CloseInv { ns: Namespace::new("M") }, false));
+        assert!(hs.may_key(
+            &Atom::CloseInv {
+                ns: Namespace::new("M")
+            },
+            false
+        ));
         assert!(hs.may_key(
             &Atom::PredApp {
                 pred: PredTable::new().fresh_plain("R"),

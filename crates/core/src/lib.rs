@@ -59,9 +59,9 @@ pub mod verify;
 pub use ctx::{Hyp, ProofCtx};
 pub use driver::{collect_ordered, default_jobs, run_ordered, JobPanic};
 pub use fingerprint::{engine_fingerprint, sha256_hex, Fingerprinter, Sha256};
-pub use profile::{SpanKind, SpanStats};
 pub use goal::Goal;
 pub use index::{hint_index_enabled, set_hint_index_enabled, HeadSet};
+pub use profile::{SpanKind, SpanStats};
 pub use report::Stuck;
 pub use spec::{Spec, SpecTable};
 pub use tactic::{current_ablation, with_ablation_override, Ablation, Tactic, VerifyOptions};

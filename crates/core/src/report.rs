@@ -157,10 +157,7 @@ mod tests {
         let z = Term::var(ctx.vars.fresh_var(Sort::Int, "z"));
         ctx.add_fact(PureProp::lt(Term::int(0), z.clone()));
         ctx.add_hyp(
-            Assertion::atom(Atom::invariant(
-                "N".into(),
-                Assertion::pure(PureProp::True),
-            )),
+            Assertion::atom(Atom::invariant("N".into(), Assertion::pure(PureProp::True))),
             true,
         );
         ctx.add_hyp(

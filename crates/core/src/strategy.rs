@@ -265,7 +265,12 @@ impl<'a> Engine<'a> {
 
     /// Introduces a stack of unstructured hypotheses (cleaning, case 2 of
     /// §5.2 and item 1 of §3.3), then continues with `cont`.
-    fn intro_hyps(&mut self, mut ctx: ProofCtx, mut pending: Vec<Assertion>, mut cont: Goal) -> Solved {
+    fn intro_hyps(
+        &mut self,
+        mut ctx: ProofCtx,
+        mut pending: Vec<Assertion>,
+        mut cont: Goal,
+    ) -> Solved {
         while let Some(u) = pending.pop() {
             let u = u.zonk_owned(&ctx.vars);
             match u {
@@ -514,9 +519,7 @@ impl<'a> Engine<'a> {
                 None
             }
             _ => {
-                self.push_step(TraceStep::IntroHyp {
-                    hyp: "atom".into(),
-                });
+                self.push_step(TraceStep::IntroHyp { hyp: "atom".into() });
                 ctx.add_hyp(Assertion::Atom(atom), false);
                 None
             }
@@ -534,11 +537,7 @@ impl<'a> Engine<'a> {
         // Invariants to close: those removed in `from` but present in `to`.
         let to_close: Vec<Namespace> = f.removed().filter(|n| t.contains(n)).cloned().collect();
         if to_close.is_empty() || f.removed().any(|n| !t.contains(n) && !f.contains(n)) {
-            return Err(self.stuck(
-                &ctx,
-                format!("cannot reconcile masks {f} and {t}"),
-                &cont,
-            ));
+            return Err(self.stuck(&ctx, format!("cannot reconcile masks {f} and {t}"), &cont));
         }
         let ns = to_close[0].clone();
         let mid = MaskT::EVar(ctx.masks.fresh());
@@ -648,11 +647,7 @@ impl<'a> Engine<'a> {
                         lhs: Assertion::Pure(p.clone()),
                         cont: Box::new(cont),
                     };
-                    return Err(self.stuck(
-                        &ctx,
-                        format!("cannot prove pure goal {p:?}"),
-                        &goal,
-                    ));
+                    return Err(self.stuck(&ctx, format!("cannot prove pure goal {p:?}"), &goal));
                 }
                 self.push_step(TraceStep::PureObligation {
                     facts: ctx.facts.clone(),
@@ -724,11 +719,7 @@ impl<'a> Engine<'a> {
                     return Err(self.stuck(&ctx, "mask mismatch at wp side condition", &cont));
                 }
                 if !from.is_top() {
-                    return Err(self.stuck(
-                        &ctx,
-                        "fork while an invariant is open",
-                        &cont,
-                    ));
+                    return Err(self.stuck(&ctx, "fork while an invariant is open", &cont));
                 }
                 self.solve(
                     ctx,
@@ -830,9 +821,7 @@ impl<'a> Engine<'a> {
                                 exists: Vec::new(),
                                 lhs: found.side,
                                 cont: Box::new(Goal::WandIntro(
-                                    Assertion::sep_list(
-                                        pending.into_iter().chain([found.residue]),
-                                    ),
+                                    Assertion::sep_list(pending.into_iter().chain([found.residue])),
                                     Box::new(cont),
                                 )),
                             };
@@ -846,11 +835,7 @@ impl<'a> Engine<'a> {
                         // the side-goal.
                         if found.side.is_emp() {
                             if !ctx.masks.unify(&to, &MaskT::Concrete(from)) {
-                                return Err(self.stuck(
-                                    &ctx,
-                                    "hint target mask mismatch",
-                                    &cont,
-                                ));
+                                return Err(self.stuck(&ctx, "hint target mask mismatch", &cont));
                             }
                             pending.push(found.residue);
                             self.intro_hyps(ctx, pending, cont)
@@ -861,9 +846,7 @@ impl<'a> Engine<'a> {
                                 exists: Vec::new(),
                                 lhs: found.side,
                                 cont: Box::new(Goal::WandIntro(
-                                    Assertion::sep_list(
-                                        pending.into_iter().chain([found.residue]),
-                                    ),
+                                    Assertion::sep_list(pending.into_iter().chain([found.residue])),
                                     Box::new(cont),
                                 )),
                             };
@@ -1127,9 +1110,7 @@ impl<'a> Engine<'a> {
                     if let (Some(fv), Some(av)) = (f.as_val(), a.as_val()) {
                         if let Some(spec) = self.specs.lookup(fv).cloned() {
                             if let Some(arg_term) = ctx.syms.val_to_term(av) {
-                                return self.symex_spec(
-                                    ctx, &k, mask, post, then, &spec, arg_term,
-                                );
+                                return self.symex_spec(ctx, &k, mask, post, then, &spec, arg_term);
                             }
                         }
                     }
@@ -1207,7 +1188,16 @@ impl<'a> Engine<'a> {
         if let Expr::BinOp(op, l, r) = &redex {
             if let (Some(lv), Some(rv)) = (l.as_val(), r.as_val()) {
                 if matches!(lv, Val::Sym(_)) || matches!(rv, Val::Sym(_)) {
-                    return self.symbolic_binop(ctx, k, *op, lv.clone(), rv.clone(), mask, post, then);
+                    return self.symbolic_binop(
+                        ctx,
+                        k,
+                        *op,
+                        lv.clone(),
+                        rv.clone(),
+                        mask,
+                        post,
+                        then,
+                    );
                 }
             }
         }
@@ -1418,7 +1408,18 @@ impl<'a> Engine<'a> {
         let pre = spec.pre.subst(&s);
         s.insert(spec.ret, Term::var(w));
         let spec_post = spec.post.subst(&s);
-        self.symex(ctx, k, mask, post, then, binders, pre, w, spec_post, spec.atomic)
+        self.symex(
+            ctx,
+            k,
+            mask,
+            post,
+            then,
+            binders,
+            pre,
+            w,
+            spec_post,
+            spec.atomic,
+        )
     }
 
     /// Builds and solves the `sym-ex-fupd-exist` goal.
@@ -1500,155 +1501,145 @@ impl<'a> Engine<'a> {
                 _ => None,
             }
         };
-        let (name, binders, pre, spec_post): (&str, Vec<Binder>, Assertion, Assertion) =
-            match redex {
-                Expr::Alloc(v) => {
-                    let Some(vt) = term_of(&ctx, v) else {
-                        return Err(self.stuck(&ctx, "allocating a closure", &stuck_goal));
-                    };
-                    let l = ctx.vars.fresh_var(Sort::Loc, "l");
-                    let post_a = Assertion::exists(
-                        Binder::new(l),
-                        Assertion::sep(
-                            Assertion::pure(PureProp::eq(ret.clone(), Term::v_loc(Term::var(l)))),
-                            Assertion::atom(Atom::points_to(Term::var(l), vt)),
-                        ),
+        let (name, binders, pre, spec_post): (&str, Vec<Binder>, Assertion, Assertion) = match redex
+        {
+            Expr::Alloc(v) => {
+                let Some(vt) = term_of(&ctx, v) else {
+                    return Err(self.stuck(&ctx, "allocating a closure", &stuck_goal));
+                };
+                let l = ctx.vars.fresh_var(Sort::Loc, "l");
+                let post_a = Assertion::exists(
+                    Binder::new(l),
+                    Assertion::sep(
+                        Assertion::pure(PureProp::eq(ret.clone(), Term::v_loc(Term::var(l)))),
+                        Assertion::atom(Atom::points_to(Term::var(l), vt)),
+                    ),
+                );
+                ("alloc", Vec::new(), Assertion::emp(), post_a)
+            }
+            Expr::Load(l) => {
+                let Some(loc) = loc_of(&ctx, l) else {
+                    return self.retry_after_unfold(
+                        ctx,
+                        k,
+                        mask,
+                        post,
+                        then,
+                        redex,
+                        "load from unknown location",
                     );
-                    ("alloc", Vec::new(), Assertion::emp(), post_a)
-                }
-                Expr::Load(l) => {
-                    let Some(loc) = loc_of(&ctx, l) else {
-                        return self.retry_after_unfold(
-                            ctx,
-                            k,
-                            mask,
-                            post,
-                            then,
-                            redex,
-                            "load from unknown location",
-                        );
-                    };
-                    let q = ctx.vars.fresh_var(Sort::Qp, "q");
-                    let v = ctx.vars.fresh_var(Sort::Val, "v");
-                    let pt = Atom::points_to_frac(loc, Term::var(q), Term::var(v));
-                    (
-                        "load",
-                        vec![Binder::new(q), Binder::new(v)],
-                        Assertion::atom(pt.clone()),
-                        Assertion::sep(
-                            Assertion::pure(PureProp::eq(ret.clone(), Term::var(v))),
-                            Assertion::atom(pt),
-                        ),
-                    )
-                }
-                Expr::Store(l, x) => {
-                    let Some(loc) = loc_of(&ctx, l) else {
-                        return Err(self.stuck(&ctx, "store to unknown location", &stuck_goal));
-                    };
-                    let Some(xt) = term_of(&ctx, x) else {
-                        return Err(self.stuck(&ctx, "storing a closure", &stuck_goal));
-                    };
-                    let v = ctx.vars.fresh_var(Sort::Val, "v");
-                    (
-                        "store",
-                        vec![Binder::new(v)],
-                        Assertion::atom(Atom::points_to(loc.clone(), Term::var(v))),
-                        Assertion::sep(
-                            Assertion::pure(PureProp::eq(ret.clone(), Term::v_unit())),
-                            Assertion::atom(Atom::points_to(loc, xt)),
-                        ),
-                    )
-                }
-                Expr::Cas(l, o, n) => {
-                    let Some(loc) = loc_of(&ctx, l) else {
-                        return Err(self.stuck(&ctx, "CAS on unknown location", &stuck_goal));
-                    };
-                    let (Some(ot), Some(nt)) = (term_of(&ctx, o), term_of(&ctx, n)) else {
-                        return Err(self.stuck(&ctx, "CAS with closure operands", &stuck_goal));
-                    };
-                    if !is_unboxed(&ot.zonk(&ctx.vars)) {
-                        return Err(self.stuck(
-                            &ctx,
-                            "CAS comparison value not unboxed",
-                            &stuck_goal,
-                        ));
-                    }
-                    let v = ctx.vars.fresh_var(Sort::Val, "v");
-                    let success = Assertion::sep_list([
-                        Assertion::pure(PureProp::eq(ret.clone(), Term::v_bool_lit(true))),
-                        Assertion::pure(PureProp::eq(Term::var(v), ot.clone())),
-                        Assertion::atom(Atom::points_to(loc.clone(), nt)),
-                    ]);
-                    let failure = Assertion::sep_list([
-                        Assertion::pure(PureProp::eq(ret.clone(), Term::v_bool_lit(false))),
-                        Assertion::pure(PureProp::ne(Term::var(v), ot)),
-                        Assertion::atom(Atom::points_to(loc.clone(), Term::var(v))),
-                    ]);
-                    (
-                        "cas",
-                        vec![Binder::new(v)],
-                        Assertion::atom(Atom::points_to(loc, Term::var(v))),
-                        Assertion::or(success, failure),
-                    )
-                }
-                Expr::Faa(l, kk) => {
-                    let Some(loc) = loc_of(&ctx, l) else {
-                        return Err(self.stuck(&ctx, "FAA on unknown location", &stuck_goal));
-                    };
-                    let kt = term_of(&ctx, kk)
-                        .map(|t| t.zonk(&ctx.vars))
-                        .and_then(|t| match t {
-                            Term::App(Sym::VInt, args) => Some(args[0].clone()),
-                            _ => None,
-                        });
-                    let Some(kt) = kt else {
-                        return Err(self.stuck(&ctx, "FAA with non-integer increment", &stuck_goal));
-                    };
-                    let z = ctx.vars.fresh_var(Sort::Int, "z");
-                    (
-                        "faa",
-                        vec![Binder::new(z)],
-                        Assertion::atom(Atom::points_to(
-                            loc.clone(),
-                            Term::v_int(Term::var(z)),
-                        )),
-                        Assertion::sep_list([
-                            Assertion::pure(PureProp::eq(
-                                ret.clone(),
-                                Term::v_int(Term::var(z)),
-                            )),
-                            Assertion::atom(Atom::points_to(
-                                loc,
-                                Term::v_int(Term::add(Term::var(z), kt)),
-                            )),
-                        ]),
-                    )
-                }
-                Expr::Fork(body) => {
-                    let r = ctx.vars.fresh_var(Sort::Val, "r");
-                    let child = Atom::Wp {
-                        expr: (**body).clone(),
-                        mask: MaskT::top(),
-                        post: WpPost {
-                            ret: r,
-                            body: Box::new(Assertion::emp()),
-                        },
-                    };
-                    (
-                        "fork",
-                        Vec::new(),
-                        Assertion::atom(child),
+                };
+                let q = ctx.vars.fresh_var(Sort::Qp, "q");
+                let v = ctx.vars.fresh_var(Sort::Val, "v");
+                let pt = Atom::points_to_frac(loc, Term::var(q), Term::var(v));
+                (
+                    "load",
+                    vec![Binder::new(q), Binder::new(v)],
+                    Assertion::atom(pt.clone()),
+                    Assertion::sep(
+                        Assertion::pure(PureProp::eq(ret.clone(), Term::var(v))),
+                        Assertion::atom(pt),
+                    ),
+                )
+            }
+            Expr::Store(l, x) => {
+                let Some(loc) = loc_of(&ctx, l) else {
+                    return Err(self.stuck(&ctx, "store to unknown location", &stuck_goal));
+                };
+                let Some(xt) = term_of(&ctx, x) else {
+                    return Err(self.stuck(&ctx, "storing a closure", &stuck_goal));
+                };
+                let v = ctx.vars.fresh_var(Sort::Val, "v");
+                (
+                    "store",
+                    vec![Binder::new(v)],
+                    Assertion::atom(Atom::points_to(loc.clone(), Term::var(v))),
+                    Assertion::sep(
                         Assertion::pure(PureProp::eq(ret.clone(), Term::v_unit())),
-                    )
+                        Assertion::atom(Atom::points_to(loc, xt)),
+                    ),
+                )
+            }
+            Expr::Cas(l, o, n) => {
+                let Some(loc) = loc_of(&ctx, l) else {
+                    return Err(self.stuck(&ctx, "CAS on unknown location", &stuck_goal));
+                };
+                let (Some(ot), Some(nt)) = (term_of(&ctx, o), term_of(&ctx, n)) else {
+                    return Err(self.stuck(&ctx, "CAS with closure operands", &stuck_goal));
+                };
+                if !is_unboxed(&ot.zonk(&ctx.vars)) {
+                    return Err(self.stuck(&ctx, "CAS comparison value not unboxed", &stuck_goal));
                 }
-                other => {
-                    return Err(self.stuck(
-                        &ctx,
-                        format!("no specification for redex {other}"),
-                        &stuck_goal,
-                    ))
-                }
-            };
+                let v = ctx.vars.fresh_var(Sort::Val, "v");
+                let success = Assertion::sep_list([
+                    Assertion::pure(PureProp::eq(ret.clone(), Term::v_bool_lit(true))),
+                    Assertion::pure(PureProp::eq(Term::var(v), ot.clone())),
+                    Assertion::atom(Atom::points_to(loc.clone(), nt)),
+                ]);
+                let failure = Assertion::sep_list([
+                    Assertion::pure(PureProp::eq(ret.clone(), Term::v_bool_lit(false))),
+                    Assertion::pure(PureProp::ne(Term::var(v), ot)),
+                    Assertion::atom(Atom::points_to(loc.clone(), Term::var(v))),
+                ]);
+                (
+                    "cas",
+                    vec![Binder::new(v)],
+                    Assertion::atom(Atom::points_to(loc, Term::var(v))),
+                    Assertion::or(success, failure),
+                )
+            }
+            Expr::Faa(l, kk) => {
+                let Some(loc) = loc_of(&ctx, l) else {
+                    return Err(self.stuck(&ctx, "FAA on unknown location", &stuck_goal));
+                };
+                let kt = term_of(&ctx, kk)
+                    .map(|t| t.zonk(&ctx.vars))
+                    .and_then(|t| match t {
+                        Term::App(Sym::VInt, args) => Some(args[0].clone()),
+                        _ => None,
+                    });
+                let Some(kt) = kt else {
+                    return Err(self.stuck(&ctx, "FAA with non-integer increment", &stuck_goal));
+                };
+                let z = ctx.vars.fresh_var(Sort::Int, "z");
+                (
+                    "faa",
+                    vec![Binder::new(z)],
+                    Assertion::atom(Atom::points_to(loc.clone(), Term::v_int(Term::var(z)))),
+                    Assertion::sep_list([
+                        Assertion::pure(PureProp::eq(ret.clone(), Term::v_int(Term::var(z)))),
+                        Assertion::atom(Atom::points_to(
+                            loc,
+                            Term::v_int(Term::add(Term::var(z), kt)),
+                        )),
+                    ]),
+                )
+            }
+            Expr::Fork(body) => {
+                let r = ctx.vars.fresh_var(Sort::Val, "r");
+                let child = Atom::Wp {
+                    expr: (**body).clone(),
+                    mask: MaskT::top(),
+                    post: WpPost {
+                        ret: r,
+                        body: Box::new(Assertion::emp()),
+                    },
+                };
+                (
+                    "fork",
+                    Vec::new(),
+                    Assertion::atom(child),
+                    Assertion::pure(PureProp::eq(ret.clone(), Term::v_unit())),
+                )
+            }
+            other => {
+                return Err(self.stuck(
+                    &ctx,
+                    format!("no specification for redex {other}"),
+                    &stuck_goal,
+                ))
+            }
+        };
         self.push_step(TraceStep::SymEx {
             spec: name.to_owned(),
             atomic: true,
@@ -1697,7 +1688,11 @@ impl Engine<'_> {
 fn is_heap_op(e: &Expr) -> bool {
     matches!(
         e,
-        Expr::Alloc(_) | Expr::Load(_) | Expr::Store(..) | Expr::Cas(..) | Expr::Faa(..)
+        Expr::Alloc(_)
+            | Expr::Load(_)
+            | Expr::Store(..)
+            | Expr::Cas(..)
+            | Expr::Faa(..)
             | Expr::Fork(_)
     )
 }

@@ -223,7 +223,9 @@ impl JsonValue {
             JsonValue::Str(s) => s
                 .parse::<T>()
                 .map_err(|_| JsonError(format!("field `{key}`: bad wide integer {s:?}"))),
-            v => err(format!("field `{key}`: expected string-encoded integer, got {v:?}")),
+            v => err(format!(
+                "field `{key}`: expected string-encoded integer, got {v:?}"
+            )),
         }
     }
 }
@@ -488,11 +490,7 @@ const PURE_STEP_RULES: [&str; 7] = [
 
 const DISJUNCT_SIDES: [&str; 2] = ["left", "right"];
 
-const DISJUNCT_REASONS: [&str; 3] = [
-    "left guard refuted",
-    "right guard refuted",
-    "backtracking",
-];
+const DISJUNCT_REASONS: [&str; 3] = ["left guard refuted", "right guard refuted", "backtracking"];
 
 fn intern(value: &str, table: &[&'static str], what: &str) -> Result<&'static str, JsonError> {
     match table.iter().find(|t| **t == value) {
@@ -592,7 +590,12 @@ fn term_json(t: &Term, out: &mut String) {
         }
         Term::QpLit(q) => {
             let r = q.as_rat();
-            let _ = write!(out, "{{\"q\":[\"{}\",\"{}\"]}}", r.numerator(), r.denominator());
+            let _ = write!(
+                out,
+                "{{\"q\":[\"{}\",\"{}\"]}}",
+                r.numerator(),
+                r.denominator()
+            );
         }
         Term::Loc(l) => {
             let _ = write!(out, "{{\"l\":\"{l}\"}}");
@@ -925,8 +928,8 @@ pub fn step_from_json(text: &str) -> Result<TraceStep, JsonError> {
 
 fn step_from_value(v: &JsonValue) -> Result<TraceStep, JsonError> {
     let tag = v.str_field("step")?;
-    let kind = TraceKind::from_name(tag)
-        .ok_or_else(|| JsonError(format!("unknown step kind {tag:?}")))?;
+    let kind =
+        TraceKind::from_name(tag).ok_or_else(|| JsonError(format!("unknown step kind {tag:?}")))?;
     Ok(match kind {
         TraceKind::IntroVar => TraceStep::IntroVar {
             name: v.str_field("name")?.to_owned(),
@@ -1396,7 +1399,12 @@ pub fn traces_from_compact_value(v: &JsonValue) -> Result<Vec<(String, ProofTrac
         let items = row
             .as_array()
             .ok_or_else(|| JsonError("factset must be an array".into()))?;
-        factsets.push(items.iter().map(prop_from_json).collect::<Result<Vec<_>, _>>()?);
+        factsets.push(
+            items
+                .iter()
+                .map(prop_from_json)
+                .collect::<Result<Vec<_>, _>>()?,
+        );
     }
     let mut out = Vec::new();
     for spec in v.arr_field("specs")? {
@@ -1486,10 +1494,18 @@ mod reference {
 
     impl CompactTables {
         fn intern_ctx(&mut self, vars: &VarCtx) -> usize {
-            let var_texts: Vec<String> = (0..vars.num_vars()).map(|i| var_entry_json(vars, i)).collect();
-            let evar_texts: Vec<String> =
-                (0..vars.num_evars()).map(|i| evar_entry_json(vars, i)).collect();
-            let key = format!("{}\u{0}{}\u{0}{}", vars.level(), var_texts.join(","), evar_texts.join(","));
+            let var_texts: Vec<String> = (0..vars.num_vars())
+                .map(|i| var_entry_json(vars, i))
+                .collect();
+            let evar_texts: Vec<String> = (0..vars.num_evars())
+                .map(|i| evar_entry_json(vars, i))
+                .collect();
+            let key = format!(
+                "{}\u{0}{}\u{0}{}",
+                vars.level(),
+                var_texts.join(","),
+                evar_texts.join(",")
+            );
             if let Some(&i) = self.ctx_index.get(&key) {
                 return i;
             }
@@ -1556,7 +1572,11 @@ mod reference {
             if si > 0 {
                 specs_out.push(',');
             }
-            let _ = write!(specs_out, "{{\"name\":\"{}\",\"trace\":[", json_escape(name));
+            let _ = write!(
+                specs_out,
+                "{{\"name\":\"{}\",\"trace\":[",
+                json_escape(name)
+            );
             for (i, step) in trace.steps().iter().enumerate() {
                 if i > 0 {
                     specs_out.push(',');
@@ -1565,7 +1585,10 @@ mod reference {
                     TraceStep::PureObligation { facts, goal, vars } => {
                         let fi = tables.intern_facts(facts);
                         let vi = tables.intern_ctx(vars);
-                        let _ = write!(specs_out, "{{\"step\":\"pure_obligation\",\"facts\":{fi},\"goal\":");
+                        let _ = write!(
+                            specs_out,
+                            "{{\"step\":\"pure_obligation\",\"facts\":{fi},\"goal\":"
+                        );
                         prop_json(goal, &mut specs_out);
                         let _ = write!(specs_out, ",\"vars\":{vi}}}");
                     }
@@ -1607,8 +1630,12 @@ mod tests {
         vars.solve_evar(solved, Term::Loc(u64::MAX));
         vars.lower_evar_level(e, 0);
 
-        roundtrip(TraceStep::IntroVar { name: "x₁".into() });
-        roundtrip(TraceStep::IntroHyp { hyp: "↦ \"H\"".into() });
+        roundtrip(TraceStep::IntroVar {
+            name: "x₁".into()
+        });
+        roundtrip(TraceStep::IntroHyp {
+            hyp: "↦ \"H\"".into(),
+        });
         roundtrip(TraceStep::Fact {
             prop: PureProp::And(
                 Box::new(PureProp::Lt(Term::int(i128::MIN), Term::var(z))),
@@ -1638,8 +1665,12 @@ mod tests {
             hyp: None,
             custom: false,
         });
-        roundtrip(TraceStep::InvOpened { ns: "lock.N".into() });
-        roundtrip(TraceStep::InvClosed { ns: "lock.N".into() });
+        roundtrip(TraceStep::InvOpened {
+            ns: "lock.N".into(),
+        });
+        roundtrip(TraceStep::InvClosed {
+            ns: "lock.N".into(),
+        });
         roundtrip(TraceStep::PureObligation {
             facts: vec![
                 PureProp::Le(
@@ -1650,7 +1681,10 @@ mod tests {
                     ),
                 ),
                 PureProp::Eq(
-                    Term::app(Sym::VPair, vec![Term::app(Sym::VUnit, vec![]), Term::Bool(true)]),
+                    Term::app(
+                        Sym::VPair,
+                        vec![Term::app(Sym::VUnit, vec![]), Term::Bool(true)],
+                    ),
                     Term::QpLit(Qp::half()),
                 ),
             ],
@@ -1744,7 +1778,10 @@ mod tests {
         assert_eq!(v.arr_field("varctxs").unwrap().len(), 2, "in {bundle}");
         assert_eq!(v.arr_field("factsets").unwrap().len(), 1, "in {bundle}");
         assert_eq!(
-            v.arr_field("varctxs").unwrap()[1].get("base").unwrap().as_u64(),
+            v.arr_field("varctxs").unwrap()[1]
+                .get("base")
+                .unwrap()
+                .as_u64(),
             Some(0),
             "in {bundle}"
         );
@@ -1753,8 +1790,14 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].0, "one");
         assert_eq!(back[1].0, "two");
-        assert_eq!(format!("{:?}", t1.steps()), format!("{:?}", back[0].1.steps()));
-        assert_eq!(format!("{:?}", t2.steps()), format!("{:?}", back[1].1.steps()));
+        assert_eq!(
+            format!("{:?}", t1.steps()),
+            format!("{:?}", back[0].1.steps())
+        );
+        assert_eq!(
+            format!("{:?}", t2.steps()),
+            format!("{:?}", back[1].1.steps())
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@ fn fingerprint_of_fresh_process() -> String {
     let out = Command::new(exe)
         .args(["helper_print_fingerprint", "--exact", "--nocapture"])
         .env(PRINT_ENV, "1")
-        .output().expect("re-exec test binary");
+        .output()
+        .expect("re-exec test binary");
     assert!(out.status.success(), "helper run failed: {out:?}");
     let stdout = String::from_utf8(out.stdout).expect("helper stdout is UTF-8");
     // The harness may interleave its own "test … ok" text around the

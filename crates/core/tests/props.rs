@@ -168,12 +168,10 @@ fn hassn() -> impl Strategy<Value = HAssn> {
         prop_oneof![
             (0usize..2, inner.clone()).prop_map(|(ns, b)| HAssn::Inv(ns, Box::new(b))),
             inner.clone().prop_map(|a| HAssn::Later(Box::new(a))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(p, c)| HAssn::Wand(Box::new(p), Box::new(c))),
+            (inner.clone(), inner.clone()).prop_map(|(p, c)| HAssn::Wand(Box::new(p), Box::new(c))),
             inner.clone().prop_map(|a| HAssn::FUpd(Box::new(a))),
             inner.clone().prop_map(|a| HAssn::Forall(Box::new(a))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| HAssn::Sep(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| HAssn::Sep(Box::new(l), Box::new(r))),
             inner.clone().prop_map(|a| HAssn::Exists(Box::new(a))),
             (inner.clone(), inner).prop_map(|(l, r)| HAssn::Or(Box::new(l), Box::new(r))),
         ]
@@ -231,26 +229,18 @@ fn to_assertion(a: &HAssn, fx: &Fixtures, vars: &mut VarCtx) -> Assertion {
             to_assertion(body, fx, vars),
         )),
         HAssn::Later(x) => Assertion::later(to_assertion(x, fx, vars)),
-        HAssn::Wand(p, c) => {
-            Assertion::wand(to_assertion(p, fx, vars), to_assertion(c, fx, vars))
-        }
-        HAssn::FUpd(x) => {
-            Assertion::fupd(MaskT::top(), MaskT::top(), to_assertion(x, fx, vars))
-        }
+        HAssn::Wand(p, c) => Assertion::wand(to_assertion(p, fx, vars), to_assertion(c, fx, vars)),
+        HAssn::FUpd(x) => Assertion::fupd(MaskT::top(), MaskT::top(), to_assertion(x, fx, vars)),
         HAssn::Forall(x) => {
             let v = vars.fresh_var(Sort::Int, "hq");
             Assertion::forall(Binder::new(v), to_assertion(x, fx, vars))
         }
-        HAssn::Sep(l, r) => {
-            Assertion::sep(to_assertion(l, fx, vars), to_assertion(r, fx, vars))
-        }
+        HAssn::Sep(l, r) => Assertion::sep(to_assertion(l, fx, vars), to_assertion(r, fx, vars)),
         HAssn::Exists(x) => {
             let v = vars.fresh_var(Sort::Int, "he");
             Assertion::exists(Binder::new(v), to_assertion(x, fx, vars))
         }
-        HAssn::Or(l, r) => {
-            Assertion::or(to_assertion(l, fx, vars), to_assertion(r, fx, vars))
-        }
+        HAssn::Or(l, r) => Assertion::or(to_assertion(l, fx, vars), to_assertion(r, fx, vars)),
     }
 }
 
@@ -287,9 +277,7 @@ fn model_may_key(reach: &[LeafKind], goal: &LeafKind, custom: bool) -> bool {
     match goal {
         LeafKind::PointsTo => reach.contains(&LeafKind::PointsTo),
         LeafKind::Ghost => false,
-        k @ (LeafKind::Pred(_) | LeafKind::Inv(_) | LeafKind::CloseInv(_)) => {
-            reach.contains(k)
-        }
+        k @ (LeafKind::Pred(_) | LeafKind::Inv(_) | LeafKind::CloseInv(_)) => reach.contains(k),
         LeafKind::Pure => false,
     }
 }

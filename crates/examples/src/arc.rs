@@ -41,11 +41,8 @@ SPEC γ, {{ is_arc γ v ∗ token P γ }} unwrap v {{ RET #(); P 1 ∗ no_tokens
 fn drop_case_split() -> VerifyOptions {
     VerifyOptions::automatic().with_case_split("decide (z = 1)", |ctx| {
         for h in &ctx.delta {
-            if let diaframe_logic::Assertion::Atom(Atom::Ghost(GhostAtom {
-                kind,
-                args,
-                ..
-            })) = &h.assertion
+            if let diaframe_logic::Assertion::Atom(Atom::Ghost(GhostAtom { kind, args, .. })) =
+                &h.assertion
             {
                 if *kind == diaframe_ghost::counting::COUNTER {
                     return Some(PureProp::eq(args[0].clone(), Term::int(1)));
@@ -93,7 +90,13 @@ impl Example for Arc {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|name| if name == "drop" { drop_case_split() } else { VerifyOptions::automatic() })
+        Ws::new(SOURCE, ANNOTATION).verify_declared(|name| {
+            if name == "drop" {
+                drop_case_split()
+            } else {
+                VerifyOptions::automatic()
+            }
+        })
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -132,15 +135,16 @@ def unwrap a := if CAS(a, 1, 0) then () else unwrap a
         // Quiescent heap: after one clone and two drops the refcount
         // cell (ℓ0) is back to 0.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 0 ∧ heap = {ℓ0 ↦ 0}".to_owned(),
-            post: Box::new(|v, h| {
-                *v == Val::Int(0) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(0))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 0 ∧ heap = {ℓ0 ↦ 0}".to_owned(),
+                post: Box::new(|v, h| {
+                    *v == Val::Int(0) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(0))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
+                lock_order: true,
+            })
     }
 }
 
@@ -174,7 +178,6 @@ mod tests {
         let stuck = r.expect_err("drop must get stuck without the case split");
         assert!(stuck.reason.contains("disjunction") || stuck.reason.contains("hint"));
     }
-
 
     #[test]
     fn adequacy() {

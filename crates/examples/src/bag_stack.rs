@@ -11,9 +11,9 @@ use crate::common::{eq, papp, program, Example, ExampleOutcome, PaperRow, ToolSt
 use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_ghost::HintCandidate;
 use diaframe_heaplang::{parse_expr, Expr, Val};
+use diaframe_logic::Binder;
 use diaframe_logic::{Assertion, Atom, PredId};
 use diaframe_term::{PureProp, Sort, Term};
-use diaframe_logic::Binder;
 
 /// The implementation. The bag handle is `(#head_cell, #null)` where
 /// `null` is a dummy sentinel location.
@@ -53,7 +53,13 @@ HINT chain-unfold: replace chain #l nl by Φ v ∗ chain nx nl (head agreement)
 
 /// The *skeleton* of a chain: the persistently extractable part — the
 /// head shape plus a fraction of the head node.
-fn skeleton(ctx: &mut diaframe_term::VarCtx, chain: PredId, phi: PredId, h: Term, nl: Term) -> Assertion {
+fn skeleton(
+    ctx: &mut diaframe_term::VarCtx,
+    chain: PredId,
+    phi: PredId,
+    h: Term,
+    nl: Term,
+) -> Assertion {
     let _ = (chain, phi);
     let l = ctx.fresh_var(Sort::Loc, "l");
     let v = ctx.fresh_var(Sort::Val, "v");
@@ -123,7 +129,8 @@ fn chain_options(chain: PredId, phi: PredId) -> VerifyOptions {
                 return Vec::new();
             }
             let (h, nl) = (args[0].clone(), args[1].clone());
-            let nil = HintCandidate::new("chain-fold-nil").guard(PureProp::eq(h.clone(), nl.clone()));
+            let nil =
+                HintCandidate::new("chain-fold-nil").guard(PureProp::eq(h.clone(), nl.clone()));
             let l = vars.fresh_evar(Sort::Loc);
             let v = vars.fresh_evar(Sort::Val);
             let nx = vars.fresh_evar(Sort::Val);
@@ -285,7 +292,6 @@ mod tests {
         let custom = outcome.custom_hints_used();
         assert!(custom.iter().any(|h| h.contains("chain")));
     }
-
 
     #[test]
     fn adequacy() {

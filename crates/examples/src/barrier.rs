@@ -65,7 +65,8 @@ impl Example for Barrier {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
+        Ws::new(SOURCE, ANNOTATION)
+            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -75,7 +76,9 @@ def new_barrier _ := ref false
 def signal b := b <- true
 def wait b := if ~(!b) then () else wait b
 ";
-        Some(Ws::new(broken, ANNOTATION).verify_named(&["wait"], |_| VerifyOptions::automatic().with_backtracking()))
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["wait"], |_| {
+            VerifyOptions::automatic().with_backtracking()
+        }))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -117,7 +120,6 @@ mod tests {
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

@@ -50,7 +50,8 @@ impl Example for BarrierClient {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
+        Ws::new(SOURCE, ANNOTATION)
+            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

@@ -113,7 +113,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
     }
 
-
     #[test]
     fn adequacy() {
         let (prog, expected) = BoundedCounter.adequacy_program().expect("client");

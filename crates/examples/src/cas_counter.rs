@@ -91,15 +91,16 @@ def read c := !c
         // Quiescent heap: the single counter cell (ℓ0) holds exactly
         // the two increments.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 2 ∧ heap = {ℓ0 ↦ 2}".to_owned(),
-            post: Box::new(|v, h| {
-                *v == Val::Int(2) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(2))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 2 ∧ heap = {ℓ0 ↦ 2}".to_owned(),
+                post: Box::new(|v, h| {
+                    *v == Val::Int(2) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(2))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
+                lock_order: true,
+            })
     }
 }
 
@@ -117,7 +118,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
         assert!(outcome.hints_used().iter().any(|h| h.contains("mono")));
     }
-
 
     #[test]
     fn adequacy() {

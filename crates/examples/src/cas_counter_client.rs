@@ -56,10 +56,8 @@ impl Example for CasCounterClient {
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
         let combined = format!("{}{}", crate::cas_counter::SOURCE, SOURCE);
-        let main = parse_expr(
-            "let c := make_counter () in incr_twice c ;; read c",
-        )
-        .expect("client parses");
+        let main = parse_expr("let c := make_counter () in incr_twice c ;; read c")
+            .expect("client parses");
         Some((
             diaframe_heaplang::parser::link(&program(&combined), &main),
             Val::Int(2),

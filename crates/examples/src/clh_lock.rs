@@ -85,7 +85,8 @@ impl Example for ClhLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
+        Ws::new(SOURCE, ANNOTATION)
+            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
@@ -95,7 +96,9 @@ impl Example for ClhLock {
             "def spin p := if !p then spin p else ()",
             "def spin p := !p ;; ()",
         );
-        Some(Ws::new(&broken, ANNOTATION).verify_named(&["spin"], |_| VerifyOptions::automatic().with_backtracking()))
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["spin"], |_| {
+            VerifyOptions::automatic().with_backtracking()
+        }))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -145,7 +148,6 @@ mod tests {
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

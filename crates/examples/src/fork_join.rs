@@ -96,18 +96,19 @@ def join j := if CAS(j, 0, 2) then () else join j
         // Quiescent heap: the result cell (ℓ0) holds the child's write
         // and the join flag (ℓ1) is in its joined state.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 42 ∧ heap = {ℓ0 ↦ 42, ℓ1 ↦ 2}".to_owned(),
-            post: Box::new(|v, h| {
-                *v == Val::Int(42)
-                    && h.len() == 2
-                    && h.load(Loc::new(0)) == Some(&Val::Int(42))
-                    && h.load(Loc::new(1)) == Some(&Val::Int(2))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 42 ∧ heap = {ℓ0 ↦ 42, ℓ1 ↦ 2}".to_owned(),
+                post: Box::new(|v, h| {
+                    *v == Val::Int(42)
+                        && h.len() == 2
+                        && h.load(Loc::new(0)) == Some(&Val::Int(42))
+                        && h.load(Loc::new(1)) == Some(&Val::Int(2))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
+                lock_order: true,
+            })
     }
 }
 
@@ -124,7 +125,6 @@ mod tests {
         outcome.check_all().expect("traces replay");
         assert!(outcome.hints_used().contains("oneshot-fire"));
     }
-
 
     #[test]
     fn adequacy() {

@@ -94,15 +94,16 @@ def get c := ! !c
         // increments and one decrement leave the counter (ℓ0) at 1,
         // whatever `get` observed mid-run.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 0 ∧ heap = {ℓ0 ↦ 1}".to_owned(),
-            post: Box::new(|v, h| {
-                *v == Val::Int(0) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(1))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 0 ∧ heap = {ℓ0 ↦ 1}".to_owned(),
+                post: Box::new(|v, h| {
+                    *v == Val::Int(0) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(1))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
+                lock_order: true,
+            })
     }
 }
 
@@ -119,7 +120,6 @@ mod tests {
         assert_eq!(outcome.proofs.len(), 4);
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

@@ -216,7 +216,6 @@ mod tests {
             .any(|h| h.contains("llchain")));
     }
 
-
     #[test]
     fn adequacy() {
         let (prog, expected) = Lclist.adequacy_program().expect("client");

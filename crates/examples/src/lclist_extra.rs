@@ -3,9 +3,9 @@
 //! `lclist_extra` row (its largest implementation).
 
 use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use crate::lclist::llchain_options;
 use diaframe_core::Stuck;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use crate::lclist::llchain_options;
 
 /// The implementation: the lclist plus traversal operations.
 pub const SOURCE: &str = "\

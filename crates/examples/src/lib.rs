@@ -47,7 +47,8 @@ pub mod ticket_lock_client;
 pub mod negative;
 
 pub use common::{
-    annotation_lines, count_lines, Example, ExampleOutcome, PaperRow, PostPredicate, SweepSpec, ToolStat, Ws,
+    annotation_lines, count_lines, Example, ExampleOutcome, PaperRow, PostPredicate, SweepSpec,
+    ToolStat, Ws,
 };
 pub use negative::{negative_examples, ExpectedFindings, NegativeExample};
 pub use registry::all_examples;

@@ -85,15 +85,23 @@ impl Example for McsLock {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
+        Ws::new(SOURCE, ANNOTATION)
+            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: acquire skips the spin — it "holds the lock" without
         // the resource having been handed over.
-        let broken = SOURCE.replace("mspin p ;;
-  n", "n");
-        Some(Ws::new(&broken, ANNOTATION).verify_named(&["macquire"], |_| VerifyOptions::automatic().with_backtracking()))
+        let broken = SOURCE.replace(
+            "mspin p ;;
+  n",
+            "n",
+        );
+        Some(
+            Ws::new(&broken, ANNOTATION).verify_named(&["macquire"], |_| {
+                VerifyOptions::automatic().with_backtracking()
+            }),
+        )
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -143,7 +151,6 @@ mod tests {
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

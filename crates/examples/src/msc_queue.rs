@@ -9,9 +9,9 @@
 //! paper, see EXPERIMENTS.md.)
 
 use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use crate::queue::qchain_options;
 use diaframe_core::Stuck;
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use crate::queue::qchain_options;
 
 /// The implementation. The queue handle is
 /// `(hlk, (tlk, (front, (back, null))))`.
@@ -157,7 +157,6 @@ mod tests {
             .unwrap_or_else(|e| panic!("msc_queue stuck:\n{e}"));
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

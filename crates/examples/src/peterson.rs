@@ -87,14 +87,20 @@ impl Example for Peterson {
     }
 
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic().with_backtracking())
+        Ws::new(SOURCE, ANNOTATION)
+            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: lock_a writes an out-of-range turn value, violating
         // the invariant's 0 ≤ n ≤ 1.
-        let broken = SOURCE.replace("snd (snd w) <- 1 ;;\n  waita w", "snd (snd w) <- 2 ;;\n  waita w");
-        Some(Ws::new(&broken, ANNOTATION).verify_named(&["lock_a"], |_| VerifyOptions::automatic().with_backtracking()))
+        let broken = SOURCE.replace(
+            "snd (snd w) <- 1 ;;\n  waita w",
+            "snd (snd w) <- 2 ;;\n  waita w",
+        );
+        Some(Ws::new(&broken, ANNOTATION).verify_named(&["lock_a"], |_| {
+            VerifyOptions::automatic().with_backtracking()
+        }))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -139,7 +145,6 @@ mod tests {
             .unwrap_or_else(|e| panic!("peterson stuck:\n{e}"));
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

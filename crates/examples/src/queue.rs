@@ -125,10 +125,7 @@ pub fn qchain_options(chain: PredId, phi: PredId) -> VerifyOptions {
                             diaframe_logic::Binder::new(nx),
                             Assertion::sep_list([
                                 eq(h.clone(), Term::v_loc(Term::var(l))),
-                                pt(
-                                    Term::var(l),
-                                    Term::v_pair(Term::var(v), Term::var(nx)),
-                                ),
+                                pt(Term::var(l), Term::v_pair(Term::var(v), Term::var(nx))),
                                 papp(phi, vec![Term::var(v)]),
                                 papp(chain, vec![Term::var(nx), nl.clone()]),
                             ]),
@@ -182,8 +179,10 @@ impl Example for Queue {
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
         // Sabotage: deq returns the element but leaves it in the queue —
         // Φ would be duplicated.
-        let broken = SOURCE.replace("else (let p := !h in hd <- snd p ;; inr (fst p))) in",
-                                    "else (let p := !h in inr (fst p))) in");
+        let broken = SOURCE.replace(
+            "else (let p := !h in hd <- snd p ;; inr (fst p))) in",
+            "else (let p := !h in inr (fst p))) in",
+        );
         let ws = Ws::new(&broken, ANNOTATION);
         let opts = qchain_options(ws.pred("qchain"), ws.pred("Φ"));
         Some(ws.verify_named(&["deq"], |_| opts.clone()))
@@ -219,7 +218,6 @@ mod tests {
             .iter()
             .any(|h| h.contains("qchain")));
     }
-
 
     #[test]
     fn adequacy() {

@@ -104,8 +104,17 @@ impl Example for RwLockDuolock {
         // The libraries' instances first (global lock, then reader lock),
         // then the lock's own operations.
         let order = [
-            "newglock", "acquireg", "releaseg", "newrlock", "acquirer", "releaser", "make",
-            "read_acq", "read_rel", "write_acq", "write_rel",
+            "newglock",
+            "acquireg",
+            "releaseg",
+            "newrlock",
+            "acquirer",
+            "releaser",
+            "make",
+            "read_acq",
+            "read_rel",
+            "write_acq",
+            "write_rel",
         ];
         Ws::new(SOURCE, ANNOTATION).verify_named(&order, |_| VerifyOptions::automatic())
     }
@@ -116,7 +125,10 @@ impl Example for RwLockDuolock {
             "(if n = 0 then acquireg (snd (snd w)) else ()) ;;\n  releaser (fst w)\ndef read_rel",
             "releaser (fst w)\ndef read_rel",
         );
-        Some(Ws::new(&broken, ANNOTATION).verify_named(&["read_acq"], |_| VerifyOptions::automatic()))
+        Some(
+            Ws::new(&broken, ANNOTATION)
+                .verify_named(&["read_acq"], |_| VerifyOptions::automatic()),
+        )
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -169,7 +181,6 @@ mod tests {
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
     }
-
 
     #[test]
     fn adequacy() {

@@ -116,7 +116,10 @@ def read_rel l := FAA(l, -1) ;; ()
 def write_acq l := if CAS(l, 1, -1) then () else write_acq l
 def write_rel l := l <- 0
 ";
-        Some(Ws::new(broken, ANNOTATION).verify_named(&["write_acq"], |_| VerifyOptions::automatic()))
+        Some(
+            Ws::new(broken, ANNOTATION)
+                .verify_named(&["write_acq"], |_| VerifyOptions::automatic()),
+        )
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -151,7 +154,6 @@ mod tests {
         assert!(hints.contains("token-revive"));
         assert!(hints.contains("token-mutate-delete-last"));
     }
-
 
     #[test]
     fn adequacy() {

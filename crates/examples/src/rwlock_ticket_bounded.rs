@@ -8,9 +8,9 @@
 //! such bounds).
 
 use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
+use crate::ticket_lock;
 use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use crate::ticket_lock;
 
 /// The implementation. `read_acq` takes the pair `(b, w)` of bound and
 /// lock and retries when `b` readers are already in.
@@ -113,7 +113,21 @@ impl Example for RwLockTicketBounded {
         // The libraries' instances first (global lock, then reader lock),
         // then the lock's own operations.
         let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
-        let order = ["makeg", "waitg", "acquireg", "releaseg", "maker", "waitr", "acquirer", "releaser", "make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        let order = [
+            "makeg",
+            "waitg",
+            "acquireg",
+            "releaseg",
+            "maker",
+            "waitr",
+            "acquirer",
+            "releaser",
+            "make",
+            "read_acq",
+            "read_rel",
+            "write_acq",
+            "write_rel",
+        ];
         ws.verify_named(&order, |name| {
             if own.contains(&name) {
                 VerifyOptions::automatic()

@@ -5,9 +5,9 @@
 //! [`crate::rwlock_ticket_bounded`].
 
 use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
+use crate::ticket_lock;
 use diaframe_core::{Stuck, VerifyOptions};
 use diaframe_heaplang::{parse_expr, Expr, Val};
-use crate::ticket_lock;
 
 /// The implementation: two textually separate ticket locks plus the
 /// reader-count protocol.
@@ -104,7 +104,21 @@ impl Example for RwLockTicketUnbounded {
         // The libraries' instances first (global lock, then reader lock),
         // then the lock's own operations.
         let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
-        let order = ["makeg", "waitg", "acquireg", "releaseg", "maker", "waitr", "acquirer", "releaser", "make", "read_acq", "read_rel", "write_acq", "write_rel"];
+        let order = [
+            "makeg",
+            "waitg",
+            "acquireg",
+            "releaseg",
+            "maker",
+            "waitr",
+            "acquirer",
+            "releaser",
+            "make",
+            "read_acq",
+            "read_rel",
+            "write_acq",
+            "write_rel",
+        ];
         ws.verify_named(&order, |name| {
             if own.contains(&name) {
                 VerifyOptions::automatic()

@@ -68,7 +68,9 @@ impl Example for SpinLock {
         // Sabotage: `acquire` "succeeds" without actually taking the lock
         // (CAS from true to true) — the specification must fail.
         let broken = SOURCE.replace("CAS(l, false, true)", "CAS(l, true, true)");
-        Some(Ws::new(&broken, ANNOTATION).verify_named(&["acquire"], |_| VerifyOptions::automatic()))
+        Some(
+            Ws::new(&broken, ANNOTATION).verify_named(&["acquire"], |_| VerifyOptions::automatic()),
+        )
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -94,18 +96,19 @@ impl Example for SpinLock {
         // The quiescent heap is deterministic: the lock (ℓ0) is
         // released and the counter (ℓ1) holds both increments.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 2 ∧ heap = {ℓ0 ↦ false, ℓ1 ↦ 2}".to_owned(),
-            post: Box::new(|v, h| {
-                *v == Val::Int(2)
-                    && h.len() == 2
-                    && h.load(Loc::new(0)) == Some(&Val::Bool(false))
-                    && h.load(Loc::new(1)) == Some(&Val::Int(2))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 2 ∧ heap = {ℓ0 ↦ false, ℓ1 ↦ 2}".to_owned(),
+                post: Box::new(|v, h| {
+                    *v == Val::Int(2)
+                        && h.len() == 2
+                        && h.load(Loc::new(0)) == Some(&Val::Bool(false))
+                        && h.load(Loc::new(1)) == Some(&Val::Int(2))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
+                lock_order: true,
+            })
     }
 }
 
@@ -115,7 +118,9 @@ mod tests {
 
     #[test]
     fn verifies_fully_automatically() {
-        let outcome = SpinLock.verify().unwrap_or_else(|e| panic!("spin lock stuck:\n{e}"));
+        let outcome = SpinLock
+            .verify()
+            .unwrap_or_else(|e| panic!("spin lock stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0, "paper: zero manual proof work");
         assert_eq!(outcome.proofs.len(), 3);
         outcome.check_all().expect("traces replay");
@@ -123,7 +128,6 @@ mod tests {
         assert!(hints.contains("locked-allocate"));
         assert!(hints.iter().any(|h| h == "inv-open"));
     }
-
 
     #[test]
     fn adequacy() {

@@ -65,9 +65,7 @@ fn wait_case_split() -> VerifyOptions {
         let mut pt_vals = Vec::new();
         for h in &ctx.delta {
             match &h.assertion {
-                Assertion::Atom(Atom::Ghost(g))
-                    if g.kind == diaframe_ghost::tickets::TICKET =>
-                {
+                Assertion::Atom(Atom::Ghost(g)) if g.kind == diaframe_ghost::tickets::TICKET => {
                     tickets.push(g.args[0].clone());
                 }
                 Assertion::Atom(Atom::PointsTo { val, .. }) => {
@@ -81,8 +79,7 @@ fn wait_case_split() -> VerifyOptions {
         for m in &tickets {
             for v in &pt_vals {
                 let eqp = PureProp::eq(v.clone(), m.clone());
-                if !probe.prove_pure_frozen(&eqp) && !probe.prove_pure_frozen(&eqp.negated())
-                {
+                if !probe.prove_pure_frozen(&eqp) && !probe.prove_pure_frozen(&eqp.negated()) {
                     return Some(eqp);
                 }
             }
@@ -136,7 +133,9 @@ def wait a := if !(fst a) = snd a then () else wait a
 def acquire lk := let n := FAA(snd lk, 1) in wait (fst lk, n + 1)
 def release lk := fst lk <- !(fst lk) + 1
 ";
-        Some(Ws::new(broken, ANNOTATION).verify_named(&["acquire"], |_| VerifyOptions::automatic().with_backtracking()))
+        Some(Ws::new(broken, ANNOTATION).verify_named(&["acquire"], |_| {
+            VerifyOptions::automatic().with_backtracking()
+        }))
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {
@@ -166,20 +165,21 @@ def release lk := fst lk <- !(fst lk) + 1
         // both increments. All three cells are integers with
         // owner = next.
         use diaframe_heaplang::Loc;
-        self.adequacy_program().map(|(prog, _)| crate::common::SweepSpec {
-            post_desc: "result = 2 ∧ owner = next ∧ counter = 2".to_owned(),
-            post: Box::new(|v, h| {
-                // make () allocates the owner/next pair (ℓ0, ℓ1), the
-                // client then allocates the counter (ℓ2).
-                *v == Val::Int(2)
-                    && h.len() == 3
-                    && h.load(Loc::new(0)) == h.load(Loc::new(1))
-                    && h.load(Loc::new(2)) == Some(&Val::Int(2))
-            }),
-            prog,
-            sync_model: diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            lock_order: true,
-        })
+        self.adequacy_program()
+            .map(|(prog, _)| crate::common::SweepSpec {
+                post_desc: "result = 2 ∧ owner = next ∧ counter = 2".to_owned(),
+                post: Box::new(|v, h| {
+                    // make () allocates the owner/next pair (ℓ0, ℓ1), the
+                    // client then allocates the counter (ℓ2).
+                    *v == Val::Int(2)
+                        && h.len() == 3
+                        && h.load(Loc::new(0)) == h.load(Loc::new(1))
+                        && h.load(Loc::new(2)) == Some(&Val::Int(2))
+                }),
+                prog,
+                sync_model: diaframe_heaplang::monitor::SyncModel::AllAtomic,
+                lock_order: true,
+            })
     }
 }
 
@@ -200,7 +200,6 @@ mod tests {
         assert!(hints.contains("ticket-issue"));
         assert!(hints.contains("tickets-allocate"));
     }
-
 
     #[test]
     fn adequacy() {

@@ -31,7 +31,10 @@ fn every_annotation_elaborates_to_the_verified_specs() {
             // Two library instances may be verified in either order; the
             // annotation's own specs still come last, in text order.
             let own = ann.spec_names();
-            assert!(proofs.ends_with(&own.iter().map(String::as_str).collect::<Vec<_>>()), "{name}");
+            assert!(
+                proofs.ends_with(&own.iter().map(String::as_str).collect::<Vec<_>>()),
+                "{name}"
+            );
             let (mut d, mut p) = (declared.clone(), proofs.clone());
             d.sort_unstable();
             p.sort_unstable();

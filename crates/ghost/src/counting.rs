@@ -236,41 +236,45 @@ impl GhostLibrary for CountingLib {
                         .residue(Assertion::atom(token(pred, hyp.gname.clone()))),
                 );
             }
-            Atom::PredApp { pred, args } if hyp.kind == COUNTER && hyp.pred == Some(*pred)
+            Atom::PredApp { pred, args }
+                if hyp.kind == COUNTER && hyp.pred == Some(*pred)
                 // token-mutate-delete-last, keyed on the recovered `P 1`:
                 // counter 1 ∗ token ⤳ P 1 ∗ no_tokens 1. Used when the
                 // last reader hands the resource to a writer-side lock
                 // before re-establishing its own invariant (duolock).
-                && args.len() == 1 => {
-                    out.push(
-                        HintCandidate::new("token-mutate-delete-last")
-                            .unify(args[0].clone(), Term::qp_one())
-                            .guard(PureProp::eq(hyp.args[0].clone(), Term::int(1)))
-                            .side(Assertion::atom(token(*pred, hyp.gname.clone())))
-                            .residue(Assertion::atom(no_tokens(
-                                *pred,
-                                hyp.gname.clone(),
-                                Term::qp_one(),
-                            ))),
-                    );
-                }
-            Atom::PredApp { pred, args } if hyp.kind == TOKEN && hyp.pred == Some(*pred)
+                && args.len() == 1 =>
+            {
+                out.push(
+                    HintCandidate::new("token-mutate-delete-last")
+                        .unify(args[0].clone(), Term::qp_one())
+                        .guard(PureProp::eq(hyp.args[0].clone(), Term::int(1)))
+                        .side(Assertion::atom(token(*pred, hyp.gname.clone())))
+                        .residue(Assertion::atom(no_tokens(
+                            *pred,
+                            hyp.gname.clone(),
+                            Term::qp_one(),
+                        ))),
+                );
+            }
+            Atom::PredApp { pred, args }
+                if hyp.kind == TOKEN && hyp.pred == Some(*pred)
                 // token-access: token ⊢ ∃q. P q ∗ (P q −∗ token).
-                && args.len() == 1 => {
-                    let q = Term::var(ctx.fresh_var(Sort::Qp, "q"));
-                    let p_q = Assertion::atom(Atom::PredApp {
-                        pred: *pred,
-                        args: vec![q.clone()],
-                    });
-                    out.push(
-                        HintCandidate::new("token-access")
-                            .unify(args[0].clone(), q)
-                            .residue(Assertion::wand(
-                                p_q,
-                                Assertion::atom(token(*pred, hyp.gname.clone())),
-                            )),
-                    );
-                }
+                && args.len() == 1 =>
+            {
+                let q = Term::var(ctx.fresh_var(Sort::Qp, "q"));
+                let p_q = Assertion::atom(Atom::PredApp {
+                    pred: *pred,
+                    args: vec![q.clone()],
+                });
+                out.push(
+                    HintCandidate::new("token-access")
+                        .unify(args[0].clone(), q)
+                        .residue(Assertion::wand(
+                            p_q,
+                            Assertion::atom(token(*pred, hyp.gname.clone())),
+                        )),
+                );
+            }
             _ => {}
         }
         out
@@ -330,7 +334,9 @@ mod tests {
         let cnt = ghost(counter(p, g, Term::int(1)));
         assert!(matches!(
             lib.merge(&mut ctx, &tok, &no),
-            Some(MergeOutcome::Contradiction { rule: "token-interact" })
+            Some(MergeOutcome::Contradiction {
+                rule: "token-interact"
+            })
         ));
         assert!(matches!(
             lib.merge(&mut ctx, &cnt, &no),

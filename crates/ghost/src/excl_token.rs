@@ -63,7 +63,9 @@ mod tests {
     fn merge_is_contradiction() {
         let mut ctx = VarCtx::new();
         let g = Term::var(ctx.fresh_var_base(Sort::GhostName, "γ"));
-        let Atom::Ghost(a) = locked(g) else { unreachable!() };
+        let Atom::Ghost(a) = locked(g) else {
+            unreachable!()
+        };
         let lib = ExclTokenLib;
         assert!(matches!(
             lib.merge(&mut ctx, &a, &a.clone()),
@@ -75,7 +77,9 @@ mod tests {
     fn allocation_binds_fresh_name() {
         let mut ctx = VarCtx::new();
         let e = ctx.fresh_evar(Sort::GhostName);
-        let Atom::Ghost(goal) = locked(Term::evar(e)) else { unreachable!() };
+        let Atom::Ghost(goal) = locked(Term::evar(e)) else {
+            unreachable!()
+        };
         let lib = ExclTokenLib;
         let cands = lib.allocations(&mut ctx, &goal);
         assert_eq!(cands.len(), 1);

@@ -11,7 +11,10 @@ use diaframe_logic::{Assertion, Atom, GhostAtom, GhostKind};
 use diaframe_term::{PureProp, Qp, Sort, Term, VarCtx};
 
 /// `gvar γ q v`.
-pub const GVAR: GhostKind = GhostKind { id: 40, name: "gvar" };
+pub const GVAR: GhostKind = GhostKind {
+    id: 40,
+    name: "gvar",
+};
 
 /// Builds `gvar γ q v`.
 #[must_use]
@@ -190,7 +193,10 @@ mod tests {
             Some(MergeOutcome::Merged { facts, atom, .. }) => {
                 assert_eq!(facts, vec![PureProp::eq(v, w)]);
                 // Halves merge to a full fraction (syntactically ½ + ½).
-                assert_eq!(atom.args[0], Term::add(a.args[0].clone(), a.args[0].clone()));
+                assert_eq!(
+                    atom.args[0],
+                    Term::add(a.args[0].clone(), a.args[0].clone())
+                );
             }
             other => panic!("unexpected: {other:?}"),
         }

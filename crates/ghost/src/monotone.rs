@@ -10,7 +10,10 @@ use diaframe_logic::{Assertion, Atom, GhostAtom, GhostKind};
 use diaframe_term::{PureProp, Sort, Term, VarCtx};
 
 /// `mono γ n` — the authority.
-pub const MONO_AUTH: GhostKind = GhostKind { id: 50, name: "mono" };
+pub const MONO_AUTH: GhostKind = GhostKind {
+    id: 50,
+    name: "mono",
+};
 
 /// `mono_lb γ k` — a persistent lower bound.
 pub const MONO_LB: GhostKind = GhostKind {

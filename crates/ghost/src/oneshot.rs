@@ -89,9 +89,7 @@ impl GhostLibrary for OneShotLib {
         if hyp.kind == PENDING && g.kind == SHOT {
             // oneshot-fire: pending γ ⤳ shot γ v (for any v; the goal's
             // value is taken as-is).
-            out.push(
-                HintCandidate::new("oneshot-fire").unify(g.gname.clone(), hyp.gname.clone()),
-            );
+            out.push(HintCandidate::new("oneshot-fire").unify(g.gname.clone(), hyp.gname.clone()));
         }
         out
     }

@@ -80,9 +80,7 @@ impl Frame {
             Frame::Load => Expr::Load(Arc::new(e)),
             Frame::StoreL(v) => Expr::store(e, Expr::Val(v.clone())),
             Frame::StoreR(l) => Expr::store(l.clone(), e),
-            Frame::CasL(v1, v2) => {
-                Expr::cas(e, Expr::Val(v1.clone()), Expr::Val(v2.clone()))
-            }
+            Frame::CasL(v1, v2) => Expr::cas(e, Expr::Val(v1.clone()), Expr::Val(v2.clone())),
             Frame::CasM(l, v2) => Expr::cas(l.clone(), e, Expr::Val(v2.clone())),
             Frame::CasR(l, old) => Expr::cas(l.clone(), old.clone(), e),
             Frame::FaaL(v) => Expr::faa(e, Expr::Val(v.clone())),
@@ -149,15 +147,8 @@ fn next_frame(e: &Expr) -> Option<(Frame, Expr)> {
     match e {
         Expr::Val(_) | Expr::Var(_) | Expr::Rec { .. } | Expr::Fork(_) => None,
         Expr::App(f, a) => two(f, a, Frame::AppR, Frame::AppL),
-        Expr::UnOp(op, a) => {
-            (!a.is_val()).then(|| (Frame::UnOp(*op), (**a).clone()))
-        }
-        Expr::BinOp(op, l, r) => two(
-            l,
-            r,
-            |e| Frame::BinOpR(*op, e),
-            |v| Frame::BinOpL(*op, v),
-        ),
+        Expr::UnOp(op, a) => (!a.is_val()).then(|| (Frame::UnOp(*op), (**a).clone())),
+        Expr::BinOp(op, l, r) => two(l, r, |e| Frame::BinOpR(*op, e), |v| Frame::BinOpL(*op, v)),
         Expr::If(c, t, f) => {
             (!c.is_val()).then(|| (Frame::If((**t).clone(), (**f).clone()), (**c).clone()))
         }
@@ -166,8 +157,9 @@ fn next_frame(e: &Expr) -> Option<(Frame, Expr)> {
         Expr::Snd(a) => (!a.is_val()).then(|| (Frame::Snd, (**a).clone())),
         Expr::InjL(a) => (!a.is_val()).then(|| (Frame::InjL, (**a).clone())),
         Expr::InjR(a) => (!a.is_val()).then(|| (Frame::InjR, (**a).clone())),
-        Expr::Case(s, l, r) => (!s.is_val())
-            .then(|| (Frame::Case((**l).clone(), (**r).clone()), (**s).clone())),
+        Expr::Case(s, l, r) => {
+            (!s.is_val()).then(|| (Frame::Case((**l).clone(), (**r).clone()), (**s).clone()))
+        }
         Expr::Alloc(a) => (!a.is_val()).then(|| (Frame::Alloc, (**a).clone())),
         Expr::Load(a) => (!a.is_val()).then(|| (Frame::Load, (**a).clone())),
         Expr::Store(l, v) => two(l, v, Frame::StoreR, Frame::StoreL),

@@ -274,8 +274,7 @@ impl Expr {
                 }
             }
             Expr::Rec { f, x, body } => {
-                let shadowed =
-                    f.as_deref() == Some(name) || x.as_deref() == Some(name);
+                let shadowed = f.as_deref() == Some(name) || x.as_deref() == Some(name);
                 if shadowed {
                     self.clone()
                 } else {
@@ -289,12 +288,8 @@ impl Expr {
             Expr::App(a, b) => Expr::app(a.subst(name, v), b.subst(name, v)),
             Expr::UnOp(op, a) => Expr::UnOp(*op, Arc::new(a.subst(name, v))),
             Expr::BinOp(op, a, b) => Expr::binop(*op, a.subst(name, v), b.subst(name, v)),
-            Expr::If(c, t, e) => {
-                Expr::if_(c.subst(name, v), t.subst(name, v), e.subst(name, v))
-            }
-            Expr::Pair(a, b) => {
-                Expr::Pair(Arc::new(a.subst(name, v)), Arc::new(b.subst(name, v)))
-            }
+            Expr::If(c, t, e) => Expr::if_(c.subst(name, v), t.subst(name, v), e.subst(name, v)),
+            Expr::Pair(a, b) => Expr::Pair(Arc::new(a.subst(name, v)), Arc::new(b.subst(name, v))),
             Expr::Fst(a) => Expr::Fst(Arc::new(a.subst(name, v))),
             Expr::Snd(a) => Expr::Snd(Arc::new(a.subst(name, v))),
             Expr::InjL(a) => Expr::InjL(Arc::new(a.subst(name, v))),
@@ -307,9 +302,7 @@ impl Expr {
             Expr::Alloc(a) => Expr::Alloc(Arc::new(a.subst(name, v))),
             Expr::Load(a) => Expr::Load(Arc::new(a.subst(name, v))),
             Expr::Store(a, b) => Expr::store(a.subst(name, v), b.subst(name, v)),
-            Expr::Cas(a, b, c) => {
-                Expr::cas(a.subst(name, v), b.subst(name, v), c.subst(name, v))
-            }
+            Expr::Cas(a, b, c) => Expr::cas(a.subst(name, v), b.subst(name, v), c.subst(name, v)),
             Expr::Faa(a, b) => Expr::faa(a.subst(name, v), b.subst(name, v)),
             Expr::Fork(a) => Expr::Fork(Arc::new(a.subst(name, v))),
         }
@@ -410,10 +403,7 @@ mod tests {
     fn subst_replaces_free_occurrences() {
         let e = Expr::binop(BinOp::Add, Expr::var("x"), Expr::var("y"));
         let e = e.subst("x", &Val::int(1));
-        assert_eq!(
-            e,
-            Expr::binop(BinOp::Add, Expr::int(1), Expr::var("y"))
-        );
+        assert_eq!(e, Expr::binop(BinOp::Add, Expr::int(1), Expr::var("y")));
     }
 
     #[test]
@@ -439,7 +429,9 @@ mod tests {
         let e = Expr::seq(Expr::unit(), Expr::int(2));
         match e {
             Expr::App(f, _) => match &*f {
-                Expr::Rec { f: None, x: None, .. } => {}
+                Expr::Rec {
+                    f: None, x: None, ..
+                } => {}
                 other => panic!("unexpected desugaring: {other:?}"),
             },
             other => panic!("unexpected desugaring: {other:?}"),

@@ -244,11 +244,7 @@ mod tests {
                             "wait",
                             "u",
                             Expr::if_(
-                                Expr::binop(
-                                    BinOp::Eq,
-                                    Expr::load(Expr::var("l")),
-                                    Expr::int(2),
-                                ),
+                                Expr::binop(BinOp::Eq, Expr::load(Expr::var("l")), Expr::int(2)),
                                 Expr::load(Expr::var("l")),
                                 Expr::app(Expr::var("wait"), Expr::unit()),
                             ),

@@ -231,7 +231,12 @@ pub fn detect_races(events: &[Event], model: SyncModel) -> Option<RaceReport> {
     }
     let mut sync_locs: BTreeSet<Loc> = BTreeSet::new();
     for ev in events {
-        if let Event::Access { loc, kind: AccessKind::Rmw, .. } = ev {
+        if let Event::Access {
+            loc,
+            kind: AccessKind::Rmw,
+            ..
+        } = ev
+        {
             sync_locs.insert(*loc);
         }
     }
@@ -418,13 +423,19 @@ impl LockMonitor {
     /// Feeds one observed step of `thread` into the monitor.
     pub fn observe(&mut self, thread: usize, effect: &MemEffect, step: u64) {
         match *effect {
-            MemEffect::CasOk { loc, acquire_shape: true } => {
+            MemEffect::CasOk {
+                loc,
+                acquire_shape: true,
+            } => {
                 self.record_order(thread, loc, step);
                 self.held.entry(thread).or_default().push(loc);
                 self.owner.insert(loc, thread);
                 self.waiting.remove(&thread);
             }
-            MemEffect::CasFail { loc, acquire_shape: true } => {
+            MemEffect::CasFail {
+                loc,
+                acquire_shape: true,
+            } => {
                 self.record_order(thread, loc, step);
                 self.waiting.insert(thread, loc);
             }
@@ -441,7 +452,11 @@ impl LockMonitor {
                 // Any successful write means the thread made progress.
                 self.waiting.remove(&thread);
             }
-            MemEffect::Load { .. } | MemEffect::CasFail { acquire_shape: false, .. } => {}
+            MemEffect::Load { .. }
+            | MemEffect::CasFail {
+                acquire_shape: false,
+                ..
+            } => {}
         }
     }
 
@@ -549,7 +564,11 @@ impl LockMonitor {
                 self.stuck_streak = 0;
                 return None;
             }
-            waiting.push(WaitEntry { thread: t, lock, owner });
+            waiting.push(WaitEntry {
+                thread: t,
+                lock,
+                owner,
+            });
         }
         self.stuck_streak += 1;
         if self.stuck_streak >= STUCK_PERSISTENCE {
@@ -576,7 +595,10 @@ mod tests {
     fn unordered_write_write_races() {
         let events = vec![
             access(0, 0, AccessKind::Alloc),
-            Event::Fork { parent: 0, child: 1 },
+            Event::Fork {
+                parent: 0,
+                child: 1,
+            },
             access(1, 0, AccessKind::Store),
             access(0, 0, AccessKind::Store),
         ];
@@ -592,7 +614,10 @@ mod tests {
         let events = vec![
             access(0, 0, AccessKind::Alloc),
             access(0, 0, AccessKind::Store),
-            Event::Fork { parent: 0, child: 1 },
+            Event::Fork {
+                parent: 0,
+                child: 1,
+            },
             access(1, 0, AccessKind::Load),
         ];
         assert!(detect_races(&events, SyncModel::InferAtomics).is_none());
@@ -605,7 +630,10 @@ mod tests {
         let events = vec![
             access(0, 0, AccessKind::Alloc), // data
             access(0, 1, AccessKind::Alloc), // flag
-            Event::Fork { parent: 0, child: 1 },
+            Event::Fork {
+                parent: 0,
+                child: 1,
+            },
             access(1, 0, AccessKind::Store),
             access(1, 1, AccessKind::Rmw),
             access(0, 1, AccessKind::Rmw),
@@ -621,7 +649,10 @@ mod tests {
         let events = vec![
             access(0, 0, AccessKind::Alloc),
             access(0, 1, AccessKind::Alloc),
-            Event::Fork { parent: 0, child: 1 },
+            Event::Fork {
+                parent: 0,
+                child: 1,
+            },
             access(1, 0, AccessKind::Store),
             access(1, 1, AccessKind::Store),
             access(0, 1, AccessKind::Load),
@@ -636,7 +667,10 @@ mod tests {
     fn read_read_is_not_a_race() {
         let events = vec![
             access(0, 0, AccessKind::Alloc),
-            Event::Fork { parent: 0, child: 1 },
+            Event::Fork {
+                parent: 0,
+                child: 1,
+            },
             access(1, 0, AccessKind::Load),
             access(0, 0, AccessKind::Load),
         ];
@@ -689,9 +723,23 @@ mod tests {
         let mut heap = Heap::new();
         let l = heap.alloc(Val::Bool(false));
         let mut m = LockMonitor::new();
-        m.observe(0, &MemEffect::CasOk { loc: l, acquire_shape: true }, 1);
+        m.observe(
+            0,
+            &MemEffect::CasOk {
+                loc: l,
+                acquire_shape: true,
+            },
+            1,
+        );
         heap.store(l, Val::Bool(true));
-        m.observe(0, &MemEffect::CasFail { loc: l, acquire_shape: true }, 2);
+        m.observe(
+            0,
+            &MemEffect::CasFail {
+                loc: l,
+                acquire_shape: true,
+            },
+            2,
+        );
         let mut report = None;
         for _ in 0..STUCK_PERSISTENCE {
             report = m.check_stuck(&[0], &heap);
@@ -699,7 +747,11 @@ mod tests {
         let report = report.expect("stuck");
         assert_eq!(
             report.waiting,
-            vec![WaitEntry { thread: 0, lock: l, owner: 0 }]
+            vec![WaitEntry {
+                thread: 0,
+                lock: l,
+                owner: 0
+            }]
         );
     }
 
@@ -708,8 +760,22 @@ mod tests {
         let mut heap = Heap::new();
         let l = heap.alloc(Val::Bool(true));
         let mut m = LockMonitor::new();
-        m.observe(1, &MemEffect::CasOk { loc: l, acquire_shape: true }, 1);
-        m.observe(0, &MemEffect::CasFail { loc: l, acquire_shape: true }, 2);
+        m.observe(
+            1,
+            &MemEffect::CasOk {
+                loc: l,
+                acquire_shape: true,
+            },
+            1,
+        );
+        m.observe(
+            0,
+            &MemEffect::CasFail {
+                loc: l,
+                acquire_shape: true,
+            },
+            2,
+        );
         for _ in 0..STUCK_PERSISTENCE - 1 {
             assert!(m.check_stuck(&[0], &heap).is_none());
         }

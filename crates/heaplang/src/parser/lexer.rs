@@ -31,25 +31,25 @@ pub enum Tok {
     Faa,
     Def,
     // Symbols.
-    ColonEq,   // :=
-    SemiSemi,  // ;;
-    LArrow,    // <-
-    FatArrow,  // =>
+    ColonEq,  // :=
+    SemiSemi, // ;;
+    LArrow,   // <-
+    FatArrow, // =>
     LParen,
     RParen,
     LBrace,
     RBrace,
     Comma,
     Pipe,
-    Bang,      // !
-    Tilde,     // ~
+    Bang,  // !
+    Tilde, // ~
     Plus,
     Minus,
     Star,
     Slash,
     Percent,
-    EqSym,     // =
-    NeSym,     // !=
+    EqSym, // =
+    NeSym, // !=
     Lt,
     Le,
     Gt,
@@ -192,7 +192,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                         }
                     }
                 } else {
-                    out.push(SpannedTok { tok: Tok::Slash, line });
+                    out.push(SpannedTok {
+                        tok: Tok::Slash,
+                        line,
+                    });
                 }
             }
             c if c.is_ascii_digit() => {
@@ -209,7 +212,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     line,
                     message: format!("integer literal out of range: {s}"),
                 })?;
-                out.push(SpannedTok { tok: Tok::Int(n), line });
+                out.push(SpannedTok {
+                    tok: Tok::Int(n),
+                    line,
+                });
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut s = String::new();
@@ -338,7 +344,11 @@ mod tests {
     fn keywords_and_idents() {
         assert_eq!(
             toks("rec acquire l"),
-            vec![Tok::Rec, Tok::Ident("acquire".into()), Tok::Ident("l".into())]
+            vec![
+                Tok::Rec,
+                Tok::Ident("acquire".into()),
+                Tok::Ident("l".into())
+            ]
         );
     }
 

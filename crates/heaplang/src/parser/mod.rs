@@ -134,9 +134,7 @@ pub fn link(defs: &[Def], main: &Expr) -> Expr {
             None => {
                 // Non-function definitions must already be literal values.
                 body.as_val()
-                    .unwrap_or_else(|| {
-                        panic!("definition {} is not a value", def.name)
-                    })
+                    .unwrap_or_else(|| panic!("definition {} is not a value", def.name))
                     .clone()
             }
         };
@@ -209,7 +207,8 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(format!(
                 "expected '{t}', found {}",
-                self.peek().map_or("end of input".to_owned(), |p| format!("'{p}'"))
+                self.peek()
+                    .map_or("end of input".to_owned(), |p| format!("'{p}'"))
             )))
         }
     }
@@ -249,11 +248,7 @@ impl<'a> Parser<'a> {
         self.expect(&Tok::Def)?;
         let name = match self.bump() {
             Some(Tok::Ident(s)) => s,
-            other => {
-                return Err(self.err(format!(
-                    "expected definition name, found {other:?}"
-                )))
-            }
+            other => return Err(self.err(format!("expected definition name, found {other:?}"))),
         };
         let mut params = Vec::new();
         while !matches!(self.peek(), Some(Tok::ColonEq)) {
@@ -724,10 +719,9 @@ mod tests {
         ";
         let defs = parse_program(src).unwrap();
         assert_eq!(defs.len(), 3);
-        let main = parse_expr(
-            "let lk := newlock () in acquire lk ;; release lk ;; acquire lk ;; 1",
-        )
-        .unwrap();
+        let main =
+            parse_expr("let lk := newlock () in acquire lk ;; release lk ;; acquire lk ;; 1")
+                .unwrap();
         let linked = link(&defs, &main);
         assert!(linked.is_closed());
         assert_eq!(

@@ -189,7 +189,10 @@ pub fn head_step(e: &Expr, heap: &mut Heap) -> Result<StepResult, StuckError> {
             let (Some(av), Some(bv)) = (a.as_val(), b.as_val()) else {
                 return Err(stuck("pair of non-values"));
             };
-            Ok(StepResult::pure(Expr::Val(Val::pair(av.clone(), bv.clone()))))
+            Ok(StepResult::pure(Expr::Val(Val::pair(
+                av.clone(),
+                bv.clone(),
+            ))))
         }
         Expr::Fst(a) => match a.as_val() {
             Some(Val::Pair(x, _)) => Ok(StepResult::pure(Expr::Val((**x).clone()))),
@@ -244,7 +247,10 @@ pub fn head_step(e: &Expr, heap: &mut Heap) -> Result<StepResult, StuckError> {
                 match heap.store(*l, v.clone()) {
                     Some(_) => Ok(StepResult::effectful(
                         Expr::unit(),
-                        MemEffect::Store { loc: *l, unlock_shape },
+                        MemEffect::Store {
+                            loc: *l,
+                            unlock_shape,
+                        },
                     )),
                     None => Err(stuck(format!("store to unallocated {l}"))),
                 }
@@ -265,12 +271,18 @@ pub fn head_step(e: &Expr, heap: &mut Heap) -> Result<StepResult, StuckError> {
                     heap.store(*l, new.clone());
                     Ok(StepResult::effectful(
                         Expr::bool(true),
-                        MemEffect::CasOk { loc: *l, acquire_shape },
+                        MemEffect::CasOk {
+                            loc: *l,
+                            acquire_shape,
+                        },
                     ))
                 } else {
                     Ok(StepResult::effectful(
                         Expr::bool(false),
-                        MemEffect::CasFail { loc: *l, acquire_shape },
+                        MemEffect::CasFail {
+                            loc: *l,
+                            acquire_shape,
+                        },
                     ))
                 }
             }
@@ -285,7 +297,10 @@ pub fn head_step(e: &Expr, heap: &mut Heap) -> Result<StepResult, StuckError> {
                 match cur {
                     Val::Int(n) => {
                         heap.store(*l, Val::Int(n + k));
-                        Ok(StepResult::effectful(Expr::int(n), MemEffect::Faa { loc: *l }))
+                        Ok(StepResult::effectful(
+                            Expr::int(n),
+                            MemEffect::Faa { loc: *l },
+                        ))
                     }
                     other => Err(stuck(format!("FAA on non-integer {other}"))),
                 }
@@ -310,9 +325,14 @@ pub fn head_step(e: &Expr, heap: &mut Heap) -> Result<StepResult, StuckError> {
 /// unsafe comparisons.
 pub fn eval_bin_op(op: BinOp, l: &Val, r: &Val) -> Result<Val, StuckError> {
     use BinOp::*;
-    let int = |v: &Val| v.as_int().ok_or_else(|| stuck(format!("expected integer, got {v}")));
-    let boolean =
-        |v: &Val| v.as_bool().ok_or_else(|| stuck(format!("expected boolean, got {v}")));
+    let int = |v: &Val| {
+        v.as_int()
+            .ok_or_else(|| stuck(format!("expected integer, got {v}")))
+    };
+    let boolean = |v: &Val| {
+        v.as_bool()
+            .ok_or_else(|| stuck(format!("expected boolean, got {v}")))
+    };
     Ok(match op {
         Add => Val::Int(int(l)? + int(r)?),
         Sub => Val::Int(int(l)? - int(r)?),
@@ -481,11 +501,7 @@ mod tests {
         )
         .is_err());
         assert!(run_seq(Expr::load(Expr::int(3)), &mut h).is_err());
-        assert!(run_seq(
-            Expr::binop(BinOp::Div, Expr::int(1), Expr::int(0)),
-            &mut h
-        )
-        .is_err());
+        assert!(run_seq(Expr::binop(BinOp::Div, Expr::int(1), Expr::int(0)), &mut h).is_err());
     }
 
     #[test]
@@ -507,7 +523,9 @@ mod tests {
     #[test]
     fn mem_effects_classify_heap_ops() {
         let mut h = Heap::new();
-        let res = thread_step(&Expr::alloc(Expr::bool(false)), &mut h).unwrap().unwrap();
+        let res = thread_step(&Expr::alloc(Expr::bool(false)), &mut h)
+            .unwrap()
+            .unwrap();
         let l = match res.effect {
             Some(MemEffect::Alloc { loc }) => loc,
             other => panic!("expected alloc effect, got {other:?}"),
@@ -517,23 +535,54 @@ mod tests {
         // Lock-shaped CAS: acquire succeeds, retry fails, both flagged as RMW.
         let acq = Expr::cas(loc.clone(), Expr::bool(false), Expr::bool(true));
         let res = thread_step(&acq.clone(), &mut h).unwrap().unwrap();
-        assert_eq!(res.effect, Some(MemEffect::CasOk { loc: l, acquire_shape: true }));
+        assert_eq!(
+            res.effect,
+            Some(MemEffect::CasOk {
+                loc: l,
+                acquire_shape: true
+            })
+        );
         assert!(res.effect.unwrap().is_rmw());
         let res = thread_step(&acq, &mut h).unwrap().unwrap();
-        assert_eq!(res.effect, Some(MemEffect::CasFail { loc: l, acquire_shape: true }));
+        assert_eq!(
+            res.effect,
+            Some(MemEffect::CasFail {
+                loc: l,
+                acquire_shape: true
+            })
+        );
 
         // Unlock-shaped store vs an ordinary store.
-        let res =
-            thread_step(&Expr::store(loc.clone(), Expr::bool(false)), &mut h).unwrap().unwrap();
-        assert_eq!(res.effect, Some(MemEffect::Store { loc: l, unlock_shape: true }));
-        let res = thread_step(&Expr::store(loc.clone(), Expr::int(7)), &mut h).unwrap().unwrap();
-        assert_eq!(res.effect, Some(MemEffect::Store { loc: l, unlock_shape: false }));
+        let res = thread_step(&Expr::store(loc.clone(), Expr::bool(false)), &mut h)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            res.effect,
+            Some(MemEffect::Store {
+                loc: l,
+                unlock_shape: true
+            })
+        );
+        let res = thread_step(&Expr::store(loc.clone(), Expr::int(7)), &mut h)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            res.effect,
+            Some(MemEffect::Store {
+                loc: l,
+                unlock_shape: false
+            })
+        );
 
-        let res = thread_step(&Expr::load(loc.clone()), &mut h).unwrap().unwrap();
+        let res = thread_step(&Expr::load(loc.clone()), &mut h)
+            .unwrap()
+            .unwrap();
         assert_eq!(res.effect, Some(MemEffect::Load { loc: l }));
         assert!(!res.effect.unwrap().is_rmw());
 
-        let res = thread_step(&Expr::faa(loc, Expr::int(1)), &mut h).unwrap().unwrap();
+        let res = thread_step(&Expr::faa(loc, Expr::int(1)), &mut h)
+            .unwrap()
+            .unwrap();
         assert_eq!(res.effect, Some(MemEffect::Faa { loc: l }));
         assert_eq!(res.effect.unwrap().loc(), l);
     }

@@ -278,7 +278,11 @@ enum Picker<'a> {
     /// Seeded random scheduling.
     Random(RandomSched),
     /// Replay a slot script, then fall back to fair round-robin.
-    Replay { script: &'a [u32], pos: usize, rr: usize },
+    Replay {
+        script: &'a [u32],
+        pos: usize,
+        rr: usize,
+    },
 }
 
 impl Picker<'_> {
@@ -287,7 +291,10 @@ impl Picker<'_> {
         match self {
             Picker::Random(sched) => {
                 let t = sched.pick(runnable);
-                runnable.iter().position(|&x| x == t).expect("picked thread is runnable")
+                runnable
+                    .iter()
+                    .position(|&x| x == t)
+                    .expect("picked thread is runnable")
             }
             Picker::Replay { script, pos, rr } => {
                 if *pos < script.len() {
@@ -337,7 +344,10 @@ fn run_one(
                     monitor.observe(thread, &eff, machine.steps_taken());
                 }
                 if let Some(child) = info.forked {
-                    events.push(Event::Fork { parent: thread, child });
+                    events.push(Event::Fork {
+                        parent: thread,
+                        child,
+                    });
                 }
                 if let Some(preemptions) = collect_branches {
                     // Branch only at visible (heap-effecting) steps past
@@ -383,7 +393,11 @@ fn run_one(
         steps: machine.steps_taken(),
         threads: machine.thread_count(),
         race: detect_races(&events, cfg.sync_model),
-        cycle: if cfg.lock_order { monitor.find_cycle() } else { None },
+        cycle: if cfg.lock_order {
+            monitor.find_cycle()
+        } else {
+            None
+        },
         heap: machine.heap().clone(),
         candidates,
     }
@@ -475,14 +489,21 @@ pub fn sweep(prog: &Expr, post: &dyn Fn(&Val, &Heap) -> bool, cfg: &SweepConfig)
 
     // Preemption-bounded DFS (CHESS-style): start from the fair default
     // schedule and branch at visible operations, depth-first.
-    let mut queue: Vec<Branch> = vec![Branch { script: Vec::new(), preemptions: 0 }];
+    let mut queue: Vec<Branch> = vec![Branch {
+        script: Vec::new(),
+        preemptions: 0,
+    }];
     let mut dfs_steps: u64 = 0;
     while let Some(branch) = queue.pop() {
         if out.dfs_runs >= cfg.dfs_max_runs || dfs_steps >= cfg.dfs_max_steps {
             out.dfs_truncated = true;
             break;
         }
-        let mut picker = Picker::Replay { script: &branch.script, pos: 0, rr: 0 };
+        let mut picker = Picker::Replay {
+            script: &branch.script,
+            pos: 0,
+            rr: 0,
+        };
         let mut rec = run_one(prog, &mut picker, cfg, Some(branch.preemptions));
         dfs_steps += rec.steps;
         let id = ScheduleId::Dfs(out.dfs_runs);
@@ -529,7 +550,11 @@ mod tests {
         )
         .unwrap();
         let out = sweep(&prog, &|v, _| *v == Val::int(2), &small_cfg());
-        assert!(out.clean(), "expected clean sweep, got flags {:?}", out.flags());
+        assert!(
+            out.clean(),
+            "expected clean sweep, got flags {:?}",
+            out.flags()
+        );
         assert_eq!(out.runs, out.random_runs + out.dfs_runs);
         assert!(out.dfs_runs >= 2, "DFS should explore both orders");
         assert_eq!(out.distinct_values.len(), 1);
@@ -568,7 +593,12 @@ mod tests {
              0",
         )
         .unwrap();
-        let cfg = SweepConfig { seeds: 5, fuel: 5_000, dfs_max_runs: 4, ..small_cfg() };
+        let cfg = SweepConfig {
+            seeds: 5,
+            fuel: 5_000,
+            dfs_max_runs: 4,
+            ..small_cfg()
+        };
         let out = sweep(&prog, &|_, _| true, &cfg);
         let flags = out.flags();
         assert!(flags.contains("deadlock"), "got {flags:?}");

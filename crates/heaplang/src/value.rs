@@ -171,7 +171,10 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(Val::pair(Val::int(1), Val::bool(false)).to_string(), "(1, false)");
+        assert_eq!(
+            Val::pair(Val::int(1), Val::bool(false)).to_string(),
+            "(1, false)"
+        );
         assert_eq!(Val::inj_r(Val::Unit).to_string(), "inr ()");
     }
 }

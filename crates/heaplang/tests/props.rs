@@ -69,10 +69,12 @@ fn pexpr() -> impl Strategy<Value = PExpr> {
                 inner.clone()
             )
                 .prop_map(|(op, a, b)| PExpr::Bin(op, Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| PExpr::If(Box::new(c), Box::new(t), Box::new(e))),
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| PExpr::LetPlus(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| PExpr::If(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
+            (inner.clone(), inner).prop_map(|(a, b)| PExpr::LetPlus(Box::new(a), Box::new(b))),
         ]
     })
 }

@@ -27,7 +27,8 @@ fn cfg() -> SweepConfig {
 }
 
 fn run(source: &str, expected: i64) -> SweepOutcome {
-    let prog = parse_expr(source).unwrap_or_else(|e| panic!("generated program parses: {e}\n{source}"));
+    let prog =
+        parse_expr(source).unwrap_or_else(|e| panic!("generated program parses: {e}\n{source}"));
     sweep(&prog, &|v, _| *v == Val::Int(i128::from(expected)), &cfg())
 }
 
@@ -92,8 +93,7 @@ fn locked_program(main_adds: &[i64], fork_adds: &[Vec<i64>]) -> (String, i64) {
         "(rec wait u := if ! d = {} then ! c else wait u) ()",
         fork_adds.len()
     );
-    let total = main_adds.iter().sum::<i64>()
-        + fork_adds.iter().flatten().sum::<i64>();
+    let total = main_adds.iter().sum::<i64>() + fork_adds.iter().flatten().sum::<i64>();
     (src, total)
 }
 

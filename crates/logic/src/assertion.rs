@@ -273,9 +273,7 @@ impl Assertion {
                     match other {
                         Assertion::Pure(p) => p.visit_terms(&mut collect),
                         Assertion::Atom(at) => at.visit_terms(&mut collect),
-                        Assertion::Sep(x, y)
-                        | Assertion::Or(x, y)
-                        | Assertion::Wand(x, y) => {
+                        Assertion::Sep(x, y) | Assertion::Or(x, y) | Assertion::Wand(x, y) => {
                             go(x, bound, out);
                             go(y, bound, out);
                         }
@@ -323,12 +321,8 @@ impl Assertion {
             return self;
         }
         match self {
-            Assertion::Sep(a, b) => {
-                Assertion::sep(a.strip_later(preds), b.strip_later(preds))
-            }
-            Assertion::Or(a, b) => {
-                Assertion::or(a.strip_later(preds), b.strip_later(preds))
-            }
+            Assertion::Sep(a, b) => Assertion::sep(a.strip_later(preds), b.strip_later(preds)),
+            Assertion::Or(a, b) => Assertion::or(a.strip_later(preds), b.strip_later(preds)),
             Assertion::Exists(b, body) => Assertion::exists(b, body.strip_later(preds)),
             Assertion::Later(inner) => Assertion::later(*inner),
             other => Assertion::later(other),
@@ -380,10 +374,7 @@ mod tests {
         let z = ctx.fresh_var(Sort::Int, "z");
         let l = ctx.fresh_var(Sort::Loc, "l");
         // ∃z. l ↦ #z — l free, z bound.
-        let body = Assertion::atom(Atom::points_to(
-            Term::var(l),
-            Term::v_int(Term::var(z)),
-        ));
+        let body = Assertion::atom(Atom::points_to(Term::var(l), Term::v_int(Term::var(z))));
         let a = Assertion::exists(Binder::new(z), body);
         assert_eq!(a.free_vars(), vec![l]);
     }
@@ -400,10 +391,7 @@ mod tests {
             pred: r,
             args: Vec::new(),
         });
-        assert_eq!(
-            rp.clone().strip_later(&pt2),
-            Assertion::later(rp.clone())
-        );
+        assert_eq!(rp.clone().strip_later(&pt2), Assertion::later(rp.clone()));
         // ∗ distributes.
         let both = Assertion::sep(pt.clone(), rp.clone());
         assert_eq!(

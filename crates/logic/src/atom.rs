@@ -201,9 +201,7 @@ impl Atom {
             Atom::PointsTo { loc, frac, val } => {
                 loc.needs_zonk(ctx) || frac.needs_zonk(ctx) || val.needs_zonk(ctx)
             }
-            Atom::Ghost(g) => {
-                g.gname.needs_zonk(ctx) || g.args.iter().any(|a| a.needs_zonk(ctx))
-            }
+            Atom::Ghost(g) => g.gname.needs_zonk(ctx) || g.args.iter().any(|a| a.needs_zonk(ctx)),
             Atom::Invariant { body, .. } => body.needs_zonk(ctx),
             Atom::Wp { post, .. } => post.body.needs_zonk(ctx),
             Atom::PredApp { args, .. } => args.iter().any(|a| a.needs_zonk(ctx)),

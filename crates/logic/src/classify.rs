@@ -45,10 +45,9 @@ pub fn is_left_goal(a: &Assertion) -> bool {
         Assertion::Exists(_, body) => is_left_goal(body),
         // Invariant bodies carry laters after opening; allow ▷L as L.
         Assertion::Later(body) => is_left_goal(body),
-        Assertion::Forall(..)
-        | Assertion::Wand(..)
-        | Assertion::BUpd(_)
-        | Assertion::FUpd(..) => false,
+        Assertion::Forall(..) | Assertion::Wand(..) | Assertion::BUpd(_) | Assertion::FUpd(..) => {
+            false
+        }
     }
 }
 
@@ -57,9 +56,7 @@ pub fn is_left_goal(a: &Assertion) -> bool {
 pub fn is_unstructured(a: &Assertion) -> bool {
     match a {
         Assertion::Pure(_) | Assertion::Atom(_) => true,
-        Assertion::Sep(l, r) | Assertion::Or(l, r) => {
-            is_unstructured(l) && is_unstructured(r)
-        }
+        Assertion::Sep(l, r) | Assertion::Or(l, r) => is_unstructured(l) && is_unstructured(r),
         Assertion::Exists(_, body) => is_left_goal(body),
         Assertion::Forall(_, body) => is_unstructured(body),
         Assertion::Wand(p, c) => is_left_goal(p) && is_unstructured(c),
@@ -80,18 +77,17 @@ pub fn is_clean_hyp(a: &Assertion) -> bool {
         // A later that could not be stripped stays as a (less useful)
         // hypothesis.
         Assertion::Later(body) => is_clean_hyp(body),
-        Assertion::Pure(_)
-        | Assertion::Sep(..)
-        | Assertion::Or(..)
-        | Assertion::Exists(..) => false,
+        Assertion::Pure(_) | Assertion::Sep(..) | Assertion::Or(..) | Assertion::Exists(..) => {
+            false
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::Atom;
     use crate::assertion::Binder;
+    use crate::atom::Atom;
     use diaframe_term::{PureProp, Sort, Term, VarCtx};
 
     fn pt() -> Assertion {
@@ -118,10 +114,7 @@ mod tests {
         let z = ctx.fresh_var(Sort::Int, "z");
         let a = Assertion::exists(
             Binder::new(z),
-            Assertion::sep(
-                pt(),
-                Assertion::or(Assertion::pure(PureProp::True), pt()),
-            ),
+            Assertion::sep(pt(), Assertion::or(Assertion::pure(PureProp::True), pt())),
         );
         assert!(is_left_goal(&a));
         assert!(is_unstructured(&a));

@@ -57,7 +57,10 @@ fn fmt_assertion(
 ) -> fmt::Result {
     let compound = matches!(
         a,
-        Assertion::Sep(..) | Assertion::Or(..) | Assertion::Wand(..) | Assertion::Exists(..)
+        Assertion::Sep(..)
+            | Assertion::Or(..)
+            | Assertion::Wand(..)
+            | Assertion::Exists(..)
             | Assertion::Forall(..)
     );
     if parens && compound {
@@ -110,12 +113,7 @@ fn fmt_assertion(
     }
 }
 
-fn fmt_atom(
-    ctx: &VarCtx,
-    preds: &PredTable,
-    at: &Atom,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
+fn fmt_atom(ctx: &VarCtx, preds: &PredTable, at: &Atom, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match at {
         Atom::PointsTo { loc, frac, val } => {
             write!(f, "{}", pp_term(ctx, loc))?;
@@ -193,10 +191,7 @@ mod tests {
         let l = ctx.fresh_var(Sort::Loc, "l");
         let body = Assertion::exists(
             Binder::new(b),
-            Assertion::atom(Atom::points_to(
-                Term::var(l),
-                Term::v_bool(Term::var(b)),
-            )),
+            Assertion::atom(Atom::points_to(Term::var(l), Term::v_bool(Term::var(b)))),
         );
         let inv = Assertion::atom(Atom::invariant(Namespace::new("N"), body));
         assert_eq!(
@@ -210,10 +205,7 @@ mod tests {
         let ctx = VarCtx::new();
         let preds = PredTable::new();
         let t = Assertion::pure(PureProp::True);
-        let s = Assertion::Sep(
-            Box::new(t.clone()),
-            Box::new(Assertion::later(t.clone())),
-        );
+        let s = Assertion::Sep(Box::new(t.clone()), Box::new(Assertion::later(t.clone())));
         assert_eq!(
             pp_assertion(&ctx, &preds, &s).to_string(),
             "⌜True⌝ ∗ ▷ ⌜True⌝"

@@ -166,12 +166,16 @@ impl MaskStore {
         match (ra, rb) {
             (Some(ma), Some(mb)) => ma == mb,
             (Some(m), None) => {
-                let MaskT::EVar(v) = b else { unreachable!("unresolved must be evar") };
+                let MaskT::EVar(v) = b else {
+                    unreachable!("unresolved must be evar")
+                };
                 self.solve(*v, m);
                 true
             }
             (None, Some(m)) => {
-                let MaskT::EVar(v) = a else { unreachable!("unresolved must be evar") };
+                let MaskT::EVar(v) = a else {
+                    unreachable!("unresolved must be evar")
+                };
                 self.solve(*v, m);
                 true
             }

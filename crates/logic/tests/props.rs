@@ -64,10 +64,8 @@ fn texpr() -> impl Strategy<Value = TExpr> {
     ];
     leaf.prop_recursive(4, 20, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| TExpr::Sep(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| TExpr::Or(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| TExpr::Sep(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| TExpr::Or(Box::new(a), Box::new(b))),
             inner.clone().prop_map(|a| TExpr::Later(Box::new(a))),
         ]
     })

@@ -151,10 +151,6 @@ mod tests {
         assert_eq!(served.core(), Some(served.clone()));
         // Bumping the authority preserves all lower-bound fragments.
         let frames: Vec<Auth<NatMax>> = (0..5).map(|n| Auth::frag(NatMax(n))).collect();
-        check_fpu(
-            &Auth::auth(NatMax(4)),
-            &Auth::auth(NatMax(5)),
-            &frames,
-        );
+        check_fpu(&Auth::auth(NatMax(4)), &Auth::auth(NatMax(5)), &frames);
     }
 }

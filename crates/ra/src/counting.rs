@@ -71,10 +71,9 @@ impl Ra for CountRa {
             (Unit, x) | (x, Unit) => x.clone(),
             (Invalid, _) | (_, Invalid) => Invalid,
             (Tokens(a), Tokens(b)) => Tokens(a + b),
-            (Tokens(t), Counter { p, k }) | (Counter { p, k }, Tokens(t)) => Counter {
-                p: *p,
-                k: k + t,
-            },
+            (Tokens(t), Counter { p, k }) | (Counter { p, k }, Tokens(t)) => {
+                Counter { p: *p, k: k + t }
+            }
             (Counter { .. }, Counter { .. }) => Invalid,
             (NoTokens(a), NoTokens(b)) => NoTokens(*a + *b),
             // No tokens exist, yet a token (or a counter claiming p ≥ 1

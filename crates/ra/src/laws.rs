@@ -64,7 +64,10 @@ pub fn check_ra_laws<A: Ra>(elems: &[A]) {
 pub fn check_ucmra_laws<A: Ucmra>(elems: &[A]) {
     let unit = A::unit();
     assert!(unit.valid(), "unit invalid");
-    assert!(unit.core() == Some(unit.clone()), "unit is not its own core");
+    assert!(
+        unit.core() == Some(unit.clone()),
+        "unit is not its own core"
+    );
     for a in elems {
         assert!(unit.op(a) == *a, "unit not neutral for {a:?}");
         assert!(unit.included(a), "unit not included in {a:?}");
@@ -78,8 +81,7 @@ pub fn check_ucmra_laws<A: Ucmra>(elems: &[A]) {
             // Completeness over the finite fragment: if a ≼ b then some
             // witness in `elems` (or the unit) extends a to b.
             if a.included(b) {
-                let witnessed = b == &a.op(&A::unit())
-                    || elems.iter().any(|c| a.op(c) == *b);
+                let witnessed = b == &a.op(&A::unit()) || elems.iter().any(|c| a.op(c) == *b);
                 assert!(
                     witnessed,
                     "inclusion {a:?} ≼ {b:?} has no witness in the sample"

@@ -73,7 +73,5 @@ pub fn frame_preserving_update<A: Ra>(a: &A, b: &A, frames: &[A]) -> bool {
     if a.valid() && !b.valid() {
         return false;
     }
-    frames
-        .iter()
-        .all(|c| !a.op(c).valid() || b.op(c).valid())
+    frames.iter().all(|c| !a.op(c).valid() || b.op(c).valid())
 }

@@ -40,17 +40,11 @@ fn nat_max() -> impl Strategy<Value = NatMax> {
 }
 
 fn excl() -> impl Strategy<Value = Excl<u8>> {
-    prop_oneof![
-        (0u8..=5).prop_map(Excl::Own),
-        Just(Excl::Invalid),
-    ]
+    prop_oneof![(0u8..=5).prop_map(Excl::Own), Just(Excl::Invalid),]
 }
 
 fn agree() -> impl Strategy<Value = Agree<u8>> {
-    prop_oneof![
-        (0u8..=5).prop_map(Agree::On),
-        Just(Agree::Invalid),
-    ]
+    prop_oneof![(0u8..=5).prop_map(Agree::On), Just(Agree::Invalid),]
 }
 
 fn count() -> impl Strategy<Value = CountRa> {

@@ -74,7 +74,8 @@ fn fmt_term(ctx: &VarCtx, t: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 }
 
 fn fmt_atomic(ctx: &VarCtx, t: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    let needs_parens = matches!(t, Term::App(s, _) if s.is_arith()) || matches!(t, Term::Int(n) if *n < 0);
+    let needs_parens =
+        matches!(t, Term::App(s, _) if s.is_arith()) || matches!(t, Term::Int(n) if *n < 0);
     if needs_parens {
         write!(f, "(")?;
         fmt_term(ctx, t, f)?;
@@ -154,13 +155,7 @@ fn fmt_prop(ctx: &VarCtx, p: &PureProp, f: &mut fmt::Formatter<'_>) -> fmt::Resu
     }
 }
 
-fn rel(
-    ctx: &VarCtx,
-    op: &str,
-    a: &Term,
-    b: &Term,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
+fn rel(ctx: &VarCtx, op: &str, a: &Term, b: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     fmt_term(ctx, &a.zonk(ctx), f)?;
     write!(f, " {op} ")?;
     fmt_term(ctx, &b.zonk(ctx), f)

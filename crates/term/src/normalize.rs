@@ -89,7 +89,11 @@ impl LinComb {
         }
         LinComb {
             constant: self.constant * q,
-            coeffs: self.coeffs.iter().map(|(t, c)| (t.clone(), *c * q)).collect(),
+            coeffs: self
+                .coeffs
+                .iter()
+                .map(|(t, c)| (t.clone(), *c * q))
+                .collect(),
         }
     }
 
@@ -119,7 +123,10 @@ impl LinComb {
     pub fn to_term(&self, integral: bool) -> Term {
         let lit = |r: Rat| -> Term {
             if integral {
-                Term::Int(r.to_integer().expect("non-integral constant in integer term"))
+                Term::Int(
+                    r.to_integer()
+                        .expect("non-integral constant in integer term"),
+                )
             } else {
                 match crate::qp::Qp::from_rat(r) {
                     Some(q) => Term::QpLit(q),

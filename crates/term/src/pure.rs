@@ -102,9 +102,7 @@ impl PureProp {
     /// Conjunction of a list of propositions.
     #[must_use]
     pub fn conj<I: IntoIterator<Item = PureProp>>(props: I) -> PureProp {
-        props
-            .into_iter()
-            .fold(PureProp::True, PureProp::and)
+        props.into_iter().fold(PureProp::True, PureProp::and)
     }
 
     /// Pushes a negation one constructor inwards, producing the classical
@@ -147,10 +145,9 @@ impl PureProp {
     pub fn needs_zonk(&self, ctx: &VarCtx) -> bool {
         match self {
             PureProp::True | PureProp::False => false,
-            PureProp::Eq(a, b)
-            | PureProp::Ne(a, b)
-            | PureProp::Le(a, b)
-            | PureProp::Lt(a, b) => a.needs_zonk(ctx) || b.needs_zonk(ctx),
+            PureProp::Eq(a, b) | PureProp::Ne(a, b) | PureProp::Le(a, b) | PureProp::Lt(a, b) => {
+                a.needs_zonk(ctx) || b.needs_zonk(ctx)
+            }
             PureProp::And(a, b) | PureProp::Or(a, b) | PureProp::Implies(a, b) => {
                 a.needs_zonk(ctx) || b.needs_zonk(ctx)
             }
@@ -171,9 +168,7 @@ impl PureProp {
             PureProp::And(a, b) => {
                 PureProp::And(Box::new(a.map_terms(f)), Box::new(b.map_terms(f)))
             }
-            PureProp::Or(a, b) => {
-                PureProp::Or(Box::new(a.map_terms(f)), Box::new(b.map_terms(f)))
-            }
+            PureProp::Or(a, b) => PureProp::Or(Box::new(a.map_terms(f)), Box::new(b.map_terms(f))),
             PureProp::Not(a) => PureProp::Not(Box::new(a.map_terms(f))),
             PureProp::Implies(a, b) => {
                 PureProp::Implies(Box::new(a.map_terms(f)), Box::new(b.map_terms(f)))
@@ -273,7 +268,10 @@ mod tests {
 
     #[test]
     fn conj_flattens_true() {
-        let p = PureProp::conj(vec![PureProp::True, PureProp::eq(Term::int(1), Term::int(1))]);
+        let p = PureProp::conj(vec![
+            PureProp::True,
+            PureProp::eq(Term::int(1), Term::int(1)),
+        ]);
         assert_eq!(p, PureProp::eq(Term::int(1), Term::int(1)));
         assert_eq!(PureProp::conj(Vec::new()), PureProp::True);
     }
@@ -290,11 +288,7 @@ mod tests {
             Some(false)
         );
         assert_eq!(
-            PureProp::eq(
-                Term::add(Term::int(1), Term::int(1)),
-                Term::int(2)
-            )
-            .eval_ground(&ctx),
+            PureProp::eq(Term::add(Term::int(1), Term::int(1)), Term::int(2)).eval_ground(&ctx),
             Some(true)
         );
     }

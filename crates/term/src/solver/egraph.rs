@@ -451,7 +451,11 @@ mod tests {
         let mut ctx = VarCtx::new();
         let z = int_var(&mut ctx, "z");
         let facts = [PureProp::lt(Term::int(0), z.clone())];
-        assert!(agree(&mut ctx, &facts, &PureProp::le(Term::int(1), z.clone())));
+        assert!(agree(
+            &mut ctx,
+            &facts,
+            &PureProp::le(Term::int(1), z.clone())
+        ));
         assert!(!agree(&mut ctx, &facts, &PureProp::le(Term::int(2), z)));
     }
 
@@ -495,7 +499,11 @@ mod tests {
             PureProp::eq(z.clone(), Term::int(1)),
             PureProp::eq(z.clone(), Term::int(2)),
         )];
-        assert!(agree(&mut ctx, &facts, &PureProp::lt(Term::int(0), z.clone())));
+        assert!(agree(
+            &mut ctx,
+            &facts,
+            &PureProp::lt(Term::int(0), z.clone())
+        ));
         assert!(!agree(&mut ctx, &facts, &PureProp::eq(z, Term::int(1))));
     }
 

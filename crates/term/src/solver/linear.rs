@@ -436,11 +436,7 @@ fn merge_scaled(a: &[(u32, Rat)], qa: Rat, b: &[(u32, Rat)], qb: Rat) -> Vec<(u3
 /// `lc + 1 ≤ 0`, and the constant is tightened by the gcd of the variable
 /// coefficients.
 fn tighten(ctx: &VarCtx, c: Constraint) -> Constraint {
-    let all_int = c
-        .lc
-        .coeffs
-        .keys()
-        .all(|t| t.sort(ctx).is_integral());
+    let all_int = c.lc.coeffs.keys().all(|t| t.sort(ctx).is_integral());
     if !all_int || c.lc.coeffs.is_empty() {
         return c;
     }

@@ -68,9 +68,7 @@ impl Subst {
                 Some(u) => u.clone(),
                 None => t.clone(),
             },
-            Term::App(sym, args) => {
-                Term::App(*sym, args.iter().map(|a| self.apply(a)).collect())
-            }
+            Term::App(sym, args) => Term::App(*sym, args.iter().map(|a| self.apply(a)).collect()),
             _ => t.clone(),
         }
     }

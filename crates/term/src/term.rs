@@ -50,8 +50,14 @@ impl Sym {
     pub fn arity(self) -> usize {
         match self {
             Sym::VUnit => 0,
-            Sym::Neg | Sym::VInt | Sym::VBool | Sym::VLoc | Sym::VInjL | Sym::VInjR
-            | Sym::Fst | Sym::Snd => 1,
+            Sym::Neg
+            | Sym::VInt
+            | Sym::VBool
+            | Sym::VLoc
+            | Sym::VInjL
+            | Sym::VInjR
+            | Sym::Fst
+            | Sym::Snd => 1,
             Sym::Add | Sym::Sub | Sym::Mul | Sym::Min | Sym::Max | Sym::VPair => 2,
         }
     }
@@ -270,10 +276,9 @@ impl Term {
     /// without duplicates).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {
         match self {
-            Term::Var(v)
-                if !out.contains(v) => {
-                    out.push(*v);
-                }
+            Term::Var(v) if !out.contains(v) => {
+                out.push(*v);
+            }
             Term::App(_, args) => {
                 for a in args.iter() {
                     a.collect_vars(out);
@@ -294,10 +299,9 @@ impl Term {
     /// Collects the evars into `out` (without duplicates).
     pub fn collect_evars(&self, out: &mut Vec<EVarId>) {
         match self {
-            Term::EVar(e)
-                if !out.contains(e) => {
-                    out.push(*e);
-                }
+            Term::EVar(e) if !out.contains(e) => {
+                out.push(*e);
+            }
             Term::App(_, args) => {
                 for a in args.iter() {
                     a.collect_evars(out);
@@ -407,8 +411,15 @@ impl Term {
             Term::App(sym, args) => match sym {
                 Sym::Add | Sym::Sub | Sym::Mul | Sym::Min | Sym::Max => args[0].sort(ctx),
                 Sym::Neg => args[0].sort(ctx),
-                Sym::VInt | Sym::VBool | Sym::VUnit | Sym::VLoc | Sym::VPair | Sym::VInjL
-                | Sym::VInjR | Sym::Fst | Sym::Snd => Sort::Val,
+                Sym::VInt
+                | Sym::VBool
+                | Sym::VUnit
+                | Sym::VLoc
+                | Sym::VPair
+                | Sym::VInjL
+                | Sym::VInjR
+                | Sym::Fst
+                | Sym::Snd => Sort::Val,
             },
         }
     }

@@ -147,7 +147,8 @@ fn unify_numeric(ctx: &mut VarCtx, a: &Term, b: &Term, sort: Sort) -> Result<(),
     for (e, q) in candidates {
         // diff = rest + q·?e = 0  ⇒  ?e = -rest / q.
         let mut rest = diff.clone();
-        rest.coeffs.retain(|t, _| !matches!(t, Term::EVar(f) if *f == e));
+        rest.coeffs
+            .retain(|t, _| !matches!(t, Term::EVar(f) if *f == e));
         let sol = rest.scale(-q.recip());
         if sort.is_integral() {
             // All coefficients must be integral for an integer solution term.
@@ -283,11 +284,20 @@ mod tests {
         let e = ctx.fresh_evar(Sort::Int);
         // 2·?e ≐ 3 has no integer solution.
         assert_eq!(
-            unify(&mut ctx, &Term::mul(Term::int(2), Term::evar(e)), &Term::int(3)),
+            unify(
+                &mut ctx,
+                &Term::mul(Term::int(2), Term::evar(e)),
+                &Term::int(3)
+            ),
             Err(UnifyError::NonIntegral)
         );
         // 2·?e ≐ 6 does.
-        assert!(unify(&mut ctx, &Term::mul(Term::int(2), Term::evar(e)), &Term::int(6)).is_ok());
+        assert!(unify(
+            &mut ctx,
+            &Term::mul(Term::int(2), Term::evar(e)),
+            &Term::int(6)
+        )
+        .is_ok());
         assert_eq!(Term::evar(e).zonk(&ctx), Term::int(3));
     }
 

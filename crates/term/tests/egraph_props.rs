@@ -93,9 +93,7 @@ impl P {
             P::Lt(a, b) => PureProp::lt(t(a), t(b)),
             P::And(a, b) => PureProp::and(a.to_prop(vars, evars), b.to_prop(vars, evars)),
             P::Or(a, b) => PureProp::or(a.to_prop(vars, evars), b.to_prop(vars, evars)),
-            P::Implies(a, b) => {
-                PureProp::implies(a.to_prop(vars, evars), b.to_prop(vars, evars))
-            }
+            P::Implies(a, b) => PureProp::implies(a.to_prop(vars, evars), b.to_prop(vars, evars)),
             P::Not(a) => PureProp::negate(a.to_prop(vars, evars)),
         }
     }
@@ -112,8 +110,7 @@ fn prop(evars: bool) -> impl Strategy<Value = P> {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| P::And(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| P::Or(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| P::Implies(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| P::Implies(Box::new(a), Box::new(b))),
             inner.clone().prop_map(|a| P::Not(Box::new(a))),
         ]
     })
@@ -248,7 +245,11 @@ fn solution_fp_restored_across_rollback() {
     assert!(eg.prove_frozen(&mut ctx, &PureProp::le(Term::int(3), Term::var(z))));
 
     ctx.rollback(&mark);
-    assert_eq!(ctx.solution_fp(), fp0, "rollback must restore the fingerprint");
+    assert_eq!(
+        ctx.solution_fp(),
+        fp0,
+        "rollback must restore the fingerprint"
+    );
     assert!(!eg.prove_frozen(&mut ctx, &PureProp::le(Term::int(3), Term::var(z))));
 
     ctx.solve_evar(e, Term::int(3));

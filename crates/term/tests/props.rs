@@ -66,10 +66,8 @@ fn iexpr() -> impl Strategy<Value = IExpr> {
     ];
     leaf.prop_recursive(4, 24, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| IExpr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| IExpr::Sub(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| IExpr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| IExpr::Sub(Box::new(a), Box::new(b))),
             inner.clone().prop_map(|a| IExpr::Neg(Box::new(a))),
             (-5i64..=5, inner).prop_map(|(k, a)| IExpr::Scale(k, Box::new(a))),
         ]
@@ -163,8 +161,7 @@ fn oexpr() -> impl Strategy<Value = OExpr> {
     ];
     leaf.prop_recursive(3, 12, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| OExpr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| OExpr::Add(Box::new(a), Box::new(b))),
             inner.prop_map(|a| OExpr::Neg(Box::new(a))),
         ]
     })

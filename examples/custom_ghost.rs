@@ -32,7 +32,10 @@ const UNSET: GhostKind = GhostKind {
 };
 
 /// `set γ` — the persistent fact that the bit was tripped.
-const SET: GhostKind = GhostKind { id: 901, name: "set" };
+const SET: GhostKind = GhostKind {
+    id: 901,
+    name: "set",
+};
 
 fn set(gname: Term) -> Atom {
     Atom::Ghost(GhostAtom {
@@ -125,10 +128,19 @@ fn main() {
     let mut registry = Registry::standard();
     registry.register(Box::new(StickyLib));
     let mut atoms = Registry::standard_atoms();
-    atoms.push(AtomSig { kind: UNSET, pred: false, args: &[] });
-    atoms.push(AtomSig { kind: SET, pred: false, args: &[] });
+    atoms.push(AtomSig {
+        kind: UNSET,
+        pred: false,
+        args: &[],
+    });
+    atoms.push(AtomSig {
+        kind: SET,
+        pred: false,
+        args: &[],
+    });
 
-    let ws = Ws::elaborate(SOURCE, &format!("{FLAG}{SPECS}"), &atoms).expect("annotation elaborates");
+    let ws =
+        Ws::elaborate(SOURCE, &format!("{FLAG}{SPECS}"), &atoms).expect("annotation elaborates");
     let jobs: Vec<_> = ws
         .declared()
         .iter()
@@ -160,7 +172,10 @@ fn main() {
     let unset_spec = "SPEC γ, {{ is_flag γ f }} observe f {{ RET #1; True }}\n";
     let ws2 = Ws::elaborate(SOURCE, &format!("{FLAG}{unset_spec}"), &atoms).expect("elaborates");
     let err = ws2
-        .verify_all(&registry, &[(ws2.named("observe"), VerifyOptions::automatic())])
+        .verify_all(
+            &registry,
+            &[(ws2.named("observe"), VerifyOptions::automatic())],
+        )
         .expect_err("reading 1 without set γ must not verify");
     println!("\nwithout set γ the read is rightly rejected:\n{err}");
 }

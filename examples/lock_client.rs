@@ -7,7 +7,9 @@
 //! ```
 
 use diaframe::core::TraceStep;
-use diaframe::examples::{cas_counter_client::CasCounterClient, ticket_lock_client::TicketLockClient, Example};
+use diaframe::examples::{
+    cas_counter_client::CasCounterClient, ticket_lock_client::TicketLockClient, Example,
+};
 
 fn main() {
     for ex in [

@@ -176,5 +176,8 @@ fn unbalanced_branch_structure_rejected() {
             );
         }
     }
-    assert!(attempted > 0, "expected branching traces (acquire case-splits)");
+    assert!(
+        attempted > 0,
+        "expected branching traces (acquire case-splits)"
+    );
 }

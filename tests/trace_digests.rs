@@ -17,7 +17,9 @@
 use diaframe::core::trace_json::{trace_to_json, traces_to_compact_json};
 use diaframe::core::{default_jobs, sha256_hex, with_verification_session, TelemetrySession};
 use diaframe::examples::all_examples;
-use diaframe_bench::{failing_table, figure6_rows, prefetch_suite, render_figure6, SuiteCache, Variant};
+use diaframe_bench::{
+    failing_table, figure6_rows, prefetch_suite, render_figure6, SuiteCache, Variant,
+};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -67,16 +69,35 @@ fn actual_digests() -> String {
             let _ = writeln!(traces, "{}\n{}", p.name, trace_to_json(&p.trace));
         }
         let _ = writeln!(out, "trace/{} {}", ex.name(), sha256_hex(traces.as_bytes()));
-        let specs: Vec<_> = outcome.proofs.iter().map(|p| (p.name.as_str(), &p.trace)).collect();
+        let specs: Vec<_> = outcome
+            .proofs
+            .iter()
+            .map(|p| (p.name.as_str(), &p.trace))
+            .collect();
         let bundle = traces_to_compact_json(&specs);
-        let _ = writeln!(out, "bundle/{} {}", ex.name(), sha256_hex(bundle.as_bytes()));
+        let _ = writeln!(
+            out,
+            "bundle/{} {}",
+            ex.name(),
+            sha256_hex(bundle.as_bytes())
+        );
         let broken = cache.get_or_run(ex.as_ref(), Variant::Broken);
         match &broken.outcome {
             None => {}
             Some(Ok(_)) => panic!("{}: sabotaged variant verified", ex.name()),
             Some(Err(report)) => {
-                let _ = writeln!(out, "broken/{} {}", ex.name(), sha256_hex(report.as_bytes()));
-                let _ = writeln!(out, "explain/{} {}", ex.name(), sha256_hex(explain(ex.as_ref()).as_bytes()));
+                let _ = writeln!(
+                    out,
+                    "broken/{} {}",
+                    ex.name(),
+                    sha256_hex(report.as_bytes())
+                );
+                let _ = writeln!(
+                    out,
+                    "explain/{} {}",
+                    ex.name(),
+                    sha256_hex(explain(ex.as_ref()).as_bytes())
+                );
             }
         }
     }
@@ -88,7 +109,11 @@ fn actual_digests() -> String {
             m
         })
         .collect();
-    let _ = writeln!(out, "table/figure6 {}", sha256_hex(render_figure6(&rows).as_bytes()));
+    let _ = writeln!(
+        out,
+        "table/figure6 {}",
+        sha256_hex(render_figure6(&rows).as_bytes())
+    );
     let failing = mask_timings(&failing_table(&cache));
     let _ = writeln!(out, "table/failing {}", sha256_hex(failing.as_bytes()));
     out
@@ -108,5 +133,8 @@ fn traces_and_tables_match_committed_digests() {
 #[test]
 fn masking_keeps_names_and_drops_timings() {
     let table = "name | success failure fail<succ\n----\nspin_lock | 1.20ms 0.30ms yes\n\nfooter\n";
-    assert_eq!(mask_timings(table), "name | success failure fail<succ\n----\nspin_lock | -\n\nfooter\n");
+    assert_eq!(
+        mask_timings(table),
+        "name | success failure fail<succ\n----\nspin_lock | -\n\nfooter\n"
+    );
 }
