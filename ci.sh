@@ -12,7 +12,8 @@
 #      profile: their nesting-depth tests must hit the parser and
 #      elaborator bounds before a 2 MiB test-thread stack overflows at
 #      debug frame sizes
-#   4. clippy, warnings-as-errors, across every target
+#   4. clippy, warnings-as-errors, across every target, and rustfmt:
+#      `cargo fmt --all -- --check` must leave every workspace file as is
 #   5. a full `figure6 --all` report run, writing the machine-readable
 #      snapshot to target/BENCH_figure6.json, followed by the
 #      snapshot-diff gate: `figure6 --diff` compares the fresh v9
@@ -70,6 +71,7 @@ cargo test --workspace --release -q
 cargo test --release --manifest-path perfbench/Cargo.toml
 cargo test -q -p diaframe-core -p diaframe-heaplang --lib
 cargo clippy --workspace --all-targets -- -D warnings
+cargo fmt --all -- --check
 cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6.json
 
 # --- snapshot-diff gate (see EXPERIMENTS.md "Performance") ---------------
