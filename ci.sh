@@ -11,7 +11,8 @@
 #      and the core and HeapLang unit tests once more in the debug
 #      profile: their nesting-depth tests must hit the parser and
 #      elaborator bounds before a 2 MiB test-thread stack overflows at
-#      debug frame sizes
+#      debug frame sizes; then each runnable example under examples/
+#      must exit 0 (arc_walkthrough expects drop's §2.2 stuck state)
 #   4. clippy, warnings-as-errors, across every target, and rustfmt:
 #      `cargo fmt --all -- --check` must leave every workspace file as is
 #   5. a full `figure6 --all` report run, writing the machine-readable
@@ -70,6 +71,11 @@ cargo test -q
 cargo test --workspace --release -q
 cargo test --release --manifest-path perfbench/Cargo.toml
 cargo test -q -p diaframe-core -p diaframe-heaplang --lib
+cargo run --release --example arc_walkthrough > /dev/null
+cargo run --release --example custom_ghost > /dev/null
+cargo run --release --example interpreter > /dev/null
+cargo run --release --example lock_client > /dev/null
+cargo run --release --example quickstart > /dev/null
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6.json

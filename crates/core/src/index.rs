@@ -25,10 +25,11 @@
 //!   whatsoever (e.g. the counting library keys `P q` abstract-predicate
 //!   goals on a `token γ` hypothesis), so a hypothesis containing a
 //!   ghost atom is never skipped.
-//! - **User hints disable head filtering** ([`HeadSet::has_atom`]):
-//!   custom `CustomHintFn`s are arbitrary closures over `(hyp, goal)`
-//!   pairs, so when any are registered a hypothesis may only be skipped
-//!   if it has no reachable leaf atom at all (pure facts, disjunctions).
+//! - **Keyed annotation hints disable head filtering**
+//!   ([`HeadSet::has_atom`]): a keyed `HINT H ⊫ A ∗ [U]` is tried on
+//!   every `(hyp, goal)` pair, so when any is declared a hypothesis may
+//!   only be skipped if it has no reachable leaf atom at all (pure facts,
+//!   disjunctions).
 //!
 //! Heads are *term-independent*: substitution and zonking rewrite term
 //! leaves but preserve every constructor, `PredId`, `GhostKind` and
@@ -110,7 +111,7 @@ impl HeadSet {
 
     /// Whether a hypothesis with this summary could key a hint for
     /// `goal`. `custom_hints_active` must be true whenever the running
-    /// `VerifyOptions` carry user hints.
+    /// `VerifyOptions` carry a keyed hint.
     #[must_use]
     pub fn may_key(&self, goal: &Atom, custom_hints_active: bool) -> bool {
         if self.any || (custom_hints_active && self.has_atom) {
@@ -244,7 +245,7 @@ mod tests {
     fn pure_hypotheses_never_probe() {
         let hs = HeadSet::of(&Assertion::pure(PureProp::True));
         assert!(!hs.may_key(&pto(), false));
-        // …even with custom hints active: there is no atom to hand them.
+        // …even with keyed hints active: there is no atom to hand them.
         assert!(!hs.may_key(&pto(), true));
     }
 

@@ -20,8 +20,8 @@
 //!   mask discipline and the evar scope discipline;
 //! * when no rule applies the engine stops with a [`report::Stuck`]
 //!   rendering the proof state in the Iris-Proof-Mode style of §2.2, and
-//!   the user may resume with tactics ([`tactic`]): manual case splits,
-//!   custom hints, or opt-in disjunction backtracking;
+//!   the user resumes through the annotation: manual case splits
+//!   ([`tactic`]) and bi-abduction hints ([`hint`]);
 //! * an opt-in instrumentation session ([`telemetry`]) records a
 //!   hierarchical span tree ([`profile`]) across pool workers and
 //!   verification sessions, with counters of hint probes, rule

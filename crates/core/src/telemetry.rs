@@ -85,7 +85,7 @@ pub struct CounterSnapshot {
     /// `find_hint` calls that found no hint at all (the precursor of a
     /// stuck report).
     pub hint_misses: u64,
-    /// Disjunction backtracks (§5.3 opt-in backtracking only; the
+    /// Disjunction backtracks (§5.3 backtracking only; the
     /// strategy never backtracks globally).
     pub backtracks: u64,
     /// Length, in discarded trace steps, of the deepest abandoned branch.

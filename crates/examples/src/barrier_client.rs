@@ -1,8 +1,7 @@
 //! A client of the barrier: forks two waiters and signals — resources flow
 //! from the signaller through the barrier to both forked threads.
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow, ToolStat};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The client.
@@ -47,11 +46,6 @@ impl Example for BarrierClient {
             caper: Some(ToolStat::new(189, 0)),
             voila: None,
         }
-    }
-
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION)
-            .verify_declared(|_| VerifyOptions::automatic().with_backtracking())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

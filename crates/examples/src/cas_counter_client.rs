@@ -2,8 +2,7 @@
 //! specifications (the library is not re-verified — the §6 comparison
 //! point against Caper, which must restate libraries).
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow, ToolStat};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The client: bump the counter twice.
@@ -48,10 +47,6 @@ impl Example for CasCounterClient {
             caper: Some(ToolStat::new(94, 0)),
             voila: Some(ToolStat::new(267, 36)),
         }
-    }
-
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

@@ -2,8 +2,7 @@
 //! then join and hand `Q` back — verified modularly against the library
 //! specifications, with a real `fork` in the client code.
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow, ToolStat};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The client: the worker finishes the handle, the main thread joins.
@@ -47,10 +46,6 @@ impl Example for ForkJoinClient {
             caper: Some(ToolStat::new(70, 0)),
             voila: Some(ToolStat::new(124, 20)),
         }
-    }
-
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

@@ -1,13 +1,15 @@
 #![warn(missing_docs)]
 //! The 24 fine-grained concurrency benchmarks of the Diaframe paper
 //! (Figure 6), with their specifications, invariants, ghost setup and —
-//! where the paper needed them — custom hints and manual case splits.
+//! where the paper needed them — hints and manual case splits, all stated
+//! in the annotation.
 //!
 //! Every example provides:
 //!
 //! * the **program** in HeapLang surface syntax (the `impl` column);
-//! * the **annotation**: Hoare specifications, invariant definitions and
-//!   hint names in the paper's notation (the `annot` column), elaborated
+//! * the **annotation**: Hoare specifications, invariant definitions,
+//!   proof scripts and hints in the paper's notation (the `annot`
+//!   column), elaborated
 //!   into the verified specs by [`diaframe_core::annot`];
 //! * a [`common::Example::verify`] run proving all specifications with
 //!   the Diaframe strategy;

@@ -7,9 +7,7 @@
 //! lock, whereas we verify a heap-allocated version"; Caper and Voila fix
 //! such bounds).
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use crate::ticket_lock;
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow, ToolStat};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The implementation. `read_acq` takes the pair `(b, w)` of bound and
@@ -108,12 +106,10 @@ impl Example for RwLockTicketBounded {
         }
     }
 
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let ws = Ws::new(SOURCE, ANNOTATION);
+    fn spec_order(&self) -> &'static [&'static str] {
         // The libraries' instances first (global lock, then reader lock),
         // then the lock's own operations.
-        let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
-        let order = [
+        &[
             "makeg",
             "waitg",
             "acquireg",
@@ -127,14 +123,7 @@ impl Example for RwLockTicketBounded {
             "read_rel",
             "write_acq",
             "write_rel",
-        ];
-        ws.verify_named(&order, |name| {
-            if own.contains(&name) {
-                VerifyOptions::automatic()
-            } else {
-                ticket_lock::options(name)
-            }
-        })
+        ]
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

@@ -4,9 +4,7 @@
 //! readers enter fairly. The reader count is unbounded; compare
 //! [`crate::rwlock_ticket_bounded`].
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, Ws};
-use crate::ticket_lock;
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The implementation: two textually separate ticket locks plus the
@@ -99,12 +97,10 @@ impl Example for RwLockTicketUnbounded {
         }
     }
 
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let ws = Ws::new(SOURCE, ANNOTATION);
+    fn spec_order(&self) -> &'static [&'static str] {
         // The libraries' instances first (global lock, then reader lock),
         // then the lock's own operations.
-        let own = ["make", "read_acq", "read_rel", "write_acq", "write_rel"];
-        let order = [
+        &[
             "makeg",
             "waitg",
             "acquireg",
@@ -118,14 +114,7 @@ impl Example for RwLockTicketUnbounded {
             "read_rel",
             "write_acq",
             "write_rel",
-        ];
-        ws.verify_named(&order, |name| {
-            if own.contains(&name) {
-                VerifyOptions::automatic()
-            } else {
-                ticket_lock::options(name)
-            }
-        })
+        ]
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

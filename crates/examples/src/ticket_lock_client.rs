@@ -1,8 +1,7 @@
 //! A client of the ticket lock, verified modularly against the lock's
 //! specifications (acquire/release as black boxes).
 
-use crate::common::{program, Example, ExampleOutcome, PaperRow, ToolStat, Ws};
-use diaframe_core::{Stuck, VerifyOptions};
+use crate::common::{program, Example, PaperRow, ToolStat};
 use diaframe_heaplang::{parse_expr, Expr, Val};
 
 /// The client: a critical section that acquires, uses `R`, and releases.
@@ -46,10 +45,6 @@ impl Example for TicketLockClient {
             caper: Some(ToolStat::new(79, 0)),
             voila: Some(ToolStat::new(87, 11)),
         }
-    }
-
-    fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        Ws::new(SOURCE, ANNOTATION).verify_declared(|_| VerifyOptions::automatic())
     }
 
     fn adequacy_program(&self) -> Option<(Expr, Val)> {

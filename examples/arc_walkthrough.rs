@@ -12,7 +12,10 @@ use diaframe::examples::{Example, Ws};
 
 fn main() {
     // 1. Run drop's verification with NO manual help: the automation
-    //    stops at the invariant-closing disjunction, exactly as in §2.2.
+    //    cannot decide the invariant-closing disjunction of §2.2 (is the
+    //    count now 0 or still positive?). Backtracking tries both
+    //    disjuncts; the second leaves the pure goal `#(z - 1) = #0`,
+    //    which nothing proves without knowing whether `z = 1`.
     let ws = Ws::new(arc::SOURCE, arc::ANNOTATION);
     let registry = diaframe::ghost::Registry::standard();
     let stuck = ws

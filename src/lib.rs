@@ -44,9 +44,7 @@ pub use diaframe_term as term;
 ///     "def incr c := FAA(c, 1)",
 ///     "SPEC l, {{ ⌜c = #l⌝ ∗ l ↦ #0 }} incr c {{ RET #0; l ↦ #1 }}",
 /// );
-/// let outcome = ws
-///     .verify_declared(|_| VerifyOptions::automatic())
-///     .expect("the increment verifies");
+/// let outcome = ws.verify_declared().expect("the increment verifies");
 /// assert_eq!(outcome.manual_steps, 0);
 /// outcome.check_all().expect("traces replay");
 /// ```
