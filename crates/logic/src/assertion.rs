@@ -236,6 +236,25 @@ impl Assertion {
         }
     }
 
+    /// Calls `f` on this assertion and every sub-assertion, outermost and
+    /// leftmost first; invariant bodies are entered when `into_inv`.
+    pub fn walk<'a>(&'a self, into_inv: bool, f: &mut impl FnMut(&'a Assertion)) {
+        f(self);
+        match self {
+            Assertion::Sep(a, b) | Assertion::Or(a, b) | Assertion::Wand(a, b) => {
+                a.walk(into_inv, f);
+                b.walk(into_inv, f);
+            }
+            Assertion::Exists(_, a)
+            | Assertion::Forall(_, a)
+            | Assertion::Later(a)
+            | Assertion::BUpd(a)
+            | Assertion::FUpd(_, _, a) => a.walk(into_inv, f),
+            Assertion::Atom(Atom::Invariant { body, .. }) if into_inv => body.walk(into_inv, f),
+            Assertion::Atom(_) | Assertion::Pure(_) => {}
+        }
+    }
+
     /// Visits every term leaf.
     pub fn visit_terms(&self, f: &mut impl FnMut(&Term)) {
         match self {
