@@ -140,7 +140,7 @@ cargo run --release -p diaframe-bench --bin figure6 -- --explain spin_lock \
 
 # --- soundness-fuzzing smoke gate (see EXPERIMENTS.md "Soundness harness") --
 # Fixed seed: ~200 generated entailments through the differential oracle
-# (engine → checker / check_json / telemetry session / spec / index-off), then
+# (engine → checker / check_json / telemetry session / linear scan / spec), then
 # adversarial mutation of every generated + real example trace, then every
 # example annotation mutated through parse + elaborate. Any divergence,
 # surviving mutant or annotation panic makes fuzz_driver exit non-zero.
@@ -158,10 +158,9 @@ cmp target/fuzz_report.json target/fuzz_report2.json
 # Third run under one campaign-wide telemetry session: the report bytes
 # must not move (the session is pure observability, down to the fuzz
 # verdicts), and the campaign trace must pass structural validation.
-DIAFRAME_PROFILE=target/fuzz_profile.json \
-  cargo run --release -p diaframe-bench --bin fuzz_driver -- \
+cargo run --release -p diaframe-bench --bin fuzz_driver -- \
   --seed 0xD1AF --cases 200 --mutations-per-trace 8 --json-out target/fuzz_report3.json \
-  > target/fuzz_profiled.log
+  --profile-out target/fuzz_profile.json > target/fuzz_profiled.log
 grep -q 'validated, written to' target/fuzz_profiled.log
 cmp target/fuzz_report.json target/fuzz_report3.json
 

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diaframe_core::hint::find_hint;
-use diaframe_core::{set_hint_index_enabled, ProofCtx, VerifyOptions};
+use diaframe_core::{Ablation, ProofCtx, VerifyOptions};
 use diaframe_ghost::Registry;
 use diaframe_logic::{Assertion, Atom, Mask, Namespace, PredTable};
 use diaframe_term::{PureProp, Term};
@@ -64,13 +64,15 @@ fn bench_hint_search(c: &mut Criterion) {
     group.bench_function("clone-baseline-96hyps", |b| {
         b.iter(|| criterion::black_box(ctx.clone().delta.len()));
     });
-    for (label, indexed) in [("indexed-96hyps", true), ("linear-96hyps", false)] {
+    for (label, linear_scan) in [("indexed-96hyps", false), ("linear-96hyps", true)] {
+        let ablation = Ablation {
+            linear_scan,
+            ..Ablation::none()
+        };
         group.bench_function(label, |b| {
             b.iter(|| {
-                let prev = set_hint_index_enabled(indexed);
                 let mut ctx = ctx.clone();
-                let found = find_hint(&mut ctx, &registry, &opts, &goal, &Mask::top());
-                set_hint_index_enabled(prev);
+                let found = find_hint(&mut ctx, &registry, &opts, ablation, &goal, &Mask::top());
                 assert!(found.is_some(), "the matching hypothesis must be found");
                 criterion::black_box(found.is_some())
             });

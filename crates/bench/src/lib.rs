@@ -452,44 +452,25 @@ impl StoreExperiment {
 
 /// Serializes the Figure 6 run as JSON (schema
 /// `diaframe-bench/figure6/v9`) for committing as a `BENCH_*.json`
-/// snapshot: per-example search/check/total timings and search-effort
-/// counters, the run's worker count, stack size, wall-clock, cache
-/// accounting, and the suite-wide counter aggregate.
+/// snapshot. The top level holds:
 ///
-/// v2 extends v1 with the `telemetry` blocks (one per example, one
-/// aggregated); every v1 field is unchanged, so v1 consumers that
-/// ignore unknown keys keep working. v3 adds the term-interner
-/// counters (`interner_hits`/`interner_misses`/`zonk_cache_hits`/
-/// `normalize_cache_hits`) to every telemetry block; timings in a v3
-/// snapshot are measured with the hash-consing interner active and are
-/// not comparable to v2 timings run without it. v4 adds the incremental
-/// pure-solver counters (`solver_facts_asserted`/`solver_merges`/
-/// `solver_undo_ops`/`solver_queries_incremental`/
-/// `solver_queries_rebuild`/`solver_verdict_hits`/
-/// `solver_verdict_misses`); timings in a v4 snapshot are measured with
-/// the persistent backtrackable e-graph solver active
-/// and are not comparable to v3 timings run on the rebuild-per-query
-/// path. v5 added intra-verification parallelism counters, which v8
-/// drops again. v6 adds the `spans` duration-histogram blocks
-/// (one per example, one aggregated over the suite): for each
-/// telemetry span kind (`search`/`find_hint`/`check`), the sample
-/// count, total, and p50/p95/max duration in nanoseconds — the
-/// spread behind the flat `search_ms` column. v7 adds the persistent-proof-store counters
-/// (`store_hits`/`store_misses`/`store_corruptions`/`store_evictions`/
-/// `store_replay_ms`/`store_search_ms`) to every telemetry block, and a
-/// top-level `store` block (`null` unless the run was `figure6
-/// --store`) recording the warm-vs-cold experiment: both suite walls,
-/// per-pass store counters, resident entries/bytes and the speedup.
-/// Store counters are cache-temperature, so the `--diff` reporter
-/// treats them as informational, never gating. v8 drops the
-/// speculation and pipelined-checking counters (`spec_spawned`/
-/// `spec_won`/`spec_cancelled`/`spec_wasted_probes`/`check_overlap_ms`)
-/// from every telemetry block: the engine has one serial search path
-/// and checks after searching. v9 takes the `spans` blocks from the
-/// span tree: `session` is the telemetry session that was installed
-/// while `cache` was filled, each example's block covers the subtree of
-/// its `verify` span, the aggregate covers all the examples' subtrees,
-/// and the keys are the [`SpanKind`] names.
+/// - `jobs`, `stack_mb` and `wall_ms`: the worker count, the verification
+///   workers' stack size and the suite's wall-clock;
+/// - `cache`: the [`SuiteCache`] hit/miss accounting;
+/// - `store`: `null`, or under `figure6 --store` the warm-vs-cold
+///   experiment — both suite walls, per-pass store counters, resident
+///   entries/bytes and the speedup;
+/// - `telemetry`: every search-effort counter of [`CounterSnapshot`],
+///   summed over the examples (the store counters among them depend on
+///   cache temperature, so the `--diff` reporter never gates on them);
+/// - `spans`: per [`SpanKind`] name, the sample count, total and
+///   p50/p95/max duration in nanoseconds, over the span subtrees of all
+///   examples' `verify` spans in `session`, the telemetry session that
+///   was installed while `cache` was filled;
+/// - `examples`: one row per example — name, spec count, manual steps,
+///   hints (all and custom), search/check/total milliseconds, and its own
+///   `telemetry` and `spans` blocks, taken from its `verify` span's
+///   subtree.
 ///
 /// # Panics
 ///

@@ -60,10 +60,10 @@ pub const STORE_FORMAT: u32 = 1;
 /// The content-addressed key of one store entry: a SHA-256 fingerprint
 /// over everything that determines the proof trace.
 ///
-/// The engine fingerprint covers crate versions, the trace-format
-/// revision and the process-wide hint-index switch; the per-thread
-/// [`Ablation`] is keyed here because it varies per lookup, not per
-/// process.
+/// The engine fingerprint covers crate versions and the trace-format
+/// revision; the per-thread [`Ablation`] is keyed here because it varies
+/// per lookup, not per process. Its three ablations are keyed; its
+/// linear reference scan is not, since it leaves every trace as it is.
 #[must_use]
 pub fn store_key(ex: &dyn Example, variant: Variant, ablation: Ablation) -> String {
     let mut fp = Fingerprinter::new();

@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 
 /// The ablation configurations tabulated by `figure6 --ablation`: each
 /// named entry disables one search-order decision from DESIGN.md §5
-/// (plus the all-off baseline and the everything-disabled row).
+/// (plus the all-off baseline and the everything-disabled row). The
+/// linear reference scan is no row: it moves no trace, only probes.
 #[must_use]
 pub fn ablation_configs() -> Vec<(&'static str, Ablation)> {
     vec![
@@ -48,6 +49,7 @@ pub fn ablation_configs() -> Vec<(&'static str, Ablation)> {
                 oldest_first: true,
                 single_pass: true,
                 no_alloc_preference: true,
+                ..Ablation::none()
             },
         ),
     ]

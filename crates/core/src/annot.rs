@@ -2003,7 +2003,7 @@ impl Elab<'_> {
         if ls != rs {
             return fail(d.rhs.pos, format!("decide compares a {ls} with a {rs}"));
         }
-        Ok(Tactic::CasePure {
+        Ok(Tactic {
             name: format!("decide ({lt} = {rt})"),
             lhs,
             rhs,
@@ -2728,8 +2728,7 @@ SPEC (k : loc) n, {{ ⌜l = #k⌝ ∗ k ↦ #n ∗ (∃ z. k ↦ #z) }} acquire 
             panic!("{:?}", e.scripts)
         };
         assert_eq!(spec, "acquire");
-        let [Tactic::CasePure { name, lhs, rhs }, Tactic::CasePure { rhs: one, .. }] = &script[..]
-        else {
+        let [Tactic { name, lhs, rhs }, Tactic { rhs: one, .. }] = &script[..] else {
             panic!("{script:?}")
         };
         assert_eq!(name, "decide (n = z)");

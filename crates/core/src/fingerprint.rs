@@ -252,8 +252,8 @@ impl Fingerprinter {
     }
 }
 
-/// The semantics-relevant identity of this engine build and process
-/// configuration, as a stable hex digest.
+/// The semantics-relevant identity of this engine build, as a stable hex
+/// digest.
 ///
 /// Components:
 ///
@@ -261,18 +261,14 @@ impl Fingerprinter {
 /// * the trace-format revision ([`crate::trace_json::FORMAT_REV`]) —
 ///   bumped whenever the serialized trace shape or the checker contract
 ///   changes, which is exactly when old stored traces must stop
-///   replaying;
-/// * the state of the one remaining engine switch, the hint index. It
-///   is trace-identical by construction (the fuzz driver uses it as its
-///   indexed-vs-linear oracle), but the store treats "identical" as a
-///   claim to be immune to, not to rely on: flipping it changes the
-///   fingerprint and cold-misses the cache rather than replaying traces
-///   recorded under a different configuration.
+///   replaying.
 ///
 /// Deliberately **not** included: the per-thread [`crate::Ablation`]
-/// override (it varies per request, so the store keys it separately)
-/// and observability state (telemetry/profiling are identity-preserving
-/// side channels; their identity tests gate that in CI).
+/// override (it varies per request, so the store keys its ablations
+/// separately, and its linear reference scan is trace-identical by
+/// contract) and observability state (telemetry/profiling are
+/// identity-preserving side channels; their identity tests gate that in
+/// CI).
 ///
 /// The digest is stable across processes of the same build — asserted
 /// by `crates/core/tests/fingerprint_restart.rs` via a subprocess — and
@@ -285,14 +281,6 @@ pub fn engine_fingerprint() -> String {
     fp.field(
         "trace_format_rev",
         &crate::trace_json::FORMAT_REV.to_string(),
-    );
-    fp.field(
-        "hint_index",
-        if crate::index::hint_index_enabled() {
-            "on"
-        } else {
-            "off"
-        },
     );
     fp.finish()
 }

@@ -15,10 +15,9 @@
 //! 2. **Differential oracle** ([`oracle`]): engine-proved goals must
 //!    replay identically through `checker::check` and
 //!    `checker::check_json`, telemetry and profiling on/off must not
-//!    change the trace, indexed vs linear hint search must agree (driven
-//!    as a whole-pass comparison by `fuzz_driver`, since the index toggle
-//!    is process global), and the independent executable spec ([`spec`])
-//!    must agree with the checker.
+//!    change the trace, indexed vs linear hint search must agree, and
+//!    the independent executable spec ([`spec`]) must agree with the
+//!    checker.
 //! 3. **Adversarial mutation** ([`mutate`]): structured edits — swap a
 //!    rule kind, drop/duplicate/reorder a step, retarget an obligation's
 //!    facts, corrupt an evar solution, widen a mask, flip atomicity,

@@ -5,6 +5,8 @@
 //!
 //! * telemetry and profiling **on vs off** must produce byte-identical
 //!   trace JSON (observability, never behavior);
+//! * the linear hint scan must produce the same trace JSON as the
+//!   head-indexed one (skipping a hopeless probe is unobservable);
 //! * [`checker::check`] must accept the engine's trace, and
 //!   [`checker::check_json`] must return the *same* verdict through the
 //!   codec;
@@ -29,7 +31,7 @@ use crate::fuzz::shrink::shrink_steps;
 use crate::fuzz::spec::spec_check;
 use crate::spec::SpecTable;
 use crate::strategy::Engine;
-use crate::tactic::VerifyOptions;
+use crate::tactic::{current_ablation, with_ablation_override, Ablation, VerifyOptions};
 use crate::telemetry::TelemetrySession;
 use crate::trace::{ProofTrace, TraceStep};
 use crate::trace_json::{
@@ -105,8 +107,7 @@ pub struct CaseReport {
     pub proved: bool,
     /// Every differential disagreement observed (empty in a sound run).
     pub divergences: Vec<String>,
-    /// The engine trace as JSON, when proved — the index-off pass
-    /// compares against this.
+    /// The engine trace as JSON, when proved.
     pub trace_json: Option<String>,
 }
 
@@ -134,6 +135,22 @@ pub fn run_case(seed: u64, index: usize, cfg: &GenConfig) -> CaseReport {
             )),
             None => divergences.push(format!(
                 "case {index}: proved without telemetry/profiling but stuck with it"
+            )),
+        }
+
+        // Index leg: the linear reference scan probes every hypothesis
+        // the head index skips; the trace must not move.
+        let linear = Ablation {
+            linear_scan: true,
+            ..current_ablation()
+        };
+        match with_ablation_override(linear, || search_once(seed, index, cfg)).trace {
+            Some(t) if trace_to_json(&t) == json => {}
+            Some(_) => divergences.push(format!(
+                "case {index}: linear hint search produced a different trace than indexed"
+            )),
+            None => divergences.push(format!(
+                "case {index}: proved with the hint index but stuck without it"
             )),
         }
 

@@ -41,11 +41,11 @@
 //! Because every failed probe is fully rolled back (variable numbering
 //! included — see `VarCtx::rollback`), skipping a doomed probe is
 //! observationally identical to running it: proof traces are bit-equal
-//! with the index on or off. `set_hint_index_enabled(false)` forces the
-//! plain linear scan, which the equivalence tests use.
+//! with the index on or off. The scoped `Ablation::linear_scan` switch
+//! forces the plain linear scan for one verification; the equivalence
+//! tests and the fuzz oracle compare the two.
 
 use diaframe_logic::{Assertion, Atom, Namespace, PredId, PredTable};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A human-readable name for a goal atom's *head* — the same structural
 /// key [`HeadSet::may_key`] dispatches on. Telemetry uses this to label
@@ -61,22 +61,6 @@ pub fn goal_head(atom: &Atom, preds: &PredTable) -> String {
         Atom::CloseInv { ns } => format!("close-inv {ns}"),
         Atom::Wp { .. } => "wp".to_string(),
     }
-}
-
-static HINT_INDEX_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables head-indexed hypothesis skipping (enabled
-/// by default). Returns the previous setting. Disabling is
-/// semantics-preserving — only probe *work* changes — so flipping this
-/// concurrently with running verifications is safe.
-pub fn set_hint_index_enabled(enabled: bool) -> bool {
-    HINT_INDEX_ENABLED.swap(enabled, Ordering::Relaxed)
-}
-
-/// Whether head-indexed skipping is currently enabled.
-#[must_use]
-pub fn hint_index_enabled() -> bool {
-    HINT_INDEX_ENABLED.load(Ordering::Relaxed)
 }
 
 /// The atom heads a hypothesis can possibly key a hint on — a
@@ -334,15 +318,5 @@ mod tests {
         assert!(!hs.may_key(&pto(), false));
         // A wp *goal* is never pruned.
         assert!(HeadSet::of(&Assertion::atom(pto())).may_key(&wp, false));
-    }
-
-    #[test]
-    fn toggle_roundtrip() {
-        assert!(hint_index_enabled());
-        let prev = set_hint_index_enabled(false);
-        assert!(prev);
-        assert!(!hint_index_enabled());
-        set_hint_index_enabled(true);
-        assert!(hint_index_enabled());
     }
 }

@@ -60,7 +60,7 @@ pub use ctx::{Hyp, ProofCtx};
 pub use driver::{collect_ordered, default_jobs, run_ordered, JobPanic};
 pub use fingerprint::{engine_fingerprint, sha256_hex, Fingerprinter, Sha256};
 pub use goal::Goal;
-pub use index::{hint_index_enabled, set_hint_index_enabled, HeadSet};
+pub use index::HeadSet;
 pub use profile::{SpanKind, SpanStats};
 pub use report::Stuck;
 pub use spec::{Spec, SpecTable};

@@ -18,7 +18,7 @@ use crate::goal::Goal;
 use crate::hint::find_hint;
 use crate::report::Stuck;
 use crate::spec::SpecTable;
-use crate::tactic::{Tactic, VerifyOptions};
+use crate::tactic::{Ablation, VerifyOptions};
 use crate::trace::{ProofTrace, TraceStep};
 use diaframe_ghost::{MergeOutcome, Registry};
 use diaframe_heaplang::ectx::{decompose, fill_ctx, Decomp, Frame};
@@ -33,6 +33,9 @@ pub struct Engine<'a> {
     registry: &'a Registry,
     specs: &'a SpecTable,
     opts: &'a VerifyOptions,
+    /// The search-order switches, read once from the thread's scoped
+    /// override.
+    ablation: Ablation,
     /// The trace of the proof so far.
     pub trace: ProofTrace,
     /// Times each tactic, and each unfold hint, has fired.
@@ -51,6 +54,7 @@ impl<'a> Engine<'a> {
             registry,
             specs,
             opts,
+            ablation: crate::tactic::current_ablation(),
             trace: ProofTrace::new(),
             tactic_fires: vec![0; opts.tactics.len()],
             unfold_fires: vec![0; opts.hints.len()],
@@ -83,7 +87,6 @@ impl<'a> Engine<'a> {
     /// at a later stuck point.
     fn try_case_tactic(&mut self, ctx: &ProofCtx) -> Option<(String, PureProp)> {
         for (i, t) in self.opts.tactics.iter().enumerate() {
-            let Tactic::CasePure { name, .. } = t;
             // Case splits are reusable (a tactic only offers a proposition
             // while it is undecided), but capped to keep degenerate ones
             // from diverging.
@@ -92,7 +95,7 @@ impl<'a> Engine<'a> {
             }
             if let Some(p) = t.case_prop(ctx) {
                 self.tactic_fires[i] += 1;
-                return Some((name.clone(), p));
+                return Some((t.name.clone(), p));
             }
         }
         None
@@ -763,7 +766,14 @@ impl<'a> Engine<'a> {
         }
         let atom = atom.subst(&s);
         let cont = cont.subst(&s);
-        match find_hint(&mut ctx, self.registry, self.opts, &atom, &from) {
+        match find_hint(
+            &mut ctx,
+            self.registry,
+            self.opts,
+            self.ablation,
+            &atom,
+            &from,
+        ) {
             Some(found) => {
                 if let Some(ns) = &found.opened {
                     self.push_step(TraceStep::InvOpened { ns: ns.clone() });

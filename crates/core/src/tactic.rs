@@ -14,19 +14,16 @@ use diaframe_logic::{Assertion, Atom};
 use diaframe_term::{PureProp, Subst, Term, VarId};
 
 /// A step of a `Next Obligation.` script, tried when the automation gets
-/// stuck.
+/// stuck: `destruct (decide (t₁ = t₂))`, which proves the remaining goal
+/// once under `t₁ = t₂` and once under `t₁ ≠ t₂`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tactic {
-    /// `destruct (decide (t₁ = t₂))`: the remaining goal is proved once
-    /// under `t₁ = t₂` and once under `t₁ ≠ t₂`.
-    CasePure {
-        /// The script's `decide (t₁ = t₂)`, recorded in traces.
-        name: String,
-        /// `t₁`.
-        lhs: Operand,
-        /// `t₂`.
-        rhs: Operand,
-    },
+pub struct Tactic {
+    /// The script's `decide (t₁ = t₂)`, recorded in traces.
+    pub name: String,
+    /// `t₁`.
+    pub lhs: Operand,
+    /// `t₂`.
+    pub rhs: Operand,
 }
 
 /// One side of a `decide` equation.
@@ -78,8 +75,7 @@ impl Tactic {
     /// that the pure solver cannot already decide.
     #[must_use]
     pub fn case_prop(&self, ctx: &ProofCtx) -> Option<PureProp> {
-        let Tactic::CasePure { lhs, rhs, .. } = self;
-        let (ls, rs) = (lhs.candidates(ctx), rhs.candidates(ctx));
+        let (ls, rs) = (self.lhs.candidates(ctx), self.rhs.candidates(ctx));
         if let ([l], [r]) = (ls.as_slice(), rs.as_slice()) {
             return Some(PureProp::eq(l.clone(), r.clone()));
         }
@@ -97,10 +93,11 @@ impl Tactic {
     }
 }
 
-/// Ablation switches for the search-order design decisions documented in
-/// DESIGN.md §5. Each switch *disables* one decision, so the benchmark
-/// harness can measure what that decision buys. All-false is the normal
-/// engine.
+/// The hint search's switches, set only through the thread's scoped
+/// override ([`with_ablation_override`]): three ablations of the
+/// search-order decisions documented in DESIGN.md §5, each *disabling*
+/// one decision so the benchmark harness can measure what it buys, and
+/// the linear reference scan. All-false is the normal engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Ablation {
     /// Scan hypotheses oldest-first instead of newest-first.
@@ -113,39 +110,38 @@ pub struct Ablation {
     /// an unsolved evar (fresh ghosts may then capture an unrelated
     /// hypothesis's name).
     pub no_alloc_preference: bool,
+    /// Probe every hypothesis, without the head index's structural skip
+    /// (`index.rs`). Not an ablation but the reference scan the index is
+    /// checked against: traces are identical by contract, only the probe
+    /// counters move, so it is neither a row of the ablation table nor
+    /// part of the proof-store key.
+    pub linear_scan: bool,
 }
 
 impl Ablation {
     /// The normal engine (no ablation).
     #[must_use]
-    pub fn none() -> Ablation {
-        Ablation::default()
-    }
-
-    /// Field-wise OR of two ablation sets.
-    #[must_use]
-    pub fn merged(self, other: Ablation) -> Ablation {
+    pub const fn none() -> Ablation {
         Ablation {
-            oldest_first: self.oldest_first || other.oldest_first,
-            single_pass: self.single_pass || other.single_pass,
-            no_alloc_preference: self.no_alloc_preference || other.no_alloc_preference,
+            oldest_first: false,
+            single_pass: false,
+            no_alloc_preference: false,
+            linear_scan: false,
         }
     }
 }
 
 std::thread_local! {
     static ABLATION_OVERRIDE: std::cell::Cell<Ablation> =
-        const { std::cell::Cell::new(Ablation {
-            oldest_first: false,
-            single_pass: false,
-            no_alloc_preference: false,
-        }) };
+        const { std::cell::Cell::new(Ablation::none()) };
 }
 
-/// Runs `f` with every verification on this thread ablated by `a` (merged
-/// into each run's own [`VerifyOptions::ablation`]). Used by the ablation
-/// benchmark to re-run unmodified examples under degraded search orders.
-/// The previous override is restored when `f` returns or unwinds.
+/// Runs `f` with every verification on this thread under the search
+/// switches `a`; each verification reads them once, when its engine is
+/// built. Used by the ablation benchmark to re-run unmodified examples
+/// under degraded search orders, and by the equivalence oracles to run
+/// the linear scan. The previous override is restored when `f` returns
+/// or unwinds.
 pub fn with_ablation_override<T>(a: Ablation, f: impl FnOnce() -> T) -> T {
     struct Restore(Ablation);
     impl Drop for Restore {
@@ -175,9 +171,6 @@ pub struct VerifyOptions {
     /// Step budget; the engine stops with a stuck report when exhausted.
     /// `0` means the default budget.
     pub fuel: u64,
-    /// Disabled search-order decisions (benchmark ablations); all-false
-    /// for the normal engine.
-    pub ablation: Ablation,
 }
 
 impl VerifyOptions {
@@ -210,19 +203,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ablation_merge_and_override_scoping() {
+    fn ablation_override_scoping() {
         let a = Ablation {
             oldest_first: true,
             ..Ablation::none()
         };
         let b = Ablation {
-            single_pass: true,
+            linear_scan: true,
             ..Ablation::none()
         };
-        let m = a.merged(b);
-        assert!(m.oldest_first && m.single_pass && !m.no_alloc_preference);
-        assert_eq!(Ablation::none().merged(Ablation::none()), Ablation::none());
-
+        assert_eq!(Ablation::none(), Ablation::default());
         assert_eq!(current_ablation(), Ablation::none());
         let inner = with_ablation_override(a, || {
             // Nested overrides replace, and restore on exit.
@@ -236,7 +226,7 @@ mod tests {
 
     #[test]
     fn a_unique_pair_is_split_on_as_written_and_counts_once() {
-        let split = Tactic::CasePure {
+        let split = Tactic {
             name: "decide (0 = 1)".to_owned(),
             lhs: Operand::Term(Term::int(0)),
             rhs: Operand::Term(Term::int(1)),

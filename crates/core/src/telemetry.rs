@@ -46,7 +46,7 @@
 //!
 //! Only code that installs a session counts or records anything (the
 //! bench harness's `figure6` runs, `figure6 --explain`, the fuzz
-//! campaign under `DIAFRAME_PROFILE`, and tests): a bare `verify` call,
+//! campaign under `--profile-out`, and tests): a bare `verify` call,
 //! a bare suite run and a daemon request count nothing.
 
 use crate::profile::{OpenSpan, SpanKind, SpanRec};
@@ -77,8 +77,8 @@ pub struct CounterSnapshot {
     /// Probes skipped because the [`crate::index::HeadSet`] proved the
     /// hypothesis could not key the goal atom.
     pub probes_skipped: u64,
-    /// Probes that passed the index filter (or ran with the index
-    /// disabled) and actually executed a hint search.
+    /// Probes that passed the index filter (or ran under the linear
+    /// scan) and actually executed a hint search.
     pub probes_indexed_hit: u64,
     /// Probes that produced an applicable hint.
     pub probes_matched: u64,
@@ -97,8 +97,9 @@ pub struct CounterSnapshot {
     /// Steps replayed by the independent [`crate::checker`].
     pub checker_steps: u64,
     /// Always zero: there is no term interner. Remains only for the
-    /// benchmark's compile surface until its next change drops it
-    /// (ROADMAP, trace format v2); no engine code writes it.
+    /// benchmark's compile surface until the harness-hygiene change
+    /// (ROADMAP item 4) deletes it with the other always-zero fields; no
+    /// engine code writes it.
     pub interner_hits: u64,
     /// Always zero, like [`CounterSnapshot::interner_hits`].
     pub interner_misses: u64,

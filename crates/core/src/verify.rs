@@ -65,12 +65,6 @@ pub fn verify(
     ctx: ProofCtx,
     spec: &Spec,
 ) -> Result<VerifiedProof, Box<Stuck>> {
-    // Merge any thread-scoped ablation override (benchmark harness) into
-    // the options *before* any thread hop: a worker thread has its own
-    // thread-local state.
-    let mut opts = opts.clone();
-    opts.ablation = opts.ablation.merged(crate::tactic::current_ablation());
-    let opts = &opts;
     with_verification_session(|| verify_inner(registry, specs, opts, ctx, spec))
 }
 

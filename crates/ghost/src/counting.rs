@@ -362,17 +362,17 @@ mod tests {
         let hyp = ghost(counter(p, g.clone(), z.clone()));
         // Towards a counter goal: incr and decr.
         let goal = counter(p, g.clone(), Term::add(z.clone(), Term::int(1)));
-        let names: Vec<&str> = lib
+        let names: Vec<_> = lib
             .hints(&mut ctx, &hyp, &goal)
-            .iter()
+            .into_iter()
             .map(|c| c.name)
             .collect();
         assert_eq!(names, vec!["token-mutate-incr", "token-mutate-decr"]);
         // Towards no_tokens: delete-last.
         let goal = no_tokens_half(p, g.clone());
-        let names: Vec<&str> = lib
+        let names: Vec<_> = lib
             .hints(&mut ctx, &hyp, &goal)
-            .iter()
+            .into_iter()
             .map(|c| c.name)
             .collect();
         assert_eq!(

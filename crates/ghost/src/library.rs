@@ -2,6 +2,7 @@
 
 use diaframe_logic::{Assertion, Atom, GhostAtom, GhostKind};
 use diaframe_term::{PureProp, Sort, Term, VarCtx};
+use std::borrow::Cow;
 
 /// One candidate bi-abduction hint
 /// `H ∗ [y⃗; L] ⊫ [|⇛E E] x⃗; A ∗ [U]` (§4.1 of the paper) proposed by a
@@ -13,10 +14,17 @@ use diaframe_term::{PureProp, Sort, Term, VarCtx};
 /// becomes the next left-goal and the `residue` is handed to the
 /// continuation. On failure it rolls back and tries the next candidate
 /// (*local* backtracking only, as in §4.1).
+///
+/// The engine builds the candidates of an annotation's `HINT` clauses
+/// with [`HintCandidate::annotation`], which owns the clause's name; a
+/// library's rule names are static.
 #[derive(Debug, Clone)]
 pub struct HintCandidate {
     /// Rule name for traces (e.g. `"token-mutate-decr"`).
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
+    /// Whether the candidate comes from an annotation's `HINT` clause
+    /// (user-provided manual proof work) rather than a library.
+    pub annotation: bool,
     /// Term pairs the engine must unify for the candidate to apply.
     pub unifications: Vec<(Term, Term)>,
     /// Pure side conditions that select the candidate (may instantiate
@@ -32,11 +40,23 @@ pub struct HintCandidate {
 }
 
 impl HintCandidate {
-    /// A candidate with no unifications, guards, side condition or residue.
+    /// A library candidate with no unifications, guards, side condition
+    /// or residue.
     #[must_use]
     pub fn new(name: &'static str) -> HintCandidate {
+        HintCandidate::named(Cow::Borrowed(name), false)
+    }
+
+    /// An empty candidate of the annotation hint called `name`.
+    #[must_use]
+    pub fn annotation(name: String) -> HintCandidate {
+        HintCandidate::named(Cow::Owned(name), true)
+    }
+
+    fn named(name: Cow<'static, str>, annotation: bool) -> HintCandidate {
         HintCandidate {
             name,
+            annotation,
             unifications: Vec::new(),
             guards: Vec::new(),
             side: Assertion::emp(),
@@ -292,6 +312,8 @@ mod tests {
             .guard(PureProp::True)
             .learn(PureProp::True);
         assert_eq!(c.name, "test");
+        assert!(!c.annotation);
+        assert!(HintCandidate::annotation("fold".to_owned()).annotation);
         assert_eq!(c.guards.len(), 1);
         assert_eq!(c.learned.len(), 1);
         assert!(c.side.is_emp());
