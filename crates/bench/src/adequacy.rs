@@ -172,27 +172,23 @@ fn unpanic<T>(results: Vec<Result<T, JobPanic>>, what: &str) -> Vec<T> {
 ///
 /// # Panics
 ///
-/// Panics if a proved example has no sweep spec (every Figure 6 example
-/// must ship a client + executable postcondition) or a sweep worker
-/// panics.
+/// Panics if a sweep worker panics.
 #[must_use]
 pub fn run_adequacy(cfg: &AdequacyConfig) -> AdequacyReport {
     let examples = all_examples();
     let proved = unpanic(
         run_ordered(&examples, cfg.jobs, |_, ex| {
-            let spec = ex
-                .sweep_spec()
-                .unwrap_or_else(|| panic!("{}: no sweep spec", ex.name()));
+            let client = &ex.record().client;
             let outcome = sweep(
-                &spec.prog,
-                &spec.post,
-                &cfg.proved_cfg(spec.sync_model, spec.lock_order),
+                &ex.client_program(),
+                &|v, h| client.holds(v, h),
+                &cfg.proved_cfg(client.sync_model, client.lock_order),
             );
             ProvedRow {
                 name: ex.name(),
-                sync_model: spec.sync_model,
-                lock_order: spec.lock_order,
-                post_desc: spec.post_desc,
+                sync_model: client.sync_model,
+                lock_order: client.lock_order,
+                post_desc: client.post_desc(),
                 outcome,
             }
         }),
@@ -202,9 +198,9 @@ pub fn run_adequacy(cfg: &AdequacyConfig) -> AdequacyReport {
     let negatives = unpanic(
         run_ordered(&negs, cfg.jobs, |_, neg| {
             let outcome = sweep(
-                &neg.prog(),
-                &neg.post_predicate(),
-                &cfg.negative_cfg(neg.sync_model),
+                &neg.client.program(&[]),
+                &|v, h| neg.client.holds(v, h),
+                &cfg.negative_cfg(neg.client.sync_model),
             );
             let flags = outcome.flags();
             let verdict_ok = neg.expected.must.iter().all(|f| flags.contains(f))

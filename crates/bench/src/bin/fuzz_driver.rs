@@ -116,11 +116,11 @@ fn annotation_leg(seed: u64, per_example: usize) -> (usize, usize, usize) {
     for (ei, ex) in all_examples().iter().enumerate() {
         let mut rng = diaframe_core::fuzz::FuzzRng::new(seed ^ 0xA220_7A7E).fork(ei as u64);
         for _ in 0..per_example {
-            let mutant = mutate_annotation(ex.annotation(), &mut rng);
+            let mutant = mutate_annotation(ex.record().annotation, &mut rng);
             mutants += 1;
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 diaframe_core::annot::elaborate(
-                    ex.source(),
+                    ex.record().source,
                     &mutant,
                     &atoms,
                     &diaframe_examples::registry::library,

@@ -75,8 +75,8 @@ pub fn measure_cached(cache: &SuiteCache, ex: &dyn Example) -> Measured {
     let outcome = run.expect_ok(ex.name());
     Measured {
         name: ex.name(),
-        impl_lines: count_lines(ex.source()),
-        annot_lines: annotation_lines(ex.annotation()),
+        impl_lines: count_lines(ex.record().source),
+        annot_lines: annotation_lines(ex.record().annotation),
         manual: outcome.manual_steps,
         hints: (
             outcome.hints_used().len(),
@@ -132,7 +132,7 @@ pub fn render_figure6(rows: &[Measured]) -> String {
     let mut tot = (0usize, 0usize, 0usize, Duration::ZERO);
     for (m, ex) in rows.iter().zip(&examples) {
         assert_eq!(m.name, ex.name(), "rows must be in Figure 6 order");
-        let p = ex.paper();
+        let p = &ex.record().paper;
         tot.0 += m.impl_lines;
         tot.1 += m.annot_lines;
         tot.2 += m.manual;

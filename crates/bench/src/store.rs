@@ -69,8 +69,8 @@ pub fn store_key(ex: &dyn Example, variant: Variant, ablation: Ablation) -> Stri
     let mut fp = Fingerprinter::new();
     fp.field("engine", &engine_fingerprint());
     fp.field("example", ex.name());
-    fp.field("source", ex.source());
-    fp.field("annotation", ex.annotation());
+    fp.field("source", ex.record().source);
+    fp.field("annotation", ex.record().annotation);
     fp.field(
         "variant",
         match variant {

@@ -413,6 +413,26 @@ impl Annotation {
         &self.lines
     }
 
+    /// The program this annotation is elaborated against: the sources
+    /// of the libraries it `Require`s, in order, then `source`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error at the `Require` of an unknown library.
+    pub fn program_source(&self, source: &str, libs: Libraries<'_>) -> Result<String, AnnotError> {
+        let mut full = String::new();
+        for s in &self.stmts {
+            if let Stmt::Require(lib, pos) = s {
+                match libs(lib) {
+                    Some((src, _)) => full.push_str(src),
+                    None => return fail(*pos, format!("unknown library `{lib}`")),
+                }
+            }
+        }
+        full.push_str(source);
+        Ok(full)
+    }
+
     /// The names of the specs this annotation declares, in order (an
     /// `Instance` contributes its library's specs under their new names;
     /// `Require`d specs are not declared).
@@ -1602,17 +1622,7 @@ pub fn elaborate(
     libs: Libraries<'_>,
 ) -> Result<Elaborated, AnnotError> {
     let ann = Annotation::parse(annotation)?;
-    let mut full = String::new();
-    for s in &ann.stmts {
-        if let Stmt::Require(lib, pos) = s {
-            match libs(lib) {
-                Some((src, _)) => full.push_str(src),
-                None => return fail(*pos, format!("unknown library `{lib}`")),
-            }
-        }
-    }
-    full.push_str(source);
-    let funcs = link(&full)?;
+    let funcs = link(&ann.program_source(source, libs)?)?;
     let mut e = Elab {
         atoms,
         libs,

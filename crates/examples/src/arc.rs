@@ -6,8 +6,9 @@
 //! case distinction between "this was the last token" (`z = 1`) and
 //! "other tokens remain" (`z > 1`); everything else is automatic.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::{Loc, Val};
 
 /// The implementation (Fig. 3, lines 2–13).
 pub const SOURCE: &str = "\
@@ -34,94 +35,65 @@ SPEC γ, {{ is_arc γ v ∗ token P γ }} unwrap v {{ RET #(); P 1 ∗ no_tokens
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct Arc;
-
-impl Example for Arc {
-    fn name(&self) -> &'static str {
-        "arc"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        // Comparison columns read off the Figure 6 row labelled `arc`;
-        // where the table's typesetting makes the tool assignment
-        // ambiguous we follow the row labels verbatim (see EXPERIMENTS.md,
-        // deviation 7).
-        PaperRow {
-            impl_lines: 18,
-            annot: (28, 4),
-            custom: 3,
-            hints: (5, 0),
-            time: "0:10",
-            dia_total: (62, 7),
-            iris: None,
-            starling: Some(ToolStat::new(72, 16)),
-            caper: Some(ToolStat::new(70, 1)),
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: clone forgets to increment (adds 0): the second token
-        // in the postcondition cannot be minted.
-        Some((
-            "clone",
-            "def clone a := FAA(a, 1)",
-            "def clone a := FAA(a, 0)",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let a := mk_arc () in
-             clone a ;;
-             let c1 := count a in
-             assert (c1 = 2) ;;
-             let d1 := drop a in
-             assert (d1 = false) ;;
-             let d2 := drop a in
-             assert (d2 = true) ;;
-             count a",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(0),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "arc",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    // Comparison columns read off the Figure 6 row labelled `arc`;
+    // where the table's typesetting makes the tool assignment
+    // ambiguous we follow the row labels verbatim (see EXPERIMENTS.md,
+    // deviation 7).
+    paper: PaperRow {
+        impl_lines: 18,
+        annot: (28, 4),
+        custom: 3,
+        hints: (5, 0),
+        time: "0:10",
+        dia_total: (62, 7),
+        iris: None,
+        starling: Some(ToolStat::new(72, 16)),
+        caper: Some(ToolStat::new(70, 1)),
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: clone forgets to increment (adds 0): the second token
+    // in the postcondition cannot be minted.
+    sabotage: Some((
+        "clone",
+        "def clone a := FAA(a, 1)",
+        "def clone a := FAA(a, 0)",
+    )),
+    client: Client {
+        main: "let a := mk_arc () in
+               clone a ;;
+               let c1 := count a in
+               assert (c1 = 2) ;;
+               let d1 := drop a in
+               assert (d1 = false) ;;
+               let d2 := drop a in
+               assert (d2 = true) ;;
+               count a",
+        expected: Val::Int(0),
         // Quiescent heap: after one clone and two drops the refcount
         // cell (ℓ0) is back to 0.
-        use diaframe_heaplang::Loc;
-        self.adequacy_program()
-            .map(|(prog, _)| crate::common::SweepSpec {
-                post_desc: "result = 0 ∧ heap = {ℓ0 ↦ 0}".to_owned(),
-                post: Box::new(|v, h| {
-                    *v == Val::Int(0) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(0))
-                }),
-                prog,
-                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-                lock_order: true,
-            })
-    }
-}
+        heap: Some(("heap = {ℓ0 ↦ 0}", |_, h| {
+            h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(0))
+        })),
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_with_one_manual_step() {
-        let outcome = Arc.verify().unwrap_or_else(|e| panic!("arc stuck:\n{e}"));
+        let outcome = EXAMPLE
+            .verify()
+            .unwrap_or_else(|e| panic!("arc stuck:\n{e}"));
         // The paper's §2.2: drop needs exactly one case distinction;
         // everything else is automatic.
         assert_eq!(outcome.manual_steps, 1);
@@ -150,13 +122,5 @@ mod tests {
             "cannot prove pure goal \
              Eq(App(VInt, [App(Add, [Var(VarId(31)), Int(-1)])]), App(VInt, [Int(0)]))"
         );
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = Arc.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 1_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

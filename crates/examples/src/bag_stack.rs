@@ -7,8 +7,9 @@
 //! hints — a fold hint, a duplicate-and-extract-skeleton hint, and an
 //! unfold hint for the recursive occurrence.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. The bag handle is `(#head_cell, #null)` where
 /// `null` is a dummy sentinel location.
@@ -50,72 +51,53 @@ HINT chain-unfold: chain #l nl ∗ [l ↦{q} (v, nx)] ⊫ [Φ v ∗ chain nx nl]
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct BagStack;
-
-impl Example for BagStack {
-    fn name(&self) -> &'static str {
-        "bag_stack"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 29,
-            annot: (45, 2),
-            custom: 34,
-            hints: (7, 3),
-            time: "0:17",
-            dia_total: (117, 36),
-            iris: Some(ToolStat::new(170, 92)),
-            starling: None,
-            caper: Some(ToolStat::new(70, 0)),
-            voila: Some(ToolStat::new(205, 36)),
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: pop returns the element without having CASed it out —
-        // the resource would be duplicated.
-        Some((
-            "pop",
-            "  else (let p := !h in\n        if CAS(s, h, snd p) then inr (fst p) else pop b)",
-            "  else (let p := !h in inr (fst p))",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let b := make () in
-             push (b, 11) ;;
-             push (b, 22) ;;
-             match pop b with
-               inl u => 0
-             | inr v => v
-             end",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(22),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "bag_stack",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 29,
+        annot: (45, 2),
+        custom: 34,
+        hints: (7, 3),
+        time: "0:17",
+        dia_total: (117, 36),
+        iris: Some(ToolStat::new(170, 92)),
+        starling: None,
+        caper: Some(ToolStat::new(70, 0)),
+        voila: Some(ToolStat::new(205, 36)),
+    },
+    spec_order: &[],
+    // Sabotage: pop returns the element without having CASed it out —
+    // the resource would be duplicated.
+    sabotage: Some((
+        "pop",
+        "  else (let p := !h in\n        if CAS(s, h, snd p) then inr (fst p) else pop b)",
+        "  else (let p := !h in inr (fst p))",
+    )),
+    client: Client {
+        main: "let b := make () in
+               push (b, 11) ;;
+               push (b, 22) ;;
+               match pop b with
+                 inl u => 0
+               | inr v => v
+               end",
+        expected: Val::Int(22),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_with_annotation_hints() {
-        let outcome = BagStack
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("bag_stack stuck:\n{e}"));
         // Three custom hints per spec run (the paper: 3 custom of 7 hints).
@@ -123,13 +105,5 @@ mod tests {
         outcome.check_all().expect("traces replay");
         let custom = outcome.custom_hints_used();
         assert!(custom.iter().any(|h| h.contains("chain")));
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = BagStack.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 1_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

@@ -8,8 +8,9 @@
 //! backtracking of §5.3 — this is the example family the paper reports as
 //! its hardest (barrier is its slowest benchmark).
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -32,91 +33,54 @@ SPEC γw, {{ is_bar γw b ∗ gvar γw ½ () }} wait b {{ RET #(); P ½ }}
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct Barrier;
-
-impl Example for Barrier {
-    fn name(&self) -> &'static str {
-        "barrier"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 58,
-            annot: (100, 31),
-            custom: 0,
-            hints: (5, 0),
-            time: "13:22",
-            dia_total: (200, 38),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(102, 0)),
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: wait proceeds without the gate being open.
-        Some((
-            "wait",
-            "def wait b := if !b then",
-            "def wait b := if ~(!b) then",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let b := new_barrier () in
-             fork { wait b ;; () } ;;
-             fork { wait b ;; () } ;;
-             signal b ;; 9",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(9),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "barrier",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 58,
+        annot: (100, 31),
+        custom: 0,
+        hints: (5, 0),
+        time: "13:22",
+        dia_total: (200, 38),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(102, 0)),
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: wait proceeds without the gate being open.
+    sabotage: Some((
+        "wait",
+        "def wait b := if !b then",
+        "def wait b := if ~(!b) then",
+    )),
+    client: Client {
+        main: "let b := new_barrier () in
+               fork { wait b ;; () } ;;
+               fork { wait b ;; () } ;;
+               signal b ;; 9",
+        expected: Val::Int(9),
+        heap: None,
         // The barrier flag is signalled by a plain store and spun on by
         // plain loads — an SC atomic in a C11 port, so AllAtomic.
-        self.adequacy_program().map(|(prog, expected)| {
-            crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            )
-        })
-    }
-}
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_by_backtracking() {
-        let outcome = Barrier
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("barrier stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = Barrier.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 1_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

@@ -5,8 +5,9 @@
 //! Voila fix the bound to 3" (§6) — so does this reproduction: the bound
 //! `b` is a specification variable constrained only by `0 < b`.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. `incr` takes the pair `(b, c)` of bound and counter
 /// (recursive functions take a single argument; see DESIGN.md).
@@ -32,76 +33,49 @@ SPEC b, {{ is_bc c b }} read c {{ n, RET #n; ⌜0 ≤ n⌝ ∗ ⌜n < b⌝ }}
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct BoundedCounter;
-
-impl Example for BoundedCounter {
-    fn name(&self) -> &'static str {
-        "bounded_counter"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 20,
-            annot: (41, 7),
-            custom: 0,
-            hints: (4, 0),
-            time: "0:11",
-            dia_total: (73, 7),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(50, 2)),
-            voila: Some(ToolStat::new(79, 9)),
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: the wraparound is off by one (CAS to b instead of 0),
-        // breaking the `n < b` invariant.
-        Some(("incr", "then (if CAS(c, v, 0)", "then (if CAS(c, v, b)"))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
+pub static EXAMPLE: Record = Record {
+    name: "bounded_counter",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 20,
+        annot: (41, 7),
+        custom: 0,
+        hints: (4, 0),
+        time: "0:11",
+        dia_total: (73, 7),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(50, 2)),
+        voila: Some(ToolStat::new(79, 9)),
+    },
+    spec_order: &[],
+    // Sabotage: the wraparound is off by one (CAS to b instead of 0),
+    // breaking the `n < b` invariant.
+    sabotage: Some(("incr", "then (if CAS(c, v, 0)", "then (if CAS(c, v, b)")),
+    client: Client {
         // Bound 3: four increments wrap to 1.
-        let main = parse_expr(
-            "let c := make () in
-             incr (3, c) ;; incr (3, c) ;; incr (3, c) ;; incr (3, c) ;;
-             read c",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(1),
-        ))
-    }
-}
+        main: "let c := make () in
+               incr (3, c) ;; incr (3, c) ;; incr (3, c) ;; incr (3, c) ;;
+               read c",
+        expected: Val::Int(1),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_fully_automatically() {
-        let outcome = BoundedCounter
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("bounded_counter stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = BoundedCounter.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 5, 1_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

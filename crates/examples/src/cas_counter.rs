@@ -6,8 +6,9 @@
 //! value and `incr` certifies the counter passed `n + 1`. Verifies fully
 //! automatically (0 manual lines in Figure 6).
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::{Loc, Val};
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -26,94 +27,55 @@ SPEC γ k, {{ is_counter γ c ∗ mono_lb γ k }} read c {{ n, RET #n; ⌜k ≤ 
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct CasCounter;
-
-impl Example for CasCounter {
-    fn name(&self) -> &'static str {
-        "cas_counter"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 14,
-            annot: (31, 0),
-            custom: 0,
-            hints: (2, 0),
-            time: "0:08",
-            dia_total: (56, 0),
-            iris: Some(ToolStat::new(95, 39)),
-            starling: None,
-            caper: Some(ToolStat::new(40, 0)),
-            voila: Some(ToolStat::new(68, 9)),
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: incr *decrements* — the monotone lower bound in the
-        // postcondition must become unprovable.
-        Some(("incr", "CAS(c, v, v + 1)", "CAS(c, v, v - 1)"))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let c := make_counter () in
-             fork { incr c ;; () } ;;
-             incr c ;;
-             (rec wait u := if read c = 2 then read c else wait u) ()",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(2),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "cas_counter",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 14,
+        annot: (31, 0),
+        custom: 0,
+        hints: (2, 0),
+        time: "0:08",
+        dia_total: (56, 0),
+        iris: Some(ToolStat::new(95, 39)),
+        starling: None,
+        caper: Some(ToolStat::new(40, 0)),
+        voila: Some(ToolStat::new(68, 9)),
+    },
+    spec_order: &[],
+    // Sabotage: incr *decrements* — the monotone lower bound in the
+    // postcondition must become unprovable.
+    sabotage: Some(("incr", "CAS(c, v, v + 1)", "CAS(c, v, v - 1)")),
+    client: Client {
+        main: "let c := make_counter () in
+               fork { incr c ;; () } ;;
+               incr c ;;
+               (rec wait u := if read c = 2 then read c else wait u) ()",
+        expected: Val::Int(2),
         // Quiescent heap: the single counter cell (ℓ0) holds exactly
         // the two increments.
-        use diaframe_heaplang::Loc;
-        self.adequacy_program()
-            .map(|(prog, _)| crate::common::SweepSpec {
-                post_desc: "result = 2 ∧ heap = {ℓ0 ↦ 2}".to_owned(),
-                post: Box::new(|v, h| {
-                    *v == Val::Int(2) && h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(2))
-                }),
-                prog,
-                sync_model: diaframe_heaplang::monitor::SyncModel::InferAtomics,
-                lock_order: true,
-            })
-    }
-}
+        heap: Some(("heap = {ℓ0 ↦ 2}", |_, h| {
+            h.len() == 1 && h.load(Loc::new(0)) == Some(&Val::Int(2))
+        })),
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_fully_automatically() {
-        let outcome = CasCounter
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("cas_counter stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         assert_eq!(outcome.proofs.len(), 3);
         outcome.check_all().expect("traces replay");
         assert!(outcome.hints_used().iter().any(|h| h.contains("mono")));
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = CasCounter.adequacy_program().expect("has a client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 15, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

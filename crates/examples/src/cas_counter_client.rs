@@ -2,8 +2,9 @@
 //! specifications (the library is not re-verified — the §6 comparison
 //! point against Caper, which must restate libraries).
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The client: bump the counter twice.
 pub const SOURCE: &str = "\
@@ -18,55 +19,41 @@ SPEC γ, {{ PRE read c γ 0 }} incr_twice c {{ m, RET #(); ⌜2 ≤ m⌝ ∗ mon
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct CasCounterClient;
-
-impl Example for CasCounterClient {
-    fn name(&self) -> &'static str {
-        "cas_counter_client"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 16,
-            annot: (9, 0),
-            custom: 0,
-            hints: (4, 0),
-            time: "0:06",
-            dia_total: (36, 0),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(94, 0)),
-            voila: Some(ToolStat::new(267, 36)),
-        }
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let combined = format!("{}{}", crate::cas_counter::SOURCE, SOURCE);
-        let main = parse_expr("let c := make_counter () in incr_twice c ;; read c")
-            .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(&combined), &main),
-            Val::Int(2),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "cas_counter_client",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 16,
+        annot: (9, 0),
+        custom: 0,
+        hints: (4, 0),
+        time: "0:06",
+        dia_total: (36, 0),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(94, 0)),
+        voila: Some(ToolStat::new(267, 36)),
+    },
+    spec_order: &[],
+    sabotage: None,
+    client: Client {
+        main: "let c := make_counter () in incr_twice c ;; read c",
+        expected: Val::Int(2),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_modularly() {
-        let outcome = CasCounterClient
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("cas_counter_client stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
@@ -79,14 +66,6 @@ mod tests {
                     assert_ne!(spec, "cas", "client must not inline the library");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = CasCounterClient.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 5, 1_000_000) {
-            assert_eq!(v, expected);
         }
     }
 }

@@ -8,8 +8,9 @@
 //! being guarded by a ghost boolean whose other half the unique successor
 //! received through the tail swap.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -52,100 +53,63 @@ SPEC {{ clh_locked n ∗ R }} release n {{ RET #(); True }}
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct ClhLock;
-
-impl Example for ClhLock {
-    fn name(&self) -> &'static str {
-        "clh_lock"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 30,
-            annot: (48, 0),
-            custom: 3,
-            hints: (7, 0),
-            time: "0:22",
-            dia_total: (94, 3),
-            iris: None,
-            starling: Some(ToolStat::new(134, 15)),
-            caper: None,
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: spin proceeds immediately without checking the
-        // predecessor.
-        Some((
-            "spin",
-            "def spin p := if !p then spin p else ()",
-            "def spin p := !p ;; ()",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let lk := newclh () in
-             let c := ref 0 in
-             fork { let n := acquire lk in c <- !c + 1 ;; release n } ;;
-             let n := acquire lk in
-             c <- !c + 1 ;;
-             release n ;;
-             (rec wait u :=
-                let m := acquire lk in
-                let v := !c in
-                release m ;;
-                if v = 2 then v else wait u) ()",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(2),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "clh_lock",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 30,
+        annot: (48, 0),
+        custom: 3,
+        hints: (7, 0),
+        time: "0:22",
+        dia_total: (94, 3),
+        iris: None,
+        starling: Some(ToolStat::new(134, 15)),
+        caper: None,
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: spin proceeds immediately without checking the
+    // predecessor.
+    sabotage: Some((
+        "spin",
+        "def spin p := if !p then spin p else ()",
+        "def spin p := !p ;; ()",
+    )),
+    client: Client {
+        main: "let lk := newclh () in
+               let c := ref 0 in
+               fork { let n := acquire lk in c <- !c + 1 ;; release n } ;;
+               let n := acquire lk in
+               c <- !c + 1 ;;
+               release n ;;
+               (rec wait u :=
+                  let m := acquire lk in
+                  let v := !c in
+                  release m ;;
+                  if v = 2 then v else wait u) ()",
+        expected: Val::Int(2),
+        heap: None,
         // The tail swap is a CAS, but each queue node is spun on by
         // plain loads and released by a plain store across threads — SC
         // atomics in a C11 port, so AllAtomic.
-        self.adequacy_program().map(|(prog, expected)| {
-            crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            )
-        })
-    }
-}
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_by_backtracking() {
-        let outcome = ClhLock
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("clh_lock stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = ClhLock.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 3_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

@@ -4,8 +4,8 @@ use diaframe_core::annot::{AnnotError, Annotation, Elaborated};
 use diaframe_core::{Spec, Stuck, VerifiedProof, VerifyOptions};
 use diaframe_ghost::{AtomSig, Registry};
 use diaframe_heaplang::monitor::SyncModel;
-use diaframe_heaplang::parser::{parse_program, Def};
-use diaframe_heaplang::{Expr, Heap, Val};
+use diaframe_heaplang::parser::{link, parse_program, Def};
+use diaframe_heaplang::{parse_expr, Expr, Heap, Val};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -22,7 +22,7 @@ pub struct ToolStat {
 impl ToolStat {
     #[must_use]
     /// A comparison-tool entry with `total` annotation lines, `proof` of which are proof script.
-    pub fn new(total: u32, proof: u32) -> ToolStat {
+    pub const fn new(total: u32, proof: u32) -> ToolStat {
         ToolStat { total, proof }
     }
 }
@@ -96,10 +96,102 @@ impl ExampleOutcome {
     }
 }
 
-/// One benchmark example.
-pub trait Example: Sync + Send {
+/// One Figure 6 example as data: the program, its annotation, the
+/// paper's row, the sabotaged variant and the adequacy client. Each
+/// example module holds one `static EXAMPLE: Record`; everything done
+/// with an example is done by [`Example`]'s provided methods.
+#[derive(Debug)]
+pub struct Record {
     /// The Figure 6 row name.
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
+    /// The HeapLang source (the `impl` column counts its lines).
+    pub source: &'static str,
+    /// The annotation: the specifications, invariants, proof scripts and
+    /// hints in the paper's notation, elaborated by [`Ws::new`] into the
+    /// specs [`Example::verify`] proves (the `annot` column counts its
+    /// lines).
+    pub annotation: &'static str,
+    /// The paper-reported statistics.
+    pub paper: PaperRow,
+    /// The specs [`Example::verify`] proves, in order; empty for every
+    /// declared spec in declaration order.
+    pub spec_order: &'static [&'static str],
+    /// A sabotaged variant that must *fail* to verify — the §6
+    /// failing-verification experiment: `(spec, from, to)` is `spec`
+    /// against the source with `from` (which occurs exactly once)
+    /// replaced by `to`.
+    pub sabotage: Option<(&'static str, &'static str, &'static str)>,
+    /// The closed client the adequacy tests run under many schedules.
+    pub client: Client,
+}
+
+/// An executable check on a finished run's final value and quiescent
+/// heap.
+pub type HeapCheck = fn(&Val, &Heap) -> bool;
+
+/// An adequacy client: a `main` program run under many schedules (the
+/// example's executable counterpart of its proved specs, or a negative
+/// example's buggy program) with the postcondition every terminating
+/// run must satisfy.
+#[derive(Debug)]
+pub struct Client {
+    /// The `main` expression, linked against the example's program.
+    pub main: &'static str,
+    /// The value `main` must return.
+    pub expected: Val,
+    /// An extra check on the final value and quiescent heap, with its
+    /// rendering for reports.
+    pub heap: Option<(&'static str, HeapCheck)>,
+    /// Atomicity model for the race detector: examples whose
+    /// synchronization is *implemented with* plain loads and stores
+    /// (Peterson, barriers, ticket/CLH/MCS locks) use
+    /// [`SyncModel::AllAtomic`].
+    pub sync_model: SyncModel,
+    /// Whether the lock-order cycle heuristic applies (see
+    /// [`diaframe_heaplang::sweep::SweepConfig::lock_order`]). Off only
+    /// for protocols that transfer lock ownership logically between
+    /// threads (the duolock's group-held global lock); the sound
+    /// manifest-deadlock detector stays on either way.
+    pub lock_order: bool,
+}
+
+impl Client {
+    /// `main` linked against the definitions `defs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `main` does not parse (the text is static, so this is
+    /// a mistake in the example).
+    #[must_use]
+    pub fn program(&self, defs: &[Def]) -> Expr {
+        link(defs, &parse_expr(self.main).expect("client parses"))
+    }
+
+    /// Whether a finished run satisfies the postcondition.
+    #[must_use]
+    pub fn holds(&self, v: &Val, h: &Heap) -> bool {
+        *v == self.expected && self.heap.is_none_or(|(_, check)| check(v, h))
+    }
+
+    /// The postcondition rendered for reports.
+    #[must_use]
+    pub fn post_desc(&self) -> String {
+        match self.heap {
+            None => format!("result = {}", self.expected),
+            Some((desc, _)) => format!("result = {} ∧ {desc}", self.expected),
+        }
+    }
+}
+
+/// One benchmark example: a handle on its [`Record`].
+pub trait Example: Sync + Send {
+    /// The example's record.
+    fn record(&self) -> &Record;
+
+    /// The Figure 6 row name.
+    fn name(&self) -> &'static str {
+        self.record().name
+    }
 
     /// The row name as a string. Verification depends on nothing but
     /// the name, so this is what memoization keys on; the workspace
@@ -107,24 +199,6 @@ pub trait Example: Sync + Send {
     /// benchmark harness, which calls it.
     fn cache_key(&self) -> String {
         self.name().to_owned()
-    }
-
-    /// The HeapLang source (the `impl` column counts its lines).
-    fn source(&self) -> &'static str;
-
-    /// The annotation: the specifications, invariants, proof scripts and
-    /// hints in the paper's notation, elaborated by [`Ws::new`] into the
-    /// specs [`Example::verify`] proves (the `annot` column counts its
-    /// lines).
-    fn annotation(&self) -> &'static str;
-
-    /// The paper-reported statistics.
-    fn paper(&self) -> PaperRow;
-
-    /// The specs [`Example::verify`] proves, in order; empty for every
-    /// declared spec in declaration order.
-    fn spec_order(&self) -> &'static [&'static str] {
-        &[]
     }
 
     /// Verifies every specification of the example, with the manual
@@ -135,88 +209,45 @@ pub trait Example: Sync + Send {
     /// Returns the stuck report if automation (plus the example's
     /// documented manual steps) fails.
     fn verify(&self) -> Result<ExampleOutcome, Box<Stuck>> {
-        let ws = Ws::cached(self.source(), self.annotation());
-        match self.spec_order() {
+        let r = self.record();
+        let ws = Ws::cached(r);
+        match r.spec_order {
             [] => ws.verify_declared(),
             order => ws.verify_named(order),
         }
     }
 
-    /// A sabotaged variant that must *fail* to verify — the §6
-    /// failing-verification experiment: `(spec, from, to)` is `spec`
-    /// against the source with `from` replaced by `to`.
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        None
-    }
-
-    /// Verifies the sabotaged variant of [`Example::sabotage`], if any.
+    /// Verifies the sabotaged variant of [`Record::sabotage`], if any.
     /// Its workspace is elaborated afresh: only the examples themselves
     /// are kept for the life of the process.
     fn verify_broken(&self) -> Option<Result<ExampleOutcome, Box<Stuck>>> {
-        let (spec, from, to) = self.sabotage()?;
-        let source = self.source().replace(from, to);
-        Some(Ws::new(&source, self.annotation()).verify_named(&[spec]))
+        let r = self.record();
+        let (spec, from, to) = r.sabotage?;
+        let source = r.source.replace(from, to);
+        Some(Ws::new(&source, r.annotation).verify_named(&[spec]))
     }
 
-    /// A closed client program and its expected result, for the executable
-    /// adequacy test (run under many schedules).
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        None
-    }
-
-    /// The example's registration with the schedule-sweep adequacy
-    /// harness ([`diaframe_heaplang::sweep`]): the client program, an
-    /// executable postcondition on the final value and quiescent heap,
-    /// and the race detector's atomicity model.
+    /// The closed adequacy client: [`Client::main`] linked against the
+    /// example's program, after the sources of the libraries its
+    /// annotation `Require`s.
     ///
-    /// The default derives everything from [`Example::adequacy_program`]:
-    /// the postcondition is "main returns the expected value" and plain
-    /// accesses are checked for races with CAS/FAA-targeted locations
-    /// inferred as SC atomics ([`SyncModel::InferAtomics`]). Examples
-    /// whose synchronization is *implemented with* plain loads and
-    /// stores (Peterson, barriers, ticket/CLH/MCS locks) override the
-    /// model to [`SyncModel::AllAtomic`]; examples with deterministic
-    /// quiescent heaps strengthen the postcondition to inspect cells.
-    fn sweep_spec(&self) -> Option<SweepSpec> {
-        self.adequacy_program()
-            .map(|(prog, expected)| value_spec(prog, expected, SyncModel::InferAtomics))
+    /// # Panics
+    ///
+    /// Panics when the annotation or the program does not parse.
+    fn client_program(&self) -> Expr {
+        let r = self.record();
+        let source = Annotation::parse(r.annotation)
+            .and_then(|a| a.program_source(r.source, &crate::registry::library))
+            .unwrap_or_else(|e| panic!("{}: {e}", r.name));
+        r.client
+            .program(&parse_program(&source).expect("example source parses"))
     }
 }
 
-/// Builds a [`SweepSpec`] whose postcondition is "main returns
-/// `expected`", under the given atomicity model.
-#[must_use]
-pub fn value_spec(prog: Expr, expected: Val, sync_model: SyncModel) -> SweepSpec {
-    SweepSpec {
-        post_desc: format!("result = {expected}"),
-        post: Box::new(move |v, _| *v == expected),
-        prog,
-        sync_model,
-        lock_order: true,
+impl Example for Record {
+    fn record(&self) -> &Record {
+        self
     }
-}
-
-/// An executable postcondition on a finished sweep run: final main
-/// value plus the quiescent heap.
-pub type PostPredicate = Box<dyn Fn(&Val, &Heap) -> bool + Send + Sync>;
-
-/// One example's registration with the schedule-sweep adequacy harness
-/// (see [`Example::sweep_spec`]).
-pub struct SweepSpec {
-    /// The closed client program.
-    pub prog: Expr,
-    /// Executable postcondition every terminating run must satisfy.
-    pub post: PostPredicate,
-    /// Human-readable rendering of the postcondition, for reports.
-    pub post_desc: String,
-    /// Atomicity model for the race detector.
-    pub sync_model: SyncModel,
-    /// Whether the lock-order cycle heuristic applies (see
-    /// [`diaframe_heaplang::sweep::SweepConfig::lock_order`]). Off only
-    /// for protocols that transfer lock ownership logically between
-    /// threads (the duolock's group-held global lock); the sound
-    /// manifest-deadlock detector stays on either way.
-    pub lock_order: bool,
 }
 
 /// Counts the non-empty lines of a source string (the unit of the `impl`
@@ -253,24 +284,23 @@ impl Ws {
             .unwrap_or_else(|e| panic!("{e}\n{annotation}"))
     }
 
-    /// [`Ws::new`], elaborated once per process for each distinct
-    /// `(source, annotation)` pair (about 55 KB each).
+    /// [`Ws::new`] for an example, elaborated once per process and
+    /// looked up by its row name (about 55 KB each).
     ///
     /// # Panics
     ///
     /// As [`Ws::new`].
     #[must_use]
-    pub fn cached(source: &str, annotation: &str) -> Arc<Ws> {
-        type Cache = Mutex<HashMap<(String, String), Arc<Ws>>>;
+    pub fn cached(record: &Record) -> Arc<Ws> {
+        type Cache = Mutex<HashMap<&'static str, Arc<Ws>>>;
         static CACHE: OnceLock<Cache> = OnceLock::new();
         let cache = CACHE.get_or_init(Cache::default);
-        let key = (source.to_owned(), annotation.to_owned());
-        if let Some(ws) = cache.lock().expect("workspace cache").get(&key) {
+        if let Some(ws) = cache.lock().expect("workspace cache").get(record.name) {
             return Arc::clone(ws);
         }
-        let ws = Arc::new(Ws::new(source, annotation));
+        let ws = Arc::new(Ws::new(record.source, record.annotation));
         let mut map = cache.lock().expect("workspace cache");
-        Arc::clone(map.entry(key).or_insert(ws))
+        Arc::clone(map.entry(record.name).or_insert(ws))
     }
 
     /// Elaborates with an explicit ghost-atom name table (for examples
@@ -378,17 +408,6 @@ impl Ws {
             })
         })
     }
-}
-
-/// The parsed definitions of an example's program, for linking its
-/// adequacy client.
-///
-/// # Panics
-///
-/// Panics when the program does not parse.
-#[must_use]
-pub fn program(source: &str) -> Vec<Def> {
-    parse_program(source).expect("example source parses")
 }
 
 #[cfg(test)]

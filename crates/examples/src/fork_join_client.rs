@@ -2,8 +2,9 @@
 //! then join and hand `Q` back — verified modularly against the library
 //! specifications, with a real `fork` in the client code.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The client: the worker finishes the handle, the main thread joins.
 pub const SOURCE: &str = "\
@@ -17,54 +18,41 @@ SPEC γ, {{ is_join γ j ∗ pending γ ∗ Q }} roundtrip j {{ RET #(); Q }}
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct ForkJoinClient;
-
-impl Example for ForkJoinClient {
-    fn name(&self) -> &'static str {
-        "fork_join_client"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 13,
-            annot: (9, 0),
-            custom: 0,
-            hints: (0, 0),
-            time: "0:04",
-            dia_total: (30, 0),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(70, 0)),
-            voila: Some(ToolStat::new(124, 20)),
-        }
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let combined = format!("{}{}", crate::fork_join::SOURCE, SOURCE);
-        let main = parse_expr("let j := make () in roundtrip j ;; !j").expect("parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(&combined), &main),
-            Val::Int(2),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "fork_join_client",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 13,
+        annot: (9, 0),
+        custom: 0,
+        hints: (0, 0),
+        time: "0:04",
+        dia_total: (30, 0),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(70, 0)),
+        voila: Some(ToolStat::new(124, 20)),
+    },
+    spec_order: &[],
+    sabotage: None,
+    client: Client {
+        main: "let j := make () in roundtrip j ;; !j",
+        expected: Val::Int(2),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_modularly_with_a_real_fork() {
-        let outcome = ForkJoinClient
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("fork_join_client stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
@@ -76,13 +64,5 @@ mod tests {
             )
         });
         assert!(has_fork, "client proof threads resources through fork");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = ForkJoinClient.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 15, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

@@ -7,8 +7,9 @@
 //! hand-over-hand locking; this reproduction verifies the coarse-grained
 //! variant, see EXPERIMENTS.md.)
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. The list handle is `(lk, (head_cell, null))`.
 pub const SOURCE: &str = "\
@@ -64,66 +65,47 @@ HINT llchain-unfold: llchain h nl ⊫ [⌜h = nl⌝ ∨ ∃ l k nx. ⌜h = #l⌝
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct Lclist;
-
-impl Example for Lclist {
-    fn name(&self) -> &'static str {
-        "lclist"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 28,
-            annot: (34, 5),
-            custom: 13,
-            hints: (2, 2),
-            time: "0:27",
-            dia_total: (86, 18),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(197, 134)),
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: add stores the raw key into the head pointer — the
-        // chain predicate cannot be re-established for a non-location.
-        Some(("add", "hd <- n ;;", "hd <- k ;;"))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let w := newlist () in
-             add (w, 5) ;;
-             add (w, 7) ;;
-             fork { add (w, 9) } ;;
-             (if contains (w, 5) then 1 else 0) + (if contains (w, 6) then 10 else 0)",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(1),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "lclist",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 28,
+        annot: (34, 5),
+        custom: 13,
+        hints: (2, 2),
+        time: "0:27",
+        dia_total: (86, 18),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(197, 134)),
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: add stores the raw key into the head pointer — the
+    // chain predicate cannot be re-established for a non-location.
+    sabotage: Some(("add", "hd <- n ;;", "hd <- k ;;")),
+    client: Client {
+        main: "let w := newlist () in
+               add (w, 5) ;;
+               add (w, 7) ;;
+               fork { add (w, 9) } ;;
+               (if contains (w, 5) then 1 else 0) + (if contains (w, 6) then 10 else 0)",
+        expected: Val::Int(1),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_with_annotation_hints() {
-        let outcome = Lclist
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("lclist stuck:\n{e}"));
         assert!(outcome.manual_steps > 0);
@@ -132,13 +114,5 @@ mod tests {
             .custom_hints_used()
             .iter()
             .any(|h| h.contains("llchain")));
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = Lclist.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 8, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

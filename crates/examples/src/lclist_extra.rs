@@ -2,8 +2,9 @@
 //! `push_back` (traversal with mutation at the end) — the paper's
 //! `lclist_extra` row (its largest implementation).
 
-use crate::common::{program, Example, PaperRow};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation: the lclist plus traversal operations.
 pub const SOURCE: &str = "\
@@ -82,70 +83,47 @@ HINT llchain-unfold: llchain h nl ⊫ [⌜h = nl⌝ ∨ ∃ l k nx. ⌜h = #l⌝
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct LclistExtra;
-
-impl Example for LclistExtra {
-    fn name(&self) -> &'static str {
-        "lclist_extra"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 119,
-            annot: (53, 0),
-            custom: 2,
-            hints: (3, 2),
-            time: "1:31",
-            dia_total: (182, 2),
-            iris: None,
-            starling: None,
-            caper: None,
-            voila: None,
-        }
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let w := newlist () in
-             add (w, 5) ;;
-             push_back (w, 7) ;;
-             add (w, 2) ;;
-             length w * 100 + sum w",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(314),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "lclist_extra",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 119,
+        annot: (53, 0),
+        custom: 2,
+        hints: (3, 2),
+        time: "1:31",
+        dia_total: (182, 2),
+        iris: None,
+        starling: None,
+        caper: None,
+        voila: None,
+    },
+    spec_order: &[],
+    sabotage: None,
+    client: Client {
+        main: "let w := newlist () in
+               add (w, 5) ;;
+               push_back (w, 7) ;;
+               add (w, 2) ;;
+               length w * 100 + sum w",
+        expected: Val::Int(314),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_with_annotation_hints() {
-        let outcome = LclistExtra
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("lclist_extra stuck:\n{e}"));
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = LclistExtra.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 5, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

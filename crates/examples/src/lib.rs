@@ -4,19 +4,25 @@
 //! where the paper needed them — hints and manual case splits, all stated
 //! in the annotation.
 //!
-//! Every example provides:
+//! Every example is one [`Record`] (`EXAMPLE` in its module), data
+//! only:
 //!
-//! * the **program** in HeapLang surface syntax (the `impl` column);
+//! * the **program** in HeapLang surface syntax (`SOURCE`, the `impl`
+//!   column);
 //! * the **annotation**: Hoare specifications, invariant definitions,
-//!   proof scripts and hints in the paper's notation (the `annot`
-//!   column), elaborated
-//!   into the verified specs by [`diaframe_core::annot`];
-//! * a [`common::Example::verify`] run proving all specifications with
-//!   the Diaframe strategy;
+//!   proof scripts and hints in the paper's notation (`ANNOTATION`, the
+//!   `annot` column), elaborated into the verified specs by
+//!   [`diaframe_core::annot`];
 //! * the **paper-reported statistics** for the comparison columns;
-//! * optional *sabotaged* variants (for the §6 failing-verification
-//!   experiment) and an *adequacy program* that the test suite executes
-//!   under many random schedules.
+//! * an optional *sabotaged* variant (for the §6 failing-verification
+//!   experiment);
+//! * the adequacy [`Client`]: a `main` program, its expected result and
+//!   the race detector's model, which the test suite and the schedule
+//!   sweep run under many interleavings.
+//!
+//! [`Example`]'s provided methods do everything else: verify the specs
+//! with the Diaframe strategy, verify the sabotaged variant, and link
+//! the client against the program.
 
 pub mod common;
 pub mod registry;
@@ -49,8 +55,7 @@ pub mod ticket_lock_client;
 pub mod negative;
 
 pub use common::{
-    annotation_lines, count_lines, Example, ExampleOutcome, PaperRow, PostPredicate, SweepSpec,
-    ToolStat, Ws,
+    annotation_lines, count_lines, Client, Example, ExampleOutcome, PaperRow, Record, ToolStat, Ws,
 };
 pub use negative::{negative_examples, ExpectedFindings, NegativeExample};
 pub use registry::all_examples;

@@ -8,8 +8,9 @@
 //! node found via `next` pointers; this reproduction verifies the
 //! grant-box formulation, see EXPERIMENTS.md.)
 
-use crate::common::{program, Example, PaperRow};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -52,101 +53,59 @@ SPEC {{ mcs_locked n ∗ R }} mrelease n {{ RET #(); True }}
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct McsLock;
-
-impl Example for McsLock {
-    fn name(&self) -> &'static str {
-        "mcs_lock"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 54,
-            annot: (73, 7),
-            custom: 0,
-            hints: (4, 0),
-            time: "1:11",
-            dia_total: (147, 11),
-            iris: None,
-            starling: None,
-            caper: None,
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: acquire skips the spin — it "holds the lock" without
-        // the resource having been handed over.
-        Some((
-            "macquire",
-            "mspin p ;;
-  n",
-            "n",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let lk := newmcs () in
-             let c := ref 0 in
-             fork { let n := macquire lk in c <- !c + 1 ;; mrelease n } ;;
-             let n := macquire lk in
-             c <- !c + 1 ;;
-             mrelease n ;;
-             (rec wait u :=
-                let m := macquire lk in
-                let v := !c in
-                mrelease m ;;
-                if v = 2 then v else wait u) ()",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(2),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "mcs_lock",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 54,
+        annot: (73, 7),
+        custom: 0,
+        hints: (4, 0),
+        time: "1:11",
+        dia_total: (147, 11),
+        iris: None,
+        starling: None,
+        caper: None,
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: acquire skips the spin — it "holds the lock" without
+    // the resource having been handed over.
+    sabotage: Some(("macquire", "mspin p ;;\n  n", "n")),
+    client: Client {
+        main: "let lk := newmcs () in
+               let c := ref 0 in
+               fork { let n := macquire lk in c <- !c + 1 ;; mrelease n } ;;
+               let n := macquire lk in
+               c <- !c + 1 ;;
+               mrelease n ;;
+               (rec wait u :=
+                  let m := macquire lk in
+                  let v := !c in
+                  mrelease m ;;
+                  if v = 2 then v else wait u) ()",
+        expected: Val::Int(2),
+        heap: None,
         // As with CLH: the tail swap is a CAS, but hand-off between
         // queue nodes is by plain cross-thread loads and stores — SC
         // atomics in a C11 port, so AllAtomic.
-        self.adequacy_program().map(|(prog, expected)| {
-            crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            )
-        })
-    }
-}
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_by_backtracking() {
-        let outcome = McsLock
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("mcs_lock stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = McsLock.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 3_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

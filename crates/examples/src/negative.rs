@@ -8,9 +8,9 @@
 //! sweep clean: together the two halves make the detectors' verdicts
 //! evidence rather than silence.
 
-use crate::common::PostPredicate;
+use crate::common::Client;
 use diaframe_heaplang::monitor::SyncModel;
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use diaframe_heaplang::Val;
 
 /// What the sweep must (and must not) report for a negative example,
 /// as category names from
@@ -26,42 +26,17 @@ pub struct ExpectedFindings {
 }
 
 /// One intentionally-buggy program with its expected detector verdict.
+#[derive(Debug)]
 pub struct NegativeExample {
     /// Stable report name.
     pub name: &'static str,
     /// What the bug is, for the report and docs.
     pub description: &'static str,
-    /// The closed program source.
-    pub source: &'static str,
-    /// Postcondition a terminating run "should" satisfy (the wishful
-    /// spec the bug breaks, where applicable).
-    pub post_desc: &'static str,
-    /// Executable form of `post_desc`.
-    pub post: fn(&Val, &diaframe_heaplang::Heap) -> bool,
-    /// Atomicity model for the race detector.
-    pub sync_model: SyncModel,
+    /// The closed program (linked against nothing) and the wishful
+    /// postcondition the bug breaks, where applicable.
+    pub client: Client,
     /// The expected verdict.
     pub expected: ExpectedFindings,
-}
-
-impl NegativeExample {
-    /// Parses the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static source does not parse (a programming error
-    /// in this module).
-    #[must_use]
-    pub fn prog(&self) -> Expr {
-        parse_expr(self.source).expect("negative example parses")
-    }
-
-    /// The postcondition as a boxed predicate, mirroring
-    /// [`crate::common::SweepSpec::post`].
-    #[must_use]
-    pub fn post_predicate(&self) -> PostPredicate {
-        Box::new(self.post)
-    }
 }
 
 /// A non-atomic counter increment in two threads: the classic lost
@@ -116,10 +91,13 @@ pub fn negative_examples() -> Vec<NegativeExample> {
         NegativeExample {
             name: "racy_counter",
             description: "non-atomic read-then-write increments in two threads (lost update)",
-            source: RACY_COUNTER,
-            post_desc: "result = 2",
-            post: |v, _| *v == Val::Int(2),
-            sync_model: SyncModel::InferAtomics,
+            client: Client {
+                main: RACY_COUNTER,
+                expected: Val::Int(2),
+                heap: None,
+                sync_model: SyncModel::InferAtomics,
+                lock_order: true,
+            },
             expected: ExpectedFindings {
                 must: &["race", "post_violation"],
                 forbidden: &["deadlock", "lock_cycle", "stuck", "nonterminating"],
@@ -128,10 +106,13 @@ pub fn negative_examples() -> Vec<NegativeExample> {
         NegativeExample {
             name: "lock_inversion",
             description: "two spin locks acquired as a;b in one thread and b;a in the other",
-            source: LOCK_INVERSION,
-            post_desc: "result = 0",
-            post: |v, _| *v == Val::Int(0),
-            sync_model: SyncModel::InferAtomics,
+            client: Client {
+                main: LOCK_INVERSION,
+                expected: Val::Int(0),
+                heap: None,
+                sync_model: SyncModel::InferAtomics,
+                lock_order: true,
+            },
             expected: ExpectedFindings {
                 must: &["deadlock", "lock_cycle"],
                 forbidden: &["race", "post_violation", "stuck"],
@@ -140,10 +121,13 @@ pub fn negative_examples() -> Vec<NegativeExample> {
         NegativeExample {
             name: "lost_wakeup",
             description: "plain-flag check-then-signal misses the waiter's announcement",
-            source: LOST_WAKEUP,
-            post_desc: "result = 1",
-            post: |v, _| *v == Val::Int(1),
-            sync_model: SyncModel::InferAtomics,
+            client: Client {
+                main: LOST_WAKEUP,
+                expected: Val::Int(1),
+                heap: None,
+                sync_model: SyncModel::InferAtomics,
+                lock_order: true,
+            },
             expected: ExpectedFindings {
                 must: &["race", "nonterminating"],
                 forbidden: &["deadlock", "lock_cycle", "stuck"],
@@ -152,10 +136,13 @@ pub fn negative_examples() -> Vec<NegativeExample> {
         NegativeExample {
             name: "double_acquire",
             description: "a non-reentrant spin lock acquired twice by the same thread",
-            source: DOUBLE_ACQUIRE,
-            post_desc: "result = 0",
-            post: |v, _| *v == Val::Int(0),
-            sync_model: SyncModel::InferAtomics,
+            client: Client {
+                main: DOUBLE_ACQUIRE,
+                expected: Val::Int(0),
+                heap: None,
+                sync_model: SyncModel::InferAtomics,
+                lock_order: true,
+            },
             expected: ExpectedFindings {
                 must: &["deadlock", "lock_cycle"],
                 forbidden: &["race", "post_violation", "stuck", "nonterminating"],
@@ -175,7 +162,7 @@ mod tests {
             fuel: 30_000,
             dfs_max_runs: 64,
             dfs_max_steps: 400_000,
-            sync_model: e.sync_model,
+            sync_model: e.client.sync_model,
             ..SweepConfig::default()
         }
     }
@@ -192,7 +179,11 @@ mod tests {
     #[test]
     fn every_negative_example_is_flagged_as_expected() {
         for e in negative_examples() {
-            let out = sweep(&e.prog(), &e.post_predicate(), &small_cfg(&e));
+            let out = sweep(
+                &e.client.program(&[]),
+                &|v, h| e.client.holds(v, h),
+                &small_cfg(&e),
+            );
             let flags = out.flags();
             for must in e.expected.must {
                 assert!(

@@ -11,8 +11,9 @@
 //! full resource-transfer specification is *not* reproduced — see
 //! EXPERIMENTS.md for this documented deviation.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. The lock is `(#fa, (#fb, #turn))`.
 pub const SOURCE: &str = "\
@@ -54,95 +55,58 @@ SPEC γa γb, {{ is_pet γa γb w ∗ gvar γb ½ #true }} unlock_b w
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct Peterson;
-
-impl Example for Peterson {
-    fn name(&self) -> &'static str {
-        "peterson"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 46,
-            annot: (102, 28),
-            custom: 0,
-            hints: (7, 0),
-            time: "7:51",
-            dia_total: (166, 28),
-            iris: None,
-            starling: Some(ToolStat::new(94, 5)),
-            caper: None,
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: lock_a writes an out-of-range turn value, violating
-        // the invariant's 0 ≤ n ≤ 1.
-        Some((
-            "lock_a",
-            "snd (snd w) <- 1 ;;\n  waita w",
-            "snd (snd w) <- 2 ;;\n  waita w",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let w := newpet () in
-             let c := ref 0 in
-             fork { lock_b w ;; c <- !c + 1 ;; unlock_b w } ;;
-             lock_a w ;;
-             c <- !c + 1 ;;
-             unlock_a w ;;
-             (rec wait u := if !c = 2 then !c else wait u) ()",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(2),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "peterson",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 46,
+        annot: (102, 28),
+        custom: 0,
+        hints: (7, 0),
+        time: "7:51",
+        dia_total: (166, 28),
+        iris: None,
+        starling: Some(ToolStat::new(94, 5)),
+        caper: None,
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: lock_a writes an out-of-range turn value, violating
+    // the invariant's 0 ≤ n ≤ 1.
+    sabotage: Some((
+        "lock_a",
+        "snd (snd w) <- 1 ;;\n  waita w",
+        "snd (snd w) <- 2 ;;\n  waita w",
+    )),
+    client: Client {
+        main: "let w := newpet () in
+               let c := ref 0 in
+               fork { lock_b w ;; c <- !c + 1 ;; unlock_b w } ;;
+               lock_a w ;;
+               c <- !c + 1 ;;
+               unlock_a w ;;
+               (rec wait u := if !c = 2 then !c else wait u) ()",
+        expected: Val::Int(2),
+        heap: None,
         // Peterson synchronizes entirely through plain loads and stores
         // of the flag and turn cells — a C11 port would declare them SC
         // atomics, so the race detector runs in AllAtomic mode.
-        self.adequacy_program().map(|(prog, expected)| {
-            crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            )
-        })
-    }
-}
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_safety_spec() {
-        let outcome = Peterson
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("peterson stuck:\n{e}"));
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = Peterson.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

@@ -7,8 +7,9 @@
 //! impredicativity of `is_lock` (§2.1): the reader lock's resource
 //! *contains the global lock's `locked` token*.
 
-use crate::common::{program, Example, PaperRow};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. The two lock instances are separate definitions so
 /// each gets its own specification (see DESIGN.md on spec lookup by
@@ -68,81 +69,53 @@ SPEC γr γg γp, {{ is_duo γr γg γp w0 ∗ locked γg ∗ P 1 }} write_rel w
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct RwLockDuolock;
-
-impl Example for RwLockDuolock {
-    fn name(&self) -> &'static str {
-        "rwlock_duolock"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 45,
-            annot: (50, 10),
-            custom: 0,
-            hints: (7, 0),
-            time: "0:21",
-            dia_total: (109, 10),
-            iris: None,
-            starling: None,
-            caper: None,
-            voila: None,
-        }
-    }
-
-    fn spec_order(&self) -> &'static [&'static str] {
-        // The libraries' instances first (global lock, then reader lock),
-        // then the lock's own operations.
-        &[
-            "newglock",
-            "acquireg",
-            "releaseg",
-            "newrlock",
-            "acquirer",
-            "releaser",
-            "make",
-            "read_acq",
-            "read_rel",
-            "write_acq",
-            "write_rel",
-        ]
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: the first reader forgets to take the global lock.
-        Some((
-            "read_acq",
-            "(if n = 0 then acquireg (snd (snd w)) else ()) ;;\n  releaser (fst w)\ndef read_rel",
-            "releaser (fst w)\ndef read_rel",
-        ))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let w := make () in
-             fork { read_acq w ;; read_rel w } ;;
-             read_acq w ;;
-             read_rel w ;;
-             write_acq w ;;
-             write_rel w ;; 3",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(3),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "rwlock_duolock",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 45,
+        annot: (50, 10),
+        custom: 0,
+        hints: (7, 0),
+        time: "0:21",
+        dia_total: (109, 10),
+        iris: None,
+        starling: None,
+        caper: None,
+        voila: None,
+    },
+    // The libraries' instances first (global lock, then reader lock),
+    // then the lock's own operations.
+    spec_order: &[
+        "newglock",
+        "acquireg",
+        "releaseg",
+        "newrlock",
+        "acquirer",
+        "releaser",
+        "make",
+        "read_acq",
+        "read_rel",
+        "write_acq",
+        "write_rel",
+    ],
+    // Sabotage: the first reader forgets to take the global lock.
+    sabotage: Some((
+        "read_acq",
+        "(if n = 0 then acquireg (snd (snd w)) else ()) ;;\n  releaser (fst w)\ndef read_rel",
+        "releaser (fst w)\ndef read_rel",
+    )),
+    client: Client {
+        main: "let w := make () in
+               fork { read_acq w ;; read_rel w } ;;
+               read_acq w ;;
+               read_rel w ;;
+               write_acq w ;;
+               write_rel w ;; 3",
+        expected: Val::Int(3),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
         // The global lock is held *by the reader group*: the first
         // reader acquires it on everyone's behalf and each reader
         // re-enters the reader lock while the group still owns it, so a
@@ -152,36 +125,21 @@ impl Example for RwLockDuolock {
         // this example exercises, and the proofs above show the
         // protocol deadlock-free — so the order heuristic is off here;
         // the sound manifest-deadlock detector stays on.
-        self.adequacy_program().map(|(prog, expected)| {
-            let mut spec = crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::InferAtomics,
-            );
-            spec.lock_order = false;
-            spec
-        })
-    }
-}
+        lock_order: false,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_fully_automatically() {
-        let outcome = RwLockDuolock
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("rwlock_duolock stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 0);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = RwLockDuolock.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 3_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

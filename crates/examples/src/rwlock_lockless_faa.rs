@@ -6,8 +6,9 @@
 //! state keeps half a `no_tokens` witness so a stray reader release is
 //! provably impossible.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation.
 pub const SOURCE: &str = "\
@@ -40,66 +41,47 @@ SPEC γ, {{ is_rw γ v ∗ P 1 ∗ no_tokens P γ ½ }} write_rel v {{ RET #(); 
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct RwLockLocklessFaa;
-
-impl Example for RwLockLocklessFaa {
-    fn name(&self) -> &'static str {
-        "rwlock_lockless_faa"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 27,
-            annot: (36, 1),
-            custom: 0,
-            hints: (8, 0),
-            time: "0:20",
-            dia_total: (74, 1),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(68, 1)),
-            voila: None,
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: the writer CASes from 1 (a reader present!) — shared
-        // and exclusive access would coexist.
-        Some(("write_acq", "CAS(l, 0, -1)", "CAS(l, 1, -1)"))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let l := make () in
-             fork { read_acq l ;; read_rel l } ;;
-             write_acq l ;;
-             write_rel l ;;
-             read_acq l ;; read_rel l ;; 1",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(1),
-        ))
-    }
-}
+pub static EXAMPLE: Record = Record {
+    name: "rwlock_lockless_faa",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 27,
+        annot: (36, 1),
+        custom: 0,
+        hints: (8, 0),
+        time: "0:20",
+        dia_total: (74, 1),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(68, 1)),
+        voila: None,
+    },
+    spec_order: &[],
+    // Sabotage: the writer CASes from 1 (a reader present!) — shared
+    // and exclusive access would coexist.
+    sabotage: Some(("write_acq", "CAS(l, 0, -1)", "CAS(l, 1, -1)")),
+    client: Client {
+        main: "let l := make () in
+               fork { read_acq l ;; read_rel l } ;;
+               write_acq l ;;
+               write_rel l ;;
+               read_acq l ;; read_rel l ;; 1",
+        expected: Val::Int(1),
+        heap: None,
+        sync_model: SyncModel::InferAtomics,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_fully_automatically() {
-        let outcome = RwLockLocklessFaa
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("rwlock_lockless_faa stuck:\n{e}"));
         // One manual case split (paper: 1 line of proof work).
@@ -108,13 +90,5 @@ mod tests {
         let hints = outcome.hints_used();
         assert!(hints.contains("token-revive"));
         assert!(hints.contains("token-mutate-delete-last"));
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = RwLockLocklessFaa.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 2_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

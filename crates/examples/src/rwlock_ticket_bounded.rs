@@ -7,8 +7,9 @@
 //! lock, whereas we verify a heap-allocated version"; Caper and Voila fix
 //! such bounds).
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::Val;
 
 /// The implementation. `read_acq` takes the pair `(b, w)` of bound and
 /// lock and retries when `b` readers are already in.
@@ -75,103 +76,66 @@ SPEC b γr γr2 γg γg2 γp, {{ is_rwb γr γr2 γg γg2 γp b w0 ∗ locked γ
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct RwLockTicketBounded;
-
-impl Example for RwLockTicketBounded {
-    fn name(&self) -> &'static str {
-        "rwlock_ticket_bounded"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 40,
-            annot: (68, 10),
-            custom: 2,
-            hints: (13, 0),
-            time: "0:54",
-            dia_total: (124, 12),
-            iris: None,
-            starling: None,
-            caper: Some(ToolStat::new(109, 14)),
-            voila: None,
-        }
-    }
-
-    fn spec_order(&self) -> &'static [&'static str] {
-        // The libraries' instances first (global lock, then reader lock),
-        // then the lock's own operations.
-        &[
-            "makeg",
-            "waitg",
-            "acquireg",
-            "releaseg",
-            "maker",
-            "waitr",
-            "acquirer",
-            "releaser",
-            "make",
-            "read_acq",
-            "read_rel",
-            "write_acq",
-            "write_rel",
-        ]
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let w := make () in
-             fork { read_acq (1, w) ;; read_rel w } ;;
-             read_acq (1, w) ;; read_rel w ;;
-             write_acq w ;; write_rel w ;; 5",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(5),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "rwlock_ticket_bounded",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 40,
+        annot: (68, 10),
+        custom: 2,
+        hints: (13, 0),
+        time: "0:54",
+        dia_total: (124, 12),
+        iris: None,
+        starling: None,
+        caper: Some(ToolStat::new(109, 14)),
+        voila: None,
+    },
+    // The libraries' instances first (global lock, then reader lock),
+    // then the lock's own operations.
+    spec_order: &[
+        "makeg",
+        "waitg",
+        "acquireg",
+        "releaseg",
+        "maker",
+        "waitr",
+        "acquirer",
+        "releaser",
+        "make",
+        "read_acq",
+        "read_rel",
+        "write_acq",
+        "write_rel",
+    ],
+    sabotage: None,
+    client: Client {
+        main: "let w := make () in
+               fork { read_acq (1, w) ;; read_rel w } ;;
+               read_acq (1, w) ;; read_rel w ;;
+               write_acq w ;; write_rel w ;; 5",
+        expected: Val::Int(5),
+        heap: None,
         // Ticket-style hand-off: readers/writers spin on plain loads of
         // the owner cell and release with plain stores — SC atomics in
         // a C11 port, so AllAtomic.
-        self.adequacy_program().map(|(prog, expected)| {
-            crate::common::value_spec(
-                prog,
-                expected,
-                diaframe_heaplang::monitor::SyncModel::AllAtomic,
-            )
-        })
-    }
-}
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_with_two_wait_case_splits() {
-        let outcome = RwLockTicketBounded
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("rwlock_ticket_bounded stuck:\n{e}"));
         assert_eq!(outcome.manual_steps, 1);
         outcome.check_all().expect("traces replay");
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = RwLockTicketBounded.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 8, 3_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

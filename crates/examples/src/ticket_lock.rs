@@ -10,8 +10,9 @@
 //! loop needs one manual case split, on whether the ticket being served
 //! is the caller's.
 
-use crate::common::{program, Example, PaperRow, ToolStat};
-use diaframe_heaplang::{parse_expr, Expr, Val};
+use crate::common::{Client, PaperRow, Record, ToolStat};
+use diaframe_heaplang::monitor::SyncModel;
+use diaframe_heaplang::{Loc, Val};
 
 /// The implementation. The lock value is the pair `(owner, next)`;
 /// `wait` takes `(owner_location, my_ticket)`.
@@ -41,95 +42,61 @@ SPEC γ γ2, {{ is_tl N γ γ2 lk R ∗ locked γ2 ∗ R }} release lk {{ RET #(
 ";
 
 /// The Figure 6 example.
-#[derive(Debug, Default)]
-pub struct TicketLock;
-
-impl Example for TicketLock {
-    fn name(&self) -> &'static str {
-        "ticket_lock"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn annotation(&self) -> &'static str {
-        ANNOTATION
-    }
-
-    fn paper(&self) -> PaperRow {
-        PaperRow {
-            impl_lines: 23,
-            annot: (49, 6),
-            custom: 0,
-            hints: (5, 0),
-            time: "0:23",
-            dia_total: (90, 6),
-            iris: Some(ToolStat::new(168, 78)),
-            starling: Some(ToolStat::new(66, 11)),
-            caper: Some(ToolStat::new(59, 0)),
-            voila: Some(ToolStat::new(90, 12)),
-        }
-    }
-
-    fn sabotage(&self) -> Option<(&'static str, &'static str, &'static str)> {
-        // Sabotage: wait compares against the *next* counter instead of
-        // the caller's ticket — mutual exclusion is gone.
-        Some(("acquire", "wait (fst lk, n)", "wait (fst lk, n + 1)"))
-    }
-
-    fn adequacy_program(&self) -> Option<(Expr, Val)> {
-        let main = parse_expr(
-            "let lk := make () in
-             let c := ref 0 in
-             fork { acquire lk ;; c <- !c + 1 ;; release lk } ;;
-             acquire lk ;; c <- !c + 1 ;; release lk ;;
-             (rec spin u :=
-                acquire lk ;;
-                let v := !c in
-                release lk ;;
-                if v = 2 then v else spin u) ()",
-        )
-        .expect("client parses");
-        Some((
-            diaframe_heaplang::parser::link(&program(SOURCE), &main),
-            Val::Int(2),
-        ))
-    }
-
-    fn sweep_spec(&self) -> Option<crate::common::SweepSpec> {
+pub static EXAMPLE: Record = Record {
+    name: "ticket_lock",
+    source: SOURCE,
+    annotation: ANNOTATION,
+    paper: PaperRow {
+        impl_lines: 23,
+        annot: (49, 6),
+        custom: 0,
+        hints: (5, 0),
+        time: "0:23",
+        dia_total: (90, 6),
+        iris: Some(ToolStat::new(168, 78)),
+        starling: Some(ToolStat::new(66, 11)),
+        caper: Some(ToolStat::new(59, 0)),
+        voila: Some(ToolStat::new(90, 12)),
+    },
+    spec_order: &[],
+    // Sabotage: wait compares against the *next* counter instead of
+    // the caller's ticket — mutual exclusion is gone.
+    sabotage: Some(("acquire", "wait (fst lk, n)", "wait (fst lk, n + 1)")),
+    client: Client {
+        main: "let lk := make () in
+               let c := ref 0 in
+               fork { acquire lk ;; c <- !c + 1 ;; release lk } ;;
+               acquire lk ;; c <- !c + 1 ;; release lk ;;
+               (rec spin u :=
+                  acquire lk ;;
+                  let v := !c in
+                  release lk ;;
+                  if v = 2 then v else spin u) ()",
+        expected: Val::Int(2),
+        // The quiescent heap is deterministic: `make ()` allocates the
+        // owner/next pair (ℓ0, ℓ1) and the client the counter (ℓ2); at
+        // least two tickets were served (the spin loop re-acquires, so
+        // owner = next ≥ 2) and the counter holds both increments.
+        heap: Some(("owner = next ∧ counter = 2", |_, h| {
+            h.len() == 3
+                && h.load(Loc::new(0)) == h.load(Loc::new(1))
+                && h.load(Loc::new(2)) == Some(&Val::Int(2))
+        })),
         // The owner cell is spun on with plain loads and bumped by a
-        // plain store (AllAtomic), and the quiescent heap is
-        // deterministic: at least two tickets were served (the spin
-        // loop re-acquires, so owner = next ≥ 2) and the counter holds
-        // both increments. All three cells are integers with
-        // owner = next.
-        use diaframe_heaplang::Loc;
-        self.adequacy_program()
-            .map(|(prog, _)| crate::common::SweepSpec {
-                post_desc: "result = 2 ∧ owner = next ∧ counter = 2".to_owned(),
-                post: Box::new(|v, h| {
-                    // make () allocates the owner/next pair (ℓ0, ℓ1), the
-                    // client then allocates the counter (ℓ2).
-                    *v == Val::Int(2)
-                        && h.len() == 3
-                        && h.load(Loc::new(0)) == h.load(Loc::new(1))
-                        && h.load(Loc::new(2)) == Some(&Val::Int(2))
-                }),
-                prog,
-                sync_model: diaframe_heaplang::monitor::SyncModel::AllAtomic,
-                lock_order: true,
-            })
-    }
-}
+        // plain store.
+        sync_model: SyncModel::AllAtomic,
+        lock_order: true,
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Example;
 
     #[test]
     fn verifies_by_backtracking() {
-        let outcome = TicketLock
+        let outcome = EXAMPLE
             .verify()
             .unwrap_or_else(|e| panic!("ticket_lock stuck:\n{e}"));
         // One manual case split (in wait), mirroring the paper's 6 lines
@@ -139,13 +106,5 @@ mod tests {
         let hints = outcome.hints_used();
         assert!(hints.contains("ticket-issue"));
         assert!(hints.contains("tickets-allocate"));
-    }
-
-    #[test]
-    fn adequacy() {
-        let (prog, expected) = TicketLock.adequacy_program().expect("client");
-        for v in diaframe_heaplang::interp::run_schedules(&prog, 10, 3_000_000) {
-            assert_eq!(v, expected);
-        }
     }
 }

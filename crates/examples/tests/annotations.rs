@@ -11,7 +11,7 @@ use diaframe_ghost::Registry;
 fn every_annotation_elaborates_to_the_verified_specs() {
     for ex in all_examples() {
         let name = ex.name();
-        let text = ex.annotation();
+        let text = ex.record().annotation;
         let ann = Annotation::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (i, line) in text.lines().enumerate() {
             let t = line.trim();
@@ -21,7 +21,7 @@ fn every_annotation_elaborates_to_the_verified_specs() {
                 i + 1
             );
         }
-        let ws = Ws::elaborate(ex.source(), text, &Registry::standard_atoms())
+        let ws = Ws::elaborate(ex.record().source, text, &Registry::standard_atoms())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let declared: Vec<&str> = ws.declared().iter().map(|s| s.name.as_str()).collect();
         let outcome = ex.verify().unwrap_or_else(|e| panic!("{name} stuck:\n{e}"));
@@ -53,7 +53,7 @@ fn mutated_scripts_and_hints_fail_with_a_position() {
     let atoms = Registry::standard_atoms();
     let mut mutants = 0;
     for ex in all_examples() {
-        let lines: Vec<&str> = ex.annotation().lines().collect();
+        let lines: Vec<&str> = ex.record().annotation.lines().collect();
         for (i, line) in lines.iter().enumerate() {
             if !line.starts_with("HINT ") && !line.starts_with("Next Obligation.") {
                 continue;
@@ -82,7 +82,7 @@ fn mutated_scripts_and_hints_fail_with_a_position() {
                 let mutant = text.join("\n");
                 mutants += 1;
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Ws::elaborate(ex.source(), &mutant, &atoms).err()
+                    Ws::elaborate(ex.record().source, &mutant, &atoms).err()
                 }));
                 let err = run.unwrap_or_else(|_| panic!("{}: panic on `{v}`", ex.name()));
                 if let Some(e) = err {
@@ -98,8 +98,8 @@ fn mutated_scripts_and_hints_fail_with_a_position() {
 #[test]
 fn each_sabotage_edits_one_place() {
     for ex in all_examples() {
-        if let Some((_, from, to)) = ex.sabotage() {
-            assert_eq!(ex.source().matches(from).count(), 1, "{}", ex.name());
+        if let Some((_, from, to)) = ex.record().sabotage {
+            assert_eq!(ex.record().source.matches(from).count(), 1, "{}", ex.name());
             assert_ne!(from, to, "{}", ex.name());
         }
     }

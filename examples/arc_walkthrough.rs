@@ -27,7 +27,7 @@ fn main() {
     // 2. With the one-line case distinction the annotation attaches to
     //    drop (`Next Obligation. destruct (decide (z = 1)); iStepsS.
     //    Qed.`), everything goes through.
-    let outcome = arc::Arc.verify().expect("arc verifies with the tactic");
+    let outcome = arc::EXAMPLE.verify().expect("arc verifies with the tactic");
     println!("=== with the case split ===");
     println!(
         "verified {} specs, {} manual step(s), hints used: {:?}",

@@ -7,15 +7,10 @@
 //! ```
 
 use diaframe::core::TraceStep;
-use diaframe::examples::{
-    cas_counter_client::CasCounterClient, ticket_lock_client::TicketLockClient, Example,
-};
+use diaframe::examples::{cas_counter_client, ticket_lock_client, Example};
 
 fn main() {
-    for ex in [
-        Box::new(CasCounterClient) as Box<dyn Example>,
-        Box::new(TicketLockClient),
-    ] {
+    for ex in [&cas_counter_client::EXAMPLE, &ticket_lock_client::EXAMPLE] {
         let outcome = ex.verify().expect("client verifies");
         // Show that the client proof cuts through the library's
         // specifications instead of inlining its implementation.

@@ -4,12 +4,12 @@
 //! cargo run --example quickstart
 //! ```
 
-use diaframe::examples::{spin_lock::SpinLock, Example};
+use diaframe::examples::{spin_lock, Example};
 
 fn main() {
-    let example = SpinLock;
-    println!("source:\n{}", example.source());
-    println!("annotation:\n{}", example.annotation());
+    let example = &spin_lock::EXAMPLE;
+    println!("source:\n{}", example.source);
+    println!("annotation:\n{}", example.annotation);
 
     let outcome = example.verify().expect("the spin lock verifies");
     println!(
@@ -29,8 +29,9 @@ fn main() {
     println!("hints used: {:?}", outcome.hints_used());
 
     // The runtime counterpart: run the verified client program.
-    let (prog, expected) = example.adequacy_program().expect("client");
-    let results = diaframe::heaplang::interp::run_schedules(&prog, 10, 2_000_000);
-    assert!(results.iter().all(|v| *v == expected));
+    let expected = &example.client.expected;
+    let results =
+        diaframe::heaplang::interp::run_schedules(&example.client_program(), 10, 2_000_000);
+    assert!(results.iter().all(|v| v == expected));
     println!("client program ran safely under 10 random schedules → {expected}");
 }

@@ -20,9 +20,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use diaframe::examples::{spin_lock::SpinLock, Example};
+//! use diaframe::examples::{spin_lock, Example};
 //!
-//! let outcome = SpinLock.verify().expect("the spin lock verifies");
+//! let outcome = spin_lock::EXAMPLE.verify().expect("the spin lock verifies");
 //! assert_eq!(outcome.manual_steps, 0); // fully automatic, as in the paper
 //! outcome.check_all().expect("every proof trace replays");
 //! ```

@@ -47,8 +47,9 @@ fn paper_shape_seven_examples_fully_automatic() {
 #[test]
 fn paper_shape_arc_needs_exactly_one_manual_step() {
     // §2.2: drop needs exactly the `destruct (decide (z = 1))` case split.
-    let arc = diaframe::examples::arc::Arc;
-    let outcome = arc.verify().expect("arc verifies");
+    let outcome = diaframe::examples::arc::EXAMPLE
+        .verify()
+        .expect("arc verifies");
     assert_eq!(outcome.manual_steps, 1);
 }
 
@@ -102,10 +103,14 @@ fn adequacy_all_examples() {
     // schedules; safety (no stuck thread) and the expected result must
     // hold — the runtime counterpart of the proved specifications.
     for ex in all_examples() {
-        if let Some((prog, expected)) = ex.adequacy_program() {
-            for v in diaframe::heaplang::interp::run_schedules(&prog, 5, 3_000_000) {
-                assert_eq!(v, expected, "{}: wrong client result", ex.name());
-            }
+        let prog = ex.client_program();
+        for v in diaframe::heaplang::interp::run_schedules(&prog, 15, 3_000_000) {
+            assert_eq!(
+                v,
+                ex.record().client.expected,
+                "{}: wrong client result",
+                ex.name()
+            );
         }
     }
 }

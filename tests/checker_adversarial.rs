@@ -13,7 +13,7 @@ use diaframe_term::PureProp;
 /// but exercising invariant allocation, opening/closing and pure
 /// obligations.
 fn real_traces() -> Vec<ProofTrace> {
-    let outcome = spin_lock::SpinLock.verify().expect("spin lock verifies");
+    let outcome = spin_lock::EXAMPLE.verify().expect("spin lock verifies");
     outcome.proofs.into_iter().map(|p| p.trace).collect()
 }
 
