@@ -950,12 +950,12 @@ impl<'a> Engine<'a> {
         // search beyond the budget.
         let ctx2 = ctx.clone();
         let saved_len = self.trace.len();
-        match self.syn_fupd_inner(
+        let left = match self.syn_fupd_inner(
             ctx,
             from.clone(),
             to.clone(),
             exists.clone(),
-            l,
+            l.clone(),
             cont.clone(),
         ) {
             Ok(out) => {
@@ -963,19 +963,43 @@ impl<'a> Engine<'a> {
                     side: "left",
                     reason: "backtracking",
                 });
-                Ok(out)
+                return Ok(out);
             }
-            Err(_) => {
-                crate::telemetry::backtracked((self.trace.len() - saved_len) as u64);
-                self.trace.truncate(saved_len);
-                self.fuel = self.fuel.saturating_sub(1);
-                self.push_step(TraceStep::DisjunctChosen {
-                    side: "right",
-                    reason: "backtracking",
-                });
-                self.syn_fupd_inner(ctx2, from, to, exists, r, cont)
-            }
-        }
+            Err(stuck) => stuck,
+        };
+        crate::telemetry::backtracked((self.trace.len() - saved_len) as u64);
+        self.trace.truncate(saved_len);
+        self.fuel = self.fuel.saturating_sub(1);
+        self.push_step(TraceStep::DisjunctChosen {
+            side: "right",
+            reason: "backtracking",
+        });
+        let at = ctx2.clone();
+        self.syn_fupd_inner(ctx2, from.clone(), to.clone(), exists, r.clone(), cont)
+            .map_err(|right| {
+                // Running out of fuel is the search's verdict, not the
+                // disjunction's.
+                if self.fuel == 0 {
+                    return right;
+                }
+                // Both disjuncts failed: the report stands at the
+                // disjunction and keeps both branches' reasons.
+                let goal = Goal::SynFupd {
+                    from: MaskT::Concrete(from),
+                    to,
+                    exists: Vec::new(),
+                    lhs: Assertion::or(l, r),
+                    cont: Box::new(Goal::Done),
+                };
+                let reason = format!(
+                    "neither disjunct holds; left: {}; right: {}",
+                    left.reason, right.reason
+                );
+                Box::new(Stuck {
+                    unmatched_head: right.unmatched_head.or(left.unmatched_head),
+                    ..*self.stuck(&at, reason, &goal)
+                })
+            })
     }
 
     /// Solves both branches of a 2-way case split whose `CaseSplit` step

@@ -46,3 +46,30 @@ fn nested_disjunctions_run_out_of_fuel_instead_of_doubling() {
         "{backtracks} backtracks under a fuel of {FUEL}"
     );
 }
+
+#[test]
+fn a_disjunction_whose_sides_both_fail_reports_both_reasons() {
+    let e = elaborate(
+        "def f x := x",
+        "SPEC {{ True }} f x {{ RET x; ⌜x = #1⌝ ∨ ⌜x = #2⌝ }}\n",
+        &Registry::standard_atoms(),
+        &|_| None,
+    )
+    .expect("the annotation elaborates");
+    let stuck = verify(
+        &Registry::standard(),
+        &e.table,
+        &VerifyOptions::default(),
+        e.ctx.clone(),
+        &e.declared[0],
+    )
+    .expect_err("the postcondition is unprovable");
+    let (left, right) = stuck
+        .reason
+        .strip_prefix("neither disjunct holds; left: ")
+        .and_then(|r| r.split_once("; right: "))
+        .unwrap_or_else(|| panic!("{}", stuck.reason));
+    assert!(left.starts_with("cannot prove pure goal"), "{left}");
+    assert!(right.starts_with("cannot prove pure goal"), "{right}");
+    assert!(stuck.goal.contains("Or("), "{}", stuck.goal);
+}

@@ -110,8 +110,9 @@ mod tests {
     fn drop_fails_without_the_case_split() {
         // Reproduces the §2.2 stuck state: without the manual case
         // distinction the automation cannot decide the invariant-closing
-        // disjunction; backtracking tries both disjuncts, and the second
-        // leaves the pure goal `#(z - 1) = #0` that nothing proves.
+        // disjunction; backtracking tries both disjuncts, neither of
+        // whose pure goals (`0 < z - 1`, `#(z - 1) = #0`) anything
+        // proves, and the report stands at the disjunction.
         let ws = crate::common::Ws::new(SOURCE, ANNOTATION);
         let registry = diaframe_ghost::Registry::standard();
         let opts = diaframe_core::VerifyOptions::automatic();
@@ -119,8 +120,11 @@ mod tests {
         let stuck = r.expect_err("drop must get stuck without the case split");
         assert_eq!(
             stuck.reason,
-            "cannot prove pure goal \
+            "neither disjunct holds; \
+             left: cannot prove pure goal Lt(Int(0), App(Add, [Var(VarId(31)), Int(-1)])); \
+             right: cannot prove pure goal \
              Eq(App(VInt, [App(Add, [Var(VarId(31)), Int(-1)])]), App(VInt, [Int(0)]))"
         );
+        assert!(stuck.goal.contains("Or("), "{}", stuck.goal);
     }
 }

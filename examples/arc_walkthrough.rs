@@ -14,8 +14,9 @@ fn main() {
     // 1. Run drop's verification with NO manual help: the automation
     //    cannot decide the invariant-closing disjunction of §2.2 (is the
     //    count now 0 or still positive?). Backtracking tries both
-    //    disjuncts; the second leaves the pure goal `#(z - 1) = #0`,
-    //    which nothing proves without knowing whether `z = 1`.
+    //    disjuncts; neither pure goal (`0 < z - 1`, `#(z - 1) = #0`) is
+    //    provable without knowing whether `z = 1`, and the report stands
+    //    at the disjunction with both reasons.
     let ws = Ws::new(arc::SOURCE, arc::ANNOTATION);
     let registry = diaframe::ghost::Registry::standard();
     let stuck = ws
