@@ -25,6 +25,7 @@ use diaframe_heaplang::ectx::{decompose, fill_ctx, Decomp, Frame};
 use diaframe_heaplang::step::head_step;
 use diaframe_heaplang::{BinOp, Expr, Heap, UnOp, Val};
 use diaframe_logic::{Assertion, Atom, Binder, Mask, MaskT, Namespace, WpPost};
+use diaframe_term::display::pp_prop;
 use diaframe_term::{PureProp, Sort, Subst, Sym, Term, VarId};
 use std::sync::Arc;
 
@@ -244,7 +245,10 @@ impl<'a> Engine<'a> {
                 let g = Goal::Done;
                 return Err(self.stuck(
                     &ctx,
-                    format!("postponed pure goal remains unprovable: {p:?}"),
+                    format!(
+                        "postponed pure goal remains unprovable: {}",
+                        pp_prop(&ctx.vars, &p)
+                    ),
                     &g,
                 ));
             }
@@ -619,7 +623,7 @@ impl<'a> Engine<'a> {
                     return self.solve(ctx, cont);
                 }
                 if !ctx.prove_pure(&p) {
-                    let reason = format!("cannot prove pure goal {p:?}");
+                    let reason = format!("cannot prove pure goal {}", pp_prop(&ctx.vars, &p));
                     let goal = Goal::SynFupd {
                         from: MaskT::Concrete(from),
                         to,
