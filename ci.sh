@@ -15,23 +15,23 @@
 #      must exit 0 (arc_walkthrough expects drop's §2.2 stuck state)
 #   4. clippy, warnings-as-errors, across every target, and rustfmt:
 #      `cargo fmt --all -- --check` must leave every workspace file as is
-#   5. a full `figure6 --all` report run, writing the machine-readable
-#      snapshot to target/BENCH_figure6.json, followed by the
-#      snapshot-diff gate: `figure6 --diff` compares the fresh v9
-#      snapshot against the committed BENCH_figure6.json — every
-#      baseline example must be present and every *deterministic*
-#      search counter exactly equal (the proof-store counters are
-#      reported, not gated; timings are not compared) — and a
-#      self-comparison must report exactly zero regressions
-#   6. the observability gate: one `figure6 --all` run exporting its
-#      telemetry session's span tree (`--profile-out` / `--folded-out` /
-#      `--hotspots`) must emit a Chrome trace that passes structural
-#      validation and a v9 snapshot with non-zero counters (including the
-#      incremental pure-solver counters) and per-span-kind duration
-#      histograms; the observability-on/off trace- and table-equivalence
-#      tests (including: a run without a session counts nothing) must
-#      hold, and `figure6 --explain` must render a structured stuck
-#      report
+#   5. one full `figure6 --all` report run, exporting its telemetry
+#      session's span tree (`--profile-out` / `--folded-out` /
+#      `--hotspots`) and writing the machine-readable snapshot to
+#      target/BENCH_figure6_telemetry.json, followed by the
+#      snapshot-diff gate: `figure6 --diff` compares that v9 snapshot
+#      against the committed BENCH_figure6.json — every baseline
+#      example must be present and every *deterministic* search counter
+#      exactly equal (the proof-store counters are reported, not gated;
+#      timings are not compared) — and a self-comparison must report
+#      exactly zero regressions
+#   6. the observability gate: the same run must emit a Chrome trace
+#      that passes structural validation and a v9 snapshot with
+#      non-zero counters (including the incremental pure-solver
+#      counters) and per-span-kind duration histograms; the
+#      observability-on/off trace- and table-equivalence tests
+#      (including: a run without a session counts nothing) must hold,
+#      and `figure6 --explain` must render a structured stuck report
 #   7. the soundness-fuzzing smoke gate: a fixed-seed fuzz_driver
 #      campaign must report zero differential divergences and zero
 #      surviving trace mutants and zero panics on mutated example
@@ -78,7 +78,13 @@ cargo run --release --example lock_client > /dev/null
 cargo run --release --example quickstart > /dev/null
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
-cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/BENCH_figure6.json
+# One suite run under figure6's telemetry session, exporting its span
+# tree; its v9 snapshot feeds both the snapshot-diff gate and the
+# observability gate below.
+cargo run --release -p diaframe-bench --bin figure6 -- --all \
+  --json-out target/BENCH_figure6_telemetry.json \
+  --profile-out target/profile_trace.json --folded-out target/profile_folded.txt \
+  --hotspots 10 > target/observability.log
 
 # --- snapshot-diff gate (see EXPERIMENTS.md "Performance") ---------------
 # `figure6 --diff` compares the fresh v9 snapshot against the committed
@@ -91,7 +97,7 @@ cargo run --release -p diaframe-bench --bin figure6 -- --all --json-out target/B
 # timings are not compared (same-session perfbench pairs judge speed).
 # Non-zero exit on any regression.
 cargo run --release -p diaframe-bench --bin figure6 -- \
-  --diff BENCH_figure6.json --diff-current target/BENCH_figure6.json
+  --diff BENCH_figure6.json --diff-current target/BENCH_figure6_telemetry.json
 # The reporter itself is gated: a snapshot diffed against itself must
 # report exactly zero regressions (exit 0 and say so).
 cargo run --release -p diaframe-bench --bin figure6 -- \
@@ -99,15 +105,11 @@ cargo run --release -p diaframe-bench --bin figure6 -- \
 grep -q 'verdict: PASS — 0 regressions' target/diff_self.md
 
 # --- observability gate (see README "Observability") --------------------
-# One suite run under figure6's telemetry session, exporting its span
-# tree. The Chrome trace must pass structural validation (balanced
-# begin/end, per-lane monotonic timestamps; the binary exits non-zero
-# otherwise), and the v9 snapshot must carry non-zero counters and the
-# per-span-kind duration histograms taken from the span tree.
-cargo run --release -p diaframe-bench --bin figure6 -- --all \
-  --json-out target/BENCH_figure6_telemetry.json \
-  --profile-out target/profile_trace.json --folded-out target/profile_folded.txt \
-  --hotspots 10 > target/observability.log
+# The suite run above exported its span tree. The Chrome trace must pass
+# structural validation (balanced begin/end, per-lane monotonic
+# timestamps; the binary exits non-zero otherwise), and the v9 snapshot
+# must carry non-zero counters and the per-span-kind duration histograms
+# taken from the span tree.
 grep -q 'span events across .* lanes, validated' target/observability.log
 grep -q 'profile hotspots' target/observability.log
 test -s target/profile_folded.txt
