@@ -26,7 +26,7 @@
 
 use diaframe_core::trace_json::json_escape;
 use diaframe_core::{run_ordered, JobPanic};
-use diaframe_examples::{all_examples, negative_examples};
+use diaframe_examples::{all_examples, negative_examples, Client};
 use diaframe_heaplang::monitor::SyncModel;
 use diaframe_heaplang::sweep::{sweep, SweepConfig, SweepOutcome};
 use std::fmt::Write as _;
@@ -73,7 +73,7 @@ impl Default for AdequacyConfig {
 }
 
 impl AdequacyConfig {
-    fn proved_cfg(&self, sync_model: SyncModel, lock_order: bool) -> SweepConfig {
+    fn proved_cfg(&self, client: &Client) -> SweepConfig {
         SweepConfig {
             seeds: self.seeds,
             seed_base: 0,
@@ -81,16 +81,16 @@ impl AdequacyConfig {
             preemption_bound: self.preemption_bound,
             dfs_max_runs: self.dfs_max_runs,
             dfs_max_steps: self.dfs_max_steps,
-            sync_model,
-            lock_order,
+            sync_model: client.sync_model,
+            lock_order: client.lock_order,
         }
     }
 
-    fn negative_cfg(&self, sync_model: SyncModel) -> SweepConfig {
+    fn negative_cfg(&self, client: &Client) -> SweepConfig {
         SweepConfig {
             seeds: self.neg_seeds,
             fuel: self.neg_fuel,
-            ..self.proved_cfg(sync_model, true)
+            ..self.proved_cfg(client)
         }
     }
 }
@@ -182,7 +182,7 @@ pub fn run_adequacy(cfg: &AdequacyConfig) -> AdequacyReport {
             let outcome = sweep(
                 &ex.client_program(),
                 &|v, h| client.holds(v, h),
-                &cfg.proved_cfg(client.sync_model, client.lock_order),
+                &cfg.proved_cfg(client),
             );
             ProvedRow {
                 name: ex.name(),
@@ -200,7 +200,7 @@ pub fn run_adequacy(cfg: &AdequacyConfig) -> AdequacyReport {
             let outcome = sweep(
                 &neg.client.program(&[]),
                 &|v, h| neg.client.holds(v, h),
-                &cfg.negative_cfg(neg.client.sync_model),
+                &cfg.negative_cfg(&neg.client),
             );
             let flags = outcome.flags();
             let verdict_ok = neg.expected.must.iter().all(|f| flags.contains(f))

@@ -26,7 +26,6 @@ pub struct ExpectedFindings {
 }
 
 /// One intentionally-buggy program with its expected detector verdict.
-#[derive(Debug)]
 pub struct NegativeExample {
     /// Stable report name.
     pub name: &'static str,
