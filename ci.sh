@@ -8,11 +8,13 @@
 #      parallel/serial and indexed/linear equivalence tests), the
 #      benchmark crate's own tests (perfbench/, a separate workspace),
 #      so an engine API change that breaks the benchmark fails here,
-#      and the core and HeapLang unit tests once more in the debug
-#      profile: their nesting-depth tests must hit the parser and
-#      elaborator bounds before a 2 MiB test-thread stack overflows at
-#      debug frame sizes; then each runnable example under examples/
-#      must exit 0 (arc_walkthrough expects drop's §2.2 stuck state)
+#      and the term, logic, core and HeapLang unit tests once more in
+#      the debug profile: their nesting-depth tests must hit the parser
+#      and elaborator bounds before a 2 MiB test-thread stack overflows
+#      at debug frame sizes, and the in-place substitution and zonking
+#      code runs with debug assertions on; then each runnable example
+#      under examples/ must exit 0 (arc_walkthrough expects drop's §2.2
+#      stuck state)
 #   4. clippy, warnings-as-errors, across every target, and rustfmt:
 #      `cargo fmt --all -- --check` must leave every workspace file as is
 #   5. one full `figure6 --all` report run, exporting its telemetry
@@ -70,7 +72,7 @@ cargo build --release
 cargo test -q
 cargo test --workspace --release -q
 cargo test --release --manifest-path perfbench/Cargo.toml
-cargo test -q -p diaframe-core -p diaframe-heaplang --lib
+cargo test -q -p diaframe-term -p diaframe-logic -p diaframe-core -p diaframe-heaplang --lib
 cargo run --release --example arc_walkthrough > /dev/null
 cargo run --release --example custom_ghost > /dev/null
 cargo run --release --example interpreter > /dev/null

@@ -6,6 +6,7 @@ use crate::symval::SymTable;
 use diaframe_logic::{Assertion, MaskStore, PredTable};
 use diaframe_term::solver::egraph::EGraph;
 use diaframe_term::{PureProp, Subst, Term, VarCtx, VarId};
+use std::sync::Arc;
 
 /// One hypothesis in `Δ`.
 #[derive(Debug, Clone)]
@@ -128,6 +129,17 @@ impl ProofCtx {
         self.delta.len() - 1
     }
 
+    /// Strips one leading `▷` from every hypothesis (a program step was
+    /// taken).
+    pub fn strip_hyp_laters(&mut self) {
+        for h in &mut self.delta {
+            h.assertion = match std::mem::replace(&mut h.assertion, Assertion::emp()) {
+                Assertion::Later(inner) => Arc::unwrap_or_clone(inner),
+                other => other,
+            };
+        }
+    }
+
     /// Removes a hypothesis by index.
     pub fn remove_hyp(&mut self, idx: usize) -> Hyp {
         self.delta.remove(idx)
@@ -151,15 +163,17 @@ impl ProofCtx {
 
     /// Substitutes a variable by a term throughout the context (facts and
     /// hypotheses). Used by the cleaning step that eliminates equations
-    /// `⌜x = t⌝` with `x` a variable.
+    /// `⌜x = t⌝` with `x` a variable. Rewrites in place: a fact or
+    /// hypothesis that does not mention `v` is left as it is, shared
+    /// subtrees (invariant bodies) included.
     pub fn substitute_var(&mut self, v: VarId, t: &Term) {
         let s = Subst::single(v, t.clone());
         self.egraph = None;
         for f in &mut self.facts {
-            *f = f.subst(&s);
+            f.subst_in_place(&s);
         }
         for h in &mut self.delta {
-            h.assertion = h.assertion.subst(&s);
+            h.assertion.subst_in_place(&s);
         }
         self.syms.map_terms(|t| s.apply(t));
         self.vars.map_solutions(|t| s.apply(t));
@@ -206,6 +220,68 @@ mod tests {
         let h = ctx.remove_hyp(i);
         assert!(!h.persistent);
         assert!(ctx.delta.is_empty());
+    }
+
+    #[test]
+    fn substitution_shares_what_it_does_not_touch() {
+        use diaframe_logic::{Binder, Namespace};
+        let mut ctx = ProofCtx::new(PredTable::new());
+        let x = ctx.vars.fresh_var(Sort::Int, "x");
+        let y = ctx.vars.fresh_var(Sort::Int, "y");
+        let z = ctx.vars.fresh_var(Sort::Int, "z");
+        let l = Term::var(ctx.vars.fresh_var(Sort::Loc, "l"));
+        ctx.add_fact(PureProp::lt(Term::int(0), Term::var(x)));
+        ctx.add_fact(PureProp::le(
+            Term::var(y),
+            Term::add(Term::var(y), Term::int(1)),
+        ));
+        // inv N (∃z. l ↦ #(z + y)) and ▷ l ↦ #y: neither mentions x.
+        let body = Assertion::exists(
+            Binder::new(z),
+            Assertion::atom(Atom::points_to(
+                l.clone(),
+                Term::v_int(Term::add(Term::var(z), Term::var(y))),
+            )),
+        );
+        ctx.add_hyp(
+            Assertion::atom(Atom::invariant(Namespace::new("N"), body)),
+            true,
+        );
+        ctx.add_hyp(
+            Assertion::later(Assertion::atom(Atom::points_to(
+                l,
+                Term::v_int(Term::var(y)),
+            ))),
+            false,
+        );
+        let inv_body = |ctx: &ProofCtx| match &ctx.delta[0].assertion {
+            Assertion::Atom(Atom::Invariant { body, .. }) => Arc::clone(body),
+            other => panic!("unexpected: {other:?}"),
+        };
+        let later_child = |ctx: &ProofCtx| match &ctx.delta[1].assertion {
+            Assertion::Later(inner) => Arc::clone(inner),
+            other => panic!("unexpected: {other:?}"),
+        };
+        let (body_before, child_before) = (inv_body(&ctx), later_child(&ctx));
+        let facts_before = ctx.facts.clone();
+        // No hypothesis mentions x: every hypothesis stays pointer-equal.
+        ctx.substitute_var(x, &Term::int(4));
+        assert!(Arc::ptr_eq(&body_before, &inv_body(&ctx)));
+        assert!(Arc::ptr_eq(&child_before, &later_child(&ctx)));
+        // Exactly the fact that mentions x changed.
+        assert_eq!(ctx.facts[0], PureProp::lt(Term::int(0), Term::int(4)));
+        assert_eq!(ctx.facts[1], facts_before[1]);
+        let (PureProp::Le(_, after), PureProp::Le(_, before)) = (&ctx.facts[1], &facts_before[1])
+        else {
+            unreachable!()
+        };
+        let (Term::App(_, after), Term::App(_, before)) = (after, before) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(after, before));
+        // A variable the invariant body mentions copies that body.
+        ctx.substitute_var(y, &Term::int(2));
+        assert!(!Arc::ptr_eq(&body_before, &inv_body(&ctx)));
     }
 
     #[test]

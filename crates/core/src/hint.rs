@@ -310,7 +310,7 @@ fn hint_from_hyp(
                 let found =
                     hint_in_left_goal(ctx, registry, opts, body, atom, true)?.through("inv-open");
                 let closing = Assertion::wand(
-                    Assertion::later((**body).clone()),
+                    Assertion::Later(std::sync::Arc::clone(body)),
                     Assertion::fupd(
                         MaskT::Concrete(from.without(ns)),
                         MaskT::Concrete(from.clone()),

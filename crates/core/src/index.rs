@@ -33,7 +33,7 @@
 //!
 //! Heads are *term-independent*: substitution and zonking rewrite term
 //! leaves but preserve every constructor, `PredId`, `GhostKind` and
-//! `Namespace` the walk inspects ([`diaframe_logic::Atom::map_terms`]),
+//! `Namespace` the walk inspects ([`diaframe_logic::Atom::rewrite_terms`]),
 //! and the strategy's in-place hypothesis rewrites (later-stripping,
 //! ghost/points-to/fraction merges) also preserve heads. A `HeadSet`
 //! computed at `add_hyp` time therefore never goes stale.
@@ -311,7 +311,7 @@ mod tests {
             mask: MaskT::top(),
             post: WpPost {
                 ret: r,
-                body: Box::new(Assertion::emp()),
+                body: std::sync::Arc::new(Assertion::emp()),
             },
         };
         let hs = HeadSet::of(&Assertion::atom(wp.clone()));

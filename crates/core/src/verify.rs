@@ -26,6 +26,7 @@ use diaframe_heaplang::{Expr, Val};
 use diaframe_logic::{MaskT, WpPost};
 use diaframe_term::solver::egraph;
 use diaframe_term::{Subst, Term};
+use std::sync::Arc;
 
 /// A successfully verified specification.
 #[derive(Debug, Clone)]
@@ -159,7 +160,7 @@ fn verify_goal(
             mask: MaskT::top(),
             post: WpPost {
                 ret: spec.ret,
-                body: Box::new(post_body),
+                body: Arc::new(post_body),
             },
             then: Box::new(Goal::Done),
         },

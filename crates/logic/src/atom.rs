@@ -1,6 +1,6 @@
 //! Atoms `A` — the leaves of the assertion grammar.
 
-use crate::assertion::Assertion;
+use crate::assertion::{rewrite_shared, Assertion};
 use crate::mask::MaskT;
 use crate::namespace::Namespace;
 use crate::pred::PredId;
@@ -43,7 +43,7 @@ impl fmt::Display for GhostKind {
 ///
 /// Examples: `locked γ` is `{kind: locked, gname: γ, pred: None, args: []}`;
 /// `counter P γ p` is `{kind: counter, gname: γ, pred: Some(P), args: [p]}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GhostAtom {
     /// The kind (which ghost library the atom belongs to).
     pub kind: GhostKind,
@@ -57,12 +57,13 @@ pub struct GhostAtom {
 
 /// The postcondition of a weakest precondition: `{ v. body }`, with `v` a
 /// binder placeholder of sort `Val`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WpPost {
     /// The placeholder bound to the return value.
     pub ret: VarId,
-    /// The postcondition body (a left-goal).
-    pub body: Box<Assertion>,
+    /// The postcondition body (a left-goal), shared like any other
+    /// assertion child.
+    pub body: Arc<Assertion>,
 }
 
 impl WpPost {
@@ -76,7 +77,7 @@ impl WpPost {
 /// An atom of the grammar (§5.1): `A ::= wp e {v. L} | χ | ⌜L⌝^N | …` where
 /// the ellipsis is points-to assertions, ghost assertions and abstract
 /// predicates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Atom {
     /// The fractional points-to `ℓ ↦{q} v`.
     PointsTo {
@@ -166,81 +167,79 @@ impl Atom {
 
     /// Applies a substitution to all embedded terms (does not descend into
     /// invariant bodies' *binders* — placeholders are globally unique, so
-    /// plain recursion is capture-free).
+    /// plain recursion is capture-free). A clone plus
+    /// [`Atom::subst_in_place`].
     #[must_use]
     pub fn subst(&self, s: &Subst) -> Atom {
-        self.map_terms(&|t| s.apply(t))
+        let mut out = self.clone();
+        out.subst_in_place(s);
+        out
     }
 
-    /// Resolves solved evars in all embedded terms. Returns a plain
-    /// clone (cheap: invariant bodies are `Arc`-shared) when no embedded
-    /// term needs zonking — the steady state inside probe loops.
+    /// [`Atom::subst`] in place: an invariant body or `wp` postcondition
+    /// is copied only when the substitution touches one of its leaves.
+    pub fn subst_in_place(&mut self, s: &Subst) {
+        self.rewrite_terms(&|t| s.touches(t), &|t| s.apply_in_place(t));
+    }
+
+    /// Resolves solved evars in all embedded terms. A plain clone (cheap:
+    /// invariant bodies are `Arc`-shared) when no embedded term needs
+    /// zonking — the steady state inside probe loops.
     #[must_use]
     pub fn zonk(&self, ctx: &VarCtx) -> Atom {
-        if !self.needs_zonk(ctx) {
-            return self.clone();
-        }
-        self.map_terms(&|t| t.zonk(ctx))
+        let mut out = self.clone();
+        out.zonk_in_place(ctx);
+        out
     }
 
-    /// [`Atom::zonk`] on an owned atom: returns `self` untouched when no
-    /// embedded term needs zonking.
-    #[must_use]
-    pub fn zonk_owned(self, ctx: &VarCtx) -> Atom {
-        if !self.needs_zonk(ctx) {
-            return self;
-        }
-        self.map_terms(&|t| t.zonk(ctx))
+    /// [`Atom::zonk`] in place: rewrites only the leaves that
+    /// [`Term::needs_zonk`] selects.
+    pub fn zonk_in_place(&mut self, ctx: &VarCtx) {
+        self.rewrite_terms(&|t| t.needs_zonk(ctx), &|t| t.zonk_in_place(ctx));
     }
 
     /// Whether [`Atom::zonk`] would change anything (see
     /// [`Term::needs_zonk`]). Early-exits on the first affected term.
     #[must_use]
     pub fn needs_zonk(&self, ctx: &VarCtx) -> bool {
+        self.any_term(&|t| t.needs_zonk(ctx))
+    }
+
+    /// Whether `p` holds of some term leaf (inside invariant bodies and
+    /// `wp` postconditions too); stops at the first that does.
+    pub fn any_term(&self, p: &impl Fn(&Term) -> bool) -> bool {
         match self {
-            Atom::PointsTo { loc, frac, val } => {
-                loc.needs_zonk(ctx) || frac.needs_zonk(ctx) || val.needs_zonk(ctx)
-            }
-            Atom::Ghost(g) => g.gname.needs_zonk(ctx) || g.args.iter().any(|a| a.needs_zonk(ctx)),
-            Atom::Invariant { body, .. } => body.needs_zonk(ctx),
-            Atom::Wp { post, .. } => post.body.needs_zonk(ctx),
-            Atom::PredApp { args, .. } => args.iter().any(|a| a.needs_zonk(ctx)),
+            Atom::PointsTo { loc, frac, val } => p(loc) || p(frac) || p(val),
+            Atom::Ghost(g) => p(&g.gname) || g.args.iter().any(p),
+            Atom::Invariant { body, .. } => body.any_term(p),
+            Atom::Wp { post, .. } => post.body.any_term(p),
+            Atom::PredApp { args, .. } => args.iter().any(p),
             Atom::CloseInv { .. } => false,
         }
     }
 
-    /// Applies `f` to every term leaf.
-    #[must_use]
-    pub fn map_terms(&self, f: &impl Fn(&Term) -> Term) -> Atom {
+    /// See [`Assertion::rewrite_terms`]: rewrites by `f` the term leaves
+    /// `hit` selects, copying a shared body only on the way to one.
+    pub fn rewrite_terms(&mut self, hit: &impl Fn(&Term) -> bool, f: &impl Fn(&mut Term)) {
+        let leaf = |t: &mut Term| {
+            if hit(t) {
+                f(t);
+            }
+        };
         match self {
-            Atom::PointsTo { loc, frac, val } => Atom::PointsTo {
-                loc: f(loc),
-                frac: f(frac),
-                val: f(val),
-            },
-            Atom::Ghost(g) => Atom::Ghost(GhostAtom {
-                kind: g.kind,
-                gname: f(&g.gname),
-                pred: g.pred,
-                args: g.args.iter().map(f).collect(),
-            }),
-            Atom::Invariant { ns, body } => Atom::Invariant {
-                ns: ns.clone(),
-                body: Arc::new(body.map_terms(f)),
-            },
-            Atom::Wp { expr, mask, post } => Atom::Wp {
-                expr: expr.clone(),
-                mask: mask.clone(),
-                post: WpPost {
-                    ret: post.ret,
-                    body: Box::new(post.body.map_terms(f)),
-                },
-            },
-            Atom::PredApp { pred, args } => Atom::PredApp {
-                pred: *pred,
-                args: args.iter().map(f).collect(),
-            },
-            Atom::CloseInv { ns } => Atom::CloseInv { ns: ns.clone() },
+            Atom::PointsTo { loc, frac, val } => {
+                leaf(loc);
+                leaf(frac);
+                leaf(val);
+            }
+            Atom::Ghost(g) => {
+                leaf(&mut g.gname);
+                g.args.iter_mut().for_each(leaf);
+            }
+            Atom::Invariant { body, .. } => rewrite_shared(body, hit, f),
+            Atom::Wp { post, .. } => rewrite_shared(&mut post.body, hit, f),
+            Atom::PredApp { args, .. } => args.iter_mut().for_each(leaf),
+            Atom::CloseInv { .. } => {}
         }
     }
 

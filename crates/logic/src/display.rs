@@ -205,7 +205,10 @@ mod tests {
         let ctx = VarCtx::new();
         let preds = PredTable::new();
         let t = Assertion::pure(PureProp::True);
-        let s = Assertion::Sep(Box::new(t.clone()), Box::new(Assertion::later(t.clone())));
+        let s = Assertion::Sep(
+            std::sync::Arc::new(t.clone()),
+            std::sync::Arc::new(Assertion::later(t.clone())),
+        );
         assert_eq!(
             pp_assertion(&ctx, &preds, &s).to_string(),
             "⌜True⌝ ∗ ▷ ⌜True⌝"

@@ -124,55 +124,69 @@ impl PureProp {
         }
     }
 
-    /// Applies a substitution to all embedded terms.
+    /// Applies a substitution to all embedded terms, sharing every term
+    /// it does not touch (see [`Subst::apply`]).
     #[must_use]
     pub fn subst(&self, s: &Subst) -> PureProp {
-        self.map_terms(&|t| s.apply(t))
+        let mut out = self.clone();
+        out.subst_in_place(s);
+        out
+    }
+
+    /// [`PureProp::subst`] in place: only the touched term leaves are
+    /// rewritten.
+    pub fn subst_in_place(&mut self, s: &Subst) {
+        self.visit_terms_mut(&mut |t| s.apply_in_place(t));
     }
 
     /// Resolves solved evars in all embedded terms.
     #[must_use]
     pub fn zonk(&self, ctx: &VarCtx) -> PureProp {
-        if !self.needs_zonk(ctx) {
-            return self.clone();
-        }
-        self.map_terms(&|t| t.zonk(ctx))
+        let mut out = self.clone();
+        out.zonk_in_place(ctx);
+        out
+    }
+
+    /// [`PureProp::zonk`] in place: only the term leaves that
+    /// [`Term::needs_zonk`] are rewritten.
+    pub fn zonk_in_place(&mut self, ctx: &VarCtx) {
+        self.visit_terms_mut(&mut |t| t.zonk_in_place(ctx));
     }
 
     /// Whether [`PureProp::zonk`] would change anything (see
     /// [`Term::needs_zonk`]). Early-exits on the first affected term.
     #[must_use]
     pub fn needs_zonk(&self, ctx: &VarCtx) -> bool {
+        self.any_term(&|t| t.needs_zonk(ctx))
+    }
+
+    /// Whether `p` holds of some term leaf; stops at the first that does.
+    pub fn any_term(&self, p: &impl Fn(&Term) -> bool) -> bool {
         match self {
             PureProp::True | PureProp::False => false,
             PureProp::Eq(a, b) | PureProp::Ne(a, b) | PureProp::Le(a, b) | PureProp::Lt(a, b) => {
-                a.needs_zonk(ctx) || b.needs_zonk(ctx)
+                p(a) || p(b)
             }
             PureProp::And(a, b) | PureProp::Or(a, b) | PureProp::Implies(a, b) => {
-                a.needs_zonk(ctx) || b.needs_zonk(ctx)
+                a.any_term(p) || b.any_term(p)
             }
-            PureProp::Not(a) => a.needs_zonk(ctx),
+            PureProp::Not(a) => a.any_term(p),
         }
     }
 
-    /// Applies `f` to every term leaf.
-    #[must_use]
-    pub fn map_terms(&self, f: &impl Fn(&Term) -> Term) -> PureProp {
+    /// Calls `f` on every term leaf, mutably.
+    pub fn visit_terms_mut(&mut self, f: &mut impl FnMut(&mut Term)) {
         match self {
-            PureProp::True => PureProp::True,
-            PureProp::False => PureProp::False,
-            PureProp::Eq(a, b) => PureProp::Eq(f(a), f(b)),
-            PureProp::Ne(a, b) => PureProp::Ne(f(a), f(b)),
-            PureProp::Le(a, b) => PureProp::Le(f(a), f(b)),
-            PureProp::Lt(a, b) => PureProp::Lt(f(a), f(b)),
-            PureProp::And(a, b) => {
-                PureProp::And(Box::new(a.map_terms(f)), Box::new(b.map_terms(f)))
+            PureProp::True | PureProp::False => {}
+            PureProp::Eq(a, b) | PureProp::Ne(a, b) | PureProp::Le(a, b) | PureProp::Lt(a, b) => {
+                f(a);
+                f(b);
             }
-            PureProp::Or(a, b) => PureProp::Or(Box::new(a.map_terms(f)), Box::new(b.map_terms(f))),
-            PureProp::Not(a) => PureProp::Not(Box::new(a.map_terms(f))),
-            PureProp::Implies(a, b) => {
-                PureProp::Implies(Box::new(a.map_terms(f)), Box::new(b.map_terms(f)))
+            PureProp::And(a, b) | PureProp::Or(a, b) | PureProp::Implies(a, b) => {
+                a.visit_terms_mut(f);
+                b.visit_terms_mut(f);
             }
+            PureProp::Not(a) => a.visit_terms_mut(f),
         }
     }
 

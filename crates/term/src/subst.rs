@@ -3,10 +3,19 @@
 //! Substitutions instantiate the quantified variables of specification
 //! schemas and hint schemas when they are applied: the schema's binders are
 //! mapped either to fresh variables, to evars, or to concrete terms.
+//!
+//! Sharing contract: [`Subst::apply`] never copies what it does not
+//! change. A term in which no variable of the domain occurs
+//! ([`Subst::touches`] is false) comes back as a clone of itself (an
+//! `Arc` bump), and in a touched term only the `App` spine above a
+//! replaced variable is rebuilt; every untouched argument keeps its
+//! argument list. Containers (pure propositions, atoms, assertions)
+//! use [`Subst::touches`] to leave untouched subtrees alone.
 
 use crate::evar::VarId;
 use crate::term::Term;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A finite map from universal variables to terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -57,19 +66,42 @@ impl Subst {
         self.map.iter().map(|(v, t)| (*v, t))
     }
 
-    /// Applies the substitution to a term. Unbound variables are left alone.
+    /// Whether some variable of the domain occurs in `t`, i.e. whether
+    /// [`Subst::apply`] changes it. A read-only, allocation-free scan.
+    #[must_use]
+    pub fn touches(&self, t: &Term) -> bool {
+        match t {
+            Term::Var(v) => self.map.contains_key(v),
+            Term::App(_, args) => args.iter().any(|a| self.touches(a)),
+            _ => false,
+        }
+    }
+
+    /// Applies the substitution to a term. Unbound variables are left
+    /// alone, and so is every subterm the substitution does not touch:
+    /// it is shared with `t`, not copied.
     #[must_use]
     pub fn apply(&self, t: &Term) -> Term {
-        if self.map.is_empty() {
-            return t.clone();
-        }
+        let mut out = t.clone();
+        self.apply_in_place(&mut out);
+        out
+    }
+
+    /// [`Subst::apply`] in place: rewrites only the touched leaves, and
+    /// copies an argument list (`Arc::make_mut`) only on the way to one.
+    pub fn apply_in_place(&self, t: &mut Term) {
         match t {
-            Term::Var(v) => match self.map.get(v) {
-                Some(u) => u.clone(),
-                None => t.clone(),
-            },
-            Term::App(sym, args) => Term::App(*sym, args.iter().map(|a| self.apply(a)).collect()),
-            _ => t.clone(),
+            Term::Var(v) => {
+                if let Some(u) = self.map.get(v) {
+                    *t = u.clone();
+                }
+            }
+            Term::App(_, args) if args.iter().any(|a| self.touches(a)) => {
+                for a in Arc::make_mut(args) {
+                    self.apply_in_place(a);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -113,6 +145,36 @@ mod tests {
         let s: Subst = [(x, Term::var(y)), (y, Term::int(1))].into_iter().collect();
         let t = Term::add(Term::var(x), Term::var(y));
         assert_eq!(s.apply(&t), Term::add(Term::var(y), Term::int(1)));
+    }
+
+    #[test]
+    fn apply_shares_untouched_subterms() {
+        let mut ctx = VarCtx::new();
+        let x = ctx.fresh_var(Sort::Int, "x");
+        let y = ctx.fresh_var(Sort::Int, "y");
+        let s = Subst::single(x, Term::int(5));
+        let untouched = Term::add(Term::var(y), Term::int(1));
+        let t = Term::add(untouched.clone(), Term::neg(Term::var(x)));
+        assert!(s.touches(&t) && !s.touches(&untouched));
+        let out = s.apply(&t);
+        assert_eq!(out, Term::add(untouched.clone(), Term::neg(Term::int(5))));
+        let (Term::App(_, new), Term::App(_, old)) = (&out, &t) else {
+            unreachable!()
+        };
+        // The spine above `x` is rebuilt; the `y + 1` argument is shared.
+        assert!(!Arc::ptr_eq(new, old));
+        let (Term::App(_, a), Term::App(_, b)) = (&new[0], &old[0]) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // Nothing touched: the very same argument list comes back.
+        let Term::App(_, same) = s.apply(&untouched) else {
+            unreachable!()
+        };
+        let Term::App(_, orig) = &untouched else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&same, orig));
     }
 
     #[test]

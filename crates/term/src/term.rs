@@ -1,4 +1,10 @@
 //! The first-order term language.
+//!
+//! Terms are persistent: an application's arguments sit behind an `Arc`,
+//! and the rewrites ([`Term::zonk`], [`crate::Subst::apply`]) rebuild only
+//! the spine above what they change. Every argument they leave alone
+//! stays shared (`Arc::ptr_eq`) with the input, and a term with nothing
+//! to rewrite comes back as a clone of itself.
 
 use crate::evar::{EVarId, VarCtx, VarId};
 use crate::qp::Qp;
@@ -374,18 +380,29 @@ impl Term {
         }
     }
 
+    /// [`Term::zonk`] in place: leaves the term alone when it does not
+    /// [`Term::needs_zonk`].
+    pub fn zonk_in_place(&mut self, ctx: &VarCtx) {
+        if self.needs_zonk(ctx) {
+            *self = self.zonk_walk(ctx);
+        }
+    }
+
+    /// The rebuild behind [`Term::zonk`], for a term that needs it: only
+    /// the spine above a solved evar or a projection redex is rebuilt;
+    /// every argument that needs no zonking is shared.
     fn zonk_walk(&self, ctx: &VarCtx) -> Term {
         match self {
             Term::EVar(e) => match ctx.evar_solution(*e) {
-                Some(sol) => sol.zonk_walk(ctx),
+                Some(sol) => sol.zonk(ctx),
                 None => self.clone(),
             },
             Term::App(sym, args) => {
-                let args: Vec<Term> = args.iter().map(|a| a.zonk_walk(ctx)).collect();
-                match (sym, args.as_slice()) {
+                let args: Arc<[Term]> = args.iter().map(|a| a.zonk(ctx)).collect();
+                match (sym, &args[..]) {
                     (Sym::Fst, [Term::App(Sym::VPair, ps)]) => ps[0].clone(),
                     (Sym::Snd, [Term::App(Sym::VPair, ps)]) => ps[1].clone(),
-                    _ => Term::app(*sym, args),
+                    _ => Term::App(*sym, args),
                 }
             }
             _ => self.clone(),
