@@ -71,5 +71,5 @@ fn a_disjunction_whose_sides_both_fail_reports_both_reasons() {
         .unwrap_or_else(|| panic!("{}", stuck.reason));
     assert!(left.starts_with("cannot prove pure goal"), "{left}");
     assert!(right.starts_with("cannot prove pure goal"), "{right}");
-    assert!(stuck.goal.contains("Or("), "{}", stuck.goal);
+    assert!(stuck.goal.contains(" ∨ "), "{}", stuck.goal);
 }

@@ -123,6 +123,13 @@ mod tests {
             "neither disjunct holds; left: cannot prove pure goal 0 < z31 + (-1); \
              right: cannot prove pure goal #(z31 + (-1)) = #0"
         );
-        assert!(stuck.goal.contains("Or("), "{}", stuck.goal);
+        assert!(
+            stuck.goal.contains(
+                "(⌜0 < z31 + (-1)⌝ ∗ counter P γ27 z31 + (-1)) ∨ \
+                 (⌜#(z31 + (-1)) = #0⌝ ∗ no_tokens P γ27 1/2)"
+            ),
+            "{}",
+            stuck.goal
+        );
     }
 }
